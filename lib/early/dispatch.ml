@@ -543,10 +543,20 @@ struct
      case falls back to per-command submits.  [spec_out] is
      submit-thread-private, so the test is stable for the whole batch.
      This is the conservative feed's (and the optimistic protocol's
-     0%-mis) fast path. *)
-  let submit_batch t cs =
+     0%-mis) fast path.
+
+     The batch reserves its window slots before it enqueues any token, so
+     a batch longer than the window would wait for slots only its own
+     commands could free: such a batch goes in window-sized slices, each
+     freed by the workers executing the slices before it. *)
+  let rec submit_batch t cs =
     let n = Array.length cs in
-    if n = 0 then ()
+    if n > t.wmax then
+      for s = 0 to (n - 1) / t.wmax do
+        let off = s * t.wmax in
+        submit_batch t (Array.sub cs off (min t.wmax (n - off)))
+      done
+    else if n = 0 then ()
     else begin
       Probe.batch n;
       if t.spec_out > 0 then Array.iter (submit t) cs

@@ -43,7 +43,7 @@ module Make (P : Platform_intf.S) (C : Psmr_cos.Cos_intf.KEYED_COMMAND) : sig
       it — installing it turns pending single-queue tokens into
       speculative executions (see {!confirm}); [on_commit cmd] runs on the
       committing thread once [cmd]'s effects are final (never for
-      rolled-back executions) — the replica releases client replies here;
+      rolled-back executions) — an optimistic feeder answers clients here;
       [fault] overrides the per-fetch fault consultation (default: the
       {!Psmr_fault.Fault} facade, keyed by worker id) — the checker passes
       logical [(worker, nth-fetch)] crash points here.
@@ -64,6 +64,10 @@ module Make (P : Platform_intf.S) (C : Psmr_cos.Cos_intf.KEYED_COMMAND) : sig
       in-flight window is full. *)
 
   val submit_batch : t -> cmd array -> unit
+  (** [submit] for each command in order, with one window reservation and
+      one lock round per queue for every slice of at most [max_size]
+      commands (per-command [submit] while speculation is outstanding).
+      Any batch length is accepted. *)
 
   type spec
   (** Handle of an optimistic submission, to be passed to {!confirm}. *)

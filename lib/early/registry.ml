@@ -90,47 +90,3 @@ let instantiate (type c) backend (module P : Platform_intf.S)
         let drain = D.drain
         let shutdown = D.shutdown
       end)
-
-let instantiate_opt (type c) backend (module P : Platform_intf.S)
-    (module C : Psmr_cos.Cos_intf.KEYED_COMMAND with type t = c) :
-    (module Psmr_sched.Sched_intf.OPT_BACKEND with type cmd = c) =
-  match backend with
-  | Cos impl ->
-      invalid_arg
-        (Printf.sprintf
-           "Registry.instantiate_opt: %s is not an optimistic backend"
-           (Psmr_cos.Registry.to_string impl))
-  | Early cfg ->
-      let module D = Dispatch.Make (P) (C) in
-      (module struct
-        type cmd = c
-        type t = D.t
-        type spec = D.spec
-
-        let name = to_string backend
-
-        let start ?max_size ~workers ~execute () =
-          D.start_full ?max_size ?classes:cfg.classes ~workers ~execute ()
-
-        let start_opt ?max_size ?speculate ?on_commit ~workers ~execute () =
-          D.start_full ?max_size ?classes:cfg.classes ?speculate ?on_commit
-            ~workers ~execute ()
-
-        let submit = D.submit
-        let submit_batch = D.submit_batch
-        let submit_optimistic = D.submit_optimistic
-        let confirm = D.confirm
-        let submitted = D.submitted
-        let executed = D.executed
-        let in_flight = D.in_flight
-        let crashed_workers = D.crashed_workers
-        let drain = D.drain
-        let shutdown = D.shutdown
-        let repairs = D.repair_count
-        let revoked = D.revoked_count
-        let dropped = D.dropped
-        let spec_execs = D.spec_exec_count
-        let rollbacks = D.rollback_count
-        let redos = D.redo_count
-        let redo_depth = D.redo_depth_max
-      end)

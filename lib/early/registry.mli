@@ -35,17 +35,7 @@ val instantiate :
   (module Psmr_cos.Cos_intf.KEYED_COMMAND with type t = 'c) ->
   (module Psmr_sched.Sched_intf.BACKEND with type cmd = 'c)
 (** First-class backend for the given platform and command type.  The
-    [Early] case bakes the configured class count into [start]; note the
-    generic [BACKEND] surface is conservative-only — harnesses that drive
-    the optimistic protocol use {!instantiate_opt} (or {!Dispatch.Make}
-    directly). *)
-
-val instantiate_opt :
-  backend ->
-  (module Platform_intf.S) ->
-  (module Psmr_cos.Cos_intf.KEYED_COMMAND with type t = 'c) ->
-  (module Psmr_sched.Sched_intf.OPT_BACKEND with type cmd = 'c)
-(** The optimistic-protocol surface of an [Early] backend:
-    [submit_optimistic]/[confirm] plus the speculation hooks and repair
-    statistics.  Raises [Invalid_argument] for [Cos] backends, which have
-    no optimistic delivery path. *)
+    [Early] case bakes the configured class count into [start]; the
+    generic [BACKEND] surface is conservative-only, so [optimistic] is
+    ignored here — harnesses that drive the optimistic protocol use
+    {!Dispatch.Make} directly. *)

@@ -7,7 +7,7 @@
       the self-addressed timer ticks that keep each replica single-threaded;
     - replicas: an event loop feeding the {!Psmr_broadcast.Abcast} protocol,
       an {e executor} that runs delivered commands — either sequentially
-      (classical SMR) or through a COS scheduler with worker threads
+      (classical SMR) or through a scheduling backend with worker threads
       (parallel SMR) — and an at-most-once table replaying cached replies
       to retried requests;
     - closed-loop clients that submit one command at a time, time out and
@@ -29,10 +29,9 @@ type mode =
       (** class-map dispatcher (conservative early scheduling);
           [classes = None] means one class per worker *)
   | Parallel_early_opt of { workers : int; classes : int option }
-      (** class-map dispatcher driven through the optimistic protocol
-          with execution-time speculation: commands execute as soon as
-          they are dispatched and replies are withheld until the commit
-          (requires [Deployment.config.opt_execute]) *)
+      (** the same executor as [Parallel_early]: the deployment delivers
+          in final order only, so the optimistic protocol has nothing to
+          speculate on and the dispatcher takes the conservative feed *)
   | Partitioned of { partitions : int; inner : mode }
       (** sharded ordering: N independent sequencers with deterministic
           cross-partition merge ({!Psmr_broadcast.Partition}), executing
@@ -123,7 +122,7 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
     | None -> None
     | Some inner -> Hashtbl.find_opt inner rid
 
-  (* The per-replica execute-and-reply path shared by both executors:
+  (* The per-replica execute-and-reply path shared by every executor:
      deterministic service execution, reply to the client, and the
      at-most-once cache update. *)
   let make_apply ~replica_id ~service ~net ~cache ~cache_mutex =
@@ -155,105 +154,20 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
       exec_executed = (fun () -> P.Atomic.get executed);
     }
 
-  let parallel_executor ~impl ~workers ~max_size ~apply =
-    let (module Cos : Psmr_cos.Cos_intf.S with type cmd = envelope) =
-      Psmr_cos.Registry.instantiate_keyed impl (module P) (module Env_cmd)
-    in
-    let module Sched = Psmr_sched.Scheduler.Make (P) (Cos) in
-    let sched = Sched.start ?max_size ~workers ~execute:apply () in
-    {
-      exec_submit = (fun e -> Sched.submit sched e);
-      exec_submit_batch = (fun es -> Sched.submit_batch sched es);
-      exec_drain = (fun () -> Sched.drain sched);
-      exec_shutdown = (fun () -> Sched.shutdown sched);
-      exec_executed = (fun () -> Sched.executed sched);
-    }
-
-  (* The early class-map dispatcher behind the same executor record, via
-     the generic backend registry (conservative feed: the replica delivers
-     in final order, so there is nothing to speculate on). *)
-  let early_executor ~workers ~classes ~max_size ~apply =
+  (* Any registry backend — a COS behind the scheduler runtime, or the
+     class-map dispatcher — behind the executor record.  The replica
+     delivers in final order only, so there is nothing to speculate on:
+     every backend takes the conservative feed, delivered batches go
+     through [submit_batch], and the workers run the shared [apply], which
+     executes, caches and replies. *)
+  let backend_executor ~backend ~workers ~max_size ~apply =
     let (module B : Psmr_sched.Sched_intf.BACKEND with type cmd = envelope) =
-      Psmr_early.Registry.instantiate
-        (Psmr_early.Registry.Early { classes; optimistic = false })
-        (module P) (module Env_cmd)
+      Psmr_early.Registry.instantiate backend (module P) (module Env_cmd)
     in
     let b = B.start ?max_size ~workers ~execute:apply () in
     {
-      exec_submit = (fun e -> B.submit b e);
-      exec_submit_batch = (fun es -> B.submit_batch b es);
-      exec_drain = (fun () -> B.drain b);
-      exec_shutdown = (fun () -> B.shutdown b);
-      exec_executed = (fun () -> B.executed b);
-    }
-
-  (* The optimistic early dispatcher: execution starts at submission
-     through the service's undo capability, mis-speculations roll back,
-     and the reply to the client is withheld until the command commits at
-     its confirmed final-order position — a speculative response must
-     never escape the replica.  Responses are stashed per (client, rid)
-     between execution and commit; a re-execution after a rollback simply
-     overwrites the stale stash entry.
-
-     The replica delivers in final order only, so the parallelizer feeds
-     each delivered batch through [submit_optimistic] and confirms it in
-     the same order: ordering mis-speculation cannot arise at this layer,
-     but execution overlaps the remaining submissions and confirmations
-     exactly as in the standalone optimistic harness. *)
-  let early_opt_executor ~workers ~classes ~max_size ~service ~opt_execute
-      ~replica_id ~net ~cache ~cache_mutex =
-    let (module B : Psmr_sched.Sched_intf.OPT_BACKEND with type cmd = envelope)
-        =
-      Psmr_early.Registry.instantiate_opt
-        (Psmr_early.Registry.Early { classes; optimistic = true })
-        (module P) (module Env_cmd)
-    in
-    let stash : (int * int, S.response) Hashtbl.t = Hashtbl.create 64 in
-    let stash_m = P.Mutex.create () in
-    let stash_put (e : envelope) resp =
-      P.Mutex.lock stash_m;
-      Hashtbl.replace stash (e.client, e.rid) resp;
-      P.Mutex.unlock stash_m
-    in
-    let run (e : envelope) =
-      let resp, undo = opt_execute service e.cmd in
-      stash_put e resp;
-      undo
-    in
-    let on_commit (e : envelope) =
-      P.Mutex.lock stash_m;
-      let resp = Hashtbl.find_opt stash (e.client, e.rid) in
-      Hashtbl.remove stash (e.client, e.rid);
-      P.Mutex.unlock stash_m;
-      match resp with
-      | None ->
-          (* Commit fires after the execution that stashed the response,
-             on the same worker (or after a handoff that orders them). *)
-          assert false
-      | Some resp ->
-          P.Mutex.lock cache_mutex;
-          cache_store cache e.client e.rid resp;
-          P.Mutex.unlock cache_mutex;
-          Net.send net ~src:replica_id ~dst:e.client
-            (Reply { rid = e.rid; resp; replica = replica_id })
-    in
-    let b =
-      B.start_opt ?max_size ~speculate:run
-        ~on_commit ~workers
-        ~execute:(fun e -> ignore (run e : unit -> unit))
-        ()
-    in
-    {
-      exec_submit =
-        (fun e ->
-          let sp = B.submit_optimistic b e in
-          B.confirm b sp);
-      exec_submit_batch =
-        (fun es ->
-          (* The whole batch is optimistically in flight before its first
-             confirmation. *)
-          let sps = Array.map (fun e -> B.submit_optimistic b e) es in
-          Array.iter (fun sp -> B.confirm b sp) sps);
+      exec_submit = B.submit b;
+      exec_submit_batch = B.submit_batch b;
       exec_drain = (fun () -> B.drain b);
       exec_shutdown = (fun () -> B.shutdown b);
       exec_executed = (fun () -> B.executed b);
@@ -391,10 +305,10 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
       make_service : int -> S.t;  (** fresh service state for replica [i] *)
       opt_execute :
         (S.t -> S.command -> S.response * (unit -> unit)) option;
-          (** execute-with-undo for {!Parallel_early_opt}: run the command
-              and return its response plus the closure that reverts it
-              (wrap an {!Psmr_app.Service_intf.UNDOABLE} service's
-              [execute_undoable]/[undo] pair) *)
+          (** Unused: an execute-with-undo hook, which no mode needs —
+              the deployment delivers in final order, so
+              {!Parallel_early_opt} shares the conservative executor of
+              {!Parallel_early} and never rolls back. *)
     }
 
     let default_config ~make_service () =
@@ -460,22 +374,16 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
               | Partitioned _ -> assert false (* exec_mode unwraps these *)
               | Sequential -> sequential_executor ~apply
               | Parallel { impl; workers } ->
-                  parallel_executor ~impl ~workers ~max_size:cfg.cos_max_size
-                    ~apply
-              | Parallel_early { workers; classes } ->
-                  early_executor ~workers ~classes ~max_size:cfg.cos_max_size
-                    ~apply
+                  backend_executor ~backend:(Psmr_early.Registry.Cos impl)
+                    ~workers
+                    ~max_size:cfg.cos_max_size ~apply
+              | Parallel_early { workers; classes }
               | Parallel_early_opt { workers; classes } ->
-                  let opt_execute =
-                    match cfg.opt_execute with
-                    | Some f -> f
-                    | None ->
-                        invalid_arg
-                          "Deployment: Parallel_early_opt requires opt_execute"
-                  in
-                  early_opt_executor ~workers ~classes
-                    ~max_size:cfg.cos_max_size ~service ~opt_execute
-                    ~replica_id:id ~net ~cache ~cache_mutex
+                  backend_executor
+                    ~backend:
+                      (Psmr_early.Registry.Early
+                         { classes; optimistic = false })
+                    ~workers ~max_size:cfg.cos_max_size ~apply
             in
             let delivered_commands = P.Atomic.make 0 in
             (* The parallelizer stage (Figure 1b) is its own thread: the

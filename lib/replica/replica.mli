@@ -3,7 +3,7 @@
 
     [Make (P) (S)] assembles, for service [S] on platform [P]: the wire
     protocol, replicas (protocol event loop + parallelizer thread +
-    sequential or COS-parallel executor + at-most-once reply cache),
+    sequential or backend-parallel executor + at-most-once reply cache),
     batched closed-loop clients with timeout failover, and the deployment
     wiring over an in-process network.  Runs identically on real threads
     (tests, examples) and under the simulator (benchmark harness). *)
@@ -18,11 +18,10 @@ type mode =
       (** early-scheduling class-map dispatcher, conservative feed;
           [classes = None] means one class per worker *)
   | Parallel_early_opt of { workers : int; classes : int option }
-      (** class-map dispatcher driven through the optimistic protocol with
-          execution-time speculation: commands execute as soon as they are
-          dispatched, mis-speculations roll back through the service's
-          undo capability, and replies are withheld until commit.
-          Requires {!Make.Deployment.config.opt_execute}. *)
+      (** the same executor as [Parallel_early].  The deployment delivers
+          in final order only, so the optimistic protocol would have
+          nothing to speculate on: the dispatcher takes the conservative
+          batched feed and its workers reply directly. *)
   | Partitioned of { partitions : int; inner : mode }
       (** sharded ordering ({!Psmr_broadcast.Partition}): one sequencer per
           key partition, cross-partition commands merged deterministically
@@ -80,12 +79,10 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) : sig
       make_service : int -> S.t;  (** fresh service state for replica [i] *)
       opt_execute :
         (S.t -> S.command -> S.response * (unit -> unit)) option;
-          (** execute-with-undo for {!Parallel_early_opt}: run the command
-              and return its response plus the closure that reverts it —
-              wrap an {!Psmr_app.Service_intf.UNDOABLE} service's
-              [execute_undoable]/[undo] pair.  Ignored by other modes;
-              [create] rejects a [Parallel_early_opt] deployment without
-              it. *)
+          (** Unused: an execute-with-undo hook, which no mode needs —
+              the deployment delivers in final order, so
+              {!Parallel_early_opt} shares the conservative executor of
+              {!Parallel_early} and never rolls back. *)
     }
 
     val default_config : make_service:(int -> S.t) -> unit -> config

@@ -68,67 +68,3 @@ module type BACKEND = sig
   (** [drain], close the structure, and join the workers.  The caller must
       have stopped submitting. *)
 end
-
-(** A backend that additionally speaks the optimistic delivery protocol:
-    commands arrive twice — once {e optimistically} (fast, possibly in the
-    wrong order) and once {e finally} (the consensus order).  The backend
-    may start work on an optimistic submission immediately; [confirm]
-    settles it against the final order, repairing (undo + re-execute)
-    whatever the optimistic order got wrong.
-
-    Protocol contract, on top of {!BACKEND}:
-    - [submit_optimistic] is called in optimistic delivery order,
-      [confirm] in final delivery order; each handle is confirmed at most
-      once.  The two streams may run on different threads, but each is
-      single-threaded.
-    - With [speculate] installed, execution happens at optimistic
-      delivery through the undo capability; [on_commit] fires exactly
-      once per command, only when its final-order position is settled —
-      the completion signal replicas answer clients from. *)
-module type OPT_BACKEND = sig
-  include BACKEND
-
-  type spec
-  (** Handle for an outstanding optimistic submission. *)
-
-  val start_opt :
-    ?max_size:int ->
-    ?speculate:(cmd -> unit -> unit) ->
-    ?on_commit:(cmd -> unit) ->
-    workers:int ->
-    execute:(cmd -> unit) ->
-    unit ->
-    t
-  (** Like [start], plus the optimistic execution hooks: [speculate c]
-      executes [c] through the service's undo capability and returns the
-      closure that rolls it back; [on_commit] observes each command's
-      single commit. *)
-
-  val submit_optimistic : t -> cmd -> spec
-  (** Hand over the next command in {e optimistic} delivery order. *)
-
-  val confirm : t -> spec -> unit
-  (** Settle an optimistic submission at its {e final} delivery position;
-      detects mis-speculation and triggers the rollback repair. *)
-
-  val repairs : t -> int
-  (** Confirmations that found at least one mis-speculation. *)
-
-  val revoked : t -> int
-  (** Speculations revoked and re-enqueued by repairs. *)
-
-  val dropped : t -> int
-  (** Speculations never confirmed by shutdown. *)
-
-  val spec_execs : t -> int
-  (** Speculative executions (through [speculate]). *)
-
-  val rollbacks : t -> int
-  (** Executed commands undone by repairs. *)
-
-  val redos : t -> int
-  (** Re-executions of rolled-back commands. *)
-
-  val redo_depth : t -> int
-  (** Maximum executions of any single command. *)
-end

@@ -986,6 +986,26 @@ let test_submit_batch_alloc_budget () =
     Alcotest.failf
       "batched submit allocates %.0f minor words/command (budget 256)" per_cmd
 
+let test_submit_batch_longer_than_window () =
+  (* A batch longer than the in-flight window (abcast cuts up to 256
+     commands against the default 150-slot window) must not wait for slots
+     that only its own not-yet-enqueued commands could free. *)
+  let open Psmr_sim in
+  let e = Engine.create () in
+  let (module SP) = Sim_platform.make e Costs.default in
+  let module SD = Psmr_early.Dispatch.Make (SP) (Fc) in
+  let executed = ref 0 in
+  Engine.spawn e (fun () ->
+      let d =
+        SD.start ~max_size:150 ~workers:4 ~execute:(fun _ -> SP.sleep 1e-6) ()
+      in
+      SD.submit_batch d
+        (Array.init 256 (fun i -> { Fc.idx = i; fp = [ (i mod 8, true) ] }));
+      SD.shutdown d;
+      executed := SD.executed d);
+  Engine.run ~until:1.0 e;
+  Alcotest.(check int) "every command executed" 256 !executed
+
 (* --- worker crash inside the repair window (DES) --- *)
 
 let test_keyed_bench_opt_crash_mid_repair () =
@@ -1158,6 +1178,8 @@ let () =
             test_optimistic_zero_mis_fast_path;
           Alcotest.test_case "batched submit stays allocation-flat" `Quick
             test_submit_batch_alloc_budget;
+          Alcotest.test_case "batch longer than the window completes" `Quick
+            test_submit_batch_longer_than_window;
         ] );
       ( "equivalence",
         List.map QCheck_alcotest.to_alcotest

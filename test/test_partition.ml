@@ -890,6 +890,9 @@ let () =
           Alcotest.test_case "kv roundtrip (early inner)" `Quick
             (test_part_kv_roundtrip
                (Parallel_early { workers = 2; classes = None }));
+          Alcotest.test_case "kv roundtrip (early-opt inner)" `Quick
+            (test_part_kv_roundtrip
+               (Parallel_early_opt { workers = 2; classes = None }));
           Alcotest.test_case "kv replicas converge (cos inner)" `Quick
             test_part_kv_replicas_converge;
           Alcotest.test_case "bank cross-partition transfers" `Quick

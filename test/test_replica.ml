@@ -16,12 +16,6 @@ let fast_abcast =
     checkpoint_interval = 64;
   }
 
-(* execute-with-undo wrapper for the optimistic mode; harmless to set
-   unconditionally since the other modes ignore it. *)
-let kv_opt_execute s cmd =
-  let resp, u = Psmr_app.Kv_store.execute_undoable s cmd in
-  (resp, fun () -> Psmr_app.Kv_store.undo s u)
-
 let kv_deployment ?(clients = 2) ?(mode = Psmr_replica.Replica.Sequential) () =
   let services = Array.make 3 None in
   let make_service id =
@@ -37,7 +31,6 @@ let kv_deployment ?(clients = 2) ?(mode = Psmr_replica.Replica.Sequential) () =
       abcast = fast_abcast;
       tick_interval = 1e-3;
       client_timeout = 0.4;
-      opt_execute = Some kv_opt_execute;
     }
   in
   let d = KV_smr.Deployment.create cfg in
@@ -193,6 +186,48 @@ let test_sim_deployment () =
     (List.for_all (fun r -> r = `Ok) !responses);
   Alcotest.(check bool) "virtual time sane" true (Engine.now engine <= 5.0)
 
+let test_sim_full_batch_burst mode () =
+  (* Over 300 commands in flight at once, so the sequencer cuts full
+     256-command batches — longer than the executor's default 150-command
+     window.  Every call must still return. *)
+  let open Psmr_sim in
+  let engine = Engine.create () in
+  let (module SP) = Sim_platform.make engine Costs.default in
+  let module SMR = Psmr_replica.Replica.Make (SP) (Psmr_app.Kv_store) in
+  let clients = 24 and per_call = 16 and rounds = 3 in
+  let returned = ref 0 in
+  let cfg =
+    {
+      (SMR.Deployment.default_config ~make_service:(fun _ ->
+           Psmr_app.Kv_store.create ~capacity:64)
+         ()) with
+      clients;
+      mode;
+      abcast = { fast_abcast with batch_max = 256 };
+      tick_interval = 1e-3;
+      client_timeout = 0.4;
+      latency = (fun ~src:_ ~dst:_ -> 60e-6);
+    }
+  in
+  let d = SMR.Deployment.create cfg in
+  Engine.spawn engine (fun () ->
+      SMR.Deployment.start d;
+      for ci = 0 to clients - 1 do
+        SP.spawn (fun () ->
+            let c = SMR.Deployment.client d ci in
+            for r = 0 to rounds - 1 do
+              let cmds =
+                Array.init per_call (fun i ->
+                    Psmr_app.Kv_store.Put (((ci * per_call) + i) mod 64, r))
+              in
+              match SMR.call_batch c cmds with
+              | Some _ -> incr returned
+              | None -> ()
+            done)
+      done);
+  Engine.run ~until:2.0 engine;
+  Alcotest.(check int) "every call returned" (clients * rounds) !returned
+
 let test_state_transfer_after_truncation () =
   (* Partition replica 2 away from its peers' traffic while the log is being
      truncated aggressively; after healing, it can no longer catch up from
@@ -334,6 +369,10 @@ let () =
         [
           Alcotest.test_case "full deployment on sim" `Quick test_sim_deployment;
           Alcotest.test_case "deterministic" `Quick test_sim_deployment_deterministic;
+          Alcotest.test_case "full-batch burst (early)" `Quick
+            (test_sim_full_batch_burst m_early);
+          Alcotest.test_case "full-batch burst (early-opt)" `Quick
+            (test_sim_full_batch_burst m_early_opt);
           Alcotest.test_case "state transfer after truncation" `Quick
             test_state_transfer_after_truncation;
         ] );
