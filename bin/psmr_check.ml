@@ -19,11 +19,12 @@ open Cmdliner
 module Check = Psmr_checker
 
 (* A check target is either a COS scenario (possibly a planted-bug
-   variant) or an early-scheduling scenario.  The early family has two
+   variant) or an early-scheduling scenario.  The early family has three
    planted bugs: [repair = false] (mis-speculation repair disabled — the
-   conflict-order oracle's target) and [undo = false] under speculation
+   conflict-order oracle's target), [undo = false] under speculation
    (rollbacks skip the state restore — the rollback-consistency oracle's
-   target). *)
+   target) and [write_gate = false] (writes run past still-executing
+   shared read rendezvous — caught by both). *)
 type target =
   | Cos_target of Check.Cos_check.target
   | Early_target of {
@@ -31,6 +32,7 @@ type target =
       classes : int option;
       optimistic : bool;
       repair : bool;
+      write_gate : bool;
       speculate : bool;
       undo : bool;
     }
@@ -69,6 +71,7 @@ let target_conv =
                classes = None;
                optimistic = true;
                repair = false;
+               write_gate = true;
                speculate = false;
                undo = true;
              })
@@ -80,8 +83,21 @@ let target_conv =
                classes = None;
                optimistic = true;
                repair = true;
+               write_gate = true;
                speculate = true;
                undo = false;
+             })
+    | "broken-early-nogate" | "early-nogate" ->
+        Ok
+          (Early_target
+             {
+               name = "broken-early-nogate";
+               classes = None;
+               optimistic = false;
+               repair = true;
+               write_gate = false;
+               speculate = false;
+               undo = true;
              })
     | "broken-part-nobarrier" | "part-nobarrier" ->
         Ok
@@ -105,6 +121,7 @@ let target_conv =
                    classes = Psmr_early.Registry.classes b;
                    optimistic = Psmr_early.Registry.is_optimistic b;
                    repair = true;
+                   write_gate = true;
                    speculate = false;
                    undo = true;
                  })
@@ -124,7 +141,7 @@ let impl_arg =
            partitioned-merge divergence scenarios; --workers counts \
            replica merges), or a planted-bug variant (broken-wtg-start, \
            broken-lost-signal, broken-no-sentinel, broken-early-norepair, \
-           broken-early-noundo, broken-part-nobarrier).")
+           broken-early-noundo, broken-early-nogate, broken-part-nobarrier).")
 
 let workers_arg =
   Arg.(value & opt int 3 & info [ "workers" ] ~docv:"N" ~doc:"Worker processes.")
@@ -363,7 +380,8 @@ let run target workers commands writes keys cross mis spec max_size no_drain
         let sc =
           Check.Early_check.scenario ~workers ?classes:e.classes ~commands
             ~keys ~write_pct:writes ~cross_pct:cross ~optimistic:e.optimistic
-            ~mis_pct:mis ~repair:e.repair ~speculate:(e.speculate || spec)
+            ~mis_pct:mis ~repair:e.repair ~write_gate:e.write_gate
+            ~speculate:(e.speculate || spec)
             ~undo:e.undo ~max_size ~drain_before_close:(not no_drain)
             ~crashes ~respawn:(not no_respawn) ~workload_seed ()
         in

@@ -58,6 +58,7 @@ type cross_state = {
   parts : int array;
   mutable ts : int;  (** max per-partition sequence position seen so far *)
   mutable seen : int;  (** streams the command has been pushed into *)
+  mutable dropped : int;  (** occurrences discarded before emission *)
   mutable first_push : float;  (** virtual time of first sighting *)
 }
 
@@ -70,7 +71,9 @@ type 'c t = {
       (** per stream: uids of cross entries currently queued in it *)
   pushed : int array;  (** per-partition entries pushed (sequence counters) *)
   cross : (int, cross_state) Hashtbl.t;  (** pending cross commands *)
-  emitted_cross : (int, unit) Hashtbl.t;
+  emitted_cross : (int, int ref) Hashtbl.t;
+      (** emitted cross uids -> stream occurrences still to skip (queued
+          or not yet pushed); removed when the last one is consumed *)
   mutable emitted_count : int;
   mutable cross_count : int;
   mutable hole_count : int;
@@ -106,8 +109,12 @@ let pushed t ~part =
 
 let designated parts = parts.(0)
 
-let emit_cross t ~uid ~(st : cross_state) cmd =
-  Hashtbl.replace t.emitted_cross uid ();
+let emitted_live t = Hashtbl.length t.emitted_cross
+
+(* [consumed]: occurrences of [uid] popped by the emission itself. *)
+let emit_cross t ~uid ~(st : cross_state) ~consumed cmd =
+  let left = Array.length st.parts - st.dropped - consumed in
+  if left > 0 then Hashtbl.replace t.emitted_cross uid (ref left);
   Hashtbl.remove t.cross uid;
   t.cross_count <- t.cross_count + 1;
   t.emitted_count <- t.emitted_count + 1;
@@ -139,50 +146,55 @@ let advance t p =
         Probe.part_single ();
         t.emit { part = p; cross = false; uid = -1; cmd };
         progress := true
-    | Some (Cross { uid; parts; cmd }) ->
-        if Hashtbl.mem t.emitted_cross uid then begin
-          (* A hole left by a tie-break (or, under [no_barrier], by the
-             designated stream racing ahead): already emitted, skip. *)
-          ignore (pop t p : 'c entry);
-          progress := true
-        end
-        else if t.no_barrier then
-          if p = designated parts then begin
-            (* Planted bug: no rendezvous — emit on designated-head sight,
-               ordered against other partitions only by arrival timing. *)
-            let st = Hashtbl.find t.cross uid in
+    | Some (Cross { uid; parts; cmd }) -> (
+        match Hashtbl.find_opt t.emitted_cross uid with
+        | Some left ->
+            (* A hole left by a tie-break (or, under [no_barrier], by the
+               designated stream racing ahead): already emitted, skip. *)
             ignore (pop t p : 'c entry);
-            emit_cross t ~uid ~st cmd;
+            decr left;
+            if !left = 0 then Hashtbl.remove t.emitted_cross uid;
             progress := true
-          end
-          else begin
-            (* Planted bug, other half: foreign occurrences are discarded
-               without waiting for the designated emission. *)
-            ignore (pop t p : 'c entry);
-            t.hole_count <- t.hole_count + 1;
-            progress := true
-          end
-        else if p = designated parts then begin
-          (* Rendezvous: emit iff at the head of every touched stream. *)
-          let at_all_heads =
-            Array.for_all
-              (fun q ->
-                match Queue.peek_opt t.streams.(q) with
-                | Some (Cross { uid = u; _ }) -> u = uid
-                | Some (Single _) | None -> false)
-              parts
-          in
-          if at_all_heads then begin
-            let st = Hashtbl.find t.cross uid in
-            (* Pop only the designated occurrence; the other streams skip
-               theirs as already-emitted on their own advance. *)
-            ignore (pop t p : 'c entry);
-            emit_cross t ~uid ~st cmd;
-            progress := true
-          end
-          else stop := true
-        end
-        else stop := true
+        | None ->
+            if t.no_barrier then
+              if p = designated parts then begin
+                (* Planted bug: no rendezvous — emit on designated-head sight,
+                   ordered against other partitions only by arrival timing. *)
+                let st = Hashtbl.find t.cross uid in
+                ignore (pop t p : 'c entry);
+                emit_cross t ~uid ~st ~consumed:1 cmd;
+                progress := true
+              end
+              else begin
+                (* Planted bug, other half: foreign occurrences are discarded
+                   without waiting for the designated emission. *)
+                let st = Hashtbl.find t.cross uid in
+                st.dropped <- st.dropped + 1;
+                ignore (pop t p : 'c entry);
+                t.hole_count <- t.hole_count + 1;
+                progress := true
+              end
+            else if p = designated parts then begin
+              (* Rendezvous: emit iff at the head of every touched stream. *)
+              let at_all_heads =
+                Array.for_all
+                  (fun q ->
+                    match Queue.peek_opt t.streams.(q) with
+                    | Some (Cross { uid = u; _ }) -> u = uid
+                    | Some (Single _) | None -> false)
+                  parts
+              in
+              if at_all_heads then begin
+                let st = Hashtbl.find t.cross uid in
+                (* Pop only the designated occurrence; the other streams skip
+                   theirs as already-emitted on their own advance. *)
+                ignore (pop t p : 'c entry);
+                emit_cross t ~uid ~st ~consumed:1 cmd;
+                progress := true
+              end
+              else stop := true
+            end
+            else stop := true)
   done;
   !progress
 
@@ -289,7 +301,7 @@ let drain t =
       | Some (_, uid, st, cmd) ->
           t.hole_count <- t.hole_count + 1;
           Probe.part_hole ();
-          emit_cross t ~uid ~st cmd
+          emit_cross t ~uid ~st ~consumed:0 cmd
           (* its stream occurrences are consumed as holes on rescan *)
       | None -> continue_ := false
   done
@@ -311,7 +323,13 @@ let push t ~part e =
           | Some st -> st
           | None ->
               let st =
-                { parts; ts = 0; seen = 0; first_push = Probe.now () }
+                {
+                  parts;
+                  ts = 0;
+                  seen = 0;
+                  dropped = 0;
+                  first_push = Probe.now ();
+                }
               in
               Hashtbl.add t.cross uid st;
               st

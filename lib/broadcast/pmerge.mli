@@ -60,3 +60,9 @@ val pending : 'c t -> int
 
 val pushed : 'c t -> part:int -> int
 (** Per-partition sequence counter: entries pushed into stream [part]. *)
+
+val emitted_live : 'c t -> int
+(** Emitted cross-partition commands still remembered because some of
+    their stream occurrences have not been consumed yet (queued, or not
+    yet pushed).  Each is forgotten when its last occurrence is skipped,
+    so this stays bounded by the cross commands in flight. *)

@@ -16,7 +16,7 @@
       final delivery order, [a]'s committed execution must finish
       strictly before [b]'s begins — on optimistic runs this is exactly
       what the repair path must restore, and the deliberately broken
-      [repair = false] variant is caught here;
+      [repair = false] and [write_gate = false] variants are caught here;
     - {b rollback consistency}: at quiescence the register file, and the
       values each committed execution observed, must equal a sequential
       replay of the commands in final delivery order — a rolled-back
@@ -68,6 +68,10 @@ type scenario = {
   repair : bool;
       (* [false] disables the mis-speculation repair — the planted bug the
          conflict-order oracle must catch under optimism *)
+  write_gate : bool;
+      (* [false] lets writes run past still-executing shared read
+         rendezvous — the planted bug the conflict-order and
+         rollback-consistency oracles must catch *)
   speculate : bool;
       (* [true]: install the undo-capable execution hook, so pending
          single-queue tokens execute before confirmation *)
@@ -85,9 +89,10 @@ type scenario = {
 
 let scenario ?(workers = 3) ?classes ?(commands = 10) ?(keys = 4)
     ?(write_pct = 40.0) ?(cross_pct = 20.0) ?(optimistic = false)
-    ?(mis_pct = 30.0) ?(repair = true) ?(speculate = false) ?(undo = true)
-    ?(max_size = 8) ?(drain_before_close = true) ?(crashes = [])
-    ?(respawn = true) ~workload_seed () =
+    ?(mis_pct = 30.0) ?(repair = true) ?(write_gate = true)
+    ?(speculate = false) ?(undo = true) ?(max_size = 8)
+    ?(drain_before_close = true) ?(crashes = []) ?(respawn = true)
+    ~workload_seed () =
   if workers <= 0 then
     invalid_arg "Early_check.scenario: workers must be positive";
   if commands < 0 then invalid_arg "Early_check.scenario: negative command count";
@@ -122,6 +127,7 @@ let scenario ?(workers = 3) ?classes ?(commands = 10) ?(keys = 4)
     mis_pct;
     opt_seed = Psmr_util.Rng.int64 rng;
     repair;
+    write_gate;
     speculate;
     undo;
     drain_before_close;
@@ -235,7 +241,8 @@ let run_schedule ?(max_steps = 50_000) ?(trace = false) ?(metrics = false) sc
   in
   let d =
     ED.start_full ~max_size:sc.max_size ?classes:sc.classes ~repair:sc.repair
-      ?speculate ~on_commit ~fault ~workers:sc.workers ~execute ()
+      ~write_gate:sc.write_gate ?speculate ~on_commit ~fault ~workers:sc.workers
+      ~execute ()
   in
   let inv ~strict () =
     Check_platform.with_ghost ctx (fun () ->

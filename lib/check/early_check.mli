@@ -35,6 +35,10 @@ type scenario = {
   repair : bool;
       (** [false] disables the mis-speculation repair — the planted bug
           the conflict-order oracle must catch under optimism *)
+  write_gate : bool;
+      (** [false] lets writes run past still-executing shared read
+          rendezvous — the planted bug the conflict-order and
+          rollback-consistency oracles must catch *)
   speculate : bool;
       (** [true]: install the dispatcher's undo-capable execution hook, so
           pending single-queue tokens execute before their confirmation
@@ -63,6 +67,7 @@ val scenario :
   ?optimistic:bool ->
   ?mis_pct:float ->
   ?repair:bool ->
+  ?write_gate:bool ->
   ?speculate:bool ->
   ?undo:bool ->
   ?max_size:int ->
@@ -76,9 +81,9 @@ val scenario :
     ([Psmr_workload.Workload.Keyed]); fully determined by [workload_seed]
     and independent of the schedule-exploration seed.  Defaults: 3
     workers, per-worker classes, 10 commands over 4 keys, 40% writes, 20%
-    cross-key, conservative feed, repair on, no speculation (dispatch-time
-    optimism only), undo on, [max_size] 8, drain before close, no crashes,
-    respawn on. *)
+    cross-key, conservative feed, repair and write gate on, no speculation
+    (dispatch-time optimism only), undo on, [max_size] 8, drain before
+    close, no crashes, respawn on. *)
 
 val run_schedule :
   ?max_steps:int ->

@@ -2,6 +2,22 @@
    a static class map deciding at submit time which queues a command
    touches, and a rendezvous barrier for cross-class commands.
 
+   Shared read rendezvous.  A cross-class command whose footprint writes
+   nothing conflicts with no other such command, so its barrier is
+   shared: member workers arrive without blocking and carry on with
+   their queues, and the last to arrive executes it.  What keeps that
+   sound is the per-queue write gate: a token whose command writes is
+   not handed out ([q_next]) until every shared read the queue's worker
+   has already passed ([q_reads]) is complete — a write to a key a read
+   covers shares a queue with it (the class map gives the write every
+   member of the key's class), so the read still sees the state before
+   the write.  Writes keep the exclusive barrier.  Deadlock freedom
+   follows from per-queue position order: the incomplete command with the
+   smallest position has every member token at the front of its queue
+   (all earlier tokens belong to complete commands), and nothing it can
+   wait on — an exclusive arrival, a shared arrival, the write gate —
+   waits on a larger position.
+
    Token life cycle.  A token is [Pending] (optimistically enqueued, not
    yet confirmed by final delivery), [Confirmed] (executable once it
    reaches the head of its queue), [Taken] (a pending single-queue token
@@ -69,6 +85,7 @@ struct
   type entry = {
     e_cmd : C.t;
     e_barrier : B.t option;  (* [None] = single-queue fast path *)
+    e_writes : bool;  (* the footprint writes: gated behind passed reads *)
     e_spec : bool;  (* entered through [submit_optimistic] *)
     e_enq_at : float;  (* virtual enqueue time (0 while probes are off) *)
     mutable e_pos : int;  (* queue position; submit thread writes *)
@@ -103,6 +120,11 @@ struct
     mutable q_gate : bool;  (* a rollback is quiescing this queue *)
     mutable q_log_front : (entry * (unit -> unit)) list;  (* oldest first *)
     mutable q_log_back : (entry * (unit -> unit)) list;  (* newest first *)
+    (* Write gate, protected by [q_m]: shared reads the worker passed that
+       may still be running, pruned of completed ones lazily. *)
+    mutable q_reads : entry list;
+    mutable q_nreads : int;
+    mutable q_prune_at : int;
   }
 
   type spec = entry
@@ -112,6 +134,7 @@ struct
     queues : queue array;
     window : P.Semaphore.t;  (* in-flight bound, like the COS max_size *)
     repair : bool;
+    write_gate : bool;  (* [false] only in the checker's planted variant *)
     execute : C.t -> unit;
     speculate : (C.t -> unit -> unit) option;
         (* execute through the undo capability; [None] = dispatch-only
@@ -221,12 +244,37 @@ struct
 
   type fetched = Closed | Fetched of token | Speculative of token
 
+  (* Write-gate bookkeeping, under [q_m].  Passed shared reads are
+     recorded at pop time; completed ones are dropped when a write asks
+     the gate, or once the list doubles since the last prune. *)
+  let prune_reads q =
+    q.q_reads <- List.filter (fun e -> not (P.Atomic.get e.e_done)) q.q_reads;
+    q.q_nreads <- List.length q.q_reads;
+    q.q_prune_at <- (2 * q.q_nreads) + 64
+
+  let note_read q e =
+    q.q_reads <- e :: q.q_reads;
+    q.q_nreads <- q.q_nreads + 1;
+    if q.q_nreads > q.q_prune_at then prune_reads q
+
+  (* The shared read a token must wait out before it may be handed out:
+     none for a read, or while every passed shared read is complete. *)
+  let gated_on t q tok =
+    if (not tok.t_entry.e_writes) || (not t.write_gate) || q.q_reads = []
+    then None
+    else begin
+      prune_reads q;
+      match q.q_reads with [] -> None | e :: _ -> e.e_barrier
+    end
+
   (* The worker's blocking fetch: skip revoked tokens, pop confirmed ones,
      pop pending single-queue heads for speculative execution when the
      hook is installed (and no rollback is gating the queue), otherwise
      wait while the head is pending (its confirmation or revocation will
-     broadcast).  After close, a still-pending head is a speculation that
-     will never be confirmed — dropped, releasing its window slot. *)
+     broadcast).  A writing head waits, outside the queue lock, for the
+     passed shared reads to complete.  After close, a still-pending head
+     is a speculation that will never be confirmed — dropped, releasing
+     its window slot. *)
   let q_next t q =
     let spec_run =
       match t.speculate with Some _ -> true | None -> false
@@ -247,9 +295,16 @@ struct
           | Revoked | Taken ->
               q.q_front <- rest;
               loop ()
-          | Confirmed ->
-              q.q_front <- rest;
-              Fetched tok
+          | Confirmed -> (
+              match gated_on t q tok with
+              | Some b -> wait_out b
+              | None ->
+                  q.q_front <- rest;
+                  (match tok.t_entry.e_barrier with
+                  | Some _ when not tok.t_entry.e_writes ->
+                      note_read q tok.t_entry
+                  | Some _ | None -> ());
+                  Fetched tok)
           | Pending ->
               if q.q_closed then begin
                 q.q_front <- rest;
@@ -264,13 +319,21 @@ struct
                    | Some _ -> false)
                 && not q.q_gate
               then begin
-                q.q_front <- rest;
-                q.q_pending <- q.q_pending - 1;
-                tok.t_state <- Taken;
-                q.q_busy <- true;
-                Speculative tok
+                match gated_on t q tok with
+                | Some b -> wait_out b
+                | None ->
+                    q.q_front <- rest;
+                    q.q_pending <- q.q_pending - 1;
+                    tok.t_state <- Taken;
+                    q.q_busy <- true;
+                    Speculative tok
               end
               else (P.Condition.wait q.q_cv q.q_m; loop ()))
+    and wait_out b =
+      P.Mutex.unlock q.q_m;
+      B.await b;
+      P.Mutex.lock q.q_m;
+      loop ()
     in
     let r = loop () in
     P.Mutex.unlock q.q_m;
@@ -295,17 +358,22 @@ struct
       | Class_map.Rendezvous { members; _ } -> members
     in
     let queues = Array.map (fun id -> t.queues.(id - 1)) member_ids in
+    let writes = List.exists snd fp in
     let barrier =
       match plan with
       | Class_map.Direct _ -> None
       | Class_map.Rendezvous { members; designated } ->
           P.work Alloc;
-          Some (B.create ~size:(Array.length members) ~designated)
+          let size = Array.length members in
+          Some
+            (if writes then B.create ~size ~designated
+             else B.create_shared ~size)
     in
     let e =
       {
         e_cmd = c;
         e_barrier = barrier;
+        e_writes = writes;
         e_spec = spec;
         e_enq_at = Probe.now ();
         e_pos = next_pos t;
@@ -808,7 +876,7 @@ struct
                 | `Execute ->
                     run_entry t tok.t_entry;
                     B.complete b
-                | `Done -> ()));
+                | `Done | `Pass -> ()));
             (match action with
             | Slow d ->
                 P.work Fault;
@@ -819,8 +887,8 @@ struct
   (* ---------------------------------------------------------------- *)
   (* Life cycle.                                                       *)
 
-  let start_full ?max_size ?classes ?(repair = true) ?speculate ?on_commit
-      ?fault ~workers ~execute () =
+  let start_full ?max_size ?classes ?(repair = true) ?(write_gate = true)
+      ?speculate ?on_commit ?fault ~workers ~execute () =
     if workers <= 0 then invalid_arg "Dispatch.start: workers must be positive";
     let max_size =
       match max_size with
@@ -851,9 +919,13 @@ struct
                 q_gate = false;
                 q_log_front = [];
                 q_log_back = [];
+                q_reads = [];
+                q_nreads = 0;
+                q_prune_at = 64;
               });
         window = P.Semaphore.create max_size;
         repair;
+        write_gate;
         execute;
         speculate;
         on_commit;
@@ -960,9 +1032,11 @@ struct
                   && B.arrived b > 0
                   && B.arrived b < B.size b ->
                Some
-                 (Printf.sprintf
-                    "class-barrier stuck at %d/%d arrivals (designated w%d)"
-                    (B.arrived b) (B.size b) (B.designated b))
+                 (Printf.sprintf "class-barrier stuck at %d/%d arrivals (%s)"
+                    (B.arrived b) (B.size b)
+                    (match B.designated b with
+                    | Some d -> Printf.sprintf "designated w%d" d
+                    | None -> "shared"))
            | _ -> None)
          t.live_barriers)
 

@@ -27,6 +27,7 @@ module Make (P : Platform_intf.S) (C : Psmr_cos.Cos_intf.KEYED_COMMAND) : sig
     ?max_size:int ->
     ?classes:int ->
     ?repair:bool ->
+    ?write_gate:bool ->
     ?speculate:(cmd -> unit -> unit) ->
     ?on_commit:(cmd -> unit) ->
     ?fault:(id:int -> nth:int -> Psmr_fault.Fault.worker_action) ->
@@ -38,7 +39,9 @@ module Make (P : Platform_intf.S) (C : Psmr_cos.Cos_intf.KEYED_COMMAND) : sig
       (default {!Psmr_cos.Cos_intf.default_max_size}); [classes] sizes the
       class map (default one class per worker); [repair = false] disables
       the mis-speculation rollback — a deliberately broken variant the
-      checker's oracles must catch; [speculate cmd] executes [cmd] through
+      checker's oracles must catch; [write_gate = false] lets writes run
+      past still-executing shared read rendezvous — another such planted
+      bug; [speculate cmd] executes [cmd] through
       the service's undo capability and returns the closure that reverts
       it — installing it turns pending single-queue tokens into
       speculative executions (see {!confirm}); [on_commit cmd] runs on the

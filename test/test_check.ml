@@ -379,6 +379,55 @@ let test_early_spec_crash_clean () =
   Alcotest.(check int) "no failures" 0 (List.length r.Explore.failures);
   Alcotest.(check int) "all complete" 0 r.Explore.incomplete
 
+(* Shared read rendezvous.  With writes 0 every cross-key command is a
+   shared read, so a crash-stop leaves its partner passed and the
+   rendezvous stuck — still the class-barrier deadlock, labelled shared
+   rather than by a designated worker. *)
+let test_early_shared_deadlock_caught () =
+  let s =
+    esc ~workers:2 ~commands:6 ~keys:2 ~write_pct:0.0 ~cross_pct:100.0
+      ~crashes:[ (1, 1) ] ~respawn:false ()
+  in
+  let r = early_walk ~stop_on_first:true s ~seed:3009L ~schedules:500 in
+  match r.Explore.failures with
+  | [] -> Alcotest.fail "crash-stop inside a shared rendezvous not caught"
+  | f :: _ ->
+      Alcotest.(check bool) "stuck shared rendezvous reported" true
+        (List.mem "class-barrier deadlock: class-barrier stuck at 1/2 arrivals \
+                   (shared)" f.Explore.violations)
+
+(* The planted write-gate bug: writes run past still-executing shared
+   reads.  The read-heavy cross-key scenario (the @check-early row) is
+   caught from the pinned seed by the conflict-order and
+   rollback-consistency oracles; the gated dispatcher stays clean on it. *)
+let nogate_sc ~write_gate =
+  Early_check.scenario ~write_pct:30.0 ~cross_pct:60.0 ~write_gate
+    ~workload_seed:1L ()
+
+let test_early_nogate_caught () =
+  let s = nogate_sc ~write_gate:false in
+  let r = early_walk ~stop_on_first:true s ~seed:91L ~schedules:500 in
+  match r.Explore.failures with
+  | [] -> Alcotest.fail "disabled write gate not caught within 500 schedules"
+  | f :: _ ->
+      let fired prefix =
+        List.exists
+          (fun v ->
+            String.length v >= String.length prefix
+            && String.sub v 0 (String.length prefix) = prefix)
+          f.Explore.violations
+      in
+      Alcotest.(check bool) "conflict-order oracle fired" true
+        (fired "conflict order");
+      Alcotest.(check bool) "rollback-consistency oracle fired" true
+        (fired "rollback consistency")
+
+let test_early_gate_clean () =
+  let s = nogate_sc ~write_gate:true in
+  let r = early_walk s ~seed:91L ~schedules:400 in
+  Alcotest.(check int) "no failures" 0 (List.length r.Explore.failures);
+  Alcotest.(check int) "all complete" 0 r.Explore.incomplete
+
 let per_impl name f =
   List.map
     (fun (impl, label) ->
@@ -436,5 +485,11 @@ let () =
             `Quick test_early_noundo_caught;
           Alcotest.test_case "crashes inside the repair window drain clean"
             `Quick test_early_spec_crash_clean;
+          Alcotest.test_case "crash-stop shared read deadlock caught" `Quick
+            test_early_shared_deadlock_caught;
+          Alcotest.test_case "disabled write gate caught (both oracles)"
+            `Quick test_early_nogate_caught;
+          Alcotest.test_case "write gate keeps identical scenario clean"
+            `Quick test_early_gate_clean;
         ] );
     ]

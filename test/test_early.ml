@@ -222,7 +222,8 @@ let test_barrier_rendezvous () =
         | `Execute ->
             Atomic.incr executes;
             B.complete b
-        | `Done -> Atomic.incr dones);
+        | `Done -> Atomic.incr dones
+        | `Pass -> Alcotest.fail "an exclusive barrier never passes");
         L.count_down l)
   done;
   L.wait l;
@@ -231,7 +232,22 @@ let test_barrier_rendezvous () =
   Alcotest.(check bool) "completed" true (B.completed b);
   Alcotest.check_raises "size < 2 rejected"
     (Invalid_argument "Barrier.create: size must be >= 2") (fun () ->
-      ignore (B.create ~size:1 ~designated:1))
+      ignore (B.create ~size:1 ~designated:1));
+  (* Shared mode: every arrival returns at once — all three from this one
+     thread, so a blocking arrival would hang the test — and the last
+     arriver, whoever it is, executes. *)
+  let s = B.create_shared ~size:3 in
+  let arrivals = List.map (fun w -> B.arrive s ~worker:w) [ 3; 1; 2 ] in
+  Alcotest.(check bool) "two passes, then the last arriver executes" true
+    (arrivals = [ `Pass; `Pass; `Execute ]);
+  Alcotest.(check bool) "no designated worker" true (B.designated s = None);
+  Alcotest.(check bool) "not complete before complete" false (B.completed s);
+  B.complete s;
+  B.await s;
+  Alcotest.(check bool) "completed" true (B.completed s);
+  Alcotest.check_raises "shared size < 2 rejected"
+    (Invalid_argument "Barrier.create: size must be >= 2") (fun () ->
+      ignore (B.create_shared ~size:1))
 
 (* --- conservative dispatch --- *)
 
@@ -427,19 +443,85 @@ let test_optimistic_sim_deterministic () =
   Alcotest.(check bool) "ran" true (a > 0.0);
   Alcotest.(check (float 0.0)) "deterministic" a b
 
+(* Shared read rendezvous on the DES, one class per worker (key k ->
+   worker k+1).  w1 is busy with a 30 us write when the scan R1 (keys
+   0,1) arrives, so w2 passes R1 and carries on; w1 arrives last and
+   executes it at 30-50 us.  Meanwhile w2 runs its Direct read D, then
+   arrives last at R2 (keys 1,2) and executes it; its write W (key 1) is
+   queued behind R1 and must wait for R1 to end.  R3 (keys 2,3) shares no
+   member with R1 and runs alongside it, and so does R2, which shares w2.
+   With the write gate off, W runs before R1 ends — the planted bug. *)
+let shared_read_schedule ~write_gate =
+  let open Psmr_sim in
+  let e = Engine.create () in
+  let (module SP) = Sim_platform.make e Costs.default in
+  let module SD = Psmr_early.Dispatch.Make (SP) (Fc) in
+  let cmds =
+    [|
+      ([ (0, true) ], 30e-6) (* X *);
+      ([ (0, false); (1, false) ], 20e-6) (* R1 *);
+      ([ (1, false) ], 5e-6) (* D *);
+      ([ (1, false); (2, false) ], 40e-6) (* R2 *);
+      ([ (1, true) ], 5e-6) (* W *);
+      ([ (2, false); (3, false) ], 40e-6) (* R3 *);
+    |]
+  in
+  let span = Array.make (Array.length cmds) (nan, nan) in
+  Engine.spawn e (fun () ->
+      let d =
+        SD.start_full ~write_gate ~workers:4
+          ~execute:(fun (c : Fc.t) ->
+            let t0 = SP.now () in
+            SP.sleep (snd cmds.(c.idx));
+            span.(c.idx) <- (t0, SP.now ()))
+          ()
+      in
+      Array.iteri (fun idx (fp, _) -> SD.submit d { Fc.idx; fp }) cmds;
+      SD.shutdown d);
+  Engine.run e;
+  span
+
+let test_dispatch_shared_reads () =
+  let span = shared_read_schedule ~write_gate:true in
+  let start i = fst span.(i) and stop i = snd span.(i) in
+  let x, r1, d, r2, w, r3 = (0, 1, 2, 3, 4, 5) in
+  Alcotest.(check bool) "R1 waits for its busy member" true
+    (start r1 >= stop x);
+  Alcotest.(check bool) "a member runs its next Direct read before R1 ends"
+    true
+    (start d < stop r1);
+  Alcotest.(check bool) "a write behind passed R1 starts after R1 ends" true
+    (start w >= stop r1 && start w >= stop r2);
+  let overlap a b = start a < stop b && start b < stop a in
+  Alcotest.(check bool) "disjoint shared reads overlap" true (overlap r1 r3);
+  Alcotest.(check bool) "shared reads with a common member overlap" true
+    (overlap r1 r2);
+  let ungated = shared_read_schedule ~write_gate:false in
+  Alcotest.(check bool) "without the gate the write overtakes R1" true
+    (fst ungated.(w) < snd ungated.(r1))
+
 (* --- qcheck: early execution histories = coarse COS = sequential --- *)
 
 (* Each property runs the same random workload through the early
    dispatcher, through the coarse-COS scheduler and through a sequential
    reference, and requires identical response histories. *)
 
+(* Kv operations over an 8-slot store: [(k, None)] reads slot [k],
+   [(k, Some v)] writes [v >= 0] to it, and a negative [v] scans [-v]
+   slots from [k] (clipped to the store).  Multi-slot scans are read-only
+   cross-class commands — shared rendezvous — with writes drawn behind
+   them. *)
+let kv_op = QCheck.(pair (int_range 0 7) (option (int_range (-40) 100)))
+
+let kv_command (k, v) =
+  match v with
+  | None -> Psmr_app.Kv_store.Get k
+  | Some v when v < 0 -> Psmr_app.Kv_store.Scan (k, min (-v) (8 - k))
+  | Some v -> Psmr_app.Kv_store.Put (k, v)
+
 let kv_equivalence =
   QCheck.Test.make ~name:"early = coarse = sequential (kv)" ~count:25
-    QCheck.(
-      pair (int_range 1 6)
-        (list_of_size
-           Gen.(int_range 1 120)
-           (pair (int_range 0 7) (option (int_range 0 100)))))
+    QCheck.(pair (int_range 1 6) (list_of_size Gen.(int_range 1 120) kv_op))
     (fun (workers, ops) ->
       let module KC = struct
         type t = int * Psmr_app.Kv_store.command
@@ -450,15 +532,7 @@ let kv_equivalence =
         let pp ppf (i, c) =
           Format.fprintf ppf "%d:%a" i Psmr_app.Kv_store.pp_command c
       end in
-      let cmds =
-        List.mapi
-          (fun i (k, v) ->
-            ( i,
-              match v with
-              | None -> Psmr_app.Kv_store.Get k
-              | Some v -> Psmr_app.Kv_store.Put (k, v) ))
-          ops
-      in
+      let cmds = List.mapi (fun i op -> (i, kv_command op)) ops in
       let n = List.length cmds in
       let ref_store = Psmr_app.Kv_store.create ~capacity:8 in
       let expected =
@@ -679,10 +753,7 @@ let kv_opt_equivalence =
   QCheck.Test.make
     ~name:"early-opt rollback = early = sequential (kv)" ~count:20
     QCheck.(
-      triple (int_range 1 6) bool
-        (list_of_size
-           Gen.(int_range 1 120)
-           (pair (int_range 0 7) (option (int_range 0 100)))))
+      triple (int_range 1 6) bool (list_of_size Gen.(int_range 1 120) kv_op))
     (fun (workers, burst, ops) ->
       let module KC = struct
         type t = int * Psmr_app.Kv_store.command
@@ -693,16 +764,7 @@ let kv_opt_equivalence =
         let pp ppf (i, c) =
           Format.fprintf ppf "%d:%a" i Psmr_app.Kv_store.pp_command c
       end in
-      let cmds =
-        Array.of_list
-          (List.mapi
-             (fun i (k, v) ->
-               ( i,
-                 match v with
-                 | None -> Psmr_app.Kv_store.Get k
-                 | Some v -> Psmr_app.Kv_store.Put (k, v) ))
-             ops)
-      in
+      let cmds = Array.of_list (List.mapi (fun i op -> (i, kv_command op)) ops) in
       let n = Array.length cmds in
       let ref_store = Psmr_app.Kv_store.create ~capacity:8 in
       let expected =
@@ -1165,6 +1227,8 @@ let () =
             test_dispatch_cross_class_total_order;
           Alcotest.test_case "equivalent to sequential" `Quick
             test_dispatch_equivalent_to_sequential;
+          Alcotest.test_case "shared reads pass, writes gated (DES)" `Quick
+            test_dispatch_shared_reads;
         ] );
       ( "optimistic",
         [

@@ -258,6 +258,58 @@ let test_rotational_wedge_regression () =
       Alcotest.(check int) "drained" 0 (Pmerge.pending t))
     runs
 
+(* Long run over one merge: 2000 windows of 16 commands, 90% cross, each
+   window's stream orders shuffled independently (wedges and holes) and
+   pushed in a random arrival interleaving.  The emitted-cross memory
+   holds only uids with occurrences still to skip, so it never exceeds a
+   window's commands and is empty at every window boundary — before it
+   was bounded, it ended holding every cross ever emitted. *)
+let test_emitted_cross_bounded () =
+  let partitions = 4 and window = 16 and windows = 2000 in
+  List.iter
+    (fun no_barrier ->
+      let rng = Random.State.make [| 17 |] in
+      let emitted = ref 0 and crosses = ref 0 and peak = ref 0 in
+      let t =
+        Pmerge.create ~no_barrier ~partitions ~emit:(fun _ -> incr emitted) ()
+      in
+      for w = 0 to windows - 1 do
+        let orders =
+          build_orders ~partitions ~k:window ~cross_pct:90 rng
+          |> Array.map
+               (List.map (fun c -> { c with cid = (w * window) + c.cid }))
+        in
+        let rem = Array.map (fun cs -> ref (List.map entry_of cs)) orders in
+        let rec loop () =
+          match
+            List.filter (fun p -> !(rem.(p)) <> []) (List.init partitions Fun.id)
+          with
+          | [] -> ()
+          | ps ->
+              let p = random_pick rng ps in
+              (match !(rem.(p)) with
+              | e :: tl ->
+                  rem.(p) := tl;
+                  Pmerge.push t ~part:p e
+              | [] -> assert false);
+              peak := max !peak (Pmerge.emitted_live t);
+              loop ()
+        in
+        loop ();
+        crosses := Pmerge.crosses t;
+        Alcotest.(check int) "window boundary: nothing remembered" 0
+          (Pmerge.emitted_live t)
+      done;
+      if not no_barrier then
+        Alcotest.(check int) "every command emitted" (window * windows)
+          !emitted;
+      Alcotest.(check bool) "a cross-heavy run" true
+        (!crosses > window * windows / 2);
+      Alcotest.(check bool)
+        (Printf.sprintf "peak %d within one window" !peak)
+        true (!peak <= window))
+    [ false; true ]
+
 (* --- Partitioned broadcast on the simulator --- *)
 
 (* An n-replica partitioned-broadcast harness mirroring test_broadcast's
@@ -868,6 +920,8 @@ let () =
           Alcotest.test_case "push validation" `Quick test_push_validation;
           Alcotest.test_case "rotational wedge regression" `Quick
             test_rotational_wedge_regression;
+          Alcotest.test_case "emitted-cross memory bounded (long run)" `Quick
+            test_emitted_cross_bounded;
         ] );
       ( "pmerge-qcheck",
         [ qcheck qcheck_merge_deterministic; qcheck qcheck_all_cross_drains ]

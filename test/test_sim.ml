@@ -502,17 +502,21 @@ let golden_expected =
     ( "standalone-indexed",
       "f9c2c5c9e4a2b6e300637de6d0897d99 clock=0x1.999999999999ap-6 \
        events=1097930" );
+    (* Refreshed when read-only cross-class commands (the keyed workload's
+       two-key reads) moved from exclusive to shared rendezvous behind a
+       per-queue write gate: the virtual-time behavior of both early modes
+       changed by design.  The first move of the conservative early digest
+       since the digests were pinned. *)
     ( "early",
-      "f049764736bb4ad88fd1a9a05b4f921b clock=0x1.999999999999ap-6 \
-       events=344161" );
-    (* Refreshed when the optimistic protocol gained execution-time
-       speculation with rollback (pipelined submit/confirm + undo log +
-       claim-word commit): the virtual-time behavior of early-opt changed
-       by design.  Every other digest — including conservative early —
-       is unchanged from the PR 7 baseline. *)
+      "606c538d634ad0cf1e566860119bd2b8 clock=0x1.999999999999ap-6 \
+       events=341712" );
+    (* Also refreshed earlier, when the optimistic protocol gained
+       execution-time speculation with rollback (pipelined submit/confirm
+       + undo log + claim-word commit).  The COS digests are unchanged
+       since they were pinned. *)
     ( "early-opt",
-      "26c9e32e9a219c875810c24bb2cbd965 clock=0x1.999999999999ap-6 \
-       events=296180" );
+      "a1660371ed54f5fdebbc3795b257f998 clock=0x1.999999999999ap-6 \
+       events=287231" );
   ]
 
 let golden_tests =
