@@ -19,6 +19,8 @@
    subsampled smoke run; set PSMR_BENCH_SKIP_FIGURES=1 to run only the
    micro-benchmarks; set PSMR_BENCH_SMOKE=1 for a time-boxed everything
    (short quotas, short simulation windows, no figures) — the @bench-smoke
+   alias.  PSMR_BENCH_DIFF_ONLY=1 regenerates only the simulated sections
+   and compares them with the report at PSMR_BENCH_JSON — the @bench-diff
    alias. *)
 
 open Bechamel
@@ -26,19 +28,12 @@ open Toolkit
 
 module RP = Psmr_platform.Real_platform
 
-module Rw_cmd = struct
-  type t = bool
-
-  let conflict a b = a || b
-  let footprint w = [ (0, w) ]
-  let pp ppf w = Format.pp_print_string ppf (if w then "w" else "r")
-end
-
 (* One insert+get+remove cycle on a COS pre-filled to a given population:
    the steady-state per-command cost of the structure itself. *)
 let cos_cycle impl ~population ~writes =
   let (module S : Psmr_cos.Cos_intf.S with type cmd = bool) =
-    Psmr_cos.Registry.instantiate_keyed impl (module RP) (module Rw_cmd)
+    Psmr_cos.Registry.instantiate_keyed impl (module RP)
+      (module Psmr_harness.Standalone.Rw)
   in
   let t = S.create ~max_size:150 () in
   let rng = Psmr_util.Rng.create ~seed:1L in
@@ -620,7 +615,7 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-let write_json ~path ~micro ~fig2 ~keyed ~part ~open_loop ~faults ~metrics
+let render_json ~micro ~fig2 ~keyed ~part ~open_loop ~faults ~metrics
     ~engine =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n  \"metrics\": {\n";
@@ -772,10 +767,7 @@ let write_json ~path ~micro ~fig2 ~keyed ~part ~open_loop ~faults ~metrics
         (Printf.sprintf ",\n  \"speedup_w32_part4_vs_part1\": %.2f" (p4 /. base))
   | _ -> ());
   Buffer.add_string buf "\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
+  Buffer.contents buf
 
 (* Re-read the summary and check its shape, so a malformed emitter fails
    the run (and the @bench-smoke alias) rather than producing a file
@@ -896,6 +888,81 @@ let getenv_int v default =
   | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
   | None -> default
 
+(* The report's simulated sections, built from the memoized grids. *)
+let render_sim_json ~smoke ~jobs ~micro ~engine =
+  (* Fan the distinct simulated configurations of the fig2 and keyed
+     sections out over domains before the (sequential, memo-served)
+     section builds below. *)
+  prefill_points ~smoke ~jobs (fig2_configs @ keyed_configs);
+  prefill_part ~smoke ~jobs;
+  prefill_open ~smoke ~jobs;
+  render_json ~micro ~fig2:(sim_fig2 ~smoke ())
+    ~keyed:(sim_keyed ~smoke ())
+    ~part:(sim_part ~smoke ())
+    ~open_loop:(sim_open_loop ~smoke ())
+    ~faults:(sim_faults ~smoke ())
+    ~metrics:(sim_metrics ~smoke ())
+    ~engine
+
+(* Members measured in host time: they vary run to run, so the exact
+   comparison skips them. *)
+let host_time_members = [ "micro_ns_per_op"; "sim_events_per_wall_second" ]
+
+(* The first path at which two JSON values differ, if any. *)
+let rec first_diff path (a : Psmr_util.Json.t) (b : Psmr_util.Json.t) =
+  let module J = Psmr_util.Json in
+  let show = function
+    | J.Num x -> Printf.sprintf "%.15g" x
+    | J.Str s -> J.quote s
+    | J.Null -> "null"
+    | J.Bool b -> string_of_bool b
+    | J.Arr l -> Printf.sprintf "an array of %d" (List.length l)
+    | J.Obj m -> "{" ^ String.concat ", " (List.map fst m) ^ "}"
+  in
+  match (a, b) with
+  | J.Arr xs, J.Arr ys when List.compare_lengths xs ys = 0 ->
+      List.combine xs ys
+      |> List.mapi (fun i (x, y) -> (Printf.sprintf "%s[%d]" path i, x, y))
+      |> List.find_map (fun (p, x, y) -> first_diff p x y)
+  | J.Obj xs, J.Obj ys when List.map fst xs = List.map fst ys ->
+      List.combine xs ys
+      |> List.find_map (fun ((k, x), (_, y)) -> first_diff (path ^ "." ^ k) x y)
+  | _ when a = b -> None
+  | _ ->
+      Some
+        (Printf.sprintf "%s: committed %s, regenerated %s" path (show a)
+           (show b))
+
+(* The @bench-diff gate: regenerate the simulated sections and compare
+   them structurally with the committed report, member by member. *)
+let bench_diff ~path ~jobs =
+  let module J = Psmr_util.Json in
+  let parse what s =
+    match J.parse s with
+    | Ok (J.Obj members) -> members
+    | Ok _ -> failwith (what ^ ": not a JSON object")
+    | Error e -> failwith (what ^ ": " ^ e)
+  in
+  let ic = open_in_bin path in
+  let committed = parse path (really_input_string ic (in_channel_length ic)) in
+  close_in ic;
+  let simulated members =
+    List.filter (fun (k, _) -> not (List.mem k host_time_members)) members
+  in
+  let regenerated =
+    simulated
+      (parse "regenerated report"
+         (render_sim_json ~smoke:false ~jobs ~micro:[] ~engine:[]))
+  in
+  let committed = simulated committed in
+  match first_diff "" (J.Obj committed) (J.Obj regenerated) with
+  | None ->
+      Printf.printf "bench-diff: %d simulated members of %s identical\n%!"
+        (List.length committed) path
+  | Some d ->
+      Printf.printf "bench-diff: %s: %s\n%!" path d;
+      exit 1
+
 let full_run ~smoke =
   let jobs = getenv_int "PSMR_BENCH_JOBS" 1 in
   (* Engine rows first, on the pristine process: the Bechamel section
@@ -903,13 +970,6 @@ let full_run ~smoke =
      churn that costs the engine rows ~12% even after a compaction. *)
   let engine_rows = Engine_churn.rows ~smoke () in
   let micro = run_micro ~smoke () in
-  (* Fan the distinct simulated configurations of the fig2 and keyed
-     sections out over domains before the (sequential, memo-served)
-     section builds below. *)
-  prefill_points ~smoke ~jobs (fig2_configs @ keyed_configs);
-  prefill_part ~smoke ~jobs;
-  prefill_open ~smoke ~jobs;
-  let fig2 = sim_fig2 ~smoke () in
   let micro_for_json =
     List.filter
       (fun (name, _) ->
@@ -927,13 +987,11 @@ let full_run ~smoke =
   let json_path =
     Option.value (Sys.getenv_opt "PSMR_BENCH_JSON") ~default:"BENCH_cos.json"
   in
-  write_json ~path:json_path ~micro:micro_for_json ~fig2
-    ~keyed:(sim_keyed ~smoke ())
-    ~part:(sim_part ~smoke ())
-    ~open_loop:(sim_open_loop ~smoke ())
-    ~faults:(sim_faults ~smoke ())
-    ~metrics:(sim_metrics ~smoke ())
-    ~engine:engine_rows;
+  let oc = open_out json_path in
+  output_string oc
+    (render_sim_json ~smoke ~jobs ~micro:micro_for_json ~engine:engine_rows);
+  close_out oc;
+  Printf.printf "wrote %s\n%!" json_path;
   validate_json ~path:json_path;
   if (not smoke) && not (getenv_flag "PSMR_BENCH_SKIP_FIGURES") then begin
     let opts =
@@ -962,4 +1020,13 @@ let () =
     prefill_open ~smoke ~jobs;
     print_open_loop (sim_open_loop ~smoke ())
   end
+  else if getenv_flag "PSMR_BENCH_DIFF_ONLY" then
+    (* The @bench-diff alias: full-size simulated sections only, compared
+       with the committed report at PSMR_BENCH_JSON; exits 1 at the first
+       difference. *)
+    bench_diff
+      ~path:
+        (Option.value (Sys.getenv_opt "PSMR_BENCH_JSON")
+           ~default:"BENCH_cos.json")
+      ~jobs:(getenv_int "PSMR_BENCH_JOBS" 1)
   else full_run ~smoke

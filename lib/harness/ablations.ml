@@ -116,16 +116,6 @@ let indexed_vs_scan ?(write_pct = 0.0)
       batch;
   ]
 
-(* Readers-writers command for the micro-measure below (same relation as
-   [Standalone]'s internal command). *)
-module Rw_cmd = struct
-  type t = bool
-
-  let conflict a b = a || b
-  let footprint w = [ (0, w) ]
-  let pp ppf w = Format.pp_print_string ppf (if w then "w" else "r")
-end
-
 (** Per-insert virtual-time cost as a function of graph population, with no
     workers attached (every inserted command stays live): the scan-based
     insert is linear in the population, the indexed insert flat.  Returns
@@ -139,11 +129,12 @@ let insert_cost_vs_population
       let points =
         List.map
           (fun pop ->
-            let engine = Psmr_sim.Engine.create () in
-            let (module SP) = Psmr_sim.Sim_platform.make engine Model.sim_costs in
+            Sim_run.with_sim @@ fun sim ->
+            let engine = Sim_run.engine sim in
+            let (module SP) = Sim_run.platform sim in
             let (module Cos : Psmr_cos.Cos_intf.S with type cmd = bool) =
               Psmr_cos.Registry.instantiate_keyed impl (module SP)
-                (module Rw_cmd)
+                (module Standalone.Rw)
             in
             let rng = Psmr_util.Rng.create ~seed in
             let per_insert = ref 0.0 in
@@ -168,42 +159,29 @@ let insert_cost_vs_population
 (* --- early vs late scheduling --- *)
 
 (* Standalone throughput of the early (queue-dispatch) scheduler on the
-   simulated platform, mirroring [Standalone.run]'s setup so the comparison
-   with the COS algorithms is apples to apples. *)
-let run_early ~workers ~(spec : Workload.spec) ?(duration = 0.08)
-    ?(warmup = 0.02) ?(seed = 42L) () =
-  let engine = Psmr_sim.Engine.create () in
-  let (module SP) = Psmr_sim.Sim_platform.make engine Model.sim_costs in
-  let module Rw = struct
-    type t = bool
-
-    let is_write w = w
-    let pp ppf w = Format.pp_print_string ppf (if w then "w" else "r")
-  end in
-  let module E = Psmr_sched.Early.Make (SP) (Rw) in
-  let cpu = Psmr_sim.Sim_sync.Cpu.create ~cores:Model.cores in
-  let measuring = ref false in
-  let completed = ref 0 in
+   simulated platform, on [Standalone.run]'s setup so the comparison with
+   the COS algorithms is apples to apples. *)
+let run_early ~workers ~(spec : Workload.spec)
+    ?(duration = Standalone.default_duration)
+    ?(warmup = Standalone.default_warmup) ?(seed = 42L) () =
+  Sim_run.with_sim @@ fun sim ->
+  let (module SP) = Sim_run.platform sim in
+  let module E = Psmr_sched.Early.Make (SP) (Standalone.Rw) in
   let execute is_write =
-    Psmr_sim.Sim_sync.Cpu.use cpu (Model.exec_cost spec.cost ~is_write);
-    if !measuring then incr completed
+    Sim_run.exec sim (Model.exec_cost spec.cost ~is_write);
+    Sim_run.tick sim
   in
   let sched = E.start ~workers ~execute () in
   let rng = Psmr_util.Rng.create ~seed in
-  Psmr_sim.Engine.spawn engine (fun () ->
-      let rec feed () =
-        (* Early scheduling has no bounded shared structure; throttle the
-           inserter to a bounded in-flight window comparable to the COS
-           bound so queues do not grow without limit. *)
-        if E.in_flight sched < 150 then
-          E.submit sched (Psmr_util.Rng.below_percent rng spec.write_pct)
-        else SP.sleep 2e-6;
-        feed ()
-      in
-      feed ());
-  Psmr_sim.Engine.spawn engine ~delay:warmup (fun () -> measuring := true);
-  Psmr_sim.Engine.run ~until:(warmup +. duration) engine;
-  float_of_int !completed /. duration /. 1000.0
+  (* Early scheduling has no bounded shared structure; throttle the
+     inserter to a bounded in-flight window comparable to the COS bound so
+     queues do not grow without limit. *)
+  Sim_run.forever sim ~name:"inserter" (fun () ->
+      if E.in_flight sched < 150 then
+        E.submit sched (Psmr_util.Rng.below_percent rng spec.write_pct)
+      else SP.sleep 2e-6);
+  ignore (Sim_run.run sim ~warmup ~duration : float);
+  Sim_run.kops sim
 
 (** Early (queue-dispatch) scheduling versus the lock-free COS across the
     write-percentage axis, light cost: early scheduling wins at very low
@@ -253,46 +231,16 @@ let failover_timeline ?(crash_at = 0.3) ?(until = 1.0) ?(bucket = 0.02)
     ?(mode =
       Psmr_replica.Replica.Parallel
         { impl = Psmr_cos.Registry.Lockfree; workers = 16 }) () =
-  let engine = Psmr_sim.Engine.create () in
-  let (module SP) = Psmr_sim.Sim_platform.make engine Model.sim_costs in
-  let module SMR = Psmr_replica.Replica.Make (SP) (Costed_list) in
-  let spec = { Workload.write_pct = 5.0; cost = Workload.Light } in
-  let make_service _ =
-    let cpu = Psmr_sim.Sim_sync.Cpu.create ~cores:Model.cores in
-    Costed_list.create
-      ~initial_size:(Workload.list_size spec.cost)
-      ~charge:(fun ~is_write ->
-        Psmr_sim.Sim_sync.Cpu.use cpu (Model.exec_cost spec.cost ~is_write))
+  Sim_run.with_sim @@ fun sim ->
+  let engine = Sim_run.engine sim in
+  let d =
+    Smr.deploy sim ~mode
+      ~spec:{ Workload.write_pct = 5.0; cost = Workload.Light }
+      ~clients ~cmds_per_request:10
+      ~client_timeout:0.1 (* fail over quickly relative to the timeline *)
+      ~seed:3L ~on_reply:ignore
   in
-  let cfg =
-    {
-      (SMR.Deployment.default_config ~make_service ()) with
-      clients;
-      mode;
-      abcast = Model.smr_abcast;
-      tick_interval = Model.smr_tick_interval;
-      client_timeout = 0.1 (* fail over quickly relative to the timeline *);
-      latency = (fun ~src:_ ~dst:_ -> Model.lan_latency);
-    }
-  in
-  let d = SMR.Deployment.create cfg in
-  let master_rng = Psmr_util.Rng.create ~seed:3L in
-  Psmr_sim.Engine.spawn engine (fun () ->
-      SMR.Deployment.start d;
-      for ci = 0 to clients - 1 do
-        let rng = Psmr_util.Rng.split master_rng in
-        SP.spawn (fun () ->
-            let c = SMR.Deployment.client d ci in
-            let rec loop () =
-              let cmds =
-                Array.init 10 (fun _ -> Workload.next_list_command spec rng)
-              in
-              match SMR.call_batch c cmds with Some _ -> loop () | None -> ()
-            in
-            loop ())
-      done);
-  Psmr_sim.Engine.spawn engine ~delay:crash_at (fun () ->
-      SMR.Deployment.crash_replica d 0);
+  Psmr_sim.Engine.spawn engine ~delay:crash_at (fun () -> d.crash_replica 0);
   (* Sample executed counters at bucket boundaries.  Replica 1 survives and
      becomes the new leader. *)
   let samples = Psmr_util.Vec.create () in
@@ -300,7 +248,7 @@ let failover_timeline ?(crash_at = 0.3) ?(until = 1.0) ?(bucket = 0.02)
   let schedule_sample t =
     if t <= until +. 1e-9 then
       Psmr_sim.Engine.spawn engine ~delay:t (fun () ->
-          let now_exec = SMR.Deployment.replica_executed d 1 in
+          let now_exec = d.replica_executed 1 in
           Psmr_util.Vec.push samples
             (t, float_of_int (now_exec - !last) /. bucket /. 1000.0);
           last := now_exec)
@@ -310,5 +258,4 @@ let failover_timeline ?(crash_at = 0.3) ?(until = 1.0) ?(bucket = 0.02)
     schedule_sample (float_of_int i *. bucket)
   done;
   Psmr_sim.Engine.run ~until engine;
-  let views = SMR.Deployment.replica_view d 1 in
-  (Psmr_util.Vec.to_list samples, views)
+  (Psmr_util.Vec.to_list samples, d.replica_view 1)

@@ -13,10 +13,16 @@
     undo + re-execution; completions are therefore counted at commit
     time, never for work that is later rolled back. *)
 
-(* Commands as the dispatchers see them: just a footprint; the conflict
-   relation is derived from it (shared key with at least one writer). *)
+(* Commands as the dispatchers see them: a footprint (the conflict
+   relation is derived from it: shared key with at least one writer), the
+   precomputed execution cost, and the arrival time open-loop latency is
+   measured from. *)
 module Cmd = struct
-  type t = { fp : (int * bool) list }
+  type t = {
+    fp : (int * bool) list;
+    cost : float;  (** simulated CPU seconds to execute *)
+    born : float;  (** virtual arrival time (open-loop feeders) *)
+  }
 
   let footprint c = c.fp
 
@@ -35,7 +41,13 @@ module Cmd = struct
             c.fp))
 end
 
-let gen spec rng = { Cmd.fp = Psmr_workload.Workload.Keyed.next_footprint spec rng }
+let gen (spec : Psmr_workload.Workload.Keyed.spec) rng =
+  let fp = Psmr_workload.Workload.Keyed.next_footprint spec rng in
+  {
+    Cmd.fp;
+    cost = Model.exec_cost spec.cost ~is_write:(List.exists snd fp);
+    born = 0.0;
+  }
 
 type result = {
   kops : float;  (** completed commands per second, in thousands *)
@@ -63,219 +75,155 @@ type result = {
    realistic speculated prefix. *)
 let opt_block = 32
 
-let run ~backend ~workers ~(spec : Psmr_workload.Workload.Keyed.spec)
-    ?max_size ?(batch = 1) ?(costs = Model.sim_costs)
-    ?(duration = Standalone.default_duration)
-    ?(warmup = Standalone.default_warmup) ?(seed = 42L)
-    ?(faults = Psmr_fault.Schedule.empty) ?(metrics = false)
-    ?(probe_engine = fun (_ : Psmr_sim.Engine.t) -> ()) () =
-  if batch < 1 then invalid_arg "Keyed_bench.run: batch must be >= 1";
-  let engine = Psmr_sim.Engine.create () in
-  probe_engine engine;
-  let (module SP) = Psmr_sim.Sim_platform.make engine costs in
-  let plan =
-    Psmr_fault.Plan.make ~now:(fun () -> Psmr_sim.Engine.now engine) faults
-  in
-  (* As in Standalone.run: only install the global fault plan when the
-     schedule can fire, so fault-free grid points stay domain-safe. *)
-  let with_plan f =
-    if Psmr_fault.Schedule.is_empty faults then f ()
-    else Psmr_fault.Plan.with_plan plan f
-  in
-  with_plan @@ fun () ->
-  let registry =
-    if metrics then
-      Some
-        (Psmr_obs.Metrics.make
-           ~now:(fun () -> Psmr_sim.Engine.now engine)
-           ~track:(fun () -> Psmr_sim.Engine.running_tag engine)
-           ())
-    else None
-  in
-  let cpu = Psmr_sim.Sim_sync.Cpu.create ~cores:Model.cores in
-  let measuring = ref false in
-  let completed = ref 0 in
+type handle = {
+  submit : Cmd.t -> unit;
+  submit_batch : Cmd.t array -> unit;
+  submit_block : int array -> Cmd.t array -> unit;
+  in_flight : unit -> int;
+  crashed_workers : unit -> int;
+  with_counts : result -> result;
+}
+
+let no_block _ _ = invalid_arg "Keyed_bench.start: submit_block needs early-opt"
+
+let start ?max_size ~workers ~on_done sim backend =
+  let (module SP) = Sim_run.platform sim in
+  let exec (c : Cmd.t) = Sim_run.exec sim c.cost in
   let execute c =
-    Psmr_sim.Sim_sync.Cpu.use cpu
-      (Model.exec_cost spec.cost ~is_write:(Cmd.is_write c));
-    if !measuring then incr completed
+    exec c;
+    on_done c
   in
+  match (backend : Psmr_early.Registry.backend) with
+  | Early cfg ->
+      let module D = Psmr_early.Dispatch.Make (SP) (Cmd) in
+      (* Execution-time optimism: execution charges its CPU cost whether
+         speculative or committed, the undo itself is a store-back
+         (negligible next to execution, and the rollback sweep already
+         charges dispatcher work), and only commits complete — work that
+         is rolled back must not inflate throughput. *)
+      let d =
+        if cfg.optimistic then
+          D.start_full ?max_size ?classes:cfg.classes
+            ~speculate:(fun c ->
+              exec c;
+              fun () -> ())
+            ~on_commit:on_done ~workers ~execute:exec ()
+        else D.start_full ?max_size ?classes:cfg.classes ~workers ~execute ()
+      in
+      let submit_block =
+        if not cfg.optimistic then no_block
+        else begin
+          (* Optimistic protocol, pipelined like the replica's two
+             delivery streams: optimistic delivery (submission in the
+             disordered order) and final delivery (confirmation in final
+             order) are separate simulated processes coupled by a block
+             channel, with the dispatcher window as the only
+             backpressure.  Serializing confirm behind submit in one
+             feeder thread is exactly the 2x hot-path regression this
+             layout fixes: both streams cost ~1us of feeder time per
+             command, so interleaving them halves the submission rate
+             even at 0% mis-speculation. *)
+          let ch = Queue.create () in
+          let ch_m = SP.Mutex.create () in
+          let ch_cv = SP.Condition.create () in
+          Sim_run.forever sim ~name:"confirmer" (fun () ->
+              SP.Mutex.lock ch_m;
+              while Queue.is_empty ch do
+                SP.Condition.wait ch_cv ch_m
+              done;
+              let block = Queue.pop ch in
+              SP.Mutex.unlock ch_m;
+              Array.iter (fun e -> D.confirm d e) block);
+          fun order finals ->
+            let entries = Array.make (Array.length finals) None in
+            Array.iter
+              (fun i -> entries.(i) <- Some (D.submit_optimistic d finals.(i)))
+              order;
+            let block = Array.map Option.get entries in
+            SP.Mutex.lock ch_m;
+            Queue.push block ch;
+            SP.Condition.signal ch_cv;
+            SP.Mutex.unlock ch_m
+        end
+      in
+      {
+        submit = D.submit d;
+        submit_batch = D.submit_batch d;
+        submit_block;
+        in_flight = (fun () -> D.in_flight d);
+        crashed_workers = (fun () -> D.crashed_workers d);
+        with_counts =
+          (fun r ->
+            {
+              r with
+              direct = D.direct_count d;
+              rendezvous = D.rendezvous_count d;
+              repairs = D.repair_count d;
+              revoked = D.revoked_count d;
+              dropped = D.dropped d;
+              spec_execs = D.spec_exec_count d;
+              rollbacks = D.rollback_count d;
+              redos = D.redo_count d;
+              redo_depth = D.redo_depth_max d;
+            });
+      }
+  | Cos _ ->
+      let (module Bk) =
+        Psmr_early.Registry.instantiate backend (module SP) (module Cmd)
+      in
+      let b = Bk.start ?max_size ~workers ~execute () in
+      {
+        submit = Bk.submit b;
+        submit_batch = Bk.submit_batch b;
+        submit_block = no_block;
+        in_flight = (fun () -> Bk.in_flight b);
+        crashed_workers = (fun () -> Bk.crashed_workers b);
+        with_counts = Fun.id;
+      }
+
+let run ~backend ~workers ~(spec : Psmr_workload.Workload.Keyed.spec)
+    ?max_size ?(batch = 1) ?costs ?(duration = Standalone.default_duration)
+    ?(warmup = Standalone.default_warmup) ?(seed = 42L) ?faults ?metrics
+    ?probe_engine () =
+  if batch < 1 then invalid_arg "Keyed_bench.run: batch must be >= 1";
+  Sim_run.with_sim ?costs ?faults ?metrics ?probe_engine @@ fun sim ->
   let rng = Psmr_util.Rng.create ~seed in
   let srng = Psmr_util.Rng.split rng in
-  (* Backend-specific feeder and statistics, behind one closure record so
-     the measurement loop below is shared. *)
-  let feed, in_flight, crashed, stats =
-    match (backend : Psmr_early.Registry.backend) with
-    | Early cfg ->
-        let module D = Psmr_early.Dispatch.Make (SP) (Cmd) in
-        (* Execution-time optimism: execution charges its CPU cost whether
-           speculative or committed, the undo itself is a store-back
-           (negligible next to execution, and the rollback sweep already
-           charges dispatcher work), and only commits count as completed —
-           work that is rolled back must not inflate throughput. *)
-        let exec_cost c =
-          Psmr_sim.Sim_sync.Cpu.use cpu
-            (Model.exec_cost spec.cost ~is_write:(Cmd.is_write c))
-        in
-        let speculate, on_commit, execute =
-          if cfg.optimistic then
-            ( Some (fun c -> exec_cost c; fun () -> ()),
-              Some (fun (_ : Cmd.t) -> if !measuring then incr completed),
-              exec_cost )
-          else (None, None, execute)
-        in
-        let d =
-          D.start_full ?max_size ?classes:cfg.classes ?speculate ?on_commit
-            ~workers ~execute ()
-        in
-        let feed =
-          if not cfg.optimistic then
-            if batch <= 1 then
-              let rec loop () =
-                D.submit d (gen spec rng);
-                loop ()
-              in
-              loop
-            else
-              let rec loop () =
-                D.submit_batch d (Array.init batch (fun _ -> gen spec rng));
-                loop ()
-              in
-              loop
-          else begin
-            (* Optimistic protocol, pipelined like the replica's two
-               delivery streams: optimistic delivery (submission in the
-               disordered order) and final delivery (confirmation in
-               final order) are separate simulated processes coupled by
-               a block channel, with the dispatcher window as the only
-               backpressure.  Serializing confirm behind submit in one
-               feeder thread is exactly the 2x hot-path regression this
-               layout fixes: both streams cost ~1us of feeder time per
-               command, so interleaving them halves the submission rate
-               even at 0% mis-speculation. *)
-            let order = Array.init opt_block Fun.id in
-            let ch = Queue.create () in
-            let ch_m = SP.Mutex.create () in
-            let ch_cv = SP.Condition.create () in
-            Psmr_sim.Engine.spawn engine ~name:"confirmer" (fun () ->
-                let rec loop () =
-                  SP.Mutex.lock ch_m;
-                  while Queue.is_empty ch do
-                    SP.Condition.wait ch_cv ch_m
-                  done;
-                  let block = Queue.pop ch in
-                  SP.Mutex.unlock ch_m;
-                  Array.iter (fun e -> D.confirm d e) block;
-                  loop ()
-                in
-                loop ());
-            let rec loop () =
-              let finals = Array.init opt_block (fun _ -> gen spec rng) in
-              let opt_order =
-                Psmr_early.Spec_stream.disorder ~swap_pct:spec.mis_pct
-                  ~rng:srng order
-              in
-              let entries = Array.make opt_block None in
-              Array.iter
-                (fun i ->
-                  entries.(i) <- Some (D.submit_optimistic d finals.(i)))
-                opt_order;
-              let block = Array.map Option.get entries in
-              SP.Mutex.lock ch_m;
-              Queue.push block ch;
-              SP.Condition.signal ch_cv;
-              SP.Mutex.unlock ch_m;
-              loop ()
-            in
-            loop
-          end
-        in
-        ( feed,
-          (fun () -> D.in_flight d),
-          (fun () -> D.crashed_workers d),
-          fun () ->
-            ( D.direct_count d,
-              D.rendezvous_count d,
-              D.repair_count d,
-              D.revoked_count d,
-              D.dropped d,
-              D.spec_exec_count d,
-              D.rollback_count d,
-              D.redo_count d,
-              D.redo_depth_max d ) )
-    | Cos _ ->
-        let (module Bk) =
-          Psmr_early.Registry.instantiate backend (module SP) (module Cmd)
-        in
-        let b = Bk.start ?max_size ~workers ~execute () in
-        let loop =
-          if batch <= 1 then
-            let rec go () =
-              Bk.submit b (gen spec rng);
-              go ()
-            in
-            go
-          else
-            let rec go () =
-              Bk.submit_batch b (Array.init batch (fun _ -> gen spec rng));
-              go ()
-            in
-            go
-        in
-        ( loop,
-          (fun () -> Bk.in_flight b),
-          (fun () -> Bk.crashed_workers b),
-          fun () -> (0, 0, 0, 0, 0, 0, 0, 0, 0) )
+  let next () = gen spec rng in
+  let b =
+    start ?max_size ~workers ~on_done:(fun _ -> Sim_run.tick sim) sim backend
   in
-  Psmr_sim.Engine.spawn engine ~name:"feeder" feed;
-  let pop_sum = ref 0 and pop_n = ref 0 in
-  Psmr_sim.Engine.spawn engine ~name:"pop-probe" (fun () ->
-      let rec probe () =
-        SP.sleep 1e-3;
-        if !measuring then begin
-          pop_sum := !pop_sum + in_flight ();
-          incr pop_n
-        end;
-        probe ()
-      in
-      probe ());
-  Psmr_sim.Engine.spawn engine ~delay:warmup ~name:"warmup-gate" (fun () ->
-      measuring := true);
-  (match registry with Some r -> Psmr_obs.Metrics.enable r | None -> ());
-  let wall0 = Psmr_sim.Grid_runner.wall_now () in
-  Fun.protect
-    ~finally:(fun () ->
-      if Option.is_some registry then Psmr_obs.Metrics.disable ())
-    (fun () -> Psmr_sim.Engine.run ~until:(warmup +. duration) engine);
-  let wall_seconds = Psmr_sim.Grid_runner.wall_now () -. wall0 in
-  let ( direct,
-        rendezvous,
-        repairs,
-        revoked,
-        dropped,
-        spec_execs,
-        rollbacks,
-        redos,
-        redo_depth ) =
-    stats ()
-  in
-  {
-    kops = float_of_int !completed /. duration /. 1000.0;
-    executed = !completed;
-    mean_population =
-      (if !pop_n = 0 then 0.0 else float_of_int !pop_sum /. float_of_int !pop_n);
-    engine_events = Psmr_sim.Engine.events_executed engine;
-    wall_seconds;
-    faults_injected = Psmr_fault.Plan.injected plan;
-    crashed_workers = crashed ();
-    direct;
-    rendezvous;
-    repairs;
-    revoked;
-    dropped;
-    spec_execs;
-    rollbacks;
-    redos;
-    redo_depth;
-    metrics = registry;
-  }
+  Sim_run.forever sim ~name:"feeder"
+    (if Psmr_early.Registry.is_optimistic backend then begin
+       let order = Array.init opt_block Fun.id in
+       fun () ->
+         let finals = Array.init opt_block (fun _ -> next ()) in
+         b.submit_block
+           (Psmr_early.Spec_stream.disorder ~swap_pct:spec.mis_pct ~rng:srng
+              order)
+           finals
+     end
+     else if batch <= 1 then fun () -> b.submit (next ())
+     else fun () -> b.submit_batch (Array.init batch (fun _ -> next ())));
+  let mean_population = Sim_run.population_probe sim b.in_flight in
+  let wall_seconds = Sim_run.run sim ~warmup ~duration in
+  b.with_counts
+    {
+      kops = Sim_run.kops sim;
+      executed = Sim_run.completed sim;
+      mean_population = mean_population ();
+      engine_events = Sim_run.events sim;
+      wall_seconds;
+      faults_injected = Sim_run.faults_injected sim;
+      crashed_workers = b.crashed_workers ();
+      direct = 0;
+      rendezvous = 0;
+      repairs = 0;
+      revoked = 0;
+      dropped = 0;
+      spec_execs = 0;
+      rollbacks = 0;
+      redos = 0;
+      redo_depth = 0;
+      metrics = Sim_run.metrics sim;
+    }

@@ -28,32 +28,7 @@ module Scenario = Psmr_traffic.Scenario
 module Session = Psmr_traffic.Session
 module Histogram = Psmr_util.Histogram
 
-(* Commands as the dispatchers see them: a footprint plus the
-   precomputed execution cost and the arrival timestamp the latency is
-   measured from. *)
-module Cmd = struct
-  type t = {
-    fp : (int * bool) list;
-    cost : float;  (** simulated CPU seconds to execute *)
-    born : float;  (** virtual arrival time (queue entry) *)
-  }
-
-  let footprint c = c.fp
-
-  let conflict a b =
-    List.exists
-      (fun (k, w) -> List.exists (fun (k', w') -> k = k' && (w || w')) b.fp)
-      a.fp
-
-  let is_write c = List.exists snd c.fp
-
-  let pp ppf c =
-    Format.fprintf ppf "{%s}"
-      (String.concat ";"
-         (List.map
-            (fun (k, w) -> Printf.sprintf "%d%s" k (if w then "w" else "r"))
-            c.fp))
-end
+module Cmd = Keyed_bench.Cmd
 
 (* A kv point op costs what a light list op costs; a scan pays per
    scanned slot.  Execution-cost realism is not the point here — the
@@ -73,8 +48,7 @@ type target =
   | Backend of Psmr_early.Registry.backend
       (** any registry backend, conservative or optimistic *)
   | Partitioned of int
-      (** the full partitioned-ordering stack of {!Part_bench}, with
-          that many sequencer partitions *)
+      (** {!Part_bench.stack} with that many sequencer partitions *)
 
 let target_label = function
   | Backend b -> Psmr_early.Registry.to_string b
@@ -142,43 +116,35 @@ let default_sessions = 1_000_000
 let default_queue_cap = 8192
 let default_batch = 16
 
-(* Part_bench's protocol configuration (tightened batch window),
-   restated for the partitioned target here.  The in-flight credit
-   window is tighter than part_bench's throughput-oriented 4096: under
-   open-loop load a backlog acquired during a transient never drains
-   (the merge emits at exactly the offered rate), so steady-state
-   latency is pinned at window/rate.  1024 still covers the ordering
-   pipeline at peak (~0.6 ms * ~1 Mops/s in flight) without capping
-   throughput, while keeping the latency floor honest. *)
-let part_abcast = { Model.smr_abcast with batch_delay = 0.1e-3 }
+(* The partitioned target's in-flight credit window is tighter than
+   Part_bench's throughput-oriented 4096: under open-loop load a backlog
+   acquired during a transient never drains (the merge emits at exactly
+   the offered rate), so steady-state latency is pinned at window/rate.
+   1024 still covers the ordering pipeline at peak (~0.6 ms * ~1 Mops/s
+   in flight) without capping throughput, while keeping the latency
+   floor honest. *)
 let part_window = 1024
 
 let run_step ~target ~workers ~(scenario : Scenario.spec) ~shape
     ?(sessions = default_sessions) ?(queue_cap = default_queue_cap)
-    ?(batch = default_batch) ?(costs = Model.sim_costs)
-    ?(duration = Standalone.default_duration)
+    ?(batch = default_batch) ?costs ?(duration = Standalone.default_duration)
     ?(warmup = Standalone.default_warmup) ?(seed = 42L) () =
   if batch < 1 then invalid_arg "Load_bench.run_step: batch must be >= 1";
   if queue_cap < batch then
     invalid_arg "Load_bench.run_step: need batch <= queue_cap";
-  let engine = Psmr_sim.Engine.create () in
-  let (module SP) = Psmr_sim.Sim_platform.make engine costs in
+  Sim_run.with_sim ?costs @@ fun sim ->
+  let (module SP) = Sim_run.platform sim in
   let horizon = warmup +. duration in
-  let measuring = ref false in
-  let arrivals = ref 0 and dropped = ref 0 and completed = ref 0 in
+  let arrivals = ref 0 and dropped = ref 0 in
   let lat = Histogram.create () in
-  let cpu = Psmr_sim.Sim_sync.Cpu.create ~cores:Model.cores in
   (* Completion: commit (optimistic), execution otherwise.  Only
      commands that themselves arrived inside the window are sampled, so
      warmup-era queueing does not leak into the distribution. *)
   let record (c : Cmd.t) =
-    if !measuring then begin
-      incr completed;
-      if c.born >= warmup then
-        Histogram.record lat (Psmr_sim.Engine.now engine -. c.born)
-    end
+    Sim_run.tick sim;
+    if Sim_run.measuring sim && c.born >= warmup then
+      Histogram.record lat (Sim_run.now sim -. c.born)
   in
-  let exec_cost (c : Cmd.t) = Psmr_sim.Sim_sync.Cpu.use cpu c.cost in
   (* The bounded offered queue between the arrival process and the
      injector.  The arrival side is the outside world: it touches the
      queue with host operations only (DES processes are cooperatively
@@ -191,191 +157,74 @@ let run_step ~target ~workers ~(scenario : Scenario.spec) ~shape
   (* The injector's intake poll: the latency floor it adds at idle is
      microseconds, far under any knee threshold. *)
   let intake_poll = 2e-6 in
-  (* Wait for at least one offered command, pop up to [limit]. *)
-  let rec pop_block limit =
+  (* Wait for at least one offered command, pop up to [batch]. *)
+  let rec pop_block () =
     if Queue.is_empty q then begin
       SP.sleep intake_poll;
-      pop_block limit
+      pop_block ()
     end
     else
-      let n = min limit (Queue.length q) in
+      let n = min batch (Queue.length q) in
       Array.init n (fun _ -> Queue.pop q)
   in
   let pool = Session.create ~seed:(Int64.add seed 0x5EEDL) ~sessions () in
   let gen = Scenario.generator scenario in
   let arr = Arrival.create ~seed:(Int64.add seed 0xA221L) shape in
-  Psmr_sim.Engine.spawn engine ~name:"arrivals" (fun () ->
+  Psmr_sim.Engine.spawn (Sim_run.engine sim) ~name:"arrivals" (fun () ->
       let rec loop () =
         let t = Arrival.next arr in
         if t < horizon then begin
-          let now = Psmr_sim.Engine.now engine in
+          let now = Sim_run.now sim in
           if t > now then SP.sleep (t -. now);
-          if !measuring then incr arrivals;
+          if Sim_run.measuring sim then incr arrivals;
           let len = Queue.length q in
           if len >= queue_cap then begin
             (* Overload policy: shed the newest arrival, count it,
                never block — the generator must stay open-loop. *)
-            if !measuring then incr dropped
+            if Sim_run.measuring sim then incr dropped
           end
           else begin
             let sid = Session.draw pool in
             let srng = Session.stream pool sid in
             let op = Scenario.next gen srng in
-            Queue.push (cmd_of_op ~born:(Psmr_sim.Engine.now engine) op) q;
+            Queue.push (cmd_of_op ~born:(Sim_run.now sim) op) q;
             if len + 1 > !q_peak then q_peak := len + 1
           end;
           loop ()
         end
       in
       loop ());
-  (match target with
-  | Backend backend when Psmr_early.Registry.is_optimistic backend ->
-      (* Optimistic protocol, pipelined as in {!Keyed_bench}: the
-         injector optimistically submits (execution happens here, via
-         the speculation hook) and a separate confirmer issues the
-         final-order confirmations; completions count at commit.  The
-         open-loop stream is delivered in order, i.e. 0% mis-speculation
-         — the mis-rate sweep lives in keyed_sim_kops. *)
-      let cfg =
-        match backend with
-        | Psmr_early.Registry.Early cfg -> cfg
-        | Cos _ -> assert false
-      in
-      let module D = Psmr_early.Dispatch.Make (SP) (Cmd) in
-      let d =
-        D.start_full ?classes:cfg.classes
-          ~speculate:(fun c ->
-            exec_cost c;
-            fun () -> ())
-          ~on_commit:record ~workers ~execute:exec_cost ()
-      in
-      let ch = Queue.create () in
-      let ch_m = SP.Mutex.create () in
-      let ch_cv = SP.Condition.create () in
-      Psmr_sim.Engine.spawn engine ~name:"confirmer" (fun () ->
-          let rec loop () =
-            SP.Mutex.lock ch_m;
-            while Queue.is_empty ch do
-              SP.Condition.wait ch_cv ch_m
-            done;
-            let block = Queue.pop ch in
-            SP.Mutex.unlock ch_m;
-            Array.iter (fun e -> D.confirm d e) block;
-            loop ()
-          in
-          loop ());
-      Psmr_sim.Engine.spawn engine ~name:"injector" (fun () ->
-          let rec loop () =
-            let cmds = pop_block batch in
-            let block = Array.map (fun c -> D.submit_optimistic d c) cmds in
-            SP.Mutex.lock ch_m;
-            Queue.push block ch;
-            SP.Condition.signal ch_cv;
-            SP.Mutex.unlock ch_m;
-            loop ()
-          in
-          loop ())
-  | Backend backend ->
-      let execute c =
-        exec_cost c;
-        record c
-      in
-      let (module Bk) =
-        Psmr_early.Registry.instantiate backend (module SP) (module Cmd)
-      in
-      let b = Bk.start ~workers ~execute () in
-      Psmr_sim.Engine.spawn engine ~name:"injector" (fun () ->
-          let rec loop () =
-            Bk.submit_batch b (pop_block batch);
-            loop ()
-          in
-          loop ())
-  | Partitioned partitions ->
-      (* The {!Part_bench} deployment — N sequencer instances over the
-         simulated LAN, merged stream drained through the class-map
-         dispatcher on replica 0 — fed from the offered queue instead
-         of a maximum-rate feeder.  Latency spans the whole ordering
-         path: queueing, ingestion, batching, merge, dispatch. *)
-      if partitions < 1 then
-        invalid_arg "Load_bench.run_step: partitions must be >= 1";
-      let n = Part_bench.default_replicas ~partitions in
-      let module Net = Psmr_net.Network.Make (SP) in
-      let module Part = Psmr_broadcast.Partition.Make (SP) in
-      let module D = Psmr_early.Dispatch.Make (SP) (Cmd) in
-      let net =
-        Net.create ~latency:(fun ~src:_ ~dst:_ -> Model.lan_latency) ~nodes:n ()
-      in
-      let credit = SP.Semaphore.create part_window in
-      let execute c =
-        exec_cost c;
-        record c;
-        SP.Semaphore.release credit
-      in
-      let d = D.start ~max_size:(2 * part_window) ~workers ~execute () in
-      let exec_buf = Psmr_util.Vec.create () in
-      let eps =
-        Array.init n (fun id ->
-            Part.create ~config:part_abcast ~partitions ~id ~n
-              ~send:(fun dst w -> Net.send net ~src:id ~dst (`PWire w))
-              ~deliver:(fun (em : Cmd.t Psmr_broadcast.Pmerge.emitted) ->
-                if id = 0 then Psmr_util.Vec.push exec_buf em.cmd)
-              ())
-      in
-      Array.iteri
-        (fun id ep ->
-          Psmr_sim.Engine.spawn engine
-            ~name:(Printf.sprintf "load-replica-%d" id) (fun () ->
-              let rec loop () =
-                match Net.recv net id with
-                | None -> ()
-                | Some { src; payload; _ } ->
-                    (match payload with
-                    | `Sub cmds ->
-                        Part.submit_batch ep
-                          ~footprint:(fun (c : Cmd.t) -> c.fp)
-                          cmds
-                    | `PWire w -> Part.handle ep ~src w
-                    | `Tick -> Part.tick ep);
-                    if id = 0 && Psmr_util.Vec.length exec_buf > 0 then begin
-                      D.submit_batch d (Psmr_util.Vec.to_array exec_buf);
-                      Psmr_util.Vec.clear exec_buf
-                    end;
-                    loop ()
-              in
-              loop ());
-          Psmr_sim.Engine.spawn engine
-            ~name:(Printf.sprintf "load-ticker-%d" id) (fun () ->
-              let rec tick_loop () =
-                if not (Net.is_crashed net id) then begin
-                  SP.sleep Model.smr_tick_interval;
-                  Net.send net ~src:id ~dst:id `Tick;
-                  tick_loop ()
-                end
-              in
-              tick_loop ()))
-        eps;
-      Psmr_sim.Engine.spawn engine ~name:"injector" (fun () ->
-          let rec loop () =
-            let cmds = pop_block batch in
-            SP.Semaphore.acquire ~n:(Array.length cmds) credit;
-            Net.send net ~src:0 ~dst:0 (`Sub cmds);
-            loop ()
-          in
-          loop ()));
-  Psmr_sim.Engine.spawn engine ~delay:warmup ~name:"warmup-gate" (fun () ->
-      measuring := true);
-  let wall0 = Psmr_sim.Grid_runner.wall_now () in
-  Psmr_sim.Engine.run ~until:horizon engine;
-  let wall_seconds = Psmr_sim.Grid_runner.wall_now () -. wall0 in
+  (* The injector: the target's own feeder, fed from the offered queue.
+     The optimistic pipeline ({!Keyed_bench.start}) sees the open-loop
+     stream in order, i.e. 0% mis-speculation — the mis-rate sweep lives
+     in keyed_sim_kops.  The partitioned stack ({!Part_bench.stack}) puts
+     the whole ordering path — ingestion, batching, merge, dispatch —
+     inside the measured latency. *)
+  let inject =
+    match target with
+    | Backend backend ->
+        let b = Keyed_bench.start ~workers ~on_done:record sim backend in
+        if Psmr_early.Registry.is_optimistic backend then fun cmds ->
+          b.submit_block (Array.init (Array.length cmds) Fun.id) cmds
+        else b.submit_batch
+    | Partitioned partitions ->
+        (Part_bench.stack sim ~partitions
+           ~replicas:(Part_bench.default_replicas ~partitions)
+           ~workers ~batch ~window:part_window
+           ~abcast:Part_bench.default_abcast ~on_exec:record)
+          .submit
+  in
+  Sim_run.forever sim ~name:"injector" (fun () -> inject (pop_block ()));
+  let wall_seconds = Sim_run.run sim ~warmup ~duration in
   {
     offered_kops = Arrival.mean_rate shape /. 1000.0;
     arrivals = !arrivals;
-    completed = !completed;
+    completed = Sim_run.completed sim;
     dropped = !dropped;
     drop_rate =
       (if !arrivals = 0 then 0.0
        else float_of_int !dropped /. float_of_int !arrivals);
-    kops = float_of_int !completed /. duration /. 1000.0;
+    kops = Sim_run.kops sim;
     samples = Histogram.count lat;
     p50 = Histogram.quantile lat 0.50;
     p99 = Histogram.quantile lat 0.99;
@@ -383,7 +232,7 @@ let run_step ~target ~workers ~(scenario : Scenario.spec) ~shape
     mean_latency = Histogram.mean lat;
     max_latency = Histogram.max_value lat;
     queue_peak = !q_peak;
-    engine_events = Psmr_sim.Engine.events_executed engine;
+    engine_events = Sim_run.events sim;
     wall_seconds;
   }
 

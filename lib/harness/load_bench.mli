@@ -4,22 +4,15 @@
     blocked), reporting the virtual-time latency distribution and drop
     rate per offered-load step and the saturation knee per sweep. *)
 
-module Cmd : sig
-  type t = { fp : (int * bool) list; cost : float; born : float }
-
-  val footprint : t -> (int * bool) list
-  val conflict : t -> t -> bool
-  val is_write : t -> bool
-  val pp : Format.formatter -> t -> unit
-end
+module Cmd = Keyed_bench.Cmd
 
 type target =
   | Backend of Psmr_early.Registry.backend
       (** any registry backend; optimistic ones are driven through the
           pipelined submit/confirm protocol at 0% mis-speculation *)
   | Partitioned of int
-      (** the full {!Part_bench} partitioned-ordering stack with that
-          many sequencer partitions *)
+      (** {!Part_bench.stack} with that many sequencer partitions and a
+          1024-command credit window *)
 
 val target_label : target -> string
 
@@ -74,7 +67,8 @@ val run_step :
     is arrival (queue entry) to completion — commit for the optimistic
     backend, execution on the measured replica for the partitioned
     stack — and only commands arriving inside the measurement window
-    are sampled. *)
+    are sampled.  @raise Invalid_argument when [batch] exceeds
+    [queue_cap], or the partitioned target's credit window. *)
 
 val default_knee_mult : float
 val default_knee_max_drop : float

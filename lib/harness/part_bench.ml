@@ -57,46 +57,34 @@ let default_window = 4096
    so inter-partition commit-latency skew — bounded by the batch delay —
    turns directly into rendezvous stall.  2 ms of skew is irrelevant to a
    single sequencer but serializes a partitioned stream with crosses. *)
-let part_abcast = { Model.smr_abcast with batch_delay = 0.1e-3 }
+let default_abcast = { Model.smr_abcast with batch_delay = 0.1e-3 }
 
-let run ~partitions ~workers ~(spec : Psmr_workload.Workload.Keyed.spec)
-    ?replicas ?(batch = 16) ?(window = default_window)
-    ?(abcast = part_abcast) ?(costs = Model.sim_costs)
-    ?(duration = Standalone.default_duration)
-    ?(warmup = Standalone.default_warmup) ?(seed = 42L) ?(metrics = false) () =
-  if partitions < 1 then invalid_arg "Part_bench.run: partitions must be >= 1";
+type stack = {
+  submit : Cmd.t array -> unit;
+  result : wall_seconds:float -> result;
+}
+
+let stack sim ~partitions ~replicas:n ~workers ~batch ~window ~abcast ~on_exec
+    =
+  if partitions < 1 then
+    invalid_arg "Part_bench.stack: partitions must be >= 1";
   if batch < 1 || window < batch then
-    invalid_arg "Part_bench.run: need 1 <= batch <= window";
-  let n = Option.value replicas ~default:(default_replicas ~partitions) in
-  let engine = Psmr_sim.Engine.create () in
-  let (module SP) = Psmr_sim.Sim_platform.make engine costs in
-  let registry =
-    if metrics then
-      Some
-        (Psmr_obs.Metrics.make
-           ~now:(fun () -> Psmr_sim.Engine.now engine)
-           ~track:(fun () -> Psmr_sim.Engine.running_tag engine)
-           ())
-    else None
-  in
+    invalid_arg "Part_bench.stack: need 1 <= batch <= window";
+  let (module SP) = Sim_run.platform sim in
   let module Net = Psmr_net.Network.Make (SP) in
   let module Part = Psmr_broadcast.Partition.Make (SP) in
   let module D = Psmr_early.Dispatch.Make (SP) (Cmd) in
   let net =
     Net.create ~latency:(fun ~src:_ ~dst:_ -> Model.lan_latency) ~nodes:n ()
   in
-  let measuring = ref false in
-  let completed = ref 0 in
-  let cpu = Psmr_sim.Sim_sync.Cpu.create ~cores:Model.cores in
   (* Feeder credits are returned at execution, so the ordering pipeline
      plus the dispatcher hold at most [window] commands; the dispatcher
      window is sized above that, so protocol handling never blocks on a
      full executor. *)
   let credit = SP.Semaphore.create window in
   let execute (c : Cmd.t) =
-    Psmr_sim.Sim_sync.Cpu.use cpu
-      (Model.exec_cost spec.cost ~is_write:(Cmd.is_write c));
-    if !measuring then incr completed;
+    Sim_run.exec sim c.cost;
+    on_exec c;
     SP.Semaphore.release credit
   in
   let d = D.start ~max_size:(2 * window) ~workers ~execute () in
@@ -112,6 +100,7 @@ let run ~partitions ~workers ~(spec : Psmr_workload.Workload.Keyed.spec)
             if id = 0 then Psmr_util.Vec.push exec_buf em.cmd)
           ())
   in
+  let engine = Sim_run.engine sim in
   Array.iteri
     (fun id ep ->
       Psmr_sim.Engine.spawn engine ~name:(Printf.sprintf "part-replica-%d" id)
@@ -144,35 +133,43 @@ let run ~partitions ~workers ~(spec : Psmr_workload.Workload.Keyed.spec)
           in
           tick_loop ()))
     eps;
-  let rng = Psmr_util.Rng.create ~seed in
-  Psmr_sim.Engine.spawn engine ~name:"part-feeder" (fun () ->
-      let rec loop () =
-        SP.Semaphore.acquire ~n:batch credit;
-        let cmds = Array.init batch (fun _ -> Keyed_bench.gen spec rng) in
-        Net.send net ~src:0 ~dst:0 (Sub cmds);
-        loop ()
-      in
-      loop ());
-  Psmr_sim.Engine.spawn engine ~delay:warmup ~name:"part-warmup-gate"
-    (fun () -> measuring := true);
-  (match registry with Some r -> Psmr_obs.Metrics.enable r | None -> ());
-  let wall0 = Psmr_sim.Grid_runner.wall_now () in
-  Fun.protect
-    ~finally:(fun () ->
-      if Option.is_some registry then Psmr_obs.Metrics.disable ())
-    (fun () -> Psmr_sim.Engine.run ~until:(warmup +. duration) engine);
-  let wall_seconds = Psmr_sim.Grid_runner.wall_now () -. wall0 in
   let ep0 = eps.(0) in
   {
-    kops = float_of_int !completed /. duration /. 1000.0;
-    executed = !completed;
-    emitted = Part.emitted ep0;
-    singles = Part.emitted ep0 - Part.crosses ep0;
-    crosses = Part.crosses ep0;
-    holes = Part.holes ep0;
-    merge_pending = Part.merge_pending ep0;
-    views = Array.fold_left (fun acc ep -> acc + Part.views_installed ep) 0 eps;
-    engine_events = Psmr_sim.Engine.events_executed engine;
-    wall_seconds;
-    metrics = registry;
+    submit =
+      (fun cmds ->
+        SP.Semaphore.acquire ~n:(Array.length cmds) credit;
+        Net.send net ~src:0 ~dst:0 (Sub cmds));
+    result =
+      (fun ~wall_seconds ->
+        {
+          kops = Sim_run.kops sim;
+          executed = Sim_run.completed sim;
+          emitted = Part.emitted ep0;
+          singles = Part.emitted ep0 - Part.crosses ep0;
+          crosses = Part.crosses ep0;
+          holes = Part.holes ep0;
+          merge_pending = Part.merge_pending ep0;
+          views =
+            Array.fold_left (fun acc ep -> acc + Part.views_installed ep) 0 eps;
+          engine_events = Sim_run.events sim;
+          wall_seconds;
+          metrics = Sim_run.metrics sim;
+        });
   }
+
+let run ~partitions ~workers ~(spec : Psmr_workload.Workload.Keyed.spec)
+    ?replicas ?(batch = 16) ?(window = default_window)
+    ?(abcast = default_abcast) ?costs ?(duration = Standalone.default_duration)
+    ?(warmup = Standalone.default_warmup) ?(seed = 42L) ?metrics () =
+  let replicas =
+    Option.value replicas ~default:(default_replicas ~partitions)
+  in
+  Sim_run.with_sim ?costs ?metrics @@ fun sim ->
+  let st =
+    stack sim ~partitions ~replicas ~workers ~batch ~window ~abcast
+      ~on_exec:(fun _ -> Sim_run.tick sim)
+  in
+  let rng = Psmr_util.Rng.create ~seed in
+  Sim_run.forever sim ~name:"part-feeder" (fun () ->
+      st.submit (Array.init batch (fun _ -> Keyed_bench.gen spec rng)));
+  st.result ~wall_seconds:(Sim_run.run sim ~warmup ~duration)

@@ -53,17 +53,14 @@ module Make (Service : Psmr_app.Service_intf.S) = struct
     if checkpoint_every <= 0 then
       invalid_arg "Recovery.run: checkpoint_every must be positive";
     let n = Array.length log in
-    let engine = Psmr_sim.Engine.create () in
-    let (module SP) = Psmr_sim.Sim_platform.make engine costs in
-    let plan =
-      Psmr_fault.Plan.make ~now:(fun () -> Psmr_sim.Engine.now engine) faults
-    in
+    Sim_run.with_sim ~costs ~faults @@ fun sim ->
+    let engine = Sim_run.engine sim in
+    let (module SP) = Sim_run.platform sim in
     let (module Cos : Psmr_cos.Cos_intf.S with type cmd = int * Service.command)
         =
       Psmr_cos.Registry.instantiate_keyed impl (module SP) (module C)
     in
     let module Sched = Psmr_sched.Scheduler.Make (SP) (Cos) in
-    let cpu = Psmr_sim.Sim_sync.Cpu.create ~cores:Model.cores in
     let replies = Array.make n "" in
     let crashes = ref 0
     and recoveries = ref 0
@@ -73,7 +70,6 @@ module Make (Service : Psmr_app.Service_intf.S) = struct
     and completed = ref false
     and end_time = ref 0.0
     and final_state = ref "" in
-    Psmr_fault.Plan.with_plan plan @@ fun () ->
     Psmr_sim.Engine.spawn engine ~name:"replica" (fun () ->
         (* One epoch per replica incarnation.  [ckpt] is the durable state:
            a snapshot plus the log position it covers. *)
@@ -109,7 +105,7 @@ module Make (Service : Psmr_app.Service_intf.S) = struct
                no CPU and its replies are never sent.  Anything they were
                holding is beyond the last checkpoint, so replay covers it. *)
             if not !dead then begin
-              Psmr_sim.Sim_sync.Cpu.use cpu (exec_cost cmd);
+              Sim_run.exec sim (exec_cost cmd);
               if not !dead then
                 replies.(i) <-
                   Format.asprintf "%a" Service.pp_response

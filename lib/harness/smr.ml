@@ -21,27 +21,17 @@ let default_warmup = 0.08
 
 let default_cmds_per_request = 10
 
-let run ~(mode : Psmr_replica.Replica.mode) ~(spec : Psmr_workload.Workload.spec)
-    ~clients ?(cmds_per_request = default_cmds_per_request)
-    ?(duration = default_duration) ?(warmup = default_warmup) ?(seed = 7L)
-    ?(faults = Psmr_fault.Schedule.empty) () =
-  let engine = Psmr_sim.Engine.create () in
-  let (module SP) = Psmr_sim.Sim_platform.make engine Model.sim_costs in
-  (* Arm the fault plan for the whole deployment: network faults fire in
-     the message layer, worker faults inside the replicas' executors. *)
-  let plan =
-    Psmr_fault.Plan.make ~now:(fun () -> Psmr_sim.Engine.now engine) faults
-  in
-  (* Fault-free runs skip the plan installation entirely: [with_plan] sets
-     process-global state, and not touching it is what lets fault-free grid
-     points run on parallel domains (Grid_runner). *)
-  let with_plan f =
-    if Psmr_fault.Schedule.is_empty faults then f ()
-    else Psmr_fault.Plan.with_plan plan f
-  in
-  with_plan @@ fun () ->
+type deployment = {
+  replica_executed : int -> int;
+  replica_view : int -> int;
+  crash_replica : int -> unit;
+}
+
+let deploy sim ~(mode : Psmr_replica.Replica.mode)
+    ~(spec : Psmr_workload.Workload.spec) ~clients ~cmds_per_request
+    ~client_timeout ~seed ~on_reply =
+  let (module SP) = Sim_run.platform sim in
   let module SMR = Psmr_replica.Replica.Make (SP) (Costed_list) in
-  let measuring = ref false in
   (* One simulated CPU bank per replica. *)
   let make_service _id =
     let cpu = Psmr_sim.Sim_sync.Cpu.create ~cores:Model.cores in
@@ -57,18 +47,16 @@ let run ~(mode : Psmr_replica.Replica.mode) ~(spec : Psmr_workload.Workload.spec
       mode;
       abcast = Model.smr_abcast;
       tick_interval = Model.smr_tick_interval;
-      client_timeout = Model.smr_client_timeout;
+      client_timeout;
       latency = (fun ~src:_ ~dst:_ -> Model.lan_latency);
     }
   in
   let d = SMR.Deployment.create cfg in
-  let latencies = Psmr_util.Vec.create () in
-  let completed = ref 0 in
   let master_rng = Psmr_util.Rng.create ~seed in
   let client_rngs =
     Array.init clients (fun _ -> Psmr_util.Rng.split master_rng)
   in
-  Psmr_sim.Engine.spawn engine (fun () ->
+  Psmr_sim.Engine.spawn (Sim_run.engine sim) (fun () ->
       SMR.Deployment.start d;
       for ci = 0 to clients - 1 do
         SP.spawn (fun () ->
@@ -83,22 +71,39 @@ let run ~(mode : Psmr_replica.Replica.mode) ~(spec : Psmr_workload.Workload.spec
               match SMR.call_batch c cmds with
               | None -> () (* network shut down: end of experiment *)
               | Some _ ->
-                  if !measuring then begin
-                    Psmr_util.Vec.push latencies (SP.now () -. t0);
-                    completed := !completed + cmds_per_request
-                  end;
+                  on_reply (SP.now () -. t0);
                   loop ()
             in
             loop ())
       done);
-  let executed_at_warmup = ref 0 in
-  Psmr_sim.Engine.spawn engine ~delay:warmup (fun () ->
-      measuring := true;
-      executed_at_warmup := SMR.Deployment.replica_executed d 0);
-  Psmr_sim.Engine.run ~until:(warmup +. duration) engine;
-  let executed =
-    SMR.Deployment.replica_executed d 0 - !executed_at_warmup
+  {
+    replica_executed = SMR.Deployment.replica_executed d;
+    replica_view = SMR.Deployment.replica_view d;
+    crash_replica = SMR.Deployment.crash_replica d;
+  }
+
+let run ~mode ~spec ~clients ?(cmds_per_request = default_cmds_per_request)
+    ?(duration = default_duration) ?(warmup = default_warmup) ?(seed = 7L)
+    ?faults () =
+  (* The fault plan covers the whole deployment: network faults fire in
+     the message layer, worker faults inside the replicas' executors. *)
+  Sim_run.with_sim ?faults @@ fun sim ->
+  let latencies = Psmr_util.Vec.create () in
+  let completed = ref 0 in
+  let d =
+    deploy sim ~mode ~spec ~clients ~cmds_per_request
+      ~client_timeout:Model.smr_client_timeout ~seed ~on_reply:(fun latency ->
+        if Sim_run.measuring sim then begin
+          Psmr_util.Vec.push latencies latency;
+          completed := !completed + cmds_per_request
+        end)
   in
+  let executed_at_warmup = ref 0 in
+  ignore
+    (Sim_run.run sim ~warmup ~duration ~at_warmup:(fun () ->
+         executed_at_warmup := d.replica_executed 0)
+      : float);
+  let executed = d.replica_executed 0 - !executed_at_warmup in
   let lat = Psmr_util.Vec.to_array latencies in
   let mean, p99 =
     if Array.length lat = 0 then (0.0, 0.0)
@@ -112,6 +117,6 @@ let run ~(mode : Psmr_replica.Replica.mode) ~(spec : Psmr_workload.Workload.spec
     mean_latency_ms = mean *. 1e3;
     p99_latency_ms = p99 *. 1e3;
     completed_calls = !completed;
-    views = SMR.Deployment.replica_view d 1;
-    faults_injected = Psmr_fault.Plan.injected plan;
+    views = d.replica_view 1;
+    faults_injected = Sim_run.faults_injected sim;
   }

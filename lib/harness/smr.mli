@@ -16,6 +16,30 @@ val default_duration : float
 val default_warmup : float
 val default_cmds_per_request : int
 
+(** A replicated deployment running on a simulated run. *)
+type deployment = {
+  replica_executed : int -> int;  (** commands executed by that replica *)
+  replica_view : int -> int;  (** the replica's installed view *)
+  crash_replica : int -> unit;
+}
+
+val deploy :
+  Sim_run.t ->
+  mode:Psmr_replica.Replica.mode ->
+  spec:Psmr_workload.Workload.spec ->
+  clients:int ->
+  cmds_per_request:int ->
+  client_timeout:float ->
+  seed:int64 ->
+  on_reply:(float -> unit) ->
+  deployment
+(** Build the deployment: three replicas serving the costed list on their
+    own CPU banks, ordered by [Model.smr_abcast] over the simulated LAN,
+    and spawn its starter, which starts the replicas and [clients]
+    closed-loop clients.  Each client draws [cmds_per_request]-command
+    batches from its own split of the [seed] RNG and calls [on_reply]
+    with each request's latency. *)
+
 val run :
   mode:Psmr_replica.Replica.mode ->
   spec:Psmr_workload.Workload.spec ->

@@ -13,6 +13,7 @@ module Rw = struct
 
   let conflict a b = a || b
   let footprint w = [ (0, w) ]
+  let is_write w = w
   let pp ppf w = Format.pp_print_string ppf (if w then "w" else "r")
 end
 
@@ -32,119 +33,43 @@ let default_duration = 0.08
 let default_warmup = 0.02
 
 let run ~impl ~workers ~(spec : Psmr_workload.Workload.spec) ?max_size
-    ?(batch = 1) ?(costs = Model.sim_costs) ?(duration = default_duration)
-    ?(warmup = default_warmup) ?(seed = 42L)
-    ?(faults = Psmr_fault.Schedule.empty) ?(metrics = false) ?(trace = false)
-    ?(probe_engine = fun (_ : Psmr_sim.Engine.t) -> ()) () =
+    ?(batch = 1) ?costs ?(duration = default_duration)
+    ?(warmup = default_warmup) ?(seed = 42L) ?faults ?metrics ?trace
+    ?probe_engine () =
   if batch <= 0 then invalid_arg "Standalone.run: batch must be positive";
-  let engine = Psmr_sim.Engine.create () in
-  probe_engine engine;
-  let (module SP) = Psmr_sim.Sim_platform.make engine costs in
-  let plan =
-    Psmr_fault.Plan.make ~now:(fun () -> Psmr_sim.Engine.now engine) faults
-  in
-  (* Installing the (global) plan only when the schedule can fire anything
-     keeps fault-free runs free of shared facade state, which is what lets
-     Grid_runner fan grid points out over domains. *)
-  let with_plan f =
-    if Psmr_fault.Schedule.is_empty faults then f ()
-    else Psmr_fault.Plan.with_plan plan f
-  in
-  with_plan @@ fun () ->
-  (* Observability registry: recording is pure mutation driven by probe
-     hooks, so the run computes exactly the same virtual-time history with
-     metrics on or off (test/test_obs.ml holds us to that). *)
-  let trace_buf = if trace then Some (Psmr_obs.Trace.create ()) else None in
-  let registry =
-    if metrics || trace then
-      Some
-        (Psmr_obs.Metrics.make
-           ~now:(fun () -> Psmr_sim.Engine.now engine)
-           ~track:(fun () -> Psmr_sim.Engine.running_tag engine)
-           ?trace:trace_buf ())
-    else None
-  in
+  Sim_run.with_sim ?costs ?faults ?metrics ?trace ?probe_engine @@ fun sim ->
+  let (module SP) = Sim_run.platform sim in
   let (module Cos : Psmr_cos.Cos_intf.S with type cmd = bool) =
     Psmr_cos.Registry.instantiate_keyed impl (module SP) (module Rw)
   in
   let module Sched = Psmr_sched.Scheduler.Make (SP) (Cos) in
-  let cpu = Psmr_sim.Sim_sync.Cpu.create ~cores:Model.cores in
-  let measuring = ref false in
-  let completed = ref 0 in
   let execute is_write =
-    Psmr_sim.Sim_sync.Cpu.use cpu (Model.exec_cost spec.cost ~is_write);
-    if !measuring then incr completed
+    Sim_run.exec sim (Model.exec_cost spec.cost ~is_write);
+    Sim_run.tick sim
   in
   let sched = Sched.start ?max_size ~workers ~execute () in
   (* Scheduler thread: insert as fast as the structure admits (§7.3: "one
-     thread looped without waiting interval ... and invoked insert"). *)
+     thread looped without waiting interval ... and invoked insert").  With
+     [batch] > 1, commands arrive [batch] at a time, as from an ordering
+     protocol, and are inserted via the batched path. *)
   let rng = Psmr_util.Rng.create ~seed in
-  Psmr_sim.Engine.spawn engine ~name:"inserter" (fun () ->
-      if batch = 1 then
-        let rec feed () =
-          Sched.submit sched (Psmr_util.Rng.below_percent rng spec.write_pct);
-          feed ()
-        in
-        feed ()
-      else
-        (* Delivery-time batching: commands arrive [batch] at a time, as
-           from an ordering protocol, and are inserted via the batched
-           path. *)
-        let rec feed () =
-          let cs =
-            Array.init batch (fun _ ->
-                Psmr_util.Rng.below_percent rng spec.write_pct)
-          in
-          Sched.submit_batch sched cs;
-          feed ()
-        in
-        feed ());
-  (* Population probe: samples the graph occupancy during the window. *)
-  let pop_sum = ref 0 and pop_n = ref 0 in
-  Psmr_sim.Engine.spawn engine ~name:"pop-probe" (fun () ->
-      let rec probe () =
-        SP.sleep 1e-3;
-        if !measuring then begin
-          pop_sum := !pop_sum + Sched.in_flight sched;
-          incr pop_n
-        end;
-        probe ()
-      in
-      probe ());
-  Psmr_sim.Engine.spawn engine ~delay:warmup ~name:"warmup-gate" (fun () ->
-      measuring := true);
-  (match registry with Some r -> Psmr_obs.Metrics.enable r | None -> ());
-  let wall0 = Psmr_sim.Grid_runner.wall_now () in
-  Fun.protect
-    ~finally:(fun () ->
-      if Option.is_some registry then Psmr_obs.Metrics.disable ())
-    (fun () -> Psmr_sim.Engine.run ~until:(warmup +. duration) engine);
-  let wall_seconds = Psmr_sim.Grid_runner.wall_now () -. wall0 in
-  (match trace_buf with
-  | None -> ()
-  | Some tr ->
-      Psmr_obs.Trace.set_process_name tr ~pid:Psmr_obs.Probe.core_pid "cores";
-      Psmr_obs.Trace.set_process_name tr ~pid:Psmr_obs.Probe.proc_pid
-        "processes";
-      for core = 0 to Model.cores - 1 do
-        Psmr_obs.Trace.set_thread_name tr ~pid:Psmr_obs.Probe.core_pid
-          ~tid:core
-          (Printf.sprintf "core-%d" core)
-      done;
-      List.iter
-        (fun (pid, name) ->
-          Psmr_obs.Trace.set_thread_name tr ~pid:Psmr_obs.Probe.proc_pid
-            ~tid:pid name)
-        (Psmr_sim.Engine.process_names engine));
+  let next () = Psmr_util.Rng.below_percent rng spec.write_pct in
+  Sim_run.forever sim ~name:"inserter"
+    (if batch = 1 then fun () -> Sched.submit sched (next ())
+     else fun () ->
+       Sched.submit_batch sched (Array.init batch (fun _ -> next ())));
+  let mean_population =
+    Sim_run.population_probe sim (fun () -> Sched.in_flight sched)
+  in
+  let wall_seconds = Sim_run.run sim ~warmup ~duration in
   {
-    kops = float_of_int !completed /. duration /. 1000.0;
-    mean_population =
-      (if !pop_n = 0 then 0.0 else float_of_int !pop_sum /. float_of_int !pop_n);
-    executed = !completed;
-    engine_events = Psmr_sim.Engine.events_executed engine;
+    kops = Sim_run.kops sim;
+    mean_population = mean_population ();
+    executed = Sim_run.completed sim;
+    engine_events = Sim_run.events sim;
     wall_seconds;
-    faults_injected = Psmr_fault.Plan.injected plan;
+    faults_injected = Sim_run.faults_injected sim;
     crashed_workers = Sched.crashed_workers sched;
-    metrics = registry;
-    trace = trace_buf;
+    metrics = Sim_run.metrics sim;
+    trace = Sim_run.trace sim;
   }

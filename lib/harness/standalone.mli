@@ -2,6 +2,18 @@
     one inserter thread at maximum rate and W workers over a COS on the
     simulated platform, no replication stack. *)
 
+(** Readers/writers commands ([true] writes): a read conflicts with a
+    write, a write with everything; the footprint is one shared variable.
+    Also the command type of the A4 early-scheduling ablation. *)
+module Rw : sig
+  type t = bool
+
+  val conflict : t -> t -> bool
+  val footprint : t -> (int * bool) list
+  val is_write : t -> bool
+  val pp : Format.formatter -> t -> unit
+end
+
 type result = {
   kops : float;  (** completed commands per second, in thousands *)
   mean_population : float;  (** mean number of commands in the graph *)

@@ -294,15 +294,10 @@ let test_check_platform_metrics () =
     "every dispatch measured" 6.0
     (get "ready_dispatch_count")
 
-(* The committed benchmark report must carry the engine microbenchmark
-   section (bench/engine_churn.ml): a non-empty [sim_events_per_wall_second]
-   array whose rows each have a name and positive, mutually consistent
-   [events] / [wall_seconds] / [events_per_second] fields, including the
-   [churn_10m] row the fast-path acceptance criterion is read from.  The
-   file is a declared dune dep, so the path resolves inside the sandbox. *)
-let test_bench_engine_schema () =
-  (* dune runtest runs from test/ in the sandbox; dune exec from the
-     project root. *)
+(* The committed benchmark report, parsed.  The file is a declared dune
+   dep, so the path resolves inside the sandbox: dune runtest runs from
+   test/, dune exec from the project root. *)
+let bench_doc () =
   let path =
     if Sys.file_exists "../BENCH_cos.json" then "../BENCH_cos.json"
     else "BENCH_cos.json"
@@ -310,11 +305,17 @@ let test_bench_engine_schema () =
   let ic = open_in_bin path in
   let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  let doc =
-    match J.parse s with
-    | Ok d -> d
-    | Error e -> Alcotest.failf "BENCH_cos.json does not parse: %s" e
-  in
+  match J.parse s with
+  | Ok d -> d
+  | Error e -> Alcotest.failf "BENCH_cos.json does not parse: %s" e
+
+(* The committed benchmark report must carry the engine microbenchmark
+   section (bench/engine_churn.ml): a non-empty [sim_events_per_wall_second]
+   array whose rows each have a name and positive, mutually consistent
+   [events] / [wall_seconds] / [events_per_second] fields, including the
+   [churn_10m] row the fast-path acceptance criterion is read from. *)
+let test_bench_engine_schema () =
+  let doc = bench_doc () in
   let rows =
     match J.member "sim_events_per_wall_second" doc with
     | Some (J.Arr rows) -> rows
@@ -360,18 +361,7 @@ let test_bench_engine_schema () =
    Simulated kops are virtual-time deterministic, so these are stable
    regression anchors, not flaky wall-clock readings. *)
 let test_bench_part_schema () =
-  let path =
-    if Sys.file_exists "../BENCH_cos.json" then "../BENCH_cos.json"
-    else "BENCH_cos.json"
-  in
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let doc =
-    match J.parse s with
-    | Ok d -> d
-    | Error e -> Alcotest.failf "BENCH_cos.json does not parse: %s" e
-  in
+  let doc = bench_doc () in
   let rows =
     match J.member "part_sim_kops" doc with
     | Some (J.Arr rows) -> rows
@@ -459,18 +449,7 @@ let test_bench_part_schema () =
    saturate strictly above the coarse baseline.  Simulated virtual-time
    latencies are deterministic, so these are stable regression anchors. *)
 let test_bench_open_loop_schema () =
-  let path =
-    if Sys.file_exists "../BENCH_cos.json" then "../BENCH_cos.json"
-    else "BENCH_cos.json"
-  in
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let doc =
-    match J.parse s with
-    | Ok d -> d
-    | Error e -> Alcotest.failf "BENCH_cos.json does not parse: %s" e
-  in
+  let doc = bench_doc () in
   let rows =
     match J.member "open_loop" doc with
     | Some (J.Arr rows) -> rows

@@ -878,6 +878,25 @@ module Bank_equiv =
             Psmr_app.Bank.Transfer { src; dst; amount = Random.State.int rng 30 }
     end)
 
+(* A short closed-loop Part_bench run, pinned field by field: throughput,
+   the merge ledger at replica 0 and the engine event count.  The run is
+   deterministic, so a harness change that moves one event shows here. *)
+let test_part_bench_pinned () =
+  let r =
+    Psmr_harness.Part_bench.run ~partitions:2 ~workers:4
+      ~spec:Psmr_workload.Workload.Keyed.low_conflict ~duration:0.01
+      ~warmup:0.002 ()
+  in
+  Alcotest.(check string)
+    "part2/w4 run"
+    "kops=835.8 executed=8358 emitted=8465 crosses=76 holes=0 \
+     merge_pending=80 engine_events=140811"
+    (Printf.sprintf
+       "kops=%.9g executed=%d emitted=%d crosses=%d holes=%d merge_pending=%d \
+        engine_events=%d"
+       r.kops r.executed r.emitted r.crosses r.holes r.merge_pending
+       r.engine_events)
+
 module Kv_equiv =
   Equiv
     (Psmr_app.Kv_store)
@@ -936,6 +955,8 @@ let () =
             test_sequencer_crash_recovers_partition;
           Alcotest.test_case "golden merged-order trace" `Quick
             test_golden_trace;
+          Alcotest.test_case "pinned Part_bench run" `Quick
+            test_part_bench_pinned;
         ] );
       ( "part-deploy",
         [

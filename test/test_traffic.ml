@@ -363,6 +363,51 @@ let test_load_partitioned_backend () =
   if s.p50 < Psmr_harness.Model.lan_latency then
     Alcotest.failf "partitioned p50 %.3g below one network hop" s.p50
 
+(* Exact step exports for the three target shapes — the conservative
+   backend path, the optimistic submit/confirm pipeline and the
+   partitioned stack.  Simulated steps are deterministic, so any harness
+   change that moves one event shows up here. *)
+let test_load_pinned () =
+  let pin target expected =
+    Alcotest.(check string)
+      (Psmr_harness.Load_bench.target_label target)
+      expected
+      (Psmr_harness.Load_bench.step_to_string (quick_step ~target ()))
+  in
+  pin indexed_target
+    "offered_kops=50 kops=49.4 arrivals=493 completed=494 dropped=0 \
+     drop_rate=0 samples=493 p50=1.09672546e-05 p99=1.8119812e-05 \
+     p999=2.36702767e-05 mean_latency=1.06683851e-05 \
+     max_latency=2.36702767e-05 queue_peak=2 engine_events=65956";
+  pin
+    (Option.get (Psmr_harness.Load_bench.target_of_string "early-opt"))
+    "offered_kops=50 kops=49.3 arrivals=493 completed=493 dropped=0 \
+     drop_rate=0 samples=493 p50=8.10623169e-06 p99=1.28746033e-05 \
+     p999=1.4827016e-05 mean_latency=7.86225162e-06 \
+     max_latency=1.4827016e-05 queue_peak=2 engine_events=25656";
+  pin (Psmr_harness.Load_bench.Partitioned 2)
+    "offered_kops=50 kops=48.8 arrivals=493 completed=488 dropped=0 \
+     drop_rate=0 samples=471 p50=0.000396728516 p99=0.000579833984 \
+     p999=0.000630245077 mean_latency=0.000387657473 \
+     max_latency=0.000630245077 queue_peak=2 engine_events=33856"
+
+(* A request batch larger than the partitioned stack's credit window can
+   never acquire its credits; the stack must refuse it up front instead of
+   wedging the injector. *)
+let test_load_partitioned_batch_over_window () =
+  match
+    Psmr_harness.Load_bench.run_step
+      ~target:(Psmr_harness.Load_bench.Partitioned 2)
+      ~workers:4 ~scenario:scenario_a
+      ~shape:(Psmr_traffic.Arrival.Poisson { rate = 2_000_000.0 })
+      ~sessions:10_000 ~batch:2048 ~queue_cap:8192 ~duration:0.01
+      ~warmup:0.002 ()
+  with
+  | exception Invalid_argument _ -> ()
+  | s ->
+      Alcotest.failf "batch 2048 over a 1024 window ran: %s"
+        (Psmr_harness.Load_bench.step_to_string s)
+
 let test_target_parsing () =
   let round s =
     Option.map Psmr_harness.Load_bench.target_label
@@ -449,6 +494,9 @@ let () =
           Alcotest.test_case "open-loop arrivals" `Quick test_load_open_loop_arrivals;
           Alcotest.test_case "optimistic backend" `Quick test_load_optimistic_backend;
           Alcotest.test_case "partitioned backend" `Slow test_load_partitioned_backend;
+          Alcotest.test_case "pinned steps" `Quick test_load_pinned;
+          Alcotest.test_case "partitioned batch over window" `Quick
+            test_load_partitioned_batch_over_window;
           Alcotest.test_case "target parsing" `Quick test_target_parsing;
           Alcotest.test_case "knee detection" `Quick test_knee_detection;
         ] );
