@@ -203,6 +203,16 @@ let no_drain_arg =
           "Close without waiting for execution to finish, racing close \
            against the workers.")
 
+let batch_arg =
+  Arg.(
+    value & opt int 1
+    & info [ "batch" ] ~docv:"K"
+        ~doc:
+          "COS targets: the inserter hands commands over in $(docv)-command \
+           $(b,insert_batch) calls instead of one $(b,insert) each, so the \
+           batched admission path runs under the oracles.  The default 1 \
+           replays every earlier seed unchanged.")
+
 let workload_seed_arg =
   Arg.(
     value & opt int64 1L
@@ -361,9 +371,15 @@ let print_failure ~replay_cmd (f : Check.Explore.failure) =
   | None -> ()
 
 let run target workers commands writes keys cross mis spec max_size no_drain
-    crashes no_respawn workload_seed seed schedules dfs bound max_schedules
-    max_steps time_box stop_on_first expect_violation replay trace_out =
+    batch crashes no_respawn workload_seed seed schedules dfs bound
+    max_schedules max_steps time_box stop_on_first expect_violation replay
+    trace_out =
   let name = target_name target in
+  let is_cos = match target with Cos_target _ -> true | _ -> false in
+  if batch < 1 || (batch > 1 && not is_cos) then begin
+    prerr_endline "psmr-check: --batch must be 1, or above 1 for a COS target";
+    exit 2
+  end;
   (* One runner closure per target family; both produce the shared
      [Cos_check.outcome], so the exploration drivers below don't care which
      family they are exercising. *)
@@ -373,7 +389,7 @@ let run target workers commands writes keys cross mis spec max_size no_drain
         let sc =
           Check.Cos_check.scenario ~target:t ~workers ~commands
             ~write_pct:writes ~max_size ~drain_before_close:(not no_drain)
-            ~crashes ~respawn:(not no_respawn) ~workload_seed ()
+            ~crashes ~respawn:(not no_respawn) ~batch ~workload_seed ()
         in
         Check.Cos_check.run_schedule ~max_steps ~trace sc ~pick
     | Early_target e ->
@@ -411,6 +427,7 @@ let run target workers commands writes keys cross mis spec max_size no_drain
          else "");
         (if spec then " --spec" else "");
         (if no_drain then " --no-drain" else "");
+        (if batch > 1 then Printf.sprintf " --batch %d" batch else "");
         (match crashes with
         | [] -> ""
         | cs ->
@@ -502,7 +519,7 @@ let () =
           Term.(
             const run $ impl_arg $ workers_arg $ commands_arg $ writes_arg
             $ keys_arg $ cross_arg $ mis_arg $ spec_arg $ max_size_arg
-            $ no_drain_arg $ faults_arg $ no_respawn_arg $ workload_seed_arg
+            $ no_drain_arg $ batch_arg $ faults_arg $ no_respawn_arg $ workload_seed_arg
             $ seed_arg
             $ schedules_arg $ dfs_arg $ bound_arg $ max_schedules_arg
             $ max_steps_arg $ time_box_arg $ stop_on_first_arg

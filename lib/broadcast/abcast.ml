@@ -29,6 +29,9 @@
     Threading contract: this module owns no threads.  The host replica feeds
     every incoming protocol message to {!handle} and calls {!tick}
     periodically from the same thread, so all state is single-threaded.
+    A host that also calls {!tick} at each {!batch_deadline} cuts batches
+    exactly [batch_delay] after they open; the periodic tick is then only
+    the fallback for the batch timer.
     Outgoing messages go through the [send] closure supplied at creation. *)
 
 open Psmr_platform
@@ -74,7 +77,10 @@ let message_kind = function
 
 type config = {
   batch_max : int;  (** cut a batch at this many commands *)
-  batch_delay : float;  (** …or at this age, whichever first *)
+  batch_delay : float;
+      (** …or at this age, whichever first.  The age cut is exact when
+          the host arms a tick at {!Make.batch_deadline}; otherwise it
+          happens on the first periodic {!Make.tick} past the age *)
   heartbeat_interval : float;
   election_timeout : float;
   checkpoint_interval : int;
@@ -556,9 +562,27 @@ module Make (P : Platform_intf.S) = struct
           m "replica %d fast-forwarded to seq %d via snapshot" t.id seq)
     end
 
+  (* When the pending batch becomes due: [batch_delay] after it opened.
+     [None] unless this replica leads a Normal view and holds pending
+     commands.  A host that calls [tick] at this time gets the exact cut,
+     so the result is the first float at which [tick]'s age test passes:
+     the rounded sum can fall an ulp short of it. *)
+  let batch_deadline t =
+    if t.status = Normal && is_leader t && Psmr_util.Vec.length t.pending > 0
+    then begin
+      let opened = t.batch_opened_at and delay = t.config.batch_delay in
+      let rec first_due d =
+        if d -. opened >= delay then d else first_due (Float.succ d)
+      in
+      Some (first_due (opened +. delay))
+    end
+    else None
+
   (* Periodic duties: batch timers and heartbeats for the leader, failure
      detection for followers.  Call at a granularity finer than the
-     configured delays (the host replica drives this). *)
+     configured delays (the host replica drives this).  The batch cut here
+     is an age check, so a tick armed at [batch_deadline] makes it exact
+     and the periodic tick is its fallback. *)
   let tick t =
     let now = P.now () in
     if t.status = Normal then begin

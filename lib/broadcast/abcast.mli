@@ -11,7 +11,8 @@
 
     Threading contract: the module owns no threads; the host feeds incoming
     messages to {!Make.handle} and calls {!Make.tick} periodically from one
-    thread per instance. *)
+    thread per instance.  A host that also calls {!Make.tick} at each
+    {!Make.batch_deadline} cuts batches exactly on their deadline. *)
 
 open Psmr_platform
 
@@ -52,7 +53,10 @@ val log_src : Logs.src
 
 type config = {
   batch_max : int;  (** cut a batch at this many commands *)
-  batch_delay : float;  (** ... or at this age, whichever first *)
+  batch_delay : float;
+      (** ... or at this age, whichever first.  Exact when the host arms a
+          {!Make.tick} at {!Make.batch_deadline}; otherwise the cut waits
+          for the first periodic tick past this age. *)
   heartbeat_interval : float;
   election_timeout : float;
   checkpoint_interval : int;
@@ -90,7 +94,17 @@ module Make (P : Platform_intf.S) : sig
   val tick : 'c t -> unit
   (** Periodic duties: batch timer and heartbeat (leader), failure detection
       (followers).  Call at a granularity finer than the configured
-      delays. *)
+      delays.  The batch cut is an age check: a tick at
+      {!batch_deadline} cuts exactly on time, and the periodic tick is the
+      fallback for a host that arms none. *)
+
+  val batch_deadline : 'c t -> float option
+  (** [Some (opened +. batch_delay)] — the time the pending batch, opened
+      at [opened], becomes due for a time-triggered cut, rounded up to the
+      first float at which {!tick} cuts it — when this replica leads a
+      Normal view and holds pending commands; [None] otherwise.  Changes only inside {!handle}, {!submit} and {!tick}, so
+      a host can re-read it after each call and arm one timer per new
+      deadline. *)
 
   val submit : 'c t -> 'c array -> unit
   (** Order commands originated at this replica: enqueued if leader,

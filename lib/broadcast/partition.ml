@@ -123,6 +123,14 @@ module Make (P : Platform_intf.S) = struct
 
   let tick t = Array.iter Ab.tick t.abs
 
+  let batch_deadline t =
+    Array.fold_left
+      (fun acc ab ->
+        match (acc, Ab.batch_deadline ab) with
+        | Some a, Some d -> Some (Float.min a d)
+        | None, d | d, None -> d)
+      None t.abs
+
   (* --- introspection --- *)
 
   let partitions t = t.partitions

@@ -67,6 +67,10 @@ module Make (P : Platform_intf.S) : sig
   val tick : 'c t -> unit
   (** Drive every partition's batch/heartbeat/election timers. *)
 
+  val batch_deadline : 'c t -> float option
+  (** The earliest {!Abcast.Make.batch_deadline} over this replica's
+      sequencers ([None] when none leads with a pending batch). *)
+
   (** {2 Introspection} *)
 
   val partitions : 'c t -> int

@@ -2,7 +2,8 @@
 
     A {e scenario} is a fixed concurrent program: one inserter process
     (the sequencing scheduler of Algorithm 1) inserting a fixed
-    readers-writers command sequence, and [workers] worker processes
+    readers-writers command sequence, one command or one [insert_batch] of
+    [batch] commands at a time, and [workers] worker processes
     looping over [get; remove] until [get] returns [None] — the very loop
     the production runtime runs, against the very COS functor the figures
     measure.  [run_schedule] executes the scenario once under a given
@@ -65,12 +66,17 @@ type scenario = {
   respawn : bool;
       (* [true]: a crashed worker recovers (re-enters its loop, modelling the
          scheduler's respawn path); [false]: crash-stop, the pool shrinks. *)
+  batch : int;
+      (* [1]: the inserter calls [insert] per command; [k > 1]: it hands
+         the commands over in [k]-command [insert_batch] calls (the last
+         one shorter), exercising the batched admission path. *)
 }
 
 let scenario ?(target = Impl Registry.Lockfree) ?(workers = 3) ?(commands = 10)
     ?(write_pct = 40.0) ?(max_size = 8) ?(drain_before_close = true)
-    ?(crashes = []) ?(respawn = true) ~workload_seed () =
+    ?(crashes = []) ?(respawn = true) ?(batch = 1) ~workload_seed () =
   if workers <= 0 then invalid_arg "Cos_check.scenario: workers must be positive";
+  if batch <= 0 then invalid_arg "Cos_check.scenario: batch must be positive";
   if commands < 0 then invalid_arg "Cos_check.scenario: negative command count";
   List.iter
     (fun (w, k) ->
@@ -81,7 +87,16 @@ let scenario ?(target = Impl Registry.Lockfree) ?(workers = 3) ?(commands = 10)
   let writes =
     Array.init commands (fun _ -> Psmr_util.Rng.below_percent rng write_pct)
   in
-  { target; workers; writes; max_size; drain_before_close; crashes; respawn }
+  {
+    target;
+    workers;
+    writes;
+    max_size;
+    drain_before_close;
+    crashes;
+    respawn;
+    batch;
+  }
 
 type outcome = {
   completed : bool;
@@ -146,12 +161,18 @@ let run_schedule ?(max_steps = 50_000) ?(trace = false) ?(metrics = false) sc
   let finished = ref 0 in
   let total_tasks = sc.workers + 1 in
   let done_sem = P.Semaphore.create 0 in
+  let cmd i = { Cmd.idx = i; write = sc.writes.(i) } in
   P.spawn ~name:"inserter" (fun () ->
-      Array.iteri
-        (fun i write ->
-          S.insert t { Cmd.idx = i; write };
-          inv ~strict:false ())
-        sc.writes;
+      let rec feed off =
+        if off < n then begin
+          let k = min sc.batch (n - off) in
+          if sc.batch = 1 then S.insert t (cmd off)
+          else S.insert_batch t (Array.init k (fun j -> cmd (off + j)));
+          inv ~strict:false ();
+          feed (off + k)
+        end
+      in
+      feed 0;
       if sc.drain_before_close then
         for _ = 1 to n do
           P.Semaphore.acquire done_sem

@@ -39,6 +39,10 @@ type scenario = {
   respawn : bool;
       (** [true]: crashed workers recover and re-enter their loop; [false]:
           crash-stop, the pool shrinks. *)
+  batch : int;
+      (** [1]: the inserter calls [insert] once per command; [k > 1]: it
+          submits [k]-command [insert_batch] calls (the last one shorter),
+          so the batched admission path runs under the oracles. *)
 }
 
 val scenario :
@@ -50,13 +54,15 @@ val scenario :
   ?drain_before_close:bool ->
   ?crashes:(int * int) list ->
   ?respawn:bool ->
+  ?batch:int ->
   workload_seed:int64 ->
   unit ->
   scenario
 (** Build a scenario with a pseudo-random command sequence; the workload is
     fully determined by [workload_seed] and independent of the schedule
     exploration seed.  Defaults: lock-free target, 3 workers, 10 commands,
-    40% writes, [max_size] 8, drain before close, no crashes, respawn on. *)
+    40% writes, [max_size] 8, drain before close, no crashes, respawn on,
+    one command per [insert]. *)
 
 type outcome = {
   completed : bool;  (** every process ran to completion *)

@@ -71,7 +71,16 @@ module type S = sig
   (** Insert every command of a delivered batch, in array order.  Same
       single-threaded contract as {!insert}.  Semantically equivalent to
       [Array.iter (insert t)] (the default); implementations override it to
-      pay one synchronization round per batch instead of per command. *)
+      pay one [space] acquisition per batch instead of per command.
+
+      How the [ready] releases are grouped depends on what an insert
+      costs.  An indexed insert is O(footprint), so the indexed COS
+      releases once per chunk.  A scan insert (lock-free) walks the whole
+      graph, so it keeps one release per promoted command: workers then
+      drain the graph while later commands of the batch walk it, and the
+      walks stay short.  Held to the end of the batch, the releases leave
+      the workers idle while every walk lengthens, and the batch insert
+      turns quadratic in the batch length. *)
 
   val get : t -> handle option
   (** Reserve the oldest command that is free of dependencies and not yet

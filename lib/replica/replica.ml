@@ -631,6 +631,27 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
         (fun r ->
           (* Protocol event loop. *)
           P.spawn ~name:(Printf.sprintf "replica-%d" r.id) (fun () ->
+              (* Batch timer: after each message, arm one self-addressed
+                 [Tick] for a pending batch's deadline, so the age check
+                 in [tick] cuts it on time instead of on the next
+                 periodic tick.  Deadlines only move forward, so arming
+                 each one later than the last armed suffices; a batch cut
+                 early by size leaves a spare tick, which is harmless. *)
+              let armed = ref neg_infinity in
+              let arm_batch_timer () =
+                let deadline =
+                  match r.ord with
+                  | Single_ab ab -> Ab.batch_deadline ab
+                  | Part_ab pab -> Part.batch_deadline pab
+                in
+                match deadline with
+                | Some d when d > !armed ->
+                    armed := d;
+                    P.after
+                      (Float.max 0.0 (d -. P.now ()))
+                      (fun () -> Net.send t.net ~src:r.id ~dst:r.id Tick)
+                | Some _ | None -> ()
+              in
               let rec loop () =
                 match Net.recv t.net r.id with
                 | None ->
@@ -658,6 +679,7 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
                     | (Reply _ | Client_timeout _), _ -> ());
                     r.flush_emitted ();
                     r.check_stall ();
+                    arm_batch_timer ();
                     loop ())
               in
               loop ());

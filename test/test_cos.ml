@@ -792,6 +792,63 @@ let test_insert_batch_chunks impl () =
   Alcotest.(check bool) "batch insert completed" true (Atomic.get inserted);
   Alcotest.(check int) "drained" 0 (S.pending t)
 
+(* Lock-free batched admission, on the simulator.  A batch takes the
+   [space] tokens that are free in one acquisition, so with 3 free tokens a
+   10-command batch inserts and exposes its first 3 commands, then parks;
+   asking for more tokens than are free would insert nothing until a
+   removal. *)
+let test_lockfree_batch_takes_free_space () =
+  let open Psmr_sim in
+  let e = Engine.create () in
+  let (module SP) = Sim_platform.make e Costs.default in
+  let module S = Lockfree.Make (SP) (Rw_cmd) in
+  let t = S.create ~max_size:3 () in
+  let returned = ref false in
+  Engine.spawn e (fun () ->
+      S.insert_batch t (Array.init 10 read);
+      returned := true);
+  Engine.run e;
+  Alcotest.(check bool) "batch parked on a full structure" false !returned;
+  let pending = ref 0 and got = ref [] in
+  Engine.spawn e (fun () ->
+      pending := S.pending t;
+      for _ = 1 to 3 do
+        match S.get t with
+        | Some h -> got := (S.command h).Rw_cmd.idx :: !got
+        | None -> ()
+      done);
+  Engine.run e;
+  Alcotest.(check int) "first 3 inserted" 3 !pending;
+  Alcotest.(check (list int)) "first 3 ready before any removal" [ 0; 1; 2 ]
+    (List.rev !got)
+
+(* The batch still releases [ready] per promoted command: a parked worker
+   starts the batch's first command while the inserter is still walking
+   the graph for later ones.  Releasing at the end of the batch instead
+   stalls the workers for the whole insert. *)
+let test_lockfree_batch_ready_per_command () =
+  let open Psmr_sim in
+  let e = Engine.create () in
+  let (module SP) = Sim_platform.make e Costs.default in
+  let module S = Lockfree.Make (SP) (Rw_cmd) in
+  let t = S.create () in
+  let first = ref (-1) and started = ref infinity in
+  let batch_done = ref neg_infinity in
+  Engine.spawn e (fun () ->
+      match S.get t with
+      | Some h ->
+          first := (S.command h).Rw_cmd.idx;
+          started := SP.now ();
+          S.remove t h
+      | None -> ());
+  Engine.spawn e (fun () ->
+      S.insert_batch t (Array.init 64 read);
+      batch_done := SP.now ());
+  Engine.run e;
+  Alcotest.(check int) "first command of the batch" 0 !first;
+  Alcotest.(check bool) "started before the batch insert returned" true
+    (!started < !batch_done)
+
 (* --- close with more blocked getters than the old token constant --- *)
 
 (* Regression: [close] must wake every blocked getter even when more than
@@ -922,7 +979,13 @@ let () =
         @ per_impl "crash-stop, pool shrinks" test_sim_scheduler_crash_stop );
       ( "batch",
         per_impl_all "insert_batch chunks and keeps order"
-          test_insert_batch_chunks );
+          test_insert_batch_chunks
+        @ [
+            Alcotest.test_case "lockfree batch takes the free space" `Quick
+              test_lockfree_batch_takes_free_space;
+            Alcotest.test_case "lockfree batch releases ready per command"
+              `Quick test_lockfree_batch_ready_per_command;
+          ] );
       ( "close-tokens",
         per_impl "close wakes >1024 blocked getters"
           test_close_many_blocked_getters );

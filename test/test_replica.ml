@@ -325,6 +325,42 @@ let test_sim_deployment_deterministic () =
   Alcotest.(check bool) "finished" true (a > 0.0);
   Alcotest.(check (float 0.0)) "bit-identical completion time" a b
 
+let test_sim_batch_deadline mode () =
+  (* A 1 ms protocol tick and a 0.1 ms batch delay: one call at idle opens
+     a batch 0.2 ms in, long before the first periodic tick.  The
+     replica's deadline timer must cut the batch at its 0.1 ms age, so the
+     call returns well before that tick could have cut it. *)
+  let open Psmr_sim in
+  let engine = Engine.create () in
+  let (module SP) = Sim_platform.make engine Costs.default in
+  let module SMR = Psmr_replica.Replica.Make (SP) (Psmr_app.Kv_store) in
+  let cfg =
+    {
+      (SMR.Deployment.default_config ~make_service:(fun _ ->
+           Psmr_app.Kv_store.create ~capacity:64)
+         ()) with
+      clients = 1;
+      mode;
+      abcast = { fast_abcast with batch_delay = 0.1e-3 };
+      tick_interval = 1e-3;
+      latency = (fun ~src:_ ~dst:_ -> 10e-6);
+    }
+  in
+  let d = SMR.Deployment.create cfg in
+  let elapsed = ref infinity in
+  Engine.spawn engine (fun () ->
+      SMR.Deployment.start d;
+      SP.sleep 0.2e-3;
+      let c = SMR.Deployment.client d 0 in
+      let t0 = SP.now () in
+      match SMR.call c (Put (1, 7)) with
+      | Some Stored -> elapsed := SP.now () -. t0
+      | Some _ | None -> ());
+  Engine.run ~until:0.05 engine;
+  if not (!elapsed < 0.5e-3) then
+    Alcotest.failf "call took %.3f ms; the batch waited for a tick"
+      (!elapsed *. 1e3)
+
 let () =
   let m_seq = Psmr_replica.Replica.Sequential in
   let m_par impl =
@@ -375,5 +411,11 @@ let () =
             (test_sim_full_batch_burst m_early_opt);
           Alcotest.test_case "state transfer after truncation" `Quick
             test_state_transfer_after_truncation;
+          Alcotest.test_case "batch cut on its deadline" `Quick
+            (test_sim_batch_deadline (m_par Psmr_cos.Registry.Lockfree));
+          Alcotest.test_case "batch cut on its deadline (partitioned)" `Quick
+            (test_sim_batch_deadline
+               (Psmr_replica.Replica.Partitioned
+                  { partitions = 2; inner = m_early }));
         ] );
     ]
