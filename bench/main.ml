@@ -908,8 +908,8 @@ let render_sim_json ~smoke ~jobs ~micro ~engine =
    comparison skips them. *)
 let host_time_members = [ "micro_ns_per_op"; "sim_events_per_wall_second" ]
 
-(* The first path at which two JSON values differ, if any. *)
-let rec first_diff path (a : Psmr_util.Json.t) (b : Psmr_util.Json.t) =
+(* Every path at which two JSON values differ, in document order. *)
+let rec diffs path (a : Psmr_util.Json.t) (b : Psmr_util.Json.t) =
   let module J = Psmr_util.Json in
   let show = function
     | J.Num x -> Printf.sprintf "%.15g" x
@@ -922,19 +922,19 @@ let rec first_diff path (a : Psmr_util.Json.t) (b : Psmr_util.Json.t) =
   match (a, b) with
   | J.Arr xs, J.Arr ys when List.compare_lengths xs ys = 0 ->
       List.combine xs ys
-      |> List.mapi (fun i (x, y) -> (Printf.sprintf "%s[%d]" path i, x, y))
-      |> List.find_map (fun (p, x, y) -> first_diff p x y)
+      |> List.mapi (fun i (x, y) -> diffs (Printf.sprintf "%s[%d]" path i) x y)
+      |> List.concat
   | J.Obj xs, J.Obj ys when List.map fst xs = List.map fst ys ->
-      List.combine xs ys
-      |> List.find_map (fun ((k, x), (_, y)) -> first_diff (path ^ "." ^ k) x y)
-  | _ when a = b -> None
+      List.concat_map
+        (fun ((k, x), (_, y)) -> diffs (path ^ "." ^ k) x y)
+        (List.combine xs ys)
+  | _ when a = b -> []
   | _ ->
-      Some
-        (Printf.sprintf "%s: committed %s, regenerated %s" path (show a)
-           (show b))
+      [ Printf.sprintf "%s: committed %s, regenerated %s" path (show a) (show b) ]
 
 (* The @bench-diff gate: regenerate the simulated sections and compare
-   them structurally with the committed report, member by member. *)
+   them structurally with the committed report, member by member.  Exits 1
+   after listing every difference. *)
 let bench_diff ~path ~jobs =
   let module J = Psmr_util.Json in
   let parse what s =
@@ -955,12 +955,13 @@ let bench_diff ~path ~jobs =
          (render_sim_json ~smoke:false ~jobs ~micro:[] ~engine:[]))
   in
   let committed = simulated committed in
-  match first_diff "" (J.Obj committed) (J.Obj regenerated) with
-  | None ->
+  match diffs "" (J.Obj committed) (J.Obj regenerated) with
+  | [] ->
       Printf.printf "bench-diff: %d simulated members of %s identical\n%!"
         (List.length committed) path
-  | Some d ->
-      Printf.printf "bench-diff: %s: %s\n%!" path d;
+  | ds ->
+      List.iter (Printf.printf "bench-diff: %s: %s\n" path) ds;
+      Printf.printf "bench-diff: %d differences\n%!" (List.length ds);
       exit 1
 
 let full_run ~smoke =
@@ -1022,7 +1023,7 @@ let () =
   end
   else if getenv_flag "PSMR_BENCH_DIFF_ONLY" then
     (* The @bench-diff alias: full-size simulated sections only, compared
-       with the committed report at PSMR_BENCH_JSON; exits 1 at the first
+       with the committed report at PSMR_BENCH_JSON; exits 1 listing every
        difference. *)
     bench_diff
       ~path:

@@ -4,10 +4,13 @@
 
     [n = 2f + 1] replicas; the leader of view [v] is replica [v mod n].
     Clients send requests to the leader (any replica forwards).  The leader
-    accumulates commands into batches (size- and time-triggered, as in
-    BFT-SMaRt), sequences each batch with a [Prepare], and commits it once
-    [f + 1] replicas (including itself) have acknowledged; commit decisions
-    propagate piggybacked on later [Prepare]s and on heartbeat [Commit]s.
+    cuts a batch as soon as none of its batches is uncommitted (a window
+    of one in-flight batch): as in BFT-SMaRt, the next consensus starts
+    when the previous one decides, with whatever arrived meanwhile.
+    [batch_max] and [batch_delay] cap a batch's size and age while one is
+    in flight.  It sequences each batch with a [Prepare] and commits it
+    once [f + 1] replicas (including itself) have acknowledged; commit
+    decisions propagate piggybacked on later [Prepare]s and on [Commit]s.
     Committed batches are handed to the delivery upcall in sequence order,
     giving the standard atomic-broadcast properties (validity, uniform
     agreement, uniform integrity, uniform total order).
@@ -29,9 +32,9 @@
     Threading contract: this module owns no threads.  The host replica feeds
     every incoming protocol message to {!handle} and calls {!tick}
     periodically from the same thread, so all state is single-threaded.
-    A host that also calls {!tick} at each {!batch_deadline} cuts batches
-    exactly [batch_delay] after they open; the periodic tick is then only
-    the fallback for the batch timer.
+    A host that also calls {!tick} at each {!batch_deadline} cuts a batch
+    held behind an in-flight one exactly [batch_delay] after it opened;
+    the periodic tick is then only the fallback for that cap.
     Outgoing messages go through the [send] closure supplied at creation. *)
 
 open Psmr_platform
@@ -78,9 +81,11 @@ let message_kind = function
 type config = {
   batch_max : int;  (** cut a batch at this many commands *)
   batch_delay : float;
-      (** …or at this age, whichever first.  The age cut is exact when
-          the host arms a tick at {!Make.batch_deadline}; otherwise it
-          happens on the first periodic {!Make.tick} past the age *)
+      (** …or at this age, whichever first.  Both are caps: a batch is cut
+          at once when the leader has no batch in flight, so the age cut
+          matters only while one is.  It is exact when the host arms a
+          tick at {!Make.batch_deadline}; otherwise it happens on the
+          first periodic {!Make.tick} past the age *)
   heartbeat_interval : float;
   election_timeout : float;
   checkpoint_interval : int;
@@ -260,9 +265,18 @@ module Make (P : Platform_intf.S) = struct
       deliver_ready t
     end
 
+  (* Pipeline-driven cut, with a window of one in-flight batch: the leader
+     proposes as soon as none of its batches is uncommitted, on enqueue
+     and on the commit that empties the pipeline, as BFT-SMaRt starts the
+     next consensus once the previous one decides.  [batch_max] and
+     [batch_delay] stay as caps while a batch is in flight.  After a view
+     change the re-proposed uncommitted suffix counts as in flight. *)
+  let pipeline_idle t =
+    t.status = Normal && is_leader t && t.committed >= log_end t - 1
+
   (* Leader: count an acknowledgement and advance the commit point over any
      prefix that reached a quorum. *)
-  let record_ack t ~from ~seq =
+  let rec record_ack t ~from ~seq =
     let cur = Option.value ~default:IntSet.empty (Hashtbl.find_opt t.acks seq) in
     Hashtbl.replace t.acks seq (IntSet.add from cur);
     let quorum = t.f + 1 in
@@ -278,21 +292,24 @@ module Make (P : Platform_intf.S) = struct
             advanced := true
         | Some _ | None -> ()
     done;
-    (* Broadcast the advanced commit point immediately rather than leaving
-       it to piggyback on the next [Prepare] or on a heartbeat: under
-       bursty submission the next batch may be a heartbeat interval away,
-       and follower delivery latency is on the critical path whenever a
-       consumer synchronizes on deliveries across instances (the
-       cross-partition rendezvous of {!Psmr_broadcast.Pmerge} most of
-       all). *)
+    (* Send the advanced commit point immediately rather than leaving it
+       to a later [Prepare] or a heartbeat: under bursty submission the
+       next batch may be a heartbeat interval away, and follower delivery
+       latency is on the critical path whenever a consumer synchronizes
+       on deliveries across instances (the cross-partition rendezvous of
+       {!Psmr_broadcast.Pmerge} most of all).  The commit may also have
+       emptied the pipeline: then cut what accumulated while the previous
+       batch was in flight, and its [Prepare] carries the commit point in
+       place of a [Commit]. *)
     if t.committed > before then begin
-      send_all t (Commit { view = t.view; committed = t.committed });
+      if Psmr_util.Vec.length t.pending > 0 && pipeline_idle t then cut_batch t
+      else send_all t (Commit { view = t.view; committed = t.committed });
       t.last_heartbeat <- P.now ()
     end;
     deliver_ready t
 
   (* Leader: seal the pending commands into a numbered batch and replicate. *)
-  let cut_batch t =
+  and cut_batch t =
     if Psmr_util.Vec.length t.pending > 0 then begin
       let cmds = Psmr_util.Vec.to_array t.pending in
       Psmr_util.Vec.clear t.pending;
@@ -316,7 +333,8 @@ module Make (P : Platform_intf.S) = struct
         P.work Marshal;
         Psmr_util.Vec.push t.pending c)
       cmds;
-    if Psmr_util.Vec.length t.pending >= t.config.batch_max then cut_batch t
+    if Psmr_util.Vec.length t.pending >= t.config.batch_max || pipeline_idle t
+    then cut_batch t
 
   (* --- log adoption (view changes and transfers) --- *)
 
@@ -564,9 +582,11 @@ module Make (P : Platform_intf.S) = struct
 
   (* When the pending batch becomes due: [batch_delay] after it opened.
      [None] unless this replica leads a Normal view and holds pending
-     commands.  A host that calls [tick] at this time gets the exact cut,
-     so the result is the first float at which [tick]'s age test passes:
-     the rounded sum can fall an ulp short of it. *)
+     commands, which normally means a batch is in flight: with none, the
+     pending commands were already cut.  A host that calls
+     [tick] at this time gets the exact cut, so the result is the first
+     float at which [tick]'s age test passes: the rounded sum can fall an
+     ulp short of it. *)
   let batch_deadline t =
     if t.status = Normal && is_leader t && Psmr_util.Vec.length t.pending > 0
     then begin
@@ -578,11 +598,12 @@ module Make (P : Platform_intf.S) = struct
     end
     else None
 
-  (* Periodic duties: batch timers and heartbeats for the leader, failure
-     detection for followers.  Call at a granularity finer than the
-     configured delays (the host replica drives this).  The batch cut here
-     is an age check, so a tick armed at [batch_deadline] makes it exact
-     and the periodic tick is its fallback. *)
+  (* Periodic duties: the batch age cap and heartbeats for the leader,
+     failure detection for followers.  Call at a granularity finer than
+     the configured delays (the host replica drives this).  The batch cut
+     here is an age check on a batch held behind an in-flight one, so a
+     tick armed at [batch_deadline] makes it exact and the periodic tick
+     is its fallback. *)
   let tick t =
     let now = P.now () in
     if t.status = Normal then begin

@@ -5,14 +5,16 @@
 
     Provides the four standard properties (§2 of the paper): validity,
     uniform agreement, uniform integrity and uniform total order.  Features:
-    size- and time-triggered batching, commit on [f+1] acknowledgements,
+    pipeline-driven batching (a batch is cut as soon as the leader has none
+    in flight, with size and age caps), commit on [f+1] acknowledgements,
     heartbeats, view change on leader failure, periodic checkpoint reports
     with quorum-stable log truncation, and gap recovery by log transfer.
 
     Threading contract: the module owns no threads; the host feeds incoming
     messages to {!Make.handle} and calls {!Make.tick} periodically from one
     thread per instance.  A host that also calls {!Make.tick} at each
-    {!Make.batch_deadline} cuts batches exactly on their deadline. *)
+    {!Make.batch_deadline} cuts a batch held behind an in-flight one
+    exactly on its deadline. *)
 
 open Psmr_platform
 
@@ -54,9 +56,11 @@ val log_src : Logs.src
 type config = {
   batch_max : int;  (** cut a batch at this many commands *)
   batch_delay : float;
-      (** ... or at this age, whichever first.  Exact when the host arms a
-          {!Make.tick} at {!Make.batch_deadline}; otherwise the cut waits
-          for the first periodic tick past this age. *)
+      (** ... or at this age, whichever first.  Both are caps: the leader
+          cuts at once when none of its batches is in flight (a window of
+          one), so the age cut matters only while one is.  Exact when the
+          host arms a {!Make.tick} at {!Make.batch_deadline}; otherwise
+          the cut waits for the first periodic tick past this age. *)
   heartbeat_interval : float;
   election_timeout : float;
   checkpoint_interval : int;
@@ -92,19 +96,22 @@ module Make (P : Platform_intf.S) : sig
   (** Process one incoming protocol message. *)
 
   val tick : 'c t -> unit
-  (** Periodic duties: batch timer and heartbeat (leader), failure detection
-      (followers).  Call at a granularity finer than the configured
-      delays.  The batch cut is an age check: a tick at
-      {!batch_deadline} cuts exactly on time, and the periodic tick is the
-      fallback for a host that arms none. *)
+  (** Periodic duties: batch age cap and heartbeat (leader), failure
+      detection (followers).  Call at a granularity finer than the
+      configured delays.  The batch cut is an age check on a batch held
+      behind an in-flight one: a tick at {!batch_deadline} cuts exactly
+      on time, and the periodic tick is the fallback for a host that arms
+      none. *)
 
   val batch_deadline : 'c t -> float option
   (** [Some (opened +. batch_delay)] — the time the pending batch, opened
       at [opened], becomes due for a time-triggered cut, rounded up to the
       first float at which {!tick} cuts it — when this replica leads a
-      Normal view and holds pending commands; [None] otherwise.  Changes only inside {!handle}, {!submit} and {!tick}, so
-      a host can re-read it after each call and arm one timer per new
-      deadline. *)
+      Normal view and holds pending commands (which, short of [batch_max],
+      it normally does only while a batch is in flight); [None]
+      otherwise.  Changes
+      only inside {!handle}, {!submit} and {!tick}, so a host can re-read
+      it after each call and arm one timer per new deadline. *)
 
   val submit : 'c t -> 'c array -> unit
   (** Order commands originated at this replica: enqueued if leader,

@@ -631,12 +631,15 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
         (fun r ->
           (* Protocol event loop. *)
           P.spawn ~name:(Printf.sprintf "replica-%d" r.id) (fun () ->
-              (* Batch timer: after each message, arm one self-addressed
-                 [Tick] for a pending batch's deadline, so the age check
-                 in [tick] cuts it on time instead of on the next
-                 periodic tick.  Deadlines only move forward, so arming
-                 each one later than the last armed suffices; a batch cut
-                 early by size leaves a spare tick, which is harmless. *)
+              (* Batch timer: abcast cuts a batch at once when none is in
+                 flight, so a deadline exists only for a batch held
+                 behind an uncommitted one.  After each message, arm one
+                 self-addressed [Tick] for it, so the age check in [tick]
+                 caps the wait on time instead of on the next periodic
+                 tick.  Deadlines only move forward, so arming each one
+                 later than the last armed suffices; a batch cut early
+                 (by size, or by a commit) leaves a spare tick, which is
+                 harmless. *)
               let armed = ref neg_infinity in
               let arm_batch_timer () =
                 let deadline =

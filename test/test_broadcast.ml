@@ -5,12 +5,16 @@
 open Psmr_broadcast
 
 (* A 3-replica harness on the simulator: replicas exchange protocol messages
-   through the simulated network; each replica has an event-loop process and
-   a ticker process, mirroring the deployment wiring. *)
+   through the simulated network; each replica has an event-loop process, a
+   ticker process and a batch-deadline timer, mirroring the deployment
+   wiring. *)
 module Harness = struct
   type t = {
     engine : Psmr_sim.Engine.t;
-    deliveries : int list list ref array;  (* per replica, batches in order *)
+    deliveries : (float * int list) list ref array;
+        (* per replica, newest first: (delivery time, batch) *)
+    cut_at : (int, float) Hashtbl.t;
+        (* command -> time the leader first sent it in a [Prepare] *)
     views : (unit -> int) array;
     log_info : (unit -> int * int) array;  (* per replica: (base, length) *)
     crash : int -> unit;
@@ -39,16 +43,50 @@ module Harness = struct
     let (module SP) = Psmr_sim.Sim_platform.make engine Psmr_sim.Costs.zero in
     let module Net = Psmr_net.Network.Make (SP) in
     let module Ab = Abcast.Make (SP) in
-    (* Wire type: protocol messages plus self-addressed ticks. *)
-    let net = Net.create ~latency:(fun ~src:_ ~dst:_ -> latency) ~nodes:n () in
+    (* Wire type: protocol messages plus self-addressed ticks, which cross
+       no link. *)
+    let net =
+      Net.create
+        ~latency:(fun ~src ~dst -> if src = dst then 0.0 else latency)
+        ~nodes:n ()
+    in
     let deliveries = Array.init n (fun _ -> ref []) in
+    let cut_at = Hashtbl.create 64 in
     let abs =
       Array.init n (fun id ->
           Ab.create ~config ~id ~n
-            ~send:(fun dst msg -> Net.send net ~src:id ~dst (`Proto msg))
+            ~send:(fun dst msg ->
+              (match msg with
+              | Abcast.Prepare { cmds; _ } ->
+                  Array.iter
+                    (fun c ->
+                      if not (Hashtbl.mem cut_at c) then
+                        Hashtbl.add cut_at c (SP.now ()))
+                    cmds
+              | _ -> ());
+              Net.send net ~src:id ~dst (`Proto msg))
             ~deliver:(fun batch ->
-              deliveries.(id) := Array.to_list batch :: !(deliveries.(id)))
+              deliveries.(id) :=
+                (SP.now (), Array.to_list batch) :: !(deliveries.(id)))
             ())
+    in
+    (* Batch timer, as in the deployment: after each step, arm a tick at
+       the pending batch's deadline if it is later than the last armed.
+       The tick runs as a local timer, so injected message loss cannot
+       postpone a cut. *)
+    let armed = Array.make n neg_infinity in
+    let rec arm id =
+      match Ab.batch_deadline abs.(id) with
+      | Some d when d > armed.(id) ->
+          armed.(id) <- d;
+          SP.after
+            (Float.max 0.0 (d -. SP.now ()))
+            (fun () ->
+              if not (Net.is_crashed net id) then begin
+                Ab.tick abs.(id);
+                arm id
+              end)
+      | Some _ | None -> ()
     in
     Array.iteri
       (fun id ab ->
@@ -60,6 +98,7 @@ module Harness = struct
                   (match payload with
                   | `Proto m -> Ab.handle ab ~src m
                   | `Tick -> Ab.tick ab);
+                  arm id;
                   loop ()
             in
             loop ());
@@ -78,11 +117,13 @@ module Harness = struct
     List.iter
       (fun (at, replica, cmds) ->
         Psmr_sim.Engine.spawn engine ~delay:at (fun () ->
-            Ab.submit abs.(replica) (Array.of_list cmds)))
+            Ab.submit abs.(replica) (Array.of_list cmds);
+            arm replica))
       (submit ());
     {
       engine;
       deliveries;
+      cut_at;
       views = Array.map (fun ab () -> Ab.view ab) abs;
       log_info = Array.map (fun ab () -> (Ab.log_base ab, Ab.log_length ab)) abs;
       crash = (fun id -> Net.crash net id);
@@ -94,7 +135,14 @@ module Harness = struct
               Psmr_sim.Engine.run ~until:t engine));
     }
 
-  let delivered t id = List.rev !(t.deliveries.(id)) |> List.concat
+  let batches t id = List.rev_map snd !(t.deliveries.(id))
+  let delivered t id = List.concat (batches t id)
+
+  (* Time replica [id] delivered command [c]. *)
+  let delivered_at t id c =
+    fst (List.find (fun (_, b) -> List.mem c b) !(t.deliveries.(id)))
+
+  let cut_at t c = Hashtbl.find t.cut_at c
 end
 
 let test_total_order_basic () =
@@ -123,11 +171,74 @@ let test_batching_by_size () =
     [ 1; 2; 3; 4; 5; 6; 7; 8 ] (Harness.delivered h 1)
 
 let test_batching_by_delay () =
-  (* A single command must wait for the batch timer (1ms) but no longer. *)
+  (* [batch_delay] caps the wait while a batch is in flight: batch 1 can
+     never commit (nothing reaches the leader), yet the partial batch
+     opened behind it is still cut exactly [batch_delay] after it opened,
+     and both commit in order once the links heal. *)
+  let h =
+    Harness.make
+      ~submit:(fun () -> [ (0.001, 0, [ 1 ]); (0.0015, 0, [ 9 ]) ])
+      ()
+  in
+  h.partition (fun ~src ~dst -> dst <> 0 || src = 0);
+  h.run_until 0.01;
+  Alcotest.(check (float 1e-9)) "cut at its deadline" 0.0025
+    (Harness.cut_at h 9);
+  Alcotest.(check (list (list int))) "nothing commits" []
+    (Harness.batches h 1);
+  h.heal ();
+  h.run_until 0.5;
+  Alcotest.(check (list (list int))) "both batches, in order"
+    [ [ 1 ]; [ 9 ] ] (Harness.batches h 1)
+
+let test_batching_idle_cut () =
+  (* With no batch in flight the leader cuts at once: a command submitted
+     at idle is on the followers after one Prepare / Prepare_ok / Commit
+     exchange (0.3 ms over 0.1 ms links), well before [batch_delay]. *)
   let h = Harness.make ~submit:(fun () -> [ (0.001, 0, [ 9 ]) ]) () in
-  h.run_until 0.02;
-  Alcotest.(check (list int)) "timer flushes partial batch" [ 9 ]
-    (Harness.delivered h 1)
+  h.run_until 0.0015;
+  Alcotest.(check (float 1e-9)) "cut on submission" 0.001 (Harness.cut_at h 9);
+  Alcotest.(check (list (list int))) "replica 1 delivered" [ [ 9 ] ]
+    (Harness.batches h 1);
+  Alcotest.(check (list (list int))) "replica 2 delivered" [ [ 9 ] ]
+    (Harness.batches h 2)
+
+let test_batching_in_flight_accumulates () =
+  (* Commands submitted while batch 1 is uncommitted wait for it and then
+     leave as one batch, cut in the same step that commits batch 1. *)
+  let h =
+    Harness.make
+      ~submit:(fun () ->
+        [
+          (0.001, 0, [ 1 ]);
+          (0.00105, 0, [ 2 ]);
+          (0.0011, 0, [ 3 ]);
+          (0.00115, 0, [ 4 ]);
+        ])
+      ()
+  in
+  h.run_until 0.002;
+  Alcotest.(check (list (list int))) "one batch behind the first"
+    [ [ 1 ]; [ 2; 3; 4 ] ] (Harness.batches h 1);
+  Alcotest.(check (float 0.0)) "cut when batch 1 commits"
+    (Harness.delivered_at h 0 1) (Harness.cut_at h 2)
+
+let test_batching_delay_cap_slow_links () =
+  (* Links slower than [batch_delay] (2 ms against 1 ms): the second batch
+     does not wait for the first to commit at 5 ms, it is cut at its
+     deadline while the first is still in flight. *)
+  let h =
+    Harness.make ~latency:2e-3
+      ~submit:(fun () -> [ (0.001, 0, [ 1 ]); (0.0015, 0, [ 2 ]) ])
+      ()
+  in
+  h.run_until 0.05;
+  Alcotest.(check (float 1e-9)) "cut at its deadline" 0.0025
+    (Harness.cut_at h 2);
+  Alcotest.(check (float 1e-9)) "batch 1 committed later" 0.005
+    (Harness.delivered_at h 0 1);
+  Alcotest.(check (list (list int))) "two batches" [ [ 1 ]; [ 2 ] ]
+    (Harness.batches h 1)
 
 let test_many_batches_total_order () =
   let submits =
@@ -360,6 +471,42 @@ let test_broadcast_zero_perturbation () =
   Alcotest.(check bool) "bit-identical deliveries and event count" true
     (reference = armed)
 
+let test_injected_loss_cut_capped () =
+  (* 1% loss under steady load, long enough (10 000 commands) that some
+     batch loses both acknowledgements.  Every command is still delivered
+     exactly once in one order, and however long a lost message holds a
+     batch uncommitted (until a heartbeat re-proposes it), none waits for
+     that to be cut: each leaves in a [Prepare] within [batch_delay] plus
+     one link round trip of its submission.  Checkpointing is off, as in
+     the log-transfer test above: a follower's gap can otherwise fall
+     below the quorum-stable truncation point, which only a service
+     snapshot bridges (the state-transfer test in test_replica). *)
+  let n = 10_000 in
+  let at i = 0.001 +. (1.5e-4 *. float_of_int i) in
+  let h =
+    Harness.make
+      ~config:{ Harness.config with checkpoint_interval = 0 }
+      ~faults:(Psmr_fault.Schedule.parse_exn "seed=24,net-loss=1")
+      ~submit:(fun () -> List.init n (fun i -> (at i, 0, [ i ])))
+      ()
+  in
+  h.run_until 2.0;
+  check_exactly_once_identical h ~n ~replicas:3;
+  Alcotest.(check (list int)) "submission order preserved"
+    (List.init n Fun.id) (Harness.delivered h 0);
+  let bound = Harness.config.batch_delay +. 2e-4 in
+  let worst_cut = ref 0.0 in
+  for i = 0 to n - 1 do
+    worst_cut := Float.max !worst_cut (Harness.cut_at h i -. at i)
+  done;
+  if !worst_cut > bound then
+    Alcotest.failf "a command waited %.3f ms to be cut (bound %.3f ms)"
+      (!worst_cut *. 1e3) (bound *. 1e3);
+  (* Without loss no cut waits longer than the round trip that commits the
+     batch ahead of it; here some batch was held, so the cap cut it. *)
+  Alcotest.(check bool) "a held batch made the cap cut" true
+    (!worst_cut > 2e-4)
+
 (* Property: crash the current leader at a random time while random
    submissions flow; all surviving replicas must deliver identical sequences
    with no duplicates (safety under failover). *)
@@ -428,6 +575,11 @@ let () =
         [
           Alcotest.test_case "by size" `Quick test_batching_by_size;
           Alcotest.test_case "by delay" `Quick test_batching_by_delay;
+          Alcotest.test_case "idle cut" `Quick test_batching_idle_cut;
+          Alcotest.test_case "in-flight accumulation" `Quick
+            test_batching_in_flight_accumulates;
+          Alcotest.test_case "delay cap on slow links" `Quick
+            test_batching_delay_cap_slow_links;
         ] );
       ( "fault-tolerance",
         [
@@ -458,6 +610,8 @@ let () =
             test_injected_delay_keeps_order;
           Alcotest.test_case "empty plan is zero perturbation" `Quick
             test_broadcast_zero_perturbation;
+          Alcotest.test_case "loss never holds a cut" `Quick
+            test_injected_loss_cut_capped;
         ] );
       ( "five-replicas",
         [

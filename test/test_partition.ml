@@ -889,8 +889,8 @@ let test_part_bench_pinned () =
   in
   Alcotest.(check string)
     "part2/w4 run"
-    "kops=835.8 executed=8358 emitted=8465 crosses=76 holes=0 \
-     merge_pending=80 engine_events=140811"
+    "kops=831.1 executed=8311 emitted=8582 crosses=77 holes=0 \
+     merge_pending=5 engine_events=141323"
     (Printf.sprintf
        "kops=%.9g executed=%d emitted=%d crosses=%d holes=%d merge_pending=%d \
         engine_events=%d"

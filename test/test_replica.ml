@@ -263,14 +263,24 @@ let test_state_transfer_after_truncation () =
       SMR.Deployment.start d;
       SP.spawn (fun () ->
           let c = SMR.Deployment.client d 0 in
-          for i = 0 to 199 do
-            ignore (SMR.call c (Put (i mod 16, i)) : _ option)
-          done;
+          let calls = ref 0 in
+          let call () =
+            ignore (SMR.call c (Put (!calls mod 16, !calls)) : _ option);
+            incr calls
+          in
+          (* The partition is anchored to progress, not to the clock: after
+             50 calls, cut everything into replica 2 and heal 1 s later,
+             calling throughout and for 50 calls past the heal. *)
+          while !calls < 50 do call () done;
+          SMR.Net.set_link_filter net (fun ~src:_ ~dst -> dst <> 2);
+          let healed = ref false in
+          SP.spawn (fun () ->
+              SP.sleep 1.0;
+              SMR.Net.heal net;
+              healed := true);
+          while not !healed do call () done;
+          for _ = 1 to 50 do call () done;
           client_done := true));
-  (* Cut everything into replica 2 between t=0.2 and t=1.2. *)
-  Engine.spawn engine ~delay:0.2 (fun () ->
-      SMR.Net.set_link_filter net (fun ~src:_ ~dst -> dst <> 2));
-  Engine.spawn engine ~delay:1.2 (fun () -> SMR.Net.heal net);
   Engine.run ~until:8.0 engine;
   Alcotest.(check bool) "client finished" true !client_done;
   let dump = function
