@@ -32,9 +32,9 @@
     Threading contract: this module owns no threads.  The host replica feeds
     every incoming protocol message to {!handle} and calls {!tick}
     periodically from the same thread, so all state is single-threaded.
-    A host that also calls {!tick} at each {!batch_deadline} cuts a batch
-    held behind an in-flight one exactly [batch_delay] after it opened;
-    the periodic tick is then only the fallback for that cap.
+    The periodic tick enforces the [batch_delay] cap, on the first tick
+    past a held batch's age; every other cut happens inside {!handle} or
+    {!submit}.
     Outgoing messages go through the [send] closure supplied at creation. *)
 
 open Psmr_platform
@@ -83,9 +83,8 @@ type config = {
   batch_delay : float;
       (** …or at this age, whichever first.  Both are caps: a batch is cut
           at once when the leader has no batch in flight, so the age cut
-          matters only while one is.  It is exact when the host arms a
-          tick at {!Make.batch_deadline}; otherwise it happens on the
-          first periodic {!Make.tick} past the age *)
+          matters only while one is, and is enforced on the first
+          periodic {!Make.tick} past the age *)
   heartbeat_interval : float;
   election_timeout : float;
   checkpoint_interval : int;
@@ -580,30 +579,11 @@ module Make (P : Platform_intf.S) = struct
           m "replica %d fast-forwarded to seq %d via snapshot" t.id seq)
     end
 
-  (* When the pending batch becomes due: [batch_delay] after it opened.
-     [None] unless this replica leads a Normal view and holds pending
-     commands, which normally means a batch is in flight: with none, the
-     pending commands were already cut.  A host that calls
-     [tick] at this time gets the exact cut, so the result is the first
-     float at which [tick]'s age test passes: the rounded sum can fall an
-     ulp short of it. *)
-  let batch_deadline t =
-    if t.status = Normal && is_leader t && Psmr_util.Vec.length t.pending > 0
-    then begin
-      let opened = t.batch_opened_at and delay = t.config.batch_delay in
-      let rec first_due d =
-        if d -. opened >= delay then d else first_due (Float.succ d)
-      in
-      Some (first_due (opened +. delay))
-    end
-    else None
-
   (* Periodic duties: the batch age cap and heartbeats for the leader,
      failure detection for followers.  Call at a granularity finer than
      the configured delays (the host replica drives this).  The batch cut
-     here is an age check on a batch held behind an in-flight one, so a
-     tick armed at [batch_deadline] makes it exact and the periodic tick
-     is its fallback. *)
+     here is the age cap on a batch held behind an in-flight one; a batch
+     with none ahead of it was already cut on enqueue or commit. *)
   let tick t =
     let now = P.now () in
     if t.status = Normal then begin

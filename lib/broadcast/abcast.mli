@@ -12,9 +12,8 @@
 
     Threading contract: the module owns no threads; the host feeds incoming
     messages to {!Make.handle} and calls {!Make.tick} periodically from one
-    thread per instance.  A host that also calls {!Make.tick} at each
-    {!Make.batch_deadline} cuts a batch held behind an in-flight one
-    exactly on its deadline. *)
+    thread per instance.  Batches are cut inside {!Make.handle} and
+    {!Make.submit}, except the age cap, which {!Make.tick} enforces. *)
 
 open Psmr_platform
 
@@ -58,9 +57,8 @@ type config = {
   batch_delay : float;
       (** ... or at this age, whichever first.  Both are caps: the leader
           cuts at once when none of its batches is in flight (a window of
-          one), so the age cut matters only while one is.  Exact when the
-          host arms a {!Make.tick} at {!Make.batch_deadline}; otherwise
-          the cut waits for the first periodic tick past this age. *)
+          one), so the age cut matters only while one is.  It happens on
+          the first periodic {!Make.tick} past this age. *)
   heartbeat_interval : float;
   election_timeout : float;
   checkpoint_interval : int;
@@ -98,20 +96,9 @@ module Make (P : Platform_intf.S) : sig
   val tick : 'c t -> unit
   (** Periodic duties: batch age cap and heartbeat (leader), failure
       detection (followers).  Call at a granularity finer than the
-      configured delays.  The batch cut is an age check on a batch held
-      behind an in-flight one: a tick at {!batch_deadline} cuts exactly
-      on time, and the periodic tick is the fallback for a host that arms
-      none. *)
-
-  val batch_deadline : 'c t -> float option
-  (** [Some (opened +. batch_delay)] — the time the pending batch, opened
-      at [opened], becomes due for a time-triggered cut, rounded up to the
-      first float at which {!tick} cuts it — when this replica leads a
-      Normal view and holds pending commands (which, short of [batch_max],
-      it normally does only while a batch is in flight); [None]
-      otherwise.  Changes
-      only inside {!handle}, {!submit} and {!tick}, so a host can re-read
-      it after each call and arm one timer per new deadline. *)
+      configured delays.  The batch cut here is the [batch_delay] cap on a
+      batch held behind an in-flight one, so it lands up to one tick
+      interval past that age. *)
 
   val submit : 'c t -> 'c array -> unit
   (** Order commands originated at this replica: enqueued if leader,

@@ -43,13 +43,13 @@ module Make (P : Platform_intf.S) = struct
     mutable uids : int;  (** local uid counter; packed with [id] *)
   }
 
-  let create ?config ?no_barrier ~partitions ~id ~n ~send ~deliver () =
+  let create ?config ~partitions ~id ~n ~send ~deliver () =
     if partitions <= 0 then
       invalid_arg "Partition.create: partitions must be > 0";
     if n > 64 then
       invalid_arg "Partition.create: n must be <= 64 (uid packing)";
     let map = Class_map.create ~classes:partitions ~workers:partitions () in
-    let merge = Pmerge.create ?no_barrier ~partitions ~emit:deliver () in
+    let merge = Pmerge.create ~partitions ~emit:deliver () in
     let abs =
       Array.init partitions (fun p ->
           Ab.create ?config ~leader_offset:(p mod n) ~id ~n
@@ -77,26 +77,14 @@ module Make (P : Platform_intf.S) = struct
     t.uids <- t.uids + 1;
     uid
 
-  let submit t ~footprint cmd =
-    let parts = footprint_parts t footprint in
-    if Array.length parts = 1 then
-      Ab.submit t.abs.(parts.(0)) [| Pmerge.Single cmd |]
-    else begin
-      let entry = Pmerge.Cross { uid = fresh_uid t; parts; cmd } in
-      Array.iter (fun p -> Ab.submit t.abs.(p) [| entry |]) parts
-    end
-
-  (* Batched submission: one [Ab.submit] — hence, from a non-leader, one
-     [Request] wire message — per touched partition for the whole batch,
-     instead of one per command.  This matters far beyond amortizing
-     per-message overhead: sequencer commitment needs the leader to
-     process [Prepare_ok] acks, and those share its FIFO input queue with
-     incoming requests.  Per-command forwarding floods a remote leader
-     with hundreds of queued messages per submission burst, parking the
-     acks (and so the commit point, and so every cross-partition
-     rendezvous against this partition) behind the flood — observed as
-     multi-millisecond stream stalls.  Per-partition entry order matches
-     what sequential {!submit} calls would produce. *)
+  (* Submission: one [Ab.submit] — hence, from a non-leader, one
+     [Request] wire message — per touched partition for the whole batch.
+     Sequencer commitment needs the leader to process [Prepare_ok] acks,
+     and those share its FIFO input queue with incoming requests, so
+     per-partition coalescing keeps the acks (and so the commit point, and
+     so every cross-partition rendezvous against this partition) from
+     queueing behind a flood of forwarded requests.  Each partition's
+     entries keep the batch's order. *)
   let submit_batch t ~footprint cmds =
     let buckets = Array.make t.partitions [] in
     Array.iter
@@ -123,18 +111,9 @@ module Make (P : Platform_intf.S) = struct
 
   let tick t = Array.iter Ab.tick t.abs
 
-  let batch_deadline t =
-    Array.fold_left
-      (fun acc ab ->
-        match (acc, Ab.batch_deadline ab) with
-        | Some a, Some d -> Some (Float.min a d)
-        | None, d | d, None -> d)
-      None t.abs
-
   (* --- introspection --- *)
 
   let partitions t = t.partitions
-  let part_of_key t key = Class_map.class_of_key t.map key
   let view t ~part = Ab.view t.abs.(part)
   let is_leader t ~part = Ab.is_leader t.abs.(part)
   let leader t ~part = Ab.leader t.abs.(part)
@@ -154,5 +133,4 @@ module Make (P : Platform_intf.S) = struct
   let crosses t = Pmerge.crosses t.merge
   let holes t = Pmerge.holes t.merge
   let merge_pending t = Pmerge.pending t.merge
-  let stream_pushed t ~part = Pmerge.pushed t.merge ~part
 end

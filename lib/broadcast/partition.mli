@@ -22,7 +22,6 @@ module Make (P : Platform_intf.S) : sig
 
   val create :
     ?config:Abcast.config ->
-    ?no_barrier:bool ->
     partitions:int ->
     id:int ->
     n:int ->
@@ -32,34 +31,21 @@ module Make (P : Platform_intf.S) : sig
     'c t
   (** One partitioned-broadcast endpoint for replica [id] of [n] (odd,
       >= 3, <= 64).  [send] transmits a wire message to a peer; [deliver]
-      receives each merged command from within {!handle}/{!tick}.
-      [no_barrier] plants [Pmerge]'s rendezvous-skipping bug (checker
-      targets only). *)
-
-  val submit : 'c t -> footprint:(int * bool) list -> 'c -> unit
-  (** Order one command.  The [(key, is_write)] footprint determines the
-      touched partitions ([key mod partitions] per key): one partition →
-      submitted to its sequencer as a [Single]; several → one [Cross]
-      entry with a fresh globally unique uid multicast to every touched
-      sequencer. *)
+      receives each merged command from within {!handle}/{!tick}. *)
 
   val submit_batch :
     'c t -> footprint:('c -> (int * bool) list) -> 'c array -> unit
-  (** Order a batch of commands, coalescing the per-partition traffic: one
-      sequencer submission — hence, from a replica that is not that
-      partition's leader, one [Request] wire message — per touched
-      partition for the whole batch.  Per-partition entry order is the
-      same as sequential {!submit} calls in array order would produce.
-
-      Prefer this over a {!submit} loop whenever commands arrive in
-      batches: per-command forwarding floods a remote sequencer leader's
-      FIFO input queue, and its [Prepare_ok] acks — which gate the commit
+  (** Order a batch of commands.  Each command's [(key, is_write)]
+      footprint determines the partitions it touches ([key mod partitions]
+      per key): one partition → a [Single] entry for its sequencer;
+      several → one [Cross] entry with a fresh globally unique uid for
+      every touched sequencer.  Each touched partition gets one sequencer
+      submission for the whole batch — hence, from a replica that is not
+      that partition's leader, one [Request] wire message — with its
+      entries in array order.  Coalescing keeps a remote leader's FIFO
+      input queue short, so its [Prepare_ok] acks — which gate the commit
       point, and with it every cross-partition rendezvous against that
-      partition — queue behind the flood. *)
-
-  val footprint_parts : 'c t -> (int * bool) list -> int array
-  (** The ascending 0-based partitions a footprint touches (the same
-      computation {!submit} performs). *)
+      partition — do not queue behind forwarded requests. *)
 
   val handle : 'c t -> src:int -> 'c wire -> unit
   (** Feed one incoming wire message from replica [src]. *)
@@ -67,14 +53,9 @@ module Make (P : Platform_intf.S) : sig
   val tick : 'c t -> unit
   (** Drive every partition's batch/heartbeat/election timers. *)
 
-  val batch_deadline : 'c t -> float option
-  (** The earliest {!Abcast.Make.batch_deadline} over this replica's
-      sequencers ([None] when none leads with a pending batch). *)
-
   (** {2 Introspection} *)
 
   val partitions : 'c t -> int
-  val part_of_key : 'c t -> int -> int
   val view : 'c t -> part:int -> int
   val is_leader : 'c t -> part:int -> bool
   val leader : 'c t -> part:int -> int
@@ -100,8 +81,4 @@ module Make (P : Platform_intf.S) : sig
 
   val merge_pending : 'c t -> int
   (** Delivered-but-unmerged entries (0 at quiescence). *)
-
-  val stream_pushed : 'c t -> part:int -> int
-  (** Per-partition sequence counter: entries partition [part]'s sequencer
-      has delivered into the merge. *)
 end

@@ -210,8 +210,7 @@ let run_step ~target ~workers ~(scenario : Scenario.spec) ~shape
     | Partitioned partitions ->
         (Part_bench.stack sim ~partitions
            ~replicas:(Part_bench.default_replicas ~partitions)
-           ~workers ~batch ~window:part_window
-           ~abcast:Part_bench.default_abcast ~on_exec:record)
+           ~workers ~batch ~window:part_window ~on_exec:record)
           .submit
   in
   Sim_run.forever sim ~name:"injector" (fun () -> inject (pop_block ()));

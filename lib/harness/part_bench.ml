@@ -52,20 +52,12 @@ type msg =
 
 let default_window = 4096
 
-(* The replicated-experiment protocol config, with the batch window
-   tightened: the merge couples partition streams at every cross command,
-   so inter-partition commit-latency skew — bounded by the batch delay —
-   turns directly into rendezvous stall.  2 ms of skew is irrelevant to a
-   single sequencer but serializes a partitioned stream with crosses. *)
-let default_abcast = { Model.smr_abcast with batch_delay = 0.1e-3 }
-
 type stack = {
   submit : Cmd.t array -> unit;
   result : wall_seconds:float -> result;
 }
 
-let stack sim ~partitions ~replicas:n ~workers ~batch ~window ~abcast ~on_exec
-    =
+let stack sim ~partitions ~replicas:n ~workers ~batch ~window ~on_exec =
   if partitions < 1 then
     invalid_arg "Part_bench.stack: partitions must be >= 1";
   if batch < 1 || window < batch then
@@ -94,7 +86,7 @@ let stack sim ~partitions ~replicas:n ~workers ~batch ~window ~abcast ~on_exec
   let exec_buf = Psmr_util.Vec.create () in
   let eps =
     Array.init n (fun id ->
-        Part.create ~config:abcast ~partitions ~id ~n
+        Part.create ~config:Model.smr_abcast ~partitions ~id ~n
           ~send:(fun dst w -> Net.send net ~src:id ~dst (PWire w))
           ~deliver:(fun (em : Cmd.t Psmr_broadcast.Pmerge.emitted) ->
             if id = 0 then Psmr_util.Vec.push exec_buf em.cmd)
@@ -158,15 +150,15 @@ let stack sim ~partitions ~replicas:n ~workers ~batch ~window ~abcast ~on_exec
   }
 
 let run ~partitions ~workers ~(spec : Psmr_workload.Workload.Keyed.spec)
-    ?replicas ?(batch = 16) ?(window = default_window)
-    ?(abcast = default_abcast) ?costs ?(duration = Standalone.default_duration)
+    ?replicas ?(batch = 16) ?(window = default_window) ?costs
+    ?(duration = Standalone.default_duration)
     ?(warmup = Standalone.default_warmup) ?(seed = 42L) ?metrics () =
   let replicas =
     Option.value replicas ~default:(default_replicas ~partitions)
   in
   Sim_run.with_sim ?costs ?metrics @@ fun sim ->
   let st =
-    stack sim ~partitions ~replicas ~workers ~batch ~window ~abcast
+    stack sim ~partitions ~replicas ~workers ~batch ~window
       ~on_exec:(fun _ -> Sim_run.tick sim)
   in
   let rng = Psmr_util.Rng.create ~seed in

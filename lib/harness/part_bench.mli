@@ -44,11 +44,6 @@ val config_label :
     through [%g], so fractional percentages stay distinct (the %.0f
     collision class). *)
 
-val default_abcast : Psmr_broadcast.Abcast.config
-(** [Model.smr_abcast] with the batch delay tightened to 0.1 ms: the merge
-    couples partition streams at every cross command, so inter-partition
-    commit skew turns into rendezvous stall. *)
-
 (** The partitioned stack built on a run. *)
 type stack = {
   submit : Cmd.t array -> unit;
@@ -67,13 +62,13 @@ val stack :
   workers:int ->
   batch:int ->
   window:int ->
-  abcast:Psmr_broadcast.Abcast.config ->
   on_exec:(Cmd.t -> unit) ->
   stack
 (** Build and spawn the stack: the simulated LAN, [partitions]
-    sequencers on each of [replicas] replicas with their event loops and
-    tickers, and replica 0's class-map dispatcher, fed each loop turn's
-    merged emissions through the batched submit path.  Execution charges
+    sequencers ordering with [Model.smr_abcast] on each of [replicas]
+    replicas with their event loops and tickers, and replica 0's
+    class-map dispatcher, fed each loop turn's merged emissions through
+    the batched submit path.  Execution charges
     [Cmd.cost] on the run's CPU bank, then calls [on_exec] and returns
     the command's credit.  At most [window] commands are in flight; the
     feeder's requests are at most [batch] commands.
@@ -90,10 +85,6 @@ val run :
   (* feeder request batch (default 16) *)
   ?window:int ->
   (* open-loop credit window: in-flight command cap (default 4096) *)
-  ?abcast:Psmr_broadcast.Abcast.config ->
-  (* per-partition sequencer config; the default tightens
-     [Model.smr_abcast]'s batch delay, since inter-partition commit skew
-     turns into rendezvous stall at every cross command *)
   ?costs:Psmr_sim.Costs.t ->
   ?duration:float ->
   ?warmup:float ->

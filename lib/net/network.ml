@@ -124,9 +124,4 @@ module Make (P : Platform_intf.S) = struct
   let backlog t addr =
     check t addr;
     Mailbox.length t.inboxes.(addr)
-
-  (** Symmetric LAN latency with optional jitter, for experiment setups. *)
-  let uniform_latency ?(jitter = 0.0) ~rng base ~src:_ ~dst:_ =
-    if jitter <= 0.0 then base
-    else base +. Psmr_util.Rng.float rng jitter
 end

@@ -64,13 +64,4 @@ module Make (P : Platform_intf.S) : sig
   val backlog : 'msg t -> addr -> int
   (** Messages delivered to [addr]'s mailbox but not yet received — the
       endpoint's input-queue depth. *)
-
-  val uniform_latency :
-    ?jitter:float ->
-    rng:Psmr_util.Rng.t ->
-    float ->
-    src:addr ->
-    dst:addr ->
-    float
-  (** Convenience latency model: [base] plus uniform jitter. *)
 end

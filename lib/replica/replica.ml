@@ -631,30 +631,6 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
         (fun r ->
           (* Protocol event loop. *)
           P.spawn ~name:(Printf.sprintf "replica-%d" r.id) (fun () ->
-              (* Batch timer: abcast cuts a batch at once when none is in
-                 flight, so a deadline exists only for a batch held
-                 behind an uncommitted one.  After each message, arm one
-                 self-addressed [Tick] for it, so the age check in [tick]
-                 caps the wait on time instead of on the next periodic
-                 tick.  Deadlines only move forward, so arming each one
-                 later than the last armed suffices; a batch cut early
-                 (by size, or by a commit) leaves a spare tick, which is
-                 harmless. *)
-              let armed = ref neg_infinity in
-              let arm_batch_timer () =
-                let deadline =
-                  match r.ord with
-                  | Single_ab ab -> Ab.batch_deadline ab
-                  | Part_ab pab -> Part.batch_deadline pab
-                in
-                match deadline with
-                | Some d when d > !armed ->
-                    armed := d;
-                    P.after
-                      (Float.max 0.0 (d -. P.now ()))
-                      (fun () -> Net.send t.net ~src:r.id ~dst:r.id Tick)
-                | Some _ | None -> ()
-              in
               let rec loop () =
                 match Net.recv t.net r.id with
                 | None ->
@@ -665,11 +641,10 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
                     (match (payload, r.ord) with
                     | Proto (Psmr_broadcast.Abcast.Request envs), Part_ab pab
                       ->
-                        (* Client traffic: route each command to its
-                           partition(s) by footprint. *)
-                        Array.iter
-                          (fun (e : envelope) ->
-                            Part.submit pab ~footprint:(S.footprint e.cmd) e)
+                        (* Client traffic: route the batch to its
+                           partitions by footprint. *)
+                        Part.submit_batch pab
+                          ~footprint:(fun (e : envelope) -> S.footprint e.cmd)
                           envs
                     | Proto m, Single_ab ab -> Ab.handle ab ~src m
                     | Proto _, Part_ab _ -> ()
@@ -682,7 +657,6 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
                     | (Reply _ | Client_timeout _), _ -> ());
                     r.flush_emitted ();
                     r.check_stall ();
-                    arm_batch_timer ();
                     loop ())
               in
               loop ());

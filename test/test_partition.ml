@@ -380,7 +380,9 @@ module Part_sim = struct
     List.iter
       (fun (at, replica, fp, cmd) ->
         Psmr_sim.Engine.spawn engine ~delay:at (fun () ->
-            Part.submit eps.(replica) ~footprint:fp cmd))
+            Part.submit_batch eps.(replica)
+              ~footprint:(fun _ -> fp)
+              [| cmd |]))
       submit;
     {
       emissions;
@@ -889,8 +891,8 @@ let test_part_bench_pinned () =
   in
   Alcotest.(check string)
     "part2/w4 run"
-    "kops=831.1 executed=8311 emitted=8582 crosses=77 holes=0 \
-     merge_pending=5 engine_events=141323"
+    "kops=831.1 executed=8311 emitted=8654 crosses=78 holes=0 \
+     merge_pending=65 engine_events=140469"
     (Printf.sprintf
        "kops=%.9g executed=%d emitted=%d crosses=%d holes=%d merge_pending=%d \
         engine_events=%d"

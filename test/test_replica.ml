@@ -335,11 +335,11 @@ let test_sim_deployment_deterministic () =
   Alcotest.(check bool) "finished" true (a > 0.0);
   Alcotest.(check (float 0.0)) "bit-identical completion time" a b
 
-let test_sim_batch_deadline mode () =
-  (* A 1 ms protocol tick and a 0.1 ms batch delay: one call at idle opens
-     a batch 0.2 ms in, long before the first periodic tick.  The
-     replica's deadline timer must cut the batch at its 0.1 ms age, so the
-     call returns well before that tick could have cut it. *)
+let test_sim_idle_call mode () =
+  (* A 1 ms protocol tick and a 0.1 ms batch delay: one call at idle
+     reaches the leader 0.2 ms in, long before the first periodic tick.
+     With no batch in flight the leader cuts it on arrival, so the call
+     returns well before that tick could have cut it. *)
   let open Psmr_sim in
   let engine = Engine.create () in
   let (module SP) = Sim_platform.make engine Costs.default in
@@ -421,10 +421,10 @@ let () =
             (test_sim_full_batch_burst m_early_opt);
           Alcotest.test_case "state transfer after truncation" `Quick
             test_state_transfer_after_truncation;
-          Alcotest.test_case "batch cut on its deadline" `Quick
-            (test_sim_batch_deadline (m_par Psmr_cos.Registry.Lockfree));
-          Alcotest.test_case "batch cut on its deadline (partitioned)" `Quick
-            (test_sim_batch_deadline
+          Alcotest.test_case "idle call cut at once" `Quick
+            (test_sim_idle_call (m_par Psmr_cos.Registry.Lockfree));
+          Alcotest.test_case "idle call cut at once (partitioned)" `Quick
+            (test_sim_idle_call
                (Psmr_replica.Replica.Partitioned
                   { partitions = 2; inner = m_early }));
         ] );

@@ -387,9 +387,9 @@ let test_load_pinned () =
      max_latency=1.4827016e-05 queue_peak=2 engine_events=25656";
   pin (Psmr_harness.Load_bench.Partitioned 2)
     "offered_kops=50 kops=49.2 arrivals=493 completed=492 dropped=0 \
-     drop_rate=0 samples=476 p50=0.00032043457 p99=0.000457763672 \
-     p999=0.000458441817 mean_latency=0.000322694538 \
-     max_latency=0.000458441817 queue_peak=2 engine_events=37648"
+     drop_rate=0 samples=477 p50=0.00032043457 p99=0.000457102868 \
+     p999=0.000457102868 mean_latency=0.000323257606 \
+     max_latency=0.000457102868 queue_peak=2 engine_events=37598"
 
 (* A request batch larger than the partitioned stack's credit window can
    never acquire its credits; the stack must refuse it up front instead of
