@@ -2,27 +2,24 @@
     ({!Abcast}) ordering disjoint shards of the key space, folded back
     into one deterministic delivery sequence by {!Pmerge}.
 
-    The key→partition map is a {!Psmr_early.Class_map} with
-    [classes = workers = partitions] — the same static [key mod classes]
-    sharding the early scheduler uses for worker queues, so a command's
-    partition footprint is computed by the exact machinery that already
-    computes its class footprint.  A command whose plan is [Direct] is
-    ordered by its home partition's sequencer alone; a [Rendezvous] plan
-    (footprint spanning partitions) multicasts one {!Pmerge.Cross} entry —
-    tagged with a globally unique uid — to {e every} touched partition's
-    sequencer, and the merge emits it once all touched streams agree (see
-    [Pmerge] for the rendezvous and cycle tie-break rules).
+    The key→partition map is the static [key mod partitions] sharding the
+    early scheduler's class map uses for worker queues ({!touched}, pure,
+    so clients route with the very rule the sequencers bucket by).  A
+    command touching one partition is ordered by that home sequencer
+    alone; a footprint spanning partitions multicasts one {!Pmerge.Cross}
+    entry — tagged with a globally unique uid — to {e every} touched
+    partition's sequencer, and the merge emits it once all touched streams
+    agree (see [Pmerge] for the rendezvous and cycle tie-break rules).
 
     Per-partition leadership is rotated with {!Abcast}'s [leader_offset]
-    (partition [p] starts at leader [p mod n]), so sequencer load spreads
-    across replicas instead of piling on replica 0.
+    (partition [p] starts at leader {!initial_leader} [= p mod n]), so
+    sequencer load spreads across replicas instead of piling on replica 0.
 
     Threading contract: like [Abcast], this module owns no threads — the
     host feeds {!Make.handle} and {!Make.tick} from one thread per
     instance, and the [deliver] upcall fires from within those calls. *)
 
 open Psmr_platform
-module Class_map = Psmr_early.Class_map
 
 (** Wire format: a partition tag routing the inner protocol message to the
     right sequencer instance on the receiving replica. *)
@@ -31,13 +28,29 @@ type 'c wire = { part : int; msg : 'c Pmerge.entry Abcast.message }
 let wire_kind { part; msg } =
   Printf.sprintf "p%d:%s" part (Abcast.message_kind msg)
 
+(* --- routing --- *)
+
+let part_of_key ~partitions k =
+  let p = k mod partitions in
+  if p < 0 then p + partitions else p
+
+(* A footprint-free command conflicts with nothing; partition 0 orders it. *)
+let touched ~partitions = function
+  | [] -> [| 0 |]
+  | fp ->
+      Array.of_list
+        (List.sort_uniq compare
+           (List.map (fun (k, _) -> part_of_key ~partitions k) fp))
+
+let home ~partitions fp = (touched ~partitions fp).(0)
+let initial_leader ~n p = p mod n
+
 module Make (P : Platform_intf.S) = struct
   module Ab = Abcast.Make (P)
 
   type 'c t = {
     partitions : int;
     id : int;
-    map : Class_map.t;
     abs : 'c Pmerge.entry Ab.t array;  (** one sequencer per partition *)
     merge : 'c Pmerge.t;
     mutable uids : int;  (** local uid counter; packed with [id] *)
@@ -48,27 +61,16 @@ module Make (P : Platform_intf.S) = struct
       invalid_arg "Partition.create: partitions must be > 0";
     if n > 64 then
       invalid_arg "Partition.create: n must be <= 64 (uid packing)";
-    let map = Class_map.create ~classes:partitions ~workers:partitions () in
     let merge = Pmerge.create ~partitions ~emit:deliver () in
     let abs =
       Array.init partitions (fun p ->
-          Ab.create ?config ~leader_offset:(p mod n) ~id ~n
+          Ab.create ?config ~leader_offset:(initial_leader ~n p) ~id ~n
             ~send:(fun dst msg -> send dst { part = p; msg })
             ~deliver:(fun batch ->
               Array.iter (fun e -> Pmerge.push merge ~part:p e) batch)
             ())
     in
-    { partitions; id; map; abs; merge; uids = 0 }
-
-  (* With [classes = workers] every class has exactly one member worker, so
-     a plan's 1-based worker ids are partition ids + 1. *)
-  let parts_of_plan = function
-    | Class_map.Direct { worker } -> [| worker - 1 |]
-    | Class_map.Rendezvous { members; designated = _ } ->
-        Array.map (fun w -> w - 1) members
-
-  let footprint_parts t footprint =
-    parts_of_plan (Class_map.plan t.map footprint)
+    { partitions; id; abs; merge; uids = 0 }
 
   (* Globally unique uid: replica ids occupy the low 6 bits (n <= 64),
      the local submission counter the rest. *)
@@ -79,17 +81,22 @@ module Make (P : Platform_intf.S) = struct
 
   (* Submission: one [Ab.submit] — hence, from a non-leader, one
      [Request] wire message — per touched partition for the whole batch.
-     Sequencer commitment needs the leader to process [Prepare_ok] acks,
-     and those share its FIFO input queue with incoming requests, so
-     per-partition coalescing keeps the acks (and so the commit point, and
-     so every cross-partition rendezvous against this partition) from
-     queueing behind a flood of forwarded requests.  Each partition's
-     entries keep the batch's order. *)
+     Clients route each command to its {!home} partition's leader, so the
+     home entries are local and the forwarded ones are the other touched
+     partitions of cross-partition commands, plus strays that reached a
+     replica whose leadership moved.  Sequencer commitment needs the
+     leader to process [Prepare_ok] acks, and those share its FIFO input
+     queue with incoming requests, so per-partition coalescing keeps the
+     acks (and so the commit point, and so every cross-partition
+     rendezvous against this partition) from queueing behind a flood of
+     forwarded requests.  Each partition's entries keep the batch's
+     order; a cross entry's ascending [parts] start at its home, which is
+     {!Pmerge}'s designated partition. *)
   let submit_batch t ~footprint cmds =
     let buckets = Array.make t.partitions [] in
     Array.iter
       (fun cmd ->
-        let parts = footprint_parts t (footprint cmd) in
+        let parts = touched ~partitions:t.partitions (footprint cmd) in
         if Array.length parts = 1 then
           let p = parts.(0) in
           buckets.(p) <- Pmerge.Single cmd :: buckets.(p)

@@ -2,11 +2,11 @@
     instances ordering disjoint key shards, folded into one deterministic
     delivery sequence by {!Pmerge} (see docs/PARTITIONING.md).
 
-    The key→partition map is a {!Psmr_early.Class_map} with
-    [classes = workers = partitions]; single-partition commands are ordered
-    by their home sequencer alone, cross-partition commands are multicast
-    to every touched sequencer and merged at the rendezvous.  Partition [p]
-    rotates its leadership to start at replica [p mod n]. *)
+    Key [k] lives in partition [k mod partitions] ({!touched});
+    single-partition commands are ordered by their home sequencer alone,
+    cross-partition commands are multicast to every touched sequencer and
+    merged at the rendezvous.  Partition [p] rotates its leadership to
+    start at replica {!initial_leader}. *)
 
 open Psmr_platform
 
@@ -16,6 +16,26 @@ type 'c wire = { part : int; msg : 'c Pmerge.entry Abcast.message }
 
 val wire_kind : 'c wire -> string
 (** ["p<part>:<kind>"] tag for logging. *)
+
+(** {2 Routing}
+
+    Pure, so a client routes with the same rule the sequencers bucket by. *)
+
+val touched : partitions:int -> (int * 'a) list -> int array
+(** The ascending, distinct partitions a [(key, _)] footprint touches:
+    key [k] lives in partition [k mod partitions], normalized to
+    [0..partitions-1] (negative keys included).  The empty footprint
+    conflicts with nothing and is ordered by partition 0: [[|0|]]. *)
+
+val home : partitions:int -> (int * 'a) list -> int
+(** [(touched ~partitions fp).(0)]: the lowest touched partition — the
+    only one of a single-partition command, {!Pmerge}'s designated
+    partition of a cross-partition one.  Clients send each command to its
+    home partition's leader. *)
+
+val initial_leader : n:int -> int -> int
+(** [initial_leader ~n p = p mod n]: partition [p]'s leader in view 0 (its
+    {!Abcast} [leader_offset]); view [v] is led by [(v + p) mod n]. *)
 
 module Make (P : Platform_intf.S) : sig
   type 'c t
@@ -36,16 +56,19 @@ module Make (P : Platform_intf.S) : sig
   val submit_batch :
     'c t -> footprint:('c -> (int * bool) list) -> 'c array -> unit
   (** Order a batch of commands.  Each command's [(key, is_write)]
-      footprint determines the partitions it touches ([key mod partitions]
-      per key): one partition → a [Single] entry for its sequencer;
-      several → one [Cross] entry with a fresh globally unique uid for
-      every touched sequencer.  Each touched partition gets one sequencer
-      submission for the whole batch — hence, from a replica that is not
-      that partition's leader, one [Request] wire message — with its
-      entries in array order.  Coalescing keeps a remote leader's FIFO
-      input queue short, so its [Prepare_ok] acks — which gate the commit
-      point, and with it every cross-partition rendezvous against that
-      partition — do not queue behind forwarded requests. *)
+      footprint determines the partitions it touches ({!touched}): one
+      partition → a [Single] entry for its sequencer; several → one
+      [Cross] entry with a fresh globally unique uid for every touched
+      sequencer.  Each touched partition gets one sequencer submission for
+      the whole batch — hence, from a replica that is not that partition's
+      leader, one [Request] wire message — with its entries in array
+      order.  Clients send each command to its {!home} partition's leader,
+      so only cross-partition remainders and strays (a request that
+      reached a replica after its partition's leadership moved) are
+      forwarded.  Coalescing keeps a remote leader's FIFO input queue
+      short, so its [Prepare_ok] acks — which gate the commit point, and
+      with it every cross-partition rendezvous against that partition — do
+      not queue behind forwarded requests. *)
 
   val handle : 'c t -> src:int -> 'c wire -> unit
   (** Feed one incoming wire message from replica [src]. *)

@@ -10,8 +10,11 @@
       (classical SMR) or through a scheduling backend with worker threads
       (parallel SMR) — and an at-most-once table replaying cached replies
       to retried requests;
-    - closed-loop clients that submit one command at a time, time out and
-      fail over to another replica (leader crashes included);
+    - closed-loop clients that submit a batch per [call_batch], routed by
+      partition: each command goes to the replica believed to lead its
+      home partition (the one sequencer without partitioning), and a
+      partition whose commands time out fails over to the next replica
+      (leader crashes included);
     - {!Deployment}: wiring n replicas and m clients over a
       {!Psmr_net.Network} with a configurable latency model.
 
@@ -214,28 +217,34 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
     c_net : wire Net.t;
     c_replicas : int;
     c_timeout : float;
+    c_targets : int array;
+        (* per partition (one without partitioning): the replica believed
+           to lead it *)
     mutable c_rid : int;
-    mutable c_target : int;
     mutable c_retries : int;
   }
 
-  let make_client ~net ~replicas ~timeout id =
+  let make_client ~net ~replicas ~partitions ~timeout id =
     {
       c_id = id;
       c_net = net;
       c_replicas = replicas;
       c_timeout = timeout;
+      c_targets =
+        Array.init partitions
+          (Psmr_broadcast.Partition.initial_leader ~n:replicas);
       c_rid = 0;
-      c_target = 0;
       c_retries = 0;
     }
 
   let client_retries c = c.c_retries
 
-  (* Synchronous batched call (BFT-SMaRt-style client batching, §7.1): send
-     all commands in one request message and wait for the first reply to
-     each, failing over to the next replica on timeout.  Returns [None] only
-     when the network is shut down. *)
+  (* Synchronous batched call (BFT-SMaRt-style client batching, §7.1): split
+     the commands by home partition, send each slice in one request message
+     to its partition's target, and wait for the first reply to each.  On
+     timeout, only the partitions with unanswered commands fail over to the
+     next replica and get their slice resent.  Returns [None] only when the
+     network is shut down. *)
   let call_batch c cmds =
     let k = Array.length cmds in
     if k = 0 then invalid_arg "Replica.call_batch: empty batch";
@@ -245,21 +254,41 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
       Array.mapi (fun i cmd -> { client = c.c_id; rid = base + 1 + i; cmd }) cmds
     in
     let marker = base + k in
+    let partitions = Array.length c.c_targets in
+    let slices = Array.make partitions [] in
+    for i = k - 1 downto 0 do
+      let p =
+        Psmr_broadcast.Partition.home ~partitions (S.footprint cmds.(i))
+      in
+      slices.(p) <- envelopes.(i) :: slices.(p)
+    done;
+    let slices = Array.map Array.of_list slices in
+    let responses = Array.make k None in
+    let missing = ref k in
+    let unanswered =
+      Array.exists (fun (e : envelope) -> responses.(e.rid - base - 1) = None)
+    in
     (* Bounded exponential backoff on retries: the first attempt uses the
        configured timeout unchanged; each failover doubles it up to 16x, so a
        crashed or recovering system is probed progressively more gently
        instead of being hammered at a fixed cadence. *)
     let send_attempt attempt =
-      Net.send c.c_net ~src:c.c_id ~dst:c.c_target
-        (Proto (Psmr_broadcast.Abcast.Request envelopes));
+      Array.iteri
+        (fun p slice ->
+          if Array.length slice > 0 && (attempt = 0 || unanswered slice)
+          then begin
+            if attempt > 0 then
+              c.c_targets.(p) <- (c.c_targets.(p) + 1) mod c.c_replicas;
+            Net.send c.c_net ~src:c.c_id ~dst:c.c_targets.(p)
+              (Proto (Psmr_broadcast.Abcast.Request slice))
+          end)
+        slices;
       let wait = c.c_timeout *. float_of_int (1 lsl min attempt 4) in
       P.after wait (fun () ->
           Net.send c.c_net ~src:c.c_id ~dst:c.c_id
             (Client_timeout { rid = marker; attempt }))
     in
     send_attempt 0;
-    let responses = Array.make k None in
-    let missing = ref k in
     let rec await attempt =
       if !missing = 0 then
         Some (Array.map (fun r -> Option.get r) responses)
@@ -277,7 +306,6 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
         | Some { payload = Client_timeout { rid = r; attempt = a }; _ }
           when r = marker && a = attempt ->
             c.c_retries <- c.c_retries + 1;
-            c.c_target <- (c.c_target + 1) mod c.c_replicas;
             send_attempt (attempt + 1);
             await (attempt + 1)
         | Some _ -> await attempt (* stale reply or stale timeout *)
@@ -641,8 +669,10 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
                     (match (payload, r.ord) with
                     | Proto (Psmr_broadcast.Abcast.Request envs), Part_ab pab
                       ->
-                        (* Client traffic: route the batch to its
-                           partitions by footprint. *)
+                        (* Client traffic, routed here by home partition:
+                           [submit_batch] forwards only cross-partition
+                           remainders and strays (requests that arrived
+                           after a leadership moved). *)
                         Part.submit_batch pab
                           ~footprint:(fun (e : envelope) -> S.footprint e.cmd)
                           envs
@@ -679,7 +709,12 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
 
     let client t i =
       if i < 0 || i >= t.cfg.clients then invalid_arg "Deployment.client";
-      make_client ~net:t.net ~replicas:t.cfg.replicas
+      let partitions =
+        match t.cfg.mode with
+        | Partitioned { partitions; _ } -> partitions
+        | _ -> 1
+      in
+      make_client ~net:t.net ~replicas:t.cfg.replicas ~partitions
         ~timeout:t.cfg.client_timeout (client_addr t i)
 
     let crash_replica t id =

@@ -4,7 +4,8 @@
     [Make (P) (S)] assembles, for service [S] on platform [P]: the wire
     protocol, replicas (protocol event loop + parallelizer thread +
     sequential or backend-parallel executor + at-most-once reply cache),
-    batched closed-loop clients with timeout failover, and the deployment
+    batched closed-loop clients routed by partition with per-partition
+    timeout failover, and the deployment
     wiring over an in-process network.  Runs identically on real threads
     (tests, examples) and under the simulator (benchmark harness). *)
 
@@ -54,9 +55,15 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) : sig
   type client
 
   val call_batch : client -> S.command array -> S.response array option
-  (** Send all commands in one request (BFT-SMaRt-style client batching)
-      and wait for a reply to each, failing over to the next replica on
-      timeout.  [None] only when the network was shut down. *)
+  (** Send the commands in one request per home partition
+      ({!Psmr_broadcast.Partition.home}; one request in all without
+      partitioning — BFT-SMaRt-style client batching), each to the replica
+      the client believes leads that partition, initially
+      {!Psmr_broadcast.Partition.initial_leader}, and wait for a reply to
+      each.  On timeout, every partition with an unanswered command fails
+      over to the next replica and gets its request resent; the client
+      keeps the new targets for later calls.  [None] only when the network
+      was shut down. *)
 
   val call : client -> S.command -> S.response option
   (** [call_batch] with a single command. *)
@@ -98,7 +105,7 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) : sig
 
     val client : t -> int -> client
     (** The [i]-th client endpoint (0-based; create one handle per calling
-        thread). *)
+        thread), routing by the partitions of [mode]. *)
 
     val crash_replica : t -> int -> unit
     (** Crash-stop: the replica stops sending and receiving forever. *)

@@ -756,14 +756,99 @@ let test_part_sequencer_crash_failover () =
   (* Partition 1 must fail over; both partitions keep serving. *)
   Alcotest.(check bool) "p1 write after crash" true
     (KV_smr.call c (Put (3, 8)) = Some Stored);
+  (* Failover is per partition: partition 0's leader is alive, so its
+     target stays put, and partition 1 keeps the target that answered. *)
+  let retries = KV_smr.client_retries c in
   Alcotest.(check bool) "p0 write after crash" true
     (KV_smr.call c (Put (2, 9)) = Some Stored);
+  Alcotest.(check int) "p0 write adds no retry" retries
+    (KV_smr.client_retries c);
   Alcotest.(check bool) "p1 read after crash" true
     (KV_smr.call c (Get 3) = Some (Value (Some 8)));
+  Alcotest.(check bool) "second p1 write after failover" true
+    (KV_smr.call c (Put (5, 10)) = Some Stored);
+  Alcotest.(check int) "p1 calls after failover add no retry" retries
+    (KV_smr.client_retries c);
   let observer = if seq = 0 then 1 else 0 in
   Alcotest.(check bool) "partition 1 changed sequencer" true
     (KV_smr.Deployment.replica_partition_leader d observer ~part:1 <> seq);
   KV_smr.Deployment.shutdown d
+
+(* Clients route by home partition: with replica 0 down from the start,
+   partition 1 (led by replica 1) serves its commands on the first
+   attempt. *)
+let test_part_client_routing () =
+  let d, _ =
+    kv_deployment ~clients:1
+      ~mode:(Partitioned { partitions = 2; inner = Sequential })
+      ()
+  in
+  KV_smr.Deployment.crash_replica d 0;
+  let c = KV_smr.Deployment.client d 0 in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        (Printf.sprintf "p1 write %d" k)
+        true
+        (KV_smr.call c (Put (k, k)) = Some Stored))
+    [ 1; 3; 5; 7 ];
+  Alcotest.(check bool) "p1 batch" true
+    (KV_smr.call_batch c [| Get 1; Put (9, 9); Get 3 |]
+    = Some [| Value (Some 1); Stored; Value (Some 3) |]);
+  Alcotest.(check int) "no retry while partition 1's leader is up" 0
+    (KV_smr.client_retries c);
+  KV_smr.Deployment.shutdown d
+
+(* --- routing: the client's home partition is submit_batch's lowest --- *)
+
+module RPart = Psmr_broadcast.Partition.Make (RP)
+
+(* Replica 4 of 5 leads none of up to 4 partitions (partition [p] starts at
+   replica [p]), so [submit_batch] forwards one [Request] per touched
+   partition, and the captured sends are exactly its buckets. *)
+let buckets_of ~partitions fp =
+  let sent = ref [] in
+  let ep =
+    RPart.create ~partitions ~id:4 ~n:5
+      ~send:(fun dst (w : int Psmr_broadcast.Partition.wire) ->
+        (match w.msg with
+        | Psmr_broadcast.Abcast.Request _ ->
+            if dst <> Psmr_broadcast.Partition.initial_leader ~n:5 w.part then
+              QCheck.Test.fail_report "request not sent to the initial leader";
+            sent := w.part :: !sent
+        | _ -> ()))
+      ~deliver:(fun _ -> ())
+      ()
+  in
+  RPart.submit_batch ep ~footprint:(fun _ -> fp) [| 0 |];
+  List.sort compare !sent
+
+let qcheck_home_is_lowest_bucket =
+  QCheck.Test.make ~count:500
+    ~name:"routing: home = lowest partition submit_batch buckets into"
+    QCheck.(
+      pair (int_range 1 4)
+        (small_list (pair (int_range (-50) 50) bool)))
+    (fun (partitions, fp) ->
+      let buckets = buckets_of ~partitions fp in
+      let touched =
+        Array.to_list (Psmr_broadcast.Partition.touched ~partitions fp)
+      in
+      buckets = touched
+      && List.hd buckets = Psmr_broadcast.Partition.home ~partitions fp)
+
+let test_routing_edge_cases () =
+  let home = Psmr_broadcast.Partition.home ~partitions:4 in
+  Alcotest.(check int) "empty footprint" 0 (home []);
+  Alcotest.(check int) "negative key" 3 (home [ (-1, true) ]);
+  Alcotest.(check int) "lowest of several" 1
+    (home [ (7, false); (-3, true); (5, true) ]);
+  Alcotest.(check (array int)) "touched, negative keys normalized"
+    [| 1; 2; 3 |]
+    (Psmr_broadcast.Partition.touched ~partitions:4
+       [ (-1, false); (6, true); (-7, true); (1, false) ]);
+  Alcotest.(check (list int)) "initial leaders wrap" [ 0; 1; 2; 0 ]
+    (List.init 4 (Psmr_broadcast.Partition.initial_leader ~n:3))
 
 (* --- equivalence: partitioned merge vs single-sequencer execution --- *)
 
@@ -784,12 +869,7 @@ struct
   module R = Psmr_harness.Recovery.Make (S)
 
   let parts_of ~partitions cmd =
-    match
-      List.sort_uniq compare
-        (List.map (fun (k, _) -> abs k mod partitions) (S.footprint cmd))
-    with
-    | [] -> [| 0 |]
-    | ps -> Array.of_list ps
+    Psmr_broadcast.Partition.touched ~partitions (S.footprint cmd)
 
   let run_seq (log : S.command array) order =
     let st = C.fresh () in
@@ -976,6 +1056,13 @@ let () =
             test_part_bank_cross_transfers;
           Alcotest.test_case "sequencer crash failover" `Quick
             test_part_sequencer_crash_failover;
+          Alcotest.test_case "client routes around a dead replica 0" `Quick
+            test_part_client_routing;
+        ] );
+      ( "routing",
+        [
+          Alcotest.test_case "edge cases" `Quick test_routing_edge_cases;
+          qcheck qcheck_home_is_lowest_bucket;
         ] );
       ( "part-equivalence",
         [ qcheck Bank_equiv.test; qcheck Kv_equiv.test; qcheck List_equiv.test ]

@@ -83,11 +83,17 @@ let test_leader_crash_failover mode () =
   Alcotest.(check bool) "before crash" true
     (KV_smr.call c (Put (0, 1)) = Some Stored);
   KV_smr.Deployment.crash_replica d 0;
-  (* The next calls must eventually succeed via the new leader. *)
+  (* The next calls must eventually succeed via the new leader.  A
+     single-sequencer client sends attempt 0 to replica 0, so the write
+     costs exactly one retry, and the read goes straight to the replica
+     that answered it. *)
   Alcotest.(check bool) "after crash: write" true
     (KV_smr.call c (Put (1, 2)) = Some Stored);
+  Alcotest.(check int) "after crash: one retry" 1 (KV_smr.client_retries c);
   Alcotest.(check bool) "after crash: read" true
     (KV_smr.call c (Get 1) = Some (Value (Some 2)));
+  Alcotest.(check int) "after crash: read adds no retry" 1
+    (KV_smr.client_retries c);
   Alcotest.(check bool) "survivors installed a newer view" true
     (KV_smr.Deployment.replica_view d 1 > 0
     && KV_smr.Deployment.replica_view d 1 = KV_smr.Deployment.replica_view d 2);
