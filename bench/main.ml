@@ -11,8 +11,9 @@
    0% writes) for the scan-based and indexed inserts plus the early
    class-map dispatcher, and the keyed low-conflict comparison at 32
    workers (early vs early-opt under a mis-speculation sweep vs the COS
-   family).  All simulated points are memoized on their full
-   configuration, so a config shared between sections runs once.
+   family), the partitioned and open-loop grids, faults and metrics.  The
+   report is built as one [Psmr_util.Json.t] value and checked by
+   [Psmr_harness.Bench_schema] before it is written.
 
    Part 3 — regeneration of every figure of the paper's evaluation (Figures
    2-6) through the simulation harness.  Set PSMR_BENCH_FAST=1 for a
@@ -181,195 +182,94 @@ let run_micro ~smoke () =
     (fun (name, ns, _) -> Option.map (fun e -> (name, e)) ns)
     measured
 
-(* One simulated standalone point, memoized on its full configuration
-   (impl, workers, batch, workload, smoke): the Fig. 2 grid and the keyed
-   comparison below both draw from this table, so a configuration that
-   appears under several labels — or a worker count repeated across
-   sections — is simulated exactly once.  COS impls on the plain workload
-   go through [Standalone]; anything with a keyed spec (the early family,
-   or a COS impl raced against it) goes through [Keyed_bench], which also
-   reports the dispatcher's class statistics. *)
-type sim_row = {
-  s_kops : float;
-  s_direct : int;
-  s_rendezvous : int;
-  s_repairs : int;
-  s_revoked : int;
-  s_spec_execs : int;
-  s_rollbacks : int;
-  s_redos : int;
-}
+module J = Psmr_util.Json
+module Keyed = Psmr_workload.Workload.Keyed
 
+(* The one grid memo: every distinct configuration of a grid is simulated
+   once, fanned out over [jobs] domains, and served by the returned lookup.
+   A point is computed from its configuration alone — its own engine, RNG
+   and sinks, no facade state — so the results are those of a sequential
+   run, and the report built from them is identical, for any [jobs].
+   Configurations are compared structurally, so no rendered key can make
+   two distinct points collide. *)
+let grid ~jobs compute configs =
+  let distinct = Array.of_list (List.sort_uniq compare configs) in
+  let results = Psmr_sim.Grid_runner.map ~jobs compute distinct in
+  let memo = Hashtbl.create (Array.length distinct) in
+  Array.iteri (fun i c -> Hashtbl.replace memo c results.(i)) distinct;
+  Hashtbl.find memo
+
+(* Measurement window and warmup of every simulated point, in seconds. *)
+let window ~smoke = if smoke then (0.02, 0.005) else (0.08, 0.02)
+
+(* One keyed point: the early family, or a COS impl raced against it on
+   the identical command stream; the result carries the dispatcher's class
+   statistics. *)
+let keyed_point ~smoke (impl, workers, batch, spec) =
+  let duration, warmup = window ~smoke in
+  let backend =
+    match Psmr_early.Registry.of_string impl with
+    | Some b -> b
+    | None -> invalid_arg ("keyed_point: unknown backend " ^ impl)
+  in
+  Psmr_harness.Keyed_bench.run ~backend ~workers ~spec ~batch ~duration
+    ~warmup ()
+
+(* Simulated Fig. 2 points for the report: standalone throughput at light
+   cost, 0% writes, for the scan-based baseline, the indexed insert with
+   and without delivery batching, and the early dispatcher (keyed
+   low-conflict workload at 0% writes — footprints are needed for the
+   class map, the cost profile matches).  COS impls on the plain workload
+   go through [Standalone]. *)
 let fig2_spec =
   { Psmr_workload.Workload.write_pct = 0.0; cost = Psmr_workload.Workload.Light }
 
-type sim_config = {
-  c_impl : string;
-  c_workers : int;
-  c_batch : int;
-  c_keyed : Psmr_workload.Workload.Keyed.spec option;
-}
-
-let config_key ~smoke c =
-  Printf.sprintf "%s/w%d/b%d/%s/%b" c.c_impl c.c_workers c.c_batch
-    (match c.c_keyed with
-    | None -> "fig2"
-    | Some spec -> Format.asprintf "%a" Psmr_workload.Workload.Keyed.pp spec)
-    smoke
-
-(* One point, computed from its configuration alone: its own engine, RNG
-   and sinks, no facade state — safe to run on a parallel domain. *)
-let compute_point ~smoke c =
-  let duration, warmup = if smoke then (0.02, 0.005) else (0.08, 0.02) in
-  match c.c_keyed with
+let fig2_kops ~smoke (impl, workers, batch, keyed) =
+  match keyed with
   | Some spec ->
-      let backend =
-        match Psmr_early.Registry.of_string c.c_impl with
-        | Some b -> b
-        | None -> invalid_arg ("sim_point: unknown backend " ^ c.c_impl)
-      in
-      let r =
-        Psmr_harness.Keyed_bench.run ~backend ~workers:c.c_workers ~spec
-          ~batch:c.c_batch ~duration ~warmup ()
-      in
-      {
-        s_kops = r.Psmr_harness.Keyed_bench.kops;
-        s_direct = r.direct;
-        s_rendezvous = r.rendezvous;
-        s_repairs = r.repairs;
-        s_revoked = r.revoked;
-        s_spec_execs = r.spec_execs;
-        s_rollbacks = r.rollbacks;
-        s_redos = r.redos;
-      }
+      (keyed_point ~smoke (impl, workers, batch, spec))
+        .Psmr_harness.Keyed_bench.kops
   | None ->
-      let ci =
-        match Psmr_cos.Registry.of_string c.c_impl with
+      let duration, warmup = window ~smoke in
+      let impl =
+        match Psmr_cos.Registry.of_string impl with
         | Some i -> i
-        | None -> invalid_arg ("sim_point: unknown COS impl " ^ c.c_impl)
+        | None -> invalid_arg ("fig2_kops: unknown COS impl " ^ impl)
       in
-      let r =
-        Psmr_harness.Standalone.run ~impl:ci ~workers:c.c_workers
-          ~batch:c.c_batch ~spec:fig2_spec ~duration ~warmup ()
-      in
-      {
-        s_kops = r.Psmr_harness.Standalone.kops;
-        s_direct = 0;
-        s_rendezvous = 0;
-        s_repairs = 0;
-        s_revoked = 0;
-        s_spec_execs = 0;
-        s_rollbacks = 0;
-        s_redos = 0;
-      }
+      (Psmr_harness.Standalone.run ~impl ~workers ~batch ~spec:fig2_spec
+         ~duration ~warmup ())
+        .kops
 
-let sim_memo : (string, sim_row) Hashtbl.t = Hashtbl.create 32
-
-(* Compute a batch of configurations on [jobs] domains and fill the memo
-   (main domain only — the table is never touched from helpers).  Because
-   every point is independent and deterministic, the memo ends up with
-   exactly the values a sequential run would compute, so the JSON emitted
-   from it is byte-identical for any [jobs]. *)
-let prefill_points ~smoke ~jobs configs =
-  let todo =
-    List.filter
-      (fun c -> not (Hashtbl.mem sim_memo (config_key ~smoke c)))
-      configs
-    |> List.sort_uniq compare
-  in
-  let results =
-    Psmr_sim.Grid_runner.map ~jobs (compute_point ~smoke) (Array.of_list todo)
-  in
-  List.iteri
-    (fun i c -> Hashtbl.replace sim_memo (config_key ~smoke c) results.(i))
-    todo
-
-let sim_point ~smoke ~impl ~workers ?(batch = 1) ?keyed () =
-  let c = { c_impl = impl; c_workers = workers; c_batch = batch; c_keyed = keyed } in
-  let key = config_key ~smoke c in
-  match Hashtbl.find_opt sim_memo key with
-  | Some r -> r
-  | None ->
-      let r = compute_point ~smoke c in
-      Hashtbl.add sim_memo key r;
-      r
-
-(* Simulated Fig. 2 points for the JSON summary: standalone throughput at
-   light cost, 0% writes, for the scan-based baseline, the indexed insert
-   with and without delivery batching, and the early dispatcher (keyed
-   low-conflict workload at 0% writes — footprints are needed for the
-   class map, the cost profile matches). *)
-let fig2_grid =
-  let keyed0 =
-    { Psmr_workload.Workload.Keyed.low_conflict with write_pct = 0.0 }
-  in
-  [
-    ("lockfree", "lockfree", 1, None);
-    ("indexed", "indexed", 1, None);
-    ("indexed_batch16", "indexed", 16, None);
-    ("early", "early", 1, Some keyed0);
-    ("early_opt", "early-opt", 1, Some keyed0);
-  ]
-
-let fig2_workers = [ 16; 32; 64 ]
-
-let fig2_configs =
+(* (label, config) per row; a keyed config's spec is the keyed workload. *)
+let fig2_rows =
+  let keyed0 = { Keyed.low_conflict with write_pct = 0.0 } in
   List.concat_map
     (fun w ->
-      List.map
-        (fun (_, impl, batch, keyed) ->
-          { c_impl = impl; c_workers = w; c_batch = batch; c_keyed = keyed })
-        fig2_grid)
-    fig2_workers
-
-let sim_fig2 ~smoke () =
-  List.concat_map
-    (fun w ->
-      List.map
-        (fun (label, impl, batch, keyed) ->
-          (w, label, (sim_point ~smoke ~impl ~workers:w ~batch ?keyed ()).s_kops))
-        fig2_grid)
-    fig2_workers
+      [
+        ("lockfree", ("lockfree", w, 1, None));
+        ("indexed", ("indexed", w, 1, None));
+        ("indexed_batch16", ("indexed", w, 16, None));
+        ("early", ("early", w, 1, Some keyed0));
+        ("early_opt", ("early-opt", w, 1, Some keyed0));
+      ])
+    [ 16; 32; 64 ]
 
 (* The acceptance comparison (docs/SCHEDULING.md): the keyed low-conflict
    workload at 32 workers — early scheduling, conservative and optimistic
    under a mis-speculation sweep, against the COS family fed the identical
    command stream.  Rows carry the dispatcher's class statistics so the
    fast-path share is visible next to the throughput. *)
-let keyed_configs =
-  let base = Psmr_workload.Workload.Keyed.low_conflict in
-  let pt ?(mis = 0.0) ?(batch = 1) impl =
-    {
-      c_impl = impl;
-      c_workers = 32;
-      c_batch = batch;
-      c_keyed = Some { base with mis_pct = mis };
-    }
+let keyed_rows =
+  let pt ?(mis = 0.0) ?(batch = 1) name impl =
+    (name, (impl, 32, batch, { Keyed.low_conflict with mis_pct = mis }))
   in
   [
-    pt "early"; pt "early-opt"; pt ~mis:0.1 "early-opt";
-    pt ~mis:1.0 "early-opt"; pt ~mis:5.0 "early-opt";
-    pt ~mis:10.0 "early-opt"; pt "indexed"; pt ~batch:16 "indexed";
-    pt "lockfree";
-  ]
-
-let sim_keyed ~smoke () =
-  let base = Psmr_workload.Workload.Keyed.low_conflict in
-  let pt ?(mis = 0.0) ?(batch = 1) impl =
-    sim_point ~smoke ~impl ~workers:32 ~batch
-      ~keyed:{ base with mis_pct = mis }
-      ()
-  in
-  [
-    ("early", 0.0, pt "early");
-    ("early_opt_mis0", 0.0, pt "early-opt");
-    ("early_opt_mis0_1", 0.1, pt ~mis:0.1 "early-opt");
-    ("early_opt_mis1", 1.0, pt ~mis:1.0 "early-opt");
-    ("early_opt_mis5", 5.0, pt ~mis:5.0 "early-opt");
-    ("early_opt_mis10", 10.0, pt ~mis:10.0 "early-opt");
-    ("indexed", 0.0, pt "indexed");
-    ("indexed_batch16", 0.0, pt ~batch:16 "indexed");
-    ("lockfree", 0.0, pt "lockfree");
+    pt "early" "early"; pt "early_opt_mis0" "early-opt";
+    pt ~mis:0.1 "early_opt_mis0_1" "early-opt";
+    pt ~mis:1.0 "early_opt_mis1" "early-opt";
+    pt ~mis:5.0 "early_opt_mis5" "early-opt";
+    pt ~mis:10.0 "early_opt_mis10" "early-opt"; pt "indexed" "indexed";
+    pt ~batch:16 "indexed_batch16" "indexed"; pt "lockfree" "lockfree";
   ]
 
 (* Partitioned-ordering grid (docs/PARTITIONING.md): the Partition stack
@@ -381,64 +281,23 @@ let sim_keyed ~smoke () =
    partitioning buys nothing; at w32 it partially unbinds.  The 100%-cross
    rows are the graceful-degradation bound: every command rendezvouses in
    the merge and serializes classwise in the dispatcher, so throughput
-   drops but nothing wedges (no holes pile up, no view changes).  Points
-   are memoized on [Part_bench.config_label] — %g-rendered rates, the
-   PR-8 %.0f collision lesson — plus the smoke flag. *)
+   drops but nothing wedges (no holes pile up, no view changes). *)
+let part_spec cost cross = { Keyed.low_conflict with cost; cross_pct = cross }
+let part_light = part_spec Psmr_workload.Workload.Light
+
 let part_configs =
-  let spec cost cross =
-    { Psmr_workload.Workload.Keyed.low_conflict with cost; cross_pct = cross }
-  in
-  let light = spec Psmr_workload.Workload.Light
-  and moderate = spec Psmr_workload.Workload.Moderate in
+  let moderate = part_spec Psmr_workload.Workload.Moderate in
   [
-    (1, 32, light 2.0); (2, 32, light 2.0); (4, 32, light 2.0);
-    (4, 32, light 5.0); (1, 32, light 100.0); (4, 32, light 100.0);
-    (1, 8, moderate 2.0); (4, 8, moderate 2.0); (1, 32, moderate 2.0);
-    (4, 32, moderate 2.0);
+    (1, 32, part_light 2.0); (2, 32, part_light 2.0); (4, 32, part_light 2.0);
+    (4, 32, part_light 5.0); (1, 32, part_light 100.0);
+    (4, 32, part_light 100.0); (1, 8, moderate 2.0); (4, 8, moderate 2.0);
+    (1, 32, moderate 2.0); (4, 32, moderate 2.0);
   ]
 
-let part_key ~smoke (p, w, spec) =
-  Printf.sprintf "%s/%b"
-    (Psmr_harness.Part_bench.config_label ~partitions:p
-       ~replicas:(Psmr_harness.Part_bench.default_replicas ~partitions:p)
-       ~workers:w ~batch:16 spec)
-    smoke
-
 let compute_part ~smoke (p, w, spec) =
-  let duration, warmup = if smoke then (0.02, 0.005) else (0.08, 0.02) in
+  let duration, warmup = window ~smoke in
   Psmr_harness.Part_bench.run ~partitions:p ~workers:w ~spec ~duration ~warmup
     ()
-
-let part_memo : (string, Psmr_harness.Part_bench.result) Hashtbl.t =
-  Hashtbl.create 16
-
-let prefill_part ~smoke ~jobs =
-  let todo =
-    List.filter
-      (fun c -> not (Hashtbl.mem part_memo (part_key ~smoke c)))
-      part_configs
-    |> List.sort_uniq compare
-  in
-  let results =
-    Psmr_sim.Grid_runner.map ~jobs (compute_part ~smoke) (Array.of_list todo)
-  in
-  List.iteri
-    (fun i c -> Hashtbl.replace part_memo (part_key ~smoke c) results.(i))
-    todo
-
-let sim_part ~smoke () =
-  List.map
-    (fun ((p, w, spec) as c) ->
-      let r =
-        match Hashtbl.find_opt part_memo (part_key ~smoke c) with
-        | Some r -> r
-        | None ->
-            let r = compute_part ~smoke c in
-            Hashtbl.add part_memo (part_key ~smoke c) r;
-            r
-      in
-      (p, Psmr_harness.Part_bench.default_replicas ~partitions:p, w, spec, r))
-    part_configs
 
 (* Open-loop latency-under-load grid (docs/WORKLOADS.md): the Zipfian
    YCSB-A scenario driven through [Load_bench]'s bounded offered queue
@@ -446,9 +305,7 @@ let sim_part ~smoke () =
    locate the saturation knee.  The rate grid is dense around each
    family's measured capacity (coarse saturates near 85 kops; the
    keyed/early/partitioned families near 1.0-1.2 Mops/s) so the knee
-   lands on an interior step rather than the sweep edge.  Rows are
-   memoized on target label + smoke flag and fanned out over domains
-   like the other grids. *)
+   lands on an interior step rather than the sweep edge. *)
 let open_loop_targets =
   [ "coarse"; "indexed"; "early"; "early_opt"; "part4" ]
 
@@ -463,7 +320,7 @@ let open_loop_rates ~smoke =
     ]
 
 let compute_open_loop ~smoke name =
-  let duration, warmup = if smoke then (0.02, 0.005) else (0.08, 0.02) in
+  let duration, warmup = window ~smoke in
   (* JSON row names use underscores; the target parser wants the
      registry spelling. *)
   let spelled =
@@ -477,39 +334,6 @@ let compute_open_loop ~smoke name =
   Psmr_harness.Load_bench.sweep ~target ~workers:open_loop_workers
     ~scenario:(Psmr_traffic.Scenario.spec Psmr_traffic.Scenario.A)
     ~rates:(open_loop_rates ~smoke) ~duration ~warmup ()
-
-let open_memo : (string, Psmr_harness.Load_bench.sweep) Hashtbl.t =
-  Hashtbl.create 8
-
-let open_key ~smoke name = Printf.sprintf "%s/%b" name smoke
-
-let prefill_open ~smoke ~jobs =
-  let todo =
-    List.filter
-      (fun n -> not (Hashtbl.mem open_memo (open_key ~smoke n)))
-      open_loop_targets
-  in
-  let results =
-    Psmr_sim.Grid_runner.map ~jobs (compute_open_loop ~smoke)
-      (Array.of_list todo)
-  in
-  List.iteri
-    (fun i n -> Hashtbl.replace open_memo (open_key ~smoke n) results.(i))
-    todo
-
-let sim_open_loop ~smoke () =
-  List.map
-    (fun name ->
-      let sw =
-        match Hashtbl.find_opt open_memo (open_key ~smoke name) with
-        | Some sw -> sw
-        | None ->
-            let sw = compute_open_loop ~smoke name in
-            Hashtbl.add open_memo (open_key ~smoke name) sw;
-            sw
-      in
-      (name, sw))
-    open_loop_targets
 
 let print_open_loop rows =
   List.iter
@@ -531,19 +355,27 @@ let print_open_loop rows =
       print_newline ())
     rows
 
-(* Throughput-under-faults rows: coarse vs lock-free at 32 workers, with
-   one mid-window worker crash that recovers, against the fault-free
-   baseline.  Quantifies graceful degradation (docs/FAULTS.md): the
-   orphaned command is requeued, a replacement worker joins after the
-   respawn delay, and throughput dips rather than collapsing. *)
-let sim_faults ~smoke () =
-  let duration, warmup = if smoke then (0.02, 0.005) else (0.08, 0.02) in
-  let spec =
-    {
-      Psmr_workload.Workload.write_pct = 10.0;
-      cost = Psmr_workload.Workload.Moderate;
-    }
-  in
+(* The faults and metrics sections run coarse and lock-free at 32 workers
+   on the moderate 10%-write workload, sequentially: they install global
+   state (the fault plan, the metrics registry) that a parallel grid must
+   not see. *)
+let w32_impls =
+  [ ("coarse_w32", Psmr_cos.Registry.Coarse);
+    ("lockfree_w32", Psmr_cos.Registry.Lockfree) ]
+
+let standalone_w32 ~smoke ?faults ?metrics impl =
+  let duration, warmup = window ~smoke in
+  Psmr_harness.Standalone.run ~impl ~workers:32
+    ~spec:{ Psmr_workload.Workload.write_pct = 10.0; cost = Moderate }
+    ~duration ~warmup ?faults ?metrics ()
+
+(* Throughput-under-faults rows: one mid-window worker crash that
+   recovers, against the fault-free baseline.  Quantifies graceful
+   degradation (docs/FAULTS.md): the orphaned command is requeued, a
+   replacement worker joins after the respawn delay, and throughput dips
+   rather than collapsing. *)
+let sim_faults ~smoke =
+  let duration, warmup = window ~smoke in
   let crash_spec =
     Printf.sprintf "seed=11,worker-crash=1@%g+%g" (warmup +. (duration /. 4.0))
       (duration /. 4.0)
@@ -551,334 +383,143 @@ let sim_faults ~smoke () =
   let faults = Psmr_fault.Schedule.parse_exn crash_spec in
   List.map
     (fun (label, impl) ->
-      let base =
-        Psmr_harness.Standalone.run ~impl ~workers:32 ~spec ~duration ~warmup ()
-      in
-      let faulty =
-        Psmr_harness.Standalone.run ~impl ~workers:32 ~spec ~duration ~warmup
-          ~faults ()
-      in
-      ( label,
-        crash_spec,
-        base.Psmr_harness.Standalone.kops,
-        faulty.Psmr_harness.Standalone.kops,
-        faulty.Psmr_harness.Standalone.faults_injected ))
-    [
-      ("coarse_w32", Psmr_cos.Registry.Coarse);
-      ("lockfree_w32", Psmr_cos.Registry.Lockfree);
-    ]
+      let base = standalone_w32 ~smoke impl in
+      let faulty = standalone_w32 ~smoke ~faults impl in
+      J.Obj
+        [
+          ("name", J.Str label); ("faults", J.Str crash_spec);
+          ("kops_fault_free", J.fixed 1 base.kops);
+          ("kops_faulty", J.fixed 1 faulty.kops);
+          ("injected", J.int faulty.faults_injected);
+        ])
+    w32_impls
 
-(* Observability block for the JSON summary: the coarse vs lock-free
-   counter/latency breakdown at 32 workers that explains the Figure-2
-   plateau (see docs/OBSERVABILITY.md).  Each entry is a complete JSON
-   object as emitted by [Psmr_obs.Metrics.to_json], embedded verbatim. *)
-let sim_metrics ~smoke () =
-  let duration, warmup = if smoke then (0.02, 0.005) else (0.08, 0.02) in
-  let spec =
-    {
-      Psmr_workload.Workload.write_pct = 10.0;
-      cost = Psmr_workload.Workload.Moderate;
-    }
-  in
+(* Observability block for the report: the coarse vs lock-free
+   counter/latency breakdown that explains the Figure-2 plateau (see
+   docs/OBSERVABILITY.md), one [Psmr_obs.Metrics.to_json] value per
+   impl. *)
+let sim_metrics ~smoke =
   List.map
     (fun (label, impl) ->
-      let r =
-        Psmr_harness.Standalone.run ~impl ~workers:32 ~spec ~duration ~warmup
-          ~metrics:true ()
-      in
-      let m =
-        match r.Psmr_harness.Standalone.metrics with
-        | Some m -> m
-        | None -> assert false
-      in
+      let r = standalone_w32 ~smoke ~metrics:true impl in
       ( label,
         Psmr_obs.Metrics.to_json
           ~cost_model:(Psmr_sim.Costs.to_assoc Psmr_harness.Model.sim_costs)
-          m ))
+          (Option.get r.metrics) ))
+    w32_impls
+
+let keyed_json (name, (_, workers, _, (spec : Keyed.spec)))
+    (r : Psmr_harness.Keyed_bench.result) =
+  J.Obj
     [
-      ("coarse_w32", Psmr_cos.Registry.Coarse);
-      ("lockfree_w32", Psmr_cos.Registry.Lockfree);
+      ("name", J.Str name); ("workers", J.int workers);
+      ("mis_pct", J.fixed 1 spec.mis_pct); ("kops", J.fixed 1 r.kops);
+      ("direct", J.int r.direct); ("rendezvous", J.int r.rendezvous);
+      ("repairs", J.int r.repairs); ("revoked", J.int r.revoked);
+      ("spec_execs", J.int r.spec_execs); ("rollbacks", J.int r.rollbacks);
+      ("redos", J.int r.redos);
     ]
 
-(* Hand-rolled JSON (no JSON library in the build environment). *)
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let part_json (p, w, (spec : Keyed.spec)) (r : Psmr_harness.Part_bench.result)
+    =
+  J.Obj
+    [
+      ("partitions", J.int p);
+      ("replicas", J.int (Psmr_harness.Part_bench.default_replicas ~partitions:p));
+      ("workers", J.int w);
+      ("cost", J.Str (Psmr_workload.Workload.cost_label spec.cost));
+      ("cross_pct", J.digits 6 spec.cross_pct); ("kops", J.fixed 1 r.kops);
+      ("singles", J.int r.singles); ("crosses", J.int r.crosses);
+      ("holes", J.int r.holes); ("merge_pending", J.int r.merge_pending);
+      ("views", J.int r.views);
+    ]
 
-let render_json ~micro ~fig2 ~keyed ~part ~open_loop ~faults ~metrics
-    ~engine =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"metrics\": {\n";
-  List.iteri
-    (fun i (name, block) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    \"%s\": %s%s\n" (json_escape name)
-           (String.trim block)
-           (if i = List.length metrics - 1 then "" else ",")))
-    metrics;
-  Buffer.add_string buf "  },\n  \"micro_ns_per_op\": [\n";
-  List.iteri
-    (fun i (name, ns) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    { \"name\": \"%s\", \"ns\": %.2f }%s\n"
-           (json_escape name) ns
-           (if i = List.length micro - 1 then "" else ",")))
-    micro;
-  Buffer.add_string buf "  ],\n  \"faults_sim_kops\": [\n";
-  List.iteri
-    (fun i (name, spec, base, faulty, injected) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"name\": \"%s\", \"faults\": \"%s\", \"kops_fault_free\": \
-            %.1f, \"kops_faulty\": %.1f, \"injected\": %d }%s\n"
-           (json_escape name) (json_escape spec) base faulty injected
-           (if i = List.length faults - 1 then "" else ",")))
-    faults;
-  Buffer.add_string buf "  ],\n  \"fig2_sim_kops\": [\n";
-  List.iteri
-    (fun i (w, impl, kops) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"workers\": %d, \"impl\": \"%s\", \"kops\": %.1f }%s\n" w
-           (json_escape impl) kops
-           (if i = List.length fig2 - 1 then "" else ",")))
-    fig2;
-  Buffer.add_string buf "  ],\n  \"keyed_sim_kops\": [\n";
-  List.iteri
-    (fun i (name, mis, r) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"name\": \"%s\", \"workers\": 32, \"mis_pct\": %.1f, \
-            \"kops\": %.1f, \"direct\": %d, \"rendezvous\": %d, \"repairs\": \
-            %d, \"revoked\": %d, \"spec_execs\": %d, \"rollbacks\": %d, \
-            \"redos\": %d }%s\n"
-           (json_escape name) mis r.s_kops r.s_direct r.s_rendezvous
-           r.s_repairs r.s_revoked r.s_spec_execs r.s_rollbacks r.s_redos
-           (if i = List.length keyed - 1 then "" else ",")))
-    keyed;
-  Buffer.add_string buf "  ],\n  \"part_sim_kops\": [\n";
-  List.iteri
-    (fun i
-         ( partitions,
-           replicas,
-           workers,
-           (spec : Psmr_workload.Workload.Keyed.spec),
-           (r : Psmr_harness.Part_bench.result) ) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"partitions\": %d, \"replicas\": %d, \"workers\": %d, \
-            \"cost\": \"%s\", \"cross_pct\": %g, \"kops\": %.1f, \"singles\": \
-            %d, \"crosses\": %d, \"holes\": %d, \"merge_pending\": %d, \
-            \"views\": %d }%s\n"
-           partitions replicas workers
-           (json_escape (Psmr_workload.Workload.cost_label spec.cost))
-           spec.cross_pct r.kops r.singles r.crosses r.holes r.merge_pending
-           r.views
-           (if i = List.length part - 1 then "" else ",")))
-    part;
-  Buffer.add_string buf "  ],\n  \"open_loop\": [\n";
-  List.iteri
-    (fun i (name, (sw : Psmr_harness.Load_bench.sweep)) ->
-      let steps =
-        String.concat ","
-          (List.map
-             (fun (s : Psmr_harness.Load_bench.step) ->
-               Printf.sprintf
-                 "\n      { \"offered_kops\": %.9g, \"kops\": %.1f, \
-                  \"drop_rate\": %.9g, \"p50\": %.9g, \"p99\": %.9g, \
-                  \"p999\": %.9g }"
-                 s.offered_kops s.kops s.drop_rate s.p50 s.p99 s.p999)
-             sw.steps)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"impl\": \"%s\", \"workers\": %d, \"scenario\": \"%s\", \
-            \"records\": %d, \"theta\": %g, \"knee_kops\": %s, \"steps\": \
-            [%s\n    ] }%s\n"
-           (json_escape name) sw.workers
-           (Psmr_traffic.Scenario.label sw.scenario.scenario)
-           sw.scenario.records sw.scenario.theta
-           (match sw.knee_kops with
-           | Some k -> Printf.sprintf "%.9g" k
-           | None -> "null")
-           steps
-           (if i = List.length open_loop - 1 then "" else ",")))
-    open_loop;
-  Buffer.add_string buf "  ],\n  \"sim_events_per_wall_second\": [\n";
-  List.iteri
-    (fun i (r : Engine_churn.row) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"name\": \"%s\", \"events\": %d, \"wall_seconds\": %.6f, \
-            \"events_per_second\": %.0f }%s\n"
-           (json_escape r.name) r.events r.wall_seconds
-           (Engine_churn.events_per_second r)
-           (if i = List.length engine - 1 then "" else ",")))
-    engine;
-  Buffer.add_string buf "  ]";
-  let fig2_find impl =
-    List.find_map
-      (fun (w, i, k) -> if w = 32 && String.equal i impl then Some k else None)
-      fig2
+let open_loop_json name (sw : Psmr_harness.Load_bench.sweep) =
+  let step (s : Psmr_harness.Load_bench.step) =
+    J.Obj
+      [
+        ("offered_kops", J.digits 9 s.offered_kops); ("kops", J.fixed 1 s.kops);
+        ("drop_rate", J.digits 9 s.drop_rate); ("p50", J.digits 9 s.p50);
+        ("p99", J.digits 9 s.p99); ("p999", J.digits 9 s.p999);
+      ]
   in
-  let keyed_find name =
-    List.find_map
-      (fun (n, _, r) -> if String.equal n name then Some r.s_kops else None)
-      keyed
+  J.Obj
+    [
+      ("impl", J.Str name); ("workers", J.int sw.workers);
+      ("scenario", J.Str (Psmr_traffic.Scenario.label sw.scenario.scenario));
+      ("records", J.int sw.scenario.records);
+      ("theta", J.digits 6 sw.scenario.theta);
+      ("knee_kops", Option.fold ~none:J.Null ~some:(J.digits 9) sw.knee_kops);
+      ("steps", J.Arr (List.map step sw.steps));
+    ]
+
+let engine_json (r : Engine_churn.row) =
+  J.Obj
+    [
+      ("name", J.Str r.name); ("events", J.int r.events);
+      ("wall_seconds", J.fixed 6 r.wall_seconds);
+      ("events_per_second", J.fixed 0 (Engine_churn.events_per_second r));
+    ]
+
+(* The report's members: the host-time sections ([micro], [engine]) as
+   measured by the caller, every simulated one from the grids. *)
+let report ~smoke ~jobs ~micro ~engine =
+  let fig2 = grid ~jobs (fig2_kops ~smoke) (List.map snd fig2_rows) in
+  let keyed = grid ~jobs (keyed_point ~smoke) (List.map snd keyed_rows) in
+  let part = grid ~jobs (compute_part ~smoke) part_configs in
+  let open_loop = grid ~jobs (compute_open_loop ~smoke) open_loop_targets in
+  let faults = sim_faults ~smoke in
+  let metrics = sim_metrics ~smoke in
+  let speedup name x base =
+    if base > 0.0 then [ (name, J.fixed 2 (x /. base)) ] else []
   in
-  (match (fig2_find "lockfree", fig2_find "indexed_batch16") with
-  | Some base, Some ix when base > 0.0 ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           ",\n  \"speedup_w32_indexed_batch16_vs_lockfree\": %.2f" (ix /. base))
-  | _ -> ());
-  (match (keyed_find "indexed", keyed_find "early") with
-  | Some base, Some early when base > 0.0 ->
-      Buffer.add_string buf
-        (Printf.sprintf ",\n  \"speedup_w32_early_vs_indexed\": %.2f"
-           (early /. base))
-  | _ -> ());
+  let keyed_kops name =
+    (keyed (List.assoc name keyed_rows)).Psmr_harness.Keyed_bench.kops
+  in
   (* The partitioning headline: 4 sequencers vs 1 at w32 on the
      ordering-bound (Light, 2%-cross) workload. *)
-  let part_find ~partitions ~workers =
-    List.find_map
-      (fun (p, _, w, (spec : Psmr_workload.Workload.Keyed.spec), r) ->
-        if
-          p = partitions && w = workers
-          && spec.cost = Psmr_workload.Workload.Light
-          && spec.cross_pct = 2.0
-        then Some r.Psmr_harness.Part_bench.kops
-        else None)
-      part
-  in
-  (match (part_find ~partitions:1 ~workers:32, part_find ~partitions:4 ~workers:32) with
-  | Some base, Some p4 when base > 0.0 ->
-      Buffer.add_string buf
-        (Printf.sprintf ",\n  \"speedup_w32_part4_vs_part1\": %.2f" (p4 /. base))
-  | _ -> ());
-  Buffer.add_string buf "\n}\n";
-  Buffer.contents buf
+  let part_kops p = (part (p, 32, part_light 2.0)).Psmr_harness.Part_bench.kops in
+  [
+    ("metrics", J.Obj metrics);
+    ( "micro_ns_per_op",
+      J.Arr
+        (List.map
+           (fun (name, ns) -> J.Obj [ ("name", J.Str name); ("ns", J.fixed 2 ns) ])
+           micro) );
+    ("faults_sim_kops", J.Arr faults);
+    ( "fig2_sim_kops",
+      J.Arr
+        (List.map
+           (fun (label, ((_, w, _, _) as c)) ->
+             J.Obj
+               [
+                 ("workers", J.int w); ("impl", J.Str label);
+                 ("kops", J.fixed 1 (fig2 c));
+               ])
+           fig2_rows) );
+    ( "keyed_sim_kops",
+      J.Arr (List.map (fun row -> keyed_json row (keyed (snd row))) keyed_rows)
+    );
+    ( "part_sim_kops",
+      J.Arr (List.map (fun c -> part_json c (part c)) part_configs) );
+    ( "open_loop",
+      J.Arr
+        (List.map (fun n -> open_loop_json n (open_loop n)) open_loop_targets)
+    );
+    ("sim_events_per_wall_second", J.Arr (List.map engine_json engine));
+  ]
+  @ speedup "speedup_w32_indexed_batch16_vs_lockfree"
+      (fig2 ("indexed", 32, 16, None))
+      (fig2 ("lockfree", 32, 1, None))
+  @ speedup "speedup_w32_early_vs_indexed" (keyed_kops "early")
+      (keyed_kops "indexed")
+  @ speedup "speedup_w32_part4_vs_part1" (part_kops 4) (part_kops 1)
 
-(* Re-read the summary and check its shape, so a malformed emitter fails
-   the run (and the @bench-smoke alias) rather than producing a file
-   downstream tooling chokes on. *)
-let validate_json ~path =
-  let ic = open_in path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let module J = Psmr_util.Json in
-  let fail fmt = Printf.ksprintf (fun m -> failwith (path ^ ": " ^ m)) fmt in
-  match J.parse s with
-  | Error msg -> fail "invalid JSON: %s" msg
-  | Ok j ->
-      let req name v =
-        match J.member name v with
-        | Some x -> x
-        | None -> fail "missing member %S" name
-      in
-      let req_num name v =
-        match J.as_num (req name v) with
-        | Some _ -> ()
-        | None -> fail "member %S is not a number" name
-      in
-      ignore (req "micro_ns_per_op" j);
-      ignore (req "fig2_sim_kops" j);
-      (match J.as_arr (req "keyed_sim_kops" j) with
-      | Some rows ->
-          List.iter
-            (fun row ->
-              List.iter (fun f -> req_num f row)
-                [
-                  "workers"; "mis_pct"; "kops"; "direct"; "rendezvous";
-                  "repairs"; "revoked"; "spec_execs"; "rollbacks"; "redos";
-                ])
-            rows
-      | None -> fail "member \"keyed_sim_kops\" is not a list");
-      (match J.as_arr (req "part_sim_kops" j) with
-      | Some (_ :: _ as rows) ->
-          List.iter
-            (fun row ->
-              List.iter (fun f -> req_num f row)
-                [
-                  "partitions"; "replicas"; "workers"; "cross_pct"; "kops";
-                  "singles"; "crosses"; "holes"; "merge_pending"; "views";
-                ])
-            rows
-      | Some [] -> fail "member \"part_sim_kops\" is empty"
-      | None -> fail "member \"part_sim_kops\" is not a list");
-      req_num "speedup_w32_part4_vs_part1" j;
-      (match J.as_arr (req "open_loop" j) with
-      | Some (_ :: _ as rows) ->
-          List.iter
-            (fun row ->
-              (match J.as_str (req "impl" row) with
-              | Some _ -> ()
-              | None -> fail "open_loop member \"impl\" is not a string");
-              List.iter (fun f -> req_num f row)
-                [ "workers"; "records"; "theta"; "knee_kops" ];
-              match J.as_arr (req "steps" row) with
-              | Some (_ :: _ as steps) ->
-                  List.iter
-                    (fun s ->
-                      List.iter (fun f -> req_num f s)
-                        [
-                          "offered_kops"; "kops"; "drop_rate"; "p50"; "p99";
-                          "p999";
-                        ])
-                    steps
-              | Some [] -> fail "open_loop row has empty \"steps\""
-              | None -> fail "open_loop member \"steps\" is not a list")
-            rows
-      | Some [] -> fail "member \"open_loop\" is empty"
-      | None -> fail "member \"open_loop\" is not a list");
-      (match J.as_arr (req "sim_events_per_wall_second" j) with
-      | Some (_ :: _ as rows) ->
-          List.iter
-            (fun row ->
-              List.iter (fun f -> req_num f row)
-                [ "events"; "wall_seconds"; "events_per_second" ])
-            rows
-      | Some [] -> fail "member \"sim_events_per_wall_second\" is empty"
-      | None -> fail "member \"sim_events_per_wall_second\" is not a list");
-      req_num "speedup_w32_early_vs_indexed" j;
-      (match J.as_arr (req "faults_sim_kops" j) with
-      | Some rows ->
-          List.iter
-            (fun row ->
-              List.iter (fun f -> req_num f row)
-                [ "kops_fault_free"; "kops_faulty"; "injected" ])
-            rows
-      | None -> fail "member \"faults_sim_kops\" is not a list");
-      let metrics = req "metrics" j in
-      List.iter
-        (fun block ->
-          let b = req block metrics in
-          let counters = req "counters" b in
-          List.iter
-            (fun c -> req_num c counters)
-            [
-              "lock_acquisitions"; "lock_wait"; "lock_hold"; "cas_attempts";
-              "cas_successes"; "sem_parks"; "sem_wakes"; "insert_ops";
-              "get_ops"; "remove_ops";
-            ];
-          let lat = req "latency_virtual_seconds" b in
-          List.iter
-            (fun h ->
-              let hv = req h lat in
-              List.iter (fun f -> req_num f hv) [ "count"; "p50"; "p95"; "p99" ])
-            [ "delivery_ready"; "ready_dispatch"; "dispatch_executed" ])
-        [ "coarse_w32"; "lockfree_w32" ];
-      Printf.printf "schema ok: %s\n%!" path
+(* Fail with the schema violation, naming the document it is in. *)
+let validate what doc =
+  match Psmr_harness.Bench_schema.validate doc with
+  | Ok () -> ()
+  | Error m -> failwith (what ^ ": " ^ m)
 
 let getenv_flag v =
   match Sys.getenv_opt v with Some ("1" | "true") -> true | _ -> false
@@ -888,29 +529,12 @@ let getenv_int v default =
   | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
   | None -> default
 
-(* The report's simulated sections, built from the memoized grids. *)
-let render_sim_json ~smoke ~jobs ~micro ~engine =
-  (* Fan the distinct simulated configurations of the fig2 and keyed
-     sections out over domains before the (sequential, memo-served)
-     section builds below. *)
-  prefill_points ~smoke ~jobs (fig2_configs @ keyed_configs);
-  prefill_part ~smoke ~jobs;
-  prefill_open ~smoke ~jobs;
-  render_json ~micro ~fig2:(sim_fig2 ~smoke ())
-    ~keyed:(sim_keyed ~smoke ())
-    ~part:(sim_part ~smoke ())
-    ~open_loop:(sim_open_loop ~smoke ())
-    ~faults:(sim_faults ~smoke ())
-    ~metrics:(sim_metrics ~smoke ())
-    ~engine
-
 (* Members measured in host time: they vary run to run, so the exact
-   comparison skips them. *)
+   comparison takes them from the committed report. *)
 let host_time_members = [ "micro_ns_per_op"; "sim_events_per_wall_second" ]
 
 (* Every path at which two JSON values differ, in document order. *)
-let rec diffs path (a : Psmr_util.Json.t) (b : Psmr_util.Json.t) =
-  let module J = Psmr_util.Json in
+let rec diffs path (a : J.t) (b : J.t) =
   let show = function
     | J.Num x -> Printf.sprintf "%.15g" x
     | J.Str s -> J.quote s
@@ -932,33 +556,31 @@ let rec diffs path (a : Psmr_util.Json.t) (b : Psmr_util.Json.t) =
   | _ ->
       [ Printf.sprintf "%s: committed %s, regenerated %s" path (show a) (show b) ]
 
-(* The @bench-diff gate: regenerate the simulated sections and compare
-   them structurally with the committed report, member by member.  Exits 1
-   after listing every difference. *)
+(* The @bench-diff gate: regenerate the simulated sections, complete them
+   with the committed host-time members, check the schema, and compare the
+   result structurally with the committed report, member by member.  Exits
+   1 after listing every difference. *)
 let bench_diff ~path ~jobs =
-  let module J = Psmr_util.Json in
-  let parse what s =
-    match J.parse s with
+  let committed =
+    match J.parse (In_channel.with_open_bin path In_channel.input_all) with
     | Ok (J.Obj members) -> members
-    | Ok _ -> failwith (what ^ ": not a JSON object")
-    | Error e -> failwith (what ^ ": " ^ e)
-  in
-  let ic = open_in_bin path in
-  let committed = parse path (really_input_string ic (in_channel_length ic)) in
-  close_in ic;
-  let simulated members =
-    List.filter (fun (k, _) -> not (List.mem k host_time_members)) members
+    | Ok _ -> failwith (path ^ ": not a JSON object")
+    | Error e -> failwith (path ^ ": " ^ e)
   in
   let regenerated =
-    simulated
-      (parse "regenerated report"
-         (render_sim_json ~smoke:false ~jobs ~micro:[] ~engine:[]))
+    List.map
+      (fun (k, v) ->
+        match List.assoc_opt k committed with
+        | Some c when List.mem k host_time_members -> (k, c)
+        | _ -> (k, v))
+      (report ~smoke:false ~jobs ~micro:[] ~engine:[])
   in
-  let committed = simulated committed in
+  validate "regenerated report" (J.Obj regenerated);
   match diffs "" (J.Obj committed) (J.Obj regenerated) with
   | [] ->
       Printf.printf "bench-diff: %d simulated members of %s identical\n%!"
-        (List.length committed) path
+        (List.length committed - List.length host_time_members)
+        path
   | ds ->
       List.iter (Printf.printf "bench-diff: %s: %s\n" path) ds;
       Printf.printf "bench-diff: %d differences\n%!" (List.length ds);
@@ -988,12 +610,13 @@ let full_run ~smoke =
   let json_path =
     Option.value (Sys.getenv_opt "PSMR_BENCH_JSON") ~default:"BENCH_cos.json"
   in
-  let oc = open_out json_path in
-  output_string oc
-    (render_sim_json ~smoke ~jobs ~micro:micro_for_json ~engine:engine_rows);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" json_path;
-  validate_json ~path:json_path;
+  let doc =
+    J.Obj (report ~smoke ~jobs ~micro:micro_for_json ~engine:engine_rows)
+  in
+  validate json_path doc;
+  Out_channel.with_open_text json_path (fun oc ->
+      output_string oc (J.to_string doc ^ "\n"));
+  Printf.printf "wrote %s (schema ok)\n%!" json_path;
   if (not smoke) && not (getenv_flag "PSMR_BENCH_SKIP_FIGURES") then begin
     let opts =
       if getenv_flag "PSMR_BENCH_FAST" then Psmr_harness.Figures.fast_options
@@ -1017,9 +640,13 @@ let () =
   else if getenv_flag "PSMR_BENCH_OPEN_ONLY" then begin
     (* Open-loop sweeps only (the @bench-open alias): the lib/traffic
        latency-under-load grid, printed as tables, no JSON. *)
-    let jobs = getenv_int "PSMR_BENCH_JOBS" 1 in
-    prefill_open ~smoke ~jobs;
-    print_open_loop (sim_open_loop ~smoke ())
+    let open_loop =
+      grid
+        ~jobs:(getenv_int "PSMR_BENCH_JOBS" 1)
+        (compute_open_loop ~smoke) open_loop_targets
+    in
+    print_open_loop
+      (List.map (fun n -> (n, open_loop n)) open_loop_targets)
   end
   else if getenv_flag "PSMR_BENCH_DIFF_ONLY" then
     (* The @bench-diff alias: full-size simulated sections only, compared

@@ -11,6 +11,14 @@
 
 open Cmdliner
 
+(* A run's metrics block, with the cost model it was simulated under. *)
+let print_metrics m =
+  print_endline
+    (Psmr_util.Json.to_string
+       (Psmr_obs.Metrics.to_json
+          ~cost_model:(Psmr_sim.Costs.to_assoc Psmr_harness.Model.sim_costs)
+          m))
+
 let cost_conv =
   let parse s =
     match Psmr_workload.Workload.cost_of_string s with
@@ -251,10 +259,7 @@ let standalone_cmd =
         r.faults_injected r.crashed_workers;
     (match (metrics, r.metrics) with
     | true, Some m ->
-        print_string
-          (Psmr_obs.Metrics.to_json
-             ~cost_model:(Psmr_sim.Costs.to_assoc Psmr_harness.Model.sim_costs)
-             m)
+        print_metrics m
     | _ -> ());
     match (trace_out, r.trace) with
     | Some path, Some tr ->
@@ -382,10 +387,7 @@ let keyed_cmd =
         r.faults_injected r.crashed_workers;
     match (metrics, r.metrics) with
     | true, Some m ->
-        print_string
-          (Psmr_obs.Metrics.to_json
-             ~cost_model:(Psmr_sim.Costs.to_assoc Psmr_harness.Model.sim_costs)
-             m)
+        print_metrics m
     | _ -> ()
   in
   Cmd.v
@@ -459,10 +461,7 @@ let part_cmd =
         (float_of_int r.engine_events /. r.wall_seconds);
     match (metrics, r.metrics) with
     | true, Some m ->
-        print_string
-          (Psmr_obs.Metrics.to_json
-             ~cost_model:(Psmr_sim.Costs.to_assoc Psmr_harness.Model.sim_costs)
-             m)
+        print_metrics m
     | _ -> ()
   in
   Cmd.v

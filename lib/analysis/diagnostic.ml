@@ -26,8 +26,9 @@ let to_string d =
   Printf.sprintf "%s:%d:%d: [%s] %s" d.path d.line d.col d.rule d.message
 
 let to_json d =
-  Printf.sprintf {|{"rule":%s,"path":%s,"line":%d,"col":%d,"message":%s}|}
-    (Psmr_util.Json.quote d.rule)
-    (Psmr_util.Json.quote d.path)
-    d.line d.col
-    (Psmr_util.Json.quote d.message)
+  let module J = Psmr_util.Json in
+  J.Obj
+    [
+      ("rule", J.Str d.rule); ("path", J.Str d.path); ("line", J.int d.line);
+      ("col", J.int d.col); ("message", J.Str d.message);
+    ]

@@ -15,5 +15,5 @@ val compare : t -> t -> int
 val to_string : t -> string
 (** ["path:line:col: [rule-id] message"] — the text output format. *)
 
-val to_json : t -> string
+val to_json : t -> Psmr_util.Json.t
 (** One JSON object; [off] is deliberately not part of the schema. *)

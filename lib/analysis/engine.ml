@@ -89,6 +89,11 @@ let render_text ~files ~rules diags =
         (List.map (fun d -> Diagnostic.to_string d ^ "\n") diags)
 
 let render_json ~files diags =
-  Printf.sprintf {|{"version":1,"files":%d,"diagnostics":[%s]}|} files
-    (String.concat "," (List.map Diagnostic.to_json diags))
+  let module J = Psmr_util.Json in
+  J.to_string
+    (J.Obj
+       [
+         ("version", J.int 1); ("files", J.int files);
+         ("diagnostics", J.Arr (List.map Diagnostic.to_json diags));
+       ])
   ^ "\n"

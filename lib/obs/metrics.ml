@@ -192,11 +192,8 @@ let histograms t =
     ("cross_stall", t.cross_stall);
   ]
 
-(* Flat numeric snapshot, one (name, value) per counter plus derived
-   histogram statistics — the form the checker exposes to oracles and the
-   tests compare. *)
-let assoc t =
-  let c = t.c in
+(* One (name, value) per counter, in declaration order. *)
+let counter_assoc c =
   let i name v = (name, float_of_int v) in
   [
     i "lock_acquisitions" c.lock_acquisitions;
@@ -253,78 +250,51 @@ let assoc t =
     i "part_crosses" c.part_crosses;
     i "part_holes" c.part_holes;
   ]
+
+(* The derived statistics of one histogram. *)
+let histogram_stats h =
+  let module H = Psmr_util.Histogram in
+  [
+    ("count", float_of_int (H.count h));
+    ("p50", H.quantile h 0.50);
+    ("p95", H.quantile h 0.95);
+    ("p99", H.quantile h 0.99);
+    ("p999", H.quantile h 0.999);
+    ("mean", H.mean h);
+    ("max", H.max_value h);
+  ]
+
+(* Flat numeric snapshot, one (name, value) per counter plus derived
+   histogram statistics — the form the checker exposes to oracles and the
+   tests compare. *)
+let assoc t =
+  counter_assoc t.c
   @ List.concat_map
       (fun (name, h) ->
-        [
-          (name ^ "_count", float_of_int (Psmr_util.Histogram.count h));
-          (name ^ "_p50", Psmr_util.Histogram.quantile h 0.50);
-          (name ^ "_p95", Psmr_util.Histogram.quantile h 0.95);
-          (name ^ "_p99", Psmr_util.Histogram.quantile h 0.99);
-          (name ^ "_p999", Psmr_util.Histogram.quantile h 0.999);
-          (name ^ "_mean", Psmr_util.Histogram.mean h);
-          (name ^ "_max", Psmr_util.Histogram.max_value h);
-        ])
+        List.map (fun (k, v) -> (name ^ "_" ^ k, v)) (histogram_stats h))
       (histograms t)
 
-(* Hand-rolled JSON (no JSON library in the build environment); %.9g keeps
-   the output compact, deterministic, and lossless enough for comparison
-   across identical runs. *)
-let num f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.9g" f
-
+(* Counters are exact; durations and histogram statistics keep nine
+   significant digits, compact and deterministic across identical runs. *)
 let to_json ?cost_model t =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n  \"counters\": {\n";
-  (* [assoc] appends derived histogram statistics; the JSON form reports
-     those under "latency_virtual_seconds" instead, so drop them here. *)
-  let counters_only =
-    List.filter
-      (fun (n, _) ->
-        not
-          (List.exists
-             (fun (hn, _) ->
-               let p = hn ^ "_" in
-               String.length n > String.length p
-               && String.sub n 0 (String.length p) = p)
-             (histograms t)))
-      (assoc t)
+  let module J = Psmr_util.Json in
+  let section l =
+    J.Obj
+      (List.map
+         (fun (n, v) ->
+           (n, if Float.is_integer v && Float.abs v < 1e15 then J.Num v
+               else J.digits 9 v))
+         l)
   in
-  List.iteri
-    (fun i (n, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    \"%s\": %s%s\n" n (num v)
-           (if i = List.length counters_only - 1 then "" else ",")))
-    counters_only;
-  Buffer.add_string buf "  },\n  \"latency_virtual_seconds\": {\n";
-  let hists = histograms t in
-  List.iteri
-    (fun i (name, h) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    \"%s\": { \"count\": %d, \"p50\": %s, \"p95\": %s, \"p99\": \
-            %s, \"p999\": %s, \"mean\": %s, \"max\": %s }%s\n"
-           name
-           (Psmr_util.Histogram.count h)
-           (num (Psmr_util.Histogram.quantile h 0.50))
-           (num (Psmr_util.Histogram.quantile h 0.95))
-           (num (Psmr_util.Histogram.quantile h 0.99))
-           (num (Psmr_util.Histogram.quantile h 0.999))
-           (num (Psmr_util.Histogram.mean h))
-           (num (Psmr_util.Histogram.max_value h))
-           (if i = List.length hists - 1 then "" else ",")))
-    hists;
-  (match cost_model with
-  | None -> Buffer.add_string buf "  }\n"
-  | Some cm ->
-      Buffer.add_string buf "  },\n  \"cost_model_seconds\": {\n";
-      List.iteri
-        (fun i (n, v) ->
-          Buffer.add_string buf
-            (Printf.sprintf "    \"%s\": %s%s\n" n (num v)
-               (if i = List.length cm - 1 then "" else ",")))
-        cm;
-      Buffer.add_string buf "  }\n");
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  J.Obj
+    ([
+       ("counters", section (counter_assoc t.c));
+       ( "latency_virtual_seconds",
+         J.Obj
+           (List.map
+              (fun (name, h) -> (name, section (histogram_stats h)))
+              (histograms t)) );
+     ]
+    @ Option.fold ~none:[]
+        ~some:(fun cm -> [ ("cost_model_seconds", section cm) ])
+        cost_model)

@@ -97,7 +97,8 @@ val assoc : t -> (string * float) list
 (** Flat numeric snapshot: every counter, plus [_count]/[_p50]/[_p95]/
     [_p99]/[_p999]/[_mean]/[_max] per histogram.  Deterministic order. *)
 
-val to_json : ?cost_model:(string * float) list -> t -> string
+val to_json : ?cost_model:(string * float) list -> t -> Psmr_util.Json.t
 (** JSON document with ["counters"] and ["latency_virtual_seconds"]
     sections, plus ["cost_model_seconds"] when [cost_model] is given.
-    Deterministic: identical runs produce byte-identical strings. *)
+    Counters are exact, other values keep nine significant digits.
+    Deterministic: identical runs produce equal values. *)

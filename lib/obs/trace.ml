@@ -55,69 +55,49 @@ let set_process_name t ~pid name =
 let count t = t.count
 let dropped t = t.dropped
 
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Export order is recording order, with metadata first; name metadata is
    emitted only for tracks that actually carry events, so an unused core
-   never shows as an empty track. *)
+   never shows as an empty track.  Stamps are in microseconds, to the
+   nanosecond. *)
 let to_json t =
+  let module J = Psmr_util.Json in
   let events = List.rev t.events in
   let seen_threads =
     List.sort_uniq compare (List.map (fun e -> (e.pid, e.tid)) events)
   in
   let seen_pids = List.sort_uniq compare (List.map fst seen_threads) in
-  let buf = Buffer.create 4096 in
-  let first = ref true in
-  let emit s =
-    if !first then first := false else Buffer.add_string buf ",\n";
-    Buffer.add_string buf s
+  let meta kind names key (pid, tid) =
+    Option.map
+      (fun name ->
+        J.Obj
+          [
+            ("name", J.Str kind); ("ph", J.Str "M"); ("pid", J.int pid);
+            ("tid", J.int tid); ("args", J.Obj [ ("name", J.Str name) ]);
+          ])
+      (List.assoc_opt key names)
   in
-  Buffer.add_string buf "{\"traceEvents\": [\n";
-  List.iter
-    (fun pid ->
-      match List.assoc_opt pid t.process_names with
-      | Some name ->
-          emit
-            (Printf.sprintf
-               "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": %d, \
-                \"tid\": 0, \"args\": {\"name\": \"%s\"}}"
-               pid (escape name))
-      | None -> ())
-    seen_pids;
-  List.iter
-    (fun (pid, tid) ->
-      match List.assoc_opt (pid, tid) t.thread_names with
-      | Some name ->
-          emit
-            (Printf.sprintf
-               "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": %d, \
-                \"tid\": %d, \"args\": {\"name\": \"%s\"}}"
-               pid tid (escape name))
-      | None -> ())
-    seen_threads;
-  List.iter
-    (fun e ->
-      emit
-        (Printf.sprintf
-           "  {\"name\": \"%s\", \"ph\": \"X\", \"pid\": %d, \"tid\": %d, \
-            \"ts\": %.3f, \"dur\": %.3f}"
-           (escape e.name) e.pid e.tid (e.ts *. 1e6) (e.dur *. 1e6)))
-    events;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "\n], \"displayTimeUnit\": \"ms\", \"otherData\": {\"dropped_events\": \
-        \"%d\"}}\n"
-       t.dropped);
-  Buffer.contents buf
+  let slice e =
+    J.Obj
+      [
+        ("name", J.Str e.name); ("ph", J.Str "X"); ("pid", J.int e.pid);
+        ("tid", J.int e.tid); ("ts", J.fixed 3 (e.ts *. 1e6));
+        ("dur", J.fixed 3 (e.dur *. 1e6));
+      ]
+  in
+  J.to_string
+    (J.Obj
+       [
+         ( "traceEvents",
+           J.Arr
+             (List.filter_map
+                (fun pid -> meta "process_name" t.process_names pid (pid, 0))
+                seen_pids
+             @ List.filter_map
+                 (fun k -> meta "thread_name" t.thread_names k k)
+                 seen_threads
+             @ List.map slice events) );
+         ("displayTimeUnit", J.Str "ms");
+         ( "otherData",
+           J.Obj [ ("dropped_events", J.Str (string_of_int t.dropped)) ] );
+       ])
+  ^ "\n"

@@ -182,3 +182,59 @@ let quote s =
     s;
   Buffer.add_char b '"';
   Buffer.contents b
+
+(* Shortest round-trip form: a float needing at most 15 significant digits
+   prints exactly that many (%g drops trailing zeros), otherwise the
+   correctly rounded 16- or 17-digit form, whichever reads back exactly.
+   JSON has no literal for a non-finite number, so those print as null. *)
+let number f =
+  if not (Float.is_finite f) then "null"
+  else
+    let rec go p =
+      let s = Printf.sprintf "%.*g" p f in
+      if p >= 17 || float_of_string s = f then s else go (p + 1)
+    in
+    go 15
+
+let to_string v =
+  let b = Buffer.create 1024 in
+  let scalar = function Arr _ | Obj _ -> false | _ -> true in
+  let rec value indent = function
+    | Null -> Buffer.add_string b "null"
+    | Bool x -> Buffer.add_string b (string_of_bool x)
+    | Num f -> Buffer.add_string b (number f)
+    | Str s -> Buffer.add_string b (quote s)
+    | Arr l -> container indent '[' ']' (List.map (fun x -> (None, x)) l)
+    | Obj m -> container indent '{' '}' (List.map (fun (k, x) -> (Some k, x)) m)
+  and container indent op cl members =
+    let member indent (key, x) =
+      Option.iter (fun k -> Buffer.add_string b (quote k ^ ": ")) key;
+      value indent x
+    in
+    Buffer.add_char b op;
+    (match members with
+    | [] -> ()
+    | _ when List.for_all (fun (_, x) -> scalar x) members ->
+        List.iteri
+          (fun i m ->
+            Buffer.add_string b (if i = 0 then " " else ", ");
+            member indent m)
+          members;
+        Buffer.add_char b ' '
+    | _ ->
+        let inner = indent ^ "  " in
+        List.iteri
+          (fun i m ->
+            Buffer.add_string b (if i = 0 then "\n" else ",\n");
+            Buffer.add_string b inner;
+            member inner m)
+          members;
+        Buffer.add_string b ("\n" ^ indent));
+    Buffer.add_char b cl
+  in
+  value "" v;
+  Buffer.contents b
+
+let fixed d x = Num (float_of_string (Printf.sprintf "%.*f" d x))
+let digits d x = Num (float_of_string (Printf.sprintf "%.*g" d x))
+let int n = Num (float_of_int n)

@@ -1,8 +1,8 @@
-(** Minimal JSON parser, used to schema-check the machine-readable outputs
-    (metrics blocks, Chrome trace files) in tests and in the bench smoke
-    run.  There is no JSON library in the build environment; this supports
-    exactly the subset the exporters emit (and standard JSON in general):
-    objects, arrays, strings with escapes, numbers, booleans and null. *)
+(** Minimal JSON parser and printer.  Every machine-readable report
+    (BENCH_cos.json, metrics blocks, Chrome trace files, lint diagnostics)
+    is built as a {!t} value and printed by {!to_string}; tests and the
+    bench gates read reports back with {!parse}.  Standard JSON: objects,
+    arrays, strings with escapes, numbers, booleans and null. *)
 
 type t =
   | Null
@@ -29,3 +29,22 @@ val quote : string -> string
 (** Render a string as a JSON string literal, escaping quotes, backslashes
     and control characters — the encoding dual of {!parse}'s string
     reader. *)
+
+val to_string : t -> string
+(** The one layout: an array or object whose members are all scalars
+    prints on one line ([{ "a": 1, "b": "x" }]); any other container puts
+    one member per line, indented two spaces per level.  Numbers print in
+    shortest round-trip form, so [parse (to_string v) = Ok v] for every
+    value whose numbers are finite; non-finite numbers print as [null].
+    No trailing newline. *)
+
+val fixed : int -> float -> t
+(** [fixed d x] is [Num x] rounded to [d] decimals, exactly as [%.{d}f]
+    prints it: a report states its precision in the value, not in a
+    format string. *)
+
+val digits : int -> float -> t
+(** [digits d x] is [Num x] rounded to [d] significant digits, exactly as
+    [%.{d}g] prints it. *)
+
+val int : int -> t

@@ -10,6 +10,7 @@ module Trace = Psmr_obs.Trace
 module Histogram = Psmr_util.Histogram
 module Registry = Psmr_cos.Registry
 module Standalone = Psmr_harness.Standalone
+module Bench_schema = Psmr_harness.Bench_schema
 module J = Psmr_util.Json
 
 let impls =
@@ -124,8 +125,8 @@ let test_deterministic_exports () =
   Alcotest.(check int) "same executed count" a.Standalone.executed b.executed;
   Alcotest.(check string)
     "byte-identical metrics documents"
-    (Metrics.to_json (Option.get a.Standalone.metrics))
-    (Metrics.to_json (Option.get b.Standalone.metrics));
+    (J.to_string (Metrics.to_json (Option.get a.Standalone.metrics)))
+    (J.to_string (Metrics.to_json (Option.get b.Standalone.metrics)));
   Alcotest.(check string)
     "byte-identical trace documents"
     (Trace.to_json (Option.get a.Standalone.trace))
@@ -148,7 +149,7 @@ let num_member name j =
 
 let test_metrics_schema () =
   let r = standalone ~metrics:true ~trace:false () in
-  let doc = Metrics.to_json (Option.get r.Standalone.metrics) in
+  let doc = J.to_string (Metrics.to_json (Option.get r.Standalone.metrics)) in
   match J.parse doc with
   | Error msg -> Alcotest.failf "metrics JSON does not parse: %s" msg
   | Ok j ->
@@ -302,200 +303,112 @@ let bench_doc () =
     if Sys.file_exists "../BENCH_cos.json" then "../BENCH_cos.json"
     else "BENCH_cos.json"
   in
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
+  let s = In_channel.with_open_bin path In_channel.input_all in
   match J.parse s with
   | Ok d -> d
   | Error e -> Alcotest.failf "BENCH_cos.json does not parse: %s" e
 
-(* The committed benchmark report must carry the engine microbenchmark
-   section (bench/engine_churn.ml): a non-empty [sim_events_per_wall_second]
-   array whose rows each have a name and positive, mutually consistent
-   [events] / [wall_seconds] / [events_per_second] fields, including the
-   [churn_10m] row the fast-path acceptance criterion is read from. *)
-let test_bench_engine_schema () =
+(* The committed report, checked by the schema the bench binary applies
+   before it writes one ([Bench_schema]): every section, row shape, sign,
+   quantile order and drop-rate range.  The tests below add the
+   thresholds the committed full-size run must meet. *)
+let valid_bench_doc () =
   let doc = bench_doc () in
-  let rows =
-    match J.member "sim_events_per_wall_second" doc with
-    | Some (J.Arr rows) -> rows
-    | _ -> Alcotest.fail "missing sim_events_per_wall_second array"
-  in
-  Alcotest.(check bool) "at least one engine row" true (rows <> []);
-  let names =
-    List.map
-      (fun row ->
-        let name =
-          match Option.bind (J.member "name" row) J.as_str with
-          | Some n -> n
-          | None -> Alcotest.fail "engine row missing string \"name\""
-        in
-        let num field =
-          match Option.bind (J.member field row) J.as_num with
-          | Some v when v > 0.0 -> v
-          | Some _ -> Alcotest.failf "row %s: %S not positive" name field
-          | None -> Alcotest.failf "row %s: missing numeric %S" name field
-        in
-        let events = num "events" in
-        let wall = num "wall_seconds" in
-        let eps = num "events_per_second" in
-        let derived = events /. wall in
-        if abs_float (eps -. derived) /. derived > 0.05 then
-          Alcotest.failf
-            "row %s: events_per_second %.0f inconsistent with events/wall %.0f"
-            name eps derived;
-        name)
-      rows
-  in
+  (match Bench_schema.validate doc with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "BENCH_cos.json: %s" m);
+  doc
+
+let rows name doc =
+  match J.member name doc with
+  | Some (J.Arr rows) -> rows
+  | _ -> Alcotest.failf "missing %s array" name
+
+let str_member name j =
+  match Option.bind (J.member name j) J.as_str with
+  | Some v -> v
+  | None -> Alcotest.failf "missing string member %S" name
+
+(* The engine microbenchmark section (bench/engine_churn.ml) must include
+   the [churn_10m] row the fast-path acceptance criterion is read from. *)
+let test_bench_engine_schema () =
+  let doc = valid_bench_doc () in
   Alcotest.(check bool)
     "churn_10m row present" true
-    (List.mem "churn_10m" names)
+    (List.mem "churn_10m"
+       (List.map (str_member "name") (rows "sim_events_per_wall_second" doc)))
 
-(* The committed report must also carry the partitioned-ordering grid
-   (bench/main.ml [part_sim_kops], produced by Part_bench): well-formed
-   partitions × workers rows, the ISSUE-9 acceptance ratio (>= 1.7x at 4
-   partitions vs 1 at w32 on a <= 5%-cross keyed workload) both present as
-   a scalar and consistent with the rows it was derived from, and the
-   100%-cross rows degrading gracefully (throughput above zero, no view
-   changes, no unresolved rendezvous pile-up masked by a hole flood).
+(* The partitioned-ordering grid (bench/main.ml [part_sim_kops], produced
+   by Part_bench): the ISSUE-9 acceptance ratio (>= 1.7x at 4 partitions
+   vs 1 at w32 on a <= 5%-cross keyed workload) both present as a scalar
+   and consistent with the rows it was derived from, and the 100%-cross
+   rows degrading gracefully (throughput above zero, no view changes).
    Simulated kops are virtual-time deterministic, so these are stable
    regression anchors, not flaky wall-clock readings. *)
 let test_bench_part_schema () =
-  let doc = bench_doc () in
-  let rows =
-    match J.member "part_sim_kops" doc with
-    | Some (J.Arr rows) -> rows
-    | _ -> Alcotest.fail "missing part_sim_kops array"
-  in
-  Alcotest.(check bool) "at least one grid row" true (rows <> []);
-  let field row name =
-    match Option.bind (J.member name row) J.as_num with
-    | Some v -> v
-    | None -> Alcotest.failf "grid row missing numeric %S" name
-  in
-  let str_field row name =
-    match Option.bind (J.member name row) J.as_str with
-    | Some v -> v
-    | None -> Alcotest.failf "grid row missing string %S" name
-  in
-  List.iter
-    (fun row ->
-      let partitions = field row "partitions" in
-      let replicas = field row "replicas" in
-      let workers = field row "workers" in
-      let kops = field row "kops" in
-      ignore (str_field row "cost");
-      if partitions < 1.0 || workers < 1.0 then
-        Alcotest.fail "grid row with nonpositive partitions/workers";
-      if replicas < partitions then
-        Alcotest.fail "grid row with fewer replicas than partitions";
-      if kops <= 0.0 then Alcotest.fail "grid row with nonpositive kops";
-      List.iter
-        (fun f ->
-          if field row f < 0.0 then Alcotest.failf "negative %S in grid row" f)
-        [ "cross_pct"; "singles"; "crosses"; "holes"; "merge_pending"; "views" ])
-    rows;
+  let doc = valid_bench_doc () in
+  let rows = rows "part_sim_kops" doc in
   let find ~partitions ~workers ~max_cross =
-    List.find_opt
-      (fun row ->
-        field row "partitions" = float_of_int partitions
-        && field row "workers" = float_of_int workers
-        && field row "cross_pct" <= max_cross
-        && str_field row "cost" = "light")
-      rows
+    match
+      List.find_opt
+        (fun row ->
+          num_member "partitions" row = float_of_int partitions
+          && num_member "workers" row = float_of_int workers
+          && num_member "cross_pct" row <= max_cross
+          && str_member "cost" row = "light")
+        rows
+    with
+    | Some r -> num_member "kops" r
+    | None ->
+        Alcotest.failf "no %d-partition w%d low-cross row" partitions workers
   in
-  let p1 =
-    match find ~partitions:1 ~workers:32 ~max_cross:5.0 with
-    | Some r -> r
-    | None -> Alcotest.fail "no 1-partition w32 low-cross row"
+  let ratio =
+    find ~partitions:4 ~workers:32 ~max_cross:5.0
+    /. find ~partitions:1 ~workers:32 ~max_cross:5.0
   in
-  let p4 =
-    match find ~partitions:4 ~workers:32 ~max_cross:5.0 with
-    | Some r -> r
-    | None -> Alcotest.fail "no 4-partition w32 low-cross row"
-  in
-  let ratio = field p4 "kops" /. field p1 "kops" in
   Alcotest.(check bool)
     (Printf.sprintf "acceptance ratio %.2f >= 1.7" ratio)
     true (ratio >= 1.7);
-  let speedup =
-    match Option.bind (J.member "speedup_w32_part4_vs_part1" doc) J.as_num with
-    | Some v -> v
-    | None -> Alcotest.fail "missing speedup_w32_part4_vs_part1 scalar"
-  in
+  let speedup = num_member "speedup_w32_part4_vs_part1" doc in
   if abs_float (speedup -. ratio) > 0.011 then
     Alcotest.failf "speedup scalar %.2f inconsistent with grid rows (%.2f)"
       speedup ratio;
   let all_cross =
-    List.filter (fun row -> field row "cross_pct" = 100.0) rows
+    List.filter (fun row -> num_member "cross_pct" row = 100.0) rows
   in
   Alcotest.(check bool) "a 100%-cross row exists" true (all_cross <> []);
   List.iter
     (fun row ->
       Alcotest.(check bool)
         "100%-cross row made progress" true
-        (field row "kops" > 0.0);
+        (num_member "kops" row > 0.0);
       Alcotest.(check (float 0.0))
-        "100%-cross row is view-change free" 0.0 (field row "views"))
+        "100%-cross row is view-change free" 0.0 (num_member "views" row))
     all_cross
 
-(* The committed report must also carry the open-loop latency-under-load
-   grid (bench/main.ml [open_loop], produced by Load_bench over the
-   lib/traffic arrival/scenario stack): one row per scheduler family on
-   the Zipfian YCSB-A scenario, each with a non-empty offered-load sweep
-   carrying the full quantile family plus drop rate per step and a
-   detected saturation knee, and the knees ordered consistently with the
-   closed-loop peaks — the early-optimistic and partitioned families
-   saturate strictly above the coarse baseline.  Simulated virtual-time
-   latencies are deterministic, so these are stable regression anchors. *)
+(* The open-loop latency-under-load grid (bench/main.ml [open_loop],
+   produced by Load_bench over the lib/traffic arrival/scenario stack):
+   one row per scheduler family on the Zipfian YCSB-A scenario, and the
+   knees ordered consistently with the closed-loop peaks — the
+   early-optimistic and partitioned families saturate strictly above the
+   coarse baseline.  Simulated virtual-time latencies are deterministic,
+   so these are stable regression anchors. *)
 let test_bench_open_loop_schema () =
-  let doc = bench_doc () in
-  let rows =
-    match J.member "open_loop" doc with
-    | Some (J.Arr rows) -> rows
-    | _ -> Alcotest.fail "missing open_loop array"
-  in
-  let num row name =
-    match Option.bind (J.member name row) J.as_num with
-    | Some v -> v
-    | None -> Alcotest.failf "open_loop row missing numeric %S" name
-  in
+  let doc = valid_bench_doc () in
   let knee impl =
     let row =
       match
         List.find_opt
-          (fun row ->
-            Option.bind (J.member "impl" row) J.as_str = Some impl)
-          rows
+          (fun row -> str_member "impl" row = impl)
+          (rows "open_loop" doc)
       with
       | Some row -> row
       | None -> Alcotest.failf "no open_loop row for %S" impl
     in
     Alcotest.(check bool)
       (impl ^ " scenario is zipfian YCSB-A") true
-      (Option.bind (J.member "scenario" row) J.as_str = Some "ycsb_a"
-      && num row "theta" >= 0.9);
-    let steps =
-      match J.member "steps" row with
-      | Some (J.Arr (_ :: _ as steps)) -> steps
-      | _ -> Alcotest.failf "row %s: missing non-empty steps" impl
-    in
-    List.iter
-      (fun step ->
-        let p50 = num step "p50" in
-        let p99 = num step "p99" in
-        let p999 = num step "p999" in
-        let drop = num step "drop_rate" in
-        ignore (num step "offered_kops");
-        ignore (num step "kops");
-        Alcotest.(check bool)
-          (impl ^ " step quantiles ordered") true
-          (p50 <= p99 && p99 <= p999);
-        Alcotest.(check bool)
-          (impl ^ " drop rate in [0,1]") true
-          (drop >= 0.0 && drop <= 1.0))
-      steps;
-    num row "knee_kops"
+      (str_member "scenario" row = "ycsb_a" && num_member "theta" row >= 0.9);
+    num_member "knee_kops" row
   in
   let coarse = knee "coarse" in
   ignore (knee "indexed");
@@ -507,6 +420,56 @@ let test_bench_open_loop_schema () =
   Alcotest.(check bool)
     (Printf.sprintf "part4 knee %.0f > coarse knee %.0f" part4 coarse)
     true (part4 > coarse)
+
+(* The schema rejects a broken report, naming the JSON path: each case
+   edits one member of the committed report ([None] deletes it) and
+   expects the error to start with [path]. *)
+let test_bench_schema_rejects (member, edit, path) () =
+  let rec apply keys (v : J.t) =
+    match (keys, v) with
+    | [], _ -> edit v
+    | k :: rest, J.Obj m ->
+        Some
+          (J.Obj
+             (List.filter_map
+                (fun (k', x) ->
+                  if k' = k then Option.map (fun x -> (k, x)) (apply rest x)
+                  else Some (k', x))
+                m))
+    | k :: rest, J.Arr l ->
+        Some
+          (J.Arr
+             (List.concat
+                (List.mapi
+                   (fun i x ->
+                     if i = int_of_string k then Option.to_list (apply rest x)
+                     else [ x ])
+                   l)))
+    | k :: _, _ -> Alcotest.failf "no member %S to edit" k
+  in
+  match Bench_schema.validate (Option.get (apply member (bench_doc ()))) with
+  | Ok () -> Alcotest.failf "accepted a report with %s broken" path
+  | Error m ->
+      if not (String.starts_with ~prefix:(path ^ ": ") m) then
+        Alcotest.failf "error %S does not name %s" m path
+
+let schema_rejections =
+  let set v _ = Some v in
+  [
+    ("a missing section", ([ "open_loop" ], (fun _ -> None), "$.open_loop"));
+    ( "a non-numeric field",
+      ([ "keyed_sim_kops"; "0"; "kops" ], set (J.Str "fast"),
+       "$.keyed_sim_kops[0].kops") );
+    ("an empty grid", ([ "part_sim_kops" ], set (J.Arr []), "$.part_sim_kops"));
+    ( "empty steps",
+      ([ "open_loop"; "0"; "steps" ], set (J.Arr []), "$.open_loop[0].steps") );
+    ( "p50 above p99",
+      ([ "open_loop"; "0"; "steps"; "0"; "p50" ], set (J.Num 1.0),
+       "$.open_loop[0].steps[0]") );
+    ( "a drop rate above 1",
+      ([ "open_loop"; "0"; "steps"; "0"; "drop_rate" ], set (J.Num 1.5),
+       "$.open_loop[0].steps[0].drop_rate") );
+  ]
 
 (* Memo-key coverage for the partition grid (the PR-8 lesson: a %.0f in a
    memo key collapsed distinct fractional rates into one simulated point).
@@ -575,6 +538,8 @@ let () =
         [
           Alcotest.test_case "metrics JSON block" `Quick test_metrics_schema;
           Alcotest.test_case "chrome trace file" `Quick test_trace_schema;
+          Alcotest.test_case "bench report schema" `Quick (fun () ->
+              ignore (valid_bench_doc ()));
           Alcotest.test_case "bench report engine rows" `Quick
             test_bench_engine_schema;
           Alcotest.test_case "bench report partition grid" `Quick
@@ -583,7 +548,12 @@ let () =
             test_bench_open_loop_schema;
           Alcotest.test_case "partition grid memo keys" `Quick
             test_part_config_label;
-        ] );
+        ]
+        @ List.map
+            (fun (what, case) ->
+              Alcotest.test_case ("bench schema rejects " ^ what) `Quick
+                (test_bench_schema_rejects case))
+            schema_rejections );
       ( "check-platform",
         [
           Alcotest.test_case "decision-point metrics" `Quick

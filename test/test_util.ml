@@ -234,6 +234,69 @@ let test_table_series () =
   let csv = Table.csv_of_series ~x_label:"x" series in
   Alcotest.(check bool) "csv header" true (contains csv "x,a,b")
 
+(* JSON values with the awkward cases in reach: nesting, strings holding
+   quotes, backslashes, control and non-ASCII bytes, and negative,
+   exponent, subnormal and integer-valued numbers. *)
+let json_gen =
+  let open QCheck.Gen in
+  let str =
+    string_size
+      ~gen:
+        (oneofl
+           [ 'a'; 'z'; ' '; '"'; '\\'; '/'; '\n'; '\t'; '\r'; '\b'; '\000';
+             '\031'; '\127'; '\xc3'; '\xa9' ])
+      (0 -- 8)
+  in
+  let num =
+    oneof
+      [
+        map float_of_int (-1_000_000 -- 1_000_000);
+        float_range (-1e3) 1e3;
+        map2
+          (fun m e -> m *. (10.0 ** float_of_int e))
+          (float_range (-10.0) 10.0) (-300 -- 300);
+        oneofl [ 0.0; -0.0; 0.1; 1e-7; 1e15; 1e21; 5e-324; max_float ];
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Json.Null; map (fun b -> Json.Bool b) bool;
+               map (fun f -> Json.Num f) num; map (fun s -> Json.Str s) str;
+             ]
+         in
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.Arr l) (list_size (0 -- 4) (self (n / 2))));
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (0 -- 4) (pair str (self (n / 2)))) );
+             ])
+
+let prop_json_round_trip =
+  QCheck.Test.make ~name:"parse (to_string v) = Ok v" ~count:500
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun v -> Json.parse (Json.to_string v) = Ok v)
+
+let test_json_layout () =
+  Alcotest.(check string)
+    "scalar containers inline, others one member per line"
+    "{\n  \"a\": [ 1, -2.5, \"x\" ],\n  \"b\": [\n    { \"c\": null },\n    []\n  ]\n}"
+    (Json.to_string
+       (Json.Obj
+          [
+            ("a", Json.Arr [ Json.Num 1.0; Json.Num (-2.5); Json.Str "x" ]);
+            ("b", Json.Arr [ Json.Obj [ ("c", Json.Null) ]; Json.Arr [] ]);
+          ]));
+  Alcotest.(check string) "rounded value prints short" "0.1"
+    (Json.to_string (Json.fixed 1 0.1000004))
+
 let () =
   let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests) in
   Alcotest.run "util"
@@ -257,6 +320,9 @@ let () =
             test_heap_pop_releases;
         ] );
       qsuite "heap-props" [ prop_heap_sorts; prop_heap_interleaved ];
+      ( "json",
+        [ Alcotest.test_case "printer layout" `Quick test_json_layout ] );
+      qsuite "json-props" [ prop_json_round_trip ];
       ( "vec",
         [
           Alcotest.test_case "push/get" `Quick test_vec_push_get;
