@@ -3,13 +3,14 @@
     into one deterministic delivery sequence by {!Pmerge}.
 
     The key→partition map is the static [key mod partitions] sharding the
-    early scheduler's class map uses for worker queues ({!touched}, pure,
-    so clients route with the very rule the sequencers bucket by).  A
+    early scheduler's class map uses for worker queues ({!touched}).  A
     command touching one partition is ordered by that home sequencer
     alone; a footprint spanning partitions multicasts one {!Pmerge.Cross}
-    entry — tagged with a globally unique uid — to {e every} touched
-    partition's sequencer, and the merge emits it once all touched streams
-    agree (see [Pmerge] for the rendezvous and cycle tie-break rules).
+    entry — tagged with a globally unique {!Pmerge.uid} — to {e every}
+    touched partition's sequencer, and the merge emits it once all touched
+    streams agree (see [Pmerge] for the rendezvous and cycle tie-break
+    rules).  {!entries} is that bucketing as a pure function, so a client
+    multicasts with the very rule {!Make.submit_batch} uses.
 
     Per-partition leadership is rotated with {!Abcast}'s [leader_offset]
     (partition [p] starts at leader {!initial_leader} [= p mod n]), so
@@ -42,8 +43,26 @@ let touched ~partitions = function
         (List.sort_uniq compare
            (List.map (fun (k, _) -> part_of_key ~partitions k) fp))
 
-let home ~partitions fp = (touched ~partitions fp).(0)
 let initial_leader ~n p = p mod n
+
+(* Per-partition entries of a batch, each partition's in array order.  A
+   cross entry's ascending [parts] start at its lowest touched partition,
+   {!Pmerge}'s designated one; [uid] is asked once per cross command, in
+   array order. *)
+let entries ~partitions ~footprint ~uid cmds =
+  let buckets = Array.make partitions [] in
+  Array.iter
+    (fun cmd ->
+      let parts = touched ~partitions (footprint cmd) in
+      if Array.length parts = 1 then
+        let p = parts.(0) in
+        buckets.(p) <- Pmerge.Single cmd :: buckets.(p)
+      else begin
+        let entry = Pmerge.Cross { uid = uid cmd; parts; cmd } in
+        Array.iter (fun p -> buckets.(p) <- entry :: buckets.(p)) parts
+      end)
+    cmds;
+  Array.map (fun es -> Array.of_list (List.rev es)) buckets
 
 module Make (P : Platform_intf.S) = struct
   module Ab = Abcast.Make (P)
@@ -53,14 +72,12 @@ module Make (P : Platform_intf.S) = struct
     id : int;
     abs : 'c Pmerge.entry Ab.t array;  (** one sequencer per partition *)
     merge : 'c Pmerge.t;
-    mutable uids : int;  (** local uid counter; packed with [id] *)
+    mutable uids : int;  (** next cross seq; {!Pmerge.uid}-packed with [id] *)
   }
 
   let create ?config ~partitions ~id ~n ~send ~deliver () =
     if partitions <= 0 then
       invalid_arg "Partition.create: partitions must be > 0";
-    if n > 64 then
-      invalid_arg "Partition.create: n must be <= 64 (uid packing)";
     let merge = Pmerge.create ~partitions ~emit:deliver () in
     let abs =
       Array.init partitions (fun p ->
@@ -72,45 +89,25 @@ module Make (P : Platform_intf.S) = struct
     in
     { partitions; id; abs; merge; uids = 0 }
 
-  (* Globally unique uid: replica ids occupy the low 6 bits (n <= 64),
-     the local submission counter the rest. *)
-  let fresh_uid t =
-    let uid = (t.uids lsl 6) lor t.id in
-    t.uids <- t.uids + 1;
-    uid
-
   (* Submission: one [Ab.submit] — hence, from a non-leader, one
      [Request] wire message — per touched partition for the whole batch.
-     Clients route each command to its {!home} partition's leader, so the
-     home entries are local and the forwarded ones are the other touched
-     partitions of cross-partition commands, plus strays that reached a
-     replica whose leadership moved.  Sequencer commitment needs the
-     leader to process [Prepare_ok] acks, and those share its FIFO input
-     queue with incoming requests, so per-partition coalescing keeps the
-     acks (and so the commit point, and so every cross-partition
-     rendezvous against this partition) from queueing behind a flood of
-     forwarded requests.  Each partition's entries keep the batch's
-     order; a cross entry's ascending [parts] start at its home, which is
-     {!Pmerge}'s designated partition. *)
+     Sequencer commitment needs the leader to process [Prepare_ok] acks,
+     and those share its FIFO input queue with incoming requests, so
+     per-partition coalescing keeps the acks (and so the commit point, and
+     so every cross-partition rendezvous against this partition) from
+     queueing behind a flood of forwarded requests. *)
   let submit_batch t ~footprint cmds =
-    let buckets = Array.make t.partitions [] in
-    Array.iter
-      (fun cmd ->
-        let parts = touched ~partitions:t.partitions (footprint cmd) in
-        if Array.length parts = 1 then
-          let p = parts.(0) in
-          buckets.(p) <- Pmerge.Single cmd :: buckets.(p)
-        else begin
-          let entry = Pmerge.Cross { uid = fresh_uid t; parts; cmd } in
-          Array.iter (fun p -> buckets.(p) <- entry :: buckets.(p)) parts
-        end)
-      cmds;
+    let per_part =
+      entries ~partitions:t.partitions ~footprint
+        ~uid:(fun _ ->
+          let u = Pmerge.uid ~origin:t.id ~seq:t.uids in
+          t.uids <- t.uids + 1;
+          u)
+        cmds
+    in
     Array.iteri
-      (fun p entries ->
-        match entries with
-        | [] -> ()
-        | es -> Ab.submit t.abs.(p) (Array.of_list (List.rev es)))
-      buckets
+      (fun p es -> if Array.length es > 0 then Ab.submit t.abs.(p) es)
+      per_part
 
   let handle t ~src { part; msg } =
     if part < 0 || part >= t.partitions then invalid_arg "Partition.handle";

@@ -27,15 +27,21 @@ val touched : partitions:int -> (int * 'a) list -> int array
     [0..partitions-1] (negative keys included).  The empty footprint
     conflicts with nothing and is ordered by partition 0: [[|0|]]. *)
 
-val home : partitions:int -> (int * 'a) list -> int
-(** [(touched ~partitions fp).(0)]: the lowest touched partition — the
-    only one of a single-partition command, {!Pmerge}'s designated
-    partition of a cross-partition one.  Clients send each command to its
-    home partition's leader. *)
-
 val initial_leader : n:int -> int -> int
 (** [initial_leader ~n p = p mod n]: partition [p]'s leader in view 0 (its
     {!Abcast} [leader_offset]); view [v] is led by [(v + p) mod n]. *)
+
+val entries :
+  partitions:int ->
+  footprint:('c -> (int * 'a) list) ->
+  uid:('c -> int) ->
+  'c array ->
+  'c Pmerge.entry array array
+(** [entries ~partitions ~footprint ~uid cmds] buckets a batch by
+    partition: index [p] holds, in array order, a [Single] for each command
+    touching only [p] and the one [Cross] entry (uid from [uid], asked once
+    per cross command in array order) of each command touching [p] among
+    others.  Pure. *)
 
 module Make (P : Platform_intf.S) : sig
   type 'c t
@@ -50,25 +56,21 @@ module Make (P : Platform_intf.S) : sig
     unit ->
     'c t
   (** One partitioned-broadcast endpoint for replica [id] of [n] (odd,
-      >= 3, <= 64).  [send] transmits a wire message to a peer; [deliver]
+      >= 3).  [send] transmits a wire message to a peer; [deliver]
       receives each merged command from within {!handle}/{!tick}. *)
 
   val submit_batch :
     'c t -> footprint:('c -> (int * bool) list) -> 'c array -> unit
-  (** Order a batch of commands.  Each command's [(key, is_write)]
-      footprint determines the partitions it touches ({!touched}): one
-      partition → a [Single] entry for its sequencer; several → one
-      [Cross] entry with a fresh globally unique uid for every touched
-      sequencer.  Each touched partition gets one sequencer submission for
-      the whole batch — hence, from a replica that is not that partition's
-      leader, one [Request] wire message — with its entries in array
-      order.  Clients send each command to its {!home} partition's leader,
-      so only cross-partition remainders and strays (a request that
-      reached a replica after its partition's leadership moved) are
-      forwarded.  Coalescing keeps a remote leader's FIFO input queue
-      short, so its [Prepare_ok] acks — which gate the commit point, and
-      with it every cross-partition rendezvous against that partition — do
-      not queue behind forwarded requests. *)
+  (** Order a batch of commands originated at this replica: {!entries},
+      each cross command numbered [Pmerge.uid ~origin:id ~seq] from a local
+      counter, then one sequencer submission per touched partition —
+      hence, from a replica that is not that partition's leader, one
+      [Request] wire message — with its entries in array order.
+      Coalescing keeps a remote leader's FIFO input queue short, so its
+      [Prepare_ok] acks — which gate the commit point, and with it every
+      cross-partition rendezvous against that partition — do not queue
+      behind forwarded requests.  (A [Replica] client builds its entries
+      itself and sends each partition's straight to its leader.) *)
 
   val handle : 'c t -> src:int -> 'c wire -> unit
   (** Feed one incoming wire message from replica [src]. *)

@@ -44,8 +44,18 @@ module Probe = Psmr_obs.Probe
 type 'c entry =
   | Single of 'c
   | Cross of { uid : int; parts : int array; cmd : 'c }
-      (** [parts]: ascending touched partition ids; [uid]: globally unique,
-          identical in every touched stream's copy. *)
+      (** [parts]: ascending touched partition ids; [uid]: globally unique
+          ({!uid}), identical in every touched stream's copy. *)
+
+(* A cross uid packs its origin (a node address) into the low 16 bits and
+   the origin's sequence number above them, so [compare] on uids orders by
+   [(seq, origin)]. *)
+let origin_bits = 16
+let origins = 1 lsl origin_bits
+
+let uid ~origin ~seq =
+  if origin < 0 || origin >= origins || seq < 0 then invalid_arg "Pmerge.uid";
+  (seq lsl origin_bits) lor origin
 
 type 'c emitted = {
   part : int;  (** home partition (single) or designated lowest (cross) *)
@@ -67,6 +77,8 @@ type 'c t = {
   no_barrier : bool;
   emit : 'c emitted -> unit;
   streams : 'c entry Queue.t array;
+  high : (int, int) Hashtbl.t array;
+      (** per stream: origin -> highest cross seq the stream carried *)
   present : (int, unit) Hashtbl.t array;
       (** per stream: uids of cross entries currently queued in it *)
   pushed : int array;  (** per-partition entries pushed (sequence counters) *)
@@ -87,6 +99,7 @@ let create ?(no_barrier = false) ~partitions ~emit () =
     no_barrier;
     emit;
     streams = Array.init partitions (fun _ -> Queue.create ());
+    high = Array.init partitions (fun _ -> Hashtbl.create 16);
     present = Array.init partitions (fun _ -> Hashtbl.create 16);
     pushed = Array.make partitions 0;
     cross = Hashtbl.create 16;
@@ -110,6 +123,21 @@ let pushed t ~part =
 let designated parts = parts.(0)
 
 let emitted_live t = Hashtbl.length t.emitted_cross
+
+let remembered_origins t =
+  Array.fold_left (fun acc h -> acc + Hashtbl.length h) 0 t.high
+
+(* Whether stream [part] already carried cross uid [uid]; records it if
+   not.  An origin's first occurrences reach a stream in ascending seq
+   order (see {!push}), so any seq at or below the origin's highest is a
+   repeat. *)
+let repeat t ~part uid =
+  let origin = uid land (origins - 1) and seq = uid lsr origin_bits in
+  match Hashtbl.find_opt t.high.(part) origin with
+  | Some high when seq <= high -> true
+  | Some _ | None ->
+      Hashtbl.replace t.high.(part) origin seq;
+      false
 
 (* [consumed]: occurrences of [uid] popped by the emission itself. *)
 let emit_cross t ~uid ~(st : cross_state) ~consumed cmd =
@@ -306,17 +334,12 @@ let drain t =
       | None -> continue_ := false
   done
 
-let push t ~part e =
-  if part < 0 || part >= t.partitions then invalid_arg "Pmerge.push";
+let enqueue t ~part e =
   let pos = t.pushed.(part) in
   t.pushed.(part) <- pos + 1;
   (match e with
   | Single _ -> ()
   | Cross { uid; parts; _ } ->
-      if Array.length parts < 2 then
-        invalid_arg "Pmerge.push: cross entry must touch >= 2 partitions";
-      if Hashtbl.mem t.present.(part) uid then
-        invalid_arg "Pmerge.push: duplicate cross uid in one stream";
       if not (Hashtbl.mem t.emitted_cross uid) then begin
         let st =
           match Hashtbl.find_opt t.cross uid with
@@ -341,3 +364,13 @@ let push t ~part e =
   Queue.push e t.streams.(part);
   t.queued <- t.queued + 1;
   drain t
+
+(* A repeat is dropped before it takes a sequence position, so the merge
+   proceeds exactly as if the stream never carried it. *)
+let push t ~part e =
+  if part < 0 || part >= t.partitions then invalid_arg "Pmerge.push";
+  match e with
+  | Cross { parts; _ } when Array.length parts < 2 ->
+      invalid_arg "Pmerge.push: cross entry must touch >= 2 partitions"
+  | Cross { uid; _ } when repeat t ~part uid -> ()
+  | Single _ | Cross _ -> enqueue t ~part e

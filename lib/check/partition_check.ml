@@ -12,11 +12,12 @@
    the divergence oracle compares them directly.
 
    Oracles: per-partition projection agreement across replicas,
-   exactly-once emission, drained merges (no rendezvous deadlock), and
-   tie-break (hole) count agreement — tie-breaks are content-determined,
-   so replicas must take the same number.  The [no_barrier] variant plants
-   Pmerge's rendezvous-skipping bug; the projection oracle must catch it
-   (pinned with --expect-violation in the @check-part alias). *)
+   exactly-once emission (repeated legs included), drained merges (no
+   rendezvous deadlock), and tie-break (hole) count agreement —
+   tie-breaks are content-determined, so replicas must take the same
+   number.  The [no_barrier] variant plants Pmerge's rendezvous-skipping
+   bug; the projection oracle must catch it (pinned with
+   --expect-violation in the @check-part alias). *)
 
 module Engine = Psmr_sim.Engine
 module Pmerge = Psmr_broadcast.Pmerge
@@ -29,9 +30,12 @@ type scenario = {
       (** per command: ascending touched partitions (1 = single) *)
   streams : int list array;
       (** per partition: command indices in sequencer order — identical at
-          every replica, as the per-partition abcast guarantees *)
+          every replica, as the per-partition abcast guarantees; a cross
+          index recurs where the stream carries a repeated leg *)
   no_barrier : bool;
 }
+
+let repeat_pct = 30
 
 let scenario ?(partitions = 2) ?(replicas = 2) ?(commands = 10)
     ?(cross_pct = 30.0) ?(no_barrier = false) ~workload_seed () =
@@ -76,6 +80,29 @@ let scenario ?(partitions = 2) ?(replicas = 2) ?(commands = 10)
           a.(j) <- tmp
         done;
         Array.to_list a)
+  in
+  (* Repeated legs, as a client resend leaves them: each cross entry's
+     stream also carries, with probability [repeat_pct]%, a copy at a
+     random later position. *)
+  let streams =
+    Array.map
+      (fun stream ->
+        List.fold_left
+          (fun acc i ->
+            if
+              Array.length touched.(i) > 1
+              && Psmr_util.Rng.int rng 100 < repeat_pct
+            then begin
+              let first = Option.get (List.find_index (fun j -> j = i) acc) in
+              let at =
+                first + 1 + Psmr_util.Rng.int rng (List.length acc - first)
+              in
+              List.filteri (fun k _ -> k < at) acc
+              @ (i :: List.filteri (fun k _ -> k >= at) acc)
+            end
+            else acc)
+          stream stream)
+      streams
   in
   { partitions; replicas; commands; touched; streams; no_barrier }
 

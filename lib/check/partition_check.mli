@@ -20,7 +20,8 @@ type scenario = {
       (** per command: ascending touched partitions (1 = single) *)
   streams : int list array;
       (** per partition: command indices in sequencer order — identical at
-          every replica, as the per-partition abcast guarantees *)
+          every replica, as the per-partition abcast guarantees; a cross
+          index recurs where the stream carries a repeated leg *)
   no_barrier : bool;
 }
 
@@ -37,9 +38,12 @@ val scenario :
     command is a single on a random home partition or, with probability
     [cross_pct]%, a cross over a random 2..[partitions] subset;
     per-partition sequencer orders are independently shuffled so
-    inconsistent cross orders (the tie-break path) arise naturally.
-    Fully determined by [workload_seed].  Defaults: 2 partitions, 2
-    replicas, 10 commands, 30% cross, sound merge. *)
+    inconsistent cross orders (the tie-break path) arise naturally.  With
+    probability 30% per cross command and touched stream, that stream
+    also carries a repeat copy at a random later position (a client
+    resend's leg), which the merge must drop.  Fully determined by
+    [workload_seed].  Defaults: 2 partitions, 2 replicas, 10 commands, 30%
+    cross, sound merge. *)
 
 val run_schedule :
   ?max_steps:int ->

@@ -11,8 +11,8 @@
       (parallel SMR) — and an at-most-once table replaying cached replies
       to retried requests;
     - closed-loop clients that submit a batch per [call_batch], routed by
-      partition: each command goes to the replica believed to lead its
-      home partition (the one sequencer without partitioning), and a
+      partition: each command goes to the replica believed to lead every
+      partition it touches (the one sequencer without partitioning), and a
       partition whose commands time out fails over to the next replica
       (leader crashes included);
     - {!Deployment}: wiring n replicas and m clients over a
@@ -70,7 +70,14 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
     | Proto of envelope Psmr_broadcast.Abcast.message
     | PProto of envelope Psmr_broadcast.Partition.wire
         (** partitioned-mode peer traffic, tagged with its partition *)
-    | Reply of { rid : int; resp : S.response; replica : int }
+    | Reply of {
+        rid : int;
+        resp : S.response;
+        replica : int;
+        leaders : int array;
+            (** the replying replica's view of each partition's leader
+                ([[||]] without partitioning), adopted by the client *)
+      }
     | Tick
     | Client_timeout of { rid : int; attempt : int }
     | Snapshot_request of { have_seq : int }
@@ -99,11 +106,12 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
     exec_executed : unit -> int;
   }
 
-  (* Reply cache: a bounded per-client window of recent responses, enough to
-     replay any request of a retried client batch (clients wait for a whole
-     batch before sending the next, so a window larger than one batch
-     suffices). *)
-  let cache_window = 128
+  (* The at-most-once window: the reply cache keeps a client's last
+     [window] responses, enough to replay any request of a retried client
+     batch (clients wait for a whole batch before sending the next, and
+     [call_batch] keeps a batch within the window); partitioned duplicate
+     screening remembers the same span of rids. *)
+  let window = 128
 
   let cache_store cache client rid resp =
     let inner =
@@ -115,9 +123,9 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
           h
     in
     Hashtbl.replace inner rid resp;
-    if Hashtbl.length inner > 2 * cache_window then
+    if Hashtbl.length inner > 2 * window then
       Hashtbl.filter_map_inplace
-        (fun r v -> if r <= rid - cache_window then None else Some v)
+        (fun r v -> if r <= rid - window then None else Some v)
         inner
 
   let cache_find cache client rid =
@@ -128,14 +136,15 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
   (* The per-replica execute-and-reply path shared by every executor:
      deterministic service execution, reply to the client, and the
      at-most-once cache update. *)
-  let make_apply ~replica_id ~service ~net ~cache ~cache_mutex =
+  let make_apply ~replica_id ~service ~net ~cache ~cache_mutex ~leaders =
     let apply (e : envelope) =
       let resp = S.execute service e.cmd in
       P.Mutex.lock cache_mutex;
       cache_store cache e.client e.rid resp;
       P.Mutex.unlock cache_mutex;
       Net.send net ~src:replica_id ~dst:e.client
-        (Reply { rid = e.rid; resp; replica = replica_id })
+        (Reply
+           { rid = e.rid; resp; replica = replica_id; leaders = !leaders })
     in
     apply
 
@@ -217,6 +226,7 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
     c_net : wire Net.t;
     c_replicas : int;
     c_timeout : float;
+    c_partitioned : bool;
     c_targets : int array;
         (* per partition (one without partitioning): the replica believed
            to lead it *)
@@ -230,8 +240,10 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
       c_net = net;
       c_replicas = replicas;
       c_timeout = timeout;
+      c_partitioned = Option.is_some partitions;
       c_targets =
-        Array.init partitions
+        Array.init
+          (Option.value partitions ~default:1)
           (Psmr_broadcast.Partition.initial_leader ~n:replicas);
       c_rid = 0;
       c_retries = 0;
@@ -239,34 +251,52 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
 
   let client_retries c = c.c_retries
 
-  (* Synchronous batched call (BFT-SMaRt-style client batching, §7.1): split
-     the commands by home partition, send each slice in one request message
-     to its partition's target, and wait for the first reply to each.  On
-     timeout, only the partitions with unanswered commands fail over to the
-     next replica and get their slice resent.  Returns [None] only when the
-     network is shut down. *)
+  let envelope_of = function
+    | Psmr_broadcast.Pmerge.Single e | Cross { cmd = e; _ } -> e
+
+  (* Synchronous batched call (BFT-SMaRt-style client batching, §7.1):
+     bucket the commands by partition ({!Psmr_broadcast.Partition.entries};
+     a cross-partition command becomes one [Cross] entry under the
+     client's own uid, in every partition it touches), send each
+     partition's entries in one request straight to its target, and wait
+     for the first reply to each command.  On timeout, only the partitions
+     with unanswered commands fail over to the next replica and get their
+     entries resent, uids unchanged, so a resend heals a leg lost with a
+     crashed leader and the merge drops the legs that were not lost.  A
+     timed-out cross command cannot tell which of its legs was lost, so
+     every partition it touches rotates; each reply then resets the
+     targets to the replying replica's leaders, which puts a healthy
+     partition that rotated along back on its leader.  Returns [None] only
+     when the network is shut down. *)
   let call_batch c cmds =
     let k = Array.length cmds in
     if k = 0 then invalid_arg "Replica.call_batch: empty batch";
+    if k > window then
+      invalid_arg "Replica.call_batch: batch exceeds the at-most-once window";
     let base = c.c_rid in
     c.c_rid <- c.c_rid + k;
     let envelopes =
       Array.mapi (fun i cmd -> { client = c.c_id; rid = base + 1 + i; cmd }) cmds
     in
     let marker = base + k in
-    let partitions = Array.length c.c_targets in
-    let slices = Array.make partitions [] in
-    for i = k - 1 downto 0 do
-      let p =
-        Psmr_broadcast.Partition.home ~partitions (S.footprint cmds.(i))
-      in
-      slices.(p) <- envelopes.(i) :: slices.(p)
-    done;
-    let slices = Array.map Array.of_list slices in
+    let slices =
+      Psmr_broadcast.Partition.entries
+        ~partitions:(Array.length c.c_targets)
+        ~footprint:(fun (e : envelope) -> S.footprint e.cmd)
+        ~uid:(fun (e : envelope) ->
+          Psmr_broadcast.Pmerge.uid ~origin:c.c_id ~seq:e.rid)
+        envelopes
+    in
+    let request p slice =
+      if c.c_partitioned then
+        PProto { part = p; msg = Psmr_broadcast.Abcast.Request slice }
+      else Proto (Psmr_broadcast.Abcast.Request (Array.map envelope_of slice))
+    in
     let responses = Array.make k None in
     let missing = ref k in
     let unanswered =
-      Array.exists (fun (e : envelope) -> responses.(e.rid - base - 1) = None)
+      Array.exists (fun en ->
+          responses.((envelope_of en).rid - base - 1) = None)
     in
     (* Bounded exponential backoff on retries: the first attempt uses the
        configured timeout unchanged; each failover doubles it up to 16x, so a
@@ -279,8 +309,7 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
           then begin
             if attempt > 0 then
               c.c_targets.(p) <- (c.c_targets.(p) + 1) mod c.c_replicas;
-            Net.send c.c_net ~src:c.c_id ~dst:c.c_targets.(p)
-              (Proto (Psmr_broadcast.Abcast.Request slice))
+            Net.send c.c_net ~src:c.c_id ~dst:c.c_targets.(p) (request p slice)
           end)
         slices;
       let wait = c.c_timeout *. float_of_int (1 lsl min attempt 4) in
@@ -295,8 +324,9 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
       else
         match Net.recv c.c_net c.c_id with
         | None -> None
-        | Some { payload = Reply { rid; resp; replica = _ }; _ }
+        | Some { payload = Reply { rid; resp; leaders; _ }; _ }
           when rid > base && rid <= base + k ->
+            Array.blit leaders 0 c.c_targets 0 (Array.length leaders);
             let i = rid - base - 1 in
             if responses.(i) = None then begin
               responses.(i) <- Some resp;
@@ -388,8 +418,20 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
             in
             let cache_mutex = P.Mutex.create () in
             let seen_rid : (int, int) Hashtbl.t = Hashtbl.create 64 in
+            (* Replies carry this replica's leader per partition; the
+               protocol thread publishes a fresh array whenever one moves,
+               so the executor threads only ever read a complete one. *)
+            let leaders =
+              ref
+                (match cfg.mode with
+                | Partitioned { partitions; _ } ->
+                    Array.init partitions
+                      (Psmr_broadcast.Partition.initial_leader ~n:cfg.replicas)
+                | _ -> [||])
+            in
             let apply =
               make_apply ~replica_id:id ~service ~net ~cache ~cache_mutex
+                ~leaders
             in
             (* Partitioning changes ordering, not execution: the executor
                comes from the inner mode. *)
@@ -444,7 +486,16 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
                           em.Psmr_broadcast.Pmerge.cmd)
                       ()
                   in
+                  let rec moved part =
+                    part < partitions
+                    && (Part.leader pab ~part <> !leaders.(part)
+                       || moved (part + 1))
+                  in
                   let flush () =
+                    if moved 0 then
+                      leaders :=
+                        Array.init partitions (fun part ->
+                            Part.leader pab ~part);
                     if Psmr_util.Vec.length pending_emit > 0 then begin
                       let batch = Psmr_util.Vec.to_array pending_emit in
                       Psmr_util.Vec.clear pending_emit;
@@ -515,14 +566,14 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
                         (Hashtbl.find_opt seen_rid e.client)
                         ~default:(-1)
                     in
-                    if e.rid <= last - cache_window || Hashtbl.mem set e.rid
+                    if e.rid <= last - window || Hashtbl.mem set e.rid
                     then true
                     else begin
                       Hashtbl.replace set e.rid ();
-                      if Hashtbl.length set > 2 * cache_window then
+                      if Hashtbl.length set > 2 * window then
                         Hashtbl.filter_map_inplace
                           (fun r v ->
-                            if r <= max last e.rid - cache_window then None
+                            if r <= max last e.rid - window then None
                             else Some v)
                           set;
                       false
@@ -535,7 +586,8 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
                 (match cached with
                 | Some resp ->
                     Net.send net ~src:id ~dst:e.client
-                      (Reply { rid = e.rid; resp; replica = id })
+                      (Reply
+                         { rid = e.rid; resp; replica = id; leaders = !leaders })
                 | None -> ());
                 false
               end
@@ -667,15 +719,6 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
                     Latch.count_down t.all_joined
                 | Some { src; payload; _ } -> (
                     (match (payload, r.ord) with
-                    | Proto (Psmr_broadcast.Abcast.Request envs), Part_ab pab
-                      ->
-                        (* Client traffic, routed here by home partition:
-                           [submit_batch] forwards only cross-partition
-                           remainders and strays (requests that arrived
-                           after a leadership moved). *)
-                        Part.submit_batch pab
-                          ~footprint:(fun (e : envelope) -> S.footprint e.cmd)
-                          envs
                     | Proto m, Single_ab ab -> Ab.handle ab ~src m
                     | Proto _, Part_ab _ -> ()
                     | PProto w, Part_ab pab -> Part.handle pab ~src w
@@ -711,8 +754,8 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
       if i < 0 || i >= t.cfg.clients then invalid_arg "Deployment.client";
       let partitions =
         match t.cfg.mode with
-        | Partitioned { partitions; _ } -> partitions
-        | _ -> 1
+        | Partitioned { partitions; _ } -> Some partitions
+        | _ -> None
       in
       make_client ~net:t.net ~replicas:t.cfg.replicas ~partitions
         ~timeout:t.cfg.client_timeout (client_addr t i)

@@ -42,7 +42,14 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) : sig
     | Proto of envelope Psmr_broadcast.Abcast.message
     | PProto of envelope Psmr_broadcast.Partition.wire
         (** partitioned-mode peer traffic, tagged with its partition *)
-    | Reply of { rid : int; resp : S.response; replica : int }
+    | Reply of {
+        rid : int;
+        resp : S.response;
+        replica : int;
+        leaders : int array;
+            (** the replying replica's view of each partition's leader
+                ([[||]] without partitioning), adopted by the client *)
+      }
     | Tick
     | Client_timeout of { rid : int; attempt : int }
     | Snapshot_request of { have_seq : int }
@@ -54,16 +61,26 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) : sig
 
   type client
 
+  val window : int
+  (** The at-most-once window (128 commands): the reply cache and
+      partitioned duplicate screening remember a client's last [window]
+      requests, which covers a retried batch only if no batch is larger. *)
+
   val call_batch : client -> S.command array -> S.response array option
-  (** Send the commands in one request per home partition
-      ({!Psmr_broadcast.Partition.home}; one request in all without
-      partitioning — BFT-SMaRt-style client batching), each to the replica
-      the client believes leads that partition, initially
-      {!Psmr_broadcast.Partition.initial_leader}, and wait for a reply to
-      each.  On timeout, every partition with an unanswered command fails
-      over to the next replica and gets its request resent; the client
-      keeps the new targets for later calls.  [None] only when the network
-      was shut down. *)
+  (** Send the commands in one request per partition they touch (one
+      request in all without partitioning — BFT-SMaRt-style client
+      batching), each to the replica the client believes leads that
+      partition, initially {!Psmr_broadcast.Partition.initial_leader}, and
+      wait for a reply to each.  Partitioned, the request carries the
+      partition's {!Psmr_broadcast.Partition.entries}: a cross-partition
+      command goes to every partition it touches under one uid the client
+      owns ([Pmerge.uid ~origin:client ~seq:rid]).  On timeout, every
+      partition with an unanswered command fails over to the next replica
+      and gets its request resent, uids unchanged.  Each reply sets the
+      targets to the replying replica's partition leaders, and the client
+      keeps them for later calls.  [None] only when the network was shut
+      down.  Raises [Invalid_argument] on an empty batch or one larger than
+      {!window}. *)
 
   val call : client -> S.command -> S.response option
   (** [call_batch] with a single command. *)

@@ -310,6 +310,145 @@ let test_emitted_cross_bounded () =
         true (!peak <= window))
     [ false; true ]
 
+(* --- repeated legs --- *)
+
+(* Add repeat copies of cross entries later in their own streams: each
+   cross occurrence gets 0-2 copies, each at a random position after the
+   stream's first occurrence, as client resends leave them. *)
+let with_repeats rng orders =
+  Array.map
+    (fun cs ->
+      List.fold_left
+        (fun acc c ->
+          if Array.length c.touched < 2 then acc
+          else
+            let rec add acc copies =
+              if copies = 0 then acc
+              else
+                let first =
+                  Option.get (List.find_index (fun d -> d.cid = c.cid) acc)
+                in
+                let at =
+                  first + 1 + Random.State.int rng (List.length acc - first)
+                in
+                add
+                  (List.filteri (fun k _ -> k < at) acc
+                  @ (c :: List.filteri (fun k _ -> k >= at) acc))
+                  (copies - 1)
+            in
+            add acc (Random.State.int rng 3))
+        cs cs)
+    orders
+
+(* Repeats are invisible: under any arrival interleaving, the streams with
+   repeats emit every command once, drain, take the same tie-breaks and
+   give the same per-partition projections as the streams without. *)
+let prop_repeats_invisible (partitions, k, cross_pct, seed) =
+  let rng = Random.State.make [| seed |] in
+  let orders = build_orders ~partitions ~k ~cross_pct rng in
+  let t0, ref_out = run_interleaving ~partitions ~orders List.hd in
+  let repeated = with_repeats rng orders in
+  List.for_all
+    (fun i ->
+      let arng = Random.State.make [| seed; i |] in
+      let t, out =
+        run_interleaving ~partitions ~orders:repeated (random_pick arng)
+      in
+      Pmerge.pending t = 0
+      && List.sort compare (emitted_cids out) = List.init k Fun.id
+      && Pmerge.holes t = Pmerge.holes t0
+      && List.for_all
+           (fun p -> projection out p = projection ref_out p)
+           (List.init partitions Fun.id))
+    (List.init 6 Fun.id)
+
+let qcheck_repeats_invisible =
+  QCheck.Test.make ~count:300
+    ~name:"pmerge: repeated cross legs leave projections unchanged"
+    (QCheck.make gen_scenario) prop_repeats_invisible
+
+(* Within each stream, give every origin's commands its own positions in
+   ascending [cid] order, as real origins deliver their first occurrences;
+   different origins stay interleaved at random. *)
+let ascending_per_origin ~origins cs =
+  let mine o = List.filter (fun c -> c.cid mod origins = o) cs in
+  let queues = Array.init origins (fun o -> ref (List.sort compare (mine o))) in
+  List.map
+    (fun c ->
+      let q = queues.(c.cid mod origins) in
+      match !q with
+      | next :: rest ->
+          q := rest;
+          next
+      | [] -> assert false)
+    cs
+
+(* Long run over one merge with client-owned uids: 3 origins, 2000 windows
+   of 16 commands (90% cross, seqs rising by 16 per window, each origin's
+   ascending within a stream, origins interleaved at random), every cross
+   leg repeated 0-2 times later in its stream, plus a stale repeat of a
+   cross from 10 windows back (160 seqs earlier) in each stream.  Every
+   command is emitted once and nothing stays queued, so each repeat was
+   dropped; the repeat memory holds one int per (stream, origin)
+   throughout. *)
+let test_repeat_memory_bounded () =
+  let partitions = 4 and origins = 3 and window = 16 and windows = 2000 in
+  let rng = Random.State.make [| 23 |] in
+  let emitted = ref 0 and peak = ref 0 in
+  let t = Pmerge.create ~partitions ~emit:(fun _ -> incr emitted) () in
+  let history = Queue.create () in
+  for w = 0 to windows - 1 do
+    let orders =
+      build_orders ~partitions ~k:window ~cross_pct:90 rng
+      |> Array.map (ascending_per_origin ~origins)
+      |> Array.map
+           (List.map (fun c ->
+                {
+                  c with
+                  cid =
+                    Pmerge.uid ~origin:(c.cid mod origins)
+                      ~seq:((w * window) + c.cid);
+                }))
+      |> with_repeats rng
+    in
+    Queue.push orders history;
+    let orders =
+      if Queue.length history <= 10 then orders
+      else
+        let old = Queue.pop history in
+        Array.mapi
+          (fun p cs ->
+            match List.filter (fun c -> Array.length c.touched > 1) old.(p) with
+            | [] -> cs
+            | stale :: _ -> stale :: cs)
+          orders
+    in
+    let rem = Array.map (fun cs -> ref (List.map entry_of cs)) orders in
+    let rec loop () =
+      match
+        List.filter (fun p -> !(rem.(p)) <> []) (List.init partitions Fun.id)
+      with
+      | [] -> ()
+      | ps ->
+          let p = random_pick rng ps in
+          (match !(rem.(p)) with
+          | e :: tl ->
+              rem.(p) := tl;
+              Pmerge.push t ~part:p e
+          | [] -> assert false);
+          peak := max !peak (Pmerge.remembered_origins t);
+          loop ()
+    in
+    loop ();
+    Alcotest.(check int) "window boundary: drained" 0 (Pmerge.pending t)
+  done;
+  Alcotest.(check int) "every command emitted once" (window * windows)
+    !emitted;
+  Alcotest.(check bool)
+    (Printf.sprintf "peak %d entries within streams x origins" !peak)
+    true
+    (!peak <= partitions * origins)
+
 (* --- Partitioned broadcast on the simulator --- *)
 
 (* An n-replica partitioned-broadcast harness mirroring test_broadcast's
@@ -550,6 +689,46 @@ let test_sequencer_crash_recovers_partition () =
       (sim_projection h ~touched:(fun c -> [ c mod 2 ]) 2 p)
   done
 
+(* One scan over three partitions through an idle 3-partition deployment
+   on the simulator, zero CPU costs, every link L.  The client multicasts
+   to the three leaders (L); each sequences its leg (prepare L, ack L) and
+   broadcasts the commit (L), after which every replica holds all three
+   legs, and the first to merge replies (L): 5L.  Routing through the home
+   leader, which forwards the other legs, delays both forwarded partitions'
+   commits by one L, and each forwarded leader waits for the other's: 6L.
+   (With two partitions the one forwarded leader already holds the home
+   commit when its own commits, so the forward costs nothing at idle.) *)
+let test_cross_one_hop () =
+  let l = 1e-3 in
+  let engine = Psmr_sim.Engine.create () in
+  let (module SP) = Psmr_sim.Sim_platform.make engine Psmr_sim.Costs.zero in
+  let module Smr = Psmr_replica.Replica.Make (SP) (Psmr_app.Kv_store) in
+  let d =
+    Smr.Deployment.create
+      {
+        (Smr.Deployment.default_config
+           ~make_service:(fun _ -> Psmr_app.Kv_store.create ~capacity:8)
+           ())
+        with
+        mode = Partitioned { partitions = 3; inner = Sequential };
+        latency = (fun ~src:_ ~dst:_ -> l);
+      }
+  in
+  let elapsed = ref Float.nan in
+  Psmr_sim.Engine.spawn engine (fun () ->
+      Smr.Deployment.start d;
+      SP.sleep 0.05;
+      let c = Smr.Deployment.client d 0 in
+      let t0 = SP.now () in
+      match Smr.call c (Scan (0, 3)) with
+      | Some _ -> elapsed := SP.now () -. t0
+      | None -> ());
+  Psmr_sim.Engine.run ~until:1.0 engine;
+  Alcotest.(check bool)
+    (Printf.sprintf "3-partition scan in %.2fL, under 6L" (!elapsed /. l))
+    true
+    (!elapsed < 5.5 *. l)
+
 (* --- golden merged-order traces --- *)
 
 (* The simulator is deterministic, so replica 0's full emission trace on a
@@ -774,7 +953,130 @@ let test_part_sequencer_crash_failover () =
     (KV_smr.Deployment.replica_partition_leader d observer ~part:1 <> seq);
   KV_smr.Deployment.shutdown d
 
-(* Clients route by home partition: with replica 0 down from the start,
+(* Run [f] on its own thread; fail the test if it does not return within
+   [limit] seconds (a wedged call never would), shutting [d] down so the
+   thread's pending receive ends. *)
+let within ~limit ~shutdown name f =
+  let result = Atomic.make None in
+  let th = Thread.create (fun () -> Atomic.set result (Some (f ()))) () in
+  let deadline = Unix.gettimeofday () +. limit in
+  while Atomic.get result = None && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  match Atomic.get result with
+  | Some r ->
+      Thread.join th;
+      r
+  | None ->
+      shutdown ();
+      Thread.join th;
+      Alcotest.failf "%s: no reply within %.0f s" name limit
+
+(* A cross-partition transfer issued while one touched partition's leader
+   is down: replica 0 leads partition 0 (the home), replica 1 partition 1.
+   The first attempt reaches only the live leader; the one retry resends
+   both legs under the same uid, the new leader orders the missing one and
+   the merge drops the repeated one.  Later traffic must not wedge behind
+   the repeat, and must not time out either: the replies point the client
+   back at each partition's live leader, including the healthy partition
+   whose target rotated along with the cross command. *)
+let test_part_cross_failover crashed () =
+  let accounts = 4 and initial = 100 in
+  let services = Array.make 3 None in
+  let make_service id =
+    let s = Psmr_app.Bank.create ~accounts ~initial_balance:initial in
+    services.(id) <- Some s;
+    s
+  in
+  let d =
+    Bank_smr.Deployment.create
+      {
+        (Bank_smr.Deployment.default_config ~make_service ()) with
+        clients = 1;
+        mode = Partitioned { partitions = 2; inner = Sequential };
+        abcast = fast_abcast;
+        tick_interval = 1e-3;
+        client_timeout = 0.4;
+      }
+  in
+  Bank_smr.Deployment.start d;
+  Bank_smr.Deployment.crash_replica d crashed;
+  let c = Bank_smr.Deployment.client d 0 in
+  let call name cmd =
+    within ~limit:8.0
+      ~shutdown:(fun () -> Bank_smr.Deployment.shutdown d)
+      name
+      (fun () -> Bank_smr.call c cmd)
+  in
+  Alcotest.(check bool) "cross transfer completes" true
+    (call "cross transfer" (Transfer { src = 0; dst = 1; amount = 10 })
+    = Some Ok);
+  Alcotest.(check int) "after one retry" 1 (Bank_smr.client_retries c);
+  List.iter
+    (fun (name, cmd) ->
+      Alcotest.(check bool) name true (call name cmd = Some Ok))
+    Psmr_app.Bank.
+      [
+        ("follow-up cross transfer", Transfer { src = 1; dst = 2; amount = 3 });
+        ("partition 0 transfer", Transfer { src = 0; dst = 2; amount = 4 });
+        ("partition 1 transfer", Transfer { src = 3; dst = 1; amount = 5 });
+      ];
+  Alcotest.(check int) "follow-ups add no retry" 1 (Bank_smr.client_retries c);
+  let survivors = List.filter (fun id -> id <> crashed) [ 0; 1; 2 ] in
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  while
+    List.exists
+      (fun id -> Bank_smr.Deployment.replica_executed d id < 4)
+      survivors
+    && Unix.gettimeofday () < deadline
+  do
+    Thread.delay 0.01
+  done;
+  let state id =
+    match services.(id) with
+    | Some s -> s
+    | None -> Alcotest.fail "service not created"
+  in
+  List.iter
+    (fun id ->
+      Alcotest.(check int)
+        (Printf.sprintf "replica %d conserves money" id)
+        (accounts * initial)
+        (Psmr_app.Bank.total (state id));
+      Alcotest.(check int)
+        (Printf.sprintf "replica %d merge drained" id)
+        0
+        (Bank_smr.Deployment.replica_merge_pending d id))
+    survivors;
+  (match survivors with
+  | [ a; b ] ->
+      Alcotest.(check string) "survivors converge"
+        (Psmr_app.Bank.snapshot (state a))
+        (Psmr_app.Bank.snapshot (state b))
+  | _ -> assert false);
+  Bank_smr.Deployment.shutdown d
+
+(* [call_batch] keeps a batch within the at-most-once window. *)
+let test_call_batch_window () =
+  let d, _ =
+    kv_deployment ~clients:1
+      ~mode:(Partitioned { partitions = 2; inner = Sequential })
+      ()
+  in
+  let c = KV_smr.Deployment.client d 0 in
+  let batch n = Array.init n (fun k -> Psmr_app.Kv_store.Get (k mod 64)) in
+  Alcotest.check_raises "window + 1 rejected"
+    (Invalid_argument
+       "Replica.call_batch: batch exceeds the at-most-once window")
+    (fun () ->
+      ignore (KV_smr.call_batch c (batch (KV_smr.window + 1)) : _ option));
+  Alcotest.(check int) "a full window completes" KV_smr.window
+    (match KV_smr.call_batch c (batch KV_smr.window) with
+    | Some rs -> Array.length rs
+    | None -> 0);
+  KV_smr.Deployment.shutdown d
+
+(* Clients route by partition: with replica 0 down from the start,
    partition 1 (led by replica 1) serves its commands on the first
    attempt. *)
 let test_part_client_routing () =
@@ -799,56 +1101,84 @@ let test_part_client_routing () =
     (KV_smr.client_retries c);
   KV_smr.Deployment.shutdown d
 
-(* --- routing: the client's home partition is submit_batch's lowest --- *)
+(* --- routing: clients bucket with submit_batch's own rule --- *)
 
 module RPart = Psmr_broadcast.Partition.Make (RP)
 
 (* Replica 4 of 5 leads none of up to 4 partitions (partition [p] starts at
    replica [p]), so [submit_batch] forwards one [Request] per touched
-   partition, and the captured sends are exactly its buckets. *)
-let buckets_of ~partitions fp =
-  let sent = ref [] in
+   partition to its initial leader, and the captured sends are exactly its
+   buckets. *)
+let forwarded ~partitions fps =
+  let sent = Array.make partitions [||] in
   let ep =
     RPart.create ~partitions ~id:4 ~n:5
       ~send:(fun dst (w : int Psmr_broadcast.Partition.wire) ->
-        (match w.msg with
-        | Psmr_broadcast.Abcast.Request _ ->
+        match w.msg with
+        | Psmr_broadcast.Abcast.Request es ->
             if dst <> Psmr_broadcast.Partition.initial_leader ~n:5 w.part then
               QCheck.Test.fail_report "request not sent to the initial leader";
-            sent := w.part :: !sent
-        | _ -> ()))
+            sent.(w.part) <- es
+        | _ -> ())
       ~deliver:(fun _ -> ())
       ()
   in
-  RPart.submit_batch ep ~footprint:(fun _ -> fp) [| 0 |];
-  List.sort compare !sent
+  RPart.submit_batch ep
+    ~footprint:(fun i -> fps.(i))
+    (Array.init (Array.length fps) Fun.id);
+  sent
 
-let qcheck_home_is_lowest_bucket =
+let qcheck_entries_are_submit_buckets =
   QCheck.Test.make ~count:500
-    ~name:"routing: home = lowest partition submit_batch buckets into"
+    ~name:"routing: submit_batch forwards exactly Partition.entries"
     QCheck.(
       pair (int_range 1 4)
-        (small_list (pair (int_range (-50) 50) bool)))
-    (fun (partitions, fp) ->
-      let buckets = buckets_of ~partitions fp in
-      let touched =
-        Array.to_list (Psmr_broadcast.Partition.touched ~partitions fp)
+        (small_list (small_list (pair (int_range (-50) 50) bool))))
+    (fun (partitions, fps) ->
+      let fps = Array.of_list fps in
+      let seq = ref 0 in
+      let expected =
+        Psmr_broadcast.Partition.entries ~partitions
+          ~footprint:(fun i -> fps.(i))
+          ~uid:(fun _ ->
+            incr seq;
+            Pmerge.uid ~origin:4 ~seq:(!seq - 1))
+          (Array.init (Array.length fps) Fun.id)
       in
-      buckets = touched
-      && List.hd buckets = Psmr_broadcast.Partition.home ~partitions fp)
+      forwarded ~partitions fps = expected)
+
+(* Client uids (origin = client address >= n) and replica uids (origin =
+   replica id < n) never collide, and every uid compares as its
+   [(seq, origin)] pair — the order the [(ts, uid)] tie-break had when a
+   replica's counter sat above a 6-bit id. *)
+let qcheck_uid_packing =
+  QCheck.Test.make ~count:1000 ~name:"uid: client and replica uids disjoint"
+    QCheck.(
+      quad (int_range 1 32) (int_range 0 100)
+        (pair (int_range 0 31) (int_range 0 1_000_000))
+        (pair (int_range 0 100) (int_range 0 1_000_000)))
+    (fun (half, clients, (r, counter), (ci, rid)) ->
+      let n = (2 * half) + 1 in
+      let r = r mod n and ci = ci mod (clients + 1) in
+      let uid = Pmerge.uid in
+      let replica_uid = uid ~origin:r ~seq:counter in
+      let client_uid = uid ~origin:(n + ci) ~seq:rid in
+      replica_uid <> client_uid
+      && compare replica_uid client_uid
+         = compare (counter, r) (rid, n + ci))
 
 let test_routing_edge_cases () =
-  let home = Psmr_broadcast.Partition.home ~partitions:4 in
-  Alcotest.(check int) "empty footprint" 0 (home []);
-  Alcotest.(check int) "negative key" 3 (home [ (-1, true) ]);
-  Alcotest.(check int) "lowest of several" 1
-    (home [ (7, false); (-3, true); (5, true) ]);
+  let touched = Psmr_broadcast.Partition.touched ~partitions:4 in
+  Alcotest.(check (array int)) "empty footprint" [| 0 |] (touched []);
+  Alcotest.(check (array int)) "negative key" [| 3 |] (touched [ (-1, true) ]);
   Alcotest.(check (array int)) "touched, negative keys normalized"
     [| 1; 2; 3 |]
-    (Psmr_broadcast.Partition.touched ~partitions:4
-       [ (-1, false); (6, true); (-7, true); (1, false) ]);
+    (touched [ (-1, false); (6, true); (-7, true); (1, false) ]);
   Alcotest.(check (list int)) "initial leaders wrap" [ 0; 1; 2; 0 ]
-    (List.init 4 (Psmr_broadcast.Partition.initial_leader ~n:3))
+    (List.init 4 (Psmr_broadcast.Partition.initial_leader ~n:3));
+  Alcotest.check_raises "origin beyond 16 bits"
+    (Invalid_argument "Pmerge.uid") (fun () ->
+      ignore (Pmerge.uid ~origin:65536 ~seq:0 : int))
 
 (* --- equivalence: partitioned merge vs single-sequencer execution --- *)
 
@@ -1023,9 +1353,15 @@ let () =
             test_rotational_wedge_regression;
           Alcotest.test_case "emitted-cross memory bounded (long run)" `Quick
             test_emitted_cross_bounded;
+          Alcotest.test_case "repeat memory bounded (long run)" `Quick
+            test_repeat_memory_bounded;
         ] );
       ( "pmerge-qcheck",
-        [ qcheck qcheck_merge_deterministic; qcheck qcheck_all_cross_drains ]
+        [
+          qcheck qcheck_merge_deterministic;
+          qcheck qcheck_all_cross_drains;
+          qcheck qcheck_repeats_invisible;
+        ]
       );
       ( "part-sim",
         [
@@ -1037,6 +1373,8 @@ let () =
             test_sequencer_crash_recovers_partition;
           Alcotest.test_case "golden merged-order trace" `Quick
             test_golden_trace;
+          Alcotest.test_case "cross command in one hop" `Quick
+            test_cross_one_hop;
           Alcotest.test_case "pinned Part_bench run" `Quick
             test_part_bench_pinned;
         ] );
@@ -1058,11 +1396,18 @@ let () =
             test_part_sequencer_crash_failover;
           Alcotest.test_case "client routes around a dead replica 0" `Quick
             test_part_client_routing;
+          Alcotest.test_case "cross failover, home leader down" `Quick
+            (test_part_cross_failover 0);
+          Alcotest.test_case "cross failover, non-home leader down" `Quick
+            (test_part_cross_failover 1);
+          Alcotest.test_case "call_batch within the window" `Quick
+            test_call_batch_window;
         ] );
       ( "routing",
         [
           Alcotest.test_case "edge cases" `Quick test_routing_edge_cases;
-          qcheck qcheck_home_is_lowest_bucket;
+          qcheck qcheck_entries_are_submit_buckets;
+          qcheck qcheck_uid_packing;
         ] );
       ( "part-equivalence",
         [ qcheck Bank_equiv.test; qcheck Kv_equiv.test; qcheck List_equiv.test ]
