@@ -300,60 +300,23 @@ let compute_part ~smoke (p, w, spec) =
     ()
 
 (* Open-loop latency-under-load grid (docs/WORKLOADS.md): the Zipfian
-   YCSB-A scenario driven through [Load_bench]'s bounded offered queue
-   into each scheduler family at 32 workers, sweeping offered load to
-   locate the saturation knee.  The rate grid is dense around each
-   family's measured capacity (coarse saturates near 85 kops; the
-   keyed/early/partitioned families near 1.0-1.2 Mops/s) so the knee
-   lands on an interior step rather than the sweep edge. *)
+   YCSB-A scenario offered to the replicated deployment on
+   [Psmr_harness.Open_loop]'s default ladder, one row per target.  Three
+   single sequencers differ only in their backend; part4 is the
+   benchmark's own partitioned deployment. *)
+module W = Psmr_benchmark.Workloads
+module Report = Psmr_benchmark.Report
+
 let open_loop_targets =
-  [ "coarse"; "indexed"; "early"; "early_opt"; "part4" ]
+  List.map
+    (fun s -> Option.get (Psmr_harness.Open_loop.target_of_string s))
+    [ "coarse"; "indexed"; "early"; "part4" ]
 
-let open_loop_workers = 32
-
-let open_loop_rates ~smoke =
-  if smoke then [ 50_000.0; 200_000.0; 2_000_000.0 ]
-  else
-    [
-      25_000.0; 50_000.0; 100_000.0; 200_000.0; 400_000.0; 800_000.0;
-      1_000_000.0; 1_100_000.0; 1_200_000.0; 1_600_000.0;
-    ]
-
-let compute_open_loop ~smoke name =
-  let duration, warmup = window ~smoke in
-  (* JSON row names use underscores; the target parser wants the
-     registry spelling. *)
-  let spelled =
-    String.map (function '_' -> '-' | c -> c) name
-  in
-  let target =
-    match Psmr_harness.Load_bench.target_of_string spelled with
-    | Some t -> t
-    | None -> invalid_arg ("open_loop: unknown target " ^ name)
-  in
-  Psmr_harness.Load_bench.sweep ~target ~workers:open_loop_workers
-    ~scenario:(Psmr_traffic.Scenario.spec Psmr_traffic.Scenario.A)
-    ~rates:(open_loop_rates ~smoke) ~duration ~warmup ()
-
-let print_open_loop rows =
-  List.iter
-    (fun (name, (sw : Psmr_harness.Load_bench.sweep)) ->
-      Printf.printf "# open-loop %s workers=%d %s\n" name sw.workers
-        (Format.asprintf "%a" Psmr_traffic.Scenario.pp_spec sw.scenario);
-      List.iter
-        (fun (s : Psmr_harness.Load_bench.step) ->
-          Printf.printf
-            "  offered %8.1f kops -> %8.1f kops  drop %5.2f%%  p50 %.6f  \
-             p99 %.6f  p999 %.6f\n"
-            s.offered_kops s.kops
-            (100.0 *. s.drop_rate)
-            s.p50 s.p99 s.p999)
-        sw.steps;
-      (match sw.knee_kops with
-      | Some k -> Printf.printf "  knee: %.1f kops offered\n" k
-      | None -> print_string "  knee: not reached\n");
-      print_newline ())
-    rows
+(* One target's ladder, and each step's window with its offered ops/s. *)
+let compute_open_loop ~smoke deployment =
+  let w = Psmr_harness.Open_loop.ladder deployment Psmr_traffic.Scenario.A in
+  let w = if smoke then W.scale 0.1 w else w in
+  (w, Psmr_harness.Open_loop.run w)
 
 (* The faults and metrics sections run coarse and lock-free at 32 workers
    on the moderate 10%-write workload, sequentially: they install global
@@ -434,24 +397,41 @@ let part_json (p, w, (spec : Keyed.spec)) (r : Psmr_harness.Part_bench.result)
       ("views", J.int r.views);
     ]
 
-let open_loop_json name (sw : Psmr_harness.Load_bench.sweep) =
-  let step (s : Psmr_harness.Load_bench.step) =
+let open_loop_json ((w : W.t), steps) =
+  let d = w.deployment in
+  let quantile key (w : Report.window) q =
+    match Report.quantile w q with
+    | Some (v, lower_bound) ->
+        [ (key, J.digits 9 v); (key ^ "_lower_bound", J.Bool lower_bound) ]
+    | None -> [ (key, J.Null) ]
+  in
+  let step (level, (w : Report.window)) =
     J.Obj
-      [
-        ("offered_kops", J.digits 9 s.offered_kops); ("kops", J.fixed 1 s.kops);
-        ("drop_rate", J.digits 9 s.drop_rate); ("p50", J.digits 9 s.p50);
-        ("p99", J.digits 9 s.p99); ("p999", J.digits 9 s.p999);
-      ]
+      ([
+         ("offered_kops", J.digits 9 (level /. 1e3));
+         ("arrivals", J.int w.arrivals); ("kops", J.fixed 1 w.kops);
+         ("failed", J.int w.failed); ("censored", J.int w.censored);
+         ("samples", J.int (Array.length w.lat));
+       ]
+      @ quantile "p50" w 0.5 @ quantile "p99" w 0.99)
   in
   J.Obj
     [
-      ("impl", J.Str name); ("workers", J.int sw.workers);
-      ("scenario", J.Str (Psmr_traffic.Scenario.label sw.scenario.scenario));
-      ("records", J.int sw.scenario.records);
-      ("theta", J.digits 6 sw.scenario.theta);
-      ("knee_kops", Option.fold ~none:J.Null ~some:(J.digits 9) sw.knee_kops);
-      ("steps", J.Arr (List.map step sw.steps));
+      ("impl", J.Str w.name); ("backend", J.Str d.backend);
+      ("replicas", J.int d.replicas);
+      ( "partitions",
+        J.int (match d.ordering with Single -> 1 | Parts p -> p) );
+      ("workers", J.int Psmr_benchmark.Pinned.workers);
+      ("scenario", J.Str (Psmr_traffic.Scenario.label w.scenario));
+      ("records", J.int Psmr_benchmark.Pinned.records);
+      ("theta", J.digits 6 Psmr_benchmark.Pinned.theta);
+      ("max_kops_slo", J.digits 9 (Report.max_rate_slo steps /. 1e3));
+      ("steps", J.Arr (List.map step steps));
     ]
+
+let open_loop_rows ~smoke ~jobs =
+  let open_loop = grid ~jobs (compute_open_loop ~smoke) open_loop_targets in
+  List.map (fun t -> open_loop_json (open_loop t)) open_loop_targets
 
 let engine_json (r : Engine_churn.row) =
   J.Obj
@@ -467,7 +447,7 @@ let report ~smoke ~jobs ~micro ~engine =
   let fig2 = grid ~jobs (fig2_kops ~smoke) (List.map snd fig2_rows) in
   let keyed = grid ~jobs (keyed_point ~smoke) (List.map snd keyed_rows) in
   let part = grid ~jobs (compute_part ~smoke) part_configs in
-  let open_loop = grid ~jobs (compute_open_loop ~smoke) open_loop_targets in
+  let open_loop = open_loop_rows ~smoke ~jobs in
   let faults = sim_faults ~smoke in
   let metrics = sim_metrics ~smoke in
   let speedup name x base =
@@ -502,10 +482,7 @@ let report ~smoke ~jobs ~micro ~engine =
     );
     ( "part_sim_kops",
       J.Arr (List.map (fun c -> part_json c (part c)) part_configs) );
-    ( "open_loop",
-      J.Arr
-        (List.map (fun n -> open_loop_json n (open_loop n)) open_loop_targets)
-    );
+    ("open_loop", J.Arr open_loop);
     ("sim_events_per_wall_second", J.Arr (List.map engine_json engine));
   ]
   @ speedup "speedup_w32_indexed_batch16_vs_lockfree"
@@ -638,15 +615,12 @@ let () =
       (fun r -> Format.printf "%a@." Engine_churn.pp_row r)
       (Engine_churn.rows ~smoke ())
   else if getenv_flag "PSMR_BENCH_OPEN_ONLY" then begin
-    (* Open-loop sweeps only (the @bench-open alias): the lib/traffic
-       latency-under-load grid, printed as tables, no JSON. *)
-    let open_loop =
-      grid
-        ~jobs:(getenv_int "PSMR_BENCH_JOBS" 1)
-        (compute_open_loop ~smoke) open_loop_targets
-    in
-    print_open_loop
-      (List.map (fun n -> (n, open_loop n)) open_loop_targets)
+    (* Open-loop ladders only (the @bench-open alias): the [open_loop]
+       rows, printed as JSON. *)
+    print_endline
+      (J.to_string
+         (J.Arr
+            (open_loop_rows ~smoke ~jobs:(getenv_int "PSMR_BENCH_JOBS" 1))))
   end
   else if getenv_flag "PSMR_BENCH_DIFF_ONLY" then
     (* The @bench-diff alias: full-size simulated sections only, compared

@@ -474,30 +474,32 @@ let part_cmd =
       $ writes_arg $ cross_arg $ cost_arg $ part_batch_arg $ duration_arg
       $ metrics_arg)
 
-(* The open-loop surface: a seeded arrival process and YCSB-style
-   scenario driven through the bounded offered queue into any backend —
-   latency under load and the saturation knee (docs/WORKLOADS.md). *)
-let target_conv =
+(* The open-loop surface: the repository benchmark's [Drive] offers a
+   YCSB-style scenario to the replicated deployment in a ladder of rates,
+   and reports each step's latency, censored commands included, and the
+   highest rate meeting the SLO (docs/WORKLOADS.md). *)
+module Open_loop = Psmr_harness.Open_loop
+module Report = Psmr_benchmark.Report
+
+let deployment_conv =
   let parse s =
-    match Psmr_harness.Load_bench.target_of_string s with
-    | Some t -> Ok t
+    match Open_loop.target_of_string s with
+    | Some d -> Ok d
     | None -> Error (`Msg (Printf.sprintf "unknown open-loop target %S" s))
   in
-  let print ppf t =
-    Format.pp_print_string ppf (Psmr_harness.Load_bench.target_label t)
-  in
-  Arg.conv (parse, print)
+  Arg.conv
+    (parse, fun ppf d -> Format.pp_print_string ppf (Open_loop.target_label d))
 
-let target_arg =
+let deployment_arg =
   Arg.(
     value
-    & opt target_conv
-        (Psmr_harness.Load_bench.Backend
-           (Psmr_early.Registry.Cos Psmr_cos.Registry.Indexed))
+    & opt deployment_conv
+        (Option.get (Open_loop.target_of_string "indexed"))
     & info [ "impl" ] ~docv:"TARGET"
         ~doc:
-          "Open-loop target: any backend name (coarse, indexed, early, \
-           early-opt, ...) or part$(b,P) for the partitioned-ordering stack.")
+          "Backend of a 3-replica single-sequencer deployment (coarse, \
+           indexed, lockfree, early, early-opt, ...), or part$(b,P) for \
+           $(b,P) partitions over the early-opt class map.")
 
 let scenario_conv =
   let parse s =
@@ -517,71 +519,50 @@ let scenario_arg =
     & info [ "scenario" ] ~docv:"NAME"
         ~doc:"YCSB-style scenario: a (update-heavy) .. f (read-modify-write).")
 
-let records_arg =
-  Arg.(
-    value
-    & opt int Psmr_traffic.Scenario.default_records
-    & info [ "records" ] ~docv:"N" ~doc:"Key universe of the scenario.")
-
-let theta_arg =
-  Arg.(
-    value
-    & opt float Psmr_traffic.Scenario.default_theta
-    & info [ "theta" ] ~docv:"T" ~doc:"Zipf exponent (0 = uniform).")
-
 let rates_arg =
   Arg.(
     value
-    & opt (list float) [ 25.0; 50.0; 100.0; 200.0; 400.0; 800.0; 1600.0 ]
+    & opt (list float) Open_loop.levels_kops
     & info [ "rates" ] ~docv:"KOPS,..."
         ~doc:"Offered-load steps, in thousands of ops per second.")
 
-let sessions_arg =
+let step_arg =
   Arg.(
-    value
-    & opt int Psmr_harness.Load_bench.default_sessions
-    & info [ "sessions" ] ~docv:"N" ~doc:"Logical client-session population.")
-
-let queue_arg =
-  Arg.(
-    value
-    & opt int Psmr_harness.Load_bench.default_queue_cap
-    & info [ "queue" ] ~docv:"N"
-        ~doc:"Offered-queue bound; arrivals beyond it are shed, not blocked.")
+    value & opt float Open_loop.step
+    & info [ "duration" ] ~docv:"SEC"
+        ~doc:"Length of each offered-load step (virtual seconds).")
 
 let open_loop_cmd =
-  let run target workers scenario records theta rates sessions queue duration =
-    let scenario = Psmr_traffic.Scenario.spec ~records ~theta scenario in
-    let sweep =
-      Psmr_harness.Load_bench.sweep ~target ~workers ~scenario
-        ~rates:(List.map (fun k -> k *. 1000.0) rates)
-        ~sessions ~queue_cap:queue ?duration ()
+  let run deployment scenario rates step =
+    if rates = [] then invalid_arg "open-loop: --rates is empty";
+    let w = Open_loop.ladder ~levels_kops:rates ~step deployment scenario in
+    let steps = Open_loop.run w in
+    Printf.printf "%s (%d replicas) %s: open-loop ladder, seed 1\n" w.name
+      deployment.replicas
+      (Psmr_traffic.Scenario.label scenario);
+    Printf.printf "%10s %10s %8s %8s %11s %11s\n" "offered" "kops" "failed"
+      "censored" "p50(ms)" "p99(ms)";
+    let ms w q =
+      match Report.quantile w q with
+      | Some (v, lower_bound) ->
+          Printf.sprintf "%s%.4f" (if lower_bound then ">=" else "") (v *. 1e3)
+      | None -> "-"
     in
-    Printf.printf "%s workers=%d %s: open-loop sweep\n"
-      (Psmr_harness.Load_bench.target_label target)
-      workers
-      (Format.asprintf "%a" Psmr_traffic.Scenario.pp_spec scenario);
-    Printf.printf "%10s %10s %7s %12s %12s %12s %8s\n" "offered" "kops"
-      "drop%" "p50(ms)" "p99(ms)" "p999(ms)" "queue";
     List.iter
-      (fun (s : Psmr_harness.Load_bench.step) ->
-        Printf.printf "%10.1f %10.1f %7.2f %12.4f %12.4f %12.4f %8d\n"
-          s.offered_kops s.kops
-          (100.0 *. s.drop_rate)
-          (s.p50 *. 1e3) (s.p99 *. 1e3) (s.p999 *. 1e3) s.queue_peak)
-      sweep.steps;
-    match sweep.knee_kops with
-    | Some k -> Printf.printf "saturation knee: %.1f kops offered\n" k
-    | None -> print_string "saturation knee: not reached in this sweep\n"
+      (fun (level, (w : Report.window)) ->
+        Printf.printf "%10.1f %10.1f %8d %8d %11s %11s\n" (level /. 1e3) w.kops
+          w.failed w.censored (ms w 0.5) (ms w 0.99))
+      steps;
+    Printf.printf "max_kops_slo: %.1f\n" (Report.max_rate_slo steps /. 1e3)
   in
   Cmd.v
     (Cmd.info "open-loop"
        ~doc:
-         "Latency under load: an open-loop offered-load sweep with \
-          p50/p99/p999, drop rate and the saturation knee.")
-    Term.(
-      const run $ target_arg $ workers_arg $ scenario_arg $ records_arg
-      $ theta_arg $ rates_arg $ sessions_arg $ queue_arg $ duration_arg)
+         "Latency under load: offer a ladder of rates to the replicated \
+          deployment and report each step's throughput, failed and censored \
+          commands, p50 and p99 (>= marks a censored lower bound), then the \
+          highest rate meeting the SLO.")
+    Term.(const run $ deployment_arg $ scenario_arg $ rates_arg $ step_arg)
 
 let () =
   let info =

@@ -18,15 +18,17 @@
       predecessor and before every successor in each touched stream;
     - independent sequencers can order two cross-partition commands
       inconsistently (X before Y in partition p, Y before X in q), wedging
-      the rendezvous in a cycle.  The wedge is broken only once {e every}
-      nonempty stream's head has been seen in all of its touched streams:
-      the wedged positions are a function of stream contents (natural
-      progress is confluent), and with complete information so is the
-      waits-for graph over the heads, making the chosen victim — the
-      on-cycle head with the smallest [(timestamp, uid)], timestamp being
-      the largest per-partition sequence position the command was assigned
-      — identical at every replica.  The streams the victim thereby jumps
-      retain a {e hole} at its position, skipped when reached.
+      the rendezvous in a cycle.  A wedge is broken only once it is
+      {e closed}: its heads have been seen in all of their touched streams
+      and wait only on each other, so no later arrival can change it (the
+      wedged positions are a function of stream contents: natural progress
+      is confluent).  Its victim — the member with the smallest
+      [(timestamp, uid)], timestamp being the largest per-partition sequence
+      position the command was assigned — is then identical at every
+      replica, and closed wedges touch disjoint streams, so the order in
+      which they break shows in no projection.  The streams the victim
+      thereby jumps retain a {e hole} at its position, skipped when
+      reached.
 
     The [no_barrier] variant deliberately skips the rendezvous (a cross
     command is emitted the moment it heads its designated stream, and its
@@ -79,8 +81,6 @@ type 'c t = {
   streams : 'c entry Queue.t array;
   high : (int, int) Hashtbl.t array;
       (** per stream: origin -> highest cross seq the stream carried *)
-  present : (int, unit) Hashtbl.t array;
-      (** per stream: uids of cross entries currently queued in it *)
   pushed : int array;  (** per-partition entries pushed (sequence counters) *)
   cross : (int, cross_state) Hashtbl.t;  (** pending cross commands *)
   emitted_cross : (int, int ref) Hashtbl.t;
@@ -100,7 +100,6 @@ let create ?(no_barrier = false) ~partitions ~emit () =
     emit;
     streams = Array.init partitions (fun _ -> Queue.create ());
     high = Array.init partitions (fun _ -> Hashtbl.create 16);
-    present = Array.init partitions (fun _ -> Hashtbl.create 16);
     pushed = Array.make partitions 0;
     cross = Hashtbl.create 16;
     emitted_cross = Hashtbl.create 16;
@@ -150,14 +149,9 @@ let emit_cross t ~uid ~(st : cross_state) ~consumed cmd =
   if Probe.enabled () then Probe.part_stall (Probe.now () -. st.first_push);
   t.emit { part = designated st.parts; cross = true; uid; cmd }
 
-(* Pop stream [p]'s head; bookkeeping for cross occurrences. *)
 let pop t p =
-  let e = Queue.pop t.streams.(p) in
-  t.queued <- t.queued - 1;
-  (match e with
-  | Cross { uid; _ } -> Hashtbl.remove t.present.(p) uid
-  | Single _ -> ());
-  e
+  ignore (Queue.pop t.streams.(p) : 'c entry);
+  t.queued <- t.queued - 1
 
 (* One pass over stream [p]'s head: consume holes, emit singles, emit a
    rendezvous-complete cross (checked from its designated stream only, so
@@ -169,7 +163,7 @@ let advance t p =
     match Queue.peek_opt t.streams.(p) with
     | None -> stop := true
     | Some (Single cmd) ->
-        ignore (pop t p : 'c entry);
+        pop t p;
         t.emitted_count <- t.emitted_count + 1;
         Probe.part_single ();
         t.emit { part = p; cross = false; uid = -1; cmd };
@@ -179,7 +173,7 @@ let advance t p =
         | Some left ->
             (* A hole left by a tie-break (or, under [no_barrier], by the
                designated stream racing ahead): already emitted, skip. *)
-            ignore (pop t p : 'c entry);
+            pop t p;
             decr left;
             if !left = 0 then Hashtbl.remove t.emitted_cross uid;
             progress := true
@@ -189,7 +183,7 @@ let advance t p =
                 (* Planted bug: no rendezvous — emit on designated-head sight,
                    ordered against other partitions only by arrival timing. *)
                 let st = Hashtbl.find t.cross uid in
-                ignore (pop t p : 'c entry);
+                pop t p;
                 emit_cross t ~uid ~st ~consumed:1 cmd;
                 progress := true
               end
@@ -198,7 +192,7 @@ let advance t p =
                    without waiting for the designated emission. *)
                 let st = Hashtbl.find t.cross uid in
                 st.dropped <- st.dropped + 1;
-                ignore (pop t p : 'c entry);
+                pop t p;
                 t.hole_count <- t.hole_count + 1;
                 progress := true
               end
@@ -216,7 +210,7 @@ let advance t p =
                 let st = Hashtbl.find t.cross uid in
                 (* Pop only the designated occurrence; the other streams skip
                    theirs as already-emitted on their own advance. *)
-                ignore (pop t p : 'c entry);
+                pop t p;
                 emit_cross t ~uid ~st ~consumed:1 cmd;
                 progress := true
               end
@@ -226,89 +220,94 @@ let advance t p =
   done;
   !progress
 
-(* Deadlock break.  At a rendezvous fixpoint every nonempty stream heads an
-   unemitted cross command.  Build the waits-for graph over those heads —
-   head X of stream p waits for the head of each touched stream q where X
-   is queued behind — but only once {e every} head is fully seen (pushed
-   into all its touched streams).  Waiting for complete information is
-   what makes the break deterministic: the wedged head positions are a
-   function of stream contents (natural progress is confluent), and with
-   every head's copies present the whole graph — hence the victim — is
-   too.  Breaking earlier, on a partially seen head set, would let the
-   victim depend on which copies happened to arrive first (a sub-cycle
-   confirmed at one replica can contain a larger member than the cycle the
-   full head set forms — observed with 3 rotationally wedged crosses).
-   The victim is the on-cycle head with the smallest [(ts, uid)]; its
-   emission leaves holes. *)
+(* Deadlock break.  At a rendezvous fixpoint every nonempty stream heads
+   an unemitted cross command.  The graph is over the fully seen heads
+   (pushed into all their touched streams): head X waits for the head of
+   each touched stream X is queued behind.  A victim is taken only from a
+   {e closed} wedge — a strongly connected component of at least two heads
+   none of which waits on a head outside it — and is its member with the
+   smallest [(ts, uid)]; its emission leaves holes.
+
+   Closure is what makes the break a function of stream contents.  Every
+   stream a closed wedge touches is headed by one of its members, so later
+   arrivals change none of its heads or edges: the wedge, hence its victim,
+   is the same whenever it is broken, and nothing queued in its streams can
+   be emitted first.  Two closed wedges touch disjoint streams, so the
+   order in which they break shows in no projection.  A wedge that waits
+   on a head outside itself (one not fully seen, or another wedge) waits
+   too: breaking it by key would let a smaller-keyed wedge behind it, or
+   one formed by copies still in flight, go second at one replica and
+   first at another — observed with rotationally wedged crosses and with
+   two wedges sharing streams ([test_partition]'s regressions).  Once
+   every copy has arrived, some component is closed (each head waits on
+   another), so the merge always drains. *)
 let find_victim t =
-  (* uid -> parts for each blocked head; bail out (wait for more arrivals)
-     unless every nonempty stream heads a fully seen, unemitted cross. *)
   let heads = Hashtbl.create 8 in
-  let complete = ref true in
   for p = 0 to t.partitions - 1 do
     match Queue.peek_opt t.streams.(p) with
-    | None -> ()
-    | Some (Cross { uid; parts; _ }) when not (Hashtbl.mem t.emitted_cross uid)
-      -> (
+    | Some (Cross { uid; cmd; _ }) -> (
         match Hashtbl.find_opt t.cross uid with
         | Some st when st.seen = Array.length st.parts ->
-            if not (Hashtbl.mem heads uid) then Hashtbl.add heads uid parts
-        | Some _ | None -> complete := false)
-    | Some _ -> complete := false (* progress pending; not a wedge *)
+            Hashtbl.replace heads uid (st, cmd)
+        | Some _ | None -> ())
+    | Some (Single _) | None -> ()
   done;
-  if not !complete then Hashtbl.reset heads;
-  (* Successor uids of a head: the heads of touched streams it is queued
-     behind.  An edge into a non-head or not-fully-seen command yields no
-     node; cycles confined to eligible heads are what we detect. *)
-  let succs uid parts =
-    Array.to_list parts
+  (* The heads [uid] waits for; [None] stands for one not fully seen. *)
+  let waits_for uid =
+    let st, _ = Hashtbl.find heads uid in
+    Array.to_list st.parts
     |> List.filter_map (fun q ->
            match Queue.peek_opt t.streams.(q) with
-           | Some (Cross { uid = u; _ })
-             when u <> uid && Hashtbl.mem t.present.(q) uid ->
-               if Hashtbl.mem heads u then Some u else None
-           | Some _ | None -> None)
+           | Some (Cross { uid = u; _ }) when u = uid -> None
+           | Some (Cross { uid = u; _ }) when Hashtbl.mem heads u ->
+               Some (Some u)
+           | Some _ | None -> Some None)
   in
-  (* A head lies on a cycle iff it can reach itself through the graph. *)
-  let on_cycle uid =
-    let visited = Hashtbl.create 8 in
+  (* The heads reachable from [uid], or [None] if one of them waits on a
+     head not fully seen. *)
+  let reach uid =
+    let seen = Hashtbl.create 8 in
     let rec walk u =
-      let ps = try Hashtbl.find heads u with Not_found -> [||] in
-      List.exists
-        (fun v ->
-          v = uid
-          ||
-          if Hashtbl.mem visited v then false
-          else begin
-            Hashtbl.add visited v ();
-            walk v
-          end)
-        (succs u ps)
+      List.for_all
+        (function
+          | None -> false
+          | Some v ->
+              Hashtbl.mem seen v
+              || begin
+                   Hashtbl.add seen v ();
+                   walk v
+                 end)
+        (waits_for u)
     in
-    walk uid
+    if walk uid then Some seen else None
   in
-  let best = ref None in
-  Hashtbl.iter
-    (fun uid (_ : int array) ->
-      if on_cycle uid then
-        let st = Hashtbl.find t.cross uid in
+  let reaches = Hashtbl.create 8 in
+  Hashtbl.iter (fun uid _ -> Hashtbl.replace reaches uid (reach uid)) heads;
+  (* [uid] lies in a closed wedge iff it reaches itself, never a head not
+     fully seen, and only heads that reach it back. *)
+  let in_closed_wedge uid =
+    match Hashtbl.find reaches uid with
+    | None -> false
+    | Some r ->
+        Hashtbl.mem r uid
+        && Hashtbl.fold
+             (fun v () ok ->
+               ok
+               &&
+               match Hashtbl.find reaches v with
+               | Some rv -> Hashtbl.mem rv uid
+               | None -> false)
+             r true
+  in
+  Hashtbl.fold
+    (fun uid (st, cmd) best ->
+      if not (in_closed_wedge uid) then best
+      else
         let key = (st.ts, uid) in
-        match !best with
-        | Some (k, _, _, _) when compare k key <= 0 -> ()
-        | _ ->
-            (* The victim's command payload lives at the head of the stream
-               we found it on; fetch it from any stream where it heads. *)
-            let cmd = ref None in
-            Array.iter
-              (fun q ->
-                match Queue.peek_opt t.streams.(q) with
-                | Some (Cross { uid = u; cmd = c; _ }) when u = uid ->
-                    cmd := Some c
-                | Some _ | None -> ())
-              st.parts;
-            best := Some (key, uid, st, Option.get !cmd))
-    heads;
-  !best
+        match best with
+        | Some (k, _, _, _) when compare k key <= 0 -> best
+        | _ -> Some (key, uid, st, cmd))
+    heads None
 
 (* Run emission to fixpoint: scan all streams until nothing moves, then
    attempt exactly one cycle break and rescan.  Every break emits one
@@ -359,8 +358,7 @@ let enqueue t ~part e =
         in
         st.ts <- max st.ts pos;
         st.seen <- st.seen + 1
-      end;
-      Hashtbl.replace t.present.(part) uid ());
+      end);
   Queue.push e t.streams.(part);
   t.queued <- t.queued + 1;
   drain t

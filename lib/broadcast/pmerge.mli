@@ -8,10 +8,11 @@
     a cross-partition command emits (once, attributed to its designated
     lowest touched partition) when it heads {e all} its touched streams —
     the rendezvous; inconsistent sequencer orders wedge the rendezvous in
-    a cycle, broken — only once every wedged head is fully seen, so the
-    choice depends on stream contents alone — by emitting the on-cycle
-    head with the smallest [(ts, uid)], leaving holes that are skipped
-    when reached.  See docs/PARTITIONING.md.
+    a cycle, broken — only once the wedge is closed (its heads fully seen
+    and waiting only on each other), so the choice depends on stream
+    contents alone — by emitting its head with the smallest [(ts, uid)],
+    leaving holes that are skipped when reached.  See
+    docs/PARTITIONING.md.
 
     Single-threaded by contract; pure OCaml (no platform effects). *)
 

@@ -67,17 +67,38 @@ let metrics_block doc name =
       ordered ph hv [ "p50"; "p95"; "p99" ])
     [ "delivery_ready"; "ready_dispatch"; "dispatch_executed" ]
 
+let bool path key v =
+  match get path key v with
+  | _, J.Bool b -> b
+  | p, _ -> invalid p "not a boolean"
+
+(* A count that cannot exceed another: [censored <= failed <= arrivals]. *)
+let at_most path v small big =
+  let x = num path small v and y = num path big v in
+  if x > y then invalid path "%s %g exceeds %s %g" small x big y
+
+(* An open-loop step with arrivals must report their latency: a zero
+   quantile reads as an idle system when the commands were shed or never
+   answered. *)
 let open_loop_row (p, row) =
-  ignore (str p "impl" row);
-  ignore (str p "scenario" row);
-  nums p row [ "workers"; "records"; "theta"; "knee_kops" ];
+  List.iter (fun k -> ignore (str p k row)) [ "impl"; "backend"; "scenario" ];
+  at_least 1.0 p row [ "replicas"; "partitions"; "workers"; "records" ];
+  nums p row [ "theta"; "max_kops_slo" ];
   List.iter
     (fun (ps, step) ->
       nums ps step [ "offered_kops"; "kops" ];
-      ordered ps step [ "p50"; "p99"; "p999" ];
-      let drop = num ps "drop_rate" step in
-      if drop < 0.0 || drop > 1.0 then
-        invalid (ps ^ ".drop_rate") "%g is outside [0,1]" drop)
+      at_least 0.0 ps step [ "arrivals"; "failed"; "censored"; "samples" ];
+      at_most ps step "censored" "failed";
+      at_most ps step "failed" "arrivals";
+      at_most ps step "samples" "arrivals";
+      ordered ps step [ "p50"; "p99" ];
+      List.iter
+        (fun q ->
+          ignore (bool ps (q ^ "_lower_bound") step);
+          let arrivals = num ps "arrivals" step in
+          if arrivals > 0.0 && num ps q step <= 0.0 then
+            invalid (ps ^ "." ^ q) "not positive with %g arrivals" arrivals)
+        [ "p50"; "p99" ])
     (non_empty p "steps" row)
 
 let part_row (p, row) =

@@ -7,8 +7,10 @@
     rows ([part_sim_kops], [open_loop] and each of its [steps],
     [sim_events_per_wall_second]) are non-empty; counts are non-negative;
     partition rows have [replicas >= partitions] and positive throughput;
-    latency quantiles are ordered; drop rates lie in [0,1]; engine rows are
-    named, positive, and their rate is their events over their wall time. *)
+    latency quantiles are ordered; an open-loop step has
+    [censored <= failed <= arrivals] and, when it had arrivals, a positive
+    p50 and p99; engine rows are named, positive, and their rate is their
+    events over their wall time. *)
 
 val validate : Psmr_util.Json.t -> (unit, string) result
 (** [Error msg] names the JSON path of the first violation, e.g.

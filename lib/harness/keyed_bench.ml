@@ -14,14 +14,12 @@
     time, never for work that is later rolled back. *)
 
 (* Commands as the dispatchers see them: a footprint (the conflict
-   relation is derived from it: shared key with at least one writer), the
-   precomputed execution cost, and the arrival time open-loop latency is
-   measured from. *)
+   relation is derived from it: shared key with at least one writer) and
+   the precomputed execution cost. *)
 module Cmd = struct
   type t = {
     fp : (int * bool) list;
     cost : float;  (** simulated CPU seconds to execute *)
-    born : float;  (** virtual arrival time (open-loop feeders) *)
   }
 
   let footprint c = c.fp
@@ -43,11 +41,7 @@ end
 
 let gen (spec : Psmr_workload.Workload.Keyed.spec) rng =
   let fp = Psmr_workload.Workload.Keyed.next_footprint spec rng in
-  {
-    Cmd.fp;
-    cost = Model.exec_cost spec.cost ~is_write:(List.exists snd fp);
-    born = 0.0;
-  }
+  { Cmd.fp; cost = Model.exec_cost spec.cost ~is_write:(List.exists snd fp) }
 
 type result = {
   kops : float;  (** completed commands per second, in thousands *)
@@ -79,16 +73,25 @@ type handle = {
   submit : Cmd.t -> unit;
   submit_batch : Cmd.t array -> unit;
   submit_block : int array -> Cmd.t array -> unit;
+      (** [submit_block order finals] (optimistic backends only): submit
+          [finals.(i)] optimistically for each [i] of [order], then hand
+          the block to the confirmer, which confirms it in final order. *)
   in_flight : unit -> int;
   crashed_workers : unit -> int;
   with_counts : result -> result;
+      (** Copy the dispatcher's counters into a result (identity for COS
+          backends). *)
 }
 
 let no_block _ _ = invalid_arg "Keyed_bench.start: submit_block needs early-opt"
 
-let start ?max_size ~workers ~on_done sim backend =
+(* A backend started on a simulated run.  Execution charges [Cmd.cost] on
+   the run's CPU bank; a completion (execution, or commit for an
+   optimistic backend) is counted by {!Sim_run.tick}. *)
+let start ?max_size ~workers sim backend =
   let (module SP) = Sim_run.platform sim in
   let exec (c : Cmd.t) = Sim_run.exec sim c.cost in
+  let on_done _ = Sim_run.tick sim in
   let execute c =
     exec c;
     on_done c
@@ -190,9 +193,7 @@ let run ~backend ~workers ~(spec : Psmr_workload.Workload.Keyed.spec)
   let rng = Psmr_util.Rng.create ~seed in
   let srng = Psmr_util.Rng.split rng in
   let next () = gen spec rng in
-  let b =
-    start ?max_size ~workers ~on_done:(fun _ -> Sim_run.tick sim) sim backend
-  in
+  let b = start ?max_size ~workers sim backend in
   Sim_run.forever sim ~name:"feeder"
     (if Psmr_early.Registry.is_optimistic backend then begin
        let order = Array.init opt_block Fun.id in

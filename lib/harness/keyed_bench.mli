@@ -10,10 +10,9 @@
 
 (** Keyed commands, shared by every keyed harness: conflict iff a shared
     key with a writer.  [cost] is the execution cost in simulated CPU
-    seconds; [born] the arrival time open-loop latency is measured from
-    (0 for closed-loop feeders). *)
+    seconds. *)
 module Cmd : sig
-  type t = { fp : (int * bool) list; cost : float; born : float }
+  type t = { fp : (int * bool) list; cost : float }
 
   val footprint : t -> (int * bool) list
   val conflict : t -> t -> bool
@@ -47,34 +46,6 @@ type result = {
 val opt_block : int
 (** Optimistic pipeline depth: commands speculated ahead of final
     delivery per block. *)
-
-(** A backend started on a simulated run. *)
-type handle = {
-  submit : Cmd.t -> unit;
-  submit_batch : Cmd.t array -> unit;
-  submit_block : int array -> Cmd.t array -> unit;
-      (** [submit_block order finals] (optimistic backends only): the
-          optimistic pipeline.  Submits [finals.(i)] optimistically for
-          each [i] of [order], then hands the block to the confirmer
-          process, which confirms it in final ([finals]) order. *)
-  in_flight : unit -> int;
-  crashed_workers : unit -> int;
-  with_counts : result -> result;
-      (** Copy the dispatcher's counters into a result (identity for COS
-          backends). *)
-}
-
-val start :
-  ?max_size:int ->
-  workers:int ->
-  on_done:(Cmd.t -> unit) ->
-  Sim_run.t ->
-  Psmr_early.Registry.backend ->
-  handle
-(** Start a backend whose execution charges [Cmd.cost] on the run's CPU
-    bank.  [on_done] runs at completion: execution for conservative
-    backends; commit for [early-opt], which executes at optimistic
-    delivery through the speculation hook and spawns the confirmer. *)
 
 val run :
   backend:Psmr_early.Registry.backend ->

@@ -52,16 +52,15 @@ type msg =
 
 let default_window = 4096
 
-type stack = {
-  submit : Cmd.t array -> unit;
-  result : wall_seconds:float -> result;
-}
-
-let stack sim ~partitions ~replicas:n ~workers ~batch ~window ~on_exec =
-  if partitions < 1 then
-    invalid_arg "Part_bench.stack: partitions must be >= 1";
+let run ~partitions ~workers ~(spec : Psmr_workload.Workload.Keyed.spec)
+    ?replicas ?(batch = 16) ?(window = default_window) ?costs
+    ?(duration = Standalone.default_duration)
+    ?(warmup = Standalone.default_warmup) ?(seed = 42L) ?metrics () =
+  if partitions < 1 then invalid_arg "Part_bench.run: partitions must be >= 1";
   if batch < 1 || window < batch then
-    invalid_arg "Part_bench.stack: need 1 <= batch <= window";
+    invalid_arg "Part_bench.run: need 1 <= batch <= window";
+  let n = Option.value replicas ~default:(default_replicas ~partitions) in
+  Sim_run.with_sim ?costs ?metrics @@ fun sim ->
   let (module SP) = Sim_run.platform sim in
   let module Net = Psmr_net.Network.Make (SP) in
   let module Part = Psmr_broadcast.Partition.Make (SP) in
@@ -76,7 +75,7 @@ let stack sim ~partitions ~replicas:n ~workers ~batch ~window ~on_exec =
   let credit = SP.Semaphore.create window in
   let execute (c : Cmd.t) =
     Sim_run.exec sim c.cost;
-    on_exec c;
+    Sim_run.tick sim;
     SP.Semaphore.release credit
   in
   let d = D.start ~max_size:(2 * window) ~workers ~execute () in
@@ -125,43 +124,25 @@ let stack sim ~partitions ~replicas:n ~workers ~batch ~window ~on_exec =
           in
           tick_loop ()))
     eps;
+  let rng = Psmr_util.Rng.create ~seed in
+  (* Take one credit per command, blocking while the window is spent, and
+     send the batch to replica 0's sequencer. *)
+  Sim_run.forever sim ~name:"part-feeder" (fun () ->
+      let cmds = Array.init batch (fun _ -> Keyed_bench.gen spec rng) in
+      SP.Semaphore.acquire ~n:batch credit;
+      Net.send net ~src:0 ~dst:0 (Sub cmds));
+  let wall_seconds = Sim_run.run sim ~warmup ~duration in
   let ep0 = eps.(0) in
   {
-    submit =
-      (fun cmds ->
-        SP.Semaphore.acquire ~n:(Array.length cmds) credit;
-        Net.send net ~src:0 ~dst:0 (Sub cmds));
-    result =
-      (fun ~wall_seconds ->
-        {
-          kops = Sim_run.kops sim;
-          executed = Sim_run.completed sim;
-          emitted = Part.emitted ep0;
-          singles = Part.emitted ep0 - Part.crosses ep0;
-          crosses = Part.crosses ep0;
-          holes = Part.holes ep0;
-          merge_pending = Part.merge_pending ep0;
-          views =
-            Array.fold_left (fun acc ep -> acc + Part.views_installed ep) 0 eps;
-          engine_events = Sim_run.events sim;
-          wall_seconds;
-          metrics = Sim_run.metrics sim;
-        });
+    kops = Sim_run.kops sim;
+    executed = Sim_run.completed sim;
+    emitted = Part.emitted ep0;
+    singles = Part.emitted ep0 - Part.crosses ep0;
+    crosses = Part.crosses ep0;
+    holes = Part.holes ep0;
+    merge_pending = Part.merge_pending ep0;
+    views = Array.fold_left (fun acc ep -> acc + Part.views_installed ep) 0 eps;
+    engine_events = Sim_run.events sim;
+    wall_seconds;
+    metrics = Sim_run.metrics sim;
   }
-
-let run ~partitions ~workers ~(spec : Psmr_workload.Workload.Keyed.spec)
-    ?replicas ?(batch = 16) ?(window = default_window) ?costs
-    ?(duration = Standalone.default_duration)
-    ?(warmup = Standalone.default_warmup) ?(seed = 42L) ?metrics () =
-  let replicas =
-    Option.value replicas ~default:(default_replicas ~partitions)
-  in
-  Sim_run.with_sim ?costs ?metrics @@ fun sim ->
-  let st =
-    stack sim ~partitions ~replicas ~workers ~batch ~window
-      ~on_exec:(fun _ -> Sim_run.tick sim)
-  in
-  let rng = Psmr_util.Rng.create ~seed in
-  Sim_run.forever sim ~name:"part-feeder" (fun () ->
-      st.submit (Array.init batch (fun _ -> Keyed_bench.gen spec rng)));
-  st.result ~wall_seconds:(Sim_run.run sim ~warmup ~duration)

@@ -44,37 +44,6 @@ val config_label :
     through [%g], so fractional percentages stay distinct (the %.0f
     collision class). *)
 
-(** The partitioned stack built on a run. *)
-type stack = {
-  submit : Cmd.t array -> unit;
-      (** Take one credit per command, blocking while the window is
-          spent, and send the batch to replica 0's sequencer. *)
-  result : wall_seconds:float -> result;
-      (** The run's result after {!Sim_run.run}: completions counted by
-          {!Sim_run.tick}, replica 0's merge ledger and the cluster's view
-          count. *)
-}
-
-val stack :
-  Sim_run.t ->
-  partitions:int ->
-  replicas:int ->
-  workers:int ->
-  batch:int ->
-  window:int ->
-  on_exec:(Cmd.t -> unit) ->
-  stack
-(** Build and spawn the stack: the simulated LAN, [partitions]
-    sequencers ordering with [Model.smr_abcast] on each of [replicas]
-    replicas with their event loops and tickers, and replica 0's
-    class-map dispatcher, fed each loop turn's merged emissions through
-    the batched submit path.  Execution charges
-    [Cmd.cost] on the run's CPU bank, then calls [on_exec] and returns
-    the command's credit.  At most [window] commands are in flight; the
-    feeder's requests are at most [batch] commands.
-    @raise Invalid_argument unless [partitions >= 1] and
-    [1 <= batch <= window]. *)
-
 val run :
   partitions:int ->
   workers:int ->
@@ -92,3 +61,10 @@ val run :
   ?metrics:bool ->
   unit ->
   result
+(** Build the stack — [partitions] sequencers ordering with
+    [Model.smr_abcast] on each of [replicas] replicas, replica 0's
+    class-map dispatcher fed each loop turn's merged emissions — and
+    drive it with the keyed feeder, at most [window] commands in flight
+    in requests of [batch].
+    @raise Invalid_argument unless [partitions >= 1] and
+    [1 <= batch <= window]. *)

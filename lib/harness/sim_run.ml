@@ -63,7 +63,6 @@ let with_sim ?(costs = Model.sim_costs) ?(faults = Psmr_fault.Schedule.empty)
 
 let engine t = t.engine
 let platform t = t.platform
-let now t = Psmr_sim.Engine.now t.engine
 let metrics t = t.metrics
 let trace t = t.trace
 let faults_injected t = Psmr_fault.Plan.injected t.plan

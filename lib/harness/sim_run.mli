@@ -29,7 +29,6 @@ val with_sim :
 
 val engine : t -> Psmr_sim.Engine.t
 val platform : t -> (module Psmr_platform.Platform_intf.S)
-val now : t -> float
 val metrics : t -> Psmr_obs.Metrics.t option
 val trace : t -> Psmr_obs.Trace.t option
 

@@ -91,10 +91,6 @@ let spec ?(records = default_records) ?(theta = default_theta) scenario =
     max_scan_len;
   }
 
-let pp_spec ppf s =
-  (* %g: this string keys bench memo tables. *)
-  Format.fprintf ppf "%s/%dr/%gz" (label s.scenario) s.records s.theta
-
 type gen = {
   spec : spec;
   zipf : Zipf.t;

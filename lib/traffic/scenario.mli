@@ -31,16 +31,9 @@ type spec = {
   max_scan_len : int;  (** ≤ {!Psmr_app.Kv_store.max_scan_len} *)
 }
 
-val default_records : int
-(** 100_000. *)
-
-val default_theta : float
-(** 0.99, the standard YCSB zipfian constant. *)
-
 val spec : ?records:int -> ?theta:float -> name -> spec
-
-val pp_spec : Format.formatter -> spec -> unit
-(** Stable [%g]-formatted label (safe as a memo key). *)
+(** Defaults: 100_000 records, theta 0.99 (the standard YCSB zipfian
+    constant). *)
 
 type gen
 (** Generation state: the alias-table sampler plus the insert frontier

@@ -245,7 +245,7 @@ let test_rotational_wedge_regression () =
      all touching {0,1,2}, rotationally wedged (streams 1,2,0 / 2,0,1 /
      0,1,2).  Breaking a partially seen sub-cycle let the victim depend on
      arrival order (some interleavings broke {1,2} and emitted 1 before 0);
-     the complete-information rule picks victim 0 everywhere. *)
+     breaking only a closed wedge picks victim 0 everywhere. *)
   let c cid = cross [| 0; 1; 2 |] cid in
   let orders =
     [| [ c 1; c 2; c 0 ]; [ c 2; c 0; c 1 ]; [ c 0; c 1; c 2 ] |]
@@ -255,6 +255,41 @@ let test_rotational_wedge_regression () =
     (fun (t, out) ->
       Alcotest.(check (list int)) "canonical victim order" [ 0; 1; 2 ]
         (emitted_cids out);
+      Alcotest.(check int) "drained" 0 (Pmerge.pending t))
+    runs
+
+let test_shared_stream_wedges_regression () =
+  (* Regression: two wedges that share streams.  Streams 0 and 3 wedge 1
+     and 3 between themselves; 0 and 2 also wedge each other in streams 1
+     and 2, but wait behind 1 and 3 in streams 0 and 3.  Breaking the
+     smallest key over every complete cycle made the first victim depend on
+     whether streams 1 and 2 had arrived yet (3 if not, 2 if so).  Only a
+     wedge that waits on nothing outside itself is broken, so the victim is
+     3 under every arrival order. *)
+  let all = [| 0; 1; 2; 3 |] and c03 = [| 0; 3 |] in
+  let orders =
+    [|
+      [ cross c03 1; cross all 2; cross c03 3; cross all 0 ];
+      [ cross all 0; cross all 2 ];
+      [ cross all 2; cross all 0 ];
+      [ cross c03 3; cross all 2; cross all 0; cross c03 1 ];
+    |]
+  in
+  let streams_0_3_first ps =
+    if List.mem 0 ps then 0 else if List.mem 3 ps then 3 else List.hd ps
+  in
+  let rng = Random.State.make [| 8874 |] in
+  let runs =
+    run_interleaving ~partitions:4 ~orders List.hd
+    :: run_interleaving ~partitions:4 ~orders streams_0_3_first
+    :: List.init 200 (fun _ ->
+           run_interleaving ~partitions:4 ~orders (random_pick rng))
+  in
+  List.iter
+    (fun (t, out) ->
+      Alcotest.(check (list int)) "canonical victim order" [ 3; 2; 0; 1 ]
+        (emitted_cids out);
+      Alcotest.(check int) "three tie-breaks" 3 (Pmerge.holes t);
       Alcotest.(check int) "drained" 0 (Pmerge.pending t))
     runs
 
@@ -1309,6 +1344,18 @@ let test_part_bench_pinned () =
        r.kops r.executed r.emitted r.crosses r.holes r.merge_pending
        r.engine_events)
 
+(* A request batch larger than the credit window can never acquire its
+   credits; the stack must refuse it up front instead of wedging the
+   feeder. *)
+let test_part_bench_batch_over_window () =
+  match
+    Psmr_harness.Part_bench.run ~partitions:2 ~workers:4
+      ~spec:Psmr_workload.Workload.Keyed.low_conflict ~batch:2048
+      ~window:1024 ~duration:0.01 ~warmup:0.002 ()
+  with
+  | exception Invalid_argument _ -> ()
+  | r -> Alcotest.failf "batch 2048 over a 1024 window ran: %.1f kops" r.kops
+
 module Kv_equiv =
   Equiv
     (Psmr_app.Kv_store)
@@ -1351,6 +1398,8 @@ let () =
           Alcotest.test_case "push validation" `Quick test_push_validation;
           Alcotest.test_case "rotational wedge regression" `Quick
             test_rotational_wedge_regression;
+          Alcotest.test_case "shared-stream wedges regression" `Quick
+            test_shared_stream_wedges_regression;
           Alcotest.test_case "emitted-cross memory bounded (long run)" `Quick
             test_emitted_cross_bounded;
           Alcotest.test_case "repeat memory bounded (long run)" `Quick
@@ -1377,6 +1426,8 @@ let () =
             test_cross_one_hop;
           Alcotest.test_case "pinned Part_bench run" `Quick
             test_part_bench_pinned;
+          Alcotest.test_case "Part_bench batch over window is refused" `Quick
+            test_part_bench_batch_over_window;
         ] );
       ( "part-deploy",
         [

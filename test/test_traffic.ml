@@ -1,8 +1,8 @@
 (* Tests for the open-loop traffic subsystem: arrival processes
    (replayability, rate calibration), the bounded session pool, the
    YCSB-style scenario family (mix tolerances, footprint discipline)
-   and the latency-under-load harness (determinism, open-loop
-   shedding, knee detection).  Simulated windows are tiny: these
+   and the open-loop runs ([Psmr_benchmark.Drive] and the shared
+   [Psmr_harness.Open_loop] runner).  Simulated windows are tiny: these
    validate plumbing and invariants, not absolute numbers. *)
 
 open Psmr_traffic
@@ -287,175 +287,174 @@ let test_scenario_service_mappings () =
     ignore (Psmr_app.Kv_store.execute kv (Scenario.to_kv op))
   done
 
-(* ---------- load harness ---------- *)
+(* ---------- open-loop runs ---------- *)
 
-let scenario_a = Scenario.spec ~records:1_000 Scenario.A
+module W = Psmr_benchmark.Workloads
 
-let indexed_target =
-  Psmr_harness.Load_bench.Backend (Psmr_early.Registry.Cos Psmr_cos.Registry.Indexed)
-
-let quick_step ?(target = indexed_target) ?(rate = 50_000.0)
-    ?(queue_cap = 512) ?(seed = 42L) () =
-  Psmr_harness.Load_bench.run_step ~target ~workers:4 ~scenario:scenario_a
-    ~shape:(Psmr_traffic.Arrival.Poisson { rate })
-    ~sessions:10_000 ~queue_cap ~duration:0.01 ~warmup:0.002 ~seed ()
-
-let test_load_deterministic () =
-  let s1 = quick_step () and s2 = quick_step () in
-  Alcotest.(check string) "byte-identical step export"
-    (Psmr_harness.Load_bench.step_to_string s1)
-    (Psmr_harness.Load_bench.step_to_string s2)
-
-let test_load_completes () =
-  let s = quick_step () in
-  if s.completed <= 0 then Alcotest.fail "no completions";
-  if s.samples <= 0 then Alcotest.fail "no latency samples";
-  if not (s.p50 <= s.p99 && s.p99 <= s.p999 && s.p999 <= s.max_latency) then
-    Alcotest.failf "quantiles out of order: %.3g %.3g %.3g %.3g" s.p50 s.p99
-      s.p999 s.max_latency;
-  (* Mildly loaded: nothing should be shed. *)
-  Alcotest.(check int) "no drops at mild load" 0 s.dropped
-
-let test_load_sheds_when_overloaded () =
-  let s =
-    quick_step
-      ~target:(Psmr_harness.Load_bench.Backend (Psmr_early.Registry.Cos Psmr_cos.Registry.Coarse))
-      ~rate:2_000_000.0 ~queue_cap:128 ()
+(* Open-loop discipline: arrivals are a function of the seed alone.  A
+   coarse-locked single sequencer saturated at 600 kops and a four-partition
+   deployment that keeps up see the same arrival times, command for
+   command. *)
+let test_arrivals_independent_of_system () =
+  let run deployment =
+    let w =
+      W.ladder ~name:"due" ~deployment ~scenario:Scenario.A
+        ~levels:(W.kops [| 50.; 600. |])
+        ~step:0.01 ~base:50e3 ~stress:600e3
+    in
+    Psmr_benchmark.Drive.prepare { w with drain = 0.005 } ~seed:1
+      ~traced:false
   in
-  if s.dropped = 0 then Alcotest.fail "expected shedding at 2M offered";
-  if s.queue_peak > 128 then
-    Alcotest.failf "offered queue grew past its cap: %d" s.queue_peak;
-  if not (s.drop_rate > 0.0 && s.drop_rate <= 1.0) then
-    Alcotest.failf "drop rate %.3f out of range" s.drop_rate
-
-let test_load_open_loop_arrivals () =
-  (* Open-loop discipline: the arrival count is a property of the
-     arrival process alone — a saturated coarse lock and a healthy
-     indexed COS see the exact same offered stream (the arrival path
-     pays no simulated cost, so the backend cannot perturb it). *)
-  let coarse =
-    quick_step
-      ~target:(Psmr_harness.Load_bench.Backend (Psmr_early.Registry.Cos Psmr_cos.Registry.Coarse))
-      ~rate:400_000.0 ~queue_cap:256 ()
+  let coarse = run { W.lockfree with backend = "coarse" } in
+  let part4 = run W.part4 in
+  let failed (o : Psmr_benchmark.Drive.outcome) =
+    Array.fold_left (fun k r -> if Float.is_nan r then k + 1 else k) 0 o.ret
   in
-  let indexed = quick_step ~rate:400_000.0 ~queue_cap:256 () in
-  Alcotest.(check int) "identical arrival counts" coarse.arrivals
-    indexed.arrivals
+  if failed coarse = 0 then Alcotest.fail "coarse did not saturate";
+  Alcotest.(check (array (float 0.0)))
+    "identical arrival times" coarse.due part4.due
 
-let test_load_optimistic_backend () =
-  let early_opt =
-    Option.get (Psmr_harness.Load_bench.target_of_string "early-opt")
+(* The shared open-loop runner behind BENCH_cos.json's open_loop rows and
+   [psmr_bench open-loop]: target parsing, ladder shape, and short runs
+   (10 ms steps) on each kind of target. *)
+module Open_loop = Psmr_harness.Open_loop
+module Report = Psmr_benchmark.Report
+
+let target s =
+  match Open_loop.target_of_string s with
+  | Some d -> d
+  | None -> Alcotest.failf "target %S did not parse" s
+
+let quick ?(levels_kops = [ 50. ]) name =
+  Open_loop.run
+    (Open_loop.ladder ~levels_kops ~step:0.01 (target name) Scenario.A)
+
+let step_to_string (level, (w : Report.window)) =
+  let q p =
+    match Report.quantile w p with
+    | Some (v, lower_bound) ->
+        Printf.sprintf "%s%.9g" (if lower_bound then ">=" else "") v
+    | None -> "none"
   in
-  let s = quick_step ~target:early_opt () in
-  if s.completed <= 0 then Alcotest.fail "no optimistic commits";
-  if s.samples <= 0 then Alcotest.fail "no commit latency samples"
+  Printf.sprintf
+    "offered_kops=%g arrivals=%d kops=%.1f failed=%d censored=%d samples=%d \
+     p50=%s p99=%s"
+    (level /. 1e3) w.arrivals w.kops w.failed w.censored (Array.length w.lat)
+    (q 0.5) (q 0.99)
 
-let test_load_partitioned_backend () =
-  let s =
-    Psmr_harness.Load_bench.run_step
-      ~target:(Psmr_harness.Load_bench.Partitioned 2)
-      ~workers:4 ~scenario:scenario_a
-      ~shape:(Psmr_traffic.Arrival.Poisson { rate = 50_000.0 })
-      ~sessions:10_000 ~queue_cap:512 ~duration:0.02 ~warmup:0.005 ~seed:42L ()
-  in
-  if s.completed <= 0 then Alcotest.fail "no partitioned completions";
-  (* The ordering path (batching + LAN + merge) is part of the latency. *)
-  if s.p50 < Psmr_harness.Model.lan_latency then
-    Alcotest.failf "partitioned p50 %.3g below one network hop" s.p50
-
-(* Exact step exports for the three target shapes — the conservative
-   backend path, the optimistic submit/confirm pipeline and the
-   partitioned stack.  Simulated steps are deterministic, so any harness
-   change that moves one event shows up here. *)
-let test_load_pinned () =
-  let pin target expected =
-    Alcotest.(check string)
-      (Psmr_harness.Load_bench.target_label target)
-      expected
-      (Psmr_harness.Load_bench.step_to_string (quick_step ~target ()))
-  in
-  pin indexed_target
-    "offered_kops=50 kops=49.4 arrivals=493 completed=494 dropped=0 \
-     drop_rate=0 samples=493 p50=1.09672546e-05 p99=1.8119812e-05 \
-     p999=2.36702767e-05 mean_latency=1.06683851e-05 \
-     max_latency=2.36702767e-05 queue_peak=2 engine_events=65956";
-  pin
-    (Option.get (Psmr_harness.Load_bench.target_of_string "early-opt"))
-    "offered_kops=50 kops=49.3 arrivals=493 completed=493 dropped=0 \
-     drop_rate=0 samples=493 p50=8.10623169e-06 p99=1.28746033e-05 \
-     p999=1.4827016e-05 mean_latency=7.86225162e-06 \
-     max_latency=1.4827016e-05 queue_peak=2 engine_events=25656";
-  pin (Psmr_harness.Load_bench.Partitioned 2)
-    "offered_kops=50 kops=49.2 arrivals=493 completed=492 dropped=0 \
-     drop_rate=0 samples=477 p50=0.00032043457 p99=0.000457102868 \
-     p999=0.000457102868 mean_latency=0.000323257606 \
-     max_latency=0.000457102868 queue_peak=2 engine_events=37598"
-
-(* A request batch larger than the partitioned stack's credit window can
-   never acquire its credits; the stack must refuse it up front instead of
-   wedging the injector. *)
-let test_load_partitioned_batch_over_window () =
-  match
-    Psmr_harness.Load_bench.run_step
-      ~target:(Psmr_harness.Load_bench.Partitioned 2)
-      ~workers:4 ~scenario:scenario_a
-      ~shape:(Psmr_traffic.Arrival.Poisson { rate = 2_000_000.0 })
-      ~sessions:10_000 ~batch:2048 ~queue_cap:8192 ~duration:0.01
-      ~warmup:0.002 ()
-  with
-  | exception Invalid_argument _ -> ()
-  | s ->
-      Alcotest.failf "batch 2048 over a 1024 window ran: %s"
-        (Psmr_harness.Load_bench.step_to_string s)
+let only_step = function
+  | [ s ] -> s
+  | steps -> Alcotest.failf "expected one step, got %d" (List.length steps)
 
 let test_target_parsing () =
-  let round s =
-    Option.map Psmr_harness.Load_bench.target_label
-      (Psmr_harness.Load_bench.target_of_string s)
-  in
-  Alcotest.(check (option string)) "part4" (Some "part4") (round "part4");
-  Alcotest.(check (option string)) "part-2" (Some "part2") (round "part-2");
-  Alcotest.(check (option string)) "coarse" (Some "coarse-grained") (round "coarse");
-  Alcotest.(check (option string)) "early-opt" (Some "early-opt") (round "early-opt");
-  Alcotest.(check (option string)) "junk" None (round "part-zero");
-  Alcotest.(check (option string)) "junk2" None (round "part0")
+  Alcotest.(check bool) "coarse: lockfree-sized single sequencer" true
+    (target "coarse" = { W.lockfree with backend = "coarse" });
+  Alcotest.(check bool) "part4 is the benchmark's part4" true
+    (target "part4" = W.part4);
+  Alcotest.(check bool) "part1: three replicas, one partition" true
+    (target "part1"
+    = { W.replicas = 3; ordering = Parts 1; backend = "early-opt" });
+  List.iter
+    (fun s ->
+      Alcotest.(check string) ("label of " ^ s) s
+        (Open_loop.target_label (target s)))
+    [ "coarse"; "indexed"; "early"; "early-opt"; "part2"; "part4" ];
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) ("rejects " ^ s) true
+        (Open_loop.target_of_string s = None))
+    [ "part0"; "part-2"; "part"; "partx"; "bogus"; "" ]
 
-let synthetic_step offered p99 drop_rate : Psmr_harness.Load_bench.step =
-  {
-    offered_kops = offered;
-    arrivals = 1000;
-    completed = 900;
-    dropped = 0;
-    drop_rate;
-    kops = offered;
-    samples = 900;
-    p50 = p99 /. 2.0;
-    p99;
-    p999 = p99 *. 2.0;
-    mean_latency = p99 /. 2.0;
-    max_latency = p99 *. 3.0;
-    queue_peak = 10;
-    engine_events = 0;
-    wall_seconds = 0.0;
-  }
-
-let test_knee_detection () =
-  let steps =
-    [
-      synthetic_step 25.0 1e-5 0.0;
-      synthetic_step 50.0 1.2e-5 0.0;
-      synthetic_step 100.0 9e-5 0.0;
-      synthetic_step 200.0 1e-3 0.5;
-    ]
+let test_ladder_shape () =
+  let w =
+    Open_loop.ladder ~levels_kops:[ 200.; 50.; 200. ] ~step:0.01
+      (target "indexed") Scenario.A
   in
-  Alcotest.(check (option (float 1e-9))) "p99 knee" (Some 100.0)
-    (Psmr_harness.Load_bench.knee steps);
-  let flat = [ synthetic_step 25.0 1e-5 0.0; synthetic_step 50.0 2e-5 0.0 ] in
-  Alcotest.(check (option (float 1e-9))) "no knee" None
-    (Psmr_harness.Load_bench.knee flat);
-  let droppy = [ synthetic_step 25.0 1e-5 0.0; synthetic_step 50.0 1e-5 0.2 ] in
-  Alcotest.(check (option (float 1e-9))) "drop knee" (Some 50.0)
-    (Psmr_harness.Load_bench.knee droppy)
+  Alcotest.(check string) "named by target" "indexed" w.name;
+  Alcotest.(check (array (float 0.0))) "sorted, distinct levels"
+    [| 50e3; 200e3 |] w.levels;
+  Alcotest.(check (float 0.0)) "50 ms drain" 0.05 w.drain;
+  Alcotest.(check (list (float 0.0))) "one sampled window per level"
+    [ 50e3; 200e3 ]
+    (List.map fst (Array.to_list (W.steps w)));
+  match
+    Open_loop.ladder ~levels_kops:[] (target "indexed") Scenario.A
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "an empty ladder was accepted"
+
+let test_open_loop_deterministic () =
+  let run () = List.map step_to_string (quick "indexed") in
+  Alcotest.(check (list string)) "same steps" (run ()) (run ())
+
+(* Mild load: every command completes inside its run, so no quantile is a
+   censored lower bound. *)
+let test_open_loop_completes () =
+  let _, w = only_step (quick "indexed") in
+  if w.arrivals <= 0 then Alcotest.fail "no arrivals";
+  Alcotest.(check int) "nothing failed" 0 w.failed;
+  Alcotest.(check int) "nothing censored" 0 w.censored;
+  Alcotest.(check int) "one sample per arrival" w.arrivals
+    (Array.length w.lat);
+  match (Report.quantile w 0.5, Report.quantile w 0.99) with
+  | Some (p50, false), Some (p99, false) when 0.0 < p50 && p50 <= p99 -> ()
+  | _ -> Alcotest.failf "bad quantiles: %s" (step_to_string (50e3, w))
+
+(* Coarse locking saturates near 100 kops: a 600 kops step leaves commands
+   in flight at the end of the run, reported as censored latencies, and
+   the SLO knee is the step before it. *)
+let coarse_ladder = lazy (quick ~levels_kops:[ 50.; 600. ] "coarse")
+
+let test_open_loop_saturates () =
+  match Lazy.force coarse_ladder with
+  | [ _; (_, w) ] -> (
+      if w.failed <= 0 then Alcotest.fail "no failed command at 600 kops";
+      if w.censored <= 0 then Alcotest.fail "no censored command at 600 kops";
+      match Report.quantile w 0.99 with
+      | Some (p99, true) when p99 > 0.0 -> ()
+      | _ ->
+          Alcotest.failf "p99 is not a censored lower bound: %s"
+            (step_to_string (600e3, w)))
+  | steps -> Alcotest.failf "expected two steps, got %d" (List.length steps)
+
+let test_open_loop_knee () =
+  Alcotest.(check (float 0.0)) "max rate meeting the SLO" 50e3
+    (Report.max_rate_slo (Lazy.force coarse_ladder))
+
+let test_open_loop_optimistic () =
+  let _, w = only_step (quick "early-opt") in
+  Alcotest.(check int) "nothing failed" 0 w.failed;
+  if Array.length w.lat = 0 then Alcotest.fail "no latency samples"
+
+(* The partitioned deployment's latency includes ordering and the reply:
+   at least a request hop and a reply hop on the simulated LAN. *)
+let test_open_loop_partitioned () =
+  let _, w = only_step (quick "part2") in
+  Alcotest.(check int) "nothing failed" 0 w.failed;
+  match Report.quantile w 0.5 with
+  | Some (p50, _) when p50 >= 2.0 *. Psmr_benchmark.Pinned.lan_latency -> ()
+  | _ ->
+      Alcotest.failf "p50 below two network hops: %s"
+        (step_to_string (50e3, w))
+
+(* Exact steps for the three target shapes: the conservative COS, the
+   optimistic class-map executor and the partitioned deployment.  Runs are
+   deterministic, so any change that moves a latency in the replicated
+   deployment shows up here. *)
+let test_open_loop_pinned () =
+  let pin name expected =
+    Alcotest.(check string) name expected
+      (step_to_string (only_step (quick name)))
+  in
+  pin "indexed"
+    "offered_kops=50 arrivals=379 kops=47.1 failed=0 censored=0 samples=379 \
+     p50=0.000350632062 p99=0.000417065962";
+  pin "early-opt"
+    "offered_kops=50 arrivals=379 kops=47.1 failed=0 censored=0 samples=379 \
+     p50=0.000344162132 p99=0.000410287685";
+  pin "part2"
+    "offered_kops=50 arrivals=379 kops=47.5 failed=0 censored=0 samples=379 \
+     p50=0.000332727789 p99=0.00040088617"
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -486,18 +485,24 @@ let () =
           Alcotest.test_case "labels" `Quick test_scenario_labels;
           Alcotest.test_case "service mappings" `Quick test_scenario_service_mappings;
         ] );
-      ( "load-bench",
+      ( "open-loop",
         [
-          Alcotest.test_case "deterministic" `Quick test_load_deterministic;
-          Alcotest.test_case "completes" `Quick test_load_completes;
-          Alcotest.test_case "sheds when overloaded" `Quick test_load_sheds_when_overloaded;
-          Alcotest.test_case "open-loop arrivals" `Quick test_load_open_loop_arrivals;
-          Alcotest.test_case "optimistic backend" `Quick test_load_optimistic_backend;
-          Alcotest.test_case "partitioned backend" `Slow test_load_partitioned_backend;
-          Alcotest.test_case "pinned steps" `Quick test_load_pinned;
-          Alcotest.test_case "partitioned batch over window" `Quick
-            test_load_partitioned_batch_over_window;
+          Alcotest.test_case "arrivals do not depend on the system" `Quick
+            test_arrivals_independent_of_system;
           Alcotest.test_case "target parsing" `Quick test_target_parsing;
-          Alcotest.test_case "knee detection" `Quick test_knee_detection;
+          Alcotest.test_case "ladder shape" `Quick test_ladder_shape;
+          Alcotest.test_case "deterministic" `Quick
+            test_open_loop_deterministic;
+          Alcotest.test_case "completes at mild load" `Quick
+            test_open_loop_completes;
+          Alcotest.test_case "saturated step is censored" `Quick
+            test_open_loop_saturates;
+          Alcotest.test_case "knee before the saturated step" `Quick
+            test_open_loop_knee;
+          Alcotest.test_case "optimistic backend" `Quick
+            test_open_loop_optimistic;
+          Alcotest.test_case "partitioned backend" `Quick
+            test_open_loop_partitioned;
+          Alcotest.test_case "pinned steps" `Quick test_open_loop_pinned;
         ] );
     ]
