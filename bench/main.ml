@@ -103,16 +103,11 @@ let list_tests =
 
 let util_tests =
   let rng = Psmr_util.Rng.create ~seed:3L in
-  let heap = Psmr_util.Heap.create ~cmp:compare in
   let hist = Psmr_util.Histogram.create () in
   Test.make_grouped ~name:"util"
     [
       Test.make ~name:"rng-int"
         (Staged.stage (fun () -> ignore (Psmr_util.Rng.int rng 1000 : int)));
-      Test.make ~name:"heap-push-pop"
-        (Staged.stage (fun () ->
-             Psmr_util.Heap.add heap (Psmr_util.Rng.int rng 1000);
-             ignore (Psmr_util.Heap.pop heap : int option)));
       Test.make ~name:"histogram-record"
         (Staged.stage (fun () -> Psmr_util.Histogram.record hist 0.0012));
     ]

@@ -13,7 +13,9 @@
    Exit status: 0 when every explored schedule is clean, 1 when an oracle
    reported a violation, 2 on usage errors.  With --expect-violation the
    meaning of 0 and 1 flips: the run passes only if the oracles fire —
-   for planted-bug and crash-stop targets pinned in CI aliases. *)
+   for planted-bug and crash-stop targets pinned in CI aliases.  An
+   exploration whose every schedule hit --max-steps ran no post-run
+   oracle; it prints "inconclusive" and exits 1 either way. *)
 
 open Cmdliner
 module Check = Psmr_checker
@@ -251,7 +253,7 @@ let max_schedules_arg =
 
 let max_steps_arg =
   Arg.(
-    value & opt int 50_000
+    value & opt int Check.Check_platform.default_max_steps
     & info [ "max-steps" ] ~docv:"N"
         ~doc:"Decision points per schedule before the run is truncated.")
 
@@ -343,7 +345,7 @@ let trace_out_arg =
 (* The replayed oplog as a Chrome trace: decision points become the time
    axis (virtual time never advances under the checker), one 1 microsecond
    slice per operation on the acting process's track. *)
-let write_oplog_trace ~path (o : Check.Cos_check.outcome) =
+let write_oplog_trace ~path (o : Check.Check_platform.outcome) =
   let tr = Psmr_obs.Trace.create () in
   Psmr_obs.Trace.set_process_name tr ~pid:Psmr_obs.Probe.proc_pid "processes";
   List.iteri
@@ -380,10 +382,10 @@ let run target workers commands writes keys cross mis spec max_size no_drain
     prerr_endline "psmr-check: --batch must be 1, or above 1 for a COS target";
     exit 2
   end;
-  (* One runner closure per target family; both produce the shared
-     [Cos_check.outcome], so the exploration drivers below don't care which
-     family they are exercising. *)
-  let run_schedule ~trace ~pick =
+  (* One runner per target family; all run through [Check_platform.run],
+     so the exploration drivers below don't care which family they are
+     exercising. *)
+  let run_schedule ~trace =
     match target with
     | Cos_target t ->
         let sc =
@@ -391,7 +393,7 @@ let run target workers commands writes keys cross mis spec max_size no_drain
             ~write_pct:writes ~max_size ~drain_before_close:(not no_drain)
             ~crashes ~respawn:(not no_respawn) ~batch ~workload_seed ()
         in
-        Check.Cos_check.run_schedule ~max_steps ~trace sc ~pick
+        Check.Cos_check.run_schedule ~max_steps ~trace sc
     | Early_target e ->
         let sc =
           Check.Early_check.scenario ~workers ?classes:e.classes ~commands
@@ -401,14 +403,14 @@ let run target workers commands writes keys cross mis spec max_size no_drain
             ~undo:e.undo ~max_size ~drain_before_close:(not no_drain)
             ~crashes ~respawn:(not no_respawn) ~workload_seed ()
         in
-        Check.Early_check.run_schedule ~max_steps ~trace sc ~pick
+        Check.Early_check.run_schedule ~max_steps ~trace sc
     | Part_target p ->
         let sc =
           Check.Partition_check.scenario ~partitions:p.partitions
             ~replicas:workers ~commands ~cross_pct:cross
             ~no_barrier:p.no_barrier ~workload_seed ()
         in
-        Check.Partition_check.run_schedule ~max_steps ~trace sc ~pick
+        Check.Partition_check.run_schedule ~max_steps ~trace sc
   in
   let replay_cmd s =
     let is_early = match target with Early_target _ -> true | _ -> false in
@@ -435,6 +437,9 @@ let run target workers commands writes keys cross mis spec max_size no_drain
             ^ String.concat ","
                 (List.map (fun (w, k) -> Printf.sprintf "%d:%d" w k) cs));
         (if no_respawn then " --no-respawn" else "");
+        (if max_steps <> Check.Check_platform.default_max_steps then
+           Printf.sprintf " --max-steps %d" max_steps
+         else "");
       ]
   in
   (* [dirty = true] when an oracle fired; --expect-violation flips which
@@ -450,11 +455,7 @@ let run target workers commands writes keys cross mis spec max_size no_drain
   in
   match replay with
   | Some s ->
-      let o =
-        Check.Explore.replay_with
-          ~run:(fun ~pick -> run_schedule ~trace:true ~pick)
-          ~seed:s ()
-      in
+      let o = Check.Explore.replay ~run:(run_schedule ~trace:true) ~seed:s in
       Printf.printf "replaying seed %Ld on %s: %d decision points%s\n" s name
         o.decisions
         (if o.truncated then " (truncated)" else "");
@@ -476,21 +477,26 @@ let run target workers commands writes keys cross mis spec max_size no_drain
       in
       let r =
         if dfs then
-          Check.Explore.dfs_with ?deadline ~max_schedules
-            ~preemption_bound:bound ~stop_on_first
-            ~run:(fun ~pick -> run_schedule ~trace:false ~pick)
-            ()
+          Check.Explore.dfs ?deadline ~max_schedules ~preemption_bound:bound
+            ~stop_on_first ~run:(run_schedule ~trace:false) ()
         else
-          Check.Explore.random_walk_with ?deadline ~stop_on_first
-            ~run:(fun ~pick -> run_schedule ~trace:false ~pick)
-            ~seed ~schedules ()
+          Check.Explore.random_walk ?deadline ~stop_on_first
+            ~run:(run_schedule ~trace:false) ~seed ~schedules ()
       in
       Printf.printf
         "%s: %d schedules (%d distinct), %d decision points, %d truncated, \
          %d incomplete%s\n"
         name r.schedules r.distinct r.decisions r.truncated r.incomplete
         (if r.exhausted then ", bounded tree exhausted" else "");
-      if r.failures = [] then print_endline "clean: no violations"
+      if r.failures = [] && r.schedules > 0 && r.truncated = r.schedules
+      then begin
+        (* No post-run oracle ran on any schedule: neither clean nor a
+           violation, whatever --expect-violation asks for. *)
+        Printf.printf "inconclusive: all %d schedules hit --max-steps\n"
+          r.schedules;
+        exit 1
+      end
+      else if r.failures = [] then print_endline "clean: no violations"
       else begin
         Printf.printf "%d failing schedule(s):\n" (List.length r.failures);
         let rec take n = function

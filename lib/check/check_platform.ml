@@ -356,3 +356,88 @@ let make (ctx : t) : (module Platform_intf.S) =
     let after _ f = spawn f
     let work (_ : Platform_intf.work_kind) = ()
   end)
+
+type outcome = {
+  completed : bool;
+  violations : string list;
+  decisions : int;
+  truncated : bool;
+  choices : int array;  (* the chosen process id at every decision point *)
+  trace_hash : int64;
+  oplog : (int * string) list;  (* populated when [trace] *)
+  metrics : (string * float) list;  (* populated when [metrics] *)
+}
+
+exception Truncated
+
+let hash_choices (choices : int array) =
+  (* FNV-1a, 64-bit. *)
+  let h = ref 0xcbf29ce484222325L in
+  Array.iter
+    (fun c ->
+      h := Int64.logxor !h (Int64.of_int (c land 0xffff));
+      h := Int64.mul !h 0x100000001b3L)
+    choices;
+  !h
+
+let default_max_steps = 50_000
+
+let run ?(max_steps = default_max_steps) ?(trace = false) ?(metrics = false)
+    ~(pick : last:int -> int array -> int) setup =
+  let engine = Engine.create () in
+  let ctx = create engine in
+  set_tracing ctx trace;
+  (* Under the checker virtual time never advances; the decision-point
+     counter is the closest monotone notion of "when", so latencies come
+     out in decision points rather than seconds. *)
+  let registry =
+    if metrics then
+      Some
+        (Psmr_obs.Metrics.make
+           ~now:(fun () -> float_of_int (ops ctx))
+           ~track:(fun () -> Engine.running_tag engine)
+           ())
+    else None
+  in
+  let violations = ref [] in
+  let viol s = violations := s :: !violations in
+  let oracles = setup ctx (make ctx) ~viol in
+  let decisions = ref 0 in
+  let choices = ref [] in
+  let last = ref 0 in
+  let truncated = ref false in
+  Engine.set_picker engine
+    (Some
+       (fun tags ->
+         incr decisions;
+         if !decisions > max_steps then raise Truncated;
+         let idx = pick ~last:!last tags in
+         let idx = if idx < 0 || idx >= Array.length tags then 0 else idx in
+         last := tags.(idx);
+         choices := tags.(idx) :: !choices;
+         idx));
+  Option.iter Psmr_obs.Metrics.enable registry;
+  Fun.protect
+    ~finally:(fun () ->
+      if Option.is_some registry then Psmr_obs.Metrics.disable ())
+    (fun () ->
+      try Engine.run engine with
+      | Truncated -> truncated := true
+      | e -> viol ("uncaught exception: " ^ Printexc.to_string e));
+  (* A truncated run stopped mid-program: no post-run oracle applies. *)
+  let completed = (not !truncated) && oracles () in
+  List.iter (fun r -> viol (Format.asprintf "%a" pp_race r)) (races ctx);
+  let choices = Array.of_list (List.rev !choices) in
+  {
+    completed;
+    violations = List.rev !violations;
+    decisions = !decisions;
+    truncated = !truncated;
+    choices;
+    trace_hash = hash_choices choices;
+    oplog = oplog ctx;
+    metrics =
+      (match registry with
+      | Some m -> Psmr_obs.Metrics.assoc m
+      | None -> []);
+  }

@@ -8,9 +8,10 @@
     maintains per-process vector clocks across all synchronization edges
     and reports unordered plain [Atomic.set] stores as data races.
 
-    Usage: create an engine, [create] a context, [make] the platform
-    module, spawn the scenario's processes through the platform, install a
-    picker, then [Engine.run].  See [Cos_check] for the COS harness. *)
+    Usage: {!run} one schedule of a scenario; it creates the engine and
+    context, [make]s the platform, lets the scenario spawn its processes,
+    installs the picker and runs the engine.  [Cos_check], [Early_check]
+    and [Partition_check] are the scenarios. *)
 
 module Engine = Psmr_sim.Engine
 
@@ -53,3 +54,48 @@ val set_tracing : t -> bool -> unit
 
 val oplog : t -> (int * string) list
 (** The recorded operation log, in execution order. *)
+
+(** {2 Running one schedule} *)
+
+type outcome = {
+  completed : bool;
+      (** not truncated, and the scenario's post-run oracles report every
+          process finished *)
+  violations : string list;  (** what the oracles found ([[]] = clean) *)
+  decisions : int;
+  truncated : bool;  (** cut off at [max_steps] decision points *)
+  choices : int array;  (** chosen process id at every decision point *)
+  trace_hash : int64;  (** FNV-1a hash of [choices]: schedule identity *)
+  oplog : (int * string) list;  (** per-step (pid, op) log when [trace] *)
+  metrics : (string * float) list;
+      (** flat [Psmr_obs.Metrics.assoc] snapshot when [metrics]; latency
+          figures are in decision points (virtual time never advances under
+          the checker) *)
+}
+
+val default_max_steps : int
+(** The decision-point bound {!run} applies when [max_steps] is omitted. *)
+
+val run :
+  ?max_steps:int ->
+  ?trace:bool ->
+  ?metrics:bool ->
+  pick:(last:int -> int array -> int) ->
+  (t ->
+  (module Psmr_platform.Platform_intf.S) ->
+  viol:(string -> unit) ->
+  unit ->
+  bool) ->
+  outcome
+(** [run ~pick setup] runs one schedule on a fresh engine + context +
+    platform.  [setup ctx (module P) ~viol] spawns the scenario's
+    processes through [P], reports violations through [viol], and returns
+    its post-run oracles: called once after a run that was not truncated,
+    they report further violations and return whether every process
+    finished.  [pick] (see [Strategy]) chooses at every decision point; an
+    out-of-range index picks the first runnable process.  [max_steps]
+    (default {!default_max_steps}) bounds the decision points so that
+    strategies which starve a polling loop cannot hang the run.  An exception escaping a
+    process is a violation; races are appended after the oracles'
+    reports.  [metrics] (default off) enables an observability registry
+    for the run and returns its snapshot in {!outcome.metrics}. *)

@@ -26,7 +26,6 @@
       blocked processes are reported. *)
 
 open Psmr_cos
-module Engine = Psmr_sim.Engine
 
 (* Readers-writers commands, the paper's application model: writes conflict
    with everything, reads only with writes. *)
@@ -98,47 +97,10 @@ let scenario ?(target = Impl Registry.Lockfree) ?(workers = 3) ?(commands = 10)
     batch;
   }
 
-type outcome = {
-  completed : bool;
-  violations : string list;
-  decisions : int;
-  truncated : bool;
-  choices : int array;  (* the chosen process id at every decision point *)
-  trace_hash : int64;
-  oplog : (int * string) list;  (* populated when [trace] *)
-  metrics : (string * float) list;  (* populated when [metrics] *)
-}
-
-exception Truncated
-
-let hash_choices (choices : int array) =
-  (* FNV-1a, 64-bit. *)
-  let h = ref 0xcbf29ce484222325L in
-  Array.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (c land 0xffff));
-      h := Int64.mul !h 0x100000001b3L)
-    choices;
-  !h
-
-let run_schedule ?(max_steps = 50_000) ?(trace = false) ?(metrics = false) sc
-    ~(pick : last:int -> int array -> int) =
-  let engine = Engine.create () in
-  let ctx = Check_platform.create engine in
-  Check_platform.set_tracing ctx trace;
-  (* Under the checker virtual time never advances; the decision-point
-     counter is the closest monotone notion of "when", so latencies come
-     out in decision points rather than seconds. *)
-  let registry =
-    if metrics then
-      Some
-        (Psmr_obs.Metrics.make
-           ~now:(fun () -> float_of_int (Check_platform.ops ctx))
-           ~track:(fun () -> Engine.running_tag engine)
-           ())
-    else None
-  in
-  let (module P) = Check_platform.make ctx in
+let run_schedule ?max_steps ?trace ?metrics sc ~pick =
+  Check_platform.run ?max_steps ?trace ?metrics ~pick
+  @@ fun ctx (module P : Psmr_platform.Platform_intf.S) ~viol ->
+  let viol fmt = Printf.ksprintf viol fmt in
   let (module S : Cos_intf.S with type cmd = Cmd.t) =
     match sc.target with
     | Impl impl -> Registry.instantiate_keyed impl (module P) (module Cmd)
@@ -146,8 +108,6 @@ let run_schedule ?(max_steps = 50_000) ?(trace = false) ?(metrics = false) sc
   in
   let n = Array.length sc.writes in
   let t = S.create ~max_size:sc.max_size () in
-  let violations = ref [] in
-  let viol fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
   let inv ~strict () =
     Check_platform.with_ghost ctx (fun () ->
         List.iter (fun e -> viol "invariant [%s]: %s" (S.name) e)
@@ -242,89 +202,51 @@ let run_schedule ?(max_steps = 50_000) ?(trace = false) ?(metrics = false) sc
         in
         loop ())
   done;
-  let decisions = ref 0 in
-  let choices = ref [] in
-  let last = ref 0 in
-  let truncated = ref false in
-  Engine.set_picker engine
-    (Some
-       (fun tags ->
-         incr decisions;
-         if !decisions > max_steps then raise Truncated;
-         let idx = pick ~last:!last tags in
-         let idx = if idx < 0 || idx >= Array.length tags then 0 else idx in
-         last := tags.(idx);
-         choices := tags.(idx) :: !choices;
-         idx));
-  Option.iter Psmr_obs.Metrics.enable registry;
-  Fun.protect
-    ~finally:(fun () -> if Option.is_some registry then Psmr_obs.Metrics.disable ())
-    (fun () ->
-      try Engine.run engine with
-      | Truncated -> truncated := true
-      | e -> viol "uncaught exception: %s" (Printexc.to_string e));
-  let completed = (not !truncated) && !finished = total_tasks in
-  if not !truncated then begin
-    if !finished < total_tasks then
-      viol "deadlock: %d of %d processes never finished"
-        (total_tasks - !finished)
-        total_tasks;
-    if completed then begin
-      Array.iteri
-        (fun i g ->
-          if g = 0 then viol "lost command: %d was never executed" i)
-        got_count;
-      inv ~strict:true ()
-    end;
-    (* Conflict order, checked over whatever executed — also meaningful on
-       deadlocked runs. *)
-    for b = 0 to n - 1 do
-      if got_at.(b) >= 0 then
-        for a = 0 to b - 1 do
-          if
-            Cmd.conflict
-              { Cmd.idx = a; write = sc.writes.(a) }
-              { Cmd.idx = b; write = sc.writes.(b) }
-            && got_count.(a) > 0
-            && (removed_at.(a) < 0 || removed_at.(a) >= got_at.(b))
-          then
-            viol
-              "conflict order violated: %s%d (removed@%d) must precede %s%d \
-               (got@%d)"
-              (if sc.writes.(a) then "w" else "r")
-              a removed_at.(a)
-              (if sc.writes.(b) then "w" else "r")
-              b got_at.(b)
-          else if
-            Cmd.conflict
-              { Cmd.idx = a; write = sc.writes.(a) }
-              { Cmd.idx = b; write = sc.writes.(b) }
-            && got_count.(a) = 0
-          then
-            viol
-              "conflict order violated: %s%d executed while conflicting older \
-               %s%d was still pending"
-              (if sc.writes.(b) then "w" else "r")
-              b
-              (if sc.writes.(a) then "w" else "r")
-              a
-        done
-    done
-  end;
-  List.iter
-    (fun r -> viol "%s" (Format.asprintf "%a" Check_platform.pp_race r))
-    (Check_platform.races ctx);
-  let choices = Array.of_list (List.rev !choices) in
-  {
-    completed;
-    violations = List.rev !violations;
-    decisions = !decisions;
-    truncated = !truncated;
-    choices;
-    trace_hash = hash_choices choices;
-    oplog = Check_platform.oplog ctx;
-    metrics =
-      (match registry with
-      | Some m -> Psmr_obs.Metrics.assoc m
-      | None -> []);
-  }
+  fun () ->
+  let completed = !finished = total_tasks in
+  if completed then begin
+    Array.iteri
+      (fun i g ->
+        if g = 0 then viol "lost command: %d was never executed" i)
+      got_count;
+    inv ~strict:true ()
+  end
+  else
+    viol "deadlock: %d of %d processes never finished"
+      (total_tasks - !finished)
+      total_tasks;
+  (* Conflict order, checked over whatever executed — also meaningful on
+     deadlocked runs. *)
+  for b = 0 to n - 1 do
+    if got_at.(b) >= 0 then
+      for a = 0 to b - 1 do
+        if
+          Cmd.conflict
+            { Cmd.idx = a; write = sc.writes.(a) }
+            { Cmd.idx = b; write = sc.writes.(b) }
+          && got_count.(a) > 0
+          && (removed_at.(a) < 0 || removed_at.(a) >= got_at.(b))
+        then
+          viol
+            "conflict order violated: %s%d (removed@%d) must precede %s%d \
+             (got@%d)"
+            (if sc.writes.(a) then "w" else "r")
+            a removed_at.(a)
+            (if sc.writes.(b) then "w" else "r")
+            b got_at.(b)
+        else if
+          Cmd.conflict
+            { Cmd.idx = a; write = sc.writes.(a) }
+            { Cmd.idx = b; write = sc.writes.(b) }
+          && got_count.(a) = 0
+        then
+          viol
+            "conflict order violated: %s%d executed while conflicting older \
+             %s%d was still pending"
+            (if sc.writes.(b) then "w" else "r")
+            b
+            (if sc.writes.(a) then "w" else "r")
+            a
+      done
+  done;
+  completed

@@ -64,38 +64,12 @@ val scenario :
     40% writes, [max_size] 8, drain before close, no crashes, respawn on,
     one command per [insert]. *)
 
-type outcome = {
-  completed : bool;  (** every process ran to completion *)
-  violations : string list;  (** what the oracles found ([[]] = clean) *)
-  decisions : int;
-  truncated : bool;  (** cut off at [max_steps] decision points *)
-  choices : int array;  (** chosen process id at every decision point *)
-  trace_hash : int64;  (** hash of [choices]: schedule identity *)
-  oplog : (int * string) list;  (** per-step (pid, op) log when [trace] *)
-  metrics : (string * float) list;
-      (** flat [Psmr_obs.Metrics.assoc] snapshot when [metrics]; latency
-          figures are in decision points (virtual time never advances under
-          the checker) *)
-}
-
-exception Truncated
-(** Raised internally by the step bound; escapes only through a picker that
-    deliberately re-raises it. *)
-
-val hash_choices : int array -> int64
-(** FNV-1a hash of a choice sequence — the schedule-identity function used
-    for {!outcome.trace_hash} (shared with [Early_check]). *)
-
 val run_schedule :
   ?max_steps:int ->
   ?trace:bool ->
   ?metrics:bool ->
   scenario ->
   pick:(last:int -> int array -> int) ->
-  outcome
-(** Run the scenario once on a fresh engine + check platform under [pick]
-    (see [Strategy]) and apply all oracles.  [max_steps] (default 50_000)
-    bounds the decision points so that strategies which starve a polling
-    loop cannot hang the run.  [metrics] (default off) enables an
-    observability registry for the run and returns its snapshot in
-    {!outcome.metrics}. *)
+  Check_platform.outcome
+(** Run the scenario once under [pick] through {!Check_platform.run}
+    (which documents the options) and apply all oracles. *)

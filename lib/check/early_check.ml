@@ -32,8 +32,6 @@
     - {b happens-before races} on instrumented cells and the dispatcher's
       {b structural invariants} (ghost snapshots; strict at quiescence). *)
 
-module Engine = Psmr_sim.Engine
-
 (* Commands as the dispatcher sees them: an index in final delivery order
    plus an explicit key footprint; conflict iff a shared key with at least
    one writer. *)
@@ -141,25 +139,12 @@ let scenario ?(workers = 3) ?classes ?(commands = 10) ?(keys = 4)
    leaves a value no correct history can produce. *)
 let mix v i = (v * 1_000_003) + i + 1
 
-let run_schedule ?(max_steps = 50_000) ?(trace = false) ?(metrics = false) sc
-    ~(pick : last:int -> int array -> int) : Cos_check.outcome =
-  let engine = Engine.create () in
-  let ctx = Check_platform.create engine in
-  Check_platform.set_tracing ctx trace;
-  let registry =
-    if metrics then
-      Some
-        (Psmr_obs.Metrics.make
-           ~now:(fun () -> float_of_int (Check_platform.ops ctx))
-           ~track:(fun () -> Engine.running_tag engine)
-           ())
-    else None
-  in
-  let (module P) = Check_platform.make ctx in
+let run_schedule ?max_steps ?trace ?metrics sc ~pick =
+  Check_platform.run ?max_steps ?trace ?metrics ~pick
+  @@ fun ctx (module P : Psmr_platform.Platform_intf.S) ~viol ->
+  let viol fmt = Printf.ksprintf viol fmt in
   let module ED = Psmr_early.Dispatch.Make (P) (Cmd) in
   let n = Array.length sc.footprints in
-  let violations = ref [] in
-  let viol fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
   let keys =
     Array.fold_left
       (fun acc fp -> List.fold_left (fun acc (k, _) -> max acc (k + 1)) acc fp)
@@ -294,127 +279,88 @@ let run_schedule ?(max_steps = 50_000) ?(trace = false) ?(metrics = false) sc
       ED.close d;
       inv ~strict:false ();
       parallelizer_done := true);
-  let decisions = ref 0 in
-  let choices = ref [] in
-  let last = ref 0 in
-  let truncated = ref false in
-  Engine.set_picker engine
-    (Some
-       (fun tags ->
-         incr decisions;
-         if !decisions > max_steps then raise Cos_check.Truncated;
-         let idx = pick ~last:!last tags in
-         let idx = if idx < 0 || idx >= Array.length tags then 0 else idx in
-         last := tags.(idx);
-         choices := tags.(idx) :: !choices;
-         idx));
-  Option.iter Psmr_obs.Metrics.enable registry;
-  Fun.protect
-    ~finally:(fun () ->
-      if Option.is_some registry then Psmr_obs.Metrics.disable ())
-    (fun () ->
-      try Engine.run engine with
-      | Cos_check.Truncated -> truncated := true
-      | e -> viol "uncaught exception: %s" (Printexc.to_string e));
+  fun () ->
   (* Ghost read: the run is over, but [running_tag] still names the last
      process, so a bare platform read would try to yield outside any
      fiber. *)
   let executed = Check_platform.with_ghost ctx (fun () -> ED.executed d) in
-  let completed = (not !truncated) && !parallelizer_done && executed = n in
-  if not !truncated then begin
-    (* Deadlock diagnostics: the engine halted with work left.  A
-       partially-arrived rendezvous is the class-barrier deadlock the
-       crash-stop scenarios must surface. *)
-    if (not !parallelizer_done) || executed < n then begin
-      let stalled =
-        Check_platform.with_ghost ctx (fun () -> ED.stalled_barriers d)
-      in
-      List.iter (fun s -> viol "class-barrier deadlock: %s" s) stalled;
-      viol "deadlock: %d of %d commands never executed%s" (n - executed) n
-        (if !parallelizer_done then "" else " (parallelizer blocked)")
-    end;
-    if completed then begin
-      Array.iteri
-        (fun i c ->
-          if c = 0 then viol "lost command: %d was never executed" i
-          else if not committed.(i) then
-            viol "lost command: %d executed but never committed" i
-          else if not live.(i) then
-            viol "lost command: %d committed with its effects rolled back" i)
-        execs;
-      (* Rollback consistency: the register file and each committed
-         execution's observations must match a sequential replay in final
-         delivery order.  A rolled-back write that survived (no-undo bug)
-         diverges here even when every structural oracle is clean. *)
-      let seq = Array.make keys 0 in
-      Array.iteri
-        (fun i fp ->
-          let seen =
-            List.map
-              (fun (k, w) ->
-                let v = seq.(k) in
-                if w then seq.(k) <- mix v i;
-                v)
-              fp
-          in
-          if committed.(i) && obs.(i) <> seen then
-            viol
-              "rollback consistency: command %d observed [%s], sequential \
-               replay gives [%s]"
-              i
-              (String.concat ";" (List.map string_of_int obs.(i)))
-              (String.concat ";" (List.map string_of_int seen)))
-        sc.footprints;
-      Array.iteri
-        (fun k v ->
-          if state.(k) <> v then
-            viol
-              "rollback consistency: key %d ends at %d, sequential replay \
-               gives %d"
-              k state.(k) v)
-        seq;
-      inv ~strict:true ()
-    end;
-    (* Conflict order over the committed executions — also meaningful on
-       deadlocked runs without execution-time optimism; with it, partial
-       runs may legitimately hold un-repaired speculation, so the oracle
-       only applies at completion. *)
-    if completed || not sc.speculate then
-      for b = 0 to n - 1 do
-        if started_at.(b) >= 0 then
-          for a = 0 to b - 1 do
-            if
-              Cmd.conflict
-                { Cmd.idx = a; fp = sc.footprints.(a) }
-                { Cmd.idx = b; fp = sc.footprints.(b) }
-            then
-              if execs.(a) = 0 then
-                viol
-                  "conflict order violated: %d executed while conflicting \
-                   older %d was still pending"
-                  b a
-              else if ended_at.(a) < 0 || ended_at.(a) >= started_at.(b) then
-                viol
-                  "conflict order violated: %d (ended@%d) must precede %d \
-                   (started@%d)"
-                  a ended_at.(a) b started_at.(b)
-          done
-      done
+  let completed = !parallelizer_done && executed = n in
+  (* Deadlock diagnostics: the engine halted with work left.  A
+     partially-arrived rendezvous is the class-barrier deadlock the
+     crash-stop scenarios must surface. *)
+  if (not !parallelizer_done) || executed < n then begin
+    let stalled =
+      Check_platform.with_ghost ctx (fun () -> ED.stalled_barriers d)
+    in
+    List.iter (fun s -> viol "class-barrier deadlock: %s" s) stalled;
+    viol "deadlock: %d of %d commands never executed%s" (n - executed) n
+      (if !parallelizer_done then "" else " (parallelizer blocked)")
   end;
-  List.iter
-    (fun r -> viol "%s" (Format.asprintf "%a" Check_platform.pp_race r))
-    (Check_platform.races ctx);
-  let choices = Array.of_list (List.rev !choices) in
-  {
-    Cos_check.completed;
-    violations = List.rev !violations;
-    decisions = !decisions;
-    truncated = !truncated;
-    choices;
-    trace_hash = Cos_check.hash_choices choices;
-    oplog = Check_platform.oplog ctx;
-    metrics =
-      (match registry with
-      | Some m -> Psmr_obs.Metrics.assoc m
-      | None -> []);
-  }
+  if completed then begin
+    Array.iteri
+      (fun i c ->
+        if c = 0 then viol "lost command: %d was never executed" i
+        else if not committed.(i) then
+          viol "lost command: %d executed but never committed" i
+        else if not live.(i) then
+          viol "lost command: %d committed with its effects rolled back" i)
+      execs;
+    (* Rollback consistency: the register file and each committed
+       execution's observations must match a sequential replay in final
+       delivery order.  A rolled-back write that survived (no-undo bug)
+       diverges here even when every structural oracle is clean. *)
+    let seq = Array.make keys 0 in
+    Array.iteri
+      (fun i fp ->
+        let seen =
+          List.map
+            (fun (k, w) ->
+              let v = seq.(k) in
+              if w then seq.(k) <- mix v i;
+              v)
+            fp
+        in
+        if committed.(i) && obs.(i) <> seen then
+          viol
+            "rollback consistency: command %d observed [%s], sequential \
+             replay gives [%s]"
+            i
+            (String.concat ";" (List.map string_of_int obs.(i)))
+            (String.concat ";" (List.map string_of_int seen)))
+      sc.footprints;
+    Array.iteri
+      (fun k v ->
+        if state.(k) <> v then
+          viol
+            "rollback consistency: key %d ends at %d, sequential replay \
+             gives %d"
+            k state.(k) v)
+      seq;
+    inv ~strict:true ()
+  end;
+  (* Conflict order over the committed executions — also meaningful on
+     deadlocked runs without execution-time optimism; with it, partial
+     runs may legitimately hold un-repaired speculation, so the oracle
+     only applies at completion. *)
+  if completed || not sc.speculate then
+    for b = 0 to n - 1 do
+      if started_at.(b) >= 0 then
+        for a = 0 to b - 1 do
+          if
+            Cmd.conflict
+              { Cmd.idx = a; fp = sc.footprints.(a) }
+              { Cmd.idx = b; fp = sc.footprints.(b) }
+          then
+            if execs.(a) = 0 then
+              viol
+                "conflict order violated: %d executed while conflicting \
+                 older %d was still pending"
+                b a
+            else if ended_at.(a) < 0 || ended_at.(a) >= started_at.(b) then
+              viol
+                "conflict order violated: %d (ended@%d) must precede %d \
+                 (started@%d)"
+                a ended_at.(a) b started_at.(b)
+        done
+    done;
+  completed

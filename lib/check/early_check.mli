@@ -4,9 +4,9 @@
     keyed register file) under a chosen schedule and checks final-order
     conflict ordering, rollback consistency against a sequential replay,
     exactly-once commit, class-barrier deadlock-freedom, data-race
-    freedom and the dispatcher's structural invariants.  Outcomes are
-    {!Cos_check.outcome}s, so the [Explore] drivers work unchanged
-    through their [_with] variants. *)
+    freedom and the dispatcher's structural invariants.  Runs go through
+    {!Check_platform.run}, so outcomes are {!Check_platform.outcome}s and
+    every [Explore] driver takes [~run:(run_schedule sc)]. *)
 
 (** Keyed-footprint commands: an index in final delivery order plus the
     [(key, is_write)] footprint; conflict iff a shared key with a
@@ -91,7 +91,6 @@ val run_schedule :
   ?metrics:bool ->
   scenario ->
   pick:(last:int -> int array -> int) ->
-  Cos_check.outcome
-(** Run the scenario once on a fresh engine + check platform under [pick]
-    and apply all oracles; see {!Cos_check.run_schedule} for the shared
-    outcome and step-bound semantics. *)
+  Check_platform.outcome
+(** Run the scenario once under [pick] through {!Check_platform.run}
+    (which documents the options and the outcome) and apply all oracles. *)

@@ -57,7 +57,7 @@ let acc_create () =
     hashes = Hashtbl.create 256;
   }
 
-let record acc ~schedule ~seed (o : Cos_check.outcome) =
+let record acc ~schedule ~seed (o : Check_platform.outcome) =
   acc.runs <- acc.runs + 1;
   acc.decisions <- acc.decisions + o.decisions;
   if o.truncated then acc.truncated <- acc.truncated + 1
@@ -79,15 +79,12 @@ let finish acc ~exhausted =
     failures = List.rev acc.failures;
   }
 
-(* The drivers are scenario-agnostic: [run] executes one schedule under the
-   given picker and returns its outcome — any runner producing
-   [Cos_check.outcome]s plugs in ([Cos_check.run_schedule],
-   [Early_check.run_schedule], ...).  The classic entry points below
-   specialize them to the COS scenario type they predate. *)
+let replay ~run ~seed =
+  let rw = Strategy.Random_walk.create ~seed in
+  run ~pick:(fun ~last tags -> Strategy.Random_walk.pick rw ~last tags)
 
-let random_walk_with ?(deadline = fun () -> false) ?(stop_on_first = false)
-    ~(run : pick:(last:int -> int array -> int) -> Cos_check.outcome) ~seed
-    ~schedules () =
+let random_walk ?(deadline = fun () -> false) ?(stop_on_first = false) ~run
+    ~seed ~schedules () =
   let acc = acc_create () in
   let i = ref 0 in
   let stop = ref false in
@@ -95,10 +92,7 @@ let random_walk_with ?(deadline = fun () -> false) ?(stop_on_first = false)
     if deadline () then stop := true
     else begin
       let s = derive_seed seed !i in
-      let rw = Strategy.Random_walk.create ~seed:s in
-      let o =
-        run ~pick:(fun ~last tags -> Strategy.Random_walk.pick rw ~last tags)
-      in
+      let o = replay ~run ~seed:s in
       record acc ~schedule:!i ~seed:(Some s) o;
       if stop_on_first && o.violations <> [] then stop := true;
       incr i
@@ -106,9 +100,8 @@ let random_walk_with ?(deadline = fun () -> false) ?(stop_on_first = false)
   done;
   finish acc ~exhausted:false
 
-let dfs_with ?(deadline = fun () -> false) ?(max_schedules = 100_000)
-    ?preemption_bound ?(stop_on_first = false)
-    ~(run : pick:(last:int -> int array -> int) -> Cos_check.outcome) () =
+let dfs ?(deadline = fun () -> false) ?(max_schedules = 100_000)
+    ?preemption_bound ?(stop_on_first = false) ~run () =
   let acc = acc_create () in
   let d = Strategy.Dfs.create ?preemption_bound () in
   let exhausted = ref false in
@@ -125,24 +118,3 @@ let dfs_with ?(deadline = fun () -> false) ?(max_schedules = 100_000)
     end
   done;
   finish acc ~exhausted:!exhausted
-
-let replay_with ~(run : pick:(last:int -> int array -> int) -> Cos_check.outcome)
-    ~seed () =
-  let rw = Strategy.Random_walk.create ~seed in
-  run ~pick:(fun ~last tags -> Strategy.Random_walk.pick rw ~last tags)
-
-let random_walk ?deadline ?max_steps ?stop_on_first sc ~seed ~schedules =
-  random_walk_with ?deadline ?stop_on_first
-    ~run:(fun ~pick -> Cos_check.run_schedule ?max_steps sc ~pick)
-    ~seed ~schedules ()
-
-let dfs ?deadline ?max_steps ?max_schedules ?preemption_bound ?stop_on_first sc
-    =
-  dfs_with ?deadline ?max_schedules ?preemption_bound ?stop_on_first
-    ~run:(fun ~pick -> Cos_check.run_schedule ?max_steps sc ~pick)
-    ()
-
-let replay ?max_steps ?(trace = true) sc ~seed =
-  replay_with
-    ~run:(fun ~pick -> Cos_check.run_schedule ?max_steps ~trace sc ~pick)
-    ~seed ()

@@ -22,45 +22,18 @@ val derive_seed : int64 -> int -> int64
 (** [derive_seed base i] is the seed of random-walk run [i] under base seed
     [base] (splitmix64 mixing); exposed so failures can be replayed. *)
 
-(** {2 Scenario-agnostic drivers}
+(** {2 Drivers}
 
-    [run] executes one schedule under the given picker and returns its
-    outcome; any runner producing {!Cos_check.outcome}s plugs in
-    ([Cos_check.run_schedule], [Early_check.run_schedule], ...). *)
-
-val random_walk_with :
-  ?deadline:(unit -> bool) ->
-  ?stop_on_first:bool ->
-  run:(pick:(last:int -> int array -> int) -> Cos_check.outcome) ->
-  seed:int64 ->
-  schedules:int ->
-  unit ->
-  report
-
-val dfs_with :
-  ?deadline:(unit -> bool) ->
-  ?max_schedules:int ->
-  ?preemption_bound:int ->
-  ?stop_on_first:bool ->
-  run:(pick:(last:int -> int array -> int) -> Cos_check.outcome) ->
-  unit ->
-  report
-
-val replay_with :
-  run:(pick:(last:int -> int array -> int) -> Cos_check.outcome) ->
-  seed:int64 ->
-  unit ->
-  Cos_check.outcome
-
-(** {2 COS entry points} *)
+    [run] executes one schedule of a scenario under the given picker, e.g.
+    [~run:(Cos_check.run_schedule sc)]. *)
 
 val random_walk :
   ?deadline:(unit -> bool) ->
-  ?max_steps:int ->
   ?stop_on_first:bool ->
-  Cos_check.scenario ->
+  run:(pick:(last:int -> int array -> int) -> Check_platform.outcome) ->
   seed:int64 ->
   schedules:int ->
+  unit ->
   report
 (** Run [schedules] seeded random walks.  [deadline] is polled before each
     run; return [true] to stop early (used for time-boxed CI smoke).
@@ -68,17 +41,20 @@ val random_walk :
 
 val dfs :
   ?deadline:(unit -> bool) ->
-  ?max_steps:int ->
   ?max_schedules:int ->
   ?preemption_bound:int ->
   ?stop_on_first:bool ->
-  Cos_check.scenario ->
+  run:(pick:(last:int -> int array -> int) -> Check_platform.outcome) ->
+  unit ->
   report
 (** Systematically enumerate the preemption-bounded schedule tree (bound
     default 2, see [Strategy.Dfs]), up to [max_schedules] (default
     100_000) runs.  [exhausted] in the report means full coverage of the
     bounded tree. *)
 
-val replay : ?max_steps:int -> ?trace:bool -> Cos_check.scenario -> seed:int64 -> Cos_check.outcome
+val replay :
+  run:(pick:(last:int -> int array -> int) -> Check_platform.outcome) ->
+  seed:int64 ->
+  Check_platform.outcome
 (** Re-run the single schedule determined by [seed] (as reported in a
-    {!failure}), with per-step operation tracing on by default. *)
+    {!failure}); pass [~trace:true] to the runner for its operation log. *)

@@ -19,7 +19,6 @@
    bug; the projection oracle must catch it (pinned with
    --expect-violation in the @check-part alias). *)
 
-module Engine = Psmr_sim.Engine
 module Pmerge = Psmr_broadcast.Pmerge
 
 type scenario = {
@@ -106,23 +105,10 @@ let scenario ?(partitions = 2) ?(replicas = 2) ?(commands = 10)
   in
   { partitions; replicas; commands; touched; streams; no_barrier }
 
-let run_schedule ?(max_steps = 50_000) ?(trace = false) ?(metrics = false) sc
-    ~(pick : last:int -> int array -> int) : Cos_check.outcome =
-  let engine = Engine.create () in
-  let ctx = Check_platform.create engine in
-  Check_platform.set_tracing ctx trace;
-  let registry =
-    if metrics then
-      Some
-        (Psmr_obs.Metrics.make
-           ~now:(fun () -> float_of_int (Check_platform.ops ctx))
-           ~track:(fun () -> Engine.running_tag engine)
-           ())
-    else None
-  in
-  let (module P) = Check_platform.make ctx in
-  let violations = ref [] in
-  let viol fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
+let run_schedule ?max_steps ?trace ?metrics sc ~pick =
+  Check_platform.run ?max_steps ?trace ?metrics ~pick
+  @@ fun _ (module P : Psmr_platform.Platform_intf.S) ~viol ->
+  let viol fmt = Printf.ksprintf viol fmt in
   (* One merge per replica; emissions recorded in order.  The merges are
      fiber-local plain state — the engine serializes fibers, so no
      synchronization is involved and yields are the only decision
@@ -154,91 +140,52 @@ let run_schedule ?(max_steps = 50_000) ?(trace = false) ?(metrics = false) sc
           decr pushers_left)
     done
   done;
-  let decisions = ref 0 in
-  let choices = ref [] in
-  let last = ref 0 in
-  let truncated = ref false in
-  Engine.set_picker engine
-    (Some
-       (fun tags ->
-         incr decisions;
-         if !decisions > max_steps then raise Cos_check.Truncated;
-         let idx = pick ~last:!last tags in
-         let idx = if idx < 0 || idx >= Array.length tags then 0 else idx in
-         last := tags.(idx);
-         choices := tags.(idx) :: !choices;
-         idx));
-  Option.iter Psmr_obs.Metrics.enable registry;
-  Fun.protect
-    ~finally:(fun () ->
-      if Option.is_some registry then Psmr_obs.Metrics.disable ())
-    (fun () ->
-      try Engine.run engine with
-      | Cos_check.Truncated -> truncated := true
-      | e -> viol "uncaught exception: %s" (Printexc.to_string e));
-  let completed = (not !truncated) && !pushers_left = 0 in
-  if not !truncated then begin
-    if not completed then
-      viol "deadlock: %d pusher(s) never finished" !pushers_left;
-    (* Exactly-once and drain, per replica. *)
-    Array.iteri
-      (fun r out ->
-        let q = Pmerge.pending merges.(r) in
-        if q <> 0 then
-          viol "merge deadlock: replica %d left %d entries unconsumed" r q;
-        let cids = List.rev !out in
-        let sorted = List.sort compare cids in
-        if sorted <> List.init sc.commands Fun.id then
-          viol
-            "exactly-once violated: replica %d emitted %d commands (%d \
-             distinct)"
-            r (List.length cids)
-            (List.length (List.sort_uniq compare cids)))
-      emitted;
-    (* The divergence oracle: per-partition projections must agree with
-       replica 0's. *)
-    let projection r p =
-      List.filter (fun i -> Array.exists (fun q -> q = p) sc.touched.(i))
-        (List.rev !(emitted.(r)))
-    in
-    for p = 0 to sc.partitions - 1 do
-      let ref_proj = projection 0 p in
-      for r = 1 to sc.replicas - 1 do
-        if projection r p <> ref_proj then
-          viol
-            "divergence: partition %d ordered [%s] at replica %d but [%s] \
-             at replica 0"
-            p
-            (String.concat ";" (List.map string_of_int (projection r p)))
-            r
-            (String.concat ";" (List.map string_of_int ref_proj))
-      done
+  fun () ->
+  let completed = !pushers_left = 0 in
+  if not completed then
+    viol "deadlock: %d pusher(s) never finished" !pushers_left;
+  (* Exactly-once and drain, per replica. *)
+  Array.iteri
+    (fun r out ->
+      let q = Pmerge.pending merges.(r) in
+      if q <> 0 then
+        viol "merge deadlock: replica %d left %d entries unconsumed" r q;
+      let cids = List.rev !out in
+      let sorted = List.sort compare cids in
+      if sorted <> List.init sc.commands Fun.id then
+        viol
+          "exactly-once violated: replica %d emitted %d commands (%d \
+           distinct)"
+          r (List.length cids)
+          (List.length (List.sort_uniq compare cids)))
+    emitted;
+  (* The divergence oracle: per-partition projections must agree with
+     replica 0's. *)
+  let projection r p =
+    List.filter (fun i -> Array.exists (fun q -> q = p) sc.touched.(i))
+      (List.rev !(emitted.(r)))
+  in
+  for p = 0 to sc.partitions - 1 do
+    let ref_proj = projection 0 p in
+    for r = 1 to sc.replicas - 1 do
+      if projection r p <> ref_proj then
+        viol
+          "divergence: partition %d ordered [%s] at replica %d but [%s] \
+           at replica 0"
+          p
+          (String.concat ";" (List.map string_of_int (projection r p)))
+          r
+          (String.concat ";" (List.map string_of_int ref_proj))
+    done
+  done;
+  (* Tie-breaks are content-determined: every replica takes the same
+     number (skipped under the planted bug, whose hole counter means
+     something else). *)
+  if not sc.no_barrier then
+    for r = 1 to sc.replicas - 1 do
+      if Pmerge.holes merges.(r) <> Pmerge.holes merges.(0) then
+        viol "tie-break count diverged: replica %d took %d, replica 0 %d" r
+          (Pmerge.holes merges.(r))
+          (Pmerge.holes merges.(0))
     done;
-    (* Tie-breaks are content-determined: every replica takes the same
-       number (skipped under the planted bug, whose hole counter means
-       something else). *)
-    if not sc.no_barrier then
-      for r = 1 to sc.replicas - 1 do
-        if Pmerge.holes merges.(r) <> Pmerge.holes merges.(0) then
-          viol "tie-break count diverged: replica %d took %d, replica 0 %d" r
-            (Pmerge.holes merges.(r))
-            (Pmerge.holes merges.(0))
-      done
-  end;
-  List.iter
-    (fun r -> viol "%s" (Format.asprintf "%a" Check_platform.pp_race r))
-    (Check_platform.races ctx);
-  let choices = Array.of_list (List.rev !choices) in
-  {
-    Cos_check.completed;
-    violations = List.rev !violations;
-    decisions = !decisions;
-    truncated = !truncated;
-    choices;
-    trace_hash = Cos_check.hash_choices choices;
-    oplog = Check_platform.oplog ctx;
-    metrics =
-      (match registry with
-      | Some m -> Psmr_obs.Metrics.assoc m
-      | None -> []);
-  }
+  completed

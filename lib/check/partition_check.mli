@@ -8,9 +8,9 @@
     determinism property partitioned SMR rests on), exactly-once emission,
     drained merges (no rendezvous deadlock), and tie-break count
     agreement.  The [no_barrier] scenario plants the rendezvous-skipping
-    bug the projection oracle must catch.  Outcomes are
-    {!Cos_check.outcome}s, so the [Explore] drivers work unchanged through
-    their [_with] variants. *)
+    bug the projection oracle must catch.  Runs go through
+    {!Check_platform.run}, so outcomes are {!Check_platform.outcome}s and
+    every [Explore] driver takes [~run:(run_schedule sc)]. *)
 
 type scenario = {
   partitions : int;
@@ -51,7 +51,6 @@ val run_schedule :
   ?metrics:bool ->
   scenario ->
   pick:(last:int -> int array -> int) ->
-  Cos_check.outcome
-(** Run the scenario once on a fresh engine + check platform under [pick]
-    and apply all oracles; see {!Cos_check.run_schedule} for the shared
-    outcome and step-bound semantics. *)
+  Check_platform.outcome
+(** Run the scenario once under [pick] through {!Check_platform.run}
+    (which documents the options and the outcome) and apply all oracles. *)

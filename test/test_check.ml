@@ -1,11 +1,13 @@
 (* Tests for the model-checking subsystem (lib/check): deterministic
    replay, schedule coverage, oracle cleanliness across all five COS
-   implementations, exhaustive DFS on small scenarios, and planted-bug
-   detection with seed replay. *)
+   implementations, exhaustive DFS on small scenarios, planted-bug
+   detection with seed replay, and pinned schedule identity per checker
+   family. *)
 
 module Check = Psmr_checker
 module Cos_check = Check.Cos_check
 module Explore = Check.Explore
+module Check_platform = Check.Check_platform
 module Vclock = Check.Vclock
 
 let impls =
@@ -46,19 +48,26 @@ let test_vclock () =
 
 let test_replay_deterministic () =
   let s = sc ~target:(Cos_check.Impl Psmr_cos.Registry.Lockfree) () in
-  let a = Explore.replay s ~seed:987654321L in
-  let b = Explore.replay s ~seed:987654321L in
+  (* Traced, as [psmr_check --replay] runs it: the oplog must not move a
+     decision point. *)
+  let replay seed =
+    Explore.replay ~run:(Cos_check.run_schedule ~trace:true s) ~seed
+  in
+  let a = replay 987654321L in
+  let b = replay 987654321L in
+  Alcotest.(check bool) "oplog recorded" true
+    (a.Check_platform.oplog <> []);
   Alcotest.(check bool) "same trace hash" true (a.trace_hash = b.trace_hash);
   Alcotest.(check int) "same decision count" a.decisions b.decisions;
   Alcotest.(check (list string)) "same violations" a.violations b.violations;
   Alcotest.(check bool) "completed" true a.completed;
-  let c = Explore.replay s ~seed:987654322L in
+  let c = replay 987654322L in
   Alcotest.(check bool) "different seed, different schedule" true
     (a.trace_hash <> c.trace_hash)
 
 let test_batch_deterministic () =
   let s = sc ~target:(Cos_check.Impl Psmr_cos.Registry.Fine) () in
-  let run () = Explore.random_walk s ~seed:5L ~schedules:50 in
+  let run () = Explore.random_walk ~run:(Cos_check.run_schedule s) ~seed:5L ~schedules:50 () in
   let a = run () and b = run () in
   Alcotest.(check int) "same schedules" a.Explore.schedules b.Explore.schedules;
   Alcotest.(check int) "same distinct" a.Explore.distinct b.Explore.distinct;
@@ -69,7 +78,7 @@ let test_batch_deterministic () =
 
 let test_distinct_schedules () =
   let s = sc ~target:(Cos_check.Impl Psmr_cos.Registry.Lockfree) ~workers:3 () in
-  let r = Explore.random_walk s ~seed:42L ~schedules:2000 in
+  let r = Explore.random_walk ~run:(Cos_check.run_schedule s) ~seed:42L ~schedules:2000 () in
   Alcotest.(check int) "all schedules distinct" 2000 r.Explore.distinct;
   Alcotest.(check int) "none truncated" 0 r.Explore.truncated
 
@@ -79,7 +88,7 @@ let clean_random impl () =
   List.iter
     (fun drain ->
       let s = sc ~target:(Cos_check.Impl impl) ~workers:3 ~commands:8 ~drain () in
-      let r = Explore.random_walk s ~seed:11L ~schedules:800 in
+      let r = Explore.random_walk ~run:(Cos_check.run_schedule s) ~seed:11L ~schedules:800 () in
       Alcotest.(check int)
         (Printf.sprintf "no failures (drain=%b)" drain)
         0
@@ -91,7 +100,8 @@ let exhaustive_dfs impl () =
   let s =
     sc ~target:(Cos_check.Impl impl) ~workers:2 ~commands:2 ~write_pct:100.0 ()
   in
-  let r = Explore.dfs ~preemption_bound:1 ~max_schedules:100_000 s in
+  let r = Explore.dfs ~preemption_bound:1 ~max_schedules:100_000
+      ~run:(Cos_check.run_schedule s) () in
   Alcotest.(check bool) "bounded tree exhausted" true r.Explore.exhausted;
   Alcotest.(check int) "no failures" 0 (List.length r.Explore.failures);
   Alcotest.(check bool) "explored more than one schedule" true
@@ -114,7 +124,8 @@ let test_promotion_race_caught () =
     sc ~target:wtg_start_target ~workers:3 ~commands:6 ~write_pct:100.0 ()
   in
   let r =
-    Explore.random_walk ~stop_on_first:true s ~seed:9L ~schedules:5000
+    Explore.random_walk ~stop_on_first:true ~run:(Cos_check.run_schedule s)
+      ~seed:9L ~schedules:5000 ()
   in
   match r.Explore.failures with
   | [] -> Alcotest.fail "planted promotion race not caught within 5000 schedules"
@@ -127,20 +138,26 @@ let test_promotion_race_caught () =
       match f.Explore.seed with
       | None -> Alcotest.fail "random-walk failure carries no seed"
       | Some seed ->
-          let o = Explore.replay s ~seed in
+          (* Traced, as [psmr_check --replay] runs it. *)
+          let o =
+            Explore.replay ~run:(Cos_check.run_schedule ~trace:true s) ~seed
+          in
+          Alcotest.(check bool) "oplog recorded" true
+            (o.Check_platform.oplog <> []);
           Alcotest.(check (list string))
             "replay reproduces the exact violations" f.Explore.violations
-            o.Cos_check.violations;
+            o.Check_platform.violations;
           Alcotest.(check bool) "replay follows the recorded schedule" true
-            (o.Cos_check.choices = f.Explore.choices))
+            (o.Check_platform.choices = f.Explore.choices))
 
 let test_lost_signal_caught () =
   let s =
     sc ~target:lost_signal_target ~workers:3 ~commands:8 ~write_pct:60.0 ()
   in
   let r =
-    Explore.random_walk ~stop_on_first:true ~max_steps:3000 s ~seed:7L
-      ~schedules:500
+    Explore.random_walk ~stop_on_first:true
+      ~run:(Cos_check.run_schedule ~max_steps:3000 s)
+      ~seed:7L ~schedules:500 ()
   in
   match r.Explore.failures with
   | [] -> Alcotest.fail "planted lost signal not caught within 500 schedules"
@@ -188,14 +205,14 @@ let test_no_sentinel_race_caught () =
   Alcotest.(check bool) "conflict-order oracle fired" true
     (List.exists
        (fun v -> String.length v >= 14 && String.sub v 0 14 = "conflict order")
-       o.Cos_check.violations)
+       o.Check_platform.violations)
 
 let test_self_sentinel_fix_holds impl () =
   for seed = 1 to 2000 do
     let o = sticky_run (Cos_check.Impl impl) (Int64.of_int seed) in
-    if o.Cos_check.violations <> [] then
+    if o.Check_platform.violations <> [] then
       Alcotest.failf "sticky seed %d: %s" seed
-        (String.concat "; " o.Cos_check.violations)
+        (String.concat "; " o.Check_platform.violations)
   done
 
 (* Regression: the fifo lost-wakeup the checker found (remove signalled one
@@ -208,7 +225,7 @@ let test_fifo_close_race_regression () =
       ~target:(Cos_check.Impl Psmr_cos.Registry.Fifo)
       ~workers:3 ~drain:false ()
   in
-  let r = Explore.random_walk s ~seed:12L ~schedules:500 in
+  let r = Explore.random_walk ~run:(Cos_check.run_schedule s) ~seed:12L ~schedules:500 () in
   Alcotest.(check int) "no deadlocks" 0 (List.length r.Explore.failures)
 
 (* --- early-scheduling scenarios (lib/early under the same checker) --- *)
@@ -223,17 +240,12 @@ let esc ?(workers = 3) ?classes ?(commands = 8) ?(keys = 3) ?(write_pct = 50.0)
     ?crashes ?respawn ~workload_seed ()
 
 let early_walk ?stop_on_first s ~seed ~schedules =
-  Explore.random_walk_with ?stop_on_first
-    ~run:(fun ~pick -> Early_check.run_schedule s ~pick)
-    ~seed ~schedules ()
+  Explore.random_walk ?stop_on_first ~run:(Early_check.run_schedule s) ~seed
+    ~schedules ()
 
 let test_early_replay_deterministic () =
   let s = esc ~optimistic:true ~mis_pct:40.0 () in
-  let replay seed =
-    Explore.replay_with
-      ~run:(fun ~pick -> Early_check.run_schedule s ~pick)
-      ~seed ()
-  in
+  let replay seed = Explore.replay ~run:(Early_check.run_schedule s) ~seed in
   let a = replay 24680L and b = replay 24680L in
   Alcotest.(check bool) "same trace hash" true (a.trace_hash = b.trace_hash);
   Alcotest.(check int) "same decision count" a.decisions b.decisions;
@@ -258,9 +270,8 @@ let early_clean_random optimistic () =
 let test_early_dfs () =
   let s = esc ~workers:2 ~commands:2 ~write_pct:100.0 ~cross_pct:100.0 () in
   let r =
-    Explore.dfs_with ~preemption_bound:1 ~max_schedules:100_000
-      ~run:(fun ~pick -> Early_check.run_schedule s ~pick)
-      ()
+    Explore.dfs ~preemption_bound:1 ~max_schedules:100_000
+      ~run:(Early_check.run_schedule s) ()
   in
   Alcotest.(check bool) "bounded tree exhausted" true r.Explore.exhausted;
   Alcotest.(check int) "no failures" 0 (List.length r.Explore.failures);
@@ -290,14 +301,10 @@ let test_early_barrier_deadlock_caught () =
       match f.Explore.seed with
       | None -> Alcotest.fail "random-walk failure carries no seed"
       | Some seed ->
-          let o =
-            Explore.replay_with
-              ~run:(fun ~pick -> Early_check.run_schedule s ~pick)
-              ~seed ()
-          in
+          let o = Explore.replay ~run:(Early_check.run_schedule s) ~seed in
           Alcotest.(check (list string))
             "replay reproduces the exact violations" f.Explore.violations
-            o.Cos_check.violations)
+            o.Check_platform.violations)
 
 let test_early_crash_respawn_clean () =
   let s = crash_sc ~respawn:true in
@@ -428,6 +435,119 @@ let test_early_gate_clean () =
   Alcotest.(check int) "no failures" 0 (List.length r.Explore.failures);
   Alcotest.(check int) "all complete" 0 r.Explore.incomplete
 
+(* --- the run scaffold (Check_platform.run) --- *)
+
+(* A run cut off by the step bound stops mid-program: no post-run oracle
+   may judge it, so the stuck processes are not reported as a deadlock. *)
+let test_truncated_skips_oracles () =
+  let s = sc ~target:(Cos_check.Impl Psmr_cos.Registry.Lockfree) () in
+  let o =
+    Explore.replay ~run:(Cos_check.run_schedule ~max_steps:20 s) ~seed:1L
+  in
+  Alcotest.(check bool) "truncated" true o.truncated;
+  Alcotest.(check bool) "not completed" false o.completed;
+  Alcotest.(check (list string)) "no oracle verdict" [] o.violations;
+  Alcotest.(check int) "one choice per allowed step" 20
+    (Array.length o.choices)
+
+(* The exploration the last @check row runs: every schedule of the planted
+   no-sentinel variant hits a 150-step bound, so no oracle ran and
+   psmr_check must call the result inconclusive, not clean. *)
+let test_all_truncated_exploration () =
+  let s = Cos_check.scenario ~target:no_sentinel_target ~workload_seed:1L () in
+  let r =
+    Explore.random_walk ~stop_on_first:true
+      ~run:(Cos_check.run_schedule ~max_steps:150 s)
+      ~seed:9L ~schedules:3000 ()
+  in
+  Alcotest.(check int) "every schedule explored" 3000 r.Explore.schedules;
+  Alcotest.(check int) "every schedule truncated" r.Explore.schedules
+    r.Explore.truncated;
+  Alcotest.(check int) "no failures" 0 (List.length r.Explore.failures)
+
+(* An exception escaping a process ends the run as a violation; the
+   scenario's oracles still run, after it. *)
+let test_escaping_exception_reported () =
+  let o =
+    Check_platform.run ~pick:(fun ~last:_ _ -> 0)
+    @@ fun _ (module P : Psmr_platform.Platform_intf.S) ~viol ->
+    P.spawn (fun () ->
+        P.yield ();
+        failwith "boom");
+    fun () ->
+      viol "oracle ran";
+      false
+  in
+  Alcotest.(check (list string))
+    "exception, then the oracle's report"
+    [ "uncaught exception: Failure(\"boom\")"; "oracle ran" ]
+    o.violations;
+  Alcotest.(check bool) "not completed" false o.completed
+
+(* --- schedule identity, pinned per checker family ---
+
+   One fixed-seed schedule per family, compared with the decision count,
+   schedule hash and violations the checker produced when these values
+   were captured.  Replaying a run twice in one build cannot notice a
+   change that moves a spawn, a decision point or an oracle; these can. *)
+
+module Partition_check = Check.Partition_check
+
+let pinned name ~decisions ~trace_hash ~violations (o : Check_platform.outcome)
+    =
+  Alcotest.(check int) (name ^ ": decisions") decisions o.decisions;
+  Alcotest.(check int64) (name ^ ": trace hash") trace_hash o.trace_hash;
+  Alcotest.(check (list string)) (name ^ ": violations") violations
+    o.violations
+
+let test_pinned_lockfree_batch_crash () =
+  let s =
+    Cos_check.scenario ~target:(Cos_check.Impl Psmr_cos.Registry.Lockfree)
+      ~batch:3 ~crashes:[ (1, 2) ] ~workload_seed:1L ()
+  in
+  Explore.replay ~run:(Cos_check.run_schedule s) ~seed:2201L
+  |> pinned "lockfree batch 3 + crash" ~decisions:246
+       ~trace_hash:(-5489700432274428712L) ~violations:[]
+
+let test_pinned_early_spec_crash () =
+  let s =
+    Early_check.scenario ~optimistic:true ~speculate:true ~crashes:[ (1, 2) ]
+      ~workload_seed:1L ()
+  in
+  Explore.replay ~run:(Early_check.run_schedule s) ~seed:2202L
+  |> pinned "early-opt speculate + crash" ~decisions:252
+       ~trace_hash:(-5903561457449298463L) ~violations:[]
+
+let test_pinned_part4_repeats () =
+  let s =
+    Partition_check.scenario ~partitions:4 ~commands:12 ~cross_pct:60.0
+      ~workload_seed:1L ()
+  in
+  Alcotest.(check bool) "some stream repeats a leg" true
+    (Array.exists
+       (fun l -> List.length (List.sort_uniq compare l) < List.length l)
+       s.streams);
+  Explore.replay ~run:(Partition_check.run_schedule s) ~seed:2203L
+  |> pinned "part-4 with repeated legs" ~decisions:91
+       ~trace_hash:775230188207648316L ~violations:[]
+
+let test_pinned_part_nobarrier () =
+  let s =
+    Partition_check.scenario ~replicas:3 ~commands:10 ~cross_pct:60.0
+      ~no_barrier:true ~workload_seed:1L ()
+  in
+  Explore.replay ~run:(Partition_check.run_schedule s)
+    ~seed:5833679380957638813L
+  |> pinned "broken-part-nobarrier" ~decisions:76
+       ~trace_hash:(-8250374911145456486L)
+       ~violations:
+         [
+           "divergence: partition 1 ordered [9;3;6;0;5;7;2;1;8] at replica 1 \
+            but [9;3;6;0;8;5;7;2;1] at replica 0";
+           "divergence: partition 1 ordered [9;3;6;0;5;7;2;8;1] at replica 2 \
+            but [9;3;6;0;8;5;7;2;1] at replica 0";
+         ]
+
 let per_impl name f =
   List.map
     (fun (impl, label) ->
@@ -491,5 +611,25 @@ let () =
             `Quick test_early_nogate_caught;
           Alcotest.test_case "write gate keeps identical scenario clean"
             `Quick test_early_gate_clean;
+        ] );
+      ( "scaffold",
+        [
+          Alcotest.test_case "truncated run skips the oracles" `Quick
+            test_truncated_skips_oracles;
+          Alcotest.test_case "escaping exception is a violation" `Quick
+            test_escaping_exception_reported;
+          Alcotest.test_case "all-truncated exploration (the @check row)"
+            `Quick test_all_truncated_exploration;
+        ] );
+      ( "schedule-identity",
+        [
+          Alcotest.test_case "lockfree, batch 3, worker crash" `Quick
+            test_pinned_lockfree_batch_crash;
+          Alcotest.test_case "early-opt, speculate, worker crash" `Quick
+            test_pinned_early_spec_crash;
+          Alcotest.test_case "part-4, repeated legs" `Quick
+            test_pinned_part4_repeats;
+          Alcotest.test_case "broken-part-nobarrier" `Quick
+            test_pinned_part_nobarrier;
         ] );
     ]

@@ -274,9 +274,10 @@ let test_check_platform_metrics () =
     Psmr_checker.Cos_check.run_schedule ~metrics:true sc
       ~pick:(fun ~last:_ tags -> Psmr_util.Rng.int rng (Array.length tags))
   in
-  Alcotest.(check bool) "schedule completed" true o.Psmr_checker.Cos_check.completed;
+  Alcotest.(check bool)
+    "schedule completed" true o.Psmr_checker.Check_platform.completed;
   let get name =
-    match List.assoc_opt name o.Psmr_checker.Cos_check.metrics with
+    match List.assoc_opt name o.Psmr_checker.Check_platform.metrics with
     | Some v -> v
     | None -> Alcotest.failf "missing metric %S" name
   in

@@ -63,84 +63,6 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 100 Fun.id) sorted
 
-let test_heap_basic () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Heap.add h 3;
-  Heap.add h 1;
-  Heap.add h 2;
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Heap.pop h);
-  Alcotest.(check (option int)) "pop 2" (Some 2) (Heap.pop h);
-  Alcotest.(check (option int)) "pop 3" (Some 3) (Heap.pop h);
-  Alcotest.(check (option int)) "pop empty" None (Heap.pop h)
-
-let test_heap_pop_exn_empty () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.check_raises "raises" (Invalid_argument "Heap.pop_exn: empty heap")
-    (fun () -> ignore (Heap.pop_exn h : int))
-
-(* Regression: [pop] used to leave the popped element (and the relocated
-   last element's old slot) reachable from the backing array, pinning
-   arbitrarily large values until a later [add] happened to overwrite the
-   slot.  A weak pointer to the popped value must go dead once the value
-   is popped and dropped, even though the heap itself stays alive. *)
-let test_heap_pop_releases () =
-  let h = Heap.create ~cmp:(fun (a, _) (b, _) -> Int.compare a b) in
-  let w = Weak.create 1 in
-  (* Fill, then register a weak pointer to the minimum's payload and pop
-     it.  The payload is boxed (a bytes blob) so it is weak-trackable. *)
-  for i = 9 downto 0 do
-    Heap.add h (i, Bytes.create 64)
-  done;
-  (match Heap.peek h with
-  | Some (_, payload) -> Weak.set w 0 (Some payload)
-  | None -> Alcotest.fail "heap unexpectedly empty");
-  (match Heap.pop h with
-  | Some (0, _) -> ()
-  | _ -> Alcotest.fail "expected minimum (0, _)");
-  Gc.full_major ();
-  Alcotest.(check bool) "popped payload collected" false (Weak.check w 0);
-  (* Draining to empty must release the last element too. *)
-  let h2 = Heap.create ~cmp:compare in
-  Heap.add h2 (Bytes.create 64);
-  (match Heap.peek h2 with
-  | Some payload -> Weak.set w 0 (Some payload)
-  | None -> Alcotest.fail "heap unexpectedly empty");
-  ignore (Heap.pop h2 : bytes option);
-  Gc.full_major ();
-  Alcotest.(check bool) "drained payload collected" false (Weak.check w 0)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.add h) xs;
-      Heap.to_sorted_list h = List.sort compare xs)
-
-let prop_heap_interleaved =
-  QCheck.Test.make ~name:"heap min under interleaved add/pop" ~count:200
-    QCheck.(list (pair bool small_int))
-    (fun ops ->
-      let h = Heap.create ~cmp:compare in
-      let model = ref [] in
-      List.for_all
-        (fun (is_add, x) ->
-          if is_add then begin
-            Heap.add h x;
-            model := List.sort compare (x :: !model);
-            true
-          end
-          else
-            match (Heap.pop h, !model) with
-            | None, [] -> true
-            | Some v, m :: rest ->
-                model := rest;
-                v = m
-            | _ -> false)
-        ops)
-
 let test_vec_push_get () =
   let v = Vec.create () in
   for i = 0 to 99 do
@@ -312,14 +234,6 @@ let () =
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
         ] );
-      ( "heap",
-        [
-          Alcotest.test_case "basic" `Quick test_heap_basic;
-          Alcotest.test_case "pop_exn empty" `Quick test_heap_pop_exn_empty;
-          Alcotest.test_case "pop releases elements" `Quick
-            test_heap_pop_releases;
-        ] );
-      qsuite "heap-props" [ prop_heap_sorts; prop_heap_interleaved ];
       ( "json",
         [ Alcotest.test_case "printer layout" `Quick test_json_layout ] );
       qsuite "json-props" [ prop_json_round_trip ];
