@@ -29,12 +29,22 @@ open Toolkit
 
 module RP = Psmr_platform.Real_platform
 
+(* Readers/writers commands ([true] writes) on one shared key: the
+   cheapest command the COS can be instantiated with, so the cycle below
+   measures the structure and not the command. *)
+module Rw = struct
+  type t = bool
+
+  let conflict a b = a || b
+  let footprint w = [ (0, w) ]
+  let pp ppf w = Format.pp_print_string ppf (if w then "w" else "r")
+end
+
 (* One insert+get+remove cycle on a COS pre-filled to a given population:
    the steady-state per-command cost of the structure itself. *)
 let cos_cycle impl ~population ~writes =
   let (module S : Psmr_cos.Cos_intf.S with type cmd = bool) =
-    Psmr_cos.Registry.instantiate_keyed impl (module RP)
-      (module Psmr_harness.Standalone.Rw)
+    Psmr_cos.Registry.instantiate_keyed impl (module RP) (module Rw)
   in
   let t = S.create ~max_size:150 () in
   let rng = Psmr_util.Rng.create ~seed:1L in
@@ -197,55 +207,40 @@ let grid ~jobs compute configs =
 (* Measurement window and warmup of every simulated point, in seconds. *)
 let window ~smoke = if smoke then (0.02, 0.005) else (0.08, 0.02)
 
-(* One keyed point: the early family, or a COS impl raced against it on
-   the identical command stream; the result carries the dispatcher's class
-   statistics. *)
-let keyed_point ~smoke (impl, workers, batch, spec) =
+(* One standalone point: a registry backend by name, fed a workload; the
+   result carries the dispatcher's class statistics. *)
+let standalone_point ~smoke (impl, workers, batch, workload) =
   let duration, warmup = window ~smoke in
   let backend =
     match Psmr_early.Registry.of_string impl with
     | Some b -> b
-    | None -> invalid_arg ("keyed_point: unknown backend " ^ impl)
+    | None -> invalid_arg ("standalone_point: unknown backend " ^ impl)
   in
-  Psmr_harness.Keyed_bench.run ~backend ~workers ~spec ~batch ~duration
+  Psmr_harness.Standalone.run ~backend ~workers ~workload ~batch ~duration
     ~warmup ()
 
 (* Simulated Fig. 2 points for the report: standalone throughput at light
    cost, 0% writes, for the scan-based baseline, the indexed insert with
-   and without delivery batching, and the early dispatcher (keyed
-   low-conflict workload at 0% writes — footprints are needed for the
-   class map, the cost profile matches).  COS impls on the plain workload
-   go through [Standalone]. *)
-let fig2_spec =
-  { Psmr_workload.Workload.write_pct = 0.0; cost = Psmr_workload.Workload.Light }
+   and without delivery batching (the paper's list workload), and the
+   early dispatcher (keyed low-conflict workload at 0% writes — footprints
+   are needed for the class map, the cost profile matches). *)
+let fig2_paper =
+  Psmr_harness.Standalone.Paper
+    { Psmr_workload.Workload.write_pct = 0.0; cost = Psmr_workload.Workload.Light }
 
-let fig2_kops ~smoke (impl, workers, batch, keyed) =
-  match keyed with
-  | Some spec ->
-      (keyed_point ~smoke (impl, workers, batch, spec))
-        .Psmr_harness.Keyed_bench.kops
-  | None ->
-      let duration, warmup = window ~smoke in
-      let impl =
-        match Psmr_cos.Registry.of_string impl with
-        | Some i -> i
-        | None -> invalid_arg ("fig2_kops: unknown COS impl " ^ impl)
-      in
-      (Psmr_harness.Standalone.run ~impl ~workers ~batch ~spec:fig2_spec
-         ~duration ~warmup ())
-        .kops
-
-(* (label, config) per row; a keyed config's spec is the keyed workload. *)
+(* (label, config) per row. *)
 let fig2_rows =
-  let keyed0 = { Keyed.low_conflict with write_pct = 0.0 } in
+  let keyed0 =
+    Psmr_harness.Standalone.Keyed { Keyed.low_conflict with write_pct = 0.0 }
+  in
   List.concat_map
     (fun w ->
       [
-        ("lockfree", ("lockfree", w, 1, None));
-        ("indexed", ("indexed", w, 1, None));
-        ("indexed_batch16", ("indexed", w, 16, None));
-        ("early", ("early", w, 1, Some keyed0));
-        ("early_opt", ("early-opt", w, 1, Some keyed0));
+        ("lockfree", ("lockfree", w, 1, fig2_paper));
+        ("indexed", ("indexed", w, 1, fig2_paper));
+        ("indexed_batch16", ("indexed", w, 16, fig2_paper));
+        ("early", ("early", w, 1, keyed0));
+        ("early_opt", ("early-opt", w, 1, keyed0));
       ])
     [ 16; 32; 64 ]
 
@@ -323,8 +318,8 @@ let w32_impls =
 
 let standalone_w32 ~smoke ?faults ?metrics impl =
   let duration, warmup = window ~smoke in
-  Psmr_harness.Standalone.run ~impl ~workers:32
-    ~spec:{ Psmr_workload.Workload.write_pct = 10.0; cost = Moderate }
+  Psmr_harness.Standalone.run ~backend:(Cos impl) ~workers:32
+    ~workload:(Paper { Psmr_workload.Workload.write_pct = 10.0; cost = Moderate })
     ~duration ~warmup ?faults ?metrics ()
 
 (* Throughput-under-faults rows: one mid-window worker crash that
@@ -367,7 +362,7 @@ let sim_metrics ~smoke =
     w32_impls
 
 let keyed_json (name, (_, workers, _, (spec : Keyed.spec)))
-    (r : Psmr_harness.Keyed_bench.result) =
+    (r : Psmr_harness.Standalone.result) =
   J.Obj
     [
       ("name", J.Str name); ("workers", J.int workers);
@@ -439,8 +434,17 @@ let engine_json (r : Engine_churn.row) =
 (* The report's members: the host-time sections ([micro], [engine]) as
    measured by the caller, every simulated one from the grids. *)
 let report ~smoke ~jobs ~micro ~engine =
-  let fig2 = grid ~jobs (fig2_kops ~smoke) (List.map snd fig2_rows) in
-  let keyed = grid ~jobs (keyed_point ~smoke) (List.map snd keyed_rows) in
+  let fig2 =
+    grid ~jobs
+      (fun c -> (standalone_point ~smoke c).Psmr_harness.Standalone.kops)
+      (List.map snd fig2_rows)
+  in
+  let keyed =
+    grid ~jobs
+      (fun (impl, w, batch, spec) ->
+        standalone_point ~smoke (impl, w, batch, Keyed spec))
+      (List.map snd keyed_rows)
+  in
   let part = grid ~jobs (compute_part ~smoke) part_configs in
   let open_loop = open_loop_rows ~smoke ~jobs in
   let faults = sim_faults ~smoke in
@@ -449,7 +453,7 @@ let report ~smoke ~jobs ~micro ~engine =
     if base > 0.0 then [ (name, J.fixed 2 (x /. base)) ] else []
   in
   let keyed_kops name =
-    (keyed (List.assoc name keyed_rows)).Psmr_harness.Keyed_bench.kops
+    (keyed (List.assoc name keyed_rows)).Psmr_harness.Standalone.kops
   in
   (* The partitioning headline: 4 sequencers vs 1 at w32 on the
      ordering-bound (Light, 2%-cross) workload. *)
@@ -481,8 +485,8 @@ let report ~smoke ~jobs ~micro ~engine =
     ("sim_events_per_wall_second", J.Arr (List.map engine_json engine));
   ]
   @ speedup "speedup_w32_indexed_batch16_vs_lockfree"
-      (fig2 ("indexed", 32, 16, None))
-      (fig2 ("lockfree", 32, 1, None))
+      (fig2 ("indexed", 32, 16, fig2_paper))
+      (fig2 ("lockfree", 32, 1, fig2_paper))
   @ speedup "speedup_w32_early_vs_indexed" (keyed_kops "early")
       (keyed_kops "indexed")
   @ speedup "speedup_w32_part4_vs_part1" (part_kops 4) (part_kops 1)

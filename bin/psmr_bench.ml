@@ -235,41 +235,59 @@ let trace_out_arg =
            execution slices, one per simulated process with critical \
            sections.")
 
+(* One standalone run and its report, shared by the [standalone] (paper
+   list workload, COS impls) and [keyed] (keyed workload, any registry
+   backend) surfaces.  The class line appears for early backends only,
+   the fault line for a non-empty schedule. *)
+let run_standalone ~backend ~workers ~workload ?batch ?duration ~faults
+    ~metrics ?trace_out () =
+  let r =
+    Psmr_harness.Standalone.run ~backend ~workers ~workload ?batch ?duration
+      ~faults ~metrics
+      ~trace:(trace_out <> None)
+      ()
+  in
+  let label =
+    match (workload : Psmr_harness.Standalone.workload) with
+    | Paper { write_pct; cost } ->
+        Printf.sprintf "writes=%g%% cost=%s" write_pct
+          (Psmr_workload.Workload.cost_label cost)
+    | Keyed spec -> Format.asprintf "%a" Psmr_workload.Workload.Keyed.pp spec
+  in
+  Printf.printf "%s workers=%d %s: %.1f kops/s (mean population %.1f)\n"
+    (Psmr_early.Registry.to_string backend)
+    workers label r.kops r.mean_population;
+  if r.wall_seconds > 0.0 then
+    Printf.printf "engine: %d events in %.3fs wall (%.0f events/s)\n"
+      r.engine_events r.wall_seconds
+      (float_of_int r.engine_events /. r.wall_seconds);
+  if r.direct + r.rendezvous > 0 then
+    Printf.printf
+      "classes: %d direct, %d rendezvous; repairs %d (revoked %d, dropped \
+       %d)\n"
+      r.direct r.rendezvous r.repairs r.revoked r.dropped;
+  if not (Psmr_fault.Schedule.is_empty faults) then
+    Printf.printf "faults: %s -> %d injected, %d workers crashed\n"
+      (Psmr_fault.Schedule.to_string faults)
+      r.faults_injected r.crashed_workers;
+  (match (metrics, r.metrics) with
+  | true, Some m -> print_metrics m
+  | _ -> ());
+  match (trace_out, r.trace) with
+  | Some path, Some tr ->
+      let oc = open_out path in
+      output_string oc (Psmr_obs.Trace.to_json tr);
+      close_out oc;
+      Printf.printf "trace: %d slices written to %s (%d dropped)\n"
+        (Psmr_obs.Trace.count tr) path
+        (Psmr_obs.Trace.dropped tr)
+  | _ -> ()
+
 let standalone_cmd =
   let run impl workers writes cost duration faults metrics trace_out =
-    let r =
-      Psmr_harness.Standalone.run ~impl ~workers
-        ~spec:{ write_pct = writes; cost }
-        ?duration ~faults ~metrics
-        ~trace:(trace_out <> None)
-        ()
-    in
-    Printf.printf "%s workers=%d writes=%g%% cost=%s: %.1f kops/s (mean population %.1f)\n"
-      (Psmr_cos.Registry.to_string impl)
-      workers writes
-      (Psmr_workload.Workload.cost_label cost)
-      r.kops r.mean_population;
-    if r.wall_seconds > 0.0 then
-      Printf.printf "engine: %d events in %.3fs wall (%.0f events/s)\n"
-        r.engine_events r.wall_seconds
-        (float_of_int r.engine_events /. r.wall_seconds);
-    if not (Psmr_fault.Schedule.is_empty faults) then
-      Printf.printf "faults: %s -> %d injected, %d workers crashed\n"
-        (Psmr_fault.Schedule.to_string faults)
-        r.faults_injected r.crashed_workers;
-    (match (metrics, r.metrics) with
-    | true, Some m ->
-        print_metrics m
-    | _ -> ());
-    match (trace_out, r.trace) with
-    | Some path, Some tr ->
-        let oc = open_out path in
-        output_string oc (Psmr_obs.Trace.to_json tr);
-        close_out oc;
-        Printf.printf "trace: %d slices written to %s (%d dropped)\n"
-          (Psmr_obs.Trace.count tr) path
-          (Psmr_obs.Trace.dropped tr)
-    | _ -> ()
+    run_standalone ~backend:(Cos impl) ~workers
+      ~workload:(Paper { write_pct = writes; cost })
+      ?duration ~faults ~metrics ?trace_out ()
   in
   Cmd.v
     (Cmd.info "standalone" ~doc:"One standalone data-structure measurement.")
@@ -353,42 +371,17 @@ let batch_arg =
 let keyed_cmd =
   let run backend workers keys writes cross mis cost batch duration faults
       metrics =
-    let spec =
-      {
-        Psmr_workload.Workload.Keyed.keys;
-        write_pct = writes;
-        cross_pct = cross;
-        cost;
-        mis_pct = mis;
-      }
-    in
-    let r =
-      Psmr_harness.Keyed_bench.run ~backend ~workers ~spec ~batch ?duration
-        ~faults ~metrics ()
-    in
-    Printf.printf
-      "%s workers=%d %s: %.1f kops/s (mean population %.1f)\n"
-      (Psmr_early.Registry.to_string backend)
-      workers
-      (Format.asprintf "%a" Psmr_workload.Workload.Keyed.pp spec)
-      r.kops r.mean_population;
-    if r.wall_seconds > 0.0 then
-      Printf.printf "engine: %d events in %.3fs wall (%.0f events/s)\n"
-        r.engine_events r.wall_seconds
-        (float_of_int r.engine_events /. r.wall_seconds);
-    if r.direct + r.rendezvous > 0 then
-      Printf.printf
-        "classes: %d direct, %d rendezvous; repairs %d (revoked %d, dropped \
-         %d)\n"
-        r.direct r.rendezvous r.repairs r.revoked r.dropped;
-    if not (Psmr_fault.Schedule.is_empty faults) then
-      Printf.printf "faults: %s -> %d injected, %d workers crashed\n"
-        (Psmr_fault.Schedule.to_string faults)
-        r.faults_injected r.crashed_workers;
-    match (metrics, r.metrics) with
-    | true, Some m ->
-        print_metrics m
-    | _ -> ()
+    run_standalone ~backend ~workers
+      ~workload:
+        (Keyed
+           {
+             keys;
+             write_pct = writes;
+             cross_pct = cross;
+             cost;
+             mis_pct = mis;
+           })
+      ~batch ?duration ~faults ~metrics ()
   in
   Cmd.v
     (Cmd.info "keyed"

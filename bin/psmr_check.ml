@@ -14,8 +14,9 @@
    reported a violation, 2 on usage errors.  With --expect-violation the
    meaning of 0 and 1 flips: the run passes only if the oracles fire —
    for planted-bug and crash-stop targets pinned in CI aliases.  An
-   exploration whose every schedule hit --max-steps ran no post-run
-   oracle; it prints "inconclusive" and exits 1 either way. *)
+   exploration whose every schedule hit --max-steps, or a --replay of a
+   schedule that hit it without a violation, ran no post-run oracle; it
+   prints "inconclusive" and exits 1 either way. *)
 
 open Cmdliner
 module Check = Psmr_checker
@@ -461,7 +462,13 @@ let run target workers commands writes keys cross mis spec max_size no_drain
         (if o.truncated then " (truncated)" else "");
       List.iter (fun (p, op) -> Printf.printf "  p%-2d %s\n" p op) o.oplog;
       Option.iter (fun path -> write_oplog_trace ~path o) trace_out;
-      if o.violations = [] then print_endline "clean: no violations"
+      if o.violations = [] && o.truncated then begin
+        (* The replayed schedule ran no post-run oracle, as for an
+           exploration whose every schedule was truncated. *)
+        print_endline "inconclusive: the schedule hit --max-steps";
+        exit 1
+      end
+      else if o.violations = [] then print_endline "clean: no violations"
       else begin
         print_endline "violations:";
         List.iter (fun v -> Printf.printf "  %s\n" v) o.violations

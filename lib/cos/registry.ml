@@ -42,8 +42,8 @@ let of_string s =
       | Some _ | None -> None)
   | _ -> None
 
-let instantiate (type c) impl (module P : Platform_intf.S)
-    (module C : Cos_intf.COMMAND with type t = c) :
+let instantiate_keyed (type c) impl (module P : Platform_intf.S)
+    (module C : Cos_intf.KEYED_COMMAND with type t = c) :
     (module Cos_intf.S with type cmd = c) =
   match impl with
   | Coarse -> (module Coarse.Make (P) (C))
@@ -55,15 +55,4 @@ let instantiate (type c) impl (module P : Platform_intf.S)
         let segment_capacity = k
       end in
       (module Striped.Make_sized (Size) (P) (C))
-  | Indexed ->
-      invalid_arg
-        "Registry.instantiate: the indexed COS needs key footprints; use \
-         instantiate_keyed with a KEYED_COMMAND"
-
-let instantiate_keyed (type c) impl (module P : Platform_intf.S)
-    (module C : Cos_intf.KEYED_COMMAND with type t = c) :
-    (module Cos_intf.S with type cmd = c) =
-  match impl with
   | Indexed -> (module Indexed.Make (P) (C))
-  | Coarse | Fine | Lockfree | Fifo | Striped _ ->
-      instantiate impl (module P) (module C)

@@ -28,18 +28,10 @@ val of_string : string -> impl option
     "fifo"/"sequential", "striped", "striped-<k>" and "indexed".
     Round-trips with {!to_string}. *)
 
-val instantiate :
-  impl ->
-  (module Platform_intf.S) ->
-  (module Cos_intf.COMMAND with type t = 'c) ->
-  (module Cos_intf.S with type cmd = 'c)
-(** Raises [Invalid_argument] on {!Indexed}, which needs footprints — use
-    {!instantiate_keyed}. *)
-
 val instantiate_keyed :
   impl ->
   (module Platform_intf.S) ->
   (module Cos_intf.KEYED_COMMAND with type t = 'c) ->
   (module Cos_intf.S with type cmd = 'c)
-(** Like {!instantiate} but for commands with key footprints; dispatches
-    every implementation, including {!Indexed}. *)
+(** The named implementation over commands with key footprints (every
+    implementation but {!Indexed} reads only the conflict relation). *)

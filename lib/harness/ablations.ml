@@ -31,9 +31,9 @@ let granularity ?(workers = 16)
           (fun k ->
             let r =
               Standalone.run
-                ~impl:(Psmr_cos.Registry.Striped k)
+                ~backend:(Cos (Psmr_cos.Registry.Striped k))
                 ~workers
-                ~spec:{ write_pct; cost }
+                ~workload:(Paper { write_pct; cost })
                 ?duration ?warmup ()
             in
             (float_of_int k, r.kops))
@@ -55,8 +55,8 @@ let graph_size ?(workers = 16) ?(write_pct = 5.0)
         List.map
           (fun max_size ->
             let r =
-              Standalone.run ~impl ~workers ~max_size
-                ~spec:{ write_pct; cost = Workload.Moderate }
+              Standalone.run ~backend:(Cos impl) ~workers ~max_size
+                ~workload:(Paper { write_pct; cost = Workload.Moderate })
                 ?duration ?warmup ()
             in
             (float_of_int max_size, r.kops))
@@ -76,8 +76,8 @@ let realistic_conflicts ?(workers = 16)
         List.map
           (fun pct ->
             let r =
-              Standalone.run ~impl ~workers
-                ~spec:{ write_pct = pct; cost = Workload.Moderate }
+              Standalone.run ~backend:(Cos impl) ~workers
+                ~workload:(Paper { write_pct = pct; cost = Workload.Moderate })
                 ?duration ?warmup ()
             in
             (pct, r.kops))
@@ -100,8 +100,8 @@ let indexed_vs_scan ?(write_pct = 0.0)
       List.map
         (fun w ->
           let r =
-            Standalone.run ~impl ~workers:w ~batch
-              ~spec:{ Workload.write_pct; cost = Workload.Light }
+            Standalone.run ~backend:(Cos impl) ~workers:w ~batch
+              ~workload:(Paper { Workload.write_pct; cost = Workload.Light })
               ?duration ?warmup ()
           in
           (float_of_int w, r.kops))
@@ -132,20 +132,25 @@ let insert_cost_vs_population
             Sim_run.with_sim @@ fun sim ->
             let engine = Sim_run.engine sim in
             let (module SP) = Sim_run.platform sim in
-            let (module Cos : Psmr_cos.Cos_intf.S with type cmd = bool) =
+            let (module Cos) =
               Psmr_cos.Registry.instantiate_keyed impl (module SP)
-                (module Standalone.Rw)
+                (module Standalone.Cmd)
+            in
+            (* No workers: the commands' execution cost is never charged. *)
+            let next =
+              Standalone.gen
+                (Paper { Workload.write_pct; cost = Workload.Light })
             in
             let rng = Psmr_util.Rng.create ~seed in
             let per_insert = ref 0.0 in
             Psmr_sim.Engine.spawn engine (fun () ->
                 let cos = Cos.create ~max_size:(pop + measured) () in
                 for _ = 1 to pop do
-                  Cos.insert cos (Psmr_util.Rng.below_percent rng write_pct)
+                  Cos.insert cos (next rng)
                 done;
                 let t0 = SP.now () in
                 for _ = 1 to measured do
-                  Cos.insert cos (Psmr_util.Rng.below_percent rng write_pct)
+                  Cos.insert cos (next rng)
                 done;
                 per_insert :=
                   (SP.now () -. t0) /. float_of_int measured *. 1e9);
@@ -166,19 +171,20 @@ let run_early ~workers ~(spec : Workload.spec)
     ?(warmup = Standalone.default_warmup) ?(seed = 42L) () =
   Sim_run.with_sim @@ fun sim ->
   let (module SP) = Sim_run.platform sim in
-  let module E = Psmr_sched.Early.Make (SP) (Standalone.Rw) in
-  let execute is_write =
-    Sim_run.exec sim (Model.exec_cost spec.cost ~is_write);
+  let module E = Psmr_sched.Early.Make (SP) (Standalone.Cmd) in
+  let execute (c : Standalone.Cmd.t) =
+    Sim_run.exec sim c.cost;
     Sim_run.tick sim
   in
   let sched = E.start ~workers ~execute () in
+  let next = Standalone.gen (Paper spec) in
   let rng = Psmr_util.Rng.create ~seed in
   (* Early scheduling has no bounded shared structure; throttle the
      inserter to a bounded in-flight window comparable to the COS bound so
      queues do not grow without limit. *)
   Sim_run.forever sim ~name:"inserter" (fun () ->
       if E.in_flight sched < 150 then
-        E.submit sched (Psmr_util.Rng.below_percent rng spec.write_pct)
+        E.submit sched (next rng)
       else SP.sleep 2e-6);
   ignore (Sim_run.run sim ~warmup ~duration : float);
   Sim_run.kops sim
@@ -210,8 +216,9 @@ let early_vs_late ?(workers = 16)
         List.map
           (fun pct ->
             let r =
-              Standalone.run ~impl ~workers
-                ~spec:{ Workload.write_pct = pct; cost = Workload.Light }
+              Standalone.run ~backend:(Cos impl) ~workers
+                ~workload:
+                  (Paper { Workload.write_pct = pct; cost = Workload.Light })
                 ?duration ?warmup ()
             in
             (pct, r.kops))

@@ -88,8 +88,8 @@ let fig2 opts cost =
     par_map opts
       (fun (impl, w) ->
         let r =
-          Standalone.run ~impl ~workers:w
-            ~spec:{ write_pct = 0.0; cost }
+          Standalone.run ~backend:(Cos impl) ~workers:w
+            ~workload:(Paper { write_pct = 0.0; cost })
             ~duration:opts.duration ~warmup:opts.warmup ()
         in
         note opts "fig2 %s %s w=%d: %.1f kops"
@@ -124,8 +124,8 @@ let fig3 opts cost =
     par_map opts
       (fun (impl, workers, pct) ->
         let r =
-          Standalone.run ~impl ~workers
-            ~spec:{ write_pct = pct; cost }
+          Standalone.run ~backend:(Cos impl) ~workers
+            ~workload:(Paper { write_pct = pct; cost })
             ~duration:opts.duration ~warmup:opts.warmup ()
         in
         note opts "fig3 %s %s %g%%w: %.1f kops"

@@ -15,7 +15,7 @@
     every touched sequencer plus the merge rendezvous, so a 100%-cross
     workload degrades gracefully rather than scaling. *)
 
-module Cmd = Keyed_bench.Cmd
+module Cmd = Standalone.Cmd
 
 type result = {
   kops : float;  (** commands executed per second at replica 0, thousands *)
@@ -124,11 +124,12 @@ let run ~partitions ~workers ~(spec : Psmr_workload.Workload.Keyed.spec)
           in
           tick_loop ()))
     eps;
+  let next = Standalone.gen (Keyed spec) in
   let rng = Psmr_util.Rng.create ~seed in
   (* Take one credit per command, blocking while the window is spent, and
      send the batch to replica 0's sequencer. *)
   Sim_run.forever sim ~name:"part-feeder" (fun () ->
-      let cmds = Array.init batch (fun _ -> Keyed_bench.gen spec rng) in
+      let cmds = Array.init batch (fun _ -> next rng) in
       SP.Semaphore.acquire ~n:batch credit;
       Net.send net ~src:0 ~dst:0 (Sub cmds));
   let wall_seconds = Sim_run.run sim ~warmup ~duration in

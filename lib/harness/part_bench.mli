@@ -9,7 +9,7 @@
     replicas divide it.  Cross-partition commands pay ingestion on every
     touched sequencer plus the merge rendezvous. *)
 
-module Cmd = Keyed_bench.Cmd
+module Cmd = Standalone.Cmd
 
 type result = {
   kops : float;  (** commands executed per second at replica 0, thousands *)

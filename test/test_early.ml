@@ -1080,9 +1080,9 @@ let test_keyed_bench_opt_crash_mid_repair () =
     { Psmr_workload.Workload.Keyed.low_conflict with keys = 16; mis_pct = 30.0 }
   in
   let r =
-    Psmr_harness.Keyed_bench.run
+    Psmr_harness.Standalone.run
       ~backend:(Psmr_early.Registry.Early Psmr_early.Early_intf.optimistic)
-      ~workers:4 ~spec ~faults ~duration:0.01 ~warmup:0.002 ()
+      ~workers:4 ~workload:(Keyed spec) ~faults ~duration:0.01 ~warmup:0.002 ()
   in
   Alcotest.(check int) "one crash" 1 r.crashed_workers;
   Alcotest.(check bool) "fault injected" true (r.faults_injected >= 1);
@@ -1150,9 +1150,9 @@ let backend_smoke backend () =
 
 let test_keyed_bench_early () =
   let r =
-    Psmr_harness.Keyed_bench.run
+    Psmr_harness.Standalone.run
       ~backend:(Psmr_early.Registry.Early Psmr_early.Early_intf.conservative)
-      ~workers:8 ~spec:Psmr_workload.Workload.Keyed.low_conflict
+      ~workers:8 ~workload:(Keyed Psmr_workload.Workload.Keyed.low_conflict)
       ~duration:0.01 ~warmup:0.002 ()
   in
   Alcotest.(check bool) "executed some" true (r.executed > 0);
@@ -1165,9 +1165,9 @@ let test_keyed_bench_optimistic_repairs () =
     { Psmr_workload.Workload.Keyed.low_conflict with keys = 32; mis_pct = 10.0 }
   in
   let r =
-    Psmr_harness.Keyed_bench.run
+    Psmr_harness.Standalone.run
       ~backend:(Psmr_early.Registry.Early Psmr_early.Early_intf.optimistic)
-      ~workers:8 ~spec ~duration:0.01 ~warmup:0.002 ()
+      ~workers:8 ~workload:(Keyed spec) ~duration:0.01 ~warmup:0.002 ()
   in
   Alcotest.(check bool) "executed some" true (r.executed > 0);
   Alcotest.(check bool) "mis-speculation repaired" true (r.repairs > 0);
@@ -1176,9 +1176,10 @@ let test_keyed_bench_optimistic_repairs () =
 let test_keyed_bench_crash_respawn () =
   let faults = Psmr_fault.Schedule.parse_exn "worker-crash=2@0.004+0.002" in
   let r =
-    Psmr_harness.Keyed_bench.run
+    Psmr_harness.Standalone.run
       ~backend:(Psmr_early.Registry.Early Psmr_early.Early_intf.conservative)
-      ~workers:4 ~spec:Psmr_workload.Workload.Keyed.low_conflict ~faults
+      ~workers:4 ~workload:(Keyed Psmr_workload.Workload.Keyed.low_conflict)
+      ~faults
       ~duration:0.01 ~warmup:0.002 ()
   in
   Alcotest.(check int) "one crash" 1 r.crashed_workers;
@@ -1187,9 +1188,9 @@ let test_keyed_bench_crash_respawn () =
 
 let test_keyed_bench_cos_backend () =
   let r =
-    Psmr_harness.Keyed_bench.run
+    Psmr_harness.Standalone.run
       ~backend:(Psmr_early.Registry.Cos Psmr_cos.Registry.Indexed)
-      ~workers:8 ~spec:Psmr_workload.Workload.Keyed.low_conflict
+      ~workers:8 ~workload:(Keyed Psmr_workload.Workload.Keyed.low_conflict)
       ~duration:0.01 ~warmup:0.002 ()
   in
   Alcotest.(check bool) "executed some" true (r.executed > 0);

@@ -165,8 +165,8 @@ let spec10 =
   { Psmr_workload.Workload.write_pct = 10.0; cost = Psmr_workload.Workload.Light }
 
 let standalone ?faults () =
-  Psmr_harness.Standalone.run ~impl:Psmr_cos.Registry.Lockfree ~workers:4
-    ~spec:spec10 ~duration:0.05 ~warmup:0.01 ?faults ()
+  Psmr_harness.Standalone.run ~backend:(Cos Psmr_cos.Registry.Lockfree)
+    ~workers:4 ~workload:(Paper spec10) ~duration:0.05 ~warmup:0.01 ?faults ()
 
 let test_standalone_zero_perturbation () =
   let base = standalone () in

@@ -115,7 +115,8 @@ let test_zero_perturbation impl () =
 let spec = { Psmr_workload.Workload.write_pct = 10.0; cost = Moderate }
 
 let standalone ~metrics ~trace () =
-  Standalone.run ~impl:Registry.Lockfree ~workers:8 ~spec ~duration:0.02
+  Standalone.run ~backend:(Cos Registry.Lockfree) ~workers:8
+    ~workload:(Paper spec) ~duration:0.02
     ~warmup:0.005 ~metrics ~trace ()
 
 let test_deterministic_exports () =

@@ -428,8 +428,9 @@ let test_engine_scheduling_alloc_bound () =
 (* A seeded harness run's entire scheduling history, folded to one string:
    an MD5 over the (time, tag) pair of every executed event — hex floats,
    so the digest sees exact bits — plus the final clock and event count.
-   Pinned below for all six COS implementations and both early-scheduling
-   modes.  Any engine change that reorders, adds or drops an event, or
+   Pinned below for all six COS implementations on the paper's list
+   workload, and for both early-scheduling modes and two COS
+   implementations on the keyed workload.  Any engine change that reorders, adds or drops an event, or
    shifts virtual time by a single ULP, breaks these; that is the contract
    an engine refactor must clear before touching anything else. *)
 let trace_digest run =
@@ -450,8 +451,9 @@ let golden_spec = { Psmr_workload.Workload.write_pct = 15.0; cost = Light }
 
 let golden_standalone impl ~probe_engine =
   ignore
-    (Psmr_harness.Standalone.run ~impl ~workers:8 ~spec:golden_spec
-       ~duration:0.02 ~warmup:0.005 ~seed:7L ~probe_engine ()
+    (Psmr_harness.Standalone.run ~backend:(Cos impl) ~workers:8
+       ~workload:(Paper golden_spec) ~duration:0.02 ~warmup:0.005 ~seed:7L
+       ~probe_engine ()
       : Psmr_harness.Standalone.result)
 
 let golden_keyed name ~probe_engine =
@@ -461,9 +463,9 @@ let golden_keyed name ~probe_engine =
     { Psmr_workload.Workload.Keyed.low_conflict with keys = 64; mis_pct = 10.0 }
   in
   ignore
-    (Psmr_harness.Keyed_bench.run ~backend ~workers:8 ~spec ~duration:0.02
-       ~warmup:0.005 ~seed:7L ~probe_engine ()
-      : Psmr_harness.Keyed_bench.result)
+    (Psmr_harness.Standalone.run ~backend ~workers:8 ~workload:(Keyed spec)
+       ~duration:0.02 ~warmup:0.005 ~seed:7L ~probe_engine ()
+      : Psmr_harness.Standalone.result)
 
 let golden_cases =
   let cos name impl = (name, fun ~probe_engine -> golden_standalone impl ~probe_engine) in
@@ -477,6 +479,8 @@ let golden_cases =
     cos "standalone-indexed" Psmr_cos.Registry.Indexed;
     keyed "early";
     keyed "early-opt";
+    keyed "lockfree";
+    keyed "indexed";
   ]
 
 (* Captured from the pre-fast-path engine (PR 7 baseline) and required to
@@ -517,6 +521,14 @@ let golden_expected =
     ( "early-opt",
       "a1660371ed54f5fdebbc3795b257f998 clock=0x1.999999999999ap-6 \
        events=287231" );
+    (* The keyed stream through the registry's generic COS path: multi-key
+       footprints, which no paper-workload digest exercises. *)
+    ( "lockfree",
+      "8257df9e9a52683d516afd402fb2e17d clock=0x1.999999999999ap-6 \
+       events=382004" );
+    ( "indexed",
+      "953b84cc1e8f755e2c2ac7428c6c45b8 clock=0x1.999999999999ap-6 \
+       events=1412288" );
   ]
 
 let golden_tests =

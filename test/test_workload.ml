@@ -107,8 +107,8 @@ let tiny = 0.02
 
 let test_standalone_runs impl () =
   let r =
-    Psmr_harness.Standalone.run ~impl ~workers:4
-      ~spec:{ write_pct = 10.0; cost = Psmr_workload.Workload.Light }
+    Psmr_harness.Standalone.run ~backend:(Cos impl) ~workers:4
+      ~workload:(Paper { write_pct = 10.0; cost = Psmr_workload.Workload.Light })
       ~duration:tiny ~warmup:0.005 ()
   in
   Alcotest.(check bool) "throughput positive" true (r.kops > 0.0);
@@ -116,8 +116,9 @@ let test_standalone_runs impl () =
 
 let test_standalone_deterministic () =
   let run () =
-    (Psmr_harness.Standalone.run ~impl:Psmr_cos.Registry.Lockfree ~workers:8
-       ~spec:{ write_pct = 5.0; cost = Psmr_workload.Workload.Light }
+    (Psmr_harness.Standalone.run ~backend:(Cos Psmr_cos.Registry.Lockfree)
+       ~workers:8
+       ~workload:(Paper { write_pct = 5.0; cost = Psmr_workload.Workload.Light })
        ~duration:tiny ~warmup:0.005 ())
       .kops
   in
@@ -126,8 +127,8 @@ let test_standalone_deterministic () =
 let test_standalone_lockfree_fastest () =
   (* The paper's headline: lock-free beats coarse and fine at scale. *)
   let kops impl =
-    (Psmr_harness.Standalone.run ~impl ~workers:16
-       ~spec:{ write_pct = 0.0; cost = Psmr_workload.Workload.Light }
+    (Psmr_harness.Standalone.run ~backend:(Cos impl) ~workers:16
+       ~workload:(Paper { write_pct = 0.0; cost = Psmr_workload.Workload.Light })
        ~duration:0.04 ~warmup:0.01 ())
       .kops
   in
