@@ -28,18 +28,35 @@ module Make (P : Platform_intf.S) = struct
     P.Mutex.unlock t.mutex;
     accepted
 
+  (* Under the lock: wait until an item is queued or the mailbox is closed;
+     [true] iff an item is queued. *)
+  let rec await t =
+    if not (Queue.is_empty t.queue) then true
+    else if t.closed then false
+    else begin
+      P.Condition.wait t.nonempty t.mutex;
+      await t
+    end
+
   (* [take] returns [None] once the mailbox is closed and drained. *)
   let take t =
     P.Mutex.lock t.mutex;
-    let rec await () =
-      if not (Queue.is_empty t.queue) then Some (Queue.pop t.queue)
-      else if t.closed then None
-      else begin
-        P.Condition.wait t.nonempty t.mutex;
-        await ()
+    let r = if await t then Some (Queue.pop t.queue) else None in
+    P.Mutex.unlock t.mutex;
+    r
+
+  (* [take_all] moves the whole queue out under one lock round, so a
+     receiver that drains k items pays one acquisition instead of k. *)
+  let take_all t =
+    P.Mutex.lock t.mutex;
+    let r =
+      if await t then begin
+        let q = Queue.create () in
+        Queue.transfer t.queue q;
+        Some q
       end
+      else None
     in
-    let r = await () in
     P.Mutex.unlock t.mutex;
     r
 

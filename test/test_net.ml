@@ -137,6 +137,97 @@ let test_crash_in_flight () =
   let _, delivered = SNet.stats n in
   Alcotest.(check int) "dropped at delivery time" 0 delivered
 
+(* --- the receive buffer: one mailbox lock round per burst --- *)
+
+let test_sim_burst_one_lock_round () =
+  (* k messages queued at a busy receiver cost it one mailbox lock round:
+     the first [recv] moves them all into the endpoint's buffer and the
+     rest are served from it.  Receiving touches no atomic, so the virtual
+     time the k receives take is exactly one lock plus one unlock. *)
+  let open Psmr_sim in
+  let e = Engine.create () in
+  let costs = Costs.default in
+  let (module SP) = Sim_platform.make e costs in
+  let module SNet = Psmr_net.Network.Make (SP) in
+  let n = SNet.create ~nodes:2 () in
+  let k = 8 in
+  let received = ref [] and elapsed = ref nan in
+  Engine.spawn e (fun () ->
+      for i = 1 to k do
+        SNet.send n ~src:0 ~dst:1 i
+      done);
+  Engine.spawn e ~delay:0.001 (fun () ->
+      let t0 = SP.now () in
+      for _ = 1 to k do
+        match SNet.recv n 1 with
+        | Some { payload; _ } -> received := payload :: !received
+        | None -> ()
+      done;
+      elapsed := SP.now () -. t0);
+  Engine.run e;
+  Alcotest.(check (list int)) "all, in order" (List.init k succ)
+    (List.rev !received);
+  Alcotest.(check (float 1e-12)) "one lock round for the burst"
+    (costs.mutex_lock +. costs.mutex_unlock)
+    !elapsed
+
+let test_sim_backlog_counts_buffered () =
+  let open Psmr_sim in
+  let e = Engine.create () in
+  let (module SP) = Sim_platform.make e Costs.default in
+  let module SNet = Psmr_net.Network.Make (SP) in
+  let n = SNet.create ~nodes:2 () in
+  let backlogs = ref [] in
+  let note () = backlogs := SNet.backlog n 1 :: !backlogs in
+  Engine.spawn e (fun () ->
+      for i = 1 to 5 do
+        SNet.send n ~src:0 ~dst:1 i
+      done;
+      note ();
+      ignore (SNet.recv n 1 : int SNet.envelope option);
+      (* Four buffered, none queued. *)
+      note ();
+      SNet.send n ~src:0 ~dst:1 6;
+      SNet.send n ~src:0 ~dst:1 7;
+      (* Four buffered, two queued. *)
+      note ();
+      for _ = 1 to 6 do
+        ignore (SNet.recv n 1 : int SNet.envelope option)
+      done;
+      note ());
+  Engine.run e;
+  Alcotest.(check (list int)) "queued plus buffered" [ 5; 4; 6; 0 ]
+    (List.rev !backlogs)
+
+let test_sim_crash_drains_buffered () =
+  let open Psmr_sim in
+  let e = Engine.create () in
+  let (module SP) = Sim_platform.make e Costs.default in
+  let module SNet = Psmr_net.Network.Make (SP) in
+  let n = SNet.create ~nodes:2 () in
+  let received = ref [] and ended = ref false in
+  Engine.spawn e (fun () ->
+      for i = 1 to 3 do
+        SNet.send n ~src:0 ~dst:1 i
+      done;
+      let take () =
+        match SNet.recv n 1 with
+        | Some { payload; _ } ->
+            received := payload :: !received;
+            true
+        | None -> false
+      in
+      ignore (take () : bool);
+      (* 2 and 3 are now in the receive buffer. *)
+      SNet.crash n 1;
+      SNet.send n ~src:0 ~dst:1 4;
+      while take () do () done;
+      ended := true);
+  Engine.run e;
+  Alcotest.(check (list int)) "buffered messages drain, later ones are lost"
+    [ 1; 2; 3 ] (List.rev !received);
+  Alcotest.(check bool) "then None" true !ended
+
 (* --- injected message faults, from an armed fault plan --- *)
 
 let test_injected_loss () =
@@ -243,6 +334,23 @@ let test_restore_after_crash () =
   (* The message sent while down stays lost. *)
   Alcotest.(check bool) "no replay of lost traffic" true
     (Net.try_recv n 1 = None);
+  (* A message already in the receive buffer at the crash is lost too:
+     [restore] replaces the buffer along with the mailbox. *)
+  Net.send n ~src:0 ~dst:1 "received";
+  Net.send n ~src:0 ~dst:1 "buffered at the crash";
+  (match Net.recv n 1 with
+  | Some { payload = "received"; _ } -> ()
+  | Some _ | None -> Alcotest.fail "first message not received");
+  Alcotest.(check int) "one message buffered" 1 (Net.backlog n 1);
+  Net.crash n 1;
+  Net.restore n 1;
+  Alcotest.(check int) "restored endpoint is empty" 0 (Net.backlog n 1);
+  Net.send n ~src:0 ~dst:1 "after second recovery";
+  (match Net.try_recv n 1 with
+  | Some { payload = "after second recovery"; _ } -> ()
+  | Some _ | None -> Alcotest.fail "buffered message replayed after restore");
+  Alcotest.(check bool) "no replay of buffered traffic" true
+    (Net.try_recv n 1 = None);
   Net.shutdown n
 
 (* Bit-identity: the same scenario with no plan armed and with an armed
@@ -313,6 +421,12 @@ let () =
           Alcotest.test_case "latency" `Quick test_sim_latency;
           Alcotest.test_case "latency keeps fifo" `Quick test_sim_latency_preserves_order;
           Alcotest.test_case "crash in flight" `Quick test_crash_in_flight;
+          Alcotest.test_case "burst costs one lock round" `Quick
+            test_sim_burst_one_lock_round;
+          Alcotest.test_case "backlog counts buffered" `Quick
+            test_sim_backlog_counts_buffered;
+          Alcotest.test_case "crash drains buffered" `Quick
+            test_sim_crash_drains_buffered;
         ] );
       ( "injected",
         [

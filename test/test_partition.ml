@@ -1336,8 +1336,8 @@ let test_part_bench_pinned () =
   in
   Alcotest.(check string)
     "part2/w4 run"
-    "kops=831.1 executed=8311 emitted=8654 crosses=78 holes=0 \
-     merge_pending=65 engine_events=140469"
+    "kops=878.5 executed=8785 emitted=9154 crosses=84 holes=0 \
+     merge_pending=0 engine_events=145429"
     (Printf.sprintf
        "kops=%.9g executed=%d emitted=%d crosses=%d holes=%d merge_pending=%d \
         engine_events=%d"

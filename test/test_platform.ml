@@ -43,6 +43,52 @@ let test_mailbox_try_take () =
   ignore (MB.put mb 7 : bool);
   Alcotest.(check (option int)) "value" (Some 7) (MB.try_take mb)
 
+let drained q = List.of_seq (Queue.to_seq q)
+
+let test_mailbox_take_all_fifo () =
+  let mb = MB.create () in
+  for i = 0 to 9 do
+    ignore (MB.put mb i : bool)
+  done;
+  (match MB.take_all mb with
+  | Some q -> Alcotest.(check (list int)) "all, in order" (List.init 10 Fun.id) (drained q)
+  | None -> Alcotest.fail "take_all on a non-empty mailbox");
+  Alcotest.(check int) "mailbox emptied" 0 (MB.length mb);
+  ignore (MB.put mb 10 : bool);
+  Alcotest.(check (option (list int))) "later puts come next" (Some [ 10 ])
+    (Option.map drained (MB.take_all mb))
+
+let test_mailbox_take_all_blocks () =
+  let mb = MB.create () in
+  let got = Atomic.make None in
+  let th =
+    Thread.create (fun () -> Atomic.set got (Option.map drained (MB.take_all mb))) ()
+  in
+  Thread.delay 0.02;
+  Alcotest.(check (option (list int))) "still blocked" None (Atomic.get got);
+  ignore (MB.put mb 42 : bool);
+  Thread.join th;
+  Alcotest.(check (option (list int))) "woken with the put" (Some [ 42 ])
+    (Atomic.get got)
+
+let test_mailbox_take_all_close_drains () =
+  let mb = MB.create () in
+  ignore (MB.put mb 1 : bool);
+  ignore (MB.put mb 2 : bool);
+  MB.close mb;
+  Alcotest.(check (option (list int))) "drains what was queued" (Some [ 1; 2 ])
+    (Option.map drained (MB.take_all mb));
+  Alcotest.(check bool) "then none" true (MB.take_all mb = None);
+  (* A closed empty mailbox answers at once, even to a blocked taker. *)
+  let mb = MB.create () in
+  let got = Atomic.make (Some (Queue.create ())) in
+  let th = Thread.create (fun () -> Atomic.set got (MB.take_all mb)) () in
+  Thread.delay 0.02;
+  MB.close mb;
+  Thread.join th;
+  Alcotest.(check bool) "blocked taker released by close" true
+    (Atomic.get got = None)
+
 let test_mailbox_concurrent_producers () =
   let mb = MB.create () in
   let producers = 4 and per = 500 in
@@ -127,6 +173,39 @@ let test_mailbox_on_sim () =
   Engine.run e;
   Alcotest.(check (list int)) "all in order" [ 1; 2; 3; 4; 5 ] (List.rev !received)
 
+let test_mailbox_take_all_on_sim () =
+  let open Psmr_sim in
+  let e = Engine.create () in
+  let (module SP) = Sim_platform.make e Costs.default in
+  let module SMB = Psmr_platform.Mailbox.Make (SP) in
+  let mb = SMB.create () in
+  let batches = ref [] and first_at = ref 0.0 and ended = ref false in
+  Engine.spawn e (fun () ->
+      let rec loop () =
+        match SMB.take_all mb with
+        | Some q ->
+            if !batches = [] then first_at := SP.now ();
+            batches := drained q :: !batches;
+            loop ()
+        | None -> ended := true
+      in
+      loop ());
+  Engine.spawn e (fun () ->
+      SP.sleep 0.01;
+      ignore (SMB.put mb 1 : bool);
+      ignore (SMB.put mb 2 : bool);
+      SP.sleep 0.01;
+      ignore (SMB.put mb 3 : bool);
+      ignore (SMB.put mb 4 : bool);
+      SMB.close mb);
+  Engine.run e;
+  Alcotest.(check bool) "blocked until the first put" true (!first_at >= 0.01);
+  Alcotest.(check bool) "no empty batch" true
+    (List.for_all (fun b -> b <> []) !batches);
+  Alcotest.(check (list int)) "fifo across batches" [ 1; 2; 3; 4 ]
+    (List.concat (List.rev !batches));
+  Alcotest.(check bool) "None after close and drain" true !ended
+
 let test_latch_on_sim () =
   let open Psmr_sim in
   let e = Engine.create () in
@@ -179,6 +258,10 @@ let () =
           Alcotest.test_case "try_take" `Quick test_mailbox_try_take;
           Alcotest.test_case "concurrent producers" `Quick
             test_mailbox_concurrent_producers;
+          Alcotest.test_case "take_all fifo" `Quick test_mailbox_take_all_fifo;
+          Alcotest.test_case "take_all blocks" `Quick test_mailbox_take_all_blocks;
+          Alcotest.test_case "take_all close drains" `Quick
+            test_mailbox_take_all_close_drains;
         ] );
       ( "latch",
         [
@@ -190,6 +273,7 @@ let () =
       ( "on-sim",
         [
           Alcotest.test_case "mailbox" `Quick test_mailbox_on_sim;
+          Alcotest.test_case "mailbox take_all" `Quick test_mailbox_take_all_on_sim;
           Alcotest.test_case "latch" `Quick test_latch_on_sim;
         ] );
       ( "real-platform",

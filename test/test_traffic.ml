@@ -447,14 +447,14 @@ let test_open_loop_pinned () =
       (step_to_string (only_step (quick name)))
   in
   pin "indexed"
-    "offered_kops=50 arrivals=379 kops=47.1 failed=0 censored=0 samples=379 \
-     p50=0.000350632062 p99=0.000417065962";
+    "offered_kops=50 arrivals=379 kops=47.0 failed=0 censored=0 samples=379 \
+     p50=0.000352671726 p99=0.000414476715";
   pin "early-opt"
-    "offered_kops=50 arrivals=379 kops=47.1 failed=0 censored=0 samples=379 \
-     p50=0.000344162132 p99=0.000410287685";
+    "offered_kops=50 arrivals=379 kops=47.0 failed=0 censored=0 samples=379 \
+     p50=0.000346848136 p99=0.000408622334";
   pin "part2"
     "offered_kops=50 arrivals=379 kops=47.5 failed=0 censored=0 samples=379 \
-     p50=0.000332727789 p99=0.00040088617"
+     p50=0.000332783413 p99=0.000402566294"
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
