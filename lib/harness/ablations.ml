@@ -229,10 +229,36 @@ let early_vs_late ?(workers = 16)
 
 (* --- failover timeline --- *)
 
+type failover = {
+  timeline : (float * float) list;
+  views : int;
+  outage : float option;
+}
+
+(* From the crash to the start of the first bucket back above 90% of the
+   mean pre-crash kops, once throughput has dipped below it. *)
+let outage ~crash_at ~bucket timeline =
+  let after_crash (t, _) = t -. bucket >= crash_at -. 1e-9 in
+  let pre = List.filter (fun s -> not (after_crash s)) timeline in
+  let bar =
+    0.9 *. List.fold_left (fun a (_, k) -> a +. k) 0.0 pre
+    /. float_of_int (max 1 (List.length pre))
+  in
+  let rec dip = function
+    | [] -> None
+    | (_, k) :: rest when k >= bar -> dip rest
+    | rest -> back rest
+  and back = function
+    | [] -> None
+    | (t, k) :: _ when k >= bar -> Some (t -. bucket -. crash_at)
+    | _ :: rest -> back rest
+  in
+  dip (List.filter after_crash timeline)
+
 (** Run a replicated deployment, crash the leader mid-run, and sample the
-    surviving replica's completed-command count in fixed buckets.  Returns
-    (bucket_end_time, kops within bucket) — the outage dip and recovery are
-    directly visible. *)
+    surviving replica's completed-command count in fixed buckets
+    (bucket_end_time, kops within bucket) — the outage dip and recovery
+    are directly visible. *)
 let failover_timeline ?(crash_at = 0.3) ?(until = 1.0) ?(bucket = 0.02)
     ?(clients = 100)
     ?(mode =
@@ -265,4 +291,9 @@ let failover_timeline ?(crash_at = 0.3) ?(until = 1.0) ?(bucket = 0.02)
     schedule_sample (float_of_int i *. bucket)
   done;
   Psmr_sim.Engine.run ~until engine;
-  (Psmr_util.Vec.to_list samples, d.replica_view 1)
+  let timeline = Psmr_util.Vec.to_list samples in
+  {
+    timeline;
+    views = d.replica_view 1;
+    outage = outage ~crash_at ~bucket timeline;
+  }

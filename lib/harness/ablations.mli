@@ -77,6 +77,16 @@ val early_vs_late :
   Psmr_util.Table.series list
 (** A4 — queue-dispatch early scheduling vs the lock-free and coarse COS. *)
 
+type failover = {
+  timeline : (float * float) list;
+      (** (bucket end time, kops/s within the bucket) *)
+  views : int;  (** views the survivors installed *)
+  outage : float option;
+      (** seconds from the crash to the start of the first bucket back
+          above 90% of the mean pre-crash kops, after the dip; [None] if
+          throughput never recovers within the run *)
+}
+
 val failover_timeline :
   ?crash_at:float ->
   ?until:float ->
@@ -84,6 +94,6 @@ val failover_timeline :
   ?clients:int ->
   ?mode:Psmr_replica.Replica.mode ->
   unit ->
-  (float * float) list * int
-(** A5 — per-bucket throughput (kops/s) of a replicated deployment across a
-    leader crash, and the number of views the survivors installed. *)
+  failover
+(** A5 — per-bucket throughput of a replicated deployment across a leader
+    crash, the views the survivors installed, and the outage. *)

@@ -375,11 +375,17 @@ let render_ablations opts =
   out "## Ablation: early vs late scheduling (light, 16 workers)\n\n%s\n"
     (Psmr_util.Table.render_series ~x_label:"% writes" ~y_label:"kops/s"
        (Ablations.early_vs_late ~duration:d ~warmup:w ()));
-  let timeline, views = Ablations.failover_timeline () in
+  let { Ablations.timeline; views; outage } = Ablations.failover_timeline () in
   out
     "## Ablation: leader-crash failover timeline (lock-free, 16 workers, crash at t=0.30s)\n\n\
-     views installed by survivors: %d\n%s\n"
+     views installed by survivors: %d\n\
+     outage: %s (crash to the first bucket back above 90%% of pre-crash \
+     kops)\n\
+     %s\n"
     views
+    (match outage with
+    | Some o -> Printf.sprintf "%.0f ms" (o *. 1e3)
+    | None -> "not recovered")
     (Psmr_util.Table.render
        ~header:[ "t (s)"; "kops/s" ]
        (List.map

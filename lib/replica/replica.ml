@@ -12,9 +12,13 @@
       to retried requests;
     - closed-loop clients that submit a batch per [call_batch], routed by
       partition: each command goes to the replica believed to lead every
-      partition it touches (the one sequencer without partitioning), and a
-      partition whose commands time out fails over to the next replica
-      (leader crashes included);
+      partition it touches (the one sequencer without partitioning);
+    - notice-first failover: a replica that becomes the leader of a view
+      announces its leader hints to every client, and a client resends
+      what it had sent under the older view at once, so a leader crash
+      costs the view change, not the client timeout.  The timeout stays
+      as the fallback (a lost notice, a new leader that crashed in turn):
+      a partition whose commands time out fails over to the next replica;
     - {!Deployment}: wiring n replicas and m clients over a
       {!Psmr_net.Network} with a configurable latency model.
 
@@ -65,6 +69,7 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
   module MB = Mailbox.Make (P)
 
   type envelope = { client : int; rid : int; cmd : S.command }
+  type hint = { view : int; leader : int }
 
   type wire =
     | Proto of envelope Psmr_broadcast.Abcast.message
@@ -74,10 +79,12 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
         rid : int;
         resp : S.response;
         replica : int;
-        leaders : int array;
-            (** the replying replica's view of each partition's leader
-                ([[||]] without partitioning), adopted by the client *)
+        leaders : hint array;
+            (** the replying replica's hint per partition (one without
+                partitioning), adopted by the client *)
       }
+    | Leaders of hint array
+        (** a new leader's hints, announced to every client *)
     | Tick
     | Client_timeout of { rid : int; attempt : int }
     | Snapshot_request of { have_seq : int }
@@ -210,6 +217,10 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
     apply_box : apply_item MB.t;
         (* delivered batches queued for the parallelizer thread *)
     run_applier : unit -> unit;
+    publish_leaders : unit -> unit;
+        (* after each protocol call: publish the hints replies carry when
+           a view moved, and announce them to every client when this
+           replica became the leader of a view *)
     flush_emitted : unit -> unit;
         (* partitioned mode: hand merged commands accumulated during the
            last protocol call to the applier as one batch (no-op else) *)
@@ -230,6 +241,9 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
     c_targets : int array;
         (* per partition (one without partitioning): the replica believed
            to lead it *)
+    c_views : int array;
+        (* per partition: the newest view a hint showed; an older view's
+           hint never moves a target back *)
     mutable c_rid : int;
     mutable c_retries : int;
   }
@@ -245,11 +259,22 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
         Array.init
           (Option.value partitions ~default:1)
           (Psmr_broadcast.Partition.initial_leader ~n:replicas);
+      c_views = Array.make (Option.value partitions ~default:1) 0;
       c_rid = 0;
       c_retries = 0;
     }
 
   let client_retries c = c.c_retries
+
+  (* Adopt each partition's hint unless a newer view is already known. *)
+  let adopt c (hints : hint array) =
+    Array.iteri
+      (fun p { view; leader } ->
+        if view >= c.c_views.(p) then begin
+          c.c_views.(p) <- view;
+          c.c_targets.(p) <- leader
+        end)
+      hints
 
   let envelope_of = function
     | Psmr_broadcast.Pmerge.Single e | Cross { cmd = e; _ } -> e
@@ -259,15 +284,19 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
      a cross-partition command becomes one [Cross] entry under the
      client's own uid, in every partition it touches), send each
      partition's entries in one request straight to its target, and wait
-     for the first reply to each command.  On timeout, only the partitions
-     with unanswered commands fail over to the next replica and get their
-     entries resent, uids unchanged, so a resend heals a leg lost with a
-     crashed leader and the merge drops the legs that were not lost.  A
-     timed-out cross command cannot tell which of its legs was lost, so
-     every partition it touches rotates; each reply then resets the
-     targets to the replying replica's leaders, which puts a healthy
-     partition that rotated along back on its leader.  Returns [None] only
-     when the network is shut down. *)
+     for the first reply to each command.  Replies and leader notices carry
+     hints.  When a notice arrives, each partition with unanswered
+     commands sent under an older view than the client now knows is
+     resent at once to that view's leader, uids unchanged, as a fresh
+     attempt (the pending timer goes stale): a leg lost with a crashed
+     leader heals at view install, and only the partitions whose view
+     moved are resent.  On timeout, the fallback when no notice comes,
+     the partitions with unanswered commands fail over to the next
+     replica and get their entries resent, and the merge drops the legs
+     that were not lost.  A timed-out cross command cannot tell which of
+     its legs was lost, so every partition it touches rotates; a reply's
+     hints then put a healthy partition that rotated along back on its
+     leader.  Returns [None] only when the network is shut down. *)
   let call_batch c cmds =
     let k = Array.length cmds in
     if k = 0 then invalid_arg "Replica.call_batch: empty batch";
@@ -298,26 +327,41 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
       Array.exists (fun en ->
           responses.((envelope_of en).rid - base - 1) = None)
     in
-    (* Bounded exponential backoff on retries: the first attempt uses the
-       configured timeout unchanged; each failover doubles it up to 16x, so a
-       crashed or recovering system is probed progressively more gently
-       instead of being hammered at a fixed cadence. *)
-    let send_attempt attempt =
+    (* The view each partition's entries were last sent under. *)
+    let sent_view = Array.make (Array.length slices) 0 in
+    let send p slice =
+      sent_view.(p) <- c.c_views.(p);
+      Net.send c.c_net ~src:c.c_id ~dst:c.c_targets.(p) (request p slice)
+    in
+    (* Resend each partition that [pick] selects and that has unanswered
+       commands, first moving its target on when [rotate]; true if any
+       was resent. *)
+    let resend ~rotate pick =
+      let any = ref false in
       Array.iteri
         (fun p slice ->
-          if Array.length slice > 0 && (attempt = 0 || unanswered slice)
-          then begin
-            if attempt > 0 then
+          if Array.length slice > 0 && unanswered slice && pick p then begin
+            if rotate then
               c.c_targets.(p) <- (c.c_targets.(p) + 1) mod c.c_replicas;
-            Net.send c.c_net ~src:c.c_id ~dst:c.c_targets.(p) (request p slice)
+            send p slice;
+            any := true
           end)
         slices;
-      let wait = c.c_timeout *. float_of_int (1 lsl min attempt 4) in
+      !any
+    in
+    (* Bounded exponential backoff on timeouts: the first wait is the
+       configured timeout; each timeout doubles it up to 16x, so a crashed
+       or recovering system is probed progressively more gently instead of
+       being hammered at a fixed cadence. *)
+    let timeouts = ref 0 in
+    let arm attempt =
+      let wait = c.c_timeout *. float_of_int (1 lsl min !timeouts 4) in
       P.after wait (fun () ->
           Net.send c.c_net ~src:c.c_id ~dst:c.c_id
             (Client_timeout { rid = marker; attempt }))
     in
-    send_attempt 0;
+    ignore (resend ~rotate:false (fun _ -> true) : bool);
+    arm 0;
     let rec await attempt =
       if !missing = 0 then
         Some (Array.map (fun r -> Option.get r) responses)
@@ -326,17 +370,27 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
         | None -> None
         | Some { payload = Reply { rid; resp; leaders; _ }; _ }
           when rid > base && rid <= base + k ->
-            Array.blit leaders 0 c.c_targets 0 (Array.length leaders);
             let i = rid - base - 1 in
             if responses.(i) = None then begin
               responses.(i) <- Some resp;
               decr missing
             end;
+            adopt c leaders;
             await attempt
+        | Some { payload = Leaders leaders; _ } ->
+            adopt c leaders;
+            if resend ~rotate:false (fun p -> c.c_views.(p) > sent_view.(p))
+            then begin
+              arm (attempt + 1);
+              await (attempt + 1)
+            end
+            else await attempt
         | Some { payload = Client_timeout { rid = r; attempt = a }; _ }
           when r = marker && a = attempt ->
             c.c_retries <- c.c_retries + 1;
-            send_attempt (attempt + 1);
+            incr timeouts;
+            ignore (resend ~rotate:true (fun _ -> true) : bool);
+            arm (attempt + 1);
             await (attempt + 1)
         | Some _ -> await attempt (* stale reply or stale timeout *)
     in
@@ -418,17 +472,11 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
             in
             let cache_mutex = P.Mutex.create () in
             let seen_rid : (int, int) Hashtbl.t = Hashtbl.create 64 in
-            (* Replies carry this replica's leader per partition; the
-               protocol thread publishes a fresh array whenever one moves,
-               so the executor threads only ever read a complete one. *)
-            let leaders =
-              ref
-                (match cfg.mode with
-                | Partitioned { partitions; _ } ->
-                    Array.init partitions
-                      (Psmr_broadcast.Partition.initial_leader ~n:cfg.replicas)
-                | _ -> [||])
-            in
+            (* Replies carry this replica's hint per partition; the
+               protocol thread publishes a fresh array whenever a view
+               moves, so the executor threads only ever read a complete
+               one. *)
+            let leaders = ref [||] in
             let apply =
               make_apply ~replica_id:id ~service ~net ~cache ~cache_mutex
                 ~leaders
@@ -486,16 +534,7 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
                           em.Psmr_broadcast.Pmerge.cmd)
                       ()
                   in
-                  let rec moved part =
-                    part < partitions
-                    && (Part.leader pab ~part <> !leaders.(part)
-                       || moved (part + 1))
-                  in
                   let flush () =
-                    if moved 0 then
-                      leaders :=
-                        Array.init partitions (fun part ->
-                            Part.leader pab ~part);
                     if Psmr_util.Vec.length pending_emit > 0 then begin
                       let batch = Psmr_util.Vec.to_array pending_emit in
                       Psmr_util.Vec.clear pending_emit;
@@ -521,6 +560,40 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
                       ()
                   in
                   (Single_ab ab, fun () -> ())
+            in
+            let parts, view, leader =
+              match ord with
+              | Single_ab ab ->
+                  (1, (fun _ -> Ab.view ab), fun _ -> Ab.leader ab)
+              | Part_ab pab ->
+                  ( Part.partitions pab,
+                    (fun part -> Part.view pab ~part),
+                    fun part -> Part.leader pab ~part )
+            in
+            let hints () =
+              Array.init parts (fun part ->
+                  { view = view part; leader = leader part })
+            in
+            leaders := hints ();
+            let publish_leaders () =
+              let old = !leaders in
+              let rec moved part =
+                part < parts
+                && (view part <> old.(part).view || moved (part + 1))
+              in
+              if moved 0 then begin
+                let fresh = hints () in
+                leaders := fresh;
+                if
+                  Array.exists2
+                    (fun o f -> f.leader = id && f.view > o.view)
+                    old fresh
+                then
+                  for i = 0 to cfg.clients - 1 do
+                    Net.send net ~src:id ~dst:(cfg.replicas + i)
+                      (Leaders fresh)
+                  done
+              end
             in
             (* Duplicate suppression happens before scheduling: a retried
                request whose original is still in flight is dropped (the
@@ -666,7 +739,7 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
                       (MB.put apply_box (Install_snapshot { state; rids; seq })
                         : bool)
                   end
-              | Single_ab _, (Proto _ | PProto _ | Reply _ | Tick
+              | Single_ab _, (Proto _ | PProto _ | Reply _ | Leaders _ | Tick
                              | Client_timeout _) ->
                   ()
             in
@@ -699,6 +772,7 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
               delivered_commands;
               apply_box;
               run_applier;
+              publish_leaders;
               flush_emitted;
               handle_snapshot_msg;
               check_stall;
@@ -727,7 +801,8 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
                     | Tick, Part_ab pab -> Part.tick pab
                     | (Snapshot_request _ | Snapshot _), _ ->
                         r.handle_snapshot_msg ~src payload
-                    | (Reply _ | Client_timeout _), _ -> ());
+                    | (Reply _ | Leaders _ | Client_timeout _), _ -> ());
+                    r.publish_leaders ();
                     r.flush_emitted ();
                     r.check_stall ();
                     loop ())

@@ -4,10 +4,13 @@
     [Make (P) (S)] assembles, for service [S] on platform [P]: the wire
     protocol, replicas (protocol event loop + parallelizer thread +
     sequential or backend-parallel executor + at-most-once reply cache),
-    batched closed-loop clients routed by partition with per-partition
-    timeout failover, and the deployment
-    wiring over an in-process network.  Runs identically on real threads
-    (tests, examples) and under the simulator (benchmark harness). *)
+    batched closed-loop clients routed by partition, and the deployment
+    wiring over an in-process network.  Client failover is notice-first:
+    a replica that becomes the leader of a view announces itself to every
+    client, and a client resends at once what it had sent under the older
+    view; the client timeout stays as the fallback.  Runs identically on
+    real threads (tests, examples) and under the simulator (benchmark
+    harness). *)
 
 open Psmr_platform
 
@@ -38,6 +41,10 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) : sig
   type envelope = { client : int; rid : int; cmd : S.command }
   (** A client command with its at-most-once identity. *)
 
+  type hint = { view : int; leader : int }
+  (** A replica's view of one partition (of the one sequencer without
+      partitioning): its current view and that view's leader. *)
+
   type wire =
     | Proto of envelope Psmr_broadcast.Abcast.message
     | PProto of envelope Psmr_broadcast.Partition.wire
@@ -46,10 +53,13 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) : sig
         rid : int;
         resp : S.response;
         replica : int;
-        leaders : int array;
-            (** the replying replica's view of each partition's leader
-                ([[||]] without partitioning), adopted by the client *)
+        leaders : hint array;
+            (** the replying replica's hint per partition (one without
+                partitioning), adopted by the client *)
       }
+    | Leaders of hint array
+        (** sent to every client by a replica that became the leader of a
+            view: its hints, as a reply would carry them *)
     | Tick
     | Client_timeout of { rid : int; attempt : int }
     | Snapshot_request of { have_seq : int }
@@ -74,19 +84,25 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) : sig
       wait for a reply to each.  Partitioned, the request carries the
       partition's {!Psmr_broadcast.Partition.entries}: a cross-partition
       command goes to every partition it touches under one uid the client
-      owns ([Pmerge.uid ~origin:client ~seq:rid]).  On timeout, every
+      owns ([Pmerge.uid ~origin:client ~seq:rid]).  Each reply and each
+      {!Leaders} notice carries hints; the client adopts a partition's hint
+      unless it knows a newer view, and keeps the targets for later calls.
+      When a notice arrives, each partition with unanswered commands sent
+      under an older view than the client now knows gets them resent at
+      once to that view's leader, uids unchanged, as a fresh attempt:
+      failover takes the view change, not the timeout.  The timeout is
+      the fallback (a lost notice, a leader that crashed in turn): every
       partition with an unanswered command fails over to the next replica
-      and gets its request resent, uids unchanged.  Each reply sets the
-      targets to the replying replica's partition leaders, and the client
-      keeps them for later calls.  [None] only when the network was shut
-      down.  Raises [Invalid_argument] on an empty batch or one larger than
-      {!window}. *)
+      and gets its request resent.
+      [None] only when the network was shut down.  Raises
+      [Invalid_argument] on an empty batch or one larger than {!window}. *)
 
   val call : client -> S.command -> S.response option
   (** [call_batch] with a single command. *)
 
   val client_retries : client -> int
-  (** Timeout-triggered retries so far (diagnostics). *)
+  (** Timeout-triggered retries so far (diagnostics); resends on a
+      leader notice do not count. *)
 
   (** {2 Deployments} *)
 

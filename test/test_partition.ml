@@ -967,21 +967,27 @@ let test_part_sequencer_crash_failover () =
     (KV_smr.call c (Put (1, 7)) = Some Stored);
   let seq = KV_smr.Deployment.replica_partition_leader d 0 ~part:1 in
   KV_smr.Deployment.crash_replica d seq;
-  (* Partition 1 must fail over; both partitions keep serving. *)
+  (* Partition 1 must fail over; both partitions keep serving.  Its new
+     leader announces itself when its view installs (100 ms election
+     timeout), and the client resends there before its 0.4 s timeout. *)
+  let t0 = Unix.gettimeofday () in
   Alcotest.(check bool) "p1 write after crash" true
     (KV_smr.call c (Put (3, 8)) = Some Stored);
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "p1 write after crash: no retry" 0
+    (KV_smr.client_retries c);
+  if elapsed >= 0.4 then
+    Alcotest.failf "p1 write took %.3f s, past the client timeout" elapsed;
   (* Failover is per partition: partition 0's leader is alive, so its
-     target stays put, and partition 1 keeps the target that answered. *)
-  let retries = KV_smr.client_retries c in
+     target stays put, and partition 1 keeps its new leader. *)
   Alcotest.(check bool) "p0 write after crash" true
     (KV_smr.call c (Put (2, 9)) = Some Stored);
-  Alcotest.(check int) "p0 write adds no retry" retries
-    (KV_smr.client_retries c);
+  Alcotest.(check int) "p0 write adds no retry" 0 (KV_smr.client_retries c);
   Alcotest.(check bool) "p1 read after crash" true
     (KV_smr.call c (Get 3) = Some (Value (Some 8)));
   Alcotest.(check bool) "second p1 write after failover" true
     (KV_smr.call c (Put (5, 10)) = Some Stored);
-  Alcotest.(check int) "p1 calls after failover add no retry" retries
+  Alcotest.(check int) "p1 calls after failover add no retry" 0
     (KV_smr.client_retries c);
   let observer = if seq = 0 then 1 else 0 in
   Alcotest.(check bool) "partition 1 changed sequencer" true
@@ -1009,12 +1015,12 @@ let within ~limit ~shutdown name f =
 
 (* A cross-partition transfer issued while one touched partition's leader
    is down: replica 0 leads partition 0 (the home), replica 1 partition 1.
-   The first attempt reaches only the live leader; the one retry resends
-   both legs under the same uid, the new leader orders the missing one and
-   the merge drops the repeated one.  Later traffic must not wedge behind
-   the repeat, and must not time out either: the replies point the client
-   back at each partition's live leader, including the healthy partition
-   whose target rotated along with the cross command. *)
+   The first attempt reaches only the live leader.  When the crashed
+   partition installs its next view, the new leader's notice makes the
+   client resend the lost leg alone, under the same uid, before the
+   client timeout: no retry.  Later traffic must not wedge behind the
+   failover, and must not time out either: the hints point the client at
+   each partition's live leader. *)
 let test_part_cross_failover crashed () =
   let accounts = 4 and initial = 100 in
   let services = Array.make 3 None in
@@ -1043,10 +1049,15 @@ let test_part_cross_failover crashed () =
       name
       (fun () -> Bank_smr.call c cmd)
   in
+  let t0 = Unix.gettimeofday () in
   Alcotest.(check bool) "cross transfer completes" true
     (call "cross transfer" (Transfer { src = 0; dst = 1; amount = 10 })
     = Some Ok);
-  Alcotest.(check int) "after one retry" 1 (Bank_smr.client_retries c);
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "no retry" 0 (Bank_smr.client_retries c);
+  if elapsed >= 0.4 then
+    Alcotest.failf "cross transfer took %.3f s, past the client timeout"
+      elapsed;
   List.iter
     (fun (name, cmd) ->
       Alcotest.(check bool) name true (call name cmd = Some Ok))
@@ -1056,7 +1067,7 @@ let test_part_cross_failover crashed () =
         ("partition 0 transfer", Transfer { src = 0; dst = 2; amount = 4 });
         ("partition 1 transfer", Transfer { src = 3; dst = 1; amount = 5 });
       ];
-  Alcotest.(check int) "follow-ups add no retry" 1 (Bank_smr.client_retries c);
+  Alcotest.(check int) "follow-ups add no retry" 0 (Bank_smr.client_retries c);
   let survivors = List.filter (fun id -> id <> crashed) [ 0; 1; 2 ] in
   let deadline = Unix.gettimeofday () +. 2.0 in
   while
@@ -1090,6 +1101,85 @@ let test_part_cross_failover crashed () =
         (Psmr_app.Bank.snapshot (state b))
   | _ -> assert false);
   Bank_smr.Deployment.shutdown d
+
+(* A cross-partition transfer in flight when partition 1's leader
+   (replica 1) crash-stops, on the simulator at the benchmark's timing
+   (150 ms election timeout, 20 ms heartbeats, 0.25 s client timeout,
+   60 us links).  The crash lands 10 us after the send, so the leg sent to
+   replica 1 is lost.  When partition 1 installs its next view, its new
+   leader (replica 2) announces itself and the client resends that leg
+   alone: the call returns with the view change and no timeout retry,
+   and partition 0's leg is never resent. *)
+let test_part_sim_notice_failover () =
+  let open Psmr_sim in
+  let engine = Engine.create () in
+  let (module SP) = Sim_platform.make engine Costs.default in
+  let module SMR = Psmr_replica.Replica.Make (SP) (Psmr_app.Bank) in
+  let abcast =
+    {
+      Psmr_broadcast.Abcast.batch_max = 256;
+      batch_delay = 0.5e-3;
+      heartbeat_interval = 20e-3;
+      election_timeout = 150e-3;
+      checkpoint_interval = 256;
+    }
+  and client_timeout = 0.25 in
+  let cfg =
+    {
+      (SMR.Deployment.default_config ~make_service:(fun _ ->
+           Psmr_app.Bank.create ~accounts:4 ~initial_balance:100)
+         ()) with
+      clients = 1;
+      mode = Partitioned { partitions = 2; inner = Sequential };
+      abcast;
+      tick_interval = 0.25e-3;
+      client_timeout;
+      latency = (fun ~src:_ ~dst:_ -> 60e-6);
+    }
+  in
+  let d = SMR.Deployment.create cfg in
+  let net = SMR.Deployment.network d in
+  let client_addr = cfg.replicas in
+  let sends = ref [] in
+  let result = ref None in
+  Engine.spawn engine (fun () ->
+      SMR.Deployment.start d;
+      let c = SMR.Deployment.client d 0 in
+      ignore
+        (SMR.call c (Transfer { src = 0; dst = 1; amount = 1 }) : _ option);
+      SP.sleep 50e-3;
+      (* Record where the client sends from here on. *)
+      SMR.Net.set_link_filter net (fun ~src ~dst ->
+          if src = client_addr && dst <> client_addr then
+            sends := dst :: !sends;
+          true);
+      let crash_at = SP.now () +. 10e-6 in
+      SP.spawn (fun () ->
+          SP.sleep 10e-6;
+          SMR.Deployment.crash_replica d 1);
+      let resp = SMR.call c (Transfer { src = 2; dst = 3; amount = 5 }) in
+      result := Some (resp, SP.now () -. crash_at, SMR.client_retries c));
+  Engine.run ~until:2.0 engine;
+  let resp, elapsed, retries =
+    match !result with
+    | Some r -> r
+    | None -> Alcotest.fail "the cross transfer never returned"
+  in
+  Alcotest.(check bool) "cross transfer answered" true (resp = Some Ok);
+  Alcotest.(check int) "no timeout retry" 0 retries;
+  let floor = abcast.election_timeout -. abcast.heartbeat_interval in
+  if not (elapsed >= floor && elapsed < client_timeout) then
+    Alcotest.failf
+      "returned %.1f ms after the crash; expected the view change, before \
+       the %.0f ms client timeout"
+      (elapsed *. 1e3) (client_timeout *. 1e3);
+  Alcotest.(check (list int))
+    "one leg to each leader, then partition 1's leg alone to its new leader"
+    [ 0; 1; 2 ] (List.rev !sends);
+  Alcotest.(check int) "partition 1 moved to replica 2" 2
+    (SMR.Deployment.replica_partition_leader d 0 ~part:1);
+  Alcotest.(check int) "merge drained" 0
+    (SMR.Deployment.replica_merge_pending d 0)
 
 (* [call_batch] keeps a batch within the at-most-once window. *)
 let test_call_batch_window () =
@@ -1449,6 +1539,8 @@ let () =
             test_part_client_routing;
           Alcotest.test_case "cross failover, home leader down" `Quick
             (test_part_cross_failover 0);
+          Alcotest.test_case "cross leg healed by the leader notice" `Quick
+            test_part_sim_notice_failover;
           Alcotest.test_case "cross failover, non-home leader down" `Quick
             (test_part_cross_failover 1);
           Alcotest.test_case "call_batch within the window" `Quick

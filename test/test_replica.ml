@@ -83,16 +83,22 @@ let test_leader_crash_failover mode () =
   Alcotest.(check bool) "before crash" true
     (KV_smr.call c (Put (0, 1)) = Some Stored);
   KV_smr.Deployment.crash_replica d 0;
-  (* The next calls must eventually succeed via the new leader.  A
-     single-sequencer client sends attempt 0 to replica 0, so the write
-     costs exactly one retry, and the read goes straight to the replica
-     that answered it. *)
+  (* The next calls must succeed via the new leader.  A single-sequencer
+     client sends the write to replica 0; the survivors' new leader
+     announces itself when its view installs (100 ms election timeout),
+     and the client resends there at once, before its 0.4 s timeout could
+     fire: no retry.  The read goes straight to the new leader. *)
+  let t0 = Unix.gettimeofday () in
   Alcotest.(check bool) "after crash: write" true
     (KV_smr.call c (Put (1, 2)) = Some Stored);
-  Alcotest.(check int) "after crash: one retry" 1 (KV_smr.client_retries c);
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "after crash: no retry" 0 (KV_smr.client_retries c);
+  if elapsed >= 0.4 then
+    Alcotest.failf "after crash: write took %.3f s, past the client timeout"
+      elapsed;
   Alcotest.(check bool) "after crash: read" true
     (KV_smr.call c (Get 1) = Some (Value (Some 2)));
-  Alcotest.(check int) "after crash: read adds no retry" 1
+  Alcotest.(check int) "after crash: read adds no retry" 0
     (KV_smr.client_retries c);
   Alcotest.(check bool) "survivors installed a newer view" true
     (KV_smr.Deployment.replica_view d 1 > 0
@@ -377,6 +383,101 @@ let test_sim_idle_call mode () =
     Alcotest.failf "call took %.3f ms; the batch waited for a tick"
       (!elapsed *. 1e3)
 
+(* --- notice-first failover at benchmark timing (simulator) --- *)
+
+(* The benchmark's protocol timing: 150 ms election timeout, 20 ms
+   heartbeats, 0.25 s client timeout, 60 us links. *)
+let bench_abcast =
+  {
+    Psmr_broadcast.Abcast.batch_max = 256;
+    batch_delay = 0.5e-3;
+    heartbeat_interval = 20e-3;
+    election_timeout = 150e-3;
+    checkpoint_interval = 256;
+  }
+
+let bench_client_timeout = 0.25
+
+(* One client writes once, then writes again while the leader (replica 0)
+   crash-stops under the request: the crash lands 10 us after the send,
+   before the 60 us link delivers it.  With [drop_notice], every message
+   from the new leader (replica 1) to the client is dropped until the
+   survivors have installed the new view, which loses the notice.
+   Returns the second write's response, its return time less the crash
+   time, and the client's timeout retries. *)
+let sim_crash_under_call ~drop_notice =
+  let open Psmr_sim in
+  let engine = Engine.create () in
+  let (module SP) = Sim_platform.make engine Costs.default in
+  let module SMR = Psmr_replica.Replica.Make (SP) (Psmr_app.Kv_store) in
+  let cfg =
+    {
+      (SMR.Deployment.default_config ~make_service:(fun _ ->
+           Psmr_app.Kv_store.create ~capacity:16)
+         ()) with
+      clients = 1;
+      abcast = bench_abcast;
+      tick_interval = 0.25e-3;
+      client_timeout = bench_client_timeout;
+      latency = (fun ~src:_ ~dst:_ -> 60e-6);
+    }
+  in
+  let d = SMR.Deployment.create cfg in
+  let net = SMR.Deployment.network d in
+  let client_addr = cfg.replicas in
+  let result = ref None in
+  Engine.spawn engine (fun () ->
+      SMR.Deployment.start d;
+      let c = SMR.Deployment.client d 0 in
+      ignore (SMR.call c (Put (0, 1)) : _ option);
+      SP.sleep 50e-3;
+      let crash_at = SP.now () +. 10e-6 in
+      SP.spawn (fun () ->
+          SP.sleep 10e-6;
+          SMR.Deployment.crash_replica d 0;
+          if drop_notice then begin
+            SMR.Net.set_link_filter net (fun ~src ~dst ->
+                not (src = 1 && dst = client_addr));
+            while SMR.Deployment.replica_view d 1 = 0 do
+              SP.sleep 1e-3
+            done;
+            SMR.Net.heal net
+          end);
+      let resp = SMR.call c (Put (1, 2)) in
+      result := Some (resp, SP.now () -. crash_at, SMR.client_retries c));
+  Engine.run ~until:2.0 engine;
+  match !result with
+  | Some r -> r
+  | None -> Alcotest.fail "the call never returned"
+
+(* The survivors' view change completes one election timeout after their
+   last contact with the leader, which precedes the crash by at most one
+   heartbeat interval. *)
+let view_change_floor =
+  bench_abcast.election_timeout -. bench_abcast.heartbeat_interval
+
+let test_sim_notice_failover () =
+  let resp, elapsed, retries = sim_crash_under_call ~drop_notice:false in
+  Alcotest.(check bool) "write answered" true (resp = Some Stored);
+  Alcotest.(check int) "no timeout retry" 0 retries;
+  if not (elapsed >= view_change_floor && elapsed < bench_client_timeout)
+  then
+    Alcotest.failf
+      "returned %.1f ms after the crash; expected the view change (%.0f-%.0f \
+       ms), before the %.0f ms client timeout"
+      (elapsed *. 1e3) (view_change_floor *. 1e3)
+      (bench_abcast.election_timeout *. 1e3)
+      (bench_client_timeout *. 1e3)
+
+let test_sim_lost_notice_fallback () =
+  let resp, elapsed, retries = sim_crash_under_call ~drop_notice:true in
+  Alcotest.(check bool) "write answered" true (resp = Some Stored);
+  Alcotest.(check int) "one timeout retry" 1 retries;
+  if not (elapsed >= bench_client_timeout) then
+    Alcotest.failf "returned %.1f ms after the crash, before the %.0f ms \
+                    client timeout"
+      (elapsed *. 1e3) (bench_client_timeout *. 1e3)
+
 let () =
   let m_seq = Psmr_replica.Replica.Sequential in
   let m_par impl =
@@ -427,6 +528,10 @@ let () =
             (test_sim_full_batch_burst m_early_opt);
           Alcotest.test_case "state transfer after truncation" `Quick
             test_state_transfer_after_truncation;
+          Alcotest.test_case "leader notice fails over at view change" `Quick
+            test_sim_notice_failover;
+          Alcotest.test_case "lost notice falls back to the timeout" `Quick
+            test_sim_lost_notice_fallback;
           Alcotest.test_case "idle call cut at once" `Quick
             (test_sim_idle_call (m_par Psmr_cos.Registry.Lockfree));
           Alcotest.test_case "idle call cut at once (partitioned)" `Quick
