@@ -700,8 +700,8 @@ let sim_schedule_equivalence impl =
         (fun exp r -> match r with Some r -> r = exp | None -> false)
         expected responses)
 
-(* Regression for the Algorithm-7 promotion race (see lockfree.ml header
-   and EXPERIMENTS.md): the shrunk counterexample — [Put; Gets; Put] on one
+(* Regression for the Algorithm-7 promotion race (see the comment on
+   [node] in lf_graph.ml and EXPERIMENTS.md): the shrunk counterexample — [Put; Gets; Put] on one
    key with 3 workers — swept across many random virtual schedules.  Before
    the [Ins]-state fix, the trailing Put could execute while earlier Gets
    were still running, yielding responses inconsistent with delivery
@@ -849,6 +849,79 @@ let test_lockfree_batch_ready_per_command () =
   Alcotest.(check bool) "started before the batch insert returned" true
     (!started < !batch_done)
 
+(* The indexed batch policy, beside the lock-free one, on the simulator.
+   With [max_size] 4 and one command left in the structure (3 free tokens),
+   a 10-command batch parks on both.  Lock-free has inserted the 3
+   commands the free tokens allowed; indexed asks for a whole chunk of 4
+   and has inserted nothing.  One removal lets indexed insert the chunk.
+   Returns whether the batch returned, the pending count while parked and
+   the pending count after the removal. *)
+let batch_on_partly_full impl =
+  let open Psmr_sim in
+  let e = Engine.create () in
+  let (module SP) = Sim_platform.make e Costs.default in
+  let module S =
+    (val Registry.instantiate_keyed impl (module SP) (module Rw_cmd))
+  in
+  let t = S.create ~max_size:4 () in
+  let returned = ref false in
+  Engine.spawn e (fun () ->
+      S.insert t (read 100);
+      S.insert_batch t (Array.init 10 read);
+      returned := true);
+  Engine.run e;
+  let parked = ref 0 and after = ref 0 in
+  Engine.spawn e (fun () ->
+      parked := S.pending t;
+      match S.get t with
+      | Some h -> S.remove t h
+      | None -> ());
+  Engine.run e;
+  Engine.spawn e (fun () -> after := S.pending t);
+  Engine.run e;
+  (!returned, !parked, !after)
+
+let test_indexed_batch_takes_whole_chunk () =
+  let returned, parked, after = batch_on_partly_full Registry.Indexed in
+  Alcotest.(check bool) "batch parked" false returned;
+  Alcotest.(check int) "nothing of the batch inserted" 1 parked;
+  Alcotest.(check int) "first chunk inserted after a removal" 4 after;
+  let _, lockfree_parked, _ = batch_on_partly_full Registry.Lockfree in
+  Alcotest.(check int) "lock-free took the 3 free tokens" 4 lockfree_parked
+
+(* Indexed releases [ready] once per chunk: a worker parked before the
+   batch starts the batch's first command only after the chunk's last
+   insert.  Lock-free releases per command, so its worker starts while the
+   batch is still being inserted.  Returns the first command and the
+   pending count when it started. *)
+let first_start_during_batch impl =
+  let open Psmr_sim in
+  let e = Engine.create () in
+  let (module SP) = Sim_platform.make e Costs.default in
+  let module S =
+    (val Registry.instantiate_keyed impl (module SP) (module Rw_cmd))
+  in
+  let t = S.create () in
+  let first = ref (-1) and pending = ref 0 in
+  Engine.spawn e (fun () ->
+      match S.get t with
+      | Some h ->
+          first := (S.command h).Rw_cmd.idx;
+          pending := S.pending t;
+          S.remove t h
+      | None -> ());
+  Engine.spawn e (fun () -> S.insert_batch t (Array.init 64 read));
+  Engine.run e;
+  (!first, !pending)
+
+let test_indexed_batch_ready_per_chunk () =
+  let first, pending = first_start_during_batch Registry.Indexed in
+  Alcotest.(check int) "first command of the batch" 0 first;
+  Alcotest.(check int) "started after the whole chunk was inserted" 64 pending;
+  let _, lockfree_pending = first_start_during_batch Registry.Lockfree in
+  Alcotest.(check bool) "lock-free started mid-batch" true
+    (lockfree_pending < 64)
+
 (* --- close with more blocked getters than the old token constant --- *)
 
 (* Regression: [close] must wake every blocked getter even when more than
@@ -985,6 +1058,10 @@ let () =
               test_lockfree_batch_takes_free_space;
             Alcotest.test_case "lockfree batch releases ready per command"
               `Quick test_lockfree_batch_ready_per_command;
+            Alcotest.test_case "indexed batch takes a whole chunk" `Quick
+              test_indexed_batch_takes_whole_chunk;
+            Alcotest.test_case "indexed batch releases ready per chunk"
+              `Quick test_indexed_batch_ready_per_chunk;
           ] );
       ( "close-tokens",
         per_impl "close wakes >1024 blocked getters"
