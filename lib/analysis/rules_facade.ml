@@ -1,12 +1,14 @@
 (* Facade-discipline rules.  Two subsystems expose a deliberately narrow
    facade to the runtime layers:
 
-   - observability: scheduling and ordering implementations (lib/cos/,
-     lib/early/, lib/broadcast/) and the traffic engine (lib/traffic/)
-     may record events only through [Psmr_obs.Probe]; touching the
-     registry or trace buffer directly would couple algorithms to
-     registry internals and break the zero-cost-when-disabled
-     discipline;
+   - observability: the recording layers — the platforms (lib/platform/,
+     lib/sim/), scheduling and ordering (lib/cos/, lib/sched/,
+     lib/early/, lib/broadcast/), the runtime (lib/replica/, lib/net/,
+     lib/fault/) and the traffic engine (lib/traffic/) — may record
+     events only through [Psmr_obs.Probe]; touching the metric table or
+     trace buffer directly would bypass the probe vocabulary, couple
+     algorithms to registry internals and break the
+     zero-cost-when-disabled discipline;
    - fault injection: runtime layers (lib/cos/, lib/early/, lib/sched/,
      lib/replica/, lib/net/, lib/broadcast/, lib/traffic/) may only
      *ask* [Psmr_fault.Fault]; arming plans or poking schedules from
@@ -41,13 +43,23 @@ let facade ~id ~root ~allowed ~dirs ~doc ~message =
 let rules =
   [
     facade ~id:"obs-facade" ~root:"Psmr_obs" ~allowed:"Probe"
-      ~dirs:[ "lib/cos/"; "lib/early/"; "lib/broadcast/"; "lib/traffic/" ]
-      ~doc:
-        "scheduling and ordering implementations record observability only \
-         through Psmr_obs.Probe"
+      ~dirs:
+        [
+          "lib/platform/";
+          "lib/sim/";
+          "lib/cos/";
+          "lib/sched/";
+          "lib/early/";
+          "lib/broadcast/";
+          "lib/replica/";
+          "lib/net/";
+          "lib/fault/";
+          "lib/traffic/";
+        ]
+      ~doc:"recording layers record observability only through Psmr_obs.Probe"
       ~message:
-        "scheduling and ordering implementations may record observability \
-         events only through Psmr_obs.Probe";
+        "recording layers may record observability events only through \
+         Psmr_obs.Probe";
     facade ~id:"fault-facade" ~root:"Psmr_fault" ~allowed:"Fault"
       ~dirs:
         [

@@ -132,10 +132,14 @@ let make (ctx : t) : (module Platform_intf.S) =
     (* Acquire edge: fold the published clock into the caller's. *)
     let acquire_from hb = Vclock.join (my_clock ()) hb
 
+    (* The probes the simulated primitives record; off in ghost mode. *)
+    let probing () = (not ctx.ghost) && Probe.enabled ()
+
     module Mutex = struct
       type t = {
         id : int;
         mutable locked : bool;
+        mutable acquired_at : float;  (* meaningful while probing *)
         waiters : (unit -> unit) Queue.t;
         hb : Vclock.t;
       }
@@ -144,6 +148,7 @@ let make (ctx : t) : (module Platform_intf.S) =
         {
           id = fresh_id ();
           locked = false;
+          acquired_at = 0.0;
           waiters = Queue.create ();
           hb = Vclock.create ();
         }
@@ -151,16 +156,32 @@ let make (ctx : t) : (module Platform_intf.S) =
       let lock m =
         no_ghost "Mutex.lock";
         point (Printf.sprintf "mutex#%d.lock" m.id);
-        if not m.locked then m.locked <- true
-        else Engine.suspend (fun resume -> Queue.push resume m.waiters);
+        if not m.locked then begin
+          m.locked <- true;
+          if probing () then begin
+            Probe.mutex_acquired ~contended:false ~waited:0.0;
+            m.acquired_at <- Probe.now ()
+          end
+        end
+        else begin
+          let t0 = Probe.now () in
+          Engine.suspend (fun resume -> Queue.push resume m.waiters);
+          if probing () then
+            Probe.mutex_acquired ~contended:true ~waited:(Probe.now () -. t0)
+        end;
         (* Ownership was free or handed over; either way the previous
            holder's clock is in [hb]. *)
         acquire_from m.hb
 
       (* Release without a decision point; must stay free of engine
          effects so it can run inside a [suspend] registration (see
-         [Condition.wait]). *)
+         [Condition.wait]).  The probes are pure mutation. *)
       let unlock_transfer m =
+        if probing () then begin
+          Probe.mutex_released ~since:m.acquired_at;
+          (* On handoff the next owner's hold starts at the transfer. *)
+          m.acquired_at <- Probe.now ()
+        end;
         match Queue.pop m.waiters with
         | resume -> resume () (* stays locked: direct handoff *)
         | exception Queue.Empty -> m.locked <- false
@@ -185,6 +206,7 @@ let make (ctx : t) : (module Platform_intf.S) =
       let wait c (m : Mutex.t) =
         no_ghost "Condition.wait";
         point (Printf.sprintf "cond#%d.wait" c.id);
+        if probing () then Probe.cond_wait ();
         (* Publish before releasing the mutex: enqueueing and unlocking
            happen atomically inside the suspension. *)
         release_into m.hb;
@@ -197,6 +219,7 @@ let make (ctx : t) : (module Platform_intf.S) =
       let signal c =
         no_ghost "Condition.signal";
         point (Printf.sprintf "cond#%d.signal" c.id);
+        if probing () then Probe.cond_signal ();
         release_into c.hb;
         match Queue.pop c.waiters with
         | resume -> resume ()
@@ -205,6 +228,7 @@ let make (ctx : t) : (module Platform_intf.S) =
       let broadcast c =
         no_ghost "Condition.broadcast";
         point (Printf.sprintf "cond#%d.broadcast" c.id);
+        if probing () then Probe.cond_signal ();
         release_into c.hb;
         let pending = Queue.copy c.waiters in
         Queue.clear c.waiters;
@@ -239,8 +263,7 @@ let make (ctx : t) : (module Platform_intf.S) =
           else begin
             let t0 = Probe.now () in
             Engine.suspend (fun resume -> Queue.push resume s.waiters);
-            if (not ctx.ghost) && Probe.enabled () then
-              Probe.sem_park ~waited:(Probe.now () -. t0)
+            if probing () then Probe.sem_park ~waited:(Probe.now () -. t0)
           end
         done;
         acquire_from s.hb
@@ -252,7 +275,7 @@ let make (ctx : t) : (module Platform_intf.S) =
         for _ = 1 to n do
           match Queue.pop s.waiters with
           | resume ->
-              if not ctx.ghost then Probe.sem_wake ();
+              if probing () then Probe.sem_wake ();
               resume () (* token handoff *)
           | exception Queue.Empty -> s.count <- s.count + 1
         done

@@ -50,22 +50,37 @@ let rows path key v =
 let non_empty path key v =
   match rows path key v with [] -> invalid (path ^ "." ^ key) "empty" | l -> l
 
-let metrics_block doc name =
-  let p, b = get "$.metrics" name (snd (get "$" "metrics" doc)) in
+(* The layers a metrics block exports in full: the standalone harness's
+   runs touch each of them, so every counter and histogram the table
+   declares under them must be there. *)
+let metrics_layers = [ "sync"; "platform"; "cos"; "sched" ]
+
+let required_metrics kind =
+  List.filter_map
+    (fun (name, k) ->
+      if
+        k = kind
+        && List.exists
+             (fun l -> String.starts_with ~prefix:(l ^ ".") name)
+             metrics_layers
+      then Some name
+      else None)
+    (Psmr_obs.Metrics.declared ())
+
+let metrics_json p b =
   let pc, counters = get p "counters" b in
-  nums pc counters
-    [
-      "lock_acquisitions"; "lock_wait"; "lock_hold"; "cas_attempts";
-      "cas_successes"; "sem_parks"; "sem_wakes"; "insert_ops"; "get_ops";
-      "remove_ops";
-    ];
+  nums pc counters (required_metrics `Counter);
   let pl, lat = get p "latency_virtual_seconds" b in
   List.iter
     (fun h ->
       let ph, hv = get pl h lat in
       nums ph hv [ "count" ];
       ordered ph hv [ "p50"; "p95"; "p99" ])
-    [ "delivery_ready"; "ready_dispatch"; "dispatch_executed" ]
+    (required_metrics `Histogram)
+
+let metrics_block doc name =
+  let p, b = get "$.metrics" name (snd (get "$" "metrics" doc)) in
+  metrics_json p b
 
 let bool path key v =
   match get path key v with
@@ -156,5 +171,8 @@ let check doc =
   List.iter engine_row (non_empty "$" "sim_events_per_wall_second" doc);
   nums "$" doc [ "speedup_w32_part4_vs_part1"; "speedup_w32_early_vs_indexed" ]
 
-let validate doc =
+let result check doc =
   match check doc with () -> Ok () | exception Invalid m -> Error m
+
+let validate = result check
+let validate_metrics = result (metrics_json "$")

@@ -15,3 +15,13 @@
 val validate : Psmr_util.Json.t -> (unit, string) result
 (** [Error msg] names the JSON path of the first violation, e.g.
     ["$.open_loop[0].steps[2]: p50 0.4 exceeds p99 0.1"]. *)
+
+val required_metrics : [ `Counter | `Histogram ] -> string list
+(** The counters or histograms every metrics block must carry: all those
+    the metric table declares under the layers a standalone run touches
+    ([sync], [platform], [cos] and [sched]).  Histograms must also have
+    ordered quantiles. *)
+
+val validate_metrics : Psmr_util.Json.t -> (unit, string) result
+(** One [Psmr_obs.Metrics.to_json] document, checked as a report's
+    metrics block is. *)

@@ -1,330 +1,262 @@
 (** Probe layer: the hooks instrumented code calls.
 
-    Every function here pattern-matches on {!Metrics.active} and returns
-    immediately when no registry is enabled, so the disabled path costs a
-    single pointer read.  None of these functions performs an engine
-    effect — they only mutate the active registry — which is what lets the
-    determinism test assert that metrics collection leaves virtual time
-    untouched.
+    The metric table is declared here, one line per counter or histogram,
+    grouped by layer; each probe is a body over the generic recorders of
+    {!Table}, which return immediately when no registry is enabled, so the
+    disabled path costs a pointer read per recorder.  None of these
+    functions performs an engine effect — they only mutate the active
+    registry — which is what lets the determinism test assert that metrics
+    collection leaves virtual time untouched.
 
-    This module is the {e only} observability API conflict-ordered-set
-    implementations may use (enforced by [psmr_lint]): keeping the probe
-    vocabulary closed makes the recorded events comparable across the six
-    implementations. *)
+    This module is the {e only} observability API the runtime layers may
+    use (enforced by [psmr_lint]): keeping the probe vocabulary closed
+    makes the recorded events comparable across implementations. *)
 
-let enabled () = match !Metrics.active with Some _ -> true | None -> false
+module T = Table
 
-let tracing () =
-  match !Metrics.active with
-  | Some m -> ( match Metrics.trace m with Some _ -> true | None -> false)
-  | None -> false
+(* Blocking primitives: locks, conditions and semaphores, recorded by the
+   simulated and the model-checking platforms. *)
+module Sync = struct
+  let lock_acquisitions = T.counter "sync.lock_acquisitions"
+  let lock_contended = T.counter "sync.lock_contended" (* had to park *)
+  let lock_wait = T.counter "sync.lock_wait" (* time parked on mutexes *)
+  let lock_hold = T.counter "sync.lock_hold" (* time mutexes were held *)
+  let cond_waits = T.counter "sync.cond_waits"
+  let cond_signals = T.counter "sync.cond_signals"
+  let sem_parks = T.counter "sync.sem_parks" (* suspensions in acquire *)
+  let sem_wakes = T.counter "sync.sem_wakes" (* direct token handoffs *)
+  let sem_wait = T.counter "sync.sem_wait" (* time parked on semaphores *)
+end
 
-let now () =
-  match !Metrics.active with Some m -> Metrics.now m () | None -> 0.0
+(* The nonblocking layer and work-kind charges (every [P.work] call). *)
+module Platform = struct
+  let cas_attempts = T.counter "platform.cas_attempts"
+  let cas_successes = T.counter "platform.cas_successes"
+  let work_visit = T.counter "platform.work_visit"
+  let work_conflict = T.counter "platform.work_conflict"
+  let work_alloc = T.counter "platform.work_alloc"
+  let work_marshal = T.counter "platform.work_marshal"
+  let work_hash = T.counter "platform.work_hash"
+  let work_fault = T.counter "platform.work_fault"
+end
 
-let track () =
-  match !Metrics.active with Some m -> Metrics.track m () | None -> 0
+(* COS operations with their traversal footprints, the
+   implementation-specific contended paths, and delivery to ready. *)
+module Cos = struct
+  let insert_ops = T.counter "cos.insert_ops"
+  let insert_visits = T.counter "cos.insert_visits"
+  let get_ops = T.counter "cos.get_ops"
+  let get_visits = T.counter "cos.get_visits"
+  let remove_ops = T.counter "cos.remove_ops"
+  let remove_visits = T.counter "cos.remove_visits"
+  let helped_removals = T.counter "cos.helped_removals" (* by insert *)
+  let rescans = T.counter "cos.rescans" (* get retries: node taken over *)
+  let coupling_steps = T.counter "cos.coupling_steps" (* hand-over-hand *)
+  let monitor_sections = T.counter "cos.monitor_sections"
+  let close_tokens = T.counter "cos.close_tokens" (* flooded by close *)
+  let requeues = T.counter "cos.requeues" (* exe -> rdy demotions *)
+
+  (* per command: insert call to promotion (deps all removed) *)
+  let delivery_ready = T.histogram "cos.delivery_ready"
+end
+
+(* Delivery batching and the dispatch half of the latency pipeline. *)
+module Sched = struct
+  let batches = T.counter "sched.batches"
+  let batched_cmds = T.counter "sched.batched_cmds"
+
+  (* per command: promotion to a worker reserving it *)
+  let ready_dispatch = T.histogram "sched.ready_dispatch"
+
+  (* per command: reservation to execution completed *)
+  let dispatch_executed = T.histogram "sched.dispatch_executed"
+end
+
+(* Early scheduling (lib/early): class-map dispatch and the optimistic
+   fast path. *)
+module Early = struct
+  let class_direct = T.counter "early.class_direct" (* fast-path dispatch *)
+  let class_barriers = T.counter "early.class_barriers" (* rendezvous *)
+  let barrier_tokens = T.counter "early.barrier_tokens"
+  let spec_confirms = T.counter "early.spec_confirms"
+  let spec_repairs = T.counter "early.spec_repairs"
+  let spec_revoked = T.counter "early.spec_revoked"
+  let spec_execs = T.counter "early.spec_execs"
+  let spec_rollbacks = T.counter "early.spec_rollbacks"
+  let spec_undone = T.counter "early.spec_undone"
+  let spec_redos = T.counter "early.spec_redos"
+  let spec_redo_depth = T.counter ~kind:`Max "early.spec_redo_depth"
+end
+
+(* Partitioned ordering (lib/broadcast Pmerge/Partition). *)
+module Part = struct
+  let singles = T.counter "part.singles"
+  let crosses = T.counter "part.crosses"
+  let holes = T.counter "part.holes" (* cycle tie-breaks *)
+
+  (* per cross-partition command: first stream sighting to emission *)
+  let cross_stall = T.histogram "part.cross_stall"
+end
+
+(* Fault injection, recorded by the Psmr_fault facade and the recovery
+   harness. *)
+module Fault = struct
+  let worker_crashes = T.counter "fault.worker_crashes"
+  let worker_stalls = T.counter "fault.worker_stalls"
+  let worker_slowdowns = T.counter "fault.worker_slowdowns"
+  let net_drops = T.counter "fault.net_drops"
+  let net_dups = T.counter "fault.net_dups"
+  let net_delays = T.counter "fault.net_delays"
+  let replica_crashes = T.counter "fault.replica_crashes"
+  let recoveries = T.counter "fault.recoveries"
+end
+
+let enabled () = match !T.active with Some _ -> true | None -> false
+
+let tracing () = Option.bind !T.active T.trace <> None
+
+let now () = match !T.active with Some m -> T.now m () | None -> 0.0
+let track () = match !T.active with Some m -> T.track m () | None -> 0
 
 (* Trace process ids: simulated cores on one track group, engine processes
    on another.  Fixed small integers keep exports comparable across runs. *)
 let core_pid = 1
 let proc_pid = 2
 
-(* ------------------------------------------------------------------ *)
-(* Blocking primitives (called from the simulated sync layer).         *)
-
 let mutex_acquired ~contended ~waited =
-  match !Metrics.active with
-  | None -> ()
-  | Some m ->
-      let c = Metrics.counters m in
-      c.lock_acquisitions <- c.lock_acquisitions + 1;
-      if contended then begin
-        c.lock_contended <- c.lock_contended + 1;
-        c.lock_wait <- c.lock_wait +. waited
-      end
+  T.incr Sync.lock_acquisitions;
+  if contended then begin
+    T.incr Sync.lock_contended;
+    T.add_float Sync.lock_wait waited
+  end
 
 let mutex_released ~since =
-  match !Metrics.active with
+  match !T.active with
   | None -> ()
-  | Some m ->
-      let c = Metrics.counters m in
-      let t1 = Metrics.now m () in
-      let held = t1 -. since in
-      c.lock_hold <- c.lock_hold +. held;
-      (match Metrics.trace m with
+  | Some m -> (
+      let held = T.now m () -. since in
+      T.add_float Sync.lock_hold held;
+      match T.trace m with
       | Some tr when held > 0.0 ->
-          Trace.slice tr ~name:"cs" ~pid:proc_pid ~tid:(Metrics.track m ())
-            ~ts:since ~dur:held
+          Trace.slice tr ~name:"cs" ~pid:proc_pid ~tid:(T.track m ()) ~ts:since
+            ~dur:held
       | _ -> ())
 
-let cond_wait () =
-  match !Metrics.active with
-  | None -> ()
-  | Some m ->
-      let c = Metrics.counters m in
-      c.cond_waits <- c.cond_waits + 1
-
-let cond_signal () =
-  match !Metrics.active with
-  | None -> ()
-  | Some m ->
-      let c = Metrics.counters m in
-      c.cond_signals <- c.cond_signals + 1
+let cond_wait () = T.incr Sync.cond_waits
+let cond_signal () = T.incr Sync.cond_signals
 
 let sem_park ~waited =
-  match !Metrics.active with
-  | None -> ()
-  | Some m ->
-      let c = Metrics.counters m in
-      c.sem_parks <- c.sem_parks + 1;
-      c.sem_wait <- c.sem_wait +. waited
+  T.incr Sync.sem_parks;
+  T.add_float Sync.sem_wait waited
 
-let sem_wake () =
-  match !Metrics.active with
-  | None -> ()
-  | Some m ->
-      let c = Metrics.counters m in
-      c.sem_wakes <- c.sem_wakes + 1
-
-(* ------------------------------------------------------------------ *)
-(* Nonblocking layer and work-kind charges (platform hooks).           *)
+let sem_wake () = T.incr Sync.sem_wakes
 
 let cas ~success =
-  match !Metrics.active with
-  | None -> ()
-  | Some m ->
-      let c = Metrics.counters m in
-      c.cas_attempts <- c.cas_attempts + 1;
-      if success then c.cas_successes <- c.cas_successes + 1
+  T.incr Platform.cas_attempts;
+  if success then T.incr Platform.cas_successes
 
 let work kind =
-  match !Metrics.active with
-  | None -> ()
-  | Some m -> (
-      let c = Metrics.counters m in
-      match kind with
-      | `Visit -> c.work_visit <- c.work_visit + 1
-      | `Conflict -> c.work_conflict <- c.work_conflict + 1
-      | `Alloc -> c.work_alloc <- c.work_alloc + 1
-      | `Marshal -> c.work_marshal <- c.work_marshal + 1
-      | `Hash -> c.work_hash <- c.work_hash + 1
-      | `Fault -> c.work_fault <- c.work_fault + 1)
+  T.incr
+    (match kind with
+    | `Visit -> Platform.work_visit
+    | `Conflict -> Platform.work_conflict
+    | `Alloc -> Platform.work_alloc
+    | `Marshal -> Platform.work_marshal
+    | `Hash -> Platform.work_hash
+    | `Fault -> Platform.work_fault)
 
-(* ------------------------------------------------------------------ *)
-(* COS operations.                                                     *)
+(* One event counted, and its size added to a second counter. *)
+let tally events size n =
+  T.incr events;
+  T.add size n
 
-let insert_done ~visits =
-  match !Metrics.active with
-  | None -> ()
-  | Some m ->
-      let c = Metrics.counters m in
-      c.insert_ops <- c.insert_ops + 1;
-      c.insert_visits <- c.insert_visits + visits
-
-let get_done ~visits =
-  match !Metrics.active with
-  | None -> ()
-  | Some m ->
-      let c = Metrics.counters m in
-      c.get_ops <- c.get_ops + 1;
-      c.get_visits <- c.get_visits + visits
-
-let remove_done ~visits =
-  match !Metrics.active with
-  | None -> ()
-  | Some m ->
-      let c = Metrics.counters m in
-      c.remove_ops <- c.remove_ops + 1;
-      c.remove_visits <- c.remove_visits + visits
-
-let helped_removal () =
-  match !Metrics.active with
-  | None -> ()
-  | Some m ->
-      let c = Metrics.counters m in
-      c.helped_removals <- c.helped_removals + 1
-
-let rescan () =
-  match !Metrics.active with
-  | None -> ()
-  | Some m ->
-      let c = Metrics.counters m in
-      c.rescans <- c.rescans + 1
-
-let coupling_step () =
-  match !Metrics.active with
-  | None -> ()
-  | Some m ->
-      let c = Metrics.counters m in
-      c.coupling_steps <- c.coupling_steps + 1
-
-let monitor_section () =
-  match !Metrics.active with
-  | None -> ()
-  | Some m ->
-      let c = Metrics.counters m in
-      c.monitor_sections <- c.monitor_sections + 1
-
-let close_tokens n =
-  match !Metrics.active with
-  | None -> ()
-  | Some m ->
-      let c = Metrics.counters m in
-      c.close_tokens <- c.close_tokens + n
-
-let batch n =
-  match !Metrics.active with
-  | None -> ()
-  | Some m ->
-      let c = Metrics.counters m in
-      c.batches <- c.batches + 1;
-      c.batched_cmds <- c.batched_cmds + n
-
-let requeue () =
-  match !Metrics.active with
-  | None -> ()
-  | Some m ->
-      let c = Metrics.counters m in
-      c.requeues <- c.requeues + 1
-
-(* One injected fault firing, by kind; recorded by the Psmr_fault facade
-   (and by the recovery harness for replica crash/recovery events). *)
-let fault kind =
-  match !Metrics.active with
-  | None -> ()
-  | Some m -> (
-      let c = Metrics.counters m in
-      match kind with
-      | `Worker_crash -> c.fault_worker_crashes <- c.fault_worker_crashes + 1
-      | `Worker_stall -> c.fault_worker_stalls <- c.fault_worker_stalls + 1
-      | `Worker_slow ->
-          c.fault_worker_slowdowns <- c.fault_worker_slowdowns + 1
-      | `Net_drop -> c.fault_net_drops <- c.fault_net_drops + 1
-      | `Net_dup -> c.fault_net_dups <- c.fault_net_dups + 1
-      | `Net_delay -> c.fault_net_delays <- c.fault_net_delays + 1
-      | `Replica_crash -> c.fault_replica_crashes <- c.fault_replica_crashes + 1
-      | `Recovery -> c.fault_recoveries <- c.fault_recoveries + 1)
-
-(* ------------------------------------------------------------------ *)
-(* Early scheduling (lib/early).                                       *)
-
-let class_direct () =
-  match !Metrics.active with
-  | None -> ()
-  | Some m ->
-      let c = Metrics.counters m in
-      c.class_direct <- c.class_direct + 1
+let insert_done ~visits = tally Cos.insert_ops Cos.insert_visits visits
+let get_done ~visits = tally Cos.get_ops Cos.get_visits visits
+let remove_done ~visits = tally Cos.remove_ops Cos.remove_visits visits
+let helped_removal () = T.incr Cos.helped_removals
+let rescan () = T.incr Cos.rescans
+let coupling_step () = T.incr Cos.coupling_steps
+let monitor_section () = T.incr Cos.monitor_sections
+let close_tokens n = T.add Cos.close_tokens n
+let requeue () = T.incr Cos.requeues
+let ready_latency dt = T.observe Cos.delivery_ready dt
+let batch n = tally Sched.batches Sched.batched_cmds n
+let dispatch_latency dt = T.observe Sched.ready_dispatch dt
+let exec_latency dt = T.observe Sched.dispatch_executed dt
+let class_direct () = T.incr Early.class_direct
 
 let class_barrier ~tokens =
-  match !Metrics.active with
-  | None -> ()
-  | Some m ->
-      let c = Metrics.counters m in
-      c.class_barriers <- c.class_barriers + 1;
-      c.barrier_tokens <- c.barrier_tokens + tokens
+  tally Early.class_barriers Early.barrier_tokens tokens
 
-let spec_confirm () =
-  match !Metrics.active with
-  | None -> ()
-  | Some m ->
-      let c = Metrics.counters m in
-      c.spec_confirms <- c.spec_confirms + 1
+let spec_confirm () = T.incr Early.spec_confirms
+let spec_repair ~revoked = tally Early.spec_repairs Early.spec_revoked revoked
+let spec_exec () = T.incr Early.spec_execs
+let spec_rollback ~undone = tally Early.spec_rollbacks Early.spec_undone undone
+let spec_redo ~depth = tally Early.spec_redos Early.spec_redo_depth depth
+let part_single () = T.incr Part.singles
+let part_cross () = T.incr Part.crosses
+let part_hole () = T.incr Part.holes
+let part_stall dt = T.observe Part.cross_stall dt
 
-let spec_repair ~revoked =
-  match !Metrics.active with
-  | None -> ()
-  | Some m ->
-      let c = Metrics.counters m in
-      c.spec_repairs <- c.spec_repairs + 1;
-      c.spec_revoked <- c.spec_revoked + revoked
-
-let spec_exec () =
-  match !Metrics.active with
-  | None -> ()
-  | Some m ->
-      let c = Metrics.counters m in
-      c.spec_execs <- c.spec_execs + 1
-
-let spec_rollback ~undone =
-  match !Metrics.active with
-  | None -> ()
-  | Some m ->
-      let c = Metrics.counters m in
-      c.spec_rollbacks <- c.spec_rollbacks + 1;
-      c.spec_undone <- c.spec_undone + undone
-
-let spec_redo ~depth =
-  match !Metrics.active with
-  | None -> ()
-  | Some m ->
-      let c = Metrics.counters m in
-      c.spec_redos <- c.spec_redos + 1;
-      if depth > c.spec_redo_depth then c.spec_redo_depth <- depth
-
-(* ------------------------------------------------------------------ *)
-(* Partitioned ordering (lib/broadcast Pmerge/Partition).              *)
-
-let part_single () =
-  match !Metrics.active with
-  | None -> ()
-  | Some m ->
-      let c = Metrics.counters m in
-      c.part_singles <- c.part_singles + 1
-
-let part_cross () =
-  match !Metrics.active with
-  | None -> ()
-  | Some m ->
-      let c = Metrics.counters m in
-      c.part_crosses <- c.part_crosses + 1
-
-let part_hole () =
-  match !Metrics.active with
-  | None -> ()
-  | Some m ->
-      let c = Metrics.counters m in
-      c.part_holes <- c.part_holes + 1
-
-let part_stall dt =
-  match !Metrics.active with
-  | None -> ()
-  | Some m -> Psmr_util.Histogram.record (Metrics.cross_stall m) dt
-
-(* ------------------------------------------------------------------ *)
-(* Per-command latency pipeline.                                       *)
-
-let ready_latency dt =
-  match !Metrics.active with
-  | None -> ()
-  | Some m -> Psmr_util.Histogram.record (Metrics.delivery_ready m) dt
-
-let dispatch_latency dt =
-  match !Metrics.active with
-  | None -> ()
-  | Some m -> Psmr_util.Histogram.record (Metrics.ready_dispatch m) dt
-
-let exec_latency dt =
-  match !Metrics.active with
-  | None -> ()
-  | Some m -> Psmr_util.Histogram.record (Metrics.dispatch_executed m) dt
-
-(* ------------------------------------------------------------------ *)
-(* Trace slices.                                                       *)
+let fault kind =
+  T.incr
+    (match kind with
+    | `Worker_crash -> Fault.worker_crashes
+    | `Worker_stall -> Fault.worker_stalls
+    | `Worker_slow -> Fault.worker_slowdowns
+    | `Net_drop -> Fault.net_drops
+    | `Net_dup -> Fault.net_dups
+    | `Net_delay -> Fault.net_delays
+    | `Replica_crash -> Fault.replica_crashes
+    | `Recovery -> Fault.recoveries)
 
 let exec ~core ~ts ~dur =
-  match !Metrics.active with
+  match Option.bind !T.active T.trace with
+  | Some tr -> Trace.slice tr ~name:"exec" ~pid:core_pid ~tid:core ~ts ~dur
   | None -> ()
-  | Some m -> (
-      match Metrics.trace m with
-      | Some tr -> Trace.slice tr ~name:"exec" ~pid:core_pid ~tid:core ~ts ~dur
-      | None -> ())
 
 let span ~name ~ts ~dur =
-  match !Metrics.active with
-  | None -> ()
+  match !T.active with
   | Some m -> (
-      match Metrics.trace m with
+      match T.trace m with
       | Some tr ->
-          Trace.slice tr ~name ~pid:proc_pid ~tid:(Metrics.track m ()) ~ts ~dur
+          Trace.slice tr ~name ~pid:proc_pid ~tid:(T.track m ()) ~ts ~dur
       | None -> ())
+  | None -> ()
+
+(* The ten counters and three histograms [benchmark/layers.ml] reads as
+   record fields; due for deletion once it reads them by name
+   ([Metrics.value]). *)
+module View = struct
+  type counters = {
+    work_marshal : int;
+    lock_wait : float;
+    cas_attempts : int;
+    cas_successes : int;
+    insert_ops : int;
+    insert_visits : int;
+    class_direct : int;
+    class_barriers : int;
+    spec_execs : int;
+    spec_undone : int;
+  }
+
+  let counters m =
+    let n c = int_of_float (T.get m c) in
+    {
+      work_marshal = n Platform.work_marshal;
+      lock_wait = T.get m Sync.lock_wait;
+      cas_attempts = n Platform.cas_attempts;
+      cas_successes = n Platform.cas_successes;
+      insert_ops = n Cos.insert_ops;
+      insert_visits = n Cos.insert_visits;
+      class_direct = n Early.class_direct;
+      class_barriers = n Early.class_barriers;
+      spec_execs = n Early.spec_execs;
+      spec_undone = n Early.spec_undone;
+    }
+
+  let delivery_ready m = T.hist m Cos.delivery_ready
+  let ready_dispatch m = T.hist m Sched.ready_dispatch
+  let cross_stall m = T.hist m Part.cross_stall
+end

@@ -1,9 +1,11 @@
-(** Observability hooks.  Every function is a no-op (one pointer read)
-    while no {!Metrics} registry is enabled, and never performs an engine
-    effect, so instrumentation cannot perturb a simulation.
+(** Observability hooks over the declared metric table ({!Table}), which
+    this module owns: each hook records into the counters and histograms
+    named for it, [<layer>.<name>].  Every function is a no-op while no
+    {!Metrics} registry is enabled, and never performs an engine effect, so
+    instrumentation cannot perturb a simulation.
 
-    This is the only observability API conflict-ordered-set
-    implementations may call (checked by [psmr_lint]). *)
+    This is the only observability API the runtime layers may call
+    (checked by [psmr_lint]). *)
 
 val enabled : unit -> bool
 (** A registry is currently enabled.  Use to guard timestamp capture. *)
@@ -24,7 +26,10 @@ val core_pid : int
 val proc_pid : int
 (** Trace process id under which engine-process tracks are grouped. *)
 
-(** {1 Blocking primitives} *)
+(** {1 Blocking primitives}
+
+    Recorded under [sync.*] by the simulated and the model-checking
+    platforms. *)
 
 val mutex_acquired : contended:bool -> waited:float -> unit
 val mutex_released : since:float -> unit
@@ -37,12 +42,16 @@ val cond_signal : unit -> unit
 val sem_park : waited:float -> unit
 val sem_wake : unit -> unit
 
-(** {1 Nonblocking layer and modeled work} *)
+(** {1 Nonblocking layer and modeled work}
+
+    Recorded under [platform.*]. *)
 
 val cas : success:bool -> unit
 val work : [ `Visit | `Conflict | `Alloc | `Marshal | `Hash | `Fault ] -> unit
 
-(** {1 COS operations} *)
+(** {1 COS operations}
+
+    Recorded under [cos.*], except {!batch} under [sched.*]. *)
 
 val insert_done : visits:int -> unit
 val get_done : visits:int -> unit
@@ -57,7 +66,9 @@ val batch : int -> unit
 val requeue : unit -> unit
 (** One orphaned command demoted back to ready (COS [requeue]). *)
 
-(** {1 Fault injection} *)
+(** {1 Fault injection}
+
+    Recorded under [fault.*]. *)
 
 val fault :
   [ `Worker_crash
@@ -75,8 +86,8 @@ val fault :
 
 (** {1 Early scheduling}
 
-    Recorded by the class-map dispatcher ([Psmr_early]); all zero for
-    COS-backed runs. *)
+    Recorded under [early.*] by the class-map dispatcher ([Psmr_early]);
+    untouched by COS-backed runs. *)
 
 val class_direct : unit -> unit
 (** One command dispatched on the single-queue fast path (no barrier). *)
@@ -108,8 +119,8 @@ val spec_redo : depth:int -> unit
 
 (** {1 Partitioned ordering}
 
-    Recorded by the cross-partition merge ([Psmr_broadcast.Pmerge]); all
-    zero for single-sequencer runs. *)
+    Recorded under [part.*] by the cross-partition merge
+    ([Psmr_broadcast.Pmerge]); untouched by single-sequencer runs. *)
 
 val part_single : unit -> unit
 (** One single-partition command emitted at its home stream's head. *)
@@ -123,18 +134,20 @@ val part_hole : unit -> unit
 
 val part_stall : float -> unit
 (** Cross-partition stall for one emitted command: first stream sighting
-    to emission, recorded in the [cross_stall] histogram. *)
+    to emission, recorded in the cross-stall histogram. *)
 
 (** {1 Per-command latency pipeline} *)
 
 val ready_latency : float -> unit
-(** Delivery (insert call) to promotion (all dependencies removed). *)
+(** Delivery (insert call) to promotion (all dependencies removed),
+    under [cos.*]. *)
 
 val dispatch_latency : float -> unit
-(** Promotion to a worker reserving the command in [get]. *)
+(** Promotion to a worker reserving the command in [get], under
+    [sched.*]. *)
 
 val exec_latency : float -> unit
-(** Reservation to execution completed. *)
+(** Reservation to execution completed, under [sched.*]. *)
 
 (** {1 Trace slices} *)
 
@@ -143,3 +156,29 @@ val exec : core:int -> ts:float -> dur:float -> unit
 
 val span : name:string -> ts:float -> dur:float -> unit
 (** Generic slice on the current process's track. *)
+
+(** {1 Benchmark view}
+
+    The counters and histograms [benchmark/layers.ml] reads as record
+    fields, re-exported by {!Metrics}.  Due for deletion in the next change
+    to the benchmark, which reads them by name ({!Table.value}) instead. *)
+
+module View : sig
+  type counters = {
+    work_marshal : int;
+    lock_wait : float;
+    cas_attempts : int;
+    cas_successes : int;
+    insert_ops : int;
+    insert_visits : int;
+    class_direct : int;
+    class_barriers : int;
+    spec_execs : int;
+    spec_undone : int;
+  }
+
+  val counters : Table.t -> counters
+  val delivery_ready : Table.t -> Psmr_util.Histogram.t
+  val ready_dispatch : Table.t -> Psmr_util.Histogram.t
+  val cross_stall : Table.t -> Psmr_util.Histogram.t
+end

@@ -31,6 +31,7 @@ let fixtures =
       "lib/sim/bad_platform_functor_arg.ml" );
     ("fixtures/bad_platform_sig.mli", "lib/sim/bad_platform_sig.mli");
     ("fixtures/bad_obs_evasion.ml", "lib/cos/bad_obs_evasion.ml");
+    ("fixtures/bad_obs_replica.ml", "lib/replica/bad_obs_replica.ml");
     ("fixtures/bad_fault_evasion.ml", "lib/sched/bad_fault_evasion.ml");
     ("fixtures/bad_service_random.ml", "lib/app/bad_service_random.ml");
     ("fixtures/bad_service_indirect.ml", "lib/app/bad_service_indirect.ml");

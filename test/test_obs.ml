@@ -74,30 +74,30 @@ let scripted impl ~metrics =
 let test_counter_sanity impl () =
   let _, registry = scripted impl ~metrics:true in
   let m = Option.get registry in
-  let c = Metrics.counters m in
+  let v = Metrics.value m in
   Alcotest.(check bool)
     "CAS successes <= attempts" true
-    (c.Metrics.cas_successes <= c.Metrics.cas_attempts);
+    (v "platform.cas_successes" <= v "platform.cas_attempts");
   Alcotest.(check bool)
     "semaphore wakes <= parks + close tokens" true
-    (c.Metrics.sem_wakes <= c.Metrics.sem_parks + c.Metrics.close_tokens);
+    (v "sync.sem_wakes" <= v "sync.sem_parks" +. v "cos.close_tokens");
   Alcotest.(check bool)
     "lock wait and hold are non-negative" true
-    (c.Metrics.lock_wait >= 0.0 && c.Metrics.lock_hold >= 0.0);
-  Alcotest.(check int) "every command inserted" commands c.Metrics.insert_ops;
-  Alcotest.(check int) "every command removed" commands c.Metrics.remove_ops;
+    (v "sync.lock_wait" >= 0.0 && v "sync.lock_hold" >= 0.0);
+  let commands = float_of_int commands in
+  Alcotest.(check (float 0.0)) "every command inserted" commands
+    (v "cos.insert_ops");
+  Alcotest.(check (float 0.0)) "every command removed" commands
+    (v "cos.remove_ops");
   Alcotest.(check bool)
     "at least one get per command" true
-    (c.Metrics.get_ops >= commands);
-  Alcotest.(check int)
-    "delivery->ready latency per command" commands
-    (Histogram.count (Metrics.delivery_ready m));
-  Alcotest.(check int)
-    "ready->dispatch latency per command" commands
-    (Histogram.count (Metrics.ready_dispatch m));
-  Alcotest.(check int)
-    "dispatch->executed latency per command" commands
-    (Histogram.count (Metrics.dispatch_executed m))
+    (v "cos.get_ops" >= commands);
+  List.iter
+    (fun h ->
+      Alcotest.(check (float 0.0))
+        (h ^ " latency per command") commands
+        (List.assoc (h ^ "_count") (Metrics.assoc m)))
+    (Bench_schema.required_metrics `Histogram)
 
 (* --- the zero-perturbation invariant, per implementation ---
 
@@ -133,13 +133,23 @@ let test_deterministic_exports () =
     (Trace.to_json (Option.get a.Standalone.trace))
     (Trace.to_json (Option.get b.Standalone.trace))
 
+(* The same run also exports only the layers it touched: a lock-free
+   standalone run has no class map, no partitions and no faults. *)
 let test_throughput_unaffected () =
   let off = standalone ~metrics:false ~trace:false () in
   let on = standalone ~metrics:true ~trace:true () in
   Alcotest.(check (float 0.0))
     "identical throughput with observability on" off.Standalone.kops on.kops;
   Alcotest.(check int)
-    "identical executed count" off.Standalone.executed on.executed
+    "identical executed count" off.Standalone.executed on.executed;
+  List.iter
+    (fun (name, _) ->
+      List.iter
+        (fun layer ->
+          if String.starts_with ~prefix:layer name then
+            Alcotest.failf "untouched layer exported: %s" name)
+        [ "fault."; "part."; "early." ])
+    (Metrics.assoc (Option.get on.Standalone.metrics))
 
 (* --- exported document schemas --- *)
 
@@ -154,45 +164,25 @@ let test_metrics_schema () =
   match J.parse doc with
   | Error msg -> Alcotest.failf "metrics JSON does not parse: %s" msg
   | Ok j ->
-      let counters =
-        match J.member "counters" j with
-        | Some c -> c
-        | None -> Alcotest.fail "missing counters section"
-      in
-      List.iter
-        (fun name -> ignore (num_member name counters))
-        [
-          "lock_acquisitions"; "lock_wait"; "lock_hold"; "cas_attempts";
-          "cas_successes"; "sem_parks"; "sem_wakes"; "insert_ops"; "get_ops";
-          "remove_ops";
-        ];
+      (match Bench_schema.validate_metrics j with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "metrics JSON block: %s" m);
+      let counters = Option.get (J.member "counters" j) in
       Alcotest.(check bool)
         "CAS successes <= attempts in the document" true
-        (num_member "cas_successes" counters
-        <= num_member "cas_attempts" counters);
-      let latencies =
-        match J.member "latency_virtual_seconds" j with
-        | Some l -> l
-        | None -> Alcotest.fail "missing latency_virtual_seconds section"
-      in
+        (num_member "platform.cas_successes" counters
+        <= num_member "platform.cas_attempts" counters);
+      let latencies = Option.get (J.member "latency_virtual_seconds" j) in
       List.iter
         (fun hist ->
-          let h =
-            match J.member hist latencies with
-            | Some h -> h
-            | None -> Alcotest.failf "missing histogram %S" hist
-          in
-          let count = num_member "count" h in
-          let p50 = num_member "p50" h in
-          let p95 = num_member "p95" h in
-          let p99 = num_member "p99" h in
-          let p999 = num_member "p999" h in
+          let h = Option.get (J.member hist latencies) in
           Alcotest.(check bool)
-            (hist ^ " count positive") true (count > 0.0);
+            (hist ^ " count positive") true
+            (num_member "count" h > 0.0);
           Alcotest.(check bool)
-            (hist ^ " percentiles ordered") true
-            (p50 <= p95 && p95 <= p99 && p99 <= p999))
-        [ "delivery_ready"; "ready_dispatch"; "dispatch_executed" ]
+            (hist ^ " tail quantile ordered") true
+            (num_member "p99" h <= num_member "p999" h))
+        (Bench_schema.required_metrics `Histogram)
 
 (* The flat snapshot ledger: every histogram contributes its full
    quantile family — the tail quantile included — and the members obey
@@ -219,7 +209,7 @@ let test_assoc_p999_ledger () =
       Alcotest.(check bool)
         (hist ^ " quantile family ordered") true
         (p50 <= p95 && p95 <= p99 && p99 <= p999 && p999 <= maxv))
-    [ "delivery_ready"; "ready_dispatch"; "dispatch_executed" ]
+    (Bench_schema.required_metrics `Histogram)
 
 let test_trace_schema () =
   let r = standalone ~metrics:true ~trace:true () in
@@ -264,11 +254,10 @@ let test_trace_schema () =
    counts decision points instead; the counters still obey the same
    arithmetic invariants. *)
 
-let test_check_platform_metrics () =
+let check_metrics target =
   let sc =
-    Psmr_checker.Cos_check.scenario
-      ~target:(Psmr_checker.Cos_check.Impl Registry.Lockfree) ~workers:2
-      ~commands:6 ~write_pct:50.0 ~drain_before_close:true ~workload_seed:3L ()
+    Psmr_checker.Cos_check.scenario ~target ~workers:2 ~commands:6
+      ~write_pct:50.0 ~drain_before_close:true ~workload_seed:3L ()
   in
   let rng = Psmr_util.Rng.create ~seed:5L in
   let o =
@@ -277,25 +266,78 @@ let test_check_platform_metrics () =
   in
   Alcotest.(check bool)
     "schedule completed" true o.Psmr_checker.Check_platform.completed;
-  let get name =
+  fun name ->
     match List.assoc_opt name o.Psmr_checker.Check_platform.metrics with
     | Some v -> v
     | None -> Alcotest.failf "missing metric %S" name
-  in
+
+let test_check_platform_metrics () =
+  let get = check_metrics (Psmr_checker.Cos_check.Impl Registry.Lockfree) in
   Alcotest.(check bool)
     "CAS successes <= attempts" true
-    (get "cas_successes" <= get "cas_attempts");
-  Alcotest.(check (float 0.0)) "every command inserted" 6.0 (get "insert_ops");
-  Alcotest.(check (float 0.0)) "every command removed" 6.0 (get "remove_ops");
+    (get "platform.cas_successes" <= get "platform.cas_attempts");
+  Alcotest.(check (float 0.0)) "every command inserted" 6.0
+    (get "cos.insert_ops");
+  Alcotest.(check (float 0.0)) "every command removed" 6.0
+    (get "cos.remove_ops");
   (* The checker's harness calls get/remove itself (no scheduler layer), so
      the execution histogram stays empty; the two COS-recorded ones see
      every command. *)
   Alcotest.(check (float 0.0))
     "every promotion measured" 6.0
-    (get "delivery_ready_count");
+    (get "cos.delivery_ready_count");
   Alcotest.(check (float 0.0))
     "every dispatch measured" 6.0
-    (get "ready_dispatch_count")
+    (get "sched.ready_dispatch_count")
+
+(* The checker's mutexes and conditions record the same [sync.*] probes
+   as the simulated ones: the coarse COS takes its monitor on every
+   operation. *)
+let test_check_platform_locks () =
+  let get = check_metrics (Psmr_checker.Cos_check.Impl Registry.Coarse) in
+  Alcotest.(check bool)
+    "locks acquired" true
+    (get "sync.lock_acquisitions" > 0.0);
+  Alcotest.(check bool)
+    "contended <= acquisitions" true
+    (get "sync.lock_contended" <= get "sync.lock_acquisitions");
+  Alcotest.(check bool) "locks held" true (get "sync.lock_hold" > 0.0)
+
+(* --- the declared metric table --- *)
+
+let test_duplicate_declaration () =
+  match Metrics.counter "cos.insert_ops" with
+  | exception Invalid_argument m ->
+      Alcotest.(check bool)
+        ("names the duplicate: " ^ m) true
+        (String.ends_with ~suffix:"cos.insert_ops" m)
+  | _ -> Alcotest.fail "a second declaration of cos.insert_ops was accepted"
+
+(* [early.spec_redo_depth] is a running maximum: redos add up, the depth
+   keeps the largest seen. *)
+let test_max_counter () =
+  let m = Metrics.make () in
+  Metrics.enable m;
+  Fun.protect ~finally:Metrics.disable (fun () ->
+      List.iter (fun depth -> Psmr_obs.Probe.spec_redo ~depth) [ 2; 4; 3 ]);
+  Alcotest.(check (float 0.0)) "redos" 3.0 (Metrics.value m "early.spec_redos");
+  Alcotest.(check (float 0.0))
+    "depth" 4.0
+    (Metrics.value m "early.spec_redo_depth")
+
+let layers = [ "sync"; "platform"; "cos"; "sched"; "early"; "part"; "fault" ]
+
+let test_declared_names () =
+  List.iter
+    (fun (name, _) ->
+      match String.index_opt name '.' with
+      | Some i
+        when List.mem (String.sub name 0 i) layers
+             && i < String.length name - 1 ->
+          ()
+      | _ -> Alcotest.failf "%S is not <layer>.<name> over %s" name
+               (String.concat ", " layers))
+    (Metrics.declared ())
 
 (* The committed benchmark report, parsed.  The file is a declared dune
    dep, so the path resolves inside the sandbox: dune runtest runs from
@@ -563,5 +605,16 @@ let () =
         [
           Alcotest.test_case "decision-point metrics" `Quick
             test_check_platform_metrics;
+          Alcotest.test_case "coarse records its locks" `Quick
+            test_check_platform_locks;
+        ] );
+      ( "table",
+        [
+          Alcotest.test_case "duplicate declaration raises" `Quick
+            test_duplicate_declaration;
+          Alcotest.test_case "names are <layer>.<name>" `Quick
+            test_declared_names;
+          Alcotest.test_case "max counter keeps the largest" `Quick
+            test_max_counter;
         ] );
     ]

@@ -1417,22 +1417,35 @@ module Bank_equiv =
 
 (* A short closed-loop Part_bench run, pinned field by field: throughput,
    the merge ledger at replica 0 and the engine event count.  The run is
-   deterministic, so a harness change that moves one event shows here. *)
+   deterministic, so a harness change that moves one event shows here.
+   With metrics on it must pin the same line (recording is pure mutation)
+   and export the partitioned-ordering layer. *)
 let test_part_bench_pinned () =
-  let r =
-    Psmr_harness.Part_bench.run ~partitions:2 ~workers:4
-      ~spec:Psmr_workload.Workload.Keyed.low_conflict ~duration:0.01
-      ~warmup:0.002 ()
-  in
-  Alcotest.(check string)
-    "part2/w4 run"
-    "kops=878.5 executed=8785 emitted=9154 crosses=84 holes=0 \
-     merge_pending=0 engine_events=145429"
-    (Printf.sprintf
-       "kops=%.9g executed=%d emitted=%d crosses=%d holes=%d merge_pending=%d \
-        engine_events=%d"
-       r.kops r.executed r.emitted r.crosses r.holes r.merge_pending
-       r.engine_events)
+  List.iter
+    (fun metrics ->
+      let r =
+        Psmr_harness.Part_bench.run ~partitions:2 ~workers:4
+          ~spec:Psmr_workload.Workload.Keyed.low_conflict ~duration:0.01
+          ~warmup:0.002 ~metrics ()
+      in
+      Alcotest.(check string)
+        "part2/w4 run"
+        "kops=878.5 executed=8785 emitted=9154 crosses=84 holes=0 \
+         merge_pending=0 engine_events=145429"
+        (Printf.sprintf
+           "kops=%.9g executed=%d emitted=%d crosses=%d holes=%d \
+            merge_pending=%d engine_events=%d"
+           r.kops r.executed r.emitted r.crosses r.holes r.merge_pending
+           r.engine_events);
+      Option.iter
+        (fun m ->
+          Alcotest.(check bool)
+            "part.* exported" true
+            (List.exists
+               (fun (name, _) -> String.starts_with ~prefix:"part." name)
+               (Psmr_obs.Metrics.assoc m)))
+        r.metrics)
+    [ false; true ]
 
 (* A request batch larger than the credit window can never acquire its
    credits; the stack must refuse it up front instead of wedging the
