@@ -22,7 +22,9 @@
    (short quotas, short simulation windows, no figures) — the @bench-smoke
    alias.  PSMR_BENCH_DIFF_ONLY=1 regenerates only the simulated sections
    and compares them with the report at PSMR_BENCH_JSON — the @bench-diff
-   alias. *)
+   alias.  PSMR_BENCH_REBASELINE=<file> regenerates them too and writes
+   the report at PSMR_BENCH_JSON to <file> with every moved value
+   rewritten in place — the @bench-rebaseline alias. *)
 
 open Bechamel
 open Toolkit
@@ -532,13 +534,13 @@ let rec diffs path (a : J.t) (b : J.t) =
   | _ ->
       [ Printf.sprintf "%s: committed %s, regenerated %s" path (show a) (show b) ]
 
-(* The @bench-diff gate: regenerate the simulated sections, complete them
-   with the committed host-time members, check the schema, and compare the
-   result structurally with the committed report, member by member.  Exits
-   1 after listing every difference. *)
-let bench_diff ~path ~jobs =
+(* The committed report at [path] and its regeneration: every simulated
+   section recomputed at full size, completed with the committed
+   host-time members and checked against the schema. *)
+let regenerate ~path ~jobs =
+  let text = In_channel.with_open_bin path In_channel.input_all in
   let committed =
-    match J.parse (In_channel.with_open_bin path In_channel.input_all) with
+    match J.parse text with
     | Ok (J.Obj members) -> members
     | Ok _ -> failwith (path ^ ": not a JSON object")
     | Error e -> failwith (path ^ ": " ^ e)
@@ -552,6 +554,13 @@ let bench_diff ~path ~jobs =
       (report ~smoke:false ~jobs ~micro:[] ~engine:[])
   in
   validate "regenerated report" (J.Obj regenerated);
+  (text, committed, regenerated)
+
+(* The @bench-diff gate: compare the regenerated report structurally with
+   the committed one, member by member.  Exits 1 after listing every
+   difference. *)
+let bench_diff ~path ~jobs =
+  let _, committed, regenerated = regenerate ~path ~jobs in
   match diffs "" (J.Obj committed) (J.Obj regenerated) with
   | [] ->
       Printf.printf "bench-diff: %d simulated members of %s identical\n%!"
@@ -561,6 +570,108 @@ let bench_diff ~path ~jobs =
       List.iter (Printf.printf "bench-diff: %s: %s\n" path) ds;
       Printf.printf "bench-diff: %d differences\n%!" (List.length ds);
       exit 1
+
+(* [text] (which parses to [committed]) rewritten to [regenerated] in
+   place: every value equal in both keeps its committed text byte for
+   byte, a scalar that moved is printed anew, and so is a container whose
+   keys or length changed, indented like the line it starts on.  Committed
+   numbers keep their printed form ("68.0", "4530.10"), which a parse and
+   print round trip would not. *)
+let splice text committed regenerated =
+  let n = String.length text in
+  let out = Buffer.create n in
+  let emit i j = Buffer.add_substring out text i (j - i) in
+  let rec ws i =
+    if i < n && String.contains " \n\r\t" text.[i] then ws (i + 1) else i
+  in
+  (* Index just past the value starting at [i]. *)
+  let rec skip i =
+    match text.[i] with
+    | '"' ->
+        let rec str j =
+          match text.[j] with
+          | '\\' -> str (j + 2)
+          | '"' -> j + 1
+          | _ -> str (j + 1)
+        in
+        str (i + 1)
+    | '{' | '[' ->
+        let rec items j =
+          let j = ws j in
+          match text.[j] with
+          | '}' | ']' -> j + 1
+          | ',' | ':' -> items (j + 1)
+          | _ -> items (skip j)
+        in
+        items (i + 1)
+    | _ ->
+        let rec scalar j =
+          if j < n && not (String.contains ",}] \n\r\t" text.[j]) then
+            scalar (j + 1)
+          else j
+        in
+        scalar i
+  in
+  let indent_at i =
+    let line =
+      match String.rindex_from_opt text i '\n' with Some l -> l + 1 | None -> 0
+    in
+    String.make (ws line - line) ' '
+  in
+  (* Emit the value starting at [i]; return the index past it. *)
+  let rec walk i c r =
+    match (c, r) with
+    | J.Obj cs, J.Obj rs when List.map fst cs = List.map fst rs ->
+        members ~keyed:true i (List.map snd cs) (List.map snd rs)
+    | J.Arr cs, J.Arr rs when List.compare_lengths cs rs = 0 ->
+        members ~keyed:false i cs rs
+    | _ ->
+        let j = skip i in
+        if c = r then emit i j
+        else
+          Buffer.add_string out
+            (String.concat ("\n" ^ indent_at i)
+               (String.split_on_char '\n' (J.to_string r)));
+        j
+  and members ~keyed i cs rs =
+    emit i (i + 1);
+    let rec go i cs rs =
+      match (cs, rs) with
+      | c :: cs, r :: rs ->
+          let start = if keyed then ws (ws (skip (ws i)) + 1) else ws i in
+          emit i start;
+          let j = walk start c r in
+          let k = ws j in
+          emit j (k + 1);
+          if text.[k] = ',' then go (k + 1) cs rs else k + 1
+      | _ ->
+          let k = ws i in
+          emit i (k + 1);
+          k + 1
+    in
+    go (i + 1) cs rs
+  in
+  let start = ws 0 in
+  emit 0 start;
+  let j = walk start committed regenerated in
+  emit j n;
+  Buffer.contents out
+
+(* The @bench-rebaseline alias: the committed report with the regenerated
+   simulated values spliced in, written to [out] (the alias diffs it
+   against the committed file, and promotion writes it back).  Host-time
+   members keep their committed text. *)
+let bench_rebaseline ~path ~out ~jobs =
+  let text, committed, regenerated = regenerate ~path ~jobs in
+  let committed = J.Obj committed and regenerated = J.Obj regenerated in
+  let spliced = splice text committed regenerated in
+  (match J.parse spliced with
+  | Ok doc when doc = regenerated -> ()
+  | Ok _ | Error _ -> failwith "bench-rebaseline: splice does not read back");
+  Out_channel.with_open_bin out (fun oc -> output_string oc spliced);
+  Printf.printf "bench-rebaseline: %d values of %s moved\n%!"
+    (List.length (diffs "" committed regenerated))
+    path
 
 let full_run ~smoke =
   let jobs = getenv_int "PSMR_BENCH_JOBS" 1 in
@@ -621,6 +732,14 @@ let () =
          (J.Arr
             (open_loop_rows ~smoke ~jobs:(getenv_int "PSMR_BENCH_JOBS" 1))))
   end
+  else if Option.is_some (Sys.getenv_opt "PSMR_BENCH_REBASELINE") then
+    (* The @bench-rebaseline alias. *)
+    bench_rebaseline
+      ~path:
+        (Option.value (Sys.getenv_opt "PSMR_BENCH_JSON")
+           ~default:"BENCH_cos.json")
+      ~out:(Sys.getenv "PSMR_BENCH_REBASELINE")
+      ~jobs:(getenv_int "PSMR_BENCH_JOBS" 1)
   else if getenv_flag "PSMR_BENCH_DIFF_ONLY" then
     (* The @bench-diff alias: full-size simulated sections only, compared
        with the committed report at PSMR_BENCH_JSON; exits 1 listing every

@@ -8,17 +8,32 @@
     of one in-flight batch): as in BFT-SMaRt, the next consensus starts
     when the previous one decides, with whatever arrived meanwhile.
     [batch_max] and [batch_delay] cap a batch's size and age while one is
-    in flight.  It sequences each batch with a [Prepare] and commits it
-    once [f + 1] replicas (including itself) have acknowledged; commit
-    decisions propagate piggybacked on later [Prepare]s and on [Commit]s.
+    in flight.  It sequences each batch with a [Prepare], which each
+    follower accepts and acknowledges with a [Prepare_ok].
+
+    {b One commit rule.}  A replica commits a batch once it knows that
+    [f + 1] replicas of the current view hold it: the leader holds every
+    batch it proposes, a replica holds a batch once it has accepted it,
+    and each [Prepare_ok] names one more holder.  The leader learns a
+    quorum from the acknowledgements; with [n = 3] a follower is itself
+    the second holder and commits a batch on acceptance, one hop before
+    the leader's commit point could reach it; with [n >= 5] a follower
+    never knows a quorum alone and waits for that commit point, which
+    propagates piggybacked on later [Prepare]s and on [Commit]s.
     Committed batches are handed to the delivery upcall in sequence order,
     giving the standard atomic-broadcast properties (validity, uniform
     agreement, uniform integrity, uniform total order).
 
     When followers stop hearing from the leader they start a view change:
     [Start_view_change] votes, then [Do_view_change] logs to the new leader,
-    which adopts the longest log — any committed batch is in at least one
-    log of any [f + 1] quorum — and resumes with [Start_view].
+    which adopts the log of the latest view any sender was Normal in (the
+    longest of those) and resumes with [Start_view].  That is what makes
+    the commit rule safe whoever applies it: a batch [f + 1] replicas hold
+    in view [v] is in one log of every [f + 1] quorum, and every log from
+    view [v] or later that such a quorum offers holds it at the same seq,
+    so it is in every later view's log (Viewstamped Replication Revisited,
+    section 4).  Knowing that [f + 1] hold it is therefore enough to
+    deliver it, whichever replica knows it.
 
     {b Checkpointing.}  Replicas periodically broadcast the sequence number
     they have applied ([Applied]); every replica truncates its log below the
@@ -55,6 +70,7 @@ type 'c message =
   | Start_view_change of { view : int }
   | Do_view_change of {
       view : int;
+      last_normal : int;
       base : int;
       log : 'c array array;
       committed : int;
@@ -133,8 +149,9 @@ module Make (P : Platform_intf.S) = struct
     mutable last_report : int;  (** our last broadcast Applied seq *)
     mutable svc_votes : (int, IntSet.t) Hashtbl.t;  (** view -> voters *)
     mutable svc_echoed : int;  (** highest view we already voted for *)
-    dvc : (int, (int * int * 'c array array * int) list) Hashtbl.t;
-        (** view -> (sender, base, log, committed) received as new leader *)
+    dvc : (int, (int * int * int * 'c array array * int) list) Hashtbl.t;
+        (** view -> (sender, last_normal, base, log, committed) received as
+            new leader *)
     mutable views_installed : int;  (** diagnostics: completed view changes *)
     mutable stalled : bool;  (** gap beyond recovery (needs state transfer) *)
   }
@@ -219,10 +236,7 @@ module Make (P : Platform_intf.S) = struct
       t.base <- keep_from;
       Log.debug (fun m ->
           m "replica %d truncated log below %d (%d entries retained)" t.id
-            keep_from (log_length t));
-      Hashtbl.filter_map_inplace
-        (fun seq set -> if seq < t.base then None else Some set)
-        t.acks
+            keep_from (log_length t))
     end
 
   let maybe_report_applied t =
@@ -256,11 +270,20 @@ module Make (P : Platform_intf.S) = struct
     done;
     maybe_report_applied t
 
+  (* Move the commit point to [seq], dropping the ack sets it passes: only
+     seqs above the commit point keep one, so the table holds at most the
+     uncommitted tail. *)
+  let commit_to t seq =
+    for s = t.committed + 1 to seq do
+      Hashtbl.remove t.acks s
+    done;
+    t.committed <- seq
+
   let note_commit t committed =
     if committed > t.committed then begin
       (* Never mark commits beyond what we hold: with FIFO links from the
          leader this cannot regress deliveries. *)
-      t.committed <- min committed (log_end t - 1);
+      commit_to t (min committed (log_end t - 1));
       deliver_ready t
     end
 
@@ -273,26 +296,31 @@ module Make (P : Platform_intf.S) = struct
   let pipeline_idle t =
     t.status = Normal && is_leader t && t.committed >= log_end t - 1
 
-  (* Leader: count an acknowledgement and advance the commit point over any
-     prefix that reached a quorum. *)
-  let rec record_ack t ~from ~seq =
-    let cur = Option.value ~default:IntSet.empty (Hashtbl.find_opt t.acks seq) in
-    Hashtbl.replace t.acks seq (IntSet.add from cur);
-    let quorum = t.f + 1 in
+  (* The one commit rule, for leader and followers alike: count [holders]
+     as holding [seq] in the current view, and advance the commit point
+     over the prefix whose seqs f + 1 known holders reached.  The leader
+     knows itself (it holds every batch it proposes) and each
+     [Prepare_ok]; a follower knows the leader and itself once it accepts
+     a [Prepare].  With n = 3 those two are f + 1, so a follower commits
+     what it accepts; with n >= 5 it never counts a quorum alone and waits
+     for the leader's commit point. *)
+  let rec record_holders t ~seq holders =
+    if seq > t.committed then begin
+      let cur = Option.value ~default:IntSet.empty (Hashtbl.find_opt t.acks seq) in
+      Hashtbl.replace t.acks seq (List.fold_right IntSet.add holders cur)
+    end;
     let before = t.committed in
-    let advanced = ref true in
-    while !advanced do
-      advanced := false;
+    let rec advance () =
       let next = t.committed + 1 in
-      if next < log_end t then
-        match Hashtbl.find_opt t.acks next with
-        | Some set when IntSet.cardinal set >= quorum ->
-            t.committed <- next;
-            advanced := true
-        | Some _ | None -> ()
-    done;
-    (* Send the advanced commit point immediately rather than leaving it
-       to a later [Prepare] or a heartbeat: under bursty submission the
+      match Hashtbl.find_opt t.acks next with
+      | Some set when next < log_end t && IntSet.cardinal set > t.f ->
+          commit_to t next;
+          advance ()
+      | Some _ | None -> ()
+    in
+    advance ();
+    (* A leader sends the advanced commit point at once rather than leaving
+       it to a later [Prepare] or a heartbeat: under bursty submission the
        next batch may be a heartbeat interval away, and follower delivery
        latency is on the critical path whenever a consumer synchronizes
        on deliveries across instances (the cross-partition rendezvous of
@@ -300,7 +328,7 @@ module Make (P : Platform_intf.S) = struct
        emptied the pipeline: then cut what accumulated while the previous
        batch was in flight, and its [Prepare] carries the commit point in
        place of a [Commit]. *)
-    if t.committed > before then begin
+    if t.committed > before && is_leader t then begin
       if Psmr_util.Vec.length t.pending > 0 && pipeline_idle t then cut_batch t
       else send_all t (Commit { view = t.view; committed = t.committed });
       t.last_heartbeat <- P.now ()
@@ -314,7 +342,7 @@ module Make (P : Platform_intf.S) = struct
       Psmr_util.Vec.clear t.pending;
       let seq = log_end t in
       Psmr_util.Vec.push t.log cmds;
-      record_ack t ~from:t.id ~seq;
+      record_holders t ~seq [ t.id ];
       send_all t (Prepare { view = t.view; seq; cmds; committed = t.committed })
     end
 
@@ -389,15 +417,21 @@ module Make (P : Platform_intf.S) = struct
         let dst = leader_of t new_view in
         if dst = t.id then begin
           (* Deliver to ourselves directly. *)
-          let entry = (t.id, t.base, log_suffix t, t.committed) in
+          let entry = (t.id, t.view, t.base, log_suffix t, t.committed) in
           let cur = Option.value ~default:[] (Hashtbl.find_opt t.dvc new_view) in
-          if not (List.exists (fun (s, _, _, _) -> s = t.id) cur) then
+          if not (List.exists (fun (s, _, _, _, _) -> s = t.id) cur) then
             Hashtbl.replace t.dvc new_view (entry :: cur)
         end
         else
           t.send dst
             (Do_view_change
-               { view = new_view; base = t.base; log = log_suffix t; committed = t.committed })
+               {
+                 view = new_view;
+                 last_normal = t.view;
+                 base = t.base;
+                 log = log_suffix t;
+                 committed = t.committed;
+               })
     | Some _ | None -> ()
 
   let install_view t new_view in_base in_log committed =
@@ -427,44 +461,47 @@ module Make (P : Platform_intf.S) = struct
     end
 
   (* New leader: once f+1 Do_view_change messages (ours included) arrived,
-     adopt the longest log and announce the view. *)
+     adopt the log of the latest view any of them was Normal in, the
+     longest such log on a tie (the first received on a further tie), and
+     announce the view.  [t.view] only moves when a view is installed, so
+     it is the last view its replica was Normal in.  The latest view's
+     longest log holds every batch that f + 1 replicas accepted in an
+     earlier view.  A longer log from an older view may hold batches a
+     later view never saw, in seqs that view has since filled and
+     delivered: adopting it would break total order. *)
   let maybe_become_leader t new_view =
     if leader_of t new_view = t.id then
       match Hashtbl.find_opt t.dvc new_view with
-      | Some entries when List.length entries >= t.f + 1 ->
-          let best =
-            List.fold_left
-              (fun acc (_, base, log, committed) ->
-                match acc with
-                | Some (bb, bl, bc) ->
-                    Some
-                      (if base + Array.length log > bb + Array.length bl then
-                         (base, log, max committed bc)
-                       else (bb, bl, max committed bc))
-                | None -> Some (base, log, committed))
-              None entries
+      | Some (first :: _ as entries) when List.length entries >= t.f + 1 ->
+          let rank (_, last_normal, base, log, _) =
+            (last_normal, base + Array.length log)
           in
-          (match best with
-          | None -> ()
-          | Some (best_base, best_log, best_committed) ->
-              Hashtbl.remove t.dvc new_view;
-              if install_view t new_view best_base best_log best_committed then begin
-                send_all t
-                  (Start_view
-                     {
-                       view = new_view;
-                       base = t.base;
-                       log = log_suffix t;
-                       committed = t.committed;
-                     });
-                (* Re-propose the uncommitted suffix under the new view. *)
-                for seq = t.committed + 1 to log_end t - 1 do
-                  let cmds = log_get t seq in
-                  record_ack t ~from:t.id ~seq;
-                  send_all t
-                    (Prepare { view = t.view; seq; cmds; committed = t.committed })
-                done
-              end)
+          let _, _, best_base, best_log, _ =
+            List.fold_left
+              (fun best e -> if compare (rank e) (rank best) > 0 then e else best)
+              first entries
+          in
+          let best_committed =
+            List.fold_left (fun c (_, _, _, _, ec) -> max c ec) (-1) entries
+          in
+          Hashtbl.remove t.dvc new_view;
+          if install_view t new_view best_base best_log best_committed then begin
+            send_all t
+              (Start_view
+                 {
+                   view = new_view;
+                   base = t.base;
+                   log = log_suffix t;
+                   committed = t.committed;
+                 });
+            (* Re-propose the uncommitted suffix under the new view. *)
+            for seq = t.committed + 1 to log_end t - 1 do
+              let cmds = log_get t seq in
+              record_holders t ~seq [ t.id ];
+              send_all t
+                (Prepare { view = t.view; seq; cmds; committed = t.committed })
+            done
+          end
       | Some _ | None -> ()
 
   (* --- message handling --- *)
@@ -489,12 +526,13 @@ module Make (P : Platform_intf.S) = struct
             t.send src (Need_log { from_seq = log_end t });
           if seq < log_end t then begin
             t.send src (Prepare_ok { view; seq });
+            record_holders t ~seq [ leader t; t.id ];
             note_commit t committed
           end
         end
     | Prepare_ok { view; seq } ->
         if view = t.view && t.status = Normal && is_leader t then
-          record_ack t ~from:src ~seq
+          record_holders t ~seq [ src ]
     | Commit { view; committed } ->
         if view = t.view && t.status = Normal && not (is_leader t) then begin
           t.last_leader_contact <- P.now ();
@@ -526,7 +564,9 @@ module Make (P : Platform_intf.S) = struct
             t.stalled <- false;
             if view > t.view then begin
               t.view <- view;
-              t.status <- Normal
+              t.status <- Normal;
+              (* Holders count within one view only. *)
+              Hashtbl.reset t.acks
             end;
             note_commit t committed;
             deliver_ready t
@@ -546,11 +586,12 @@ module Make (P : Platform_intf.S) = struct
           maybe_send_do_view_change t view;
           maybe_become_leader t view
         end
-    | Do_view_change { view; base; log; committed } ->
+    | Do_view_change { view; last_normal; base; log; committed } ->
         if view >= t.view && leader_of t view = t.id then begin
           let cur = Option.value ~default:[] (Hashtbl.find_opt t.dvc view) in
-          if not (List.exists (fun (s, _, _, _) -> s = src) cur) then
-            Hashtbl.replace t.dvc view ((src, base, log, committed) :: cur);
+          if not (List.exists (fun (s, _, _, _, _) -> s = src) cur) then
+            Hashtbl.replace t.dvc view
+              ((src, last_normal, base, log, committed) :: cur);
           (* Make sure our own log is counted. *)
           start_view_change t view;
           maybe_send_do_view_change t view;

@@ -6,9 +6,12 @@
     Provides the four standard properties (§2 of the paper): validity,
     uniform agreement, uniform integrity and uniform total order.  Features:
     pipeline-driven batching (a batch is cut as soon as the leader has none
-    in flight, with size and age caps), commit on [f+1] acknowledgements,
-    heartbeats, view change on leader failure, periodic checkpoint reports
-    with quorum-stable log truncation, and gap recovery by log transfer.
+    in flight, with size and age caps), one commit rule for every replica
+    (a batch commits where [f + 1] holders of it in the current view are
+    known, so with [n = 3] a follower commits what it accepts), heartbeats,
+    view change on leader failure that keeps the latest view's log,
+    periodic checkpoint reports with quorum-stable log truncation, and gap
+    recovery by log transfer.
 
     Threading contract: the module owns no threads; the host feeds incoming
     messages to {!Make.handle} and calls {!Make.tick} periodically from one
@@ -33,6 +36,7 @@ type 'c message =
   | Start_view_change of { view : int }
   | Do_view_change of {
       view : int;
+      last_normal : int;  (** the last view the sender was Normal in *)
       base : int;
       log : 'c array array;
       committed : int;
@@ -84,14 +88,24 @@ module Make (P : Platform_intf.S) : sig
     'c t
   (** One protocol instance for replica [id] of [n] (odd, >= 3).  [send]
       transmits a message to a peer; [deliver] receives each committed
-      batch, in sequence order, from within {!handle}/{!tick}.
+      batch, in sequence order, from within {!handle}/{!tick}.  A batch is
+      committed at a replica once the replica knows [f + 1] replicas of the
+      current view hold it, so a follower of a 3-replica group delivers a
+      batch as it accepts the [Prepare], before the leader does; with
+      [n >= 5] followers deliver on the leader's commit point.  Every
+      replica delivers the same batches in the same order: the view change
+      keeps the latest view's log, which holds every batch [f + 1]
+      replicas held in an earlier view.
       [leader_offset] (default 0) rotates the view->leader map: the leader
       of view [v] is replica [(v + leader_offset) mod n].  Partitioned
       deployments give partition [p] offset [p mod n] so the sequencer
       load spreads across replicas instead of piling on replica 0. *)
 
   val handle : 'c t -> src:int -> 'c message -> unit
-  (** Process one incoming protocol message. *)
+  (** Process one incoming protocol message.  Deliveries happen here: on a
+      [Prepare_ok] that completes a quorum at the leader, on a [Prepare] a
+      3-replica follower accepts, and on any message carrying a higher
+      commit point. *)
 
   val tick : 'c t -> unit
   (** Periodic duties: batch age cap and heartbeat (leader), failure

@@ -151,10 +151,11 @@ let test_batching_by_size () =
 
 let test_batching_by_delay () =
   (* [batch_delay] caps the wait while a batch is in flight: batch 1 can
-     never commit (nothing reaches the leader), yet the partial batch
+     never commit at the leader (nothing reaches it), yet the partial batch
      opened behind it at 1.5 ms is still cut, on the first 1 ms tick past
-     its [batch_delay] age, and both commit in order once the links
-     heal. *)
+     its [batch_delay] age.  The followers accept both and, as the second
+     of f + 1 = 2 holders, deliver each on acceptance; the leader delivers
+     both, in order, once the links heal. *)
   let h =
     Harness.make
       ~submit:(fun () -> [ (0.001, 0, [ 1 ]); (0.0015, 0, [ 9 ]) ])
@@ -164,17 +165,21 @@ let test_batching_by_delay () =
   h.run_until 0.01;
   Alcotest.(check (float 1e-9)) "cut on the first tick past its age" 0.003
     (Harness.cut_at h 9);
-  Alcotest.(check (list (list int))) "nothing commits" []
-    (Harness.batches h 1);
+  Alcotest.(check (list (list int))) "nothing commits at the leader" []
+    (Harness.batches h 0);
+  Alcotest.(check (list (list int))) "followers deliver on acceptance"
+    [ [ 1 ]; [ 9 ] ] (Harness.batches h 1);
+  Alcotest.(check (list (list int))) "replica 2 too" [ [ 1 ]; [ 9 ] ]
+    (Harness.batches h 2);
   h.heal ();
   h.run_until 0.5;
-  Alcotest.(check (list (list int))) "both batches, in order"
-    [ [ 1 ]; [ 9 ] ] (Harness.batches h 1)
+  Alcotest.(check (list (list int))) "both batches, in order, at the leader"
+    [ [ 1 ]; [ 9 ] ] (Harness.batches h 0)
 
 let test_batching_idle_cut () =
   (* With no batch in flight the leader cuts at once: a command submitted
-     at idle is on the followers after one Prepare / Prepare_ok / Commit
-     exchange (0.3 ms over 0.1 ms links), well before [batch_delay]. *)
+     at idle is delivered by the followers as they accept its Prepare
+     (0.1 ms over 0.1 ms links), well before [batch_delay]. *)
   let h = Harness.make ~submit:(fun () -> [ (0.001, 0, [ 9 ]) ]) () in
   h.run_until 0.0015;
   Alcotest.(check (float 1e-9)) "cut on submission" 0.001 (Harness.cut_at h 9);
@@ -231,6 +236,93 @@ let test_many_batches_total_order () =
   Alcotest.(check (list int)) "in submission order" (List.init 40 Fun.id) d0;
   Alcotest.(check (list int)) "replica1 identical" d0 (Harness.delivered h 1);
   Alcotest.(check (list int)) "replica2 identical" d0 (Harness.delivered h 2)
+
+(* --- the commit rule: a replica delivers once it knows f + 1 holders --- *)
+
+let test_three_replicas_follower_commits_on_accept () =
+  (* n = 3: the leader and an accepting follower are f + 1 = 2 holders, so
+     each follower delivers a batch cut at t as its Prepare lands, at
+     t + 0.1 ms, and the leader when the first Prepare_ok lands, at
+     t + 0.2 ms. *)
+  let h = Harness.make ~submit:(fun () -> [ (0.001, 0, [ 9 ]) ]) () in
+  h.run_until 0.01;
+  let t = Harness.cut_at h 9 in
+  Alcotest.(check (float 1e-9)) "replica 1 on acceptance" (t +. 1e-4)
+    (Harness.delivered_at h 1 9);
+  Alcotest.(check (float 1e-9)) "replica 2 on acceptance" (t +. 1e-4)
+    (Harness.delivered_at h 2 9);
+  Alcotest.(check (float 1e-9)) "leader on the first ack" (t +. 2e-4)
+    (Harness.delivered_at h 0 9)
+
+let test_five_replicas_follower_waits_for_commit () =
+  (* n = 5: a follower and the leader are two holders of f + 1 = 3, so no
+     follower delivers on acceptance.  The leader commits when two acks
+     land (t + 0.2 ms) and each follower delivers when that commit point
+     reaches it (t + 0.3 ms). *)
+  let h = Harness.make ~n:5 ~submit:(fun () -> [ (0.001, 0, [ 9 ]) ]) () in
+  h.run_until 0.01;
+  let t = Harness.cut_at h 9 in
+  let leader_at = Harness.delivered_at h 0 9 in
+  Alcotest.(check (float 1e-9)) "leader on the second ack" (t +. 2e-4)
+    leader_at;
+  for id = 1 to 4 do
+    Alcotest.(check (float 1e-9))
+      (Printf.sprintf "replica %d on the leader's commit point" id)
+      (leader_at +. 1e-4)
+      (Harness.delivered_at h id 9)
+  done
+
+let test_accepted_batch_survives_leader_crash () =
+  (* Block every message to the leader, so no ack reaches it, and crash
+     it: its one batch committed only at the followers, which delivered it
+     on acceptance.  The view change must keep it, at the same seq, ahead
+     of what the new leader orders next. *)
+  let h =
+    Harness.make
+      ~submit:(fun () -> [ (0.001, 0, [ 7 ]); (0.3, 1, [ 8 ]) ])
+      ()
+  in
+  h.partition (fun ~src ~dst -> dst <> 0 || src = 0);
+  h.run_until 0.01;
+  Alcotest.(check (list (list int))) "the leader never committed" []
+    (Harness.batches h 0);
+  Alcotest.(check (list (list int))) "replica 1 delivered on acceptance"
+    [ [ 7 ] ] (Harness.batches h 1);
+  h.crash 0;
+  h.run_until 1.0;
+  Alcotest.(check bool) "a new view" true (h.views.(1) () > 0);
+  Alcotest.(check (list (list int))) "replica 1: same seq, then the next"
+    [ [ 7 ]; [ 8 ] ] (Harness.batches h 1);
+  Alcotest.(check (list (list int))) "replica 2 identical" [ [ 7 ]; [ 8 ] ]
+    (Harness.batches h 2)
+
+let test_view_change_keeps_latest_view_log () =
+  (* A longer log from an older view must not replace the latest view's.
+     Replica 0 leads view 0 cut off from everyone and sequences [1; 2] and
+     [3], which nobody else sees.  Replicas 1 and 2 elect view 1 and commit
+     [10] at seq 0.  Then replica 1 is cut off instead, and replicas 2 and
+     0 form view 2: replica 0 offers a two-entry log from view 0, replica 2
+     a one-entry log from view 1.  Adopting the longer one would put [1; 2]
+     at the seq where replica 2 already delivered [10]. *)
+  let isolate r ~src ~dst = src = dst || (src <> r && dst <> r) in
+  let h =
+    Harness.make
+      ~submit:(fun () ->
+        [ (0.001, 0, [ 1; 2 ]); (0.0012, 0, [ 3 ]); (0.2, 1, [ 10 ]) ])
+      ()
+  in
+  h.partition (isolate 0);
+  h.run_until 0.3;
+  Alcotest.(check (list int)) "view 1 committed [10]" [ 10 ]
+    (Harness.delivered h 2);
+  h.partition (isolate 1);
+  h.run_until 0.8;
+  Alcotest.(check int) "replica 2 leads view 2" 2 (h.views.(2) ());
+  Alcotest.(check int) "replica 0 joined it" 2 (h.views.(0) ());
+  Alcotest.(check (list int)) "replica 0 agrees with view 1's order"
+    (Harness.delivered h 2) (Harness.delivered h 0);
+  Alcotest.(check (list int)) "view 0's unacknowledged batches are gone"
+    [ 10 ] (Harness.delivered h 2)
 
 let test_no_quorum_no_delivery () =
   (* Crash both followers: the leader alone (1 of 3 < f+1 = 2) must not
@@ -574,6 +666,17 @@ let () =
             test_uncommitted_survive_view_change;
           Alcotest.test_case "progress after view change" `Quick
             test_delivery_after_view_change_continues;
+          Alcotest.test_case "accepted batch survives the leader" `Quick
+            test_accepted_batch_survives_leader_crash;
+          Alcotest.test_case "view change keeps the latest view's log"
+            `Quick test_view_change_keeps_latest_view_log;
+        ] );
+      ( "commit-rule",
+        [
+          Alcotest.test_case "n = 3: followers commit on acceptance" `Quick
+            test_three_replicas_follower_commits_on_accept;
+          Alcotest.test_case "n = 5: followers wait for the commit point"
+            `Quick test_five_replicas_follower_waits_for_commit;
         ] );
       ( "checkpointing",
         [

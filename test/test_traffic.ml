@@ -447,14 +447,14 @@ let test_open_loop_pinned () =
       (step_to_string (only_step (quick name)))
   in
   pin "indexed"
-    "offered_kops=50 arrivals=379 kops=47.0 failed=0 censored=0 samples=379 \
-     p50=0.000352671726 p99=0.000414476715";
+    "offered_kops=50 arrivals=379 kops=48.1 failed=0 censored=0 samples=379 \
+     p50=0.000289076768 p99=0.000351986715";
   pin "early-opt"
-    "offered_kops=50 arrivals=379 kops=47.0 failed=0 censored=0 samples=379 \
-     p50=0.000346848136 p99=0.000408622334";
+    "offered_kops=50 arrivals=379 kops=48.1 failed=0 censored=0 samples=379 \
+     p50=0.000283647238 p99=0.000345724408";
   pin "part2"
-    "offered_kops=50 arrivals=379 kops=47.5 failed=0 censored=0 samples=379 \
-     p50=0.000332783413 p99=0.000402566294"
+    "offered_kops=50 arrivals=379 kops=47.6 failed=0 censored=0 samples=379 \
+     p50=0.00026859734 p99=0.000339898709"
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
