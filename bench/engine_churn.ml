@@ -67,20 +67,20 @@ let churn ~name ~events =
 let sync_storm ~name ~events =
   timed name @@ fun () ->
   let e = Engine.create () in
-  let costs = Costs.default in
-  let m = Sim_sync.Mutex.create costs in
-  let s = Sim_sync.Semaphore.create costs 4 in
+  let (module P) = Sim_platform.make e Costs.default in
+  let m = P.Mutex.create () in
+  let s = P.Semaphore.create 4 in
   let procs = 32 in
   let iters = events / (procs * 8) in
   for _ = 1 to procs do
     Engine.spawn e (fun () ->
         for _ = 1 to iters do
-          Sim_sync.Mutex.lock m;
+          P.Mutex.lock m;
           Engine.delay 1e-6;
-          Sim_sync.Mutex.unlock m;
-          Sim_sync.Semaphore.acquire s;
+          P.Mutex.unlock m;
+          P.Semaphore.acquire s;
           Engine.yield ();
-          Sim_sync.Semaphore.release s
+          P.Semaphore.release s
         done)
   done;
   Engine.run e;

@@ -16,6 +16,11 @@
    [Psmr_sim.Grid_runner]; nothing else in the simulator may fork real
    parallelism or reach the OS.
 
+   The suspending primitives are written once, in [Psmr_sim.Sim_sync.Make],
+   for both the timed simulator and the model checker.  A second copy
+   would have to park processes itself, so [Psmr_sim.Engine.suspend] may be
+   referenced only by the engine and by lib/sim/sim_sync.ml.
+
    Because facts arrive with aliasing already resolved, the evasions the
    old string scanner missed ([module M = Mutex ... M.lock],
    [let module T = Thread], a local [module Mutex] shadow undone by a later
@@ -27,6 +32,11 @@ let wall_clock = [ [ "Unix"; "gettimeofday" ]; [ "Unix"; "sleepf" ] ]
 (* Banned wholesale inside lib/sim (outside grid_runner): real parallelism
    and any OS call, not just the wall clock. *)
 let sim_banned = [ "Domain"; "Unix" ]
+
+(* [Engine.suspend] as resolved outside lib/sim, and as written inside it. *)
+let suspend = [ "Psmr_sim"; "Engine"; "suspend" ]
+let suspend_in_sim = [ "Engine"; "suspend" ]
+let suspend_owners = [ "lib/sim/engine.ml"; "lib/sim/sim_sync.ml" ]
 
 let id = "platform-primitives"
 
@@ -42,8 +52,17 @@ let sim_msg what =
      confined to the sanctioned grid-runner module (Psmr_sim.Grid_runner)"
     what
 
+let suspend_msg =
+  "Psmr_sim.Engine.suspend outside lib/sim/sim_sync.ml — blocking \
+   primitives are implemented once, in Sim_sync.Make; give the platform \
+   Sim_sync hooks instead"
+
 let check (input : Rule.input) =
   let in_sim = Rule.in_dir "lib/sim/" input.path in
+  let suspends path =
+    (path = suspend || (in_sim && path = suspend_in_sim))
+    && not (List.exists (fun o -> Rule.has_suffix o input.path) suspend_owners)
+  in
   List.filter_map
     (fun (f : Scope.fact) ->
       let flag ~m what = Some (Rule.diag input ~id f.loc (m what)) in
@@ -52,6 +71,8 @@ let check (input : Rule.input) =
         else None
       in
       match f.ev with
+      | Scope.Value path when suspends path ->
+          Some (Rule.diag input ~id f.loc suspend_msg)
       | Scope.Value (head :: _ :: _) when List.mem head banned ->
           flag ~m:msg head
       | Scope.Value path when List.mem path wall_clock ->
@@ -72,7 +93,8 @@ let rules =
       doc =
         "concurrency/timing primitives (Mutex, Condition, Thread, Atomic, \
          Semaphore, wall clock) only via the Platform_intf.S functor \
-         parameter; Domain/Unix confined to Grid_runner inside lib/sim";
+         parameter; Domain/Unix confined to Grid_runner inside lib/sim; \
+         Engine.suspend only in the engine and Sim_sync";
       applies =
         (fun path ->
           not

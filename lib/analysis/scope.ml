@@ -66,6 +66,7 @@ let default_members =
       ] );
     ("Psmr_obs", [ "Probe"; "Metrics"; "Trace" ]);
     ("Psmr_fault", [ "Fault"; "Plan"; "Schedule" ]);
+    ("Psmr_sim", [ "Engine" ]);
   ]
 
 let canon = function "Stdlib" :: (_ :: _ as rest) -> rest | p -> p

@@ -1,6 +1,8 @@
 (** The checking platform: a third [Platform_intf.S] implementation, built
     on the deterministic DES engine of [Psmr_sim] with its FIFO event order
-    replaced by a controlled scheduler (see [Engine.set_picker]).
+    replaced by a controlled scheduler (see [Engine.set_picker]).  Its
+    primitives are the timed simulator's own ([Sim_sync.Make]); this module
+    supplies the hooks, the context and the run scaffold.
 
     Every synchronization operation — mutex lock/unlock, condition
     wait/signal/broadcast, semaphore acquire/release, every atomic access,
@@ -30,7 +32,7 @@
 
 open Psmr_platform
 module Engine = Psmr_sim.Engine
-module Probe = Psmr_obs.Probe
+module Sim_sync = Psmr_sim.Sim_sync
 
 type race = {
   op : string;
@@ -92,6 +94,37 @@ let clock_of t pid =
       Hashtbl.replace t.clocks pid c;
       c
 
+(* The per-object state: an id handed out in creation order (it names the
+   object in the oplog) and the object's happens-before clock — for a
+   blocking primitive the clock its last release published, for an atomic
+   the join of every writer's clock at its write. *)
+type cell = { id : int; hb : Vclock.t; mutable last_writer : int }
+
+let op_name (c : cell) (op : Sim_sync.op) =
+  let kind =
+    match op with
+    | Lock | Unlock -> "mutex"
+    | Wait | Signal | Broadcast -> "cond"
+    | Acquire | Release | Value -> "sem"
+    | Get | Set | Exchange | Cas | Faa -> "atomic"
+  in
+  let verb =
+    match op with
+    | Lock -> "lock" | Unlock -> "unlock"
+    | Wait -> "wait" | Signal -> "signal" | Broadcast -> "broadcast"
+    | Acquire -> "acquire" | Release -> "release" | Value -> "value"
+    | Get -> "get" | Set -> "set" | Exchange -> "exchange" | Cas -> "cas"
+    | Faa -> "faa"
+  in
+  Printf.sprintf "%s#%d.%s" kind c.id verb
+
+let refuse_ghost what =
+  failwith
+    (Printf.sprintf
+       "Check_platform: %s called in ghost (oracle) mode — oracles must be \
+        read-only"
+       what)
+
 let make (ctx : t) : (module Platform_intf.S) =
   (module struct
     let name = "check"
@@ -100,267 +133,73 @@ let make (ctx : t) : (module Platform_intf.S) =
 
     (* A decision point: yield to the controlled scheduler, then perform
        the operation atomically.  Outside any process (harness setup code)
-       and in ghost mode this is a no-op. *)
-    let point desc =
+       and in ghost mode this is a no-op.  [describe] names the operation
+       for the oplog; it runs only when tracing. *)
+    let point describe =
       if (not ctx.ghost) && pid () <> 0 then begin
         ctx.ops <- ctx.ops + 1;
         Engine.yield ();
-        if ctx.tracing then ctx.oplog <- (pid (), desc) :: ctx.oplog
+        if ctx.tracing then ctx.oplog <- (pid (), describe ()) :: ctx.oplog
       end
-
-    let no_ghost what =
-      if ctx.ghost then
-        failwith
-          (Printf.sprintf
-             "Check_platform: %s called in ghost (oracle) mode — oracles \
-              must be read-only"
-             what)
-
-    let fresh_id () =
-      ctx.next_id <- ctx.next_id + 1;
-      ctx.next_id
 
     let my_clock () = clock_of ctx (pid ())
 
-    (* Release edge: publish the caller's clock into [hb] and advance the
-       caller past the release. *)
-    let release_into hb =
-      let c = my_clock () in
-      Vclock.join hb c;
-      Vclock.tick c (pid ())
+    (* The checker's hooks: a decision point per operation, and the
+       vector-clock edges; virtual time never advances. *)
+    include Sim_sync.Make (struct
+      type obj = cell
 
-    (* Acquire edge: fold the published clock into the caller's. *)
-    let acquire_from hb = Vclock.join (my_clock ()) hb
+      let engine = ctx.engine
 
-    (* The probes the simulated primitives record; off in ghost mode. *)
-    let probing () = (not ctx.ghost) && Probe.enabled ()
+      let obj () =
+        ctx.next_id <- ctx.next_id + 1;
+        { id = ctx.next_id; hb = Vclock.create (); last_writer = 0 }
 
-    module Mutex = struct
-      type t = {
-        id : int;
-        mutable locked : bool;
-        mutable acquired_at : float;  (* meaningful while probing *)
-        waiters : (unit -> unit) Queue.t;
-        hb : Vclock.t;
-      }
+      let enter c (op : Sim_sync.op) =
+        match op with
+        | (Lock | Unlock | Wait | Signal | Broadcast | Acquire | Release)
+          when ctx.ghost ->
+            refuse_ghost (op_name c op)
+        | _ -> point (fun () -> op_name c op)
 
-      let create () =
-        {
-          id = fresh_id ();
-          locked = false;
-          acquired_at = 0.0;
-          waiters = Queue.create ();
-          hb = Vclock.create ();
-        }
+      let woken () = ()
 
-      let lock m =
-        no_ghost "Mutex.lock";
-        point (Printf.sprintf "mutex#%d.lock" m.id);
-        if not m.locked then begin
-          m.locked <- true;
-          if probing () then begin
-            Probe.mutex_acquired ~contended:false ~waited:0.0;
-            m.acquired_at <- Probe.now ()
-          end
+      (* Release edge: publish the caller's clock and advance the caller
+         past the release. *)
+      let released c =
+        if not ctx.ghost then begin
+          let mine = my_clock () in
+          Vclock.join c.hb mine;
+          Vclock.tick mine (pid ())
         end
-        else begin
-          let t0 = Probe.now () in
-          Engine.suspend (fun resume -> Queue.push resume m.waiters);
-          if probing () then
-            Probe.mutex_acquired ~contended:true ~waited:(Probe.now () -. t0)
-        end;
-        (* Ownership was free or handed over; either way the previous
-           holder's clock is in [hb]. *)
-        acquire_from m.hb
 
-      (* Release without a decision point; must stay free of engine
-         effects so it can run inside a [suspend] registration (see
-         [Condition.wait]).  The probes are pure mutation. *)
-      let unlock_transfer m =
-        if probing () then begin
-          Probe.mutex_released ~since:m.acquired_at;
-          (* On handoff the next owner's hold starts at the transfer. *)
-          m.acquired_at <- Probe.now ()
-        end;
-        match Queue.pop m.waiters with
-        | resume -> resume () (* stays locked: direct handoff *)
-        | exception Queue.Empty -> m.locked <- false
+      (* Acquire edge: fold the published clock into the caller's. *)
+      let acquired c = if not ctx.ghost then Vclock.join (my_clock ()) c.hb
 
-      let unlock m =
-        no_ghost "Mutex.unlock";
-        point (Printf.sprintf "mutex#%d.unlock" m.id);
-        release_into m.hb;
-        unlock_transfer m
-    end
-
-    module Condition = struct
-      type t = {
-        id : int;
-        waiters : (unit -> unit) Queue.t;
-        hb : Vclock.t;
-      }
-
-      let create () =
-        { id = fresh_id (); waiters = Queue.create (); hb = Vclock.create () }
-
-      let wait c (m : Mutex.t) =
-        no_ghost "Condition.wait";
-        point (Printf.sprintf "cond#%d.wait" c.id);
-        if probing () then Probe.cond_wait ();
-        (* Publish before releasing the mutex: enqueueing and unlocking
-           happen atomically inside the suspension. *)
-        release_into m.hb;
-        Engine.suspend (fun resume ->
-            Queue.push resume c.waiters;
-            Mutex.unlock_transfer m);
-        acquire_from c.hb;
-        Mutex.lock m
-
-      let signal c =
-        no_ghost "Condition.signal";
-        point (Printf.sprintf "cond#%d.signal" c.id);
-        if probing () then Probe.cond_signal ();
-        release_into c.hb;
-        match Queue.pop c.waiters with
-        | resume -> resume ()
-        | exception Queue.Empty -> ()
-
-      let broadcast c =
-        no_ghost "Condition.broadcast";
-        point (Printf.sprintf "cond#%d.broadcast" c.id);
-        if probing () then Probe.cond_signal ();
-        release_into c.hb;
-        let pending = Queue.copy c.waiters in
-        Queue.clear c.waiters;
-        Queue.iter (fun resume -> resume ()) pending
-    end
-
-    module Semaphore = struct
-      type t = {
-        id : int;
-        mutable count : int;
-        waiters : (unit -> unit) Queue.t;
-        hb : Vclock.t;
-      }
-
-      let create n =
-        if n < 0 then
-          invalid_arg "Check_platform.Semaphore.create: negative count";
-        {
-          id = fresh_id ();
-          count = n;
-          waiters = Queue.create ();
-          hb = Vclock.create ();
-        }
-
-      let acquire ?(n = 1) s =
-        no_ghost "Semaphore.acquire";
-        point (Printf.sprintf "sem#%d.acquire" s.id);
-        (* One decision point per call; each missing token suspends
-           separately, so releases interleave with multi-token waits. *)
-        for _ = 1 to n do
-          if s.count > 0 then s.count <- s.count - 1
-          else begin
-            let t0 = Probe.now () in
-            Engine.suspend (fun resume -> Queue.push resume s.waiters);
-            if probing () then Probe.sem_park ~waited:(Probe.now () -. t0)
-          end
-        done;
-        acquire_from s.hb
-
-      let release ?(n = 1) s =
-        no_ghost "Semaphore.release";
-        point (Printf.sprintf "sem#%d.release" s.id);
-        release_into s.hb;
-        for _ = 1 to n do
-          match Queue.pop s.waiters with
-          | resume ->
-              if probing () then Probe.sem_wake ();
-              resume () (* token handoff *)
-          | exception Queue.Empty -> s.count <- s.count + 1
-        done
-
-      let value s =
-        point (Printf.sprintf "sem#%d.value" s.id);
-        s.count
-    end
-
-    module Atomic = struct
-      type 'a t = {
-        id : int;
-        mutable v : 'a;
-        wc : Vclock.t;  (* join of every writer's clock at its write *)
-        mutable last_writer : int;
-      }
-
-      let make v =
-        { id = fresh_id (); v; wc = Vclock.create (); last_writer = 0 }
-
-      let get a =
-        point (Printf.sprintf "atomic#%d.get" a.id);
-        (* Sequentially consistent atomics synchronize: a read folds in
-           every prior write's clock. *)
-        if not ctx.ghost then acquire_from a.wc;
-        a.v
-
-      let write_edge ~op a =
-        let c = my_clock () in
-        let p = pid () in
-        if
-          op = "set" && a.last_writer <> 0 && a.last_writer <> p
-          && not (Vclock.leq a.wc c)
-        then
-          ctx.races <-
-            {
-              op = Printf.sprintf "Atomic.%s" op;
-              cell = Printf.sprintf "atomic#%d" a.id;
-              writer = p;
-              prev_writer = a.last_writer;
-            }
-            :: ctx.races;
-        Vclock.join a.wc c;
-        a.last_writer <- p;
-        Vclock.tick c p
-
-      let set a x =
-        point (Printf.sprintf "atomic#%d.set" a.id);
-        if not ctx.ghost then write_edge ~op:"set" a;
-        a.v <- x
-
-      let exchange a x =
-        point (Printf.sprintf "atomic#%d.exchange" a.id);
+      (* A store publishes like a release; a plain [Atomic.set] unordered
+         with the cell's previous writer is a race. *)
+      let written c ~plain =
         if not ctx.ghost then begin
-          acquire_from a.wc;
-          write_edge ~op:"exchange" a
-        end;
-        let old = a.v in
-        a.v <- x;
-        old
-
-      let compare_and_set a expected desired =
-        point (Printf.sprintf "atomic#%d.cas" a.id);
-        if not ctx.ghost then acquire_from a.wc;
-        let ok = a.v == expected in
-        if ok then begin
-          if not ctx.ghost then write_edge ~op:"cas" a;
-          a.v <- desired
-        end;
-        if not ctx.ghost then Probe.cas ~success:ok;
-        ok
-
-      let fetch_and_add a d =
-        point (Printf.sprintf "atomic#%d.faa" a.id);
-        if not ctx.ghost then begin
-          acquire_from a.wc;
-          write_edge ~op:"faa" a
-        end;
-        let old = a.v in
-        a.v <- old + d;
-        old
-    end
+          let p = pid () in
+          if
+            plain && c.last_writer <> 0 && c.last_writer <> p
+            && not (Vclock.leq c.hb (my_clock ()))
+          then
+            ctx.races <-
+              {
+                op = "Atomic.set";
+                cell = Printf.sprintf "atomic#%d" c.id;
+                writer = p;
+                prev_writer = c.last_writer;
+              }
+              :: ctx.races;
+          c.last_writer <- p;
+          released c
+        end
+    end)
 
     let spawn ?name f =
-      no_ghost "spawn";
+      if ctx.ghost then refuse_ghost "spawn";
       let parent = pid () in
       let child = Engine.spawn_tagged ctx.engine ?name f in
       let pc = clock_of ctx parent in
@@ -369,13 +208,13 @@ let make (ctx : t) : (module Platform_intf.S) =
       Vclock.tick cc child;
       Vclock.tick pc parent
 
-    let yield () = point "yield"
+    let yield () = point (fun () -> "yield")
 
     (* Virtual time never advances under the checker; expose the logical
        event counter so relative ordering is still observable. *)
     let now () = float_of_int ctx.ticket
 
-    let sleep _ = point "sleep"
+    let sleep _ = point (fun () -> "sleep")
     let after _ f = spawn f
     let work (_ : Platform_intf.work_kind) = ()
   end)

@@ -1,12 +1,14 @@
 (** The checking platform: [Platform_intf.S] over the DES engine with a
     controlled scheduler.
 
-    Every mutex/condition/semaphore/atomic operation and [yield] is a
-    decision point at which the engine's picker ([Engine.set_picker])
-    chooses the next process to run; virtual time never advances, so the
-    picker sees every runnable process at every step.  The platform also
-    maintains per-process vector clocks across all synchronization edges
-    and reports unordered plain [Atomic.set] stores as data races.
+    The primitives are [Psmr_sim.Sim_sync.Make]'s, the timed simulator's
+    own, under hooks that make every mutex/condition/semaphore/atomic
+    operation and [yield] a decision point at which the engine's picker
+    ([Engine.set_picker]) chooses the next process to run; virtual time
+    never advances, so the picker sees every runnable process at every
+    step.  The platform also maintains per-process vector clocks across all
+    synchronization edges and reports unordered plain [Atomic.set] stores
+    as data races.
 
     Usage: {!run} one schedule of a scenario; it creates the engine and
     context, [make]s the platform, lets the scenario spawn its processes,

@@ -2,8 +2,8 @@
 
     Every concurrent component of this library (the three COS
     implementations, the scheduler/worker runtime, the network, the atomic
-    broadcast and the replicas) is a functor over {!S}.  Two implementations
-    exist:
+    broadcast and the replicas) is a functor over {!S}.  Three
+    implementations exist:
 
     - {!Real_platform}: OS threads, real mutexes/semaphores/atomics and wall
       clock — used by the test suite, the examples and the real
@@ -11,10 +11,16 @@
     - [Psmr_sim.Sim_platform]: cooperative processes over a discrete-event
       engine with virtual time, where every synchronization primitive
       advances the clock by a configurable cost — used to reproduce the
-      paper's 64-core scalability figures on small hardware.
+      paper's 64-core scalability figures on small hardware;
+    - [Psmr_checker.Check_platform]: the same engine under a controlled
+      scheduler, where every primitive is a decision point of the model
+      checker.
 
-    Keeping a single algorithm source for both runtimes is the point: the
-    simulated figures exercise exactly the statements that the tests verify.  *)
+    The two simulated platforms share one implementation of the primitives,
+    [Psmr_sim.Sim_sync.Make], and differ only in its hooks (costs vs.
+    decision points and vector clocks).  Keeping a single algorithm source
+    for every runtime is the point: the simulated figures and the explored
+    schedules exercise exactly the statements that the tests verify.  *)
 
 module type MUTEX = sig
   type t

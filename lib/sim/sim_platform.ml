@@ -1,76 +1,35 @@
-(** The simulated platform: packages an {!Engine} and a {!Costs} model as a
-    first-class [Platform_intf.S], so any component functorized over the
-    platform runs unmodified under virtual time. *)
-
 open Psmr_platform
 
 let make (engine : Engine.t) (costs : Costs.t) : (module Platform_intf.S) =
   (module struct
     let name = "sim"
 
-    module Mutex = struct
-      type t = Sim_sync.Mutex.t
+    (* The timed hooks: every operation charges its cost as one delay, and
+       a process resumed after blocking pays the wake-up.  No
+       happens-before state is kept. *)
+    include Sim_sync.Make (struct
+      type obj = unit
 
-      let create () = Sim_sync.Mutex.create costs
-      let lock = Sim_sync.Mutex.lock
-      let unlock = Sim_sync.Mutex.unlock
-    end
+      let engine = engine
+      let obj () = ()
 
-    module Condition = struct
-      type t = Sim_sync.Condition.t
+      let enter () (op : Sim_sync.op) =
+        Engine.delay
+          (match op with
+          | Lock -> costs.mutex_lock
+          | Unlock -> costs.mutex_unlock
+          | Wait -> costs.condition_wait +. costs.mutex_unlock
+          | Signal | Broadcast -> costs.condition_signal
+          | Acquire | Release -> costs.semaphore_op
+          | Value -> 0.0
+          | Get -> costs.atomic_read
+          | Set | Exchange | Cas | Faa -> costs.atomic_write)
 
-      let create () = Sim_sync.Condition.create costs
-      let wait = Sim_sync.Condition.wait
-      let signal = Sim_sync.Condition.signal
-      let broadcast = Sim_sync.Condition.broadcast
-    end
-
-    module Semaphore = struct
-      type t = Sim_sync.Semaphore.t
-
-      let create n = Sim_sync.Semaphore.create costs n
-      let acquire = Sim_sync.Semaphore.acquire
-      let release = Sim_sync.Semaphore.release
-      let value = Sim_sync.Semaphore.value
-    end
-
-    module Atomic = struct
-      type 'a t = { mutable value : 'a }
-
-      let make v = { value = v }
-
-      let get t =
-        Engine.delay costs.atomic_read;
-        t.value
-
-      let set t v =
-        Engine.delay costs.atomic_write;
-        t.value <- v
-
-      let exchange t v =
-        Engine.delay costs.atomic_write;
-        let old = t.value in
-        t.value <- v;
-        old
-
-      let compare_and_set t expected desired =
-        Engine.delay costs.atomic_write;
-        let ok =
-          if t.value == expected then begin
-            t.value <- desired;
-            true
-          end
-          else false
-        in
-        Psmr_obs.Probe.cas ~success:ok;
-        ok
-
-      let fetch_and_add t d =
-        Engine.delay costs.atomic_write;
-        let old = t.value in
-        t.value <- old + d;
-        old
-    end
+      let woken () = Engine.delay costs.wakeup
+      let released () = ()
+      let acquired () = ()
+      let written () ~plain:_ = ()
+    end)
 
     let spawn ?name f = Engine.spawn engine ?name f
     let yield () = Engine.yield ()

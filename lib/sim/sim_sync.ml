@@ -1,136 +1,233 @@
-(** Synchronization primitives for simulated processes.
+(** Synchronization primitives for simulated processes, shared by the timed
+    simulator and the model checker.
 
     All primitives keep FIFO waiter queues and hand ownership (or semaphore
     tokens) directly to the longest-waiting process, so simulated scheduling
     is fair and deterministic.  Because the engine is single-threaded, each
-    primitive's bookkeeping is naturally atomic; costs from {!Costs} are the
-    only thing that advances the clock.
+    primitive's bookkeeping is naturally atomic; only the hooks perform
+    engine effects around it.
 
-    A process resumed after blocking additionally pays [costs.wakeup],
-    modelling the OS/futex round trip.  This asymmetry — blocking
-    synchronization pays wake-up latency, nonblocking code pays only CAS
-    costs — is the mechanism behind the coarse/fine vs. lock-free separation
-    in the paper's figures. *)
+    Under the timed hooks a process resumed after blocking additionally pays
+    [costs.wakeup], modelling the OS/futex round trip.  This asymmetry —
+    blocking synchronization pays wake-up latency, nonblocking code pays
+    only CAS costs — is the mechanism behind the coarse/fine vs. lock-free
+    separation in the paper's figures. *)
 
 module Probe = Psmr_obs.Probe
 
-module Mutex = struct
-  type t = {
-    costs : Costs.t;
-    mutable locked : bool;
-    mutable acquired_at : float;  (* meaningful while a registry is active *)
-    waiters : (unit -> unit) Queue.t;
-  }
+type op =
+  | Lock | Unlock
+  | Wait | Signal | Broadcast
+  | Acquire | Release | Value
+  | Get | Set | Exchange | Cas | Faa
 
-  let create costs =
-    { costs; locked = false; acquired_at = 0.0; waiters = Queue.create () }
+module type HOOKS = sig
+  type obj
 
-  let lock t =
-    Engine.delay t.costs.mutex_lock;
-    if not t.locked then begin
-      t.locked <- true;
-      if Probe.enabled () then begin
-        Probe.mutex_acquired ~contended:false ~waited:0.0;
-        t.acquired_at <- Probe.now ()
+  val engine : Engine.t
+  val obj : unit -> obj
+  val enter : obj -> op -> unit
+  val woken : unit -> unit
+  val released : obj -> unit
+  val acquired : obj -> unit
+  val written : obj -> plain:bool -> unit
+end
+
+module Make (H : HOOKS) = struct
+  let self () = Engine.running_tag H.engine
+
+  module Mutex = struct
+    type t = {
+      h : H.obj;
+      mutable locked : bool;
+      mutable owner : int;  (* the holder's pid; [nobody] while in handoff *)
+      mutable acquired_at : float;  (* meaningful while a registry is active *)
+      waiters : (unit -> unit) Queue.t;
+    }
+
+    let nobody = -1
+
+    let create () =
+      {
+        h = H.obj ();
+        locked = false;
+        owner = nobody;
+        acquired_at = 0.0;
+        waiters = Queue.create ();
+      }
+
+    let lock m =
+      H.enter m.h Lock;
+      if not m.locked then begin
+        m.locked <- true;
+        if Probe.enabled () then begin
+          Probe.mutex_acquired ~contended:false ~waited:0.0;
+          m.acquired_at <- Probe.now ()
+        end
       end
-    end
-    else begin
-      let t0 = Probe.now () in
-      Engine.suspend (fun resume -> Queue.push resume t.waiters);
-      (* Ownership was handed over by the unlocker; pay the wake-up. *)
-      Engine.delay t.costs.wakeup;
-      if Probe.enabled () then
-        Probe.mutex_acquired ~contended:true ~waited:(Probe.now () -. t0)
-    end
-
-  (* Release without charging cost; must stay free of engine effects so it
-     can run inside a [suspend] registration (see [Condition.wait]).  The
-     probe calls below are pure mutation, so that property is preserved. *)
-  let unlock_transfer t =
-    if Probe.enabled () then begin
-      Probe.mutex_released ~since:t.acquired_at;
-      (* On handoff the next owner's hold starts at the transfer. *)
-      t.acquired_at <- Probe.now ()
-    end;
-    match Queue.pop t.waiters with
-    | resume -> resume () (* stays locked: direct handoff *)
-    | exception Queue.Empty -> t.locked <- false
-
-  let unlock t =
-    Engine.delay t.costs.mutex_unlock;
-    unlock_transfer t
-end
-
-module Condition = struct
-  type t = { costs : Costs.t; waiters : (unit -> unit) Queue.t }
-
-  let create costs = { costs; waiters = Queue.create () }
-
-  let wait t (m : Mutex.t) =
-    (* Charge the bookkeeping and the mutex release up front; enqueueing and
-       releasing then happen atomically inside the suspension (the register
-       callback must not perform engine effects). *)
-    Probe.cond_wait ();
-    Engine.delay (t.costs.condition_wait +. t.costs.mutex_unlock);
-    Engine.suspend (fun resume ->
-        Queue.push resume t.waiters;
-        Mutex.unlock_transfer m);
-    Engine.delay t.costs.wakeup;
-    Mutex.lock m
-
-  let signal t =
-    Probe.cond_signal ();
-    Engine.delay t.costs.condition_signal;
-    match Queue.pop t.waiters with
-    | resume -> resume ()
-    | exception Queue.Empty -> ()
-
-  let broadcast t =
-    Probe.cond_signal ();
-    Engine.delay t.costs.condition_signal;
-    let pending = Queue.copy t.waiters in
-    Queue.clear t.waiters;
-    Queue.iter (fun resume -> resume ()) pending
-end
-
-module Semaphore = struct
-  type t = {
-    costs : Costs.t;
-    mutable count : int;
-    waiters : (unit -> unit) Queue.t;
-  }
-
-  let create costs n =
-    if n < 0 then invalid_arg "Sim_sync.Semaphore.create: negative count";
-    { costs; count = n; waiters = Queue.create () }
-
-  let acquire ?(n = 1) t =
-    (* One bookkeeping charge regardless of [n]: multi-token acquisition is
-       the batched-insert amortization.  Each token still missing costs a
-       suspension (and thus a wake-up) of its own. *)
-    Engine.delay t.costs.semaphore_op;
-    for _ = 1 to n do
-      if t.count > 0 then t.count <- t.count - 1
       else begin
         let t0 = Probe.now () in
-        Engine.suspend (fun resume -> Queue.push resume t.waiters);
-        (* The token was handed to us by [release]. *)
-        Engine.delay t.costs.wakeup;
-        if Probe.enabled () then Probe.sem_park ~waited:(Probe.now () -. t0)
-      end
-    done
+        Engine.suspend (fun resume -> Queue.push resume m.waiters);
+        (* Ownership was handed over by the unlocker. *)
+        H.woken ();
+        if Probe.enabled () then
+          Probe.mutex_acquired ~contended:true ~waited:(Probe.now () -. t0)
+      end;
+      m.owner <- self ();
+      (* Free or handed over, the previous holder's release is in [m.h]. *)
+      H.acquired m.h
 
-  let release ?(n = 1) t =
-    Engine.delay t.costs.semaphore_op;
-    for _ = 1 to n do
-      match Queue.pop t.waiters with
-      | resume ->
-          Probe.sem_wake ();
-          resume () (* token handoff *)
-      | exception Queue.Empty -> t.count <- t.count + 1
-    done
+    (* What OCaml's error-checking mutex raises for an unheld mutex and for
+       a non-owner alike.  Without it a stray unlock would hand the mutex to
+       a waiter while the holder is still in its critical section. *)
+    let check_owner m what =
+      if m.owner <> self () then
+        raise (Sys_error (what ^ ": Operation not permitted"))
 
-  let value t = t.count
+    (* Release with no engine effect, so it can run inside a [suspend]
+       registration (see [Condition.wait]).  The probes are pure
+       mutation. *)
+    let unlock_transfer m =
+      m.owner <- nobody;
+      if Probe.enabled () then begin
+        Probe.mutex_released ~since:m.acquired_at;
+        (* On handoff the next owner's hold starts at the transfer. *)
+        m.acquired_at <- Probe.now ()
+      end;
+      match Queue.pop m.waiters with
+      | resume -> resume () (* stays locked: direct handoff *)
+      | exception Queue.Empty -> m.locked <- false
+
+    let unlock m =
+      check_owner m "Mutex.unlock";
+      H.enter m.h Unlock;
+      H.released m.h;
+      unlock_transfer m
+  end
+
+  module Condition = struct
+    type t = { h : H.obj; waiters : (unit -> unit) Queue.t }
+
+    let create () = { h = H.obj (); waiters = Queue.create () }
+
+    let wait c (m : Mutex.t) =
+      Mutex.check_owner m "Condition.wait";
+      Probe.cond_wait ();
+      H.enter c.h Wait;
+      (* Publish before releasing the mutex; enqueueing and releasing then
+         happen atomically inside the suspension (the registration must not
+         perform engine effects). *)
+      H.released m.h;
+      Engine.suspend (fun resume ->
+          Queue.push resume c.waiters;
+          Mutex.unlock_transfer m);
+      H.woken ();
+      H.acquired c.h;
+      Mutex.lock m
+
+    let wake c op =
+      Probe.cond_signal ();
+      H.enter c.h op;
+      H.released c.h
+
+    let signal c =
+      wake c Signal;
+      match Queue.pop c.waiters with
+      | resume -> resume ()
+      | exception Queue.Empty -> ()
+
+    let broadcast c =
+      wake c Broadcast;
+      let pending = Queue.copy c.waiters in
+      Queue.clear c.waiters;
+      Queue.iter (fun resume -> resume ()) pending
+  end
+
+  module Semaphore = struct
+    type t = { h : H.obj; mutable count : int; waiters : (unit -> unit) Queue.t }
+
+    let create n =
+      if n < 0 then invalid_arg "Semaphore.create: negative count";
+      { h = H.obj (); count = n; waiters = Queue.create () }
+
+    let acquire ?(n = 1) s =
+      (* One entry regardless of [n]: multi-token acquisition is the
+         batched-insert amortization.  Each token still missing costs a
+         suspension (and thus a wake-up) of its own, so releases interleave
+         with multi-token waits. *)
+      H.enter s.h Acquire;
+      for _ = 1 to n do
+        if s.count > 0 then s.count <- s.count - 1
+        else begin
+          let t0 = Probe.now () in
+          Engine.suspend (fun resume -> Queue.push resume s.waiters);
+          (* The token was handed to us by [release]. *)
+          H.woken ();
+          if Probe.enabled () then Probe.sem_park ~waited:(Probe.now () -. t0)
+        end
+      done;
+      H.acquired s.h
+
+    let release ?(n = 1) s =
+      H.enter s.h Release;
+      H.released s.h;
+      for _ = 1 to n do
+        match Queue.pop s.waiters with
+        | resume ->
+            Probe.sem_wake ();
+            resume () (* token handoff *)
+        | exception Queue.Empty -> s.count <- s.count + 1
+      done
+
+    let value s =
+      H.enter s.h Value;
+      s.count
+  end
+
+  (* Sequentially consistent atomics synchronize: every read folds in the
+     prior writes (the acquire edge), every store publishes. *)
+  module Atomic = struct
+    type 'a t = { h : H.obj; mutable v : 'a }
+
+    let make v = { h = H.obj (); v }
+
+    let get a =
+      H.enter a.h Get;
+      H.acquired a.h;
+      a.v
+
+    let set a x =
+      H.enter a.h Set;
+      H.written a.h ~plain:true;
+      a.v <- x
+
+    let exchange a x =
+      H.enter a.h Exchange;
+      H.acquired a.h;
+      H.written a.h ~plain:false;
+      let old = a.v in
+      a.v <- x;
+      old
+
+    let compare_and_set a expected desired =
+      H.enter a.h Cas;
+      H.acquired a.h;
+      let ok = a.v == expected in
+      if ok then begin
+        H.written a.h ~plain:false;
+        a.v <- desired
+      end;
+      Probe.cas ~success:ok;
+      ok
+
+    let fetch_and_add a d =
+      H.enter a.h Faa;
+      H.acquired a.h;
+      H.written a.h ~plain:false;
+      let old = a.v in
+      a.v <- old + d;
+      old
+  end
 end
 
 (** A bank of processor cores: at most [cores] processes hold a slot at a

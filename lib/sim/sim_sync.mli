@@ -1,39 +1,65 @@
-(** Synchronization primitives for simulated processes: FIFO mutexes,
-    condition variables, counting semaphores and a bounded CPU bank, all
-    advancing virtual time according to a {!Costs.t}.  Processes resumed
-    after blocking additionally pay [costs.wakeup] — the asymmetry that
-    separates blocking synchronization from lock-free code in the
-    reproduced figures. *)
+(** The simulated blocking primitives and atomics, written once over
+    {!Engine} for both simulated platforms: FIFO mutexes, condition
+    variables, counting semaphores and sequentially consistent atomics,
+    plus a bounded CPU bank.
 
-module Mutex : sig
-  type t
+    {!Make} holds the waiter queues, the direct handoff, the atomic
+    enqueue-and-release of [Condition.wait] and the [sync.*] / [cas]
+    probes.  What differs between the platforms is a {!HOOKS} module:
+    [Sim_platform]'s hooks charge {!Costs} (processes resumed after
+    blocking additionally pay [costs.wakeup] — the asymmetry that separates
+    blocking synchronization from lock-free code in the reproduced
+    figures); the model checker's hooks take a decision point per operation
+    and keep the happens-before clocks. *)
 
-  val create : Costs.t -> t
-  val lock : t -> unit
+(** The operations, by object: mutex, condition, semaphore ([Value] is
+    [Semaphore.value]), atomic. *)
+type op =
+  | Lock | Unlock
+  | Wait | Signal | Broadcast
+  | Acquire | Release | Value
+  | Get | Set | Exchange | Cas | Faa
 
-  val unlock_transfer : t -> unit
-  (** Release without charging cost and without performing engine effects
-      (safe inside a [suspend] registration). *)
+module type HOOKS = sig
+  type obj
+  (** The platform's state per mutex, condition, semaphore and atomic. *)
 
-  val unlock : t -> unit
+  val engine : Engine.t
+
+  val obj : unit -> obj
+  (** Called once per created object, in creation order. *)
+
+  val enter : obj -> op -> unit
+  (** The start of every operation (after the probe of a condition
+      operation), before any state is read. *)
+
+  val woken : unit -> unit
+  (** In a process resumed from a suspension, before it goes on. *)
+
+  val released : obj -> unit
+  (** A release edge: unlock, a condition wait on its mutex, signal,
+      broadcast and semaphore release. *)
+
+  val acquired : obj -> unit
+  (** An acquire edge: lock, semaphore acquire, the wake-up from a
+      condition wait, and every atomic read. *)
+
+  val written : obj -> plain:bool -> unit
+  (** An atomic store; [plain] for [Atomic.set]. *)
 end
 
-module Condition : sig
-  type t
+module Make (H : HOOKS) : sig
+  module Mutex : Psmr_platform.Platform_intf.MUTEX
+  (** [unlock] by a process that does not hold the mutex raises
+      [Sys_error "Mutex.unlock: Operation not permitted"], as OCaml's
+      error-checking [Stdlib.Mutex] does; [Condition.wait] on such a mutex
+      raises the same for ["Condition.wait"]. *)
 
-  val create : Costs.t -> t
-  val wait : t -> Mutex.t -> unit
-  val signal : t -> unit
-  val broadcast : t -> unit
-end
+  module Condition :
+    Psmr_platform.Platform_intf.CONDITION with type mutex := Mutex.t
 
-module Semaphore : sig
-  type t
-
-  val create : Costs.t -> int -> t
-  val acquire : ?n:int -> t -> unit
-  val release : ?n:int -> t -> unit
-  val value : t -> int
+  module Semaphore : Psmr_platform.Platform_intf.SEMAPHORE
+  module Atomic : Psmr_platform.Platform_intf.ATOMIC
 end
 
 (** A bank of processor cores: at most [cores] processes hold a slot at a

@@ -40,6 +40,7 @@ let fixtures =
     ("fixtures/bad_footprint.ml", "lib/app/bad_footprint.ml");
     ("fixtures/good_service.ml", "lib/app/good_service.ml");
     ("fixtures/suppressed.ml", "lib/cos/suppressed.ml");
+    ("fixtures/bad_sim_suspend.ml", "lib/check/bad_sim_suspend.ml");
   ]
 
 let read path =
@@ -219,6 +220,25 @@ let test_sim_domain_scoping () =
     "wall clock still flagged everywhere" true
     (flagged "lib/harness/x.ml" wall_src)
 
+(* Inside lib/sim a bare [Engine.suspend] is the simulator's; only the
+   engine and the shared primitives may reference it.  Outside lib/sim a
+   bare [Engine] is some other module. *)
+let test_suspend_scoping () =
+  let src = "let park r = Engine.suspend r\n" in
+  let flagged p =
+    List.exists
+      (fun (d : A.Diagnostic.t) -> d.rule = "platform-primitives")
+      (A.Engine.analyze_source ~path:p src)
+  in
+  Alcotest.(check bool) "flagged in lib/sim" true (flagged "lib/sim/x.ml");
+  Alcotest.(check bool)
+    "sim_sync.ml exempt" false
+    (flagged "lib/sim/sim_sync.ml");
+  Alcotest.(check bool) "engine.ml exempt" false (flagged "lib/sim/engine.ml");
+  Alcotest.(check bool)
+    "bare Engine outside lib/sim not flagged" false
+    (flagged "lib/harness/x.ml")
+
 let () =
   Alcotest.run "analysis"
     [
@@ -240,5 +260,7 @@ let () =
             test_rule_scoping;
           Alcotest.test_case "lib/sim Domain/Unix ban" `Quick
             test_sim_domain_scoping;
+          Alcotest.test_case "Engine.suspend only in Sim_sync" `Quick
+            test_suspend_scoping;
         ] );
     ]

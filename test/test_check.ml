@@ -484,6 +484,27 @@ let test_escaping_exception_reported () =
     o.violations;
   Alcotest.(check bool) "not completed" false o.completed
 
+(* An unlock by a process that does not hold the mutex raises, as on real
+   threads, so an explored schedule reports it. *)
+let test_stray_unlock_reported () =
+  let o =
+    Check_platform.run ~pick:(fun ~last:_ _ -> 0)
+    @@ fun _ (module P : Psmr_platform.Platform_intf.S) ~viol:_ ->
+    let m = P.Mutex.create () in
+    P.spawn (fun () ->
+        P.Mutex.lock m;
+        P.yield ();
+        P.Mutex.unlock m);
+    P.spawn (fun () ->
+        P.yield ();
+        P.Mutex.unlock m);
+    fun () -> true
+  in
+  Alcotest.(check (list string))
+    "the stray unlock"
+    [ "uncaught exception: Sys_error(\"Mutex.unlock: Operation not permitted\")" ]
+    o.violations
+
 (* --- schedule identity, pinned per checker family ---
 
    One fixed-seed schedule per family, compared with the decision count,
@@ -620,6 +641,8 @@ let () =
             test_escaping_exception_reported;
           Alcotest.test_case "all-truncated exploration (the @check row)"
             `Quick test_all_truncated_exploration;
+          Alcotest.test_case "stray unlock is a violation" `Quick
+            test_stray_unlock_reported;
         ] );
       ( "schedule-identity",
         [

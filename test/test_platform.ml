@@ -247,6 +247,25 @@ let test_semaphore_release_n_real () =
   RP.Semaphore.acquire s;
   Alcotest.(check int) "drained" 0 (RP.Semaphore.value s)
 
+(* OCaml's error-checking mutex rejects an unlock of an unheld mutex and
+   one by a non-owner, and a wait on a mutex the caller does not hold; the
+   simulated platforms raise the same (test_sim "unlock by non-owner"). *)
+let test_real_unlock_not_owner () =
+  let m = RP.Mutex.create () and c = RP.Condition.create () in
+  let denied = Sys_error "Mutex.unlock: Operation not permitted" in
+  Alcotest.check_raises "unheld" denied (fun () -> RP.Mutex.unlock m);
+  RP.Mutex.lock m;
+  let other = ref None in
+  let th =
+    Thread.create (fun () -> try RP.Mutex.unlock m with e -> other := Some e) ()
+  in
+  Thread.join th;
+  Alcotest.(check bool) "non-owner" true (!other = Some denied);
+  RP.Mutex.unlock m;
+  Alcotest.check_raises "wait unheld"
+    (Sys_error "Condition.wait: Operation not permitted") (fun () ->
+      RP.Condition.wait c m)
+
 let () =
   Alcotest.run "platform"
     [
@@ -282,5 +301,7 @@ let () =
           Alcotest.test_case "atomics" `Quick test_real_platform_atomics;
           Alcotest.test_case "semaphore release n" `Quick
             test_semaphore_release_n_real;
+          Alcotest.test_case "unlock by non-owner" `Quick
+            test_real_unlock_not_owner;
         ] );
     ]

@@ -104,91 +104,154 @@ let test_suspended_forever_is_fine () =
 
 let costs = Costs.zero
 
-let test_mutex_exclusion () =
+(* The primitive tests below run on both simulated platforms, which share
+   one implementation of the primitives ([Sim_sync.Make]).  A runner builds
+   a fresh platform with the given costs, lets the body spawn processes
+   through it, and runs them to completion. *)
+type runner = Costs.t -> ((module Psmr_platform.Platform_intf.S) -> unit) -> unit
+
+let timed : runner =
+ fun costs body ->
   let e = Engine.create () in
-  let m = Sim_sync.Mutex.create { costs with mutex_lock = 0.001 } in
+  body (Sim_platform.make e costs);
+  Engine.run e
+
+(* The checker's platform under one fixed schedule: the first runnable
+   process at every decision point.  Costs do not apply there. *)
+let checked : runner =
+ fun _ body ->
+  let o =
+    Psmr_checker.Check_platform.run
+      ~pick:(fun ~last:_ _ -> 0)
+      (fun _ p ~viol:_ ->
+        body p;
+        fun () -> true)
+  in
+  Alcotest.(check (list string)) "no violation" [] o.violations;
+  Alcotest.(check bool) "not truncated" false o.truncated
+
+let test_mutex_exclusion (run : runner) () =
   let inside = ref 0 and max_inside = ref 0 and done_count = ref 0 in
-  for _ = 1 to 10 do
-    Engine.spawn e (fun () ->
-        Sim_sync.Mutex.lock m;
-        incr inside;
-        if !inside > !max_inside then max_inside := !inside;
-        Engine.delay 0.01;
-        decr inside;
-        Sim_sync.Mutex.unlock m;
-        incr done_count)
-  done;
-  Engine.run e;
+  run { costs with mutex_lock = 0.001 } (fun (module P) ->
+      let m = P.Mutex.create () in
+      for _ = 1 to 10 do
+        P.spawn (fun () ->
+            P.Mutex.lock m;
+            incr inside;
+            if !inside > !max_inside then max_inside := !inside;
+            P.sleep 0.01;
+            decr inside;
+            P.Mutex.unlock m;
+            incr done_count)
+      done);
   Alcotest.(check int) "all finished" 10 !done_count;
   Alcotest.(check int) "mutual exclusion" 1 !max_inside
 
-let test_mutex_fifo_handoff () =
-  let e = Engine.create () in
-  let m = Sim_sync.Mutex.create costs in
+let test_mutex_fifo_handoff (run : runner) () =
   let order = ref [] in
-  Engine.spawn e (fun () ->
-      Sim_sync.Mutex.lock m;
-      Engine.delay 1.0;
-      Sim_sync.Mutex.unlock m);
-  for i = 1 to 3 do
-    Engine.spawn e ~delay:(0.1 *. float_of_int i) (fun () ->
-        Sim_sync.Mutex.lock m;
-        order := i :: !order;
-        Sim_sync.Mutex.unlock m)
-  done;
-  Engine.run e;
+  run costs (fun (module P) ->
+      let m = P.Mutex.create () in
+      P.spawn (fun () ->
+          P.Mutex.lock m;
+          P.sleep 1.0;
+          P.Mutex.unlock m);
+      for i = 1 to 3 do
+        P.after (0.1 *. float_of_int i) (fun () ->
+            P.Mutex.lock m;
+            order := i :: !order;
+            P.Mutex.unlock m)
+      done);
   Alcotest.(check (list int)) "fifo order" [ 1; 2; 3 ] (List.rev !order)
 
-let test_semaphore_counting () =
-  let e = Engine.create () in
-  let s = Sim_sync.Semaphore.create costs 2 in
+let test_semaphore_counting (run : runner) () =
   let concurrent = ref 0 and peak = ref 0 in
-  for _ = 1 to 6 do
-    Engine.spawn e (fun () ->
-        Sim_sync.Semaphore.acquire s;
-        incr concurrent;
-        if !concurrent > !peak then peak := !concurrent;
-        Engine.delay 1.0;
-        decr concurrent;
-        Sim_sync.Semaphore.release s)
-  done;
-  Engine.run e;
+  run costs (fun (module P) ->
+      let s = P.Semaphore.create 2 in
+      for _ = 1 to 6 do
+        P.spawn (fun () ->
+            P.Semaphore.acquire s;
+            incr concurrent;
+            if !concurrent > !peak then peak := !concurrent;
+            P.sleep 1.0;
+            decr concurrent;
+            P.Semaphore.release s)
+      done);
   Alcotest.(check int) "at most 2 inside" 2 !peak
 
-let test_semaphore_release_n () =
-  let e = Engine.create () in
-  let s = Sim_sync.Semaphore.create costs 0 in
+let test_semaphore_release_n (run : runner) () =
   let woken = ref 0 in
-  for _ = 1 to 3 do
-    Engine.spawn e (fun () ->
-        Sim_sync.Semaphore.acquire s;
-        incr woken)
-  done;
-  Engine.spawn e ~delay:1.0 (fun () -> Sim_sync.Semaphore.release ~n:3 s);
-  Engine.run e;
+  run costs (fun (module P) ->
+      let s = P.Semaphore.create 0 in
+      for _ = 1 to 3 do
+        P.spawn (fun () ->
+            P.Semaphore.acquire s;
+            incr woken)
+      done;
+      P.after 1.0 (fun () -> P.Semaphore.release ~n:3 s));
   Alcotest.(check int) "all three woken" 3 !woken
 
-let test_condition_signal_broadcast () =
-  let e = Engine.create () in
-  let m = Sim_sync.Mutex.create costs in
-  let c = Sim_sync.Condition.create costs in
+let test_condition_signal_broadcast (run : runner) () =
   let ready = ref false and woken = ref 0 in
-  for _ = 1 to 4 do
-    Engine.spawn e (fun () ->
-        Sim_sync.Mutex.lock m;
-        while not !ready do
-          Sim_sync.Condition.wait c m
-        done;
-        incr woken;
-        Sim_sync.Mutex.unlock m)
-  done;
-  Engine.spawn e ~delay:1.0 (fun () ->
-      Sim_sync.Mutex.lock m;
-      ready := true;
-      Sim_sync.Condition.broadcast c;
-      Sim_sync.Mutex.unlock m);
-  Engine.run e;
+  run costs (fun (module P) ->
+      let m = P.Mutex.create () in
+      let c = P.Condition.create () in
+      for _ = 1 to 4 do
+        P.spawn (fun () ->
+            P.Mutex.lock m;
+            while not !ready do
+              P.Condition.wait c m
+            done;
+            incr woken;
+            P.Mutex.unlock m)
+      done;
+      P.after 1.0 (fun () ->
+          P.Mutex.lock m;
+          ready := true;
+          P.Condition.broadcast c;
+          P.Mutex.unlock m));
   Alcotest.(check int) "broadcast wakes all" 4 !woken
+
+(* Unlocking a mutex the caller does not hold, or waiting on it, raises as
+   OCaml's error-checking mutex does; the holder keeps it meanwhile. *)
+let test_unlock_not_owner (run : runner) () =
+  let errors = ref [] and relocked = ref false in
+  run costs (fun (module P) ->
+      let m = P.Mutex.create () and c = P.Condition.create () in
+      let held = P.Semaphore.create 0 and tried = P.Semaphore.create 0 in
+      let attempt f = try f () with Sys_error e -> errors := e :: !errors in
+      P.spawn (fun () ->
+          attempt (fun () -> P.Mutex.unlock m);
+          P.Mutex.lock m;
+          P.Semaphore.release held;
+          P.Semaphore.acquire tried;
+          P.Mutex.unlock m);
+      P.spawn (fun () ->
+          P.Semaphore.acquire held;
+          attempt (fun () -> P.Mutex.unlock m);
+          attempt (fun () -> P.Condition.wait c m);
+          P.Semaphore.release tried;
+          P.Mutex.lock m;
+          relocked := true;
+          P.Mutex.unlock m));
+  Alcotest.(check (list string))
+    "each stray unlock or wait raised"
+    [
+      "Mutex.unlock: Operation not permitted";
+      "Mutex.unlock: Operation not permitted";
+      "Condition.wait: Operation not permitted";
+    ]
+    (List.rev !errors);
+  Alcotest.(check bool) "the holder released it" true !relocked
+
+let sync_tests run =
+  [
+    Alcotest.test_case "mutex exclusion" `Quick (test_mutex_exclusion run);
+    Alcotest.test_case "mutex fifo handoff" `Quick (test_mutex_fifo_handoff run);
+    Alcotest.test_case "semaphore counting" `Quick (test_semaphore_counting run);
+    Alcotest.test_case "semaphore release n" `Quick (test_semaphore_release_n run);
+    Alcotest.test_case "condition broadcast" `Quick
+      (test_condition_signal_broadcast run);
+  ]
 
 let test_cpu_capacity () =
   let e = Engine.create () in
@@ -208,25 +271,29 @@ let test_cpu_capacity () =
 
 let test_costs_advance_clock () =
   let e = Engine.create () in
-  let m = Sim_sync.Mutex.create { costs with mutex_lock = 0.25; mutex_unlock = 0.25 } in
-  Engine.spawn e (fun () ->
-      Sim_sync.Mutex.lock m;
-      Sim_sync.Mutex.unlock m);
+  let (module P) =
+    Sim_platform.make e { costs with mutex_lock = 0.25; mutex_unlock = 0.25 }
+  in
+  let m = P.Mutex.create () in
+  P.spawn (fun () ->
+      P.Mutex.lock m;
+      P.Mutex.unlock m);
   Engine.run e;
   Alcotest.(check (float 1e-9)) "lock+unlock cost" 0.5 (Engine.now e)
 
 let test_wakeup_cost () =
   let e = Engine.create () in
-  let m = Sim_sync.Mutex.create { costs with wakeup = 1.0 } in
+  let (module P) = Sim_platform.make e { costs with wakeup = 1.0 } in
+  let m = P.Mutex.create () in
   let t_second = ref 0.0 in
-  Engine.spawn e (fun () ->
-      Sim_sync.Mutex.lock m;
-      Engine.delay 2.0;
-      Sim_sync.Mutex.unlock m);
-  Engine.spawn e ~delay:0.5 (fun () ->
-      Sim_sync.Mutex.lock m;
-      t_second := Engine.now e;
-      Sim_sync.Mutex.unlock m);
+  P.spawn (fun () ->
+      P.Mutex.lock m;
+      P.sleep 2.0;
+      P.Mutex.unlock m);
+  P.after 0.5 (fun () ->
+      P.Mutex.lock m;
+      t_second := P.now ();
+      P.Mutex.unlock m);
   Engine.run e;
   (* Unlock at t=2, plus wakeup latency 1.0. *)
   Alcotest.(check (float 1e-9)) "wakeup charged" 3.0 !t_second
@@ -557,16 +624,21 @@ let main () =
           Alcotest.test_case "parked forever" `Quick test_suspended_forever_is_fine;
         ] );
       ( "sync",
-        [
-          Alcotest.test_case "mutex exclusion" `Quick test_mutex_exclusion;
-          Alcotest.test_case "mutex fifo handoff" `Quick test_mutex_fifo_handoff;
-          Alcotest.test_case "semaphore counting" `Quick test_semaphore_counting;
-          Alcotest.test_case "semaphore release n" `Quick test_semaphore_release_n;
-          Alcotest.test_case "condition broadcast" `Quick test_condition_signal_broadcast;
-          Alcotest.test_case "cpu capacity" `Quick test_cpu_capacity;
-          Alcotest.test_case "costs advance clock" `Quick test_costs_advance_clock;
-          Alcotest.test_case "wakeup cost" `Quick test_wakeup_cost;
-        ] );
+        sync_tests timed
+        @ [
+            Alcotest.test_case "cpu capacity" `Quick test_cpu_capacity;
+            Alcotest.test_case "costs advance clock" `Quick
+              test_costs_advance_clock;
+            Alcotest.test_case "wakeup cost" `Quick test_wakeup_cost;
+            Alcotest.test_case "unlock by non-owner" `Quick
+              (test_unlock_not_owner timed);
+          ] );
+      ( "sync-check",
+        sync_tests checked
+        @ [
+            Alcotest.test_case "unlock by non-owner" `Quick
+              (test_unlock_not_owner checked);
+          ] );
       ( "platform",
         [
           Alcotest.test_case "atomics" `Quick test_platform_atomics;
