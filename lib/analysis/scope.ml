@@ -24,10 +24,15 @@
      [Stdlib.Mutex.lock] and [Mutex.lock] canonicalize identically.
    - [open] of a module with known members (see {!default_members})
      rebinds those member names — which is how [module Mutex = struct .. end]
-     followed by [open Stdlib] correctly re-exposes the real [Mutex].
+     followed by [open Stdlib] correctly re-exposes the real [Mutex].  A
+     known value member is rebound too, so after [open Psmr_sim.Engine]
+     (or inside [Psmr_sim.Engine.( ... )]) a bare [suspend] resolves to
+     [Psmr_sim.Engine.suspend].  A later local [let] of the same name does
+     not unbind it.
      [open] of an opaque module poisons unqualified heads for the rest of
      that scope (they *might* come from the opened module), so rules see
-     nothing rather than false positives. *)
+     nothing rather than false positives; it also drops the value
+     rebindings, for the same reason. *)
 
 open Parsetree
 module SMap = Map.Make (String)
@@ -36,7 +41,11 @@ type ast = Impl of Parsetree.structure | Intf of Parsetree.signature
 
 type binding = Path of string list | Opaque
 
-type env = { modules : binding SMap.t; opaque_open : bool }
+type env = {
+  modules : binding SMap.t;
+  values : string list SMap.t;  (* bare value name -> path an open bound *)
+  opaque_open : bool;
+}
 
 type event =
   | Value of string list  (* resolved value path; [ "==" ] for bare operators *)
@@ -53,20 +62,22 @@ type region = { rule : string; start_off : int; end_off : int }
 
 type info = { facts : fact list; regions : region list }
 
-(* Modules whose member lists we know, so [open]ing them can rebind names.
-   Only names a rule could ever care about need listing.  [Stdlib] is the
-   load-bearing entry: opening it shadows local definitions with the real
-   stdlib modules again. *)
+(* Modules whose member lists we know, keyed by canonical path, so
+   [open]ing them can rebind names: a capitalised member is a module, any
+   other a value.  Only names a rule could ever care about need listing.
+   [Stdlib] is the load-bearing entry: opening it shadows local
+   definitions with the real stdlib modules again. *)
 let default_members =
   [
-    ( "Stdlib",
+    ( [ "Stdlib" ],
       [
         "Mutex"; "Condition"; "Semaphore"; "Atomic"; "Domain"; "Sys"; "Random";
         "Hashtbl"; "Gc"; "Marshal"; "Obj";
       ] );
-    ("Psmr_obs", [ "Probe"; "Metrics"; "Trace" ]);
-    ("Psmr_fault", [ "Fault"; "Plan"; "Schedule" ]);
-    ("Psmr_sim", [ "Engine" ]);
+    ([ "Psmr_obs" ], [ "Probe"; "Metrics"; "Trace" ]);
+    ([ "Psmr_fault" ], [ "Fault"; "Plan"; "Schedule" ]);
+    ([ "Psmr_sim" ], [ "Engine" ]);
+    ([ "Psmr_sim"; "Engine" ], [ "suspend" ]);
   ]
 
 let canon = function "Stdlib" :: (_ :: _ as rest) -> rest | p -> p
@@ -113,7 +124,9 @@ let allow_ids = function
 let collect ?(known_members = default_members) (ast : ast) : info =
   let facts = ref [] in
   let regions = ref [] in
-  let env = ref { modules = SMap.empty; opaque_open = false } in
+  let env =
+    ref { modules = SMap.empty; values = SMap.empty; opaque_open = false }
+  in
   let depth = ref 0 in
   let bound = ref None in
   let add ev (loc : Location.t) = facts := { ev; loc; bound = !bound } :: !facts in
@@ -147,13 +160,16 @@ let collect ?(known_members = default_members) (ast : ast) : info =
   in
   let open_path e target =
     match target with
-    | Some [ root ] when List.mem_assoc root known_members ->
+    | Some path when List.mem_assoc path known_members ->
         List.fold_left
-          (fun e m -> bind (Some m) (Path (canon [ root; m ])) e)
+          (fun e m ->
+            let p = canon (path @ [ m ]) in
+            if Char.uppercase_ascii m.[0] = m.[0] then bind (Some m) (Path p) e
+            else { e with values = SMap.add m p e.values })
           e
-          (List.assoc root known_members)
+          (List.assoc path known_members)
     | Some _ -> e
-    | None -> { e with opaque_open = true }
+    | None -> { e with opaque_open = true; values = SMap.empty }
   in
   let apply_open e (me : module_expr) =
     match eval_module e me with
@@ -174,7 +190,10 @@ let collect ?(known_members = default_members) (ast : ast) : info =
     match e.pexp_desc with
     | Pexp_ident lid -> (
         match flatten lid.txt with
-        | Some [ x ] -> add (Value [ x ]) lid.loc
+        | Some [ x ] ->
+            add
+              (Value (Option.value ~default:[ x ] (SMap.find_opt x !env.values)))
+              lid.loc
         | Some parts -> (
             match split_last parts with
             | Some (mods, last) -> (

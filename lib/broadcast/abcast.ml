@@ -14,12 +14,18 @@
     {b One commit rule.}  A replica commits a batch once it knows that
     [f + 1] replicas of the current view hold it: the leader holds every
     batch it proposes, a replica holds a batch once it has accepted it,
-    and each [Prepare_ok] names one more holder.  The leader learns a
-    quorum from the acknowledgements; with [n = 3] a follower is itself
-    the second holder and commits a batch on acceptance, one hop before
-    the leader's commit point could reach it; with [n >= 5] a follower
-    never knows a quorum alone and waits for that commit point, which
-    propagates piggybacked on later [Prepare]s and on [Commit]s.
+    and each [Prepare_ok] names one more holder.  A follower sends its
+    [Prepare_ok] to the leader and to its [f - 1] ring successors (the
+    next followers in id order, wrapping, the leader skipped).  The
+    leader learns a quorum from the acknowledgements; a follower that
+    accepts a batch knows the leader and itself, and its [f - 1] ring
+    predecessors' acks make [f + 1] (a [Prepare_ok] for a view and seq
+    means its sender accepted that seq in that view, whoever receives
+    it).  So every replica commits two hops
+    after the cut, and with [n = 3] (no ring peers) a follower commits on
+    acceptance, one hop after it.  The leader's commit point, piggybacked
+    on later [Prepare]s and sent eagerly in a [Commit], is the fallback
+    when a ring ack is lost.
     Committed batches are handed to the delivery upcall in sequence order,
     giving the standard atomic-broadcast properties (validity, uniform
     agreement, uniform integrity, uniform total order).
@@ -211,6 +217,20 @@ module Make (P : Platform_intf.S) = struct
   let others t = List.filter (fun r -> r <> t.id) (List.init t.n Fun.id)
   let send_all t msg = List.iter (fun r -> t.send r msg) (others t)
 
+  (* A follower's ring successors: the next f - 1 replicas after it in id
+     order, wrapping, with the leader skipped.  Each follower thus hears
+     the acks of its f - 1 ring predecessors, which with the leader and
+     itself make f + 1 holders.  Empty with n = 3. *)
+  let ring_peers t =
+    let leader = leader t in
+    let rec from r k =
+      if k = 0 then []
+      else
+        let r = (r + 1) mod t.n in
+        if r = leader then from r k else r :: from r (k - 1)
+    in
+    from t.id (t.f - 1)
+
   (* --- checkpointing --- *)
 
   (* The stable point: at least f+1 replicas have applied everything up to
@@ -301,9 +321,10 @@ module Make (P : Platform_intf.S) = struct
      over the prefix whose seqs f + 1 known holders reached.  The leader
      knows itself (it holds every batch it proposes) and each
      [Prepare_ok]; a follower knows the leader and itself once it accepts
-     a [Prepare].  With n = 3 those two are f + 1, so a follower commits
-     what it accepts; with n >= 5 it never counts a quorum alone and waits
-     for the leader's commit point. *)
+     a [Prepare], and each ring predecessor's [Prepare_ok].  With n = 3
+     the first two are f + 1, so a follower commits what it accepts; with
+     n >= 5 the f - 1 ring acks complete its quorum, and the leader's
+     commit point covers a lost one. *)
   let rec record_holders t ~seq holders =
     if seq > t.committed then begin
       let cur = Option.value ~default:IntSet.empty (Hashtbl.find_opt t.acks seq) in
@@ -525,14 +546,15 @@ module Make (P : Platform_intf.S) = struct
                Request retransmission. *)
             t.send src (Need_log { from_seq = log_end t });
           if seq < log_end t then begin
-            t.send src (Prepare_ok { view; seq });
+            let ok = Prepare_ok { view; seq } in
+            t.send src ok;
+            List.iter (fun r -> t.send r ok) (ring_peers t);
             record_holders t ~seq [ leader t; t.id ];
             note_commit t committed
           end
         end
     | Prepare_ok { view; seq } ->
-        if view = t.view && t.status = Normal && is_leader t then
-          record_holders t ~seq [ src ]
+        if view = t.view && t.status = Normal then record_holders t ~seq [ src ]
     | Commit { view; committed } ->
         if view = t.view && t.status = Normal && not (is_leader t) then begin
           t.last_leader_contact <- P.now ();

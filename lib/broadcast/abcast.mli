@@ -8,7 +8,9 @@
     pipeline-driven batching (a batch is cut as soon as the leader has none
     in flight, with size and age caps), one commit rule for every replica
     (a batch commits where [f + 1] holders of it in the current view are
-    known, so with [n = 3] a follower commits what it accepts), heartbeats,
+    known; followers forward their acknowledgement to [f - 1] ring peers,
+    so every replica commits two hops after the cut, and with [n = 3] a
+    follower commits what it accepts), heartbeats,
     view change on leader failure that keeps the latest view's log,
     periodic checkpoint reports with quorum-stable log truncation, and gap
     recovery by log transfer.
@@ -91,8 +93,11 @@ module Make (P : Platform_intf.S) : sig
       batch, in sequence order, from within {!handle}/{!tick}.  A batch is
       committed at a replica once the replica knows [f + 1] replicas of the
       current view hold it, so a follower of a 3-replica group delivers a
-      batch as it accepts the [Prepare], before the leader does; with
-      [n >= 5] followers deliver on the leader's commit point.  Every
+      batch as it accepts the [Prepare], before the leader does.  A
+      follower sends its [Prepare_ok] to the leader and to the next
+      [f - 1] followers in ring order, so with [n >= 5] a follower
+      delivers on its ring predecessors' acks, as the leader commits, and
+      the leader's [Commit] is the fallback when one is lost.  Every
       replica delivers the same batches in the same order: the view change
       keeps the latest view's log, which holds every batch [f + 1]
       replicas held in an earlier view.
@@ -103,9 +108,10 @@ module Make (P : Platform_intf.S) : sig
 
   val handle : 'c t -> src:int -> 'c message -> unit
   (** Process one incoming protocol message.  Deliveries happen here: on a
-      [Prepare_ok] that completes a quorum at the leader, on a [Prepare] a
-      3-replica follower accepts, and on any message carrying a higher
-      commit point. *)
+      [Prepare_ok] that completes a quorum (at the leader, or at a
+      follower that accepted the batch), on a [Prepare] a 3-replica
+      follower accepts, and on any message carrying a higher commit
+      point. *)
 
   val tick : 'c t -> unit
   (** Periodic duties: batch age cap and heartbeat (leader), failure

@@ -254,23 +254,38 @@ let test_three_replicas_follower_commits_on_accept () =
   Alcotest.(check (float 1e-9)) "leader on the first ack" (t +. 2e-4)
     (Harness.delivered_at h 0 9)
 
-let test_five_replicas_follower_waits_for_commit () =
-  (* n = 5: a follower and the leader are two holders of f + 1 = 3, so no
-     follower delivers on acceptance.  The leader commits when two acks
-     land (t + 0.2 ms) and each follower delivers when that commit point
-     reaches it (t + 0.3 ms). *)
-  let h = Harness.make ~n:5 ~submit:(fun () -> [ (0.001, 0, [ 9 ]) ]) () in
+(* Each replica's delivery delay after the cut for one single-command
+   batch, at 0.1 ms per link, with [link] filtering the links. *)
+let commit_delays ?(link = fun ~src:_ ~dst:_ -> true) n =
+  let h = Harness.make ~n ~submit:(fun () -> [ (0.001, 0, [ 9 ]) ]) () in
+  h.partition link;
   h.run_until 0.01;
   let t = Harness.cut_at h 9 in
-  let leader_at = Harness.delivered_at h 0 9 in
-  Alcotest.(check (float 1e-9)) "leader on the second ack" (t +. 2e-4)
-    leader_at;
-  for id = 1 to 4 do
-    Alcotest.(check (float 1e-9))
-      (Printf.sprintf "replica %d on the leader's commit point" id)
-      (leader_at +. 1e-4)
-      (Harness.delivered_at h id 9)
-  done
+  List.init n (fun id -> Harness.delivered_at h id 9 -. t)
+
+let test_five_replicas_ring_acks () =
+  (* n = 5: a follower and the leader are two holders of f + 1 = 3; the
+     third is its ring predecessor (replica 4's for replica 1), whose ack
+     lands as the leader's second does.  So every replica delivers at
+     t + 0.2 ms, a hop before the leader's Commit could arrive. *)
+  Alcotest.(check (list (float 1e-9)))
+    "every replica two hops after the cut" (List.init 5 (fun _ -> 2e-4))
+    (commit_delays 5)
+
+let test_seven_replicas_ring_acks () =
+  (* n = 7: f + 1 = 4, so each follower needs the acks of its f - 1 = 2
+     ring predecessors, both sent as they accept, at t + 0.1 ms. *)
+  Alcotest.(check (list (float 1e-9)))
+    "every replica two hops after the cut" (List.init 7 (fun _ -> 2e-4))
+    (commit_delays 7)
+
+let test_lost_ring_ack_falls_back_to_commit () =
+  (* n = 5 with the 1 -> 2 link down: replica 2 never hears its ring
+     predecessor and delivers on the leader's eager Commit, sent as the
+     leader commits at t + 0.2 ms; the others are unaffected. *)
+  Alcotest.(check (list (float 1e-9)))
+    "replica 2 on the leader's Commit" [ 2e-4; 2e-4; 3e-4; 2e-4; 2e-4 ]
+    (commit_delays ~link:(fun ~src ~dst -> not (src = 1 && dst = 2)) 5)
 
 let test_accepted_batch_survives_leader_crash () =
   (* Block every message to the leader, so no ack reaches it, and crash
@@ -585,38 +600,42 @@ let test_injected_loss_cut_capped () =
 
 (* Property: crash the current leader at a random time while random
    submissions flow; all surviving replicas must deliver identical sequences
-   with no duplicates (safety under failover). *)
-let prop_safety_under_leader_crash =
-  QCheck.Test.make ~name:"identical delivery despite random leader crash"
-    ~count:20
+   with no duplicates (safety under failover).  With n = 5 the survivors
+   commit on ring acks from their peers, so the crash also lands between
+   a follower's commit and the leader's. *)
+let prop_safety_under_leader_crash ?(n = 3) name =
+  QCheck.Test.make ~name ~count:20
     QCheck.(
       pair (int_range 10 800)
-        (list_of_size Gen.(int_range 1 25) (pair (int_range 1 2) (int_range 0 1200))))
+        (list_of_size Gen.(int_range 1 25)
+           (pair (int_range 1 (n - 1)) (int_range 0 1200))))
     (fun (crash_ms, submissions) ->
-      (* Submissions go to replicas 1-2 so they survive the crash of 0. *)
+      (* Submissions go to replicas 1..n-1 so they survive the crash of 0. *)
       let submits =
         List.mapi
           (fun i (replica, at_ms) ->
             (0.001 +. (float_of_int at_ms /. 1000.0), replica, [ i ]))
           submissions
       in
-      let h = Harness.make ~submit:(fun () -> submits) () in
+      let h = Harness.make ~n ~submit:(fun () -> submits) () in
       h.run_until (float_of_int crash_ms /. 1000.0);
       h.crash 0;
       h.run_until 5.0;
-      let d1 = Harness.delivered h 1 and d2 = Harness.delivered h 2 in
+      let d1 = Harness.delivered h 1 in
       let no_dups l = List.length (List.sort_uniq compare l) = List.length l in
-      d1 = d2 && no_dups d1
+      List.for_all (fun id -> Harness.delivered h id = d1) (List.init (n - 1) succ)
+      && no_dups d1
       (* prefix-of check against submissions is implied by integrity: *)
       && List.for_all (fun c -> c >= 0 && c < List.length submissions) d1)
 
 (* Property: under random submission times and different latencies, all
    replicas deliver identical sequences (uniform total order + integrity). *)
-let prop_total_order =
-  QCheck.Test.make ~name:"replicas deliver identical sequences" ~count:25
+let prop_total_order ?(n = 3) name =
+  QCheck.Test.make ~name ~count:25
     QCheck.(
       pair (int_range 0 1000)
-        (list_of_size Gen.(int_range 1 30) (pair (int_range 0 2) (int_range 0 400))))
+        (list_of_size Gen.(int_range 1 30)
+           (pair (int_range 0 (n - 1)) (int_range 0 400))))
     (fun (lat_us, submissions) ->
       let submits =
         List.mapi
@@ -625,7 +644,7 @@ let prop_total_order =
           submissions
       in
       let h =
-        Harness.make
+        Harness.make ~n
           ~latency:(float_of_int lat_us *. 1e-6)
           ~submit:(fun () -> submits)
           ()
@@ -634,8 +653,7 @@ let prop_total_order =
       let d0 = Harness.delivered h 0 in
       let sorted = List.sort compare d0 in
       let expected = List.sort compare (List.init (List.length submissions) Fun.id) in
-      d0 = Harness.delivered h 1
-      && d0 = Harness.delivered h 2
+      List.for_all (fun id -> Harness.delivered h id = d0) (List.init (n - 1) succ)
       && sorted = expected (* integrity: each exactly once, none lost *))
 
 let () =
@@ -670,13 +688,20 @@ let () =
             test_accepted_batch_survives_leader_crash;
           Alcotest.test_case "view change keeps the latest view's log"
             `Quick test_view_change_keeps_latest_view_log;
+          QCheck_alcotest.to_alcotest
+            (prop_safety_under_leader_crash ~n:5
+               "n = 5: identical delivery despite random leader crash");
         ] );
       ( "commit-rule",
         [
           Alcotest.test_case "n = 3: followers commit on acceptance" `Quick
             test_three_replicas_follower_commits_on_accept;
-          Alcotest.test_case "n = 5: followers wait for the commit point"
-            `Quick test_five_replicas_follower_waits_for_commit;
+          Alcotest.test_case "n = 5: followers commit on ring acks" `Quick
+            test_five_replicas_ring_acks;
+          Alcotest.test_case "n = 7: followers commit on ring acks" `Quick
+            test_seven_replicas_ring_acks;
+          Alcotest.test_case "lost ring ack falls back to the leader's Commit"
+            `Quick test_lost_ring_ack_falls_back_to_commit;
         ] );
       ( "checkpointing",
         [
@@ -709,7 +734,12 @@ let () =
         ] );
       ( "properties",
         [
-          QCheck_alcotest.to_alcotest prop_total_order;
-          QCheck_alcotest.to_alcotest prop_safety_under_leader_crash;
+          QCheck_alcotest.to_alcotest
+            (prop_total_order "replicas deliver identical sequences");
+          QCheck_alcotest.to_alcotest
+            (prop_safety_under_leader_crash
+               "identical delivery despite random leader crash");
+          QCheck_alcotest.to_alcotest
+            (prop_total_order ~n:5 "n = 5: replicas deliver identical sequences");
         ] );
     ]
