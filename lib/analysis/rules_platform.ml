@@ -16,10 +16,15 @@
    [Psmr_sim.Grid_runner]; nothing else in the simulator may fork real
    parallelism or reach the OS.
 
-   The suspending primitives are written once, in [Psmr_sim.Sim_sync.Make],
-   for both the timed simulator and the model checker.  A second copy
-   would have to park processes itself, so [Psmr_sim.Engine.suspend] may be
-   referenced only by the engine and by lib/sim/sim_sync.ml.
+   Two references are confined to their owner files.  The suspending
+   primitives are written once, in [Psmr_sim.Sim_sync.Make], for both the
+   timed simulator and the model checker.  A second copy would have to park
+   processes itself, so [Psmr_sim.Engine.suspend] may be referenced only by
+   the engine and by lib/sim/sim_sync.ml.  Every deployment orders through
+   [Psmr_broadcast.Partition] (one partition is the single sequencer), so
+   [Psmr_broadcast.Abcast.Make] may be instantiated only by
+   lib/broadcast/partition.ml: a second ordering stack beside it would
+   need its own wire kind and its own catch-up.
 
    Because facts arrive with aliasing already resolved, the evasions the
    old string scanner missed ([module M = Mutex ... M.lock],
@@ -33,10 +38,36 @@ let wall_clock = [ [ "Unix"; "gettimeofday" ]; [ "Unix"; "sleepf" ] ]
    and any OS call, not just the wall clock. *)
 let sim_banned = [ "Domain"; "Unix" ]
 
-(* [Engine.suspend] as resolved outside lib/sim, and as written inside it. *)
-let suspend = [ "Psmr_sim"; "Engine"; "suspend" ]
-let suspend_in_sim = [ "Engine"; "suspend" ]
-let suspend_owners = [ "lib/sim/engine.ml"; "lib/sim/sim_sync.ml" ]
+(* A confined reference: its path as resolved anywhere, and without the
+   library prefix as written inside the library's own directory [dir]. *)
+type confined = {
+  path : string list;
+  dir : string;
+  owners : string list;
+  message : string;
+}
+
+let confined =
+  [
+    {
+      path = [ "Psmr_sim"; "Engine"; "suspend" ];
+      dir = "lib/sim/";
+      owners = [ "lib/sim/engine.ml"; "lib/sim/sim_sync.ml" ];
+      message =
+        "Psmr_sim.Engine.suspend outside lib/sim/sim_sync.ml — blocking \
+         primitives are implemented once, in Sim_sync.Make; give the \
+         platform Sim_sync hooks instead";
+    };
+    {
+      path = [ "Psmr_broadcast"; "Abcast"; "Make" ];
+      dir = "lib/broadcast/";
+      owners = [ "lib/broadcast/partition.ml" ];
+      message =
+        "Psmr_broadcast.Abcast.Make outside lib/broadcast/partition.ml — \
+         every deployment orders through Psmr_broadcast.Partition (the \
+         single sequencer is one partition)";
+    };
+  ]
 
 let id = "platform-primitives"
 
@@ -52,16 +83,14 @@ let sim_msg what =
      confined to the sanctioned grid-runner module (Psmr_sim.Grid_runner)"
     what
 
-let suspend_msg =
-  "Psmr_sim.Engine.suspend outside lib/sim/sim_sync.ml — blocking \
-   primitives are implemented once, in Sim_sync.Make; give the platform \
-   Sim_sync hooks instead"
-
 let check (input : Rule.input) =
   let in_sim = Rule.in_dir "lib/sim/" input.path in
-  let suspends path =
-    (path = suspend || (in_sim && path = suspend_in_sim))
-    && not (List.exists (fun o -> Rule.has_suffix o input.path) suspend_owners)
+  let breach path =
+    List.find_opt
+      (fun c ->
+        (path = c.path || (Rule.in_dir c.dir input.path && path = List.tl c.path))
+        && not (List.exists (fun o -> Rule.has_suffix o input.path) c.owners))
+      confined
   in
   List.filter_map
     (fun (f : Scope.fact) ->
@@ -71,8 +100,8 @@ let check (input : Rule.input) =
         else None
       in
       match f.ev with
-      | Scope.Value path when suspends path ->
-          Some (Rule.diag input ~id f.loc suspend_msg)
+      | (Scope.Value path | Scope.Module path) when breach path <> None ->
+          Option.map (fun c -> Rule.diag input ~id f.loc c.message) (breach path)
       | Scope.Value (head :: _ :: _) when List.mem head banned ->
           flag ~m:msg head
       | Scope.Value path when List.mem path wall_clock ->
@@ -94,7 +123,8 @@ let rules =
         "concurrency/timing primitives (Mutex, Condition, Thread, Atomic, \
          Semaphore, wall clock) only via the Platform_intf.S functor \
          parameter; Domain/Unix confined to Grid_runner inside lib/sim; \
-         Engine.suspend only in the engine and Sim_sync";
+         Engine.suspend only in the engine and Sim_sync; Abcast.Make only \
+         in Partition";
       applies =
         (fun path ->
           not

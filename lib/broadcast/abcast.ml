@@ -564,6 +564,10 @@ module Make (P : Platform_intf.S) = struct
           if committed >= log_end t then
             t.send src (Need_log { from_seq = log_end t })
         end
+        else if view > t.view then
+          (* A view was installed without us (we were cut off when its
+             Start_view went out): fetch its log past our commit point. *)
+          t.send src (Need_log { from_seq = t.committed + 1 })
     | Applied { seq } ->
         if seq > t.applied_reports.(src) then begin
           t.applied_reports.(src) <- seq;
@@ -581,7 +585,13 @@ module Make (P : Platform_intf.S) = struct
                { view = t.view; base = start; log = entries; committed = t.committed })
         end
     | Log_transfer { view; base; log; committed } ->
-        if view >= t.view then
+        if view >= t.view then begin
+          (* A later view's log replaces our uncommitted suffix, which may
+             hold batches only an older view's leader proposed. *)
+          if view > t.view then
+            while log_end t > t.committed + 1 && log_end t > t.base do
+              ignore (Psmr_util.Vec.pop t.log : 'c array option)
+            done;
           if adopt_log t base log then begin
             t.stalled <- false;
             if view > t.view then begin
@@ -598,6 +608,7 @@ module Make (P : Platform_intf.S) = struct
                snapshot could bring us back.  Stall rather than diverge
                (crash-stop model: we count as slow, not faulty). *)
             t.stalled <- true
+        end
     | Start_view_change { view } ->
         if view > t.view || (view = t.view && t.status = View_change) then begin
           start_view_change t view;

@@ -13,7 +13,9 @@
     follower commits what it accepts), heartbeats,
     view change on leader failure that keeps the latest view's log,
     periodic checkpoint reports with quorum-stable log truncation, and gap
-    recovery by log transfer.
+    recovery by log transfer (also into a view installed while the
+    replica was cut off: a [Commit] from a later view makes it fetch that
+    view's log past its commit point, replacing its uncommitted suffix).
 
     Threading contract: the module owns no threads; the host feeds incoming
     messages to {!Make.handle} and calls {!Make.tick} periodically from one

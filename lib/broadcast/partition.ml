@@ -26,9 +26,6 @@ open Psmr_platform
     right sequencer instance on the receiving replica. *)
 type 'c wire = { part : int; msg : 'c Pmerge.entry Abcast.message }
 
-let wire_kind { part; msg } =
-  Printf.sprintf "p%d:%s" part (Abcast.message_kind msg)
-
 (* --- routing --- *)
 
 let part_of_key ~partitions k =
@@ -63,6 +60,13 @@ let entries ~partitions ~footprint ~uid cmds =
       end)
     cmds;
   Array.map (fun es -> Array.of_list (List.rev es)) buckets
+
+(* --- snapshot cut --- *)
+
+type 'c cut = { seqs : int array; merge : 'c Pmerge.cut }
+
+let supersedes seqs have =
+  Array.for_all2 ( >= ) seqs have && Array.exists2 ( > ) seqs have
 
 module Make (P : Platform_intf.S) = struct
   module Ab = Abcast.Make (P)
@@ -115,19 +119,27 @@ module Make (P : Platform_intf.S) = struct
 
   let tick t = Array.iter Ab.tick t.abs
 
+  (* --- snapshot cut --- *)
+
+  let delivered t = Array.map Ab.delivered_seq t.abs
+
+  (* Taken on the protocol thread, between deliveries: each sequencer's
+     delivered seq and the merge that folded exactly those prefixes. *)
+  let cut t = { seqs = delivered t; merge = Pmerge.cut t.merge }
+
+  let install_cut t c =
+    supersedes c.seqs (delivered t)
+    && begin
+         Array.iteri (fun p seq -> Ab.install_snapshot t.abs.(p) ~seq) c.seqs;
+         Pmerge.install t.merge c.merge;
+         true
+       end
+
   (* --- introspection --- *)
 
   let partitions t = t.partitions
   let view t ~part = Ab.view t.abs.(part)
-  let is_leader t ~part = Ab.is_leader t.abs.(part)
   let leader t ~part = Ab.leader t.abs.(part)
-  let delivered_seq t ~part = Ab.delivered_seq t.abs.(part)
-  let committed_seq t ~part = Ab.committed_seq t.abs.(part)
-
-  let log_end t ~part =
-    Ab.log_base t.abs.(part) + Ab.log_length t.abs.(part)
-
-  let pending_length t ~part = Ab.pending_length t.abs.(part)
 
   let views_installed t =
     Array.fold_left (fun acc ab -> acc + Ab.views_installed ab) 0 t.abs

@@ -14,9 +14,6 @@ type 'c wire = { part : int; msg : 'c Pmerge.entry Abcast.message }
 (** Wire format: routes the inner protocol message to partition [part]'s
     sequencer instance on the receiving replica. *)
 
-val wire_kind : 'c wire -> string
-(** ["p<part>:<kind>"] tag for logging. *)
-
 (** {2 Routing}
 
     Pure, so a client routes with the same rule the sequencers bucket by. *)
@@ -42,6 +39,19 @@ val entries :
     touching only [p] and the one [Cross] entry (uid from [uid], asked once
     per cross command in array order) of each command touching [p] among
     others.  Pure. *)
+
+(** {2 Snapshot cut} *)
+
+type 'c cut
+(** The ordering half of a state snapshot: each partition's delivered seq
+    and a {!Pmerge.cut} of the merge that folded exactly those stream
+    prefixes.  The host adds the service state of every command the merge
+    emitted up to the cut. *)
+
+val supersedes : int array -> int array -> bool
+(** [supersedes seqs have]: [seqs] is at or past [have] in every partition
+    and past it in one, so a cut at [seqs] moves a replica at [have]
+    forward and rolls nothing back. *)
 
 module Make (P : Platform_intf.S) : sig
   type 'c t
@@ -78,21 +88,26 @@ module Make (P : Platform_intf.S) : sig
   val tick : 'c t -> unit
   (** Drive every partition's batch/heartbeat/election timers. *)
 
+  (** {2 Snapshot catch-up} *)
+
+  val delivered : 'c t -> int array
+  (** Each partition's delivered seq. *)
+
+  val cut : 'c t -> 'c cut
+  (** The endpoint's cut now (call between {!handle}/{!tick} calls). *)
+
+  val install_cut : 'c t -> 'c cut -> bool
+  (** Fast-forward to a peer's cut if it {!supersedes} this endpoint's
+      {!delivered} seqs: every partition's sequencer skips to the cut's
+      seq (restarting its log there) and the merge takes the cut's
+      state.  Emits nothing.  True if installed; the host then installs
+      the matching service state. *)
+
   (** {2 Introspection} *)
 
   val partitions : 'c t -> int
   val view : 'c t -> part:int -> int
-  val is_leader : 'c t -> part:int -> bool
   val leader : 'c t -> part:int -> int
-  val delivered_seq : 'c t -> part:int -> int
-  val committed_seq : 'c t -> part:int -> int
-
-  val log_end : 'c t -> part:int -> int
-  (** First sequence number of partition [part] with no local log entry. *)
-
-  val pending_length : 'c t -> part:int -> int
-  (** Commands accepted by partition [part]'s sequencer but not yet sealed
-      into a batch (nonzero only on its leader between cuts). *)
 
   val views_installed : 'c t -> int
   (** Completed view changes, summed over partitions. *)

@@ -74,10 +74,9 @@ type cross_state = {
   mutable first_push : float;  (** virtual time of first sighting *)
 }
 
-type 'c t = {
-  partitions : int;
-  no_barrier : bool;
-  emit : 'c emitted -> unit;
+(* Everything the merge's future emissions depend on; a replica installs
+   a peer's copy ({!cut}) to take over the merge at the peer's cut. *)
+type 'c state = {
   streams : 'c entry Queue.t array;
   high : (int, int) Hashtbl.t array;
       (** per stream: origin -> highest cross seq the stream carried *)
@@ -86,10 +85,18 @@ type 'c t = {
   emitted_cross : (int, int ref) Hashtbl.t;
       (** emitted cross uids -> stream occurrences still to skip (queued
           or not yet pushed); removed when the last one is consumed *)
+}
+
+type 'c cut = 'c state
+
+type 'c t = {
+  partitions : int;
+  no_barrier : bool;
+  emit : 'c emitted -> unit;
+  mutable s : 'c state;
   mutable emitted_count : int;
   mutable cross_count : int;
   mutable hole_count : int;
-  mutable queued : int;  (** entries pushed but not yet consumed *)
 }
 
 let create ?(no_barrier = false) ~partitions ~emit () =
@@ -98,33 +105,57 @@ let create ?(no_barrier = false) ~partitions ~emit () =
     partitions;
     no_barrier;
     emit;
-    streams = Array.init partitions (fun _ -> Queue.create ());
-    high = Array.init partitions (fun _ -> Hashtbl.create 16);
-    pushed = Array.make partitions 0;
-    cross = Hashtbl.create 16;
-    emitted_cross = Hashtbl.create 16;
+    s =
+      {
+        streams = Array.init partitions (fun _ -> Queue.create ());
+        high = Array.init partitions (fun _ -> Hashtbl.create 16);
+        pushed = Array.make partitions 0;
+        cross = Hashtbl.create 16;
+        emitted_cross = Hashtbl.create 16;
+      };
     emitted_count = 0;
     cross_count = 0;
     hole_count = 0;
-    queued = 0;
   }
+
+(* A deep copy: no mutable part is shared, so a cut sent to a peer stays
+   as it was when taken, and each installation copies it afresh. *)
+let copy s =
+  let map_values f h =
+    let h = Hashtbl.copy h in
+    Hashtbl.filter_map_inplace (fun _ v -> Some (f v)) h;
+    h
+  in
+  {
+    streams = Array.map Queue.copy s.streams;
+    high = Array.map Hashtbl.copy s.high;
+    pushed = Array.copy s.pushed;
+    cross = map_values (fun st -> { st with ts = st.ts }) s.cross;
+    emitted_cross = map_values (fun left -> ref !left) s.emitted_cross;
+  }
+
+let cut t = copy t.s
+
+let install t c = t.s <- copy c
 
 let partitions t = t.partitions
 let emitted t = t.emitted_count
 let crosses t = t.cross_count
 let holes t = t.hole_count
-let pending t = t.queued
+
+let pending t =
+  Array.fold_left (fun n q -> n + Queue.length q) 0 t.s.streams
 
 let pushed t ~part =
   if part < 0 || part >= t.partitions then invalid_arg "Pmerge.pushed";
-  t.pushed.(part)
+  t.s.pushed.(part)
 
 let designated parts = parts.(0)
 
-let emitted_live t = Hashtbl.length t.emitted_cross
+let emitted_live t = Hashtbl.length t.s.emitted_cross
 
 let remembered_origins t =
-  Array.fold_left (fun acc h -> acc + Hashtbl.length h) 0 t.high
+  Array.fold_left (fun acc h -> acc + Hashtbl.length h) 0 t.s.high
 
 (* Whether stream [part] already carried cross uid [uid]; records it if
    not.  An origin's first occurrences reach a stream in ascending seq
@@ -132,26 +163,24 @@ let remembered_origins t =
    repeat. *)
 let repeat t ~part uid =
   let origin = uid land (origins - 1) and seq = uid lsr origin_bits in
-  match Hashtbl.find_opt t.high.(part) origin with
+  match Hashtbl.find_opt t.s.high.(part) origin with
   | Some high when seq <= high -> true
   | Some _ | None ->
-      Hashtbl.replace t.high.(part) origin seq;
+      Hashtbl.replace t.s.high.(part) origin seq;
       false
 
 (* [consumed]: occurrences of [uid] popped by the emission itself. *)
 let emit_cross t ~uid ~(st : cross_state) ~consumed cmd =
   let left = Array.length st.parts - st.dropped - consumed in
-  if left > 0 then Hashtbl.replace t.emitted_cross uid (ref left);
-  Hashtbl.remove t.cross uid;
+  if left > 0 then Hashtbl.replace t.s.emitted_cross uid (ref left);
+  Hashtbl.remove t.s.cross uid;
   t.cross_count <- t.cross_count + 1;
   t.emitted_count <- t.emitted_count + 1;
   Probe.part_cross ();
   if Probe.enabled () then Probe.part_stall (Probe.now () -. st.first_push);
   t.emit { part = designated st.parts; cross = true; uid; cmd }
 
-let pop t p =
-  ignore (Queue.pop t.streams.(p) : 'c entry);
-  t.queued <- t.queued - 1
+let pop t p = ignore (Queue.pop t.s.streams.(p) : 'c entry)
 
 (* One pass over stream [p]'s head: consume holes, emit singles, emit a
    rendezvous-complete cross (checked from its designated stream only, so
@@ -160,7 +189,7 @@ let advance t p =
   let progress = ref false in
   let stop = ref false in
   while not !stop do
-    match Queue.peek_opt t.streams.(p) with
+    match Queue.peek_opt t.s.streams.(p) with
     | None -> stop := true
     | Some (Single cmd) ->
         pop t p;
@@ -169,20 +198,20 @@ let advance t p =
         t.emit { part = p; cross = false; uid = -1; cmd };
         progress := true
     | Some (Cross { uid; parts; cmd }) -> (
-        match Hashtbl.find_opt t.emitted_cross uid with
+        match Hashtbl.find_opt t.s.emitted_cross uid with
         | Some left ->
             (* A hole left by a tie-break (or, under [no_barrier], by the
                designated stream racing ahead): already emitted, skip. *)
             pop t p;
             decr left;
-            if !left = 0 then Hashtbl.remove t.emitted_cross uid;
+            if !left = 0 then Hashtbl.remove t.s.emitted_cross uid;
             progress := true
         | None ->
             if t.no_barrier then
               if p = designated parts then begin
                 (* Planted bug: no rendezvous — emit on designated-head sight,
                    ordered against other partitions only by arrival timing. *)
-                let st = Hashtbl.find t.cross uid in
+                let st = Hashtbl.find t.s.cross uid in
                 pop t p;
                 emit_cross t ~uid ~st ~consumed:1 cmd;
                 progress := true
@@ -190,7 +219,7 @@ let advance t p =
               else begin
                 (* Planted bug, other half: foreign occurrences are discarded
                    without waiting for the designated emission. *)
-                let st = Hashtbl.find t.cross uid in
+                let st = Hashtbl.find t.s.cross uid in
                 st.dropped <- st.dropped + 1;
                 pop t p;
                 t.hole_count <- t.hole_count + 1;
@@ -201,13 +230,13 @@ let advance t p =
               let at_all_heads =
                 Array.for_all
                   (fun q ->
-                    match Queue.peek_opt t.streams.(q) with
+                    match Queue.peek_opt t.s.streams.(q) with
                     | Some (Cross { uid = u; _ }) -> u = uid
                     | Some (Single _) | None -> false)
                   parts
               in
               if at_all_heads then begin
-                let st = Hashtbl.find t.cross uid in
+                let st = Hashtbl.find t.s.cross uid in
                 (* Pop only the designated occurrence; the other streams skip
                    theirs as already-emitted on their own advance. *)
                 pop t p;
@@ -244,9 +273,9 @@ let advance t p =
 let find_victim t =
   let heads = Hashtbl.create 8 in
   for p = 0 to t.partitions - 1 do
-    match Queue.peek_opt t.streams.(p) with
+    match Queue.peek_opt t.s.streams.(p) with
     | Some (Cross { uid; cmd; _ }) -> (
-        match Hashtbl.find_opt t.cross uid with
+        match Hashtbl.find_opt t.s.cross uid with
         | Some st when st.seen = Array.length st.parts ->
             Hashtbl.replace heads uid (st, cmd)
         | Some _ | None -> ())
@@ -257,7 +286,7 @@ let find_victim t =
     let st, _ = Hashtbl.find heads uid in
     Array.to_list st.parts
     |> List.filter_map (fun q ->
-           match Queue.peek_opt t.streams.(q) with
+           match Queue.peek_opt t.s.streams.(q) with
            | Some (Cross { uid = u; _ }) when u = uid -> None
            | Some (Cross { uid = u; _ }) when Hashtbl.mem heads u ->
                Some (Some u)
@@ -334,14 +363,14 @@ let drain t =
   done
 
 let enqueue t ~part e =
-  let pos = t.pushed.(part) in
-  t.pushed.(part) <- pos + 1;
+  let pos = t.s.pushed.(part) in
+  t.s.pushed.(part) <- pos + 1;
   (match e with
   | Single _ -> ()
   | Cross { uid; parts; _ } ->
-      if not (Hashtbl.mem t.emitted_cross uid) then begin
+      if not (Hashtbl.mem t.s.emitted_cross uid) then begin
         let st =
-          match Hashtbl.find_opt t.cross uid with
+          match Hashtbl.find_opt t.s.cross uid with
           | Some st -> st
           | None ->
               let st =
@@ -353,14 +382,13 @@ let enqueue t ~part e =
                   first_push = Probe.now ();
                 }
               in
-              Hashtbl.add t.cross uid st;
+              Hashtbl.add t.s.cross uid st;
               st
         in
         st.ts <- max st.ts pos;
         st.seen <- st.seen + 1
       end);
-  Queue.push e t.streams.(part);
-  t.queued <- t.queued + 1;
+  Queue.push e t.s.streams.(part);
   drain t
 
 (* A repeat is dropped before it takes a sequence position, so the merge

@@ -63,6 +63,26 @@ val push : 'c t -> part:int -> 'c entry -> unit
     stream's contents alone, so every replica drops the same
     occurrences. *)
 
+(** {2 Snapshot cut} *)
+
+type 'c cut
+(** A deep copy of everything the merge's future emissions depend on: each
+    stream's queued entries, the per-stream sequence counters and repeat
+    memory, the pending cross commands and the skip counts of emitted
+    ones.  The whole state, not just the pending crosses: a cycle
+    tie-break compares stream positions. *)
+
+val cut : 'c t -> 'c cut
+(** The merge's state now.  It is a function of the stream prefixes pushed
+    so far, so it is the state every replica reaches after pushing the
+    same prefixes. *)
+
+val install : 'c t -> 'c cut -> unit
+(** Replace the merge's state with a copy of the cut (the [emit] upcall
+    and the diagnostic counters stay).  Emits nothing: a cut is taken
+    between pushes, at an emission fixpoint.  The cut must come from a
+    merge of the same partition count. *)
+
 (** {2 Introspection} *)
 
 val partitions : 'c t -> int

@@ -5,14 +5,20 @@
 
     - the wire protocol: broadcast messages, client requests, replies and
       the self-addressed timer ticks that keep each replica single-threaded;
-    - replicas: an event loop feeding the {!Psmr_broadcast.Abcast} protocol,
-      an {e executor} that runs delivered commands — either sequentially
+    - replicas: an event loop feeding one ordering stack for every mode,
+      {!Psmr_broadcast.Partition} (one {!Psmr_broadcast.Abcast} sequencer
+      per partition folded through the deterministic merge; a bare
+      execution mode is one partition), an {e executor} that runs the
+      merged commands — either sequentially
       (classical SMR) or through a scheduling backend with worker threads
       (parallel SMR) — and an at-most-once table replaying cached replies
       to retried requests;
+    - snapshot catch-up: a replica stalled behind a truncated log installs
+      a peer's cut of the merged stream (each partition's delivered seq,
+      the merge state, the service state and the duplicate screening);
     - closed-loop clients that submit a batch per [call_batch], routed by
       partition: each command goes to the replica believed to lead every
-      partition it touches (the one sequencer without partitioning);
+      partition it touches;
     - notice-first failover: a replica that becomes the leader of a view
       announces its leader hints to every client, and a client resends
       what it had sent under the older view at once, so a leader crash
@@ -63,7 +69,6 @@ let rec mode_label = function
 
 module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
   module Net = Psmr_net.Network.Make (P)
-  module Ab = Psmr_broadcast.Abcast.Make (P)
   module Part = Psmr_broadcast.Partition.Make (P)
   module Latch = Latch.Make (P)
   module MB = Mailbox.Make (P)
@@ -72,25 +77,29 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
   type hint = { view : int; leader : int }
 
   type wire =
-    | Proto of envelope Psmr_broadcast.Abcast.message
-    | PProto of envelope Psmr_broadcast.Partition.wire
-        (** partitioned-mode peer traffic, tagged with its partition *)
+    | Order of envelope Psmr_broadcast.Partition.wire
+        (** ordering traffic, tagged with its partition *)
     | Reply of {
         rid : int;
         resp : S.response;
         replica : int;
         leaders : hint array;
-            (** the replying replica's hint per partition (one without
-                partitioning), adopted by the client *)
+            (** the replying replica's hint per partition, adopted by the
+                client *)
       }
     | Leaders of hint array
         (** a new leader's hints, announced to every client *)
     | Tick
     | Client_timeout of { rid : int; attempt : int }
-    | Snapshot_request of { have_seq : int }
-        (** a stalled replica asking for a state snapshot *)
-    | Snapshot of { state : string; rids : (int * int) list; seq : int }
-        (** service state + at-most-once table, cut at batch [seq] *)
+    | Snapshot_request of { have : int array }
+        (** a stalled replica asking for a snapshot past its delivered seq
+            per partition *)
+    | Snapshot of {
+        state : string;
+        seen : (int * int * int list) list;
+        cut : envelope Psmr_broadcast.Partition.cut;
+      }
+        (** service state and duplicate screening at an ordering cut *)
 
   (* The COS sees envelopes; conflicts and footprints come from the
      service's relation. *)
@@ -116,9 +125,13 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
   (* The at-most-once window: the reply cache keeps a client's last
      [window] responses, enough to replay any request of a retried client
      batch (clients wait for a whole batch before sending the next, and
-     [call_batch] keeps a batch within the window); partitioned duplicate
+     [call_batch] keeps a batch within the window); duplicate
      screening remembers the same span of rids. *)
   let window = 128
+
+  (* A client's duplicate-screening state at a replica: its highest
+     screened rid and the rids screened within [window] below it. *)
+  type seen = { mutable high : int; recent : (int, unit) Hashtbl.t }
 
   let cache_store cache client rid resp =
     let inner =
@@ -197,37 +210,23 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
   (* Work items for the parallelizer thread.  Snapshot operations ride the
      same queue so they are totally ordered with deliveries. *)
   type apply_item =
-    | Apply of envelope array * int  (* batch and its sequence number *)
-    | Take_snapshot of (string * (int * int) list * int -> unit)
-        (* callback receives (service state, at-most-once table, seq) *)
-    | Install_snapshot of { state : string; rids : (int * int) list; seq : int }
-
-  (* The ordering stack behind a replica: one global sequencer, or N
-     per-partition sequencers folded through the deterministic merge. *)
-  type ordering =
-    | Single_ab of envelope Ab.t
-    | Part_ab of envelope Part.t
+    | Apply of envelope array  (* the commands one protocol call merged *)
+    | Take_snapshot of (string -> (int * int * int list) list -> unit)
+        (* callback receives the service state and the screening table *)
+    | Install_snapshot of { state : string; seen : (int * int * int list) list }
 
   type replica = {
     id : int;
-    ord : ordering;
+    ord : envelope Part.t;
+        (* the ordering stack: one sequencer per partition (one in all for
+           a bare execution mode) folded through the merge *)
     executor : executor;
     stopped : bool P.Atomic.t;
     delivered_commands : int P.Atomic.t;
     apply_box : apply_item MB.t;
-        (* delivered batches queued for the parallelizer thread *)
+        (* merged batches queued for the parallelizer thread *)
     run_applier : unit -> unit;
-    publish_leaders : unit -> unit;
-        (* after each protocol call: publish the hints replies carry when
-           a view moved, and announce them to every client when this
-           replica became the leader of a view *)
-    flush_emitted : unit -> unit;
-        (* partitioned mode: hand merged commands accumulated during the
-           last protocol call to the applier as one batch (no-op else) *)
-    handle_snapshot_msg : src:int -> wire -> unit;
-        (* Snapshot_request / Snapshot handling (protocol thread) *)
-    check_stall : unit -> unit;
-        (* request a snapshot if the log has an unrecoverable gap *)
+    handle : src:int -> wire -> unit;  (* one protocol call *)
   }
 
   (* --- client --- *)
@@ -237,10 +236,7 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
     c_net : wire Net.t;
     c_replicas : int;
     c_timeout : float;
-    c_partitioned : bool;
-    c_targets : int array;
-        (* per partition (one without partitioning): the replica believed
-           to lead it *)
+    c_targets : int array;  (* per partition: the replica believed to lead it *)
     c_views : int array;
         (* per partition: the newest view a hint showed; an older view's
            hint never moves a target back *)
@@ -254,12 +250,9 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
       c_net = net;
       c_replicas = replicas;
       c_timeout = timeout;
-      c_partitioned = Option.is_some partitions;
       c_targets =
-        Array.init
-          (Option.value partitions ~default:1)
-          (Psmr_broadcast.Partition.initial_leader ~n:replicas);
-      c_views = Array.make (Option.value partitions ~default:1) 0;
+        Array.init partitions (Psmr_broadcast.Partition.initial_leader ~n:replicas);
+      c_views = Array.make partitions 0;
       c_rid = 0;
       c_retries = 0;
     }
@@ -316,11 +309,6 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
           Psmr_broadcast.Pmerge.uid ~origin:c.c_id ~seq:e.rid)
         envelopes
     in
-    let request p slice =
-      if c.c_partitioned then
-        PProto { part = p; msg = Psmr_broadcast.Abcast.Request slice }
-      else Proto (Psmr_broadcast.Abcast.Request (Array.map envelope_of slice))
-    in
     let responses = Array.make k None in
     let missing = ref k in
     let unanswered =
@@ -331,7 +319,8 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
     let sent_view = Array.make (Array.length slices) 0 in
     let send p slice =
       sent_view.(p) <- c.c_views.(p);
-      Net.send c.c_net ~src:c.c_id ~dst:c.c_targets.(p) (request p slice)
+      Net.send c.c_net ~src:c.c_id ~dst:c.c_targets.(p)
+        (Order { part = p; msg = Psmr_broadcast.Abcast.Request slice })
     in
     (* Resend each partition that [pick] selects and that has unanswered
        commands, first moving its target on when [rotate]; true if any
@@ -439,6 +428,7 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
 
     type t = {
       cfg : config;
+      partitions : int;
       net : wire Net.t;
       replica_handles : replica array;
       all_joined : Latch.t;
@@ -446,18 +436,35 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
 
     let client_addr t i = t.cfg.replicas + i
 
+    (* The deployment's shape, reduced once from [mode]: its partition
+       count (1 for a bare execution mode, whose one sequencer is
+       partition 0) and its executor backend with its workers ([None]:
+       sequential).  Partitioning changes ordering, not execution. *)
+    let rec shape ?(partitions = 1) = function
+      | Sequential -> (partitions, None)
+      | Parallel { impl; workers } ->
+          (partitions, Some (Psmr_early.Registry.Cos impl, workers))
+      | Parallel_early { workers; classes }
+      | Parallel_early_opt { workers; classes } ->
+          ( partitions,
+            Some
+              (Psmr_early.Registry.Early { classes; optimistic = false }, workers)
+          )
+      | Partitioned { inner = Partitioned _; _ } ->
+          invalid_arg "Deployment: nested Partitioned mode"
+      | Partitioned { partitions; _ } when partitions <= 0 ->
+          invalid_arg "Deployment: partitions must be > 0"
+      | Partitioned { partitions; inner } -> shape ~partitions inner
+
     let create (cfg : config) =
       if cfg.replicas < 3 || cfg.replicas mod 2 = 0 then
         invalid_arg "Deployment: replicas must be odd and >= 3";
       if cfg.clients < 0 then invalid_arg "Deployment: negative clients";
-      (match cfg.mode with
-      | Partitioned { partitions; inner } ->
-          if partitions <= 0 then
-            invalid_arg "Deployment: partitions must be > 0";
-          (match inner with
-          | Partitioned _ -> invalid_arg "Deployment: nested Partitioned mode"
-          | _ -> ())
-      | _ -> ());
+      (* A client's cross-partition uids pack its address into 16 bits
+         ({!Psmr_broadcast.Pmerge.uid}). *)
+      if cfg.replicas + cfg.clients > 65536 then
+        invalid_arg "Deployment: more than 65536 replicas and clients";
+      let partitions, backend = shape cfg.mode in
       let net =
         Net.create ~latency:cfg.latency ~nodes:(cfg.replicas + cfg.clients) ()
       in
@@ -471,7 +478,6 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
               Hashtbl.create 64
             in
             let cache_mutex = P.Mutex.create () in
-            let seen_rid : (int, int) Hashtbl.t = Hashtbl.create 64 in
             (* Replies carry this replica's hint per partition; the
                protocol thread publishes a fresh array whenever a view
                moves, so the executor threads only ever read a complete
@@ -481,27 +487,12 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
               make_apply ~replica_id:id ~service ~net ~cache ~cache_mutex
                 ~leaders
             in
-            (* Partitioning changes ordering, not execution: the executor
-               comes from the inner mode. *)
-            let rec exec_mode = function
-              | Partitioned { inner; _ } -> exec_mode inner
-              | m -> m
-            in
             let executor =
-              match exec_mode cfg.mode with
-              | Partitioned _ -> assert false (* exec_mode unwraps these *)
-              | Sequential -> sequential_executor ~apply
-              | Parallel { impl; workers } ->
-                  backend_executor ~backend:(Psmr_early.Registry.Cos impl)
-                    ~workers
-                    ~max_size:cfg.cos_max_size ~apply
-              | Parallel_early { workers; classes }
-              | Parallel_early_opt { workers; classes } ->
-                  backend_executor
-                    ~backend:
-                      (Psmr_early.Registry.Early
-                         { classes; optimistic = false })
-                    ~workers ~max_size:cfg.cos_max_size ~apply
+              match backend with
+              | None -> sequential_executor ~apply
+              | Some (backend, workers) ->
+                  backend_executor ~backend ~workers ~max_size:cfg.cos_max_size
+                    ~apply
             in
             let delivered_commands = P.Atomic.make 0 in
             (* The parallelizer stage (Figure 1b) is its own thread: the
@@ -509,77 +500,38 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
                back-pressures the scheduler without stalling acknowledgements
                and heartbeats. *)
             let apply_box = MB.create () in
-            (* Batches arrive densely in sequence order, so the protocol
-               thread can number them locally; snapshot installation jumps
-               the counter. *)
-            let next_seq = ref 0 in
-            let ord, flush_emitted =
-              match cfg.mode with
-              | Partitioned { partitions; _ } ->
-                  (* Merged commands accumulate while a protocol call runs
-                     (the merge emits from within handle/tick); the event
-                     loop flushes them afterwards as one batch, so the
-                     executor keeps its batch amortization. *)
-                  let pending_emit : envelope Psmr_util.Vec.t =
-                    Psmr_util.Vec.create ()
-                  in
-                  let pab =
-                    Part.create ~config:cfg.abcast ~partitions ~id
-                      ~n:cfg.replicas
-                      ~send:(fun dst w -> Net.send net ~src:id ~dst (PProto w))
-                      ~deliver:(fun em ->
-                        ignore
-                          (P.Atomic.fetch_and_add delivered_commands 1 : int);
-                        Psmr_util.Vec.push pending_emit
-                          em.Psmr_broadcast.Pmerge.cmd)
-                      ()
-                  in
-                  let flush () =
-                    if Psmr_util.Vec.length pending_emit > 0 then begin
-                      let batch = Psmr_util.Vec.to_array pending_emit in
-                      Psmr_util.Vec.clear pending_emit;
-                      let seq = !next_seq in
-                      incr next_seq;
-                      ignore (MB.put apply_box (Apply (batch, seq)) : bool)
-                    end
-                  in
-                  (Part_ab pab, flush)
-              | _ ->
-                  let ab =
-                    Ab.create ~config:cfg.abcast ~id ~n:cfg.replicas
-                      ~send:(fun dst msg ->
-                        Net.send net ~src:id ~dst (Proto msg))
-                      ~deliver:(fun batch ->
-                        ignore
-                          (P.Atomic.fetch_and_add delivered_commands
-                             (Array.length batch)
-                            : int);
-                        let seq = !next_seq in
-                        incr next_seq;
-                        ignore (MB.put apply_box (Apply (batch, seq)) : bool))
-                      ()
-                  in
-                  (Single_ab ab, fun () -> ())
+            (* Merged commands accumulate while a protocol call runs (the
+               merge emits from within handle/tick); [flush] hands them to
+               the applier afterwards as one batch, so the executor keeps
+               its batch amortization. *)
+            let pending_emit : envelope Psmr_util.Vec.t =
+              Psmr_util.Vec.create ()
             in
-            let parts, view, leader =
-              match ord with
-              | Single_ab ab ->
-                  (1, (fun _ -> Ab.view ab), fun _ -> Ab.leader ab)
-              | Part_ab pab ->
-                  ( Part.partitions pab,
-                    (fun part -> Part.view pab ~part),
-                    fun part -> Part.leader pab ~part )
+            let flush () =
+              if Psmr_util.Vec.length pending_emit > 0 then begin
+                let batch = Psmr_util.Vec.to_array pending_emit in
+                Psmr_util.Vec.clear pending_emit;
+                ignore (MB.put apply_box (Apply batch) : bool)
+              end
+            in
+            let ord =
+              Part.create ~config:cfg.abcast ~partitions ~id ~n:cfg.replicas
+                ~send:(fun dst w -> Net.send net ~src:id ~dst (Order w))
+                ~deliver:(fun em ->
+                  ignore (P.Atomic.fetch_and_add delivered_commands 1 : int);
+                  Psmr_util.Vec.push pending_emit em.Psmr_broadcast.Pmerge.cmd)
+                ()
             in
             let hints () =
-              Array.init parts (fun part ->
-                  { view = view part; leader = leader part })
+              Array.init partitions (fun part ->
+                  { view = Part.view ord ~part; leader = Part.leader ord ~part })
             in
             leaders := hints ();
             let publish_leaders () =
               let old = !leaders in
               let rec moved part =
-                part < parts
-                && (view part <> old.(part).view || moved (part + 1))
+                part < partitions
+                && (Part.view ord ~part <> old.(part).view || moved (part + 1))
               in
               if moved 0 then begin
                 let fresh = hints () in
@@ -598,61 +550,31 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
             (* Duplicate suppression happens before scheduling: a retried
                request whose original is still in flight is dropped (the
                original will reply); one already executed gets the cached
-               reply replayed.  Returns whether the envelope is fresh and
-               should be scheduled.
+               reply replayed.  [screen_one] returns whether the envelope
+               is fresh and should be scheduled.
 
-               Under a single sequencer the delivery order preserves each
-               client's rid order, so the monotonic high-water mark in
-               [seen_rid] is an exact duplicate test.  The partitioned
-               merge only preserves {e per-partition} order: a client's
-               consecutive requests landing on different partitions can
-               reach the executor with rids inverted, so partitioned mode
-               keeps the recent-rid {e set} per client (pruned to the same
-               window as the reply cache — closed-loop clients never have
-               more than one batch in flight, so anything below the window
-               is necessarily an old retry). *)
-            let seen_rid_set : (int, (int, unit) Hashtbl.t) Hashtbl.t =
-              Hashtbl.create 64
-            in
+               The merge preserves each client's rid order only per
+               partition: a client's consecutive requests landing on
+               different partitions can reach the executor with rids
+               inverted.  So each client keeps its highest screened rid
+               and the set of rids screened within [window] below it.
+               Closed-loop clients never have more than one batch in
+               flight, so anything below the window is an old retry. *)
+            let seen : (int, seen) Hashtbl.t = Hashtbl.create 64 in
             let screen_one (e : envelope) =
               (* Per-command protocol processing (deserialization, reply
                  envelope) — the CPU share the ordering stack takes on the
                  replica, visible only under the simulated cost model. *)
               P.work Marshal;
-              let dup =
-                match ord with
-                | Single_ab _ -> (
-                    match Hashtbl.find_opt seen_rid e.client with
-                    | Some last when e.rid <= last -> true
-                    | Some _ | None -> false)
-                | Part_ab _ ->
-                    let set =
-                      match Hashtbl.find_opt seen_rid_set e.client with
-                      | Some s -> s
-                      | None ->
-                          let s = Hashtbl.create 16 in
-                          Hashtbl.replace seen_rid_set e.client s;
-                          s
-                    in
-                    let last =
-                      Option.value
-                        (Hashtbl.find_opt seen_rid e.client)
-                        ~default:(-1)
-                    in
-                    if e.rid <= last - window || Hashtbl.mem set e.rid
-                    then true
-                    else begin
-                      Hashtbl.replace set e.rid ();
-                      if Hashtbl.length set > 2 * window then
-                        Hashtbl.filter_map_inplace
-                          (fun r v ->
-                            if r <= max last e.rid - window then None
-                            else Some v)
-                          set;
-                      false
-                    end
+              let s =
+                match Hashtbl.find_opt seen e.client with
+                | Some s -> s
+                | None ->
+                    let s = { high = -1; recent = Hashtbl.create 16 } in
+                    Hashtbl.replace seen e.client s;
+                    s
               in
-              if dup then begin
+              if e.rid <= s.high - window || Hashtbl.mem s.recent e.rid then begin
                 P.Mutex.lock cache_mutex;
                 let cached = cache_find cache e.client e.rid in
                 P.Mutex.unlock cache_mutex;
@@ -665,15 +587,16 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
                 false
               end
               else begin
-                (* Keep the per-client high-water mark a max: in
-                   partitioned mode a fresh rid can arrive below it. *)
-                (match Hashtbl.find_opt seen_rid e.client with
-                | Some last when last >= e.rid -> ()
-                | Some _ | None -> Hashtbl.replace seen_rid e.client e.rid);
+                Hashtbl.replace s.recent e.rid ();
+                s.high <- max s.high e.rid;
+                if Hashtbl.length s.recent > 2 * window then
+                  Hashtbl.filter_map_inplace
+                    (fun r v -> if r <= s.high - window then None else Some v)
+                    s.recent;
                 true
               end
             in
-            (* The delivered batch reaches the executor as one batch (minus
+            (* The merged batch reaches the executor as one batch (minus
                duplicates), so the COS can amortize per-command
                synchronization over it. *)
             let apply_batch (batch : envelope array) =
@@ -683,86 +606,93 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
               | [ e ] -> executor.exec_submit e
               | es -> executor.exec_submit_batch (Array.of_list es)
             in
-            let last_applied_seq = ref (-1) in
             let run_applier () =
               let rec loop () =
                 match MB.take apply_box with
                 | None -> executor.exec_shutdown ()
-                | Some (Apply (batch, seq)) ->
+                | Some (Apply batch) ->
                     apply_batch batch;
-                    last_applied_seq := seq;
                     loop ()
                 | Some (Take_snapshot reply) ->
                     (* Quiesce the executor so the snapshot is a clean cut
-                       at [last_applied_seq]. *)
+                       after the last batch queued before it. *)
                     executor.exec_drain ();
-                    let rids =
-                      Hashtbl.fold (fun c r acc -> (c, r) :: acc) seen_rid []
-                    in
-                    reply (S.snapshot service, rids, !last_applied_seq);
+                    reply (S.snapshot service)
+                      (Hashtbl.fold
+                         (fun c s acc ->
+                           (c, s.high, List.of_seq (Hashtbl.to_seq_keys s.recent))
+                           :: acc)
+                         seen []);
                     loop ()
-                | Some (Install_snapshot { state; rids; seq }) ->
+                | Some (Install_snapshot { state; seen = screened }) ->
                     executor.exec_drain ();
                     S.restore service state;
-                    Hashtbl.reset seen_rid;
-                    List.iter (fun (c, r) -> Hashtbl.replace seen_rid c r) rids;
+                    Hashtbl.reset seen;
+                    List.iter
+                      (fun (c, high, recent) ->
+                        let s = { high; recent = Hashtbl.create 16 } in
+                        List.iter (fun r -> Hashtbl.replace s.recent r ()) recent;
+                        Hashtbl.replace seen c s)
+                      screened;
                     P.Mutex.lock cache_mutex;
                     Hashtbl.reset cache;
                     P.Mutex.unlock cache_mutex;
-                    last_applied_seq := seq;
                     loop ()
               in
               loop ()
             in
-            (* Snapshot-based catch-up exists only in single-sequencer mode;
-               partitioned replicas recover through per-partition log
-               transfer (a state snapshot cut across P merge streams would
-               need a vector of partition sequence numbers — future work,
-               see docs/PARTITIONING.md). *)
-            let handle_snapshot_msg ~src payload =
-              match (ord, payload) with
-              | Part_ab _, _ -> ()
-              | Single_ab ab, Snapshot_request { have_seq } ->
-                  if Ab.delivered_seq ab > have_seq then
+            let last_request = ref neg_infinity in
+            let check_stall () =
+              if Part.is_stalled ord then begin
+                let now = P.now () in
+                if now -. !last_request > 2.0 *. cfg.abcast.election_timeout
+                then begin
+                  last_request := now;
+                  let have = Part.delivered ord in
+                  for dst = 0 to cfg.replicas - 1 do
+                    if dst <> id then
+                      Net.send net ~src:id ~dst (Snapshot_request { have })
+                  done
+                end
+              end
+            in
+            (* Snapshot catch-up, one cut for every deployment.  The
+               protocol thread takes the ordering half (each partition's
+               delivered seq and the merge's state, {!Part.cut}) between
+               protocol calls, so every command the merge emitted before
+               it is already queued for the applier, and queues the
+               request behind them; the applier adds the service state and
+               the duplicate screening.  A replica installs a cut only if
+               it is at or past its own delivered seq in every partition.
+               After each protocol call: publish the hints replies carry,
+               hand what the call merged to the applier as one batch, and
+               ask for a snapshot if a partition's log has a gap beyond
+               log transfer. *)
+            let handle ~src payload =
+              (match payload with
+              | Order w -> Part.handle ord ~src w
+              | Tick -> Part.tick ord
+              | Snapshot_request { have } ->
+                  if Psmr_broadcast.Partition.supersedes (Part.delivered ord) have
+                  then begin
+                    let cut = Part.cut ord in
                     ignore
                       (MB.put apply_box
                          (Take_snapshot
-                            (fun (state, rids, seq) ->
+                            (fun state seen ->
                               Net.send net ~src:id ~dst:src
-                                (Snapshot { state; rids; seq })))
+                                (Snapshot { state; seen; cut })))
                         : bool)
-              | Single_ab ab, Snapshot { state; rids; seq } ->
-                  if seq > Ab.delivered_seq ab then begin
-                    Ab.install_snapshot ab ~seq;
-                    next_seq := seq + 1;
+                  end
+              | Snapshot { state; seen; cut } ->
+                  if Part.install_cut ord cut then
                     ignore
-                      (MB.put apply_box (Install_snapshot { state; rids; seq })
+                      (MB.put apply_box (Install_snapshot { state; seen })
                         : bool)
-                  end
-              | Single_ab _, (Proto _ | PProto _ | Reply _ | Leaders _ | Tick
-                             | Client_timeout _) ->
-                  ()
-            in
-            let last_request = ref neg_infinity in
-            let check_stall () =
-              match ord with
-              | Part_ab _ -> ()
-              | Single_ab ab ->
-                  if Ab.is_stalled ab then begin
-                    let now = P.now () in
-                    if
-                      now -. !last_request
-                      > 2.0 *. cfg.abcast.election_timeout
-                    then begin
-                      last_request := now;
-                      let have_seq = Ab.delivered_seq ab in
-                      for dst = 0 to cfg.replicas - 1 do
-                        if dst <> id then
-                          Net.send net ~src:id ~dst
-                            (Snapshot_request { have_seq })
-                      done
-                    end
-                  end
+              | Reply _ | Leaders _ | Client_timeout _ -> ());
+              publish_leaders ();
+              flush ();
+              check_stall ()
             in
             {
               id;
@@ -772,13 +702,10 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
               delivered_commands;
               apply_box;
               run_applier;
-              publish_leaders;
-              flush_emitted;
-              handle_snapshot_msg;
-              check_stall;
+              handle;
             })
       in
-      { cfg; net; replica_handles; all_joined }
+      { cfg; partitions; net; replica_handles; all_joined }
 
     let start t =
       Array.iter
@@ -791,21 +718,9 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
                     P.Atomic.set r.stopped true;
                     MB.close r.apply_box;
                     Latch.count_down t.all_joined
-                | Some { src; payload; _ } -> (
-                    (match (payload, r.ord) with
-                    | Proto m, Single_ab ab -> Ab.handle ab ~src m
-                    | Proto _, Part_ab _ -> ()
-                    | PProto w, Part_ab pab -> Part.handle pab ~src w
-                    | PProto _, Single_ab _ -> ()
-                    | Tick, Single_ab ab -> Ab.tick ab
-                    | Tick, Part_ab pab -> Part.tick pab
-                    | (Snapshot_request _ | Snapshot _), _ ->
-                        r.handle_snapshot_msg ~src payload
-                    | (Reply _ | Leaders _ | Client_timeout _), _ -> ());
-                    r.publish_leaders ();
-                    r.flush_emitted ();
-                    r.check_stall ();
-                    loop ())
+                | Some { src; payload; _ } ->
+                    r.handle ~src payload;
+                    loop ()
               in
               loop ());
           (* Parallelizer: drains delivered commands into the executor. *)
@@ -827,12 +742,7 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
 
     let client t i =
       if i < 0 || i >= t.cfg.clients then invalid_arg "Deployment.client";
-      let partitions =
-        match t.cfg.mode with
-        | Partitioned { partitions; _ } -> Some partitions
-        | _ -> None
-      in
-      make_client ~net:t.net ~replicas:t.cfg.replicas ~partitions
+      make_client ~net:t.net ~replicas:t.cfg.replicas ~partitions:t.partitions
         ~timeout:t.cfg.client_timeout (client_addr t i)
 
     let crash_replica t id =
@@ -840,31 +750,12 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
         invalid_arg "Deployment.crash_replica";
       Net.crash t.net id
 
-    let replica_view t id =
-      match t.replica_handles.(id).ord with
-      | Single_ab ab -> Ab.view ab
-      | Part_ab pab -> Part.view pab ~part:0
-
-    let replica_partition_leader t id ~part =
-      match t.replica_handles.(id).ord with
-      | Single_ab _ ->
-          invalid_arg "Deployment.replica_partition_leader: not partitioned"
-      | Part_ab pab -> Part.leader pab ~part
-
-    let replica_merge_pending t id =
-      match t.replica_handles.(id).ord with
-      | Single_ab _ -> 0
-      | Part_ab pab -> Part.merge_pending pab
-
-    let replica_crosses t id =
-      match t.replica_handles.(id).ord with
-      | Single_ab _ -> 0
-      | Part_ab pab -> Part.crosses pab
-
-    let replica_holes t id =
-      match t.replica_handles.(id).ord with
-      | Single_ab _ -> 0
-      | Part_ab pab -> Part.holes pab
+    let ord t id = t.replica_handles.(id).ord
+    let replica_view t id = Part.view (ord t id) ~part:0
+    let replica_partition_leader t id ~part = Part.leader (ord t id) ~part
+    let replica_merge_pending t id = Part.merge_pending (ord t id)
+    let replica_crosses t id = Part.crosses (ord t id)
+    let replica_holes t id = Part.holes (ord t id)
     let replica_delivered t id = P.Atomic.get t.replica_handles.(id).delivered_commands
     let replica_executed t id = t.replica_handles.(id).executor.exec_executed ()
     let network t = t.net

@@ -5,7 +5,10 @@
     protocol, replicas (protocol event loop + parallelizer thread +
     sequential or backend-parallel executor + at-most-once reply cache),
     batched closed-loop clients routed by partition, and the deployment
-    wiring over an in-process network.  Client failover is notice-first:
+    wiring over an in-process network.  Every deployment orders through
+    {!Psmr_broadcast.Partition}: a bare execution mode is one partition,
+    {!Partitioned} is several, and both catch a lagging replica up with
+    the same snapshot cut.  Client failover is notice-first:
     a replica that becomes the leader of a view announces itself to every
     client, and a client resends at once what it had sent under the older
     view; the client timeout stays as the fallback.  Runs identically on
@@ -30,8 +33,7 @@ type mode =
       (** sharded ordering ({!Psmr_broadcast.Partition}): one sequencer per
           key partition, cross-partition commands merged deterministically
           at delivery; [inner] (any non-[Partitioned] mode) executes the
-          merged sequence.  Snapshot catch-up is disabled in this mode —
-          lagging replicas recover via per-partition log transfer. *)
+          merged sequence.  A bare mode is the one-partition case. *)
 
 val mode_label : mode -> string
 
@@ -42,30 +44,38 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) : sig
   (** A client command with its at-most-once identity. *)
 
   type hint = { view : int; leader : int }
-  (** A replica's view of one partition (of the one sequencer without
-      partitioning): its current view and that view's leader. *)
+  (** A replica's view of one partition (of the one sequencer of a bare
+      mode): its current view and that view's leader. *)
 
   type wire =
-    | Proto of envelope Psmr_broadcast.Abcast.message
-    | PProto of envelope Psmr_broadcast.Partition.wire
-        (** partitioned-mode peer traffic, tagged with its partition *)
+    | Order of envelope Psmr_broadcast.Partition.wire
+        (** ordering traffic (client requests included), tagged with its
+            partition *)
     | Reply of {
         rid : int;
         resp : S.response;
         replica : int;
         leaders : hint array;
-            (** the replying replica's hint per partition (one without
-                partitioning), adopted by the client *)
+            (** the replying replica's hint per partition, adopted by the
+                client *)
       }
     | Leaders of hint array
         (** sent to every client by a replica that became the leader of a
             view: its hints, as a reply would carry them *)
     | Tick
     | Client_timeout of { rid : int; attempt : int }
-    | Snapshot_request of { have_seq : int }
-        (** a replica stalled behind a truncated log asking for state *)
-    | Snapshot of { state : string; rids : (int * int) list; seq : int }
-        (** service snapshot + at-most-once table, cut at batch [seq] *)
+    | Snapshot_request of { have : int array }
+        (** a replica stalled behind a truncated log asking for state past
+            [have], its delivered seq per partition *)
+    | Snapshot of {
+        state : string;
+        seen : (int * int * int list) list;
+        cut : envelope Psmr_broadcast.Partition.cut;
+      }
+        (** one cut of the merged stream: the service snapshot, each
+            client's duplicate screening (client, highest rid, recent
+            rids), and the ordering cut (each partition's delivered seq and
+            the merge state, {!Psmr_broadcast.Partition.cut}) *)
 
   (** {2 Clients} *)
 
@@ -73,16 +83,15 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) : sig
 
   val window : int
   (** The at-most-once window (128 commands): the reply cache and
-      partitioned duplicate screening remember a client's last [window]
-      requests, which covers a retried batch only if no batch is larger. *)
+      duplicate screening remember a client's last [window] requests, which covers a retried batch only if no batch is larger. *)
 
   val call_batch : client -> S.command array -> S.response array option
   (** Send the commands in one request per partition they touch (one
-      request in all without partitioning — BFT-SMaRt-style client
-      batching), each to the replica the client believes leads that
-      partition, initially {!Psmr_broadcast.Partition.initial_leader}, and
-      wait for a reply to each.  Partitioned, the request carries the
-      partition's {!Psmr_broadcast.Partition.entries}: a cross-partition
+      request in all in a bare mode — BFT-SMaRt-style client batching),
+      each to the replica the client believes leads that partition,
+      initially {!Psmr_broadcast.Partition.initial_leader}, and wait for a
+      reply to each.  The request carries the partition's
+      {!Psmr_broadcast.Partition.entries}: a cross-partition
       command goes to every partition it touches under one uid the client
       owns ([Pmerge.uid ~origin:client ~seq:rid]).  Each reply and each
       {!Leaders} notice carries hints; the client adopts a partition's hint
@@ -132,6 +141,10 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) : sig
     type t
 
     val create : config -> t
+    (** Raises [Invalid_argument] on an even or too small [replicas],
+        negative [clients], more than 65536 replicas and clients together
+        (a client's cross-partition uid packs its address into 16 bits),
+        or a nested or empty {!Partitioned} mode. *)
 
     val start : t -> unit
     (** Spawn every replica's protocol loop, parallelizer and ticker. *)
@@ -144,18 +157,18 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) : sig
     (** Crash-stop: the replica stops sending and receiving forever. *)
 
     val replica_view : t -> int -> int
-    (** Partitioned mode reports partition 0's view. *)
+    (** Partition 0's view (the one sequencer's in a bare mode). *)
 
     val replica_delivered : t -> int -> int
     val replica_executed : t -> int -> int
 
     val replica_partition_leader : t -> int -> part:int -> int
-    (** Current leader of partition [part] as seen by the replica
-        (partitioned mode only; use to pick a sequencer to crash). *)
+    (** Current leader of partition [part] as seen by the replica (use to
+        pick a sequencer to crash). *)
 
     val replica_merge_pending : t -> int -> int
     (** Delivered-but-unmerged entries at the replica's merge (0 at
-        quiescence, and always 0 in single-sequencer modes). *)
+        quiescence, and always 0 with one partition). *)
 
     val replica_crosses : t -> int -> int
     (** Cross-partition commands the replica's merge has emitted. *)

@@ -239,6 +239,23 @@ let test_suspend_scoping () =
     "bare Engine outside lib/sim not flagged" false
     (flagged "lib/harness/x.ml")
 
+(* One ordering stack: only Partition instantiates the sequencer, as
+   [Psmr_broadcast.Abcast.Make] anywhere or as [Abcast.Make] inside
+   lib/broadcast. *)
+let test_abcast_scoping () =
+  let flagged p src =
+    List.exists
+      (fun (d : A.Diagnostic.t) -> d.rule = "platform-primitives")
+      (A.Engine.analyze_source ~path:p src)
+  in
+  Alcotest.(check bool)
+    "flagged in lib/replica" true
+    (flagged "lib/replica/replica.ml"
+       "module Ab = Psmr_broadcast.Abcast.Make (P)\n");
+  Alcotest.(check bool)
+    "partition.ml allowed" false
+    (flagged "lib/broadcast/partition.ml" "module Ab = Abcast.Make (P)\n")
+
 let () =
   Alcotest.run "analysis"
     [
@@ -262,5 +279,7 @@ let () =
             test_sim_domain_scoping;
           Alcotest.test_case "Engine.suspend only in Sim_sync" `Quick
             test_suspend_scoping;
+          Alcotest.test_case "Abcast.Make only in Partition" `Quick
+            test_abcast_scoping;
         ] );
     ]

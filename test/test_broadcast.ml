@@ -454,6 +454,34 @@ let test_gap_recovery_via_log_transfer () =
   Alcotest.(check int) "all delivered at leader" 60 (List.length d0);
   Alcotest.(check (list int)) "replica 2 caught up" d0 (Harness.delivered h 2)
 
+let test_deposed_leader_rejoins () =
+  (* Cut leader 0 off both ways: replicas 1 and 2 install a new view
+     without it, and its Start_view never arrives.  Replica 0 stays leader
+     of view 0 and orders a command nobody acknowledges.  After the heal
+     it hears the new view's heartbeats, fetches that view's log past its
+     commit point (dropping its uncommitted batch) and delivers what the
+     new view ordered. *)
+  let submits =
+    [ (0.001, 0, [ 1; 2 ]); (0.1, 0, [ 99 ]); (0.2, 1, [ 3 ]); (0.25, 1, [ 4 ]) ]
+  in
+  let h =
+    Harness.make
+      ~config:{ Harness.config with checkpoint_interval = 0 }
+      ~submit:(fun () -> submits)
+      ()
+  in
+  h.run_until 0.05;
+  h.partition (fun ~src ~dst -> src <> 0 && dst <> 0);
+  h.run_until 0.3;
+  h.heal ();
+  h.run_until 1.0;
+  let d1 = Harness.delivered h 1 in
+  Alcotest.(check (list int)) "the new view ordered its commands"
+    [ 1; 2; 3; 4 ] d1;
+  Alcotest.(check int) "replica 0 joined the new view" (h.views.(1) ())
+    (h.views.(0) ());
+  Alcotest.(check (list int)) "replica 0 caught up" d1 (Harness.delivered h 0)
+
 (* --- five replicas: f = 2 --- *)
 
 let test_five_replicas_two_crashes () =
@@ -711,6 +739,8 @@ let () =
             test_view_change_after_truncation;
           Alcotest.test_case "gap recovery via log transfer" `Quick
             test_gap_recovery_via_log_transfer;
+          Alcotest.test_case "deposed leader rejoins the next view" `Quick
+            test_deposed_leader_rejoins;
         ] );
       ( "injected-faults",
         [

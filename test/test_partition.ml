@@ -150,6 +150,41 @@ let test_no_barrier_is_arrival_dependent () =
   Alcotest.(check (list int)) "sound merge agrees" (projection sa 1)
     (projection sb 1)
 
+(* A cut taken mid-stream and installed in a fresh merge resumes where its
+   source stood: X and Y wedge in a cycle whose tie-break reads the
+   per-stream positions and sightings the cut carries.  The copy shares
+   nothing with its source, which keeps pushing first. *)
+let test_cut_resumes () =
+  let x = cross [| 0; 1 |] 10 and y = cross [| 0; 1 |] 11 in
+  let s =
+    streams_of
+      [| [ x; single 0 1; y; single 0 2 ]; [ y; single 1 3; x; single 1 4 ] |]
+  in
+  let at p i = (p, List.nth s.(p) i) in
+  let prefix = [ at 0 0; at 1 0; at 0 1 ] in
+  let suffix = [ at 1 1; at 0 2; at 1 2; at 0 3; at 1 3 ] in
+  let make () =
+    let out = ref [] in
+    ( Pmerge.create ~partitions:2
+        ~emit:(fun (e : mcmd Pmerge.emitted) -> out := e.cmd.cid :: !out)
+        (),
+      out )
+  in
+  let push t = List.iter (fun (p, e) -> Pmerge.push t ~part:p e) in
+  let a, out_a = make () in
+  push a prefix;
+  let cut = Pmerge.cut a and before = List.length !out_a in
+  push a suffix;
+  let b, out_b = make () in
+  Pmerge.install b cut;
+  push b suffix;
+  Alcotest.(check int) "source drained" 6 (List.length !out_a);
+  Alcotest.(check (list int))
+    "copy emits the source's suffix"
+    (List.filteri (fun i _ -> i >= before) (List.rev !out_a))
+    (List.rev !out_b);
+  Alcotest.(check int) "copy drained" 0 (Pmerge.pending b)
+
 let test_push_validation () =
   let t = Pmerge.create ~partitions:2 ~emit:(fun _ -> ()) () in
   Alcotest.check_raises "cross must touch >= 2"
@@ -1502,6 +1537,8 @@ let () =
           Alcotest.test_case "no-barrier is arrival-dependent" `Quick
             test_no_barrier_is_arrival_dependent;
           Alcotest.test_case "push validation" `Quick test_push_validation;
+          Alcotest.test_case "cut resumes in a fresh merge" `Quick
+            test_cut_resumes;
           Alcotest.test_case "rotational wedge regression" `Quick
             test_rotational_wedge_regression;
           Alcotest.test_case "shared-stream wedges regression" `Quick

@@ -240,11 +240,12 @@ let test_sim_full_batch_burst mode () =
   Engine.run ~until:2.0 engine;
   Alcotest.(check int) "every call returned" (clients * rounds) !returned
 
-let test_state_transfer_after_truncation () =
+let test_state_transfer_after_truncation mode () =
   (* Partition replica 2 away from its peers' traffic while the log is being
      truncated aggressively; after healing, it can no longer catch up from
-     logs (gap beyond every base) so it must recover through a service
-     snapshot, and end up with the same state. *)
+     logs (gap beyond every base) so it must recover through a snapshot cut
+     (every partition's sequencer at once, plus the merge), and end up with
+     the same state. *)
   let open Psmr_sim in
   let engine = Engine.create () in
   (* Zero-cost atomic reads let the test inspect counters after the run. *)
@@ -261,7 +262,7 @@ let test_state_transfer_after_truncation () =
            s)
          ()) with
       clients = 1;
-      mode = Sequential;
+      mode;
       abcast = { fast_abcast with checkpoint_interval = 4; batch_max = 4 };
       tick_interval = 1e-3;
       client_timeout = 0.3;
@@ -310,6 +311,24 @@ let test_state_transfer_after_truncation () =
      than log replay. *)
   Alcotest.(check bool) "snapshot skipped deliveries" true
     (SMR.Deployment.replica_delivered d 2 < SMR.Deployment.replica_delivered d 0)
+
+(* A client's cross-partition uid packs its address into 16 bits, so a
+   deployment with more endpoints is refused up front, before the network
+   or any replica exists, rather than at a client's first cross command. *)
+let test_endpoint_limit () =
+  let cfg =
+    {
+      (KV_smr.Deployment.default_config
+         ~make_service:(fun _ -> Alcotest.fail "a replica was built")
+         ())
+      with
+      replicas = 3;
+      clients = 65534;
+    }
+  in
+  Alcotest.check_raises "65537 endpoints"
+    (Invalid_argument "Deployment: more than 65536 replicas and clients")
+    (fun () -> ignore (KV_smr.Deployment.create cfg : KV_smr.Deployment.t))
 
 let test_sim_deployment_deterministic () =
   let open Psmr_sim in
@@ -489,6 +508,8 @@ let () =
   in
   Alcotest.run "replica"
     [
+      ( "config",
+        [ Alcotest.test_case "endpoint limit" `Quick test_endpoint_limit ] );
       ( "roundtrip",
         [
           Alcotest.test_case "sequential" `Quick (test_kv_roundtrip m_seq);
@@ -527,7 +548,12 @@ let () =
           Alcotest.test_case "full-batch burst (early-opt)" `Quick
             (test_sim_full_batch_burst m_early_opt);
           Alcotest.test_case "state transfer after truncation" `Quick
-            test_state_transfer_after_truncation;
+            (test_state_transfer_after_truncation m_seq);
+          Alcotest.test_case "state transfer after truncation (partitioned)"
+            `Quick
+            (test_state_transfer_after_truncation
+               (Psmr_replica.Replica.Partitioned
+                  { partitions = 4; inner = m_seq }));
           Alcotest.test_case "leader notice fails over at view change" `Quick
             test_sim_notice_failover;
           Alcotest.test_case "lost notice falls back to the timeout" `Quick

@@ -448,10 +448,10 @@ let test_open_loop_pinned () =
   in
   pin "indexed"
     "offered_kops=50 arrivals=379 kops=48.1 failed=0 censored=0 samples=379 \
-     p50=0.000289076768 p99=0.000351986715";
+     p50=0.000288135339 p99=0.000353410451";
   pin "early-opt"
     "offered_kops=50 arrivals=379 kops=48.1 failed=0 censored=0 samples=379 \
-     p50=0.000283647238 p99=0.000345724408";
+     p50=0.000280396877 p99=0.000348340451";
   pin "part2"
     "offered_kops=50 arrivals=379 kops=47.6 failed=0 censored=0 samples=379 \
      p50=0.00026859734 p99=0.000339898709"
