@@ -4,12 +4,14 @@
 
     [n = 2f + 1] replicas; the leader of view [v] is replica [v mod n].
     Clients send requests to the leader (any replica forwards).  The leader
-    cuts a batch as soon as none of its batches is uncommitted (a window
-    of one in-flight batch): as in BFT-SMaRt, the next consensus starts
-    when the previous one decides, with whatever arrived meanwhile.
-    [batch_max] and [batch_delay] cap a batch's size and age while one is
-    in flight.  It sequences each batch with a [Prepare], which each
-    follower accepts and acknowledges with a [Prepare_ok].
+    cuts a batch as soon as fewer than [window] (two) of its batches are
+    uncommitted: a command that arrives just after a cut leaves with the
+    next batch, one round trip ahead of the previous batch's commit, where
+    BFT-SMaRt would start the next consensus only once the previous one
+    decides.  [batch_max] and [batch_delay] cap a batch's size and age
+    while the window is full.  The leader sequences each batch with a
+    [Prepare], which each follower accepts and acknowledges with a
+    [Prepare_ok].
 
     {b One commit rule.}  A replica commits a batch once it knows that
     [f + 1] replicas of the current view hold it: the leader holds every
@@ -104,9 +106,9 @@ type config = {
   batch_max : int;  (** cut a batch at this many commands *)
   batch_delay : float;
       (** …or at this age, whichever first.  Both are caps: a batch is cut
-          at once when the leader has no batch in flight, so the age cut
-          matters only while one is, and is enforced on the first
-          periodic {!Make.tick} past the age *)
+          at once when the leader has room in its window of in-flight
+          batches, so the age cut matters only while the window is full,
+          and is enforced on the first periodic {!Make.tick} past the age *)
   heartbeat_interval : float;
   election_timeout : float;
   checkpoint_interval : int;
@@ -128,6 +130,15 @@ type status = Normal | View_change
 let log_src = Logs.Src.create "psmr.abcast" ~doc:"Atomic broadcast protocol"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
+
+(* Uncommitted batches the leader keeps in flight before it holds new
+   commands back; batches re-proposed after a view change count against
+   it.  Two hide the Prepare/Prepare_ok round of one batch behind the
+   next; a third shortens the latency again but loses throughput at the
+   partitioned ceiling (EXPERIMENTS.md, "Two batches in flight").  A
+   constant, not a [config] field: it changes when the leader cuts, not
+   what any replica may deliver. *)
+let window = 2
 
 module Make (P : Platform_intf.S) = struct
   module IntSet = Set.Make (Int)
@@ -307,14 +318,16 @@ module Make (P : Platform_intf.S) = struct
       deliver_ready t
     end
 
-  (* Pipeline-driven cut, with a window of one in-flight batch: the leader
-     proposes as soon as none of its batches is uncommitted, on enqueue
-     and on the commit that empties the pipeline, as BFT-SMaRt starts the
-     next consensus once the previous one decides.  [batch_max] and
-     [batch_delay] stay as caps while a batch is in flight.  After a view
-     change the re-proposed uncommitted suffix counts as in flight. *)
-  let pipeline_idle t =
-    t.status = Normal && is_leader t && t.committed >= log_end t - 1
+  (* Pipeline-driven cut, with a window of [window] in-flight batches: the
+     leader proposes as soon as fewer than [window] of its batches are
+     uncommitted, on enqueue and on the commit that makes room.
+     [batch_max] and [batch_delay] stay as caps while the window is full.
+     After a view change the re-proposed uncommitted suffix counts against
+     the window.  The commit rule, the view change and [Need_log] handle
+     any number of uncommitted seqs; the window only bounds how many the
+     leader proposes ahead of its commit point. *)
+  let window_has_room t =
+    t.status = Normal && is_leader t && log_end t - 1 - t.committed < window
 
   (* The one commit rule, for leader and followers alike: count [holders]
      as holding [seq] in the current view, and advance the commit point
@@ -346,11 +359,11 @@ module Make (P : Platform_intf.S) = struct
        latency is on the critical path whenever a consumer synchronizes
        on deliveries across instances (the cross-partition rendezvous of
        {!Psmr_broadcast.Pmerge} most of all).  The commit may also have
-       emptied the pipeline: then cut what accumulated while the previous
-       batch was in flight, and its [Prepare] carries the commit point in
-       place of a [Commit]. *)
+       made room in the window: then cut what accumulated while it was
+       full, and its [Prepare] carries the commit point in place of a
+       [Commit]. *)
     if t.committed > before && is_leader t then begin
-      if Psmr_util.Vec.length t.pending > 0 && pipeline_idle t then cut_batch t
+      if Psmr_util.Vec.length t.pending > 0 && window_has_room t then cut_batch t
       else send_all t (Commit { view = t.view; committed = t.committed });
       t.last_heartbeat <- P.now ()
     end;
@@ -381,7 +394,7 @@ module Make (P : Platform_intf.S) = struct
         P.work Marshal;
         Psmr_util.Vec.push t.pending c)
       cmds;
-    if Psmr_util.Vec.length t.pending >= t.config.batch_max || pipeline_idle t
+    if Psmr_util.Vec.length t.pending >= t.config.batch_max || window_has_room t
     then cut_batch t
 
   (* --- log adoption (view changes and transfers) --- *)
@@ -656,8 +669,8 @@ module Make (P : Platform_intf.S) = struct
   (* Periodic duties: the batch age cap and heartbeats for the leader,
      failure detection for followers.  Call at a granularity finer than
      the configured delays (the host replica drives this).  The batch cut
-     here is the age cap on a batch held behind an in-flight one; a batch
-     with none ahead of it was already cut on enqueue or commit. *)
+     here is the age cap on a batch held behind a full window; a batch
+     that found room was already cut on enqueue or commit. *)
   let tick t =
     let now = P.now () in
     if t.status = Normal then begin

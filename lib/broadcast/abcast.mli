@@ -5,12 +5,12 @@
 
     Provides the four standard properties (§2 of the paper): validity,
     uniform agreement, uniform integrity and uniform total order.  Features:
-    pipeline-driven batching (a batch is cut as soon as the leader has none
-    in flight, with size and age caps), one commit rule for every replica
-    (a batch commits where [f + 1] holders of it in the current view are
-    known; followers forward their acknowledgement to [f - 1] ring peers,
-    so every replica commits two hops after the cut, and with [n = 3] a
-    follower commits what it accepts), heartbeats,
+    pipeline-driven batching (a batch is cut as soon as the leader has
+    fewer than two uncommitted, with size and age caps), one commit
+    rule for every replica (a batch commits where [f + 1] holders of it in
+    the current view are known; followers forward their acknowledgement to
+    [f - 1] ring peers, so every replica commits two hops after the cut,
+    and with [n = 3] a follower commits what it accepts), heartbeats,
     view change on leader failure that keeps the latest view's log,
     periodic checkpoint reports with quorum-stable log truncation, and gap
     recovery by log transfer (also into a view installed while the
@@ -64,9 +64,9 @@ type config = {
   batch_max : int;  (** cut a batch at this many commands *)
   batch_delay : float;
       (** ... or at this age, whichever first.  Both are caps: the leader
-          cuts at once when none of its batches is in flight (a window of
-          one), so the age cut matters only while one is.  It happens on
-          the first periodic {!Make.tick} past this age. *)
+          cuts at once when its window of in-flight batches has room, so
+          the age cut matters only while the window is full.  It happens
+          on the first periodic {!Make.tick} past this age. *)
   heartbeat_interval : float;
   election_timeout : float;
   checkpoint_interval : int;

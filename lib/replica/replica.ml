@@ -511,6 +511,9 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
               if Psmr_util.Vec.length pending_emit > 0 then begin
                 let batch = Psmr_util.Vec.to_array pending_emit in
                 Psmr_util.Vec.clear pending_emit;
+                ignore
+                  (P.Atomic.fetch_and_add delivered_commands (Array.length batch)
+                    : int);
                 ignore (MB.put apply_box (Apply batch) : bool)
               end
             in
@@ -518,7 +521,6 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
               Part.create ~config:cfg.abcast ~partitions ~id ~n:cfg.replicas
                 ~send:(fun dst w -> Net.send net ~src:id ~dst (Order w))
                 ~deliver:(fun em ->
-                  ignore (P.Atomic.fetch_and_add delivered_commands 1 : int);
                   Psmr_util.Vec.push pending_emit em.Psmr_broadcast.Pmerge.cmd)
                 ()
             in
@@ -606,40 +608,43 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
               | [ e ] -> executor.exec_submit e
               | es -> executor.exec_submit_batch (Array.of_list es)
             in
-            let run_applier () =
-              let rec loop () =
-                match MB.take apply_box with
-                | None -> executor.exec_shutdown ()
-                | Some (Apply batch) ->
-                    apply_batch batch;
-                    loop ()
-                | Some (Take_snapshot reply) ->
-                    (* Quiesce the executor so the snapshot is a clean cut
-                       after the last batch queued before it. *)
-                    executor.exec_drain ();
-                    reply (S.snapshot service)
-                      (Hashtbl.fold
-                         (fun c s acc ->
-                           (c, s.high, List.of_seq (Hashtbl.to_seq_keys s.recent))
-                           :: acc)
-                         seen []);
-                    loop ()
-                | Some (Install_snapshot { state; seen = screened }) ->
-                    executor.exec_drain ();
-                    S.restore service state;
-                    Hashtbl.reset seen;
-                    List.iter
-                      (fun (c, high, recent) ->
-                        let s = { high; recent = Hashtbl.create 16 } in
-                        List.iter (fun r -> Hashtbl.replace s.recent r ()) recent;
-                        Hashtbl.replace seen c s)
-                      screened;
-                    P.Mutex.lock cache_mutex;
-                    Hashtbl.reset cache;
-                    P.Mutex.unlock cache_mutex;
-                    loop ()
-              in
-              loop ()
+            let apply_item = function
+              | Apply batch -> apply_batch batch
+              | Take_snapshot reply ->
+                  (* Quiesce the executor so the snapshot is a clean cut
+                     after the last batch queued before it. *)
+                  executor.exec_drain ();
+                  reply (S.snapshot service)
+                    (Hashtbl.fold
+                       (fun c s acc ->
+                         (c, s.high, List.of_seq (Hashtbl.to_seq_keys s.recent))
+                         :: acc)
+                       seen [])
+              | Install_snapshot { state; seen = screened } ->
+                  executor.exec_drain ();
+                  S.restore service state;
+                  Hashtbl.reset seen;
+                  List.iter
+                    (fun (c, high, recent) ->
+                      let s = { high; recent = Hashtbl.create 16 } in
+                      List.iter (fun r -> Hashtbl.replace s.recent r ()) recent;
+                      Hashtbl.replace seen c s)
+                    screened;
+                  P.Mutex.lock cache_mutex;
+                  Hashtbl.reset cache;
+                  P.Mutex.unlock cache_mutex
+            in
+            (* The applier drains its mailbox with one lock round per
+               wake-up, as each network endpoint does, and runs the items
+               in FIFO order: an applier that falls behind stops paying a
+               lock round, and contending with the protocol thread's
+               [put], per merged batch. *)
+            let rec run_applier () =
+              match MB.take_all apply_box with
+              | None -> executor.exec_shutdown ()
+              | Some items ->
+                  Queue.iter apply_item items;
+                  run_applier ()
             in
             let last_request = ref neg_infinity in
             let check_stall () =

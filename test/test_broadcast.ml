@@ -31,8 +31,11 @@ module Harness = struct
       checkpoint_interval = 16;
     }
 
+  (* [drop ~src ~dst msg] discards one protocol message before it reaches
+     the network, for losses a link filter cannot single out. *)
   let make ?(config = config) ?(n = 3) ?(latency = 1e-4) ?(submit = fun _ -> [])
-      ?(faults = Psmr_fault.Schedule.empty) () =
+      ?(faults = Psmr_fault.Schedule.empty) ?(drop = fun ~src:_ ~dst:_ _ -> false)
+      () =
     let engine = Psmr_sim.Engine.create () in
     (* Armed around [run_until], so every send the protocol makes consults
        the fault plan; the empty schedule never fires and changes nothing. *)
@@ -63,7 +66,8 @@ module Harness = struct
                         Hashtbl.add cut_at c (SP.now ()))
                     cmds
               | _ -> ());
-              Net.send net ~src:id ~dst (`Proto msg))
+              if not (drop ~src:id ~dst msg) then
+                Net.send net ~src:id ~dst (`Proto msg))
             ~deliver:(fun batch ->
               deliveries.(id) :=
                 (SP.now (), Array.to_list batch) :: !(deliveries.(id)))
@@ -150,34 +154,38 @@ let test_batching_by_size () =
     [ 1; 2; 3; 4; 5; 6; 7; 8 ] (Harness.delivered h 1)
 
 let test_batching_by_delay () =
-  (* [batch_delay] caps the wait while a batch is in flight: batch 1 can
-     never commit at the leader (nothing reaches it), yet the partial batch
-     opened behind it at 1.5 ms is still cut, on the first 1 ms tick past
-     its [batch_delay] age.  The followers accept both and, as the second
-     of f + 1 = 2 holders, deliver each on acceptance; the leader delivers
-     both, in order, once the links heal. *)
+  (* [batch_delay] caps the wait while the window is full: batches 1 and 2
+     can never commit at the leader (nothing reaches it), so the two fill
+     its window, yet the partial batch opened behind them at 1.5 ms is
+     still cut, on the first 1 ms tick past its [batch_delay] age.  The
+     followers accept all three and, as the second of f + 1 = 2 holders,
+     deliver each on acceptance; the leader delivers all three, in order,
+     once the links heal. *)
   let h =
     Harness.make
-      ~submit:(fun () -> [ (0.001, 0, [ 1 ]); (0.0015, 0, [ 9 ]) ])
+      ~submit:(fun () ->
+        [ (0.001, 0, [ 1 ]); (0.0012, 0, [ 2 ]); (0.0015, 0, [ 9 ]) ])
       ()
   in
   h.partition (fun ~src ~dst -> dst <> 0 || src = 0);
   h.run_until 0.01;
+  Alcotest.(check (float 1e-9)) "batch 2 cut on submission" 0.0012
+    (Harness.cut_at h 2);
   Alcotest.(check (float 1e-9)) "cut on the first tick past its age" 0.003
     (Harness.cut_at h 9);
   Alcotest.(check (list (list int))) "nothing commits at the leader" []
     (Harness.batches h 0);
   Alcotest.(check (list (list int))) "followers deliver on acceptance"
-    [ [ 1 ]; [ 9 ] ] (Harness.batches h 1);
-  Alcotest.(check (list (list int))) "replica 2 too" [ [ 1 ]; [ 9 ] ]
+    [ [ 1 ]; [ 2 ]; [ 9 ] ] (Harness.batches h 1);
+  Alcotest.(check (list (list int))) "replica 2 too" [ [ 1 ]; [ 2 ]; [ 9 ] ]
     (Harness.batches h 2);
   h.heal ();
   h.run_until 0.5;
-  Alcotest.(check (list (list int))) "both batches, in order, at the leader"
-    [ [ 1 ]; [ 9 ] ] (Harness.batches h 0)
+  Alcotest.(check (list (list int))) "all three batches, in order, at the leader"
+    [ [ 1 ]; [ 2 ]; [ 9 ] ] (Harness.batches h 0)
 
 let test_batching_idle_cut () =
-  (* With no batch in flight the leader cuts at once: a command submitted
+  (* With room in the window the leader cuts at once: a command submitted
      at idle is delivered by the followers as they accept its Prepare
      (0.1 ms over 0.1 ms links), well before [batch_delay]. *)
   let h = Harness.make ~submit:(fun () -> [ (0.001, 0, [ 9 ]) ]) () in
@@ -189,8 +197,10 @@ let test_batching_idle_cut () =
     (Harness.batches h 2)
 
 let test_batching_in_flight_accumulates () =
-  (* Commands submitted while batch 1 is uncommitted wait for it and then
-     leave as one batch, cut in the same step that commits batch 1. *)
+  (* Batch 2 leaves on submission, while batch 1 is uncommitted: the
+     window holds two.  Commands submitted while both are uncommitted wait
+     and then leave as one batch, cut in the same step that commits
+     batch 1 at the leader. *)
   let h =
     Harness.make
       ~submit:(fun () ->
@@ -203,26 +213,32 @@ let test_batching_in_flight_accumulates () =
       ()
   in
   h.run_until 0.002;
-  Alcotest.(check (list (list int))) "one batch behind the first"
-    [ [ 1 ]; [ 2; 3; 4 ] ] (Harness.batches h 1);
-  Alcotest.(check (float 0.0)) "cut when batch 1 commits"
-    (Harness.delivered_at h 0 1) (Harness.cut_at h 2)
+  Alcotest.(check (list (list int))) "one batch behind the window"
+    [ [ 1 ]; [ 2 ]; [ 3; 4 ] ] (Harness.batches h 1);
+  Alcotest.(check (float 1e-9)) "batch 2 cut on submission" 0.00105
+    (Harness.cut_at h 2);
+  Alcotest.(check (float 0.0)) "batch 3 cut when batch 1 commits"
+    (Harness.delivered_at h 0 1) (Harness.cut_at h 3)
 
 let test_batching_delay_cap_slow_links () =
-  (* Links slower than [batch_delay] (2 ms against 1 ms): the second batch
-     does not wait for the first to commit at 5 ms, it is cut on the first
-     tick past its age while the first is still in flight. *)
+  (* Links slower than [batch_delay] (2 ms against 1 ms): batch 2 fills the
+     window on submission, and the third batch does not wait for the first
+     to commit at 5 ms, it is cut on the first tick past its age while the
+     first two are still in flight. *)
   let h =
     Harness.make ~latency:2e-3
-      ~submit:(fun () -> [ (0.001, 0, [ 1 ]); (0.0015, 0, [ 2 ]) ])
+      ~submit:(fun () ->
+        [ (0.001, 0, [ 1 ]); (0.0012, 0, [ 2 ]); (0.0015, 0, [ 3 ]) ])
       ()
   in
   h.run_until 0.05;
-  Alcotest.(check (float 1e-9)) "cut on the first tick past its age" 0.003
+  Alcotest.(check (float 1e-9)) "batch 2 cut on submission" 0.0012
     (Harness.cut_at h 2);
+  Alcotest.(check (float 1e-9)) "cut on the first tick past its age" 0.003
+    (Harness.cut_at h 3);
   Alcotest.(check (float 1e-9)) "batch 1 committed later" 0.005
     (Harness.delivered_at h 0 1);
-  Alcotest.(check (list (list int))) "two batches" [ [ 1 ]; [ 2 ] ]
+  Alcotest.(check (list (list int))) "three batches" [ [ 1 ]; [ 2 ]; [ 3 ] ]
     (Harness.batches h 1)
 
 let test_many_batches_total_order () =
@@ -338,6 +354,89 @@ let test_view_change_keeps_latest_view_log () =
     (Harness.delivered h 2) (Harness.delivered h 0);
   Alcotest.(check (list int)) "view 0's unacknowledged batches are gone"
     [ 10 ] (Harness.delivered h 2)
+
+(* --- two batches in flight --- *)
+
+let test_view_change_keeps_two_uncommitted () =
+  (* n = 5, and only the leader's messages get through: the followers
+     accept both batches of the window but hear no ring ack, so neither
+     commits anywhere.  The leader crashes; the new leader re-proposes the
+     whole uncommitted suffix, so both batches commit at their seqs, in
+     order, ahead of what the new view orders next. *)
+  let h =
+    Harness.make ~n:5
+      ~submit:(fun () ->
+        [ (0.001, 0, [ 1 ]); (0.0012, 0, [ 2 ]); (0.3, 1, [ 3 ]) ])
+      ()
+  in
+  h.partition (fun ~src ~dst -> src = 0 || src = dst);
+  h.run_until 0.01;
+  List.iter
+    (fun id ->
+      Alcotest.(check (list (list int)))
+        (Printf.sprintf "replica %d delivered nothing" id)
+        [] (Harness.batches h id))
+    [ 0; 1; 2; 3; 4 ];
+  h.crash 0;
+  h.heal ();
+  h.run_until 1.0;
+  Alcotest.(check bool) "a new view" true (h.views.(1) () > 0);
+  List.iter
+    (fun id ->
+      Alcotest.(check (list (list int)))
+        (Printf.sprintf "replica %d: both batches, then the next" id)
+        [ [ 1 ]; [ 2 ]; [ 3 ] ] (Harness.batches h id))
+    [ 1; 2; 3; 4 ]
+
+let test_lost_first_prepare_fills_gap () =
+  (* The leader's first Prepare to replica 2 is lost.  Replica 2 accepts
+     nothing out of order: the second Prepare shows it a gap, it sends
+     [Need_log], and it delivers neither batch until the [Log_transfer]
+     lands, three hops after batch 2's cut, then both in order. *)
+  let lost = ref false in
+  let drop ~src:_ ~dst msg =
+    match msg with
+    | Abcast.Prepare { seq = 0; _ } when dst = 2 && not !lost ->
+        lost := true;
+        true
+    | _ -> false
+  in
+  let h =
+    Harness.make ~drop
+      ~submit:(fun () -> [ (0.001, 0, [ 1 ]); (0.00105, 0, [ 2 ]) ])
+      ()
+  in
+  h.run_until 0.01;
+  Alcotest.(check bool) "the Prepare was dropped" true !lost;
+  let filled = Harness.cut_at h 2 +. 3e-4 in
+  Alcotest.(check (list (list int))) "replica 1 unaffected" [ [ 1 ]; [ 2 ] ]
+    (Harness.batches h 1);
+  Alcotest.(check (list (list int))) "replica 2: both, in order"
+    [ [ 1 ]; [ 2 ] ] (Harness.batches h 2);
+  Alcotest.(check (float 1e-9)) "batch 1 once the gap is filled" filled
+    (Harness.delivered_at h 2 1);
+  Alcotest.(check (float 1e-9)) "batch 2 with it" filled
+    (Harness.delivered_at h 2 2)
+
+let test_five_replicas_two_in_flight_two_hops () =
+  (* n = 5 with two batches in flight: the window does not delay the
+     commit rule, so every replica delivers each batch two hops after its
+     own cut, batch 2 while batch 1 is still uncommitted. *)
+  let h =
+    Harness.make ~n:5
+      ~submit:(fun () -> [ (0.001, 0, [ 1 ]); (0.00105, 0, [ 2 ]) ])
+      ()
+  in
+  h.run_until 0.01;
+  Alcotest.(check (float 1e-9)) "batch 2 cut on submission" 0.00105
+    (Harness.cut_at h 2);
+  List.iter
+    (fun c ->
+      Alcotest.(check (list (float 1e-9)))
+        (Printf.sprintf "batch %d: every replica two hops after the cut" c)
+        (List.init 5 (fun _ -> 2e-4))
+        (List.init 5 (fun id -> Harness.delivered_at h id c -. Harness.cut_at h c)))
+    [ 1; 2 ]
 
 let test_no_quorum_no_delivery () =
   (* Crash both followers: the leader alone (1 of 3 < f+1 = 2) must not
@@ -716,6 +815,12 @@ let () =
             test_accepted_batch_survives_leader_crash;
           Alcotest.test_case "view change keeps the latest view's log"
             `Quick test_view_change_keeps_latest_view_log;
+          Alcotest.test_case "view change keeps two uncommitted batches"
+            `Quick test_view_change_keeps_two_uncommitted;
+          Alcotest.test_case "lost first Prepare waits for Need_log" `Quick
+            test_lost_first_prepare_fills_gap;
+          Alcotest.test_case "n = 5: two in flight, each two hops" `Quick
+            test_five_replicas_two_in_flight_two_hops;
           QCheck_alcotest.to_alcotest
             (prop_safety_under_leader_crash ~n:5
                "n = 5: identical delivery despite random leader crash");

@@ -1468,8 +1468,8 @@ let test_part_bench_pinned () =
       in
       Alcotest.(check string)
         "part2/w4 run"
-        "kops=872.5 executed=8725 emitted=9339 crosses=85 holes=0 \
-         merge_pending=39 engine_events=146709"
+        "kops=870.4 executed=8704 emitted=9332 crosses=85 holes=0 \
+         merge_pending=33 engine_events=148706"
         (Printf.sprintf
            "kops=%.9g executed=%d emitted=%d crosses=%d holes=%d \
             merge_pending=%d engine_events=%d"

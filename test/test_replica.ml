@@ -369,8 +369,9 @@ let test_sim_deployment_deterministic () =
 let test_sim_idle_call mode () =
   (* A 1 ms protocol tick and a 0.1 ms batch delay: one call at idle
      reaches the leader 0.2 ms in, long before the first periodic tick.
-     With no batch in flight the leader cuts it on arrival, so the call
-     returns well before that tick could have cut it. *)
+     With room in its window of in-flight batches the leader cuts it on
+     arrival, so the call returns well before that tick could have cut
+     it. *)
   let open Psmr_sim in
   let engine = Engine.create () in
   let (module SP) = Sim_platform.make engine Costs.default in
