@@ -4,12 +4,12 @@
 
     [n = 2f + 1] replicas; the leader of view [v] is replica [v mod n].
     Clients send requests to the leader (any replica forwards).  The leader
-    cuts a batch as soon as fewer than [window] (two) of its batches are
+    cuts a batch as soon as fewer than [window] (four) of its batches are
     uncommitted: a command that arrives just after a cut leaves with the
-    next batch, one round trip ahead of the previous batch's commit, where
-    BFT-SMaRt would start the next consensus only once the previous one
-    decides.  [batch_max] and [batch_delay] cap a batch's size and age
-    while the window is full.  The leader sequences each batch with a
+    next batch, ahead of the previous batches' commits, where BFT-SMaRt
+    would start the next consensus only once the previous one decides.
+    [batch_max] and [batch_delay] cap a batch's size and age while the
+    window is full.  The leader sequences each batch with a
     [Prepare], which each follower accepts and acknowledges with a
     [Prepare_ok].
 
@@ -130,15 +130,18 @@ type status = Normal | View_change
 let log_src = Logs.Src.create "psmr.abcast" ~doc:"Atomic broadcast protocol"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
+module Probe = Psmr_obs.Probe
 
 (* Uncommitted batches the leader keeps in flight before it holds new
    commands back; batches re-proposed after a view change count against
-   it.  Two hide the Prepare/Prepare_ok round of one batch behind the
-   next; a third shortens the latency again but loses throughput at the
-   partitioned ceiling (EXPERIMENTS.md, "Two batches in flight").  A
+   it.  Four hide the Prepare/Prepare_ok rounds of earlier batches behind
+   the next cut, so a command waits about half as long for its cut as
+   with two; eight shorten the single-sequencer latency further but
+   lengthen the partitioned stress p50 by about a quarter
+   (EXPERIMENTS.md, "Four batches in flight").  A
    constant, not a [config] field: it changes when the leader cuts, not
    what any replica may deliver. *)
-let window = 2
+let window = 4
 
 module Make (P : Platform_intf.S) = struct
   module IntSet = Set.Make (Int)
@@ -160,6 +163,8 @@ module Make (P : Platform_intf.S) = struct
     acks : (int, IntSet.t) Hashtbl.t;  (** seq -> replicas that prepared it *)
     pending : 'c Psmr_util.Vec.t;  (** leader: commands awaiting a batch *)
     mutable batch_opened_at : float;
+    pending_since : (float * int) Psmr_util.Vec.t;
+        (** probes only: enqueue time and size of each run in [pending] *)
     mutable last_heartbeat : float;
     mutable last_leader_contact : float;
     applied_reports : int array;  (** per replica, highest Applied heard *)
@@ -197,6 +202,7 @@ module Make (P : Platform_intf.S) = struct
       acks = Hashtbl.create 64;
       pending = Psmr_util.Vec.create ();
       batch_opened_at = 0.0;
+      pending_since = Psmr_util.Vec.create ();
       last_heartbeat = 0.0;
       last_leader_contact = P.now ();
       applied_reports = Array.make n (-1);
@@ -374,6 +380,17 @@ module Make (P : Platform_intf.S) = struct
     if Psmr_util.Vec.length t.pending > 0 then begin
       let cmds = Psmr_util.Vec.to_array t.pending in
       Psmr_util.Vec.clear t.pending;
+      Probe.abcast_batch (Array.length cmds);
+      if Probe.enabled () then begin
+        let now = Probe.now () in
+        Psmr_util.Vec.iter
+          (fun (at, k) ->
+            for _ = 1 to k do
+              Probe.abcast_cut_wait (now -. at)
+            done)
+          t.pending_since
+      end;
+      Psmr_util.Vec.clear t.pending_since;
       let seq = log_end t in
       Psmr_util.Vec.push t.log cmds;
       record_holders t ~seq [ t.id ];
@@ -389,6 +406,8 @@ module Make (P : Platform_intf.S) = struct
      delivery [Hash] above. *)
   let enqueue_commands t cmds =
     if Psmr_util.Vec.length t.pending = 0 then t.batch_opened_at <- P.now ();
+    if Probe.enabled () then
+      Psmr_util.Vec.push t.pending_since (Probe.now (), Array.length cmds);
     Array.iter
       (fun c ->
         P.work Marshal;
@@ -655,6 +674,7 @@ module Make (P : Platform_intf.S) = struct
     if seq > t.delivered then begin
       Psmr_util.Vec.clear t.log;
       Psmr_util.Vec.clear t.pending;
+      Psmr_util.Vec.clear t.pending_since;
       t.base <- seq + 1;
       t.delivered <- seq;
       if t.committed < seq then t.committed <- seq;

@@ -6,7 +6,7 @@
     Provides the four standard properties (§2 of the paper): validity,
     uniform agreement, uniform integrity and uniform total order.  Features:
     pipeline-driven batching (a batch is cut as soon as the leader has
-    fewer than two uncommitted, with size and age caps), one commit
+    fewer than four uncommitted, with size and age caps), one commit
     rule for every replica (a batch commits where [f + 1] holders of it in
     the current view are known; followers forward their acknowledgement to
     [f - 1] ring peers, so every replica commits two hops after the cut,

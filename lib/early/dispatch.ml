@@ -571,29 +571,41 @@ struct
     t.fifo_back <- List.filter keep_out t.fifo_back;
     List.iter (fifo_push t) vs
 
-  (* Window reservation.  Slots held by outstanding speculations can only
-     be freed by a later [confirm] from this very thread, so a blocking
-     n-ary acquire may request at most the slots that free without our
-     help; everything else a worker will eventually execute and release.
-     With no speculation outstanding that is the full chunk — the
-     conservative fast path — and the chunk shrinks as speculation runs
-     ahead. *)
+  (* Window reservation, shared by every submission path: [reserve t need]
+     grants [k] slots, [1 <= k <= need], for the caller to spend at once.
+     Banked [credit] goes first.  When it falls short, the reservation
+     adds the slots free right now, up to [window_chunk] or the shortfall
+     if that is more, and banks what the caller does not spend; it blocks
+     only when nothing is banked and no slot is free, and then for one:
+     blocking for slots the caller will not spend holds back commands
+     that could already run.  The submit thread is the only acquirer, so
+     the free count it reads can only grow before the acquire.  An
+     optimistic submission, or any while speculation is outstanding
+     ([need] is then 1), blocks for a chunk of the slots that free
+     without our help instead: slots held by outstanding speculations are
+     freed only by a later [confirm] from this very thread, so the chunk
+     shrinks as speculation runs ahead. *)
   let window_chunk = 32
 
-  let acquire_window t =
-    if t.credit > 0 then t.credit <- t.credit - 1
-    else begin
-      let free = t.wmax - t.spec_out in
-      if free >= 2 then begin
-        let n = min window_chunk free in
-        P.Semaphore.acquire ~n t.window;
-        t.credit <- n - 1
-      end
-      else P.Semaphore.acquire t.window
-    end
+  let reserve ?(optimistic = false) t need =
+    if t.credit < need then begin
+      let n =
+        if optimistic || t.spec_out > 0 then
+          max 1 (min window_chunk (t.wmax - t.spec_out))
+        else
+          let short = need - t.credit in
+          let free = min (P.Semaphore.value t.window) (max window_chunk short) in
+          if t.credit = 0 then max 1 free else free
+      in
+      if n > 0 then P.Semaphore.acquire ~n t.window;
+      t.credit <- t.credit + n
+    end;
+    let k = min t.credit need in
+    t.credit <- t.credit - k;
+    k
 
   let submit t c =
-    acquire_window t;
+    ignore (reserve t 1 : int);
     let e = make_entry t c ~spec:false ~state:Confirmed in
     enqueue_tokens e;
     (match victims_all t e with
@@ -603,75 +615,65 @@ struct
         Probe.spec_repair ~revoked:(List.length vs));
     ignore (P.Atomic.fetch_and_add t.submitted 1 : int)
 
-  (* True batched submission: one window reservation for the whole batch,
-     one [submitted] bump, and one lock acquisition per member queue
-     instead of one per token.  Only sound with no speculation
-     outstanding — with speculations in flight each command's repair must
-     observe the queues exactly as the sequential loop would — so that
-     case falls back to per-command submits.  [spec_out] is
-     submit-thread-private, so the test is stable for the whole batch.
-     This is the conservative feed's (and the optimistic protocol's
-     0%-mis) fast path.
+  (* Append confirmed entries for [cs.(off) .. cs.(off + n - 1)]: tokens
+     bucketed per queue and appended under one lock round per queue.
+     Buckets accumulate newest-first — the same orientation as [q_back],
+     so the whole bucket prepends in one pass. *)
+  let append_slice t cs off n =
+    let buckets = Array.make (Array.length t.queues) [] in
+    for i = off to off + n - 1 do
+      let e = make_entry t cs.(i) ~spec:false ~state:Confirmed in
+      Array.iter
+        (fun tok ->
+          let w = tok.t_queue.q_worker - 1 (* ids are 1-based *) in
+          buckets.(w) <- tok :: buckets.(w))
+        e.e_tokens
+    done;
+    Array.iteri
+      (fun w toks ->
+        if toks <> [] then begin
+          let q = t.queues.(w) in
+          P.Mutex.lock q.q_m;
+          let was_empty = q.q_front = [] && q.q_back = [] in
+          q.q_back <- toks @ q.q_back;
+          if was_empty then P.Condition.signal q.q_cv;
+          P.Mutex.unlock q.q_m
+        end)
+      buckets
 
-     The batch reserves its window slots before it enqueues any token, so
-     a batch longer than the window would wait for slots only its own
-     commands could free: such a batch goes in window-sized slices, each
-     freed by the workers executing the slices before it. *)
-  let rec submit_batch t cs =
+  (* True batched submission: one [submitted] bump, and per round one
+     window reservation and one lock acquisition per member queue instead
+     of one per token.  Only sound with no speculation outstanding — with
+     speculations in flight each command's repair must observe the queues
+     exactly as the sequential loop would — so that case falls back to
+     per-command submits.  [spec_out] is submit-thread-private, so the
+     test is stable for the whole batch.  This is the conservative feed's
+     (and the optimistic protocol's 0%-mis) fast path.
+
+     Rounds, as [Lockfree.insert_batch]: each appends the slice its
+     reservation covers before asking for more, so the head of a batch
+     runs while the window is still full and a batch of any length goes
+     through any window. *)
+  let submit_batch t cs =
     let n = Array.length cs in
-    if n > t.wmax then
-      for s = 0 to (n - 1) / t.wmax do
-        let off = s * t.wmax in
-        submit_batch t (Array.sub cs off (min t.wmax (n - off)))
-      done
-    else if n = 0 then ()
-    else begin
+    if n > 0 then begin
       Probe.batch n;
       if t.spec_out > 0 then Array.iter (submit t) cs
       else begin
-        (* Window slots for the whole batch: spend banked credit, then
-           chunked n-ary acquires (a single acquire may not exceed the
-           window bound). *)
-        let rem = ref n in
-        let banked = min t.credit !rem in
-        t.credit <- t.credit - banked;
-        rem := !rem - banked;
-        while !rem > 0 do
-          let k = min (min window_chunk t.wmax) !rem in
-          P.Semaphore.acquire ~n:k t.window;
-          rem := !rem - k
-        done;
-        (* Entries in delivery order, then their tokens bucketed per
-           queue and appended under one lock round per queue.  Buckets
-           accumulate newest-first — the same orientation as [q_back],
-           so the whole bucket prepends in one pass. *)
-        let buckets = Array.make (Array.length t.queues) [] in
-        Array.iter
-          (fun c ->
-            let e = make_entry t c ~spec:false ~state:Confirmed in
-            Array.iter
-              (fun tok ->
-                let w = tok.t_queue.q_worker - 1 (* ids are 1-based *) in
-                buckets.(w) <- tok :: buckets.(w))
-              e.e_tokens)
-          cs;
-        Array.iteri
-          (fun w toks ->
-            if toks <> [] then begin
-              let q = t.queues.(w) in
-              P.Mutex.lock q.q_m;
-              let was_empty = q.q_front = [] && q.q_back = [] in
-              q.q_back <- toks @ q.q_back;
-              if was_empty then P.Condition.signal q.q_cv;
-              P.Mutex.unlock q.q_m
-            end)
-          buckets;
+        let rec round off =
+          if off < n then begin
+            let k = reserve t (n - off) in
+            append_slice t cs off k;
+            round (off + k)
+          end
+        in
+        round 0;
         ignore (P.Atomic.fetch_and_add t.submitted n : int)
       end
     end
 
   let submit_optimistic t c =
-    acquire_window t;
+    ignore (reserve ~optimistic:true t 1 : int);
     let e = make_entry t c ~spec:true ~state:Pending in
     enqueue_tokens e;
     t.spec_out <- t.spec_out + 1;

@@ -67,10 +67,11 @@ module Make (P : Platform_intf.S) (C : Psmr_cos.Cos_intf.KEYED_COMMAND) : sig
       in-flight window is full. *)
 
   val submit_batch : t -> cmd array -> unit
-  (** [submit] for each command in order, with one window reservation and
-      one lock round per queue for every slice of at most [max_size]
-      commands (per-command [submit] while speculation is outstanding).
-      Any batch length is accepted. *)
+  (** [submit] for each command in order, in rounds: each takes the window
+      slots free (banked ones first, at least one), appends that slice
+      with one lock round per queue, and banks unspent slots for later
+      submissions (per-command [submit] while speculation is
+      outstanding).  Any batch length is accepted. *)
 
   type spec
   (** Handle of an optimistic submission, to be passed to {!confirm}. *)

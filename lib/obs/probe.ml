@@ -88,6 +88,15 @@ module Early = struct
   let spec_redo_depth = T.counter ~kind:`Max "early.spec_redo_depth"
 end
 
+(* The sequencer's cuts (lib/broadcast Abcast). *)
+module Abcast = struct
+  let batches = T.counter "abcast.batches"
+  let batched_cmds = T.counter "abcast.batched_cmds"
+
+  (* per command: enqueue at the leader to the cut of its batch *)
+  let cut_wait = T.histogram "abcast.cut_wait"
+end
+
 (* Partitioned ordering (lib/broadcast Pmerge/Partition). *)
 module Part = struct
   let singles = T.counter "part.singles"
@@ -193,6 +202,8 @@ let spec_repair ~revoked = tally Early.spec_repairs Early.spec_revoked revoked
 let spec_exec () = T.incr Early.spec_execs
 let spec_rollback ~undone = tally Early.spec_rollbacks Early.spec_undone undone
 let spec_redo ~depth = tally Early.spec_redos Early.spec_redo_depth depth
+let abcast_batch n = tally Abcast.batches Abcast.batched_cmds n
+let abcast_cut_wait dt = T.observe Abcast.cut_wait dt
 let part_single () = T.incr Part.singles
 let part_cross () = T.incr Part.crosses
 let part_hole () = T.incr Part.holes

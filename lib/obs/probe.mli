@@ -117,6 +117,17 @@ val spec_redo : depth:int -> unit
     total number of times that command has now been executed (2 for the
     first redo).  The registry keeps the maximum observed depth. *)
 
+(** {1 Sequencer cuts}
+
+    Recorded under [abcast.*] by the atomic broadcast leader
+    ([Psmr_broadcast.Abcast]) as it cuts a batch. *)
+
+val abcast_batch : int -> unit
+(** One batch of [n] commands cut. *)
+
+val abcast_cut_wait : float -> unit
+(** One command's wait at the leader: enqueue to the cut of its batch. *)
+
 (** {1 Partitioned ordering}
 
     Recorded under [part.*] by the cross-partition merge

@@ -154,35 +154,41 @@ let test_batching_by_size () =
     [ 1; 2; 3; 4; 5; 6; 7; 8 ] (Harness.delivered h 1)
 
 let test_batching_by_delay () =
-  (* [batch_delay] caps the wait while the window is full: batches 1 and 2
-     can never commit at the leader (nothing reaches it), so the two fill
+  (* [batch_delay] caps the wait while the window is full: batches 1 to 4
+     can never commit at the leader (nothing reaches it), so the four fill
      its window, yet the partial batch opened behind them at 1.5 ms is
      still cut, on the first 1 ms tick past its [batch_delay] age.  The
-     followers accept all three and, as the second of f + 1 = 2 holders,
-     deliver each on acceptance; the leader delivers all three, in order,
+     followers accept all five and, as the second of f + 1 = 2 holders,
+     deliver each on acceptance; the leader delivers all five, in order,
      once the links heal. *)
   let h =
     Harness.make
       ~submit:(fun () ->
-        [ (0.001, 0, [ 1 ]); (0.0012, 0, [ 2 ]); (0.0015, 0, [ 9 ]) ])
+        [
+          (0.001, 0, [ 1 ]);
+          (0.0011, 0, [ 2 ]);
+          (0.0012, 0, [ 3 ]);
+          (0.0013, 0, [ 4 ]);
+          (0.0015, 0, [ 9 ]);
+        ])
       ()
   in
   h.partition (fun ~src ~dst -> dst <> 0 || src = 0);
   h.run_until 0.01;
-  Alcotest.(check (float 1e-9)) "batch 2 cut on submission" 0.0012
-    (Harness.cut_at h 2);
+  Alcotest.(check (float 1e-9)) "batch 4 cut on submission" 0.0013
+    (Harness.cut_at h 4);
   Alcotest.(check (float 1e-9)) "cut on the first tick past its age" 0.003
     (Harness.cut_at h 9);
   Alcotest.(check (list (list int))) "nothing commits at the leader" []
     (Harness.batches h 0);
-  Alcotest.(check (list (list int))) "followers deliver on acceptance"
-    [ [ 1 ]; [ 2 ]; [ 9 ] ] (Harness.batches h 1);
-  Alcotest.(check (list (list int))) "replica 2 too" [ [ 1 ]; [ 2 ]; [ 9 ] ]
-    (Harness.batches h 2);
+  let five = [ [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ]; [ 9 ] ] in
+  Alcotest.(check (list (list int))) "followers deliver on acceptance" five
+    (Harness.batches h 1);
+  Alcotest.(check (list (list int))) "replica 2 too" five (Harness.batches h 2);
   h.heal ();
   h.run_until 0.5;
-  Alcotest.(check (list (list int))) "all three batches, in order, at the leader"
-    [ [ 1 ]; [ 2 ]; [ 9 ] ] (Harness.batches h 0)
+  Alcotest.(check (list (list int))) "all five batches, in order, at the leader"
+    five (Harness.batches h 0)
 
 let test_batching_idle_cut () =
   (* With room in the window the leader cuts at once: a command submitted
@@ -197,48 +203,87 @@ let test_batching_idle_cut () =
     (Harness.batches h 2)
 
 let test_batching_in_flight_accumulates () =
-  (* Batch 2 leaves on submission, while batch 1 is uncommitted: the
-     window holds two.  Commands submitted while both are uncommitted wait
-     and then leave as one batch, cut in the same step that commits
+  (* Batches 2 to 4 leave on submission, while batch 1 is uncommitted: the
+     window holds four.  Commands submitted while all four are uncommitted
+     wait and then leave as one batch, cut in the same step that commits
      batch 1 at the leader. *)
   let h =
     Harness.make
       ~submit:(fun () ->
         [
           (0.001, 0, [ 1 ]);
-          (0.00105, 0, [ 2 ]);
-          (0.0011, 0, [ 3 ]);
-          (0.00115, 0, [ 4 ]);
+          (0.00102, 0, [ 2 ]);
+          (0.00104, 0, [ 3 ]);
+          (0.00106, 0, [ 4 ]);
+          (0.00108, 0, [ 5 ]);
+          (0.0011, 0, [ 6 ]);
         ])
       ()
   in
   h.run_until 0.002;
   Alcotest.(check (list (list int))) "one batch behind the window"
-    [ [ 1 ]; [ 2 ]; [ 3; 4 ] ] (Harness.batches h 1);
-  Alcotest.(check (float 1e-9)) "batch 2 cut on submission" 0.00105
-    (Harness.cut_at h 2);
-  Alcotest.(check (float 0.0)) "batch 3 cut when batch 1 commits"
-    (Harness.delivered_at h 0 1) (Harness.cut_at h 3)
+    [ [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ]; [ 5; 6 ] ]
+    (Harness.batches h 1);
+  Alcotest.(check (float 1e-9)) "batch 4 cut on submission" 0.00106
+    (Harness.cut_at h 4);
+  Alcotest.(check (float 0.0)) "batch 5 cut when batch 1 commits"
+    (Harness.delivered_at h 0 1) (Harness.cut_at h 5)
+
+let test_batching_fifth_waits_for_first_commit () =
+  (* Five single-command batches submitted 10 us apart over 0.1 ms links:
+     the first four are cut on submission, and the fifth waits for the
+     window to open, which happens when batch 1 commits at the leader on
+     its first ack, two hops after its cut. *)
+  let h =
+    Harness.make
+      ~submit:(fun () ->
+        List.init 5 (fun i ->
+            (0.001 +. (1e-5 *. float_of_int i), 0, [ i + 1 ])))
+      ()
+  in
+  h.run_until 0.002;
+  List.iter
+    (fun c ->
+      Alcotest.(check (float 1e-9))
+        (Printf.sprintf "batch %d cut on submission" c)
+        (0.001 +. (1e-5 *. float_of_int (c - 1)))
+        (Harness.cut_at h c))
+    [ 1; 2; 3; 4 ];
+  Alcotest.(check (float 1e-9)) "batch 1 commits at the leader two hops later"
+    (0.001 +. 2e-4) (Harness.delivered_at h 0 1);
+  Alcotest.(check (float 0.0)) "the fifth is cut as batch 1 commits"
+    (Harness.delivered_at h 0 1) (Harness.cut_at h 5);
+  Alcotest.(check (list (list int)))
+    "five batches"
+    [ [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ]; [ 5 ] ]
+    (Harness.batches h 1)
 
 let test_batching_delay_cap_slow_links () =
-  (* Links slower than [batch_delay] (2 ms against 1 ms): batch 2 fills the
-     window on submission, and the third batch does not wait for the first
-     to commit at 5 ms, it is cut on the first tick past its age while the
-     first two are still in flight. *)
+  (* Links slower than [batch_delay] (2 ms against 1 ms): batches 2 to 4
+     fill the window on submission, and the fifth batch does not wait for
+     the first to commit at 5 ms, it is cut on the first tick past its age
+     while the first four are still in flight. *)
   let h =
     Harness.make ~latency:2e-3
       ~submit:(fun () ->
-        [ (0.001, 0, [ 1 ]); (0.0012, 0, [ 2 ]); (0.0015, 0, [ 3 ]) ])
+        [
+          (0.001, 0, [ 1 ]);
+          (0.0011, 0, [ 2 ]);
+          (0.0012, 0, [ 3 ]);
+          (0.0013, 0, [ 4 ]);
+          (0.0015, 0, [ 5 ]);
+        ])
       ()
   in
   h.run_until 0.05;
-  Alcotest.(check (float 1e-9)) "batch 2 cut on submission" 0.0012
-    (Harness.cut_at h 2);
+  Alcotest.(check (float 1e-9)) "batch 4 cut on submission" 0.0013
+    (Harness.cut_at h 4);
   Alcotest.(check (float 1e-9)) "cut on the first tick past its age" 0.003
-    (Harness.cut_at h 3);
+    (Harness.cut_at h 5);
   Alcotest.(check (float 1e-9)) "batch 1 committed later" 0.005
     (Harness.delivered_at h 0 1);
-  Alcotest.(check (list (list int))) "three batches" [ [ 1 ]; [ 2 ]; [ 3 ] ]
+  Alcotest.(check (list (list int))) "five batches"
+    [ [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ]; [ 5 ] ]
     (Harness.batches h 1)
 
 let test_many_batches_total_order () =
@@ -355,18 +400,24 @@ let test_view_change_keeps_latest_view_log () =
   Alcotest.(check (list int)) "view 0's unacknowledged batches are gone"
     [ 10 ] (Harness.delivered h 2)
 
-(* --- two batches in flight --- *)
+(* --- four batches in flight --- *)
 
-let test_view_change_keeps_two_uncommitted () =
+let test_view_change_keeps_four_uncommitted () =
   (* n = 5, and only the leader's messages get through: the followers
-     accept both batches of the window but hear no ring ack, so neither
+     accept all four batches of the window but hear no ring ack, so none
      commits anywhere.  The leader crashes; the new leader re-proposes the
-     whole uncommitted suffix, so both batches commit at their seqs, in
-     order, ahead of what the new view orders next. *)
+     whole uncommitted suffix, so the four batches commit at their seqs,
+     in order, ahead of what the new view orders next. *)
   let h =
     Harness.make ~n:5
       ~submit:(fun () ->
-        [ (0.001, 0, [ 1 ]); (0.0012, 0, [ 2 ]); (0.3, 1, [ 3 ]) ])
+        [
+          (0.001, 0, [ 1 ]);
+          (0.0011, 0, [ 2 ]);
+          (0.0012, 0, [ 3 ]);
+          (0.0013, 0, [ 4 ]);
+          (0.3, 1, [ 5 ]);
+        ])
       ()
   in
   h.partition (fun ~src ~dst -> src = 0 || src = dst);
@@ -384,15 +435,19 @@ let test_view_change_keeps_two_uncommitted () =
   List.iter
     (fun id ->
       Alcotest.(check (list (list int)))
-        (Printf.sprintf "replica %d: both batches, then the next" id)
-        [ [ 1 ]; [ 2 ]; [ 3 ] ] (Harness.batches h id))
+        (Printf.sprintf "replica %d: all four batches, then the next" id)
+        [ [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ]; [ 5 ] ]
+        (Harness.batches h id))
     [ 1; 2; 3; 4 ]
 
 let test_lost_first_prepare_fills_gap () =
-  (* The leader's first Prepare to replica 2 is lost.  Replica 2 accepts
-     nothing out of order: the second Prepare shows it a gap, it sends
-     [Need_log], and it delivers neither batch until the [Log_transfer]
-     lands, three hops after batch 2's cut, then both in order. *)
+  (* The leader's first Prepare to replica 2 is lost, and three more
+     batches go out behind it.  Replica 2 accepts nothing out of order:
+     each later Prepare shows it a gap and it sends [Need_log].  It
+     delivers what each [Log_transfer] shows committed at the leader: batch
+     1 with batch 2, three hops after batch 2's cut (the first transfer
+     left as batch 2 committed), and each later batch three hops after its
+     own cut, all in order. *)
   let lost = ref false in
   let drop ~src:_ ~dst msg =
     match msg with
@@ -403,20 +458,27 @@ let test_lost_first_prepare_fills_gap () =
   in
   let h =
     Harness.make ~drop
-      ~submit:(fun () -> [ (0.001, 0, [ 1 ]); (0.00105, 0, [ 2 ]) ])
+      ~submit:(fun () ->
+        List.init 4 (fun i ->
+            (0.001 +. (5e-5 *. float_of_int i), 0, [ i + 1 ])))
       ()
   in
   h.run_until 0.01;
   Alcotest.(check bool) "the Prepare was dropped" true !lost;
-  let filled = Harness.cut_at h 2 +. 3e-4 in
-  Alcotest.(check (list (list int))) "replica 1 unaffected" [ [ 1 ]; [ 2 ] ]
+  let four = [ [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ] ] in
+  Alcotest.(check (list (list int))) "replica 1 unaffected" four
     (Harness.batches h 1);
-  Alcotest.(check (list (list int))) "replica 2: both, in order"
-    [ [ 1 ]; [ 2 ] ] (Harness.batches h 2);
-  Alcotest.(check (float 1e-9)) "batch 1 once the gap is filled" filled
-    (Harness.delivered_at h 2 1);
-  Alcotest.(check (float 1e-9)) "batch 2 with it" filled
-    (Harness.delivered_at h 2 2)
+  Alcotest.(check (list (list int))) "replica 2: all four, in order" four
+    (Harness.batches h 2);
+  Alcotest.(check (float 1e-9)) "batch 1 once the gap is filled"
+    (Harness.cut_at h 2 +. 3e-4) (Harness.delivered_at h 2 1);
+  List.iter
+    (fun c ->
+      Alcotest.(check (float 1e-9))
+        (Printf.sprintf "batch %d three hops after its cut" c)
+        (Harness.cut_at h c +. 3e-4)
+        (Harness.delivered_at h 2 c))
+    [ 2; 3; 4 ]
 
 let test_five_replicas_two_in_flight_two_hops () =
   (* n = 5 with two batches in flight: the window does not delay the
@@ -799,6 +861,8 @@ let () =
           Alcotest.test_case "idle cut" `Quick test_batching_idle_cut;
           Alcotest.test_case "in-flight accumulation" `Quick
             test_batching_in_flight_accumulates;
+          Alcotest.test_case "the fifth batch waits for batch 1's commit"
+            `Quick test_batching_fifth_waits_for_first_commit;
           Alcotest.test_case "delay cap on slow links" `Quick
             test_batching_delay_cap_slow_links;
         ] );
@@ -815,8 +879,8 @@ let () =
             test_accepted_batch_survives_leader_crash;
           Alcotest.test_case "view change keeps the latest view's log"
             `Quick test_view_change_keeps_latest_view_log;
-          Alcotest.test_case "view change keeps two uncommitted batches"
-            `Quick test_view_change_keeps_two_uncommitted;
+          Alcotest.test_case "view change keeps four uncommitted batches"
+            `Quick test_view_change_keeps_four_uncommitted;
           Alcotest.test_case "lost first Prepare waits for Need_log" `Quick
             test_lost_first_prepare_fills_gap;
           Alcotest.test_case "n = 5: two in flight, each two hops" `Quick

@@ -1072,6 +1072,97 @@ let test_submit_batch_longer_than_window () =
   Engine.run ~until:1.0 e;
   Alcotest.(check int) "every command executed" 256 !executed
 
+(* --- window reservation (DES) --- *)
+
+(* The simulated platform, logging the token count of every semaphore
+   acquire (the dispatcher's only semaphore is its window), newest first. *)
+let counting_platform (module SP : Psmr_platform.Platform_intf.S) acquires :
+    (module Psmr_platform.Platform_intf.S) =
+  (module struct
+    include (
+      SP :
+        Psmr_platform.Platform_intf.S with module Semaphore := SP.Semaphore)
+
+    module Semaphore = struct
+      include SP.Semaphore
+
+      let acquire ?(n = 1) s =
+        acquires := n :: !acquires;
+        SP.Semaphore.acquire ~n s
+    end
+  end)
+
+(* [slow i] runs 1 ms on worker 1 (key 0, so slow commands run one after
+   another), [fast i] 1 us on worker 2. *)
+let slow i = { Fc.idx = i; fp = [ (0, true) ] }
+let fast i = { Fc.idx = 100 + i; fp = [ (1, true) ] }
+
+(* An 8-slot window on 4 workers.  [script] feeds the dispatcher from one
+   simulated process, which then shuts it down; it sees the window
+   acquires as they happen.  Returns the commands executed and each
+   command's start time. *)
+let window_des script =
+  let open Psmr_sim in
+  let e = Engine.create () in
+  let acquires = ref [] in
+  let (module P) =
+    counting_platform (Sim_platform.make e Costs.zero) acquires
+  in
+  let module SD = Psmr_early.Dispatch.Make (P) (Fc) in
+  let started = Hashtbl.create 16 in
+  let execute (c : Fc.t) =
+    Hashtbl.replace started c.idx (P.now ());
+    P.sleep (if c.idx < 100 then 1e-3 else 1e-6)
+  in
+  let executed = ref 0 in
+  Engine.spawn e (fun () ->
+      let d = SD.start ~max_size:8 ~workers:4 ~execute () in
+      script ~submit_batch:(SD.submit_batch d) ~now:P.now ~sleep:P.sleep
+        ~acquires;
+      SD.shutdown d;
+      executed := SD.executed d);
+  Engine.run ~until:1.0 e;
+  (!executed, started)
+
+let test_submit_batch_head_runs_in_full_window () =
+  (* Seven slow commands leave one slot of eight free; a batch of eight
+     goes in rounds, each appending the slice its slots cover, so its
+     head starts at once instead of waiting for the window to drain. *)
+  let executed, started =
+    window_des (fun ~submit_batch ~now:_ ~sleep:_ ~acquires:_ ->
+        submit_batch (Array.init 7 slow);
+        submit_batch (Array.init 8 fast))
+  in
+  Alcotest.(check int) "every command executed" 15 executed;
+  Alcotest.(check (float 0.0)) "the batch's head starts at once" 0.0
+    (Hashtbl.find started 100);
+  (* slow 1 starts as slow 0 finishes *)
+  Alcotest.(check bool) "before the first slow command finishes" true
+    (Hashtbl.find started 100 < Hashtbl.find started 1)
+
+let test_submit_batch_banks_slots () =
+  (* The first reservation takes the whole free window and banks the slot
+     its seven commands leave; a one-command batch spends it without an
+     acquire.  With nothing banked and exactly one slot free, the next
+     takes that slot and does not wait for a chunk. *)
+  let returned = ref [] in
+  let executed, _ =
+    window_des (fun ~submit_batch ~now ~sleep ~acquires ->
+        submit_batch (Array.init 7 slow);
+        submit_batch [| fast 0 |];
+        returned := now () :: !returned;
+        Alcotest.(check (list int)) "banked credit spent, no new acquire" [ 8 ]
+          !acquires;
+        sleep 1e-5 (* fast 0 completes: exactly one slot free *);
+        submit_batch [| fast 1 |];
+        returned := now () :: !returned;
+        Alcotest.(check (list int)) "one free slot taken, no chunk" [ 1; 8 ]
+          !acquires)
+  in
+  Alcotest.(check int) "every command executed" 9 executed;
+  Alcotest.(check (list (float 0.0))) "neither one-command batch waited"
+    [ 1e-5; 0.0 ] !returned
+
 (* --- worker crash inside the repair window (DES) --- *)
 
 let test_keyed_bench_opt_crash_mid_repair () =
@@ -1249,6 +1340,10 @@ let () =
             test_submit_batch_alloc_budget;
           Alcotest.test_case "batch longer than the window completes" `Quick
             test_submit_batch_longer_than_window;
+          Alcotest.test_case "batch head runs in a nearly full window (DES)"
+            `Quick test_submit_batch_head_runs_in_full_window;
+          Alcotest.test_case "window slots banked across hand-offs (DES)"
+            `Quick test_submit_batch_banks_slots;
         ] );
       ( "equivalence",
         List.map QCheck_alcotest.to_alcotest

@@ -325,7 +325,8 @@ let test_max_counter () =
     "depth" 4.0
     (Metrics.value m "early.spec_redo_depth")
 
-let layers = [ "sync"; "platform"; "cos"; "sched"; "early"; "part"; "fault" ]
+let layers =
+  [ "sync"; "platform"; "cos"; "sched"; "early"; "abcast"; "part"; "fault" ]
 
 let test_declared_names () =
   List.iter

@@ -1457,7 +1457,9 @@ module Bank_equiv =
    the closed loop it reads 0 at some horizons and up to ~140 entries at
    others (0 at 8, 10.5, 12, 20 and 30 ms of this stack).  With metrics
    on it must pin the same line (recording is pure mutation) and export
-   the partitioned-ordering layer. *)
+   the partitioned-ordering layer.  Last moved by the window of four
+   in-flight batches and by the banked window reservation of
+   [Dispatch.submit_batch], which feeds this executor. *)
 let test_part_bench_pinned () =
   List.iter
     (fun metrics ->
@@ -1468,8 +1470,8 @@ let test_part_bench_pinned () =
       in
       Alcotest.(check string)
         "part2/w4 run"
-        "kops=870.4 executed=8704 emitted=9332 crosses=85 holes=0 \
-         merge_pending=33 engine_events=148706"
+        "kops=872 executed=8720 emitted=9425 crosses=89 holes=0 \
+         merge_pending=2 engine_events=154314"
         (Printf.sprintf
            "kops=%.9g executed=%d emitted=%d crosses=%d holes=%d \
             merge_pending=%d engine_events=%d"

@@ -444,21 +444,23 @@ let test_open_loop_partitioned () =
 (* Exact steps for the three target shapes: the conservative COS, the
    optimistic class-map executor and the partitioned deployment.  Runs are
    deterministic, so any change that moves a latency in the replicated
-   deployment shows up here. *)
+   deployment shows up here.  Last moved by the window of four in-flight
+   batches: every p50 and p99 falls, and [kops] (completions inside the
+   step) loses the few that spilled in from before it. *)
 let test_open_loop_pinned () =
   let pin name expected =
     Alcotest.(check string) name expected
       (step_to_string (only_step (quick name)))
   in
   pin "indexed"
-    "offered_kops=50 arrivals=379 kops=48.0 failed=0 censored=0 samples=379 \
-     p50=0.000245648764 p99=0.00030029232";
+    "offered_kops=50 arrivals=379 kops=47.6 failed=0 censored=0 samples=379 \
+     p50=0.000221863413 p99=0.000295728466";
   pin "early-opt"
-    "offered_kops=50 arrivals=379 kops=48.0 failed=0 censored=0 samples=379 \
-     p50=0.000240779506 p99=0.00029693065";
+    "offered_kops=50 arrivals=379 kops=47.6 failed=0 censored=0 samples=379 \
+     p50=0.000216953413 p99=0.000283417506";
   pin "part2"
-    "offered_kops=50 arrivals=379 kops=47.9 failed=0 censored=0 samples=379 \
-     p50=0.000230894256 p99=0.000306751163"
+    "offered_kops=50 arrivals=379 kops=47.5 failed=0 censored=0 samples=379 \
+     p50=0.00020191 p99=0.000289865495"
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
