@@ -295,18 +295,26 @@ let compute_part ~smoke (p, w, spec) =
    YCSB-A scenario offered to the replicated deployment on
    [Psmr_harness.Open_loop]'s default ladder, one row per target.  Three
    single sequencers differ only in their backend; part4 is the
-   benchmark's own partitioned deployment. *)
+   benchmark's own partitioned deployment.  A last part4 row offers the
+   scan-heavy YCSB-E scenario on a ladder around its knee, where the
+   shared-read rendezvous does the work. *)
 module W = Psmr_benchmark.Workloads
 module Report = Psmr_benchmark.Report
 
 let open_loop_targets =
   List.map
-    (fun s -> Option.get (Psmr_harness.Open_loop.target_of_string s))
-    [ "coarse"; "indexed"; "early"; "part4" ]
+    (fun (s, scenario, levels_kops) ->
+      (Option.get (Psmr_harness.Open_loop.target_of_string s), scenario,
+       levels_kops))
+    Psmr_traffic.Scenario.
+      [
+        ("coarse", A, None); ("indexed", A, None); ("early", A, None);
+        ("part4", A, None); ("part4", E, Some [ 10.; 15.; 20.; 30.; 40.; 50. ]);
+      ]
 
 (* One target's ladder, and each step's window with its offered ops/s. *)
-let compute_open_loop ~smoke deployment =
-  let w = Psmr_harness.Open_loop.ladder deployment Psmr_traffic.Scenario.A in
+let compute_open_loop ~smoke (deployment, scenario, levels_kops) =
+  let w = Psmr_harness.Open_loop.ladder ?levels_kops deployment scenario in
   let w = if smoke then W.scale 0.1 w else w in
   (w, Psmr_harness.Open_loop.run w)
 

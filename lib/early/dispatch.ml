@@ -5,18 +5,25 @@
    Shared read rendezvous.  A cross-class command whose footprint writes
    nothing conflicts with no other such command, so its barrier is
    shared: member workers arrive without blocking and carry on with
-   their queues, and the last to arrive executes it.  What keeps that
-   sound is the per-queue write gate: a token whose command writes is
-   not handed out ([q_next]) until every shared read the queue's worker
-   has already passed ([q_reads]) is complete — a write to a key a read
-   covers shares a queue with it (the class map gives the write every
-   member of the key's class), so the read still sees the state before
-   the write.  Writes keep the exclusive barrier.  Deadlock freedom
-   follows from per-queue position order: the incomplete command with the
-   smallest position has every member token at the front of its queue
-   (all earlier tokens belong to complete commands), and nothing it can
-   wait on — an exclusive arrival, a shared arrival, the write gate —
-   waits on a larger position.
+   their queues, and the last to arrive executes it — or, when the next
+   token in its own queue was another shared read at pop time, hands it
+   to an idle member (one parked on an empty queue) through that
+   worker's one-read slot and carries on too, so a burst of scans whose
+   last arriver is the same lagging worker runs side by side instead of
+   back to back on it.  What keeps that sound is the per-queue write
+   gate: a token whose command writes is not handed out ([q_next]) until
+   every shared read the queue's worker has already passed ([q_reads]) is
+   complete — a write to a key a read covers shares a queue with it (the
+   class map gives the write every member of the key's class), so the
+   read still sees the state before the write, whichever worker runs it.
+   Writes keep the exclusive barrier and always run on the designated
+   worker.  Deadlock freedom follows from per-queue position order: the
+   incomplete command with the smallest position has every member token
+   at the front of its queue (all earlier tokens belong to complete
+   commands), and nothing it can wait on — an exclusive arrival, a shared
+   arrival, the write gate — waits on a larger position; a handed read
+   waits on nothing, since its helper was idle and takes the slot before
+   anything else.
 
    Token life cycle.  A token is [Pending] (optimistically enqueued, not
    yet confirmed by final delivery), [Confirmed] (executable once it
@@ -60,13 +67,14 @@
    another queue's contents (conflicting commands share a queue).
 
    Fault behavior mirrors the COS scheduler: before participating in a
-   dequeued token the worker consults the fault hook; a crash pushes the
-   token back at the {e front} of the queue (the reservation is returned,
-   order intact — a speculative pop is restored to [Pending]) and the
-   core leaves the pool or respawns.  A crash-stop of a worker involved
-   in a rendezvous leaves that barrier unable to complete — the
+   dequeued token or a handed read the worker consults the fault hook; a
+   crash pushes the token back at the {e front} of the queue (the
+   reservation is returned, order intact — a speculative pop is restored
+   to [Pending]), or the read back into the slot, and the core leaves the
+   pool or respawns.  A crash-stop of a worker involved in a rendezvous,
+   or holding a handed read, leaves that command unable to complete — the
    class-barrier deadlock the checker's oracle looks for — while a
-   respawned worker re-pops the token and drains the barrier. *)
+   respawned worker re-pops the token or the read and drains it. *)
 
 open Psmr_platform
 module Probe = Psmr_obs.Probe
@@ -125,6 +133,13 @@ struct
     mutable q_reads : entry list;
     mutable q_nreads : int;
     mutable q_prune_at : int;
+    (* Shared-read hand-off, protected by [q_m]: [q_idle] while the worker
+       is parked on an empty queue with its slot empty (others read it
+       without the lock, as a hint), [q_slot] a fully arrived shared read
+       handed to this worker. *)
+    mutable q_idle : bool;
+    mutable q_slot : entry option;
+    mutable q_handoffs : int;  (* reads handed to this worker *)
   }
 
   type spec = entry
@@ -242,7 +257,13 @@ struct
       P.Semaphore.release t.window
     end
 
-  type fetched = Closed | Fetched of token | Speculative of token
+  type fetched =
+    | Closed
+    | Fetched of token * bool
+        (* [true]: a shared read whose successor in the queue, at pop
+           time, was another shared read — its execution may be handed off *)
+    | Speculative of token
+    | Handed of entry  (* a fully arrived shared read from another worker *)
 
   (* Write-gate bookkeeping, under [q_m].  Passed shared reads are
      recorded at pop time; completed ones are dropped when a write asks
@@ -267,29 +288,48 @@ struct
       match q.q_reads with [] -> None | e :: _ -> e.e_barrier
     end
 
-  (* The worker's blocking fetch: skip revoked tokens, pop confirmed ones,
-     pop pending single-queue heads for speculative execution when the
-     hook is installed (and no rollback is gating the queue), otherwise
-     wait while the head is pending (its confirmation or revocation will
-     broadcast).  A writing head waits, outside the queue lock, for the
-     passed shared reads to complete.  After close, a still-pending head
-     is a speculation that will never be confirmed — dropped, releasing
-     its window slot. *)
+  let is_shared_read e =
+    match e.e_barrier with Some _ -> not e.e_writes | None -> false
+
+  let q_normalize q =
+    match q.q_front with
+    | [] when q.q_back <> [] ->
+        q.q_front <- List.rev q.q_back;
+        q.q_back <- []
+    | _ -> ()
+
+  (* The worker's blocking fetch: a handed read first, then skip revoked
+     tokens, pop confirmed ones, pop pending single-queue heads for
+     speculative execution when the hook is installed (and no rollback is
+     gating the queue), otherwise wait while the head is pending (its
+     confirmation or revocation will broadcast).  A writing head waits,
+     outside the queue lock, for the passed shared reads to complete.
+     After close, a still-pending head is a speculation that will never be
+     confirmed — dropped, releasing its window slot.  Parked on an empty
+     queue, the worker is idle ([q_idle]): a handed read may land in its
+     slot. *)
   let q_next t q =
     let spec_run =
       match t.speculate with Some _ -> true | None -> false
     in
     P.Mutex.lock q.q_m;
     let rec loop () =
-      (match q.q_front with
-      | [] when q.q_back <> [] ->
-          q.q_front <- List.rev q.q_back;
-          q.q_back <- []
-      | _ -> ());
+      match q.q_slot with
+      | Some e ->
+          q.q_slot <- None;
+          Handed e
+      | None -> next_token ()
+    and next_token () =
+      q_normalize q;
       match q.q_front with
       | [] ->
           if q.q_closed then Closed
-          else (P.Condition.wait q.q_cv q.q_m; loop ())
+          else begin
+            q.q_idle <- true;
+            P.Condition.wait q.q_cv q.q_m;
+            q.q_idle <- false;
+            loop ()
+          end
       | tok :: rest -> (
           match tok.t_state with
           | Revoked | Taken ->
@@ -300,11 +340,15 @@ struct
               | Some b -> wait_out b
               | None ->
                   q.q_front <- rest;
-                  (match tok.t_entry.e_barrier with
-                  | Some _ when not tok.t_entry.e_writes ->
-                      note_read q tok.t_entry
-                  | Some _ | None -> ());
-                  Fetched tok)
+                  q_normalize q;
+                  let shared = is_shared_read tok.t_entry in
+                  if shared then note_read q tok.t_entry;
+                  let hand =
+                    match q.q_front with
+                    | next :: _ -> shared && is_shared_read next.t_entry
+                    | [] -> false
+                  in
+                  Fetched (tok, hand))
           | Pending ->
               if q.q_closed then begin
                 q.q_front <- rest;
@@ -823,68 +867,108 @@ struct
     P.Mutex.unlock q.q_m;
     if committing then commit t e
 
+  (* A fully arrived shared read: run it and complete its barrier, which
+     releases the writes gated behind it. *)
+  let run_shared t e =
+    run_entry t e;
+    match e.e_barrier with Some b -> B.complete b | None -> ()
+
+  (* Hand the fully arrived shared read [e] to an idle member: the first,
+     in worker order, whose [q_idle] hint is set and, under its lock,
+     still is (the caller's own hint is clear — it is running).  That
+     worker is inside the [q_next] wait — the only waiter on [q_cv] then,
+     since rollback and close wait only on a busy worker — so one signal
+     wakes it, and it takes the slot before anything else; filling the
+     slot clears its hint.  Only members are asked: a full-width scan has
+     every worker as a member anyway, while handing a two-key read to an
+     outside worker costs more than running it.  [false] when no member
+     is idle: the caller runs the read itself. *)
+  let hand_off e =
+    let rec from k =
+      k < Array.length e.e_tokens
+      &&
+      let h = e.e_tokens.(k).t_queue in
+      (h.q_idle
+      && begin
+           P.Mutex.lock h.q_m;
+           let free = h.q_idle in
+           if free then begin
+             h.q_idle <- false;
+             h.q_slot <- Some e;
+             h.q_handoffs <- h.q_handoffs + 1;
+             P.Condition.signal h.q_cv
+           end;
+           P.Mutex.unlock h.q_m;
+           free
+         end)
+      || from (k + 1)
+    in
+    from 0 && (Probe.read_handoff (); true)
+
+  (* Crash requeue of a handed read: back into the slot, for the respawned
+     worker to run first. *)
+  let slot_refill q e =
+    P.Mutex.lock q.q_m;
+    q.q_slot <- Some e;
+    P.Mutex.unlock q.q_m
+
+  (* A fetched token, past the fault hook.  The last arriver at a shared
+     read hands it off when the read was followed by another shared read
+     in its queue: running it here would leave the next one — and every
+     later one in the burst — waiting on this worker again.  An exclusive
+     rendezvous always runs on its designated worker: its members are
+     held in the barrier, and a helper would race the designated worker's
+     next token. *)
+  let run_token t i tok hand =
+    let e = tok.t_entry in
+    match e.e_barrier with
+    | None -> run_entry t e
+    | Some b -> (
+        match B.arrive b ~worker:i with
+        | `Execute -> if not (hand && hand_off e) then run_shared t e
+        | `Done | `Pass -> ())
+
   (* [i] identifies the simulated core, stable across respawns; [nth]
-     counts this core's token fetches, which is what logical fault points
-     (the checker's crash coordinates) address. *)
+     counts this core's fetches, which is what logical fault points (the
+     checker's crash coordinates) address.  A crash returns the fetched
+     work where it came from ([requeue]). *)
   let rec worker_loop t i nth () =
     let q = t.queues.(i - 1) in
+    let fetched ~requeue run =
+      let nth = nth + 1 in
+      match t.fault ~id:i ~nth with
+      | Psmr_fault.Fault.Crash { respawn_after } -> (
+          P.work Fault;
+          requeue ();
+          Probe.requeue ();
+          ignore (P.Atomic.fetch_and_add t.crashed 1 : int);
+          match respawn_after with
+          | None -> Latch.count_down t.joined
+          | Some d -> P.after d (worker_loop t i nth))
+      | (Run | Stall _ | Slow _) as action ->
+          (match action with
+          | Stall d ->
+              P.work Fault;
+              P.sleep d
+          | Run | Slow _ | Crash _ -> ());
+          run ();
+          (match action with
+          | Slow d ->
+              P.work Fault;
+              P.sleep d
+          | Run | Stall _ | Crash _ -> ());
+          worker_loop t i nth ()
+    in
     match q_next t q with
     | Closed -> Latch.count_down t.joined
-    | Speculative tok -> (
-        let nth = nth + 1 in
-        match t.fault ~id:i ~nth with
-        | Psmr_fault.Fault.Crash { respawn_after } ->
-            P.work Fault;
-            q_push_front q tok;
-            Probe.requeue ();
-            ignore (P.Atomic.fetch_and_add t.crashed 1 : int);
-            (match respawn_after with
-            | None -> Latch.count_down t.joined
-            | Some d -> P.after d (worker_loop t i nth))
-        | (Run | Stall _ | Slow _) as action ->
-            (match action with
-            | Stall d ->
-                P.work Fault;
-                P.sleep d
-            | Run | Slow _ | Crash _ -> ());
-            run_spec t q tok;
-            (match action with
-            | Slow d ->
-                P.work Fault;
-                P.sleep d
-            | Run | Stall _ | Crash _ -> ());
-            worker_loop t i nth ())
-    | Fetched tok -> (
-        let nth = nth + 1 in
-        match t.fault ~id:i ~nth with
-        | Psmr_fault.Fault.Crash { respawn_after } ->
-            P.work Fault;
-            q_push_front q tok;
-            Probe.requeue ();
-            ignore (P.Atomic.fetch_and_add t.crashed 1 : int);
-            (match respawn_after with
-            | None -> Latch.count_down t.joined
-            | Some d -> P.after d (worker_loop t i nth))
-        | (Run | Stall _ | Slow _) as action ->
-            (match action with
-            | Stall d ->
-                P.work Fault;
-                P.sleep d
-            | Run | Slow _ | Crash _ -> ());
-            (match tok.t_entry.e_barrier with
-            | None -> run_entry t tok.t_entry
-            | Some b -> (
-                match B.arrive b ~worker:i with
-                | `Execute ->
-                    run_entry t tok.t_entry;
-                    B.complete b
-                | `Done | `Pass -> ()));
-            (match action with
-            | Slow d ->
-                P.work Fault;
-                P.sleep d
-            | Run | Stall _ | Crash _ -> ());
-            worker_loop t i nth ())
+    | Speculative tok ->
+        fetched ~requeue:(fun () -> q_push_front q tok) (fun () ->
+            run_spec t q tok)
+    | Fetched (tok, hand) ->
+        fetched ~requeue:(fun () -> q_push_front q tok) (fun () ->
+            run_token t i tok hand)
+    | Handed e ->
+        fetched ~requeue:(fun () -> slot_refill q e) (fun () -> run_shared t e)
 
   (* ---------------------------------------------------------------- *)
   (* Life cycle.                                                       *)
@@ -924,6 +1008,9 @@ struct
                 q_reads = [];
                 q_nreads = 0;
                 q_prune_at = 64;
+                q_idle = false;
+                q_slot = None;
+                q_handoffs = 0;
               });
         window = P.Semaphore.create max_size;
         repair;
@@ -971,6 +1058,7 @@ struct
   let classes t = Class_map.classes t.map
   let direct_count t = t.n_direct
   let rendezvous_count t = t.n_rendezvous
+  let handoff_count t = Array.fold_left (fun n q -> n + q.q_handoffs) 0 t.queues
   let repair_count t = t.n_repairs
   let revoked_count t = t.n_revoked
   let spec_exec_count t = P.Atomic.get t.spec_execs
@@ -1023,7 +1111,22 @@ struct
      COS [invariant], these take no locks and are exact only between
      scheduled operations (checker) or at quiescence (tests). *)
 
+  (* Two stuck shapes: a partial rendezvous (a member never arrived), and a
+     fully arrived shared read left in a slot — a live worker takes its
+     slot before parking, so at a halt only a crash leaves one there. *)
   let stalled_barriers t =
+    let handed =
+      Array.to_list t.queues
+      |> List.filter_map (fun q ->
+             match q.q_slot with
+             | Some e when not (P.Atomic.get e.e_done) ->
+                 Some
+                   (Printf.sprintf
+                      "class-barrier stuck: shared read handed to crashed \
+                       worker %d"
+                      q.q_worker)
+             | Some _ | None -> None)
+    in
     List.rev
       (List.filter_map
          (fun e ->
@@ -1041,6 +1144,7 @@ struct
                     | None -> "shared"))
            | _ -> None)
          t.live_barriers)
+    @ handed
 
   let invariant ?(strict = false) t =
     let errs = ref [] in
@@ -1080,6 +1184,8 @@ struct
         if strict && toks <> [] then
           err "queue w%d: %d tokens left at quiescence" q.q_worker
             (List.length toks);
+        if strict && Option.is_some q.q_slot then
+          err "queue w%d: a handed shared read left in its slot" q.q_worker;
         if strict && (q.q_log_front <> [] || q.q_log_back <> []) then
           err "queue w%d: %d uncommitted speculations left at quiescence"
             q.q_worker

@@ -128,6 +128,9 @@ module Make (P : Platform_intf.S) (C : Psmr_cos.Cos_intf.KEYED_COMMAND) : sig
   val rendezvous_count : t -> int
   (** Commands dispatched through a cross-class barrier. *)
 
+  val handoff_count : t -> int
+  (** Shared reads handed by their last arriver to an idle member. *)
+
   val repair_count : t -> int
   (** Confirmations that detected a mis-speculation. *)
 
@@ -154,12 +157,13 @@ module Make (P : Platform_intf.S) (C : Psmr_cos.Cos_intf.KEYED_COMMAND) : sig
 
   val stalled_barriers : t -> string list
   (** Barriers with a partial rendezvous (some but not all members
-      arrived) — the signature of a class-barrier deadlock when worker
-      processes are blocked. *)
+      arrived), and shared reads handed to a worker that has not taken
+      them (it crashed holding one) — the signatures of a class-barrier
+      deadlock when worker processes are blocked. *)
 
   val invariant : ?strict:bool -> t -> string list
   (** Structural invariants: pending counters match queue contents, and no
       queue holds a confirmed token behind a pending one.  [~strict:true]
-      adds quiescence checks: queues empty, submitted = executed, no
-      stalled barrier. *)
+      adds quiescence checks: queues and hand-off slots empty, submitted =
+      executed, no stalled barrier. *)
 end

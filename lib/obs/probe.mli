@@ -96,6 +96,10 @@ val class_barrier : tokens:int -> unit
 (** One cross-class command dispatched through a rendezvous over [tokens]
     worker queues. *)
 
+val read_handoff : unit -> unit
+(** One fully arrived shared read handed by its last arriver to an idle
+    worker instead of run in place. *)
+
 val spec_confirm : unit -> unit
 (** One optimistically delivered command confirmed in its speculated
     position. *)

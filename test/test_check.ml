@@ -403,6 +403,35 @@ let test_early_shared_deadlock_caught () =
         (List.mem "class-barrier deadlock: class-barrier stuck at 1/2 arrivals \
                    (shared)" f.Explore.violations)
 
+(* Crash-stop holding a handed read.  On 2 workers, workload seed 8 draws
+   five shared reads of both keys and one read of key 0, so worker 1 owns
+   six tokens and its seventh fetch can only be a read worker 2 handed
+   it.  Dying there leaves the read in its slot with every arrival in —
+   no partial rendezvous — and the oracle must still name it.  With
+   respawn the read goes back into the slot and the respawned worker
+   runs it. *)
+let handed_crash_sc ~respawn =
+  esc ~workers:2 ~commands:6 ~keys:2 ~write_pct:0.0 ~cross_pct:100.0
+    ~crashes:[ (1, 7) ] ~respawn ~workload_seed:8L ()
+
+let test_early_handed_crash_caught () =
+  let s = handed_crash_sc ~respawn:false in
+  let r = early_walk ~stop_on_first:true s ~seed:3010L ~schedules:500 in
+  match r.Explore.failures with
+  | [] -> Alcotest.fail "crash-stop holding a handed read not caught"
+  | f :: _ ->
+      Alcotest.(check bool) "handed read reported stuck" true
+        (List.mem
+           "class-barrier deadlock: class-barrier stuck: shared read handed \
+            to crashed worker 1"
+           f.Explore.violations)
+
+let test_early_handed_crash_respawn_clean () =
+  let s = handed_crash_sc ~respawn:true in
+  let r = early_walk s ~seed:3010L ~schedules:400 in
+  Alcotest.(check int) "no failures" 0 (List.length r.Explore.failures);
+  Alcotest.(check int) "all complete" 0 r.Explore.incomplete
+
 (* The planted write-gate bug: writes run past still-executing shared
    reads.  The read-heavy cross-key scenario (the @check-early row) is
    caught from the pinned seed by the conflict-order and
@@ -628,6 +657,10 @@ let () =
             `Quick test_early_spec_crash_clean;
           Alcotest.test_case "crash-stop shared read deadlock caught" `Quick
             test_early_shared_deadlock_caught;
+          Alcotest.test_case "crash-stop holding a handed read caught" `Quick
+            test_early_handed_crash_caught;
+          Alcotest.test_case "crash + respawn holding a handed read clean"
+            `Quick test_early_handed_crash_respawn_clean;
           Alcotest.test_case "disabled write gate caught (both oracles)"
             `Quick test_early_nogate_caught;
           Alcotest.test_case "write gate keeps identical scenario clean"

@@ -443,6 +443,31 @@ let test_optimistic_sim_deterministic () =
   Alcotest.(check bool) "ran" true (a > 0.0);
   Alcotest.(check (float 0.0)) "deterministic" a b
 
+(* [cmds], (footprint, duration) pairs, submitted in order to 4 workers on
+   the DES with one class per worker (key k -> worker k+1); returns each
+   command's execution span and the dispatcher's hand-off count. *)
+let des_schedule ?write_gate cmds =
+  let open Psmr_sim in
+  let e = Engine.create () in
+  let (module SP) = Sim_platform.make e Costs.default in
+  let module SD = Psmr_early.Dispatch.Make (SP) (Fc) in
+  let span = Array.make (Array.length cmds) (nan, nan) in
+  let handoffs = ref (-1) in
+  Engine.spawn e (fun () ->
+      let d =
+        SD.start_full ?write_gate ~workers:4
+          ~execute:(fun (c : Fc.t) ->
+            let t0 = SP.now () in
+            SP.sleep (snd cmds.(c.idx));
+            span.(c.idx) <- (t0, SP.now ()))
+          ()
+      in
+      Array.iteri (fun idx (fp, _) -> SD.submit d { Fc.idx; fp }) cmds;
+      SD.shutdown d;
+      handoffs := SD.handoff_count d);
+  Engine.run e;
+  (span, !handoffs)
+
 (* Shared read rendezvous on the DES, one class per worker (key k ->
    worker k+1).  w1 is busy with a 30 us write when the scan R1 (keys
    0,1) arrives, so w2 passes R1 and carries on; w1 arrives last and
@@ -452,34 +477,16 @@ let test_optimistic_sim_deterministic () =
    member with R1 and runs alongside it, and so does R2, which shares w2.
    With the write gate off, W runs before R1 ends — the planted bug. *)
 let shared_read_schedule ~write_gate =
-  let open Psmr_sim in
-  let e = Engine.create () in
-  let (module SP) = Sim_platform.make e Costs.default in
-  let module SD = Psmr_early.Dispatch.Make (SP) (Fc) in
-  let cmds =
-    [|
-      ([ (0, true) ], 30e-6) (* X *);
-      ([ (0, false); (1, false) ], 20e-6) (* R1 *);
-      ([ (1, false) ], 5e-6) (* D *);
-      ([ (1, false); (2, false) ], 40e-6) (* R2 *);
-      ([ (1, true) ], 5e-6) (* W *);
-      ([ (2, false); (3, false) ], 40e-6) (* R3 *);
-    |]
-  in
-  let span = Array.make (Array.length cmds) (nan, nan) in
-  Engine.spawn e (fun () ->
-      let d =
-        SD.start_full ~write_gate ~workers:4
-          ~execute:(fun (c : Fc.t) ->
-            let t0 = SP.now () in
-            SP.sleep (snd cmds.(c.idx));
-            span.(c.idx) <- (t0, SP.now ()))
-          ()
-      in
-      Array.iteri (fun idx (fp, _) -> SD.submit d { Fc.idx; fp }) cmds;
-      SD.shutdown d);
-  Engine.run e;
-  span
+  fst
+    (des_schedule ~write_gate
+       [|
+         ([ (0, true) ], 30e-6) (* X *);
+         ([ (0, false); (1, false) ], 20e-6) (* R1 *);
+         ([ (1, false) ], 5e-6) (* D *);
+         ([ (1, false); (2, false) ], 40e-6) (* R2 *);
+         ([ (1, true) ], 5e-6) (* W *);
+         ([ (2, false); (3, false) ], 40e-6) (* R3 *);
+       |])
 
 let test_dispatch_shared_reads () =
   let span = shared_read_schedule ~write_gate:true in
@@ -499,6 +506,110 @@ let test_dispatch_shared_reads () =
   let ungated = shared_read_schedule ~write_gate:false in
   Alcotest.(check bool) "without the gate the write overtakes R1" true
     (fst ungated.(w) < snd ungated.(r1))
+
+let full_width = [ (0, false); (1, false); (2, false); (3, false) ]
+
+(* w1 is busy with a 30 us write X while three full-width scans queue
+   behind it; w2-w4 pass all three and go idle.  w1 arrives last at every
+   scan: it hands R1 and R2 (each followed by another scan in its queue)
+   to idle workers and runs R3 itself, so the burst overlaps instead of
+   running back to back on w1. *)
+let test_handoff_burst_overlaps () =
+  let span, handoffs =
+    des_schedule
+      [|
+        ([ (0, true) ], 30e-6) (* X *);
+        (full_width, 40e-6) (* R1 *);
+        (full_width, 40e-6) (* R2 *);
+        (full_width, 40e-6) (* R3 *);
+      |]
+  in
+  let start i = fst span.(i) and stop i = snd span.(i) in
+  Alcotest.(check int) "R1 and R2 handed off" 2 handoffs;
+  List.iter
+    (fun r ->
+      Alcotest.(check bool)
+        (Printf.sprintf "R%d waits for its busy member" r)
+        true
+        (start r >= stop 0))
+    [ 1; 2; 3 ];
+  let overlap a b = start a < stop b && start b < stop a in
+  Alcotest.(check bool) "R1 and R2 overlap" true (overlap 1 2);
+  Alcotest.(check bool) "R2 and R3 overlap" true (overlap 2 3);
+  Alcotest.(check bool) "R1 and R3 overlap" true (overlap 1 3)
+
+(* The write gate holds across a hand-off: w1 hands the long scan R1 to an
+   idle worker and runs the short R2 itself (its successor W writes, so
+   R2 stays); W, behind both in w1's queue, starts only after the handed
+   R1 ends, not when w1 is free. *)
+let test_handoff_keeps_write_gate () =
+  let span, handoffs =
+    des_schedule
+      [|
+        ([ (0, true) ], 30e-6) (* X *);
+        (full_width, 100e-6) (* R1 *);
+        (full_width, 10e-6) (* R2 *);
+        ([ (0, true) ], 5e-6) (* W *);
+      |]
+  in
+  let start i = fst span.(i) and stop i = snd span.(i) in
+  Alcotest.(check int) "R1 handed off, R2 not" 1 handoffs;
+  Alcotest.(check bool) "R2 runs while the handed R1 does" true
+    (start 2 < stop 1);
+  Alcotest.(check bool) "W starts after the handed R1 ends" true
+    (start 3 >= stop 1);
+  Alcotest.(check bool) "W starts after R2 ends" true (start 3 >= stop 2)
+
+(* A writing rendezvous never leaves its designated worker.  On 4 workers
+   [Transfer 2->5] is a rendezvous of w2 (account 5, designated) and w3
+   (account 2), and [Balance 5] queues behind it on w2 while w1 and w4
+   are idle.  Handing the transfer to an idle worker would let w2 read
+   account 5 before the transfer lands; each command sleeps before it
+   applies, so that race shows in the response. *)
+let test_write_rendezvous_stays_designated () =
+  let open Psmr_sim in
+  let module Bc = struct
+    type t = int * Psmr_app.Bank.command
+
+    let conflict (_, a) (_, b) = Psmr_app.Bank.conflict a b
+    let footprint (_, c) = Psmr_app.Bank.footprint c
+    let pp ppf (i, c) = Format.fprintf ppf "%d:%a" i Psmr_app.Bank.pp_command c
+  end in
+  let cmds =
+    [|
+      (0, Psmr_app.Bank.Transfer { src = 2; dst = 5; amount = 7 });
+      (1, Psmr_app.Bank.Balance 5);
+    |]
+  in
+  let fresh () = Psmr_app.Bank.create ~accounts:6 ~initial_balance:50 in
+  let reference = fresh () in
+  let expected = Array.map (fun (_, c) -> Psmr_app.Bank.execute reference c) cmds in
+  let e = Engine.create () in
+  let (module SP) = Sim_platform.make e Costs.default in
+  let module SD = Psmr_early.Dispatch.Make (SP) (Bc) in
+  let bank = fresh () in
+  let responses = Array.make 2 None in
+  let span = Array.make 2 (nan, nan) in
+  let handoffs = ref (-1) in
+  Engine.spawn e (fun () ->
+      let d =
+        SD.start ~workers:4
+          ~execute:(fun (i, c) ->
+            let t0 = SP.now () in
+            SP.sleep (if i = 0 then 20e-6 else 1e-6);
+            responses.(i) <- Some (Psmr_app.Bank.execute bank c);
+            span.(i) <- (t0, SP.now ()))
+          ()
+      in
+      Array.iter (SD.submit d) cmds;
+      SD.shutdown d;
+      handoffs := SD.handoff_count d);
+  Engine.run e;
+  Alcotest.(check int) "no hand-off" 0 !handoffs;
+  Alcotest.(check bool) "responses = sequential" true
+    (Array.for_all2 (fun r x -> r = Some x) responses expected);
+  Alcotest.(check bool) "Balance 5 starts after the transfer ends" true
+    (fst span.(1) >= snd span.(0))
 
 (* --- qcheck: early execution histories = coarse COS = sequential --- *)
 
@@ -1325,6 +1436,12 @@ let () =
             test_dispatch_equivalent_to_sequential;
           Alcotest.test_case "shared reads pass, writes gated (DES)" `Quick
             test_dispatch_shared_reads;
+          Alcotest.test_case "handed shared reads overlap (DES)" `Quick
+            test_handoff_burst_overlaps;
+          Alcotest.test_case "write gate holds across a hand-off (DES)" `Quick
+            test_handoff_keeps_write_gate;
+          Alcotest.test_case "writing rendezvous stays designated (DES)" `Quick
+            test_write_rendezvous_stays_designated;
         ] );
       ( "optimistic",
         [
