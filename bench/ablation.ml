@@ -6,7 +6,9 @@ let () =
   print_endline "## Ablation: indexed vs scan-based insert (light, 0% writes)\n";
   print_string
     (Psmr_util.Table.render_series ~x_label:"workers" ~y_label:"kops/s"
-       (Psmr_harness.Ablations.indexed_vs_scan ()));
+       (Psmr_harness.Figures.draw
+          { Psmr_harness.Figures.default_options with progress = false }
+          Psmr_harness.Figures.indexed_vs_scan));
   print_endline
     "\n## Ablation: per-insert cost vs graph population (no workers)\n";
   print_string

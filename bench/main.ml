@@ -15,16 +15,15 @@
    report is built as one [Psmr_util.Json.t] value and checked by
    [Psmr_harness.Bench_schema] before it is written.
 
-   Part 3 — regeneration of every figure of the paper's evaluation (Figures
-   2-6) through the simulation harness.  Set PSMR_BENCH_FAST=1 for a
-   subsampled smoke run; set PSMR_BENCH_SKIP_FIGURES=1 to run only the
-   micro-benchmarks; set PSMR_BENCH_SMOKE=1 for a time-boxed everything
-   (short quotas, short simulation windows, no figures) — the @bench-smoke
-   alias.  PSMR_BENCH_DIFF_ONLY=1 regenerates only the simulated sections
-   and compares them with the report at PSMR_BENCH_JSON — the @bench-diff
-   alias.  PSMR_BENCH_REBASELINE=<file> regenerates them too and writes
-   the report at PSMR_BENCH_JSON to <file> with every moved value
-   rewritten in place — the @bench-rebaseline alias. *)
+   The figures of the paper's evaluation (Figures 2-6) and the ablations
+   are not printed here: `psmr_bench all` regenerates them.  Set
+   PSMR_BENCH_SMOKE=1 for a time-boxed everything (short quotas, short
+   simulation windows) — the @bench-smoke alias.  PSMR_BENCH_DIFF_ONLY=1
+   regenerates only the simulated sections and compares them with the
+   report at PSMR_BENCH_JSON — the @bench-diff alias.
+   PSMR_BENCH_REBASELINE=<file> regenerates them too and writes the report
+   at PSMR_BENCH_JSON to <file> with every moved value rewritten in place
+   — the @bench-rebaseline alias. *)
 
 open Bechamel
 open Toolkit
@@ -191,20 +190,6 @@ let run_micro ~smoke () =
 
 module J = Psmr_util.Json
 module Keyed = Psmr_workload.Workload.Keyed
-
-(* The one grid memo: every distinct configuration of a grid is simulated
-   once, fanned out over [jobs] domains, and served by the returned lookup.
-   A point is computed from its configuration alone — its own engine, RNG
-   and sinks, no facade state — so the results are those of a sequential
-   run, and the report built from them is identical, for any [jobs].
-   Configurations are compared structurally, so no rendered key can make
-   two distinct points collide. *)
-let grid ~jobs compute configs =
-  let distinct = Array.of_list (List.sort_uniq compare configs) in
-  let results = Psmr_sim.Grid_runner.map ~jobs compute distinct in
-  let memo = Hashtbl.create (Array.length distinct) in
-  Array.iteri (fun i c -> Hashtbl.replace memo c results.(i)) distinct;
-  Hashtbl.find memo
 
 (* Measurement window and warmup of every simulated point, in seconds. *)
 let window ~smoke = if smoke then (0.02, 0.005) else (0.08, 0.02)
@@ -430,7 +415,9 @@ let open_loop_json ((w : W.t), steps) =
     ]
 
 let open_loop_rows ~smoke ~jobs =
-  let open_loop = grid ~jobs (compute_open_loop ~smoke) open_loop_targets in
+  let open_loop =
+    Psmr_sim.Grid_runner.memo ~jobs (compute_open_loop ~smoke) open_loop_targets
+  in
   List.map (fun t -> open_loop_json (open_loop t)) open_loop_targets
 
 let engine_json (r : Engine_churn.row) =
@@ -445,17 +432,19 @@ let engine_json (r : Engine_churn.row) =
    measured by the caller, every simulated one from the grids. *)
 let report ~smoke ~jobs ~micro ~engine =
   let fig2 =
-    grid ~jobs
+    Psmr_sim.Grid_runner.memo ~jobs
       (fun c -> (standalone_point ~smoke c).Psmr_harness.Standalone.kops)
       (List.map snd fig2_rows)
   in
   let keyed =
-    grid ~jobs
+    Psmr_sim.Grid_runner.memo ~jobs
       (fun (impl, w, batch, spec) ->
         standalone_point ~smoke (impl, w, batch, Keyed spec))
       (List.map snd keyed_rows)
   in
-  let part = grid ~jobs (compute_part ~smoke) part_configs in
+  let part =
+    Psmr_sim.Grid_runner.memo ~jobs (compute_part ~smoke) part_configs
+  in
   let open_loop = open_loop_rows ~smoke ~jobs in
   let faults = sim_faults ~smoke in
   let metrics = sim_metrics ~smoke in
@@ -711,24 +700,14 @@ let full_run ~smoke =
   validate json_path doc;
   Out_channel.with_open_text json_path (fun oc ->
       output_string oc (J.to_string doc ^ "\n"));
-  Printf.printf "wrote %s (schema ok)\n%!" json_path;
-  if (not smoke) && not (getenv_flag "PSMR_BENCH_SKIP_FIGURES") then begin
-    let opts =
-      if getenv_flag "PSMR_BENCH_FAST" then Psmr_harness.Figures.fast_options
-      else Psmr_harness.Figures.default_options
-    in
-    let opts =
-      { opts with progress = not (getenv_flag "PSMR_BENCH_QUIET"); jobs }
-    in
-    print_string (Psmr_harness.Figures.run_all ~opts ())
-  end
+  Printf.printf "wrote %s (schema ok)\n%!" json_path
 
 let () =
   let smoke = getenv_flag "PSMR_BENCH_SMOKE" in
   if getenv_flag "PSMR_BENCH_ENGINE_ONLY" then
     (* Engine-core numbers only (the @bench-engine alias): no Bechamel
-       quotas, no simulation grids, no figures — just how fast the DES
-       itself turns events over. *)
+       quotas, no simulation grids — just how fast the DES itself turns
+       events over. *)
     List.iter
       (fun r -> Format.printf "%a@." Engine_churn.pp_row r)
       (Engine_churn.rows ~smoke ())

@@ -167,7 +167,11 @@ let all_cmd =
     let opts = opts_of ~fast ~csv ~quiet ~jobs in
     print_string (Psmr_harness.Figures.run_all ~opts ())
   in
-  Cmd.v (Cmd.info "all" ~doc:"Regenerate every figure (2-6).")
+  Cmd.v
+    (Cmd.info "all"
+       ~doc:
+         "Regenerate every figure (2-6) and ablation as one report, each \
+          distinct simulation point run once.")
     Term.(const run $ fast_arg $ csv_arg $ quiet_arg $ jobs_arg)
 
 (* Single-point runs for exploration. *)

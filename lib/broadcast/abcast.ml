@@ -219,7 +219,6 @@ module Make (P : Platform_intf.S) = struct
   let is_leader t = leader t = t.id
   let view t = t.view
   let views_installed t = t.views_installed
-  let committed_seq t = t.committed
   let delivered_seq t = t.delivered
   let log_base t = t.base
   let is_stalled t = t.stalled
@@ -227,7 +226,6 @@ module Make (P : Platform_intf.S) = struct
   (* First sequence number with no log entry. *)
   let log_end t = t.base + Psmr_util.Vec.length t.log
   let log_length t = Psmr_util.Vec.length t.log
-  let pending_length t = Psmr_util.Vec.length t.pending
   let log_get t seq = Psmr_util.Vec.get t.log (seq - t.base)
   let log_suffix t = Psmr_util.Vec.to_array t.log
 

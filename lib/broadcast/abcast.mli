@@ -130,9 +130,7 @@ module Make (P : Platform_intf.S) : sig
 
   val view : 'c t -> int
   val leader : 'c t -> int
-  val is_leader : 'c t -> bool
   val views_installed : 'c t -> int
-  val committed_seq : 'c t -> int
   val delivered_seq : 'c t -> int
 
   val log_base : 'c t -> int
@@ -140,10 +138,6 @@ module Make (P : Platform_intf.S) : sig
       checkpointing has truncated). *)
 
   val log_length : 'c t -> int
-
-  val pending_length : 'c t -> int
-  (** Commands accepted for ordering but not yet sealed into a batch
-      (nonzero only on the leader between batch cuts). *)
 
   val is_stalled : 'c t -> bool
   (** True when the replica found a gap not recoverable from peers' logs;

@@ -1,120 +1,17 @@
-(** Ablation experiments beyond the paper's figures, probing the design
-    choices its text calls out:
+(** Ablation experiments beyond the paper's figures that are not a sweep
+    of standalone COS points (those — A1 lock granularity, A2 graph bound,
+    A3 realistic conflicts, A4's COS series and A6's throughput table — are
+    point lists in {!Figures}):
 
-    - {!granularity}: §7.3.2 closes by noting that whole-graph and per-node
-      locks are "two ends of a lock granularity spectrum" and suggests
-      granular locks in between — we sweep the stripe width of the
-      segment-locked COS from per-node to whole-graph;
-    - {!graph_size}: the evaluation fixes the dependency graph at 150
-      entries; we sweep the bound to show the window/backpressure trade-off;
-    - {!realistic_conflicts}: §7.4.2 cites evidence that realistic conflict
-      rates sit between 0.3% and 2% — a fine-grained sweep over exactly that
-      band;
+    - {!insert_cost_vs_population}: A6's per-insert cost micro-measure;
+    - {!run_early}: A4's early (queue-dispatch) scheduler series;
     - {!failover_timeline}: throughput of a replicated deployment across a
       leader crash, showing the outage window and recovery (the protocol
       cost the paper's evaluation keeps out of scope). *)
 
 open Psmr_workload
 
-(* --- lock granularity spectrum --- *)
-
-(** Throughput of the striped COS as stripe width grows, bracketed by
-    fine-grained (width 1 is the same locking discipline) and the
-    coarse-grained monitor.  Returns one series per workload cost. *)
-let granularity ?(workers = 16)
-    ?(widths = [ 1; 2; 4; 8; 16; 32; 64; 150 ]) ?(write_pct = 5.0)
-    ?duration ?warmup () =
-  List.map
-    (fun cost ->
-      let points =
-        List.map
-          (fun k ->
-            let r =
-              Standalone.run
-                ~backend:(Cos (Psmr_cos.Registry.Striped k))
-                ~workers
-                ~workload:(Paper { write_pct; cost })
-                ?duration ?warmup ()
-            in
-            (float_of_int k, r.kops))
-          widths
-      in
-      { Psmr_util.Table.name = Workload.cost_label cost; points })
-    [ Workload.Light; Workload.Moderate ]
-
-(* --- dependency graph bound --- *)
-
-(** Throughput and mean graph population as the COS capacity grows.  Small
-    graphs starve workers (insert back-pressure); large graphs lengthen
-    every traversal of the list-based algorithms. *)
-let graph_size ?(workers = 16) ?(write_pct = 5.0)
-    ?(sizes = [ 10; 25; 50; 100; 150; 300; 600; 1200 ]) ?duration ?warmup () =
-  List.map
-    (fun impl ->
-      let points =
-        List.map
-          (fun max_size ->
-            let r =
-              Standalone.run ~backend:(Cos impl) ~workers ~max_size
-                ~workload:(Paper { write_pct; cost = Workload.Moderate })
-                ?duration ?warmup ()
-            in
-            (float_of_int max_size, r.kops))
-          sizes
-      in
-      { Psmr_util.Table.name = Psmr_cos.Registry.to_string impl; points })
-    Psmr_cos.Registry.paper
-
-(* --- the realistic conflict band (0.3%..2% writes) --- *)
-
-let realistic_conflicts ?(workers = 16)
-    ?(write_pcts = [ 0.3; 0.5; 0.75; 1.0; 1.25; 1.5; 2.0 ]) ?duration ?warmup
-    () =
-  List.map
-    (fun impl ->
-      let points =
-        List.map
-          (fun pct ->
-            let r =
-              Standalone.run ~backend:(Cos impl) ~workers
-                ~workload:(Paper { write_pct = pct; cost = Workload.Moderate })
-                ?duration ?warmup ()
-            in
-            (pct, r.kops))
-          write_pcts
-      in
-      { Psmr_util.Table.name = Psmr_cos.Registry.to_string impl; points })
-    Psmr_cos.Registry.paper
-
-(* --- indexed vs scan-based insert --- *)
-
-(** Throughput of the key-indexed COS against the lock-free scan baseline
-    in the Fig. 2 standalone setup (light cost, 0% writes), with and
-    without delivery-time batching.  The insert thread is the bottleneck
-    here, so eliminating its O(n) scan moves the whole curve. *)
-let indexed_vs_scan ?(write_pct = 0.0)
-    ?(worker_counts = [ 1; 2; 4; 8; 16; 32; 64 ]) ?(batch = 16) ?duration
-    ?warmup () =
-  let series name impl batch =
-    let points =
-      List.map
-        (fun w ->
-          let r =
-            Standalone.run ~backend:(Cos impl) ~workers:w ~batch
-              ~workload:(Paper { Workload.write_pct; cost = Workload.Light })
-              ?duration ?warmup ()
-          in
-          (float_of_int w, r.kops))
-        worker_counts
-    in
-    { Psmr_util.Table.name; points }
-  in
-  [
-    series "lock-free (scan insert)" Psmr_cos.Registry.Lockfree 1;
-    series "indexed" Psmr_cos.Registry.Indexed 1;
-    series (Printf.sprintf "indexed, batch %d" batch) Psmr_cos.Registry.Indexed
-      batch;
-  ]
+(* --- A6: per-insert cost vs graph population --- *)
 
 (** Per-insert virtual-time cost as a function of graph population, with no
     workers attached (every inserted command stays live): the scan-based
@@ -188,44 +85,6 @@ let run_early ~workers ~(spec : Workload.spec)
       else SP.sleep 2e-6);
   ignore (Sim_run.run sim ~warmup ~duration : float);
   Sim_run.kops sim
-
-(** Early (queue-dispatch) scheduling versus the lock-free COS across the
-    write-percentage axis, light cost: early scheduling wins at very low
-    conflict rates (no scheduling structure at all) and degrades faster as
-    every write barriers all workers. *)
-let early_vs_late ?(workers = 16)
-    ?(write_pcts = [ 0.; 1.; 5.; 10.; 15.; 25.; 50.; 100. ]) ?duration ?warmup
-    () =
-  let early =
-    {
-      Psmr_util.Table.name = "early scheduling";
-      points =
-        List.map
-          (fun pct ->
-            ( pct,
-              run_early ~workers
-                ~spec:{ Workload.write_pct = pct; cost = Workload.Light }
-                ?duration ?warmup () ))
-          write_pcts;
-    }
-  in
-  let late impl =
-    {
-      Psmr_util.Table.name = Psmr_cos.Registry.to_string impl;
-      points =
-        List.map
-          (fun pct ->
-            let r =
-              Standalone.run ~backend:(Cos impl) ~workers
-                ~workload:
-                  (Paper { Workload.write_pct = pct; cost = Workload.Light })
-                ?duration ?warmup ()
-            in
-            (pct, r.kops))
-          write_pcts;
-    }
-  in
-  [ early; late Psmr_cos.Registry.Lockfree; late Psmr_cos.Registry.Coarse ]
 
 (* --- failover timeline --- *)
 

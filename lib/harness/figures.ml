@@ -12,8 +12,11 @@
     - Figure 6 (a,b): latency vs. throughput for the moderate cost at 5% and
       10% writes, sweeping the number of closed-loop clients.
 
-    Each function returns printable series; {!run_all} renders the full
-    report and optionally CSV files. *)
+    Every figure, and every ablation sweep of standalone COS runs, is data:
+    a list of named series of (x, point), where a point is a plain value
+    naming one simulation.  [run_point] runs a point; a report gathers
+    the points of all its figures into one {!Psmr_sim.Grid_runner.memo},
+    so a point two figures share is simulated once. *)
 
 open Psmr_workload
 
@@ -59,263 +62,243 @@ let fast_options =
     client_sweep = [ 10; 50; 100; 200 ];
   }
 
-let impls = Psmr_cos.Registry.paper
+(* --- points --- *)
+
+type point =
+  | Standalone of {
+      backend : Psmr_early.Registry.backend;
+      workers : int;
+      spec : Workload.spec;
+      max_size : int;
+      batch : int;
+    }
+  | Replicated of {
+      mode : Psmr_replica.Replica.mode;
+      spec : Workload.spec;
+      clients : int;
+    }
+
+(* What a report keeps of a run; [mean_latency_ms] is client-side, [0.]
+   for standalone points. *)
+type result = { kops : float; mean_latency_ms : float }
+type plot = (string * (float * point) list) list
 
 let note opts fmt =
   if opts.progress then Printf.eprintf (fmt ^^ "\n%!")
   else Printf.ifprintf stderr fmt
 
-(* Every figure below is a flattened grid of independent simulation
-   points, fanned out over [opts.jobs] domains.  Each point builds its own
-   engine, RNG and sinks and never installs facade state (the fault plan
-   and the metrics registry stay untouched on these paths), so the grid
-   meets {!Psmr_sim.Grid_runner}'s discipline: results come back in input
-   order and the rendered output is byte-identical for any [jobs].  With
-   [jobs = 1] the map degenerates to a plain sequential [Array.map] in
-   this domain. *)
-let par_map opts f xs =
-  Array.to_list (Psmr_sim.Grid_runner.map ~jobs:opts.jobs f (Array.of_list xs))
+(* "<impl>, <n> workers": how the paper's legends name a configuration. *)
+let at_workers impl workers =
+  Printf.sprintf "%s, %d workers" (Psmr_cos.Registry.to_string impl) workers
 
-(* --- Figure 2: standalone, throughput vs workers, 0% writes --- *)
+let describe = function
+  | Standalone { backend; workers; spec; max_size; batch } ->
+      Printf.sprintf "standalone %s w=%d %s %g%%w max=%d batch=%d"
+        (Psmr_early.Registry.to_string backend)
+        workers
+        (Workload.cost_label spec.cost)
+        spec.write_pct max_size batch
+  | Replicated { mode; spec; clients } ->
+      Printf.sprintf "replicated %s %s %g%%w c=%d"
+        (match mode with
+        | Parallel { impl; workers } -> at_workers impl workers
+        | Sequential -> "sequential SMR"
+        | Parallel_early _ | Parallel_early_opt _ | Partitioned _ -> "other")
+        (Workload.cost_label spec.cost)
+        spec.write_pct clients
 
-let fig2 opts cost =
-  let grid =
-    List.concat_map
-      (fun impl -> List.map (fun w -> (impl, w)) opts.workers)
-      impls
-  in
-  let kops =
-    par_map opts
-      (fun (impl, w) ->
+(* Each point builds its own engine, RNG and sinks and never installs
+   facade state (the fault plan and the metrics registry stay untouched
+   on these paths), so a grid of them meets {!Psmr_sim.Grid_runner}'s
+   discipline. *)
+let run_point opts point =
+  let r =
+    match point with
+    | Standalone { backend; workers; spec; max_size; batch } ->
         let r =
-          Standalone.run ~backend:(Cos impl) ~workers:w
-            ~workload:(Paper { write_pct = 0.0; cost })
-            ~duration:opts.duration ~warmup:opts.warmup ()
+          Standalone.run ~backend ~workers ~workload:(Paper spec) ~max_size
+            ~batch ~duration:opts.duration ~warmup:opts.warmup ()
         in
-        note opts "fig2 %s %s w=%d: %.1f kops"
-          (Workload.cost_label cost)
-          (Psmr_cos.Registry.to_string impl)
-          w r.kops;
-        r.kops)
-      grid
+        { kops = r.kops; mean_latency_ms = 0.0 }
+    | Replicated { mode; spec; clients } ->
+        let r =
+          Smr.run ~mode ~spec ~clients ~duration:opts.smr_duration
+            ~warmup:opts.smr_warmup ()
+        in
+        (* Each replicated run allocates millions of simulation events;
+           return the heap between runs so long sweeps stay within
+           memory. *)
+        Gc.compact ();
+        { kops = r.kops; mean_latency_ms = r.mean_latency_ms }
   in
-  let tbl = List.combine grid kops in
+  note opts "%s: %.1f kops %.3f ms" (describe point) r.kops r.mean_latency_ms;
+  r
+
+let points plot = List.concat_map (fun (_, pts) -> List.map snd pts) plot
+
+let lookup opts points =
+  Psmr_sim.Grid_runner.memo ~jobs:opts.jobs (run_point opts) points
+
+(* A plot's printable series, each point read through [y]. *)
+let resolve find y plot =
+  List.map
+    (fun (name, pts) ->
+      {
+        Psmr_util.Table.name;
+        points = List.map (fun (x, p) -> y x (find p)) pts;
+      })
+    plot
+
+let kops x r = (x, r.kops)
+let latency _ r = (r.kops, r.mean_latency_ms)
+let draw opts plot = resolve (lookup opts (points plot)) kops plot
+
+(* --- the paper's figures --- *)
+
+let impls = Psmr_cos.Registry.paper
+
+let cos ?(max_size = Psmr_cos.Cos_intf.default_max_size) ?(batch = 1) impl
+    ~workers write_pct cost =
+  Standalone
+    { backend = Cos impl; workers; spec = { write_pct; cost }; max_size; batch }
+
+let over xs f = List.map (fun x -> (x, f x)) xs
+let over_ints xs f = List.map (fun x -> (float_of_int x, f x)) xs
+
+(* Figure 2: standalone, throughput vs workers, 0% writes. *)
+let fig2_plot opts cost =
   List.map
     (fun impl ->
-      let points =
-        List.map
-          (fun w -> (float_of_int w, List.assoc (impl, w) tbl))
-          opts.workers
-      in
-      { Psmr_util.Table.name = Psmr_cos.Registry.to_string impl; points })
+      ( Psmr_cos.Registry.to_string impl,
+        over_ints opts.workers (fun workers -> cos impl ~workers 0.0 cost) ))
     impls
 
-(* --- Figure 3: standalone, throughput vs write percentage --- *)
-
-let fig3 opts cost =
-  let grid =
-    List.concat_map
-      (fun impl ->
-        let workers = Model.fig3_best_workers cost impl in
-        List.map (fun pct -> (impl, workers, pct)) opts.write_pcts)
-      impls
-  in
-  let kops =
-    par_map opts
-      (fun (impl, workers, pct) ->
-        let r =
-          Standalone.run ~backend:(Cos impl) ~workers
-            ~workload:(Paper { write_pct = pct; cost })
-            ~duration:opts.duration ~warmup:opts.warmup ()
-        in
-        note opts "fig3 %s %s %g%%w: %.1f kops"
-          (Workload.cost_label cost)
-          (Psmr_cos.Registry.to_string impl)
-          pct r.kops;
-        r.kops)
-      grid
-  in
-  let tbl = List.combine grid kops in
+(* Figure 3: standalone, throughput vs write percentage. *)
+let fig3_plot opts cost =
   List.map
     (fun impl ->
       let workers = Model.fig3_best_workers cost impl in
-      let points =
-        List.map
-          (fun pct -> (pct, List.assoc (impl, workers, pct) tbl))
-          opts.write_pcts
-      in
-      {
-        Psmr_util.Table.name =
-          Printf.sprintf "%s, %d workers"
-            (Psmr_cos.Registry.to_string impl)
-            workers;
-        points;
-      })
+      ( at_workers impl workers,
+        over opts.write_pcts (fun pct -> cos impl ~workers pct cost) ))
     impls
 
-(* --- Figure 4: replicated, throughput vs workers, 0% writes --- *)
+let replicated ~clients mode write_pct cost =
+  Replicated { mode; spec = { write_pct; cost }; clients }
 
-let smr_point opts ~mode ~spec ~clients () =
-  let r =
-    Smr.run ~mode ~spec ~clients ~duration:opts.smr_duration
-      ~warmup:opts.smr_warmup ()
-  in
-  (* Each replicated run allocates millions of simulation events; return the
-     heap between runs so long sweeps stay within memory. *)
-  Gc.compact ();
-  r
+let sequential = ("sequential SMR", Psmr_replica.Replica.Sequential)
 
-let fig4 opts cost =
-  let spec = { Workload.write_pct = 0.0; cost } in
-  let grid =
-    List.concat_map
-      (fun impl -> List.map (fun w -> Some (impl, w)) opts.workers)
-      impls
-    @ [ None ]
-  in
-  let kops =
-    par_map opts
-      (fun point ->
-        match point with
-        | Some (impl, w) ->
-            let r =
-              smr_point opts
-                ~mode:(Psmr_replica.Replica.Parallel { impl; workers = w })
-                ~spec ~clients:opts.clients ()
-            in
-            note opts "fig4 %s %s w=%d: %.1f kops"
-              (Workload.cost_label cost)
-              (Psmr_cos.Registry.to_string impl)
-              w r.kops;
-            r.kops
-        | None ->
-            let r =
-              smr_point opts ~mode:Psmr_replica.Replica.Sequential ~spec
-                ~clients:opts.clients ()
-            in
-            note opts "fig4 %s sequential: %.1f kops"
-              (Workload.cost_label cost)
-              r.kops;
-            r.kops)
-      grid
-  in
-  let tbl = List.combine grid kops in
-  let parallel_series =
-    List.map
-      (fun impl ->
-        let points =
-          List.map
-            (fun w -> (float_of_int w, List.assoc (Some (impl, w)) tbl))
-            opts.workers
-        in
-        { Psmr_util.Table.name = Psmr_cos.Registry.to_string impl; points })
-      impls
-  in
-  let seq_kops = List.assoc None tbl in
-  let seq_series =
-    {
-      Psmr_util.Table.name = "sequential SMR";
-      points = List.map (fun w -> (float_of_int w, seq_kops)) opts.workers;
-    }
-  in
-  parallel_series @ [ seq_series ]
-
-(* --- Figure 5: replicated, throughput vs write percentage --- *)
-
-let fig5 opts cost =
-  let modes =
-    List.map
-      (fun impl ->
-        let workers = Model.fig5_best_workers cost impl in
-        ( Printf.sprintf "%s, %d workers"
-            (Psmr_cos.Registry.to_string impl)
-            workers,
-          Psmr_replica.Replica.Parallel { impl; workers } ))
-      impls
-    @ [ ("sequential SMR", Psmr_replica.Replica.Sequential) ]
-  in
-  let grid =
-    List.concat_map
-      (fun (name, mode) -> List.map (fun pct -> (name, mode, pct)) opts.write_pcts)
-      modes
-  in
-  let kops =
-    par_map opts
-      (fun (name, mode, pct) ->
-        let r =
-          smr_point opts ~mode
-            ~spec:{ Workload.write_pct = pct; cost }
-            ~clients:opts.clients ()
-        in
-        note opts "fig5 %s %s %g%%w: %.1f kops" (Workload.cost_label cost)
-          name pct r.kops;
-        r.kops)
-      grid
-  in
-  let tbl =
-    List.combine (List.map (fun (name, _, pct) -> (name, pct)) grid) kops
-  in
+(* Figure 4: replicated, throughput vs workers, 0% writes, with the
+   sequential baseline drawn flat across the axis. *)
+let fig4_plot opts cost =
+  let at mode = replicated ~clients:opts.clients mode 0.0 cost in
   List.map
-    (fun (name, _) ->
-      let points =
-        List.map (fun pct -> (pct, List.assoc (name, pct) tbl)) opts.write_pcts
-      in
-      { Psmr_util.Table.name = name; points })
-    modes
+    (fun impl ->
+      ( Psmr_cos.Registry.to_string impl,
+        over_ints opts.workers (fun workers ->
+            at (Psmr_replica.Replica.Parallel { impl; workers })) ))
+    impls
+  @ [ (fst sequential, over_ints opts.workers (fun _ -> at (snd sequential))) ]
 
-(* --- Figure 6: latency versus throughput, moderate cost --- *)
+(* A parallel deployment at [impl]'s best Figure 5 worker count. *)
+let best_parallel cost impl =
+  let workers = Model.fig5_best_workers cost impl in
+  (at_workers impl workers, Psmr_replica.Replica.Parallel { impl; workers })
 
-type fig6_mode = { label : string; mode : Psmr_replica.Replica.mode }
+(* Figure 5: replicated, throughput vs write percentage. *)
+let fig5_plot opts cost =
+  List.map
+    (fun (name, mode) ->
+      ( name,
+        over opts.write_pcts (fun pct ->
+            replicated ~clients:opts.clients mode pct cost) ))
+    (List.map (best_parallel cost) impls @ [ sequential ])
 
-let fig6_modes =
-  [
-    { label = "sequential SMR"; mode = Psmr_replica.Replica.Sequential };
-    {
-      label = "fine-grained, 6 workers";
-      mode = Parallel { impl = Psmr_cos.Registry.Fine; workers = 6 };
-    };
-    {
-      label = "coarse-grained, 12 workers";
-      mode = Parallel { impl = Psmr_cos.Registry.Coarse; workers = 12 };
-    };
-    {
-      label = "lock-free, 32 workers";
-      mode = Parallel { impl = Psmr_cos.Registry.Lockfree; workers = 32 };
-    };
-  ]
+(* Figure 6: latency versus throughput, moderate cost, per client count. *)
+let fig6_plot opts ~write_pct =
+  List.map
+    (fun (name, mode) ->
+      ( name,
+        over_ints opts.client_sweep (fun clients ->
+            replicated ~clients mode write_pct Workload.Moderate) ))
+    (sequential
+    :: List.map
+         (best_parallel Workload.Moderate)
+         Psmr_cos.Registry.[ Fine; Coarse; Lockfree ])
+
+let fig2 opts cost = draw opts (fig2_plot opts cost)
+let fig3 opts cost = draw opts (fig3_plot opts cost)
+let fig4 opts cost = draw opts (fig4_plot opts cost)
+let fig5 opts cost = draw opts (fig5_plot opts cost)
 
 (** For each mode: (throughput kops, mean latency ms) per client count. *)
 let fig6 opts ~write_pct =
-  let spec = { Workload.write_pct; cost = Workload.Moderate } in
-  let grid =
-    List.concat_map
-      (fun { label; mode } ->
-        List.map (fun clients -> (label, mode, clients)) opts.client_sweep)
-      fig6_modes
-  in
-  let results =
-    par_map opts
-      (fun (label, mode, clients) ->
-        let r = smr_point opts ~mode ~spec ~clients () in
-        note opts "fig6 %g%%w %s c=%d: %.1f kops %.2f ms" write_pct label
-          clients r.kops r.mean_latency_ms;
-        (r.kops, r.mean_latency_ms))
-      grid
-  in
-  let tbl =
-    List.combine
-      (List.map (fun (label, _, clients) -> (label, clients)) grid)
-      results
-  in
+  let plot = fig6_plot opts ~write_pct in
+  resolve (lookup opts (points plot)) latency plot
+
+(* --- the ablation sweeps (see {!Ablations} for the bespoke runs) --- *)
+
+(* A1 — the lock-granularity spectrum (§7.3.2 closes by calling whole-graph
+   and per-node locks "two ends of a lock granularity spectrum"): the
+   striped COS per stripe width, width 1 being the fine-grained locking
+   discipline and 150 the whole graph. *)
+let granularity =
   List.map
-    (fun { label; mode = _ } ->
-      let points =
-        List.map
-          (fun clients -> List.assoc (label, clients) tbl)
-          opts.client_sweep
-      in
-      { Psmr_util.Table.name = label; points })
-    fig6_modes
+    (fun cost ->
+      ( Workload.cost_label cost,
+        over_ints [ 1; 2; 4; 8; 16; 32; 64; 150 ] (fun k ->
+            cos (Psmr_cos.Registry.Striped k) ~workers:16 5.0 cost) ))
+    [ Workload.Light; Workload.Moderate ]
+
+(* A2 — the dependency-graph bound the evaluation fixes at 150: small
+   graphs starve workers (insert back-pressure), large ones lengthen every
+   traversal of the list-based algorithms. *)
+let graph_size =
+  List.map
+    (fun impl ->
+      ( Psmr_cos.Registry.to_string impl,
+        over_ints [ 10; 25; 50; 100; 150; 300; 600; 1200 ] (fun max_size ->
+            cos ~max_size impl ~workers:16 5.0 Workload.Moderate) ))
+    impls
+
+(* A3 — the 0.3%..2% conflict band §7.4.2 cites as realistic. *)
+let realistic_conflicts =
+  List.map
+    (fun impl ->
+      ( Psmr_cos.Registry.to_string impl,
+        over [ 0.3; 0.5; 0.75; 1.0; 1.25; 1.5; 2.0 ] (fun pct ->
+            cos impl ~workers:16 pct Workload.Moderate) ))
+    impls
+
+(* A6 — the key-indexed insert against the lock-free scan baseline in the
+   Figure 2 setup (light, 0% writes), with and without delivery-time
+   batching: the insert thread is the bottleneck there, so removing its
+   O(n) scan moves the whole curve. *)
+let indexed_vs_scan =
+  List.map
+    (fun (name, impl, batch) ->
+      ( name,
+        over_ints [ 1; 2; 4; 8; 16; 32; 64 ] (fun workers ->
+            cos ~batch impl ~workers 0.0 Workload.Light) ))
+    Psmr_cos.Registry.
+      [
+        ("lock-free (scan insert)", Lockfree, 1);
+        ("indexed", Indexed, 1);
+        ("indexed, batch 16", Indexed, 16);
+      ]
+
+(* A4 — early (queue-dispatch) scheduling against the lock-free and coarse
+   COS, light cost: early wins at very low conflict rates and degrades
+   faster as every write barriers all workers.  These are the COS series;
+   the early series is {!Ablations.run_early}'s. *)
+let early_vs_late_pcts = [ 0.; 1.; 5.; 10.; 15.; 25.; 50.; 100. ]
+
+let early_vs_late =
+  List.map
+    (fun impl ->
+      ( Psmr_cos.Registry.to_string impl,
+        over early_vs_late_pcts (fun pct ->
+            cos impl ~workers:16 pct Workload.Light) ))
+    Psmr_cos.Registry.[ Lockfree; Coarse ]
 
 (* --- rendering --- *)
 
@@ -351,32 +334,60 @@ let fig6_table series =
               rows))
        series)
 
-(* --- ablations (see {!Ablations}) --- *)
+(* One block of a report: the points it shows, and its text given the
+   lookup that serves them. *)
+type section = { plot : plot; text : (point -> result) -> string }
 
-let render_ablations opts =
-  let buf = Buffer.create 1024 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let d = opts.duration and w = opts.warmup in
-  out "## Ablation: lock granularity spectrum (striped COS, 16 workers, 5%% writes)\n\n%s\n"
-    (Psmr_util.Table.render_series ~x_label:"stripe width" ~y_label:"kops/s"
-       (Ablations.granularity ~duration:d ~warmup:w ()));
-  out "## Ablation: dependency-graph bound (moderate, 5%% writes, 16 workers)\n\n%s\n"
-    (Psmr_util.Table.render_series ~x_label:"max graph size" ~y_label:"kops/s"
-       (Ablations.graph_size ~duration:d ~warmup:w ()));
-  out "## Ablation: realistic conflict band 0.3-2%% (moderate, 16 workers)\n\n%s\n"
-    (Psmr_util.Table.render_series ~x_label:"% writes" ~y_label:"kops/s"
-       (Ablations.realistic_conflicts ~duration:d ~warmup:w ()));
-  out "## Ablation: indexed vs scan-based insert (light, 0%% writes)\n\n%s\n"
-    (Psmr_util.Table.render_series ~x_label:"workers" ~y_label:"kops/s"
-       (Ablations.indexed_vs_scan ~duration:d ~warmup:w ()));
-  out "## Ablation: per-insert cost vs graph population (no workers)\n\n%s\n"
-    (Psmr_util.Table.render_series ~x_label:"population" ~y_label:"ns/insert"
-       (Ablations.insert_cost_vs_population ()));
-  out "## Ablation: early vs late scheduling (light, 16 workers)\n\n%s\n"
-    (Psmr_util.Table.render_series ~x_label:"% writes" ~y_label:"kops/s"
-       (Ablations.early_vs_late ~duration:d ~warmup:w ()));
+let figure opts ?csv ~title ~x_label plot =
+  let text find =
+    let s = resolve find kops plot in
+    Option.iter (fun (file, x_label) -> maybe_csv opts ~file s ~x_label) csv;
+    render_figure ~title ~x_label ~y_label:"kops/s" s
+  in
+  { plot; text }
+
+let bespoke text = { plot = []; text = (fun _ -> text ()) }
+
+(* Every section's points run in one memo, then every section renders. *)
+let render opts sections =
+  let find = lookup opts (List.concat_map (fun s -> points s.plot) sections) in
+  String.concat "" (List.map (fun s -> s.text find) sections)
+
+let paper_sections opts =
+  List.concat_map
+    (fun (n, plot, what, x_label, csv_x) ->
+      List.map
+        (fun cost ->
+          let label = Workload.cost_label cost in
+          figure opts
+            ~csv:(Printf.sprintf "fig%d_%s.csv" n label, csv_x)
+            ~title:(Printf.sprintf "Figure %d (%s): %s" n label what)
+            ~x_label (plot opts cost))
+        Workload.all_costs)
+    [
+      (2, fig2_plot, "standalone, 0% writes", "workers", "workers");
+      (3, fig3_plot, "standalone, best workers", "% writes", "write_pct");
+      (4, fig4_plot, "replicated, 0% writes", "workers", "workers");
+      (5, fig5_plot, "replicated, best workers", "% writes", "write_pct");
+    ]
+  @ List.map
+      (fun pct ->
+        let plot = fig6_plot opts ~write_pct:pct in
+        let text find =
+          let s = resolve find latency plot in
+          maybe_csv opts ~file:(Printf.sprintf "fig6_%gpct.csv" pct) s
+            ~x_label:"kops";
+          Printf.sprintf
+            "## Figure 6 (%g%% writes): latency vs throughput, moderate cost\n\n\
+             %s\n"
+            pct (fig6_table s)
+        in
+        { plot; text })
+      [ 5.0; 10.0 ]
+
+let failover_text () =
   let { Ablations.timeline; views; outage } = Ablations.failover_timeline () in
-  out
+  Printf.sprintf
     "## Ablation: leader-crash failover timeline (lock-free, 16 workers, crash at t=0.30s)\n\n\
      views installed by survivors: %d\n\
      outage: %s (crash to the first bucket back above 90%% of pre-crash \
@@ -390,68 +401,54 @@ let render_ablations opts =
        ~header:[ "t (s)"; "kops/s" ]
        (List.map
           (fun (t, k) -> [ Printf.sprintf "%.2f" t; Printf.sprintf "%.1f" k ])
-          timeline));
-  Buffer.contents buf
+          timeline))
+
+let ablation_sections opts =
+  let early () =
+    {
+      Psmr_util.Table.name = "early scheduling";
+      points =
+        over early_vs_late_pcts (fun pct ->
+            Ablations.run_early ~workers:16
+              ~spec:{ Workload.write_pct = pct; cost = Workload.Light }
+              ~duration:opts.duration ~warmup:opts.warmup ());
+    }
+  in
+  [
+    figure opts
+      ~title:
+        "Ablation: lock granularity spectrum (striped COS, 16 workers, 5% \
+         writes)"
+      ~x_label:"stripe width" granularity;
+    figure opts
+      ~title:
+        "Ablation: dependency-graph bound (moderate, 5% writes, 16 workers)"
+      ~x_label:"max graph size" graph_size;
+    figure opts
+      ~title:"Ablation: realistic conflict band 0.3-2% (moderate, 16 workers)"
+      ~x_label:"% writes" realistic_conflicts;
+    figure opts
+      ~title:"Ablation: indexed vs scan-based insert (light, 0% writes)"
+      ~x_label:"workers" indexed_vs_scan;
+    bespoke (fun () ->
+        render_figure
+          ~title:"Ablation: per-insert cost vs graph population (no workers)"
+          ~x_label:"population" ~y_label:"ns/insert"
+          (Ablations.insert_cost_vs_population ()));
+    {
+      plot = early_vs_late;
+      text =
+        (fun find ->
+          render_figure
+            ~title:"Ablation: early vs late scheduling (light, 16 workers)"
+            ~x_label:"% writes" ~y_label:"kops/s"
+            (early () :: resolve find kops early_vs_late));
+    };
+    bespoke failover_text;
+  ]
+
+let render_ablations opts = render opts (ablation_sections opts)
 
 let run_all ?(opts = default_options) () =
-  let buf = Buffer.create 4096 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  out "# Reproduction report: figures 2-6\n\n";
-  List.iter
-    (fun cost ->
-      let label = Workload.cost_label cost in
-      let s2 = fig2 opts cost in
-      maybe_csv opts ~file:(Printf.sprintf "fig2_%s.csv" label) s2
-        ~x_label:"workers";
-      out "%s"
-        (render_figure
-           ~title:(Printf.sprintf "Figure 2 (%s): standalone, 0%% writes" label)
-           ~x_label:"workers" ~y_label:"kops/s" s2))
-    Workload.all_costs;
-  List.iter
-    (fun cost ->
-      let label = Workload.cost_label cost in
-      let s3 = fig3 opts cost in
-      maybe_csv opts ~file:(Printf.sprintf "fig3_%s.csv" label) s3
-        ~x_label:"write_pct";
-      out "%s"
-        (render_figure
-           ~title:
-             (Printf.sprintf "Figure 3 (%s): standalone, best workers" label)
-           ~x_label:"% writes" ~y_label:"kops/s" s3))
-    Workload.all_costs;
-  List.iter
-    (fun cost ->
-      let label = Workload.cost_label cost in
-      let s4 = fig4 opts cost in
-      maybe_csv opts ~file:(Printf.sprintf "fig4_%s.csv" label) s4
-        ~x_label:"workers";
-      out "%s"
-        (render_figure
-           ~title:(Printf.sprintf "Figure 4 (%s): replicated, 0%% writes" label)
-           ~x_label:"workers" ~y_label:"kops/s" s4))
-    Workload.all_costs;
-  List.iter
-    (fun cost ->
-      let label = Workload.cost_label cost in
-      let s5 = fig5 opts cost in
-      maybe_csv opts ~file:(Printf.sprintf "fig5_%s.csv" label) s5
-        ~x_label:"write_pct";
-      out "%s"
-        (render_figure
-           ~title:
-             (Printf.sprintf "Figure 5 (%s): replicated, best workers" label)
-           ~x_label:"% writes" ~y_label:"kops/s" s5))
-    Workload.all_costs;
-  List.iter
-    (fun pct ->
-      let s6 = fig6 opts ~write_pct:pct in
-      maybe_csv opts
-        ~file:(Printf.sprintf "fig6_%gpct.csv" pct)
-        s6 ~x_label:"kops";
-      out "## Figure 6 (%g%% writes): latency vs throughput, moderate cost\n\n%s\n"
-        pct (fig6_table s6))
-    [ 5.0; 10.0 ];
-  if opts.progress then Printf.eprintf "running ablations...\n%!";
-  Buffer.add_string buf (render_ablations opts);
-  Buffer.contents buf
+  "# Reproduction report: figures 2-6\n\n"
+  ^ render opts (paper_sections opts @ ablation_sections opts)

@@ -1,6 +1,7 @@
 (** Definitions of every figure of the paper's evaluation (§7) plus the
-    ablation report; see DESIGN.md's experiment index.  All functions run
-    the simulation harness and return printable series. *)
+    ablation report; see DESIGN.md's experiment index.  A figure is data —
+    named series of (x, {!point}) — and a report runs the points of all
+    its figures once, through one {!Psmr_sim.Grid_runner.memo}. *)
 
 type options = {
   duration : float;  (** standalone measurement window (virtual seconds) *)
@@ -15,10 +16,10 @@ type options = {
   progress : bool;  (** log each run to stderr *)
   jobs : int;
       (** OCaml domains for independent grid points (default [1],
-          sequential).  Every figure grid meets
-          {!Psmr_sim.Grid_runner.map}'s discipline — each point owns its
-          engine, RNG and sinks — so the rendered output is byte-identical
-          for any [jobs]; only wall time changes. *)
+          sequential).  Every point meets {!Psmr_sim.Grid_runner.map}'s
+          discipline — it owns its engine, RNG and sinks — so the rendered
+          output is byte-identical for any [jobs]; only wall time
+          changes. *)
 }
 
 val default_options : options
@@ -26,6 +27,43 @@ val default_options : options
 
 val fast_options : options
 (** Subsampled axes and short windows, for smoke runs. *)
+
+(** {2 Points} *)
+
+(** One simulation, named by value: equal points compute equal results, so
+    a report runs each distinct point once. *)
+type point =
+  | Standalone of {
+      backend : Psmr_early.Registry.backend;
+      workers : int;
+      spec : Psmr_workload.Workload.spec;  (** the paper's list workload *)
+      max_size : int;  (** in-flight window *)
+      batch : int;  (** commands per delivery *)
+    }  (** {!Standalone.run} over the [options] window *)
+  | Replicated of {
+      mode : Psmr_replica.Replica.mode;
+      spec : Psmr_workload.Workload.spec;
+      clients : int;
+    }  (** {!Smr.run} over the [options] replicated window *)
+
+type plot = (string * (float * point) list) list
+(** A figure as data: named series of (x, point). *)
+
+val fig2_plot : options -> Psmr_workload.Workload.cost_class -> plot
+val fig3_plot : options -> Psmr_workload.Workload.cost_class -> plot
+val fig4_plot : options -> Psmr_workload.Workload.cost_class -> plot
+val fig5_plot : options -> Psmr_workload.Workload.cost_class -> plot
+val fig6_plot : options -> write_pct:float -> plot
+
+val indexed_vs_scan : plot
+(** A6 — the key-indexed insert against the lock-free scan baseline in the
+    Figure 2 setup (light, 0% writes), with and without delivery-time
+    batching, per worker count. *)
+
+val draw : options -> plot -> Psmr_util.Table.series list
+(** Run a plot's points and read each as its kops. *)
+
+(** {2 Figures} *)
 
 val fig2 : options -> Psmr_workload.Workload.cost_class -> Psmr_util.Table.series list
 (** Standalone COS throughput vs workers, 0% writes. *)
@@ -39,11 +77,6 @@ val fig4 : options -> Psmr_workload.Workload.cost_class -> Psmr_util.Table.serie
 val fig5 : options -> Psmr_workload.Workload.cost_class -> Psmr_util.Table.series list
 (** Replicated throughput vs write percentage plus sequential SMR. *)
 
-type fig6_mode = { label : string; mode : Psmr_replica.Replica.mode }
-
-val fig6_modes : fig6_mode list
-(** The four configurations of the paper's Figure 6. *)
-
 val fig6 : options -> write_pct:float -> Psmr_util.Table.series list
 (** Per mode: (throughput kops/s, mean latency ms) per client count. *)
 
@@ -54,7 +87,7 @@ val render_figure :
 val fig6_table : Psmr_util.Table.series list -> string
 
 val render_ablations : options -> string
-(** Run and render the five ablation experiments (A1-A5). *)
+(** Run and render the ablation experiments (A1-A6). *)
 
 val run_all : ?opts:options -> unit -> string
 (** Every figure and ablation as one report (tens of minutes with

@@ -50,23 +50,6 @@ type mode =
           cross-partition merge ({!Psmr_broadcast.Partition}), executing
           through [inner] (any non-[Partitioned] mode) *)
 
-let rec mode_label = function
-  | Sequential -> "sequential SMR"
-  | Parallel { impl; workers } ->
-      Printf.sprintf "%s, %d workers" (Psmr_cos.Registry.to_string impl) workers
-  | Parallel_early { workers; classes } ->
-      Printf.sprintf "%s, %d workers"
-        (Psmr_early.Registry.to_string
-           (Psmr_early.Registry.Early { classes; optimistic = false }))
-        workers
-  | Parallel_early_opt { workers; classes } ->
-      Printf.sprintf "%s, %d workers"
-        (Psmr_early.Registry.to_string
-           (Psmr_early.Registry.Early { classes; optimistic = true }))
-        workers
-  | Partitioned { partitions; inner } ->
-      Printf.sprintf "partitioned x%d (%s)" partitions (mode_label inner)
-
 module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
   module Net = Psmr_net.Network.Make (P)
   module Part = Psmr_broadcast.Partition.Make (P)
@@ -192,11 +175,11 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
      every backend takes the conservative feed, delivered batches go
      through [submit_batch], and the workers run the shared [apply], which
      executes, caches and replies. *)
-  let backend_executor ~backend ~workers ~max_size ~apply =
+  let backend_executor ~backend ~workers ~apply =
     let (module B : Psmr_sched.Sched_intf.BACKEND with type cmd = envelope) =
       Psmr_early.Registry.instantiate backend (module P) (module Env_cmd)
     in
-    let b = B.start ?max_size ~workers ~execute:apply () in
+    let b = B.start ~workers ~execute:apply () in
     {
       exec_submit = B.submit b;
       exec_submit_batch = B.submit_batch b;
@@ -398,7 +381,6 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
       replicas : int;
       clients : int;
       mode : mode;
-      cos_max_size : int option;
       abcast : Psmr_broadcast.Abcast.config;
       tick_interval : float;
       client_timeout : float;
@@ -417,7 +399,6 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
         replicas = 3;
         clients = 1;
         mode = Sequential;
-        cos_max_size = None;
         abcast = Psmr_broadcast.Abcast.default_config;
         tick_interval = 1e-3;
         client_timeout = 0.5;
@@ -491,8 +472,7 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
               match backend with
               | None -> sequential_executor ~apply
               | Some (backend, workers) ->
-                  backend_executor ~backend ~workers ~max_size:cfg.cos_max_size
-                    ~apply
+                  backend_executor ~backend ~workers ~apply
             in
             let delivered_commands = P.Atomic.make 0 in
             (* The parallelizer stage (Figure 1b) is its own thread: the

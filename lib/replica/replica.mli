@@ -35,8 +35,6 @@ type mode =
           at delivery; [inner] (any non-[Partitioned] mode) executes the
           merged sequence.  A bare mode is the one-partition case. *)
 
-val mode_label : mode -> string
-
 module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) : sig
   module Net : module type of Psmr_net.Network.Make (P)
 
@@ -120,7 +118,6 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) : sig
       replicas : int;  (** odd, >= 3 *)
       clients : int;
       mode : mode;
-      cos_max_size : int option;  (** parallel executors' graph bound *)
       abcast : Psmr_broadcast.Abcast.config;
       tick_interval : float;
       client_timeout : float;

@@ -9,7 +9,8 @@
    is needed beyond the disjoint slots of the results array.  Results come
    back in input order regardless of domain scheduling, which is what lets
    a parallel bench grid print byte-identical output to the sequential
-   run. *)
+   run.  [memo] is the grid every report builds on: each distinct
+   configuration is simulated once, however many tables show it. *)
 
 let wall_now = Unix.gettimeofday
 
@@ -44,3 +45,10 @@ let map ?(jobs = 1) f items =
         | None -> invalid_arg "Grid_runner.map: missing result")
       results
   end
+
+let memo ?jobs f configs =
+  let distinct = Array.of_list (List.sort_uniq compare configs) in
+  let results = map ?jobs f distinct in
+  let table = Hashtbl.create (Array.length distinct) in
+  Array.iteri (fun i c -> Hashtbl.replace table c results.(i)) distinct;
+  Hashtbl.find table

@@ -19,6 +19,14 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
     [f] raises, the first exception (in spawn order) is re-raised after all
     domains have finished. *)
 
+val memo : ?jobs:int -> ('a -> 'b) -> 'a list -> 'a -> 'b
+(** [memo ~jobs f configs] computes [f] once on each distinct
+    configuration of [configs] — configurations are compared
+    structurally — fanned out with {!map}, and returns the lookup that
+    serves every one of them (raising [Not_found] on any other value).
+    Under the discipline above the results are those of a sequential run,
+    so anything built from the lookup is identical for any [jobs]. *)
+
 val wall_now : unit -> float
 (** Wall-clock seconds ([Unix.gettimeofday]) — for measuring the
     simulator's own speed.  Never use this inside simulated processes;

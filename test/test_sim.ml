@@ -609,6 +609,137 @@ let golden_tests =
             (trace_digest run)))
     golden_cases
 
+(* --- the experiment grid --- *)
+
+(* Every distinct configuration is computed once, every duplicate is served
+   from the memo, and the results do not depend on the number of domains. *)
+let test_grid_memo () =
+  let configs = [ 3; 1; 3; 2; 1; 3 ] in
+  let run jobs =
+    let calls = Atomic.make 0 in
+    let find =
+      Grid_runner.memo ~jobs
+        (fun x ->
+          Atomic.incr calls;
+          x * x)
+        configs
+    in
+    let results = List.map find configs in
+    Alcotest.(check int)
+      (Printf.sprintf "one call per distinct config (jobs %d)" jobs)
+      3 (Atomic.get calls);
+    Alcotest.check_raises "unknown config" Not_found (fun () ->
+        ignore (find 4 : int));
+    results
+  in
+  Alcotest.(check (list int)) "results" [ 9; 1; 9; 4; 1; 9 ] (run 1);
+  Alcotest.(check (list int)) "jobs 2 = jobs 1" (run 1) (run 2)
+
+module Figures = Psmr_harness.Figures
+
+let tiny_options jobs =
+  {
+    Figures.fast_options with
+    duration = 0.004;
+    warmup = 0.001;
+    smr_duration = 0.006;
+    smr_warmup = 0.002;
+    workers = [ 1; 8 ];
+    write_pcts = [ 0.; 50. ];
+    clients = 20;
+    client_sweep = [ 20 ];
+    progress = false;
+    jobs;
+  }
+
+let tiny_report opts =
+  let fig title s =
+    Figures.render_figure ~title ~x_label:"x" ~y_label:"kops/s" s
+  in
+  let cost = Psmr_workload.Workload.Light in
+  String.concat ""
+    [
+      fig "2" (Figures.fig2 opts cost); fig "3" (Figures.fig3 opts cost);
+      fig "4" (Figures.fig4 opts cost); fig "5" (Figures.fig5 opts cost);
+      Figures.fig6_table (Figures.fig6 opts ~write_pct:5.0);
+    ]
+
+(* The text above, generated before the figures became point lists. *)
+let tiny_report_pinned = {|## 2
+
+(y = kops/s)
+x  coarse-grained  fine-grained  lock-free
+-  --------------  ------------  ---------
+1           47.75            86        294
+8             114        152.75     537.75
+
+## 3
+
+(y = kops/s)
+x   coarse-grained, 10 workers  fine-grained, 1 workers  lock-free, 2 workers
+--  --------------------------  -----------------------  --------------------
+0                          114                       86                   541
+50                       51.25                    40.75                184.25
+
+## 4
+
+(y = kops/s)
+x  coarse-grained  fine-grained  lock-free  sequential SMR
+-  --------------  ------------  ---------  --------------
+1           56.83         47.67     257.33          259.33
+8           57.67        243.33     382.17          259.33
+
+## 5
+
+(y = kops/s)
+x   coarse-grained, 12 workers  fine-grained, 4 workers  lock-free, 8 workers  sequential SMR
+--  --------------------------  -----------------------  --------------------  --------------
+0                           58                   243.33                382.17          259.33
+50                       39.67                       58                177.50          211.50
+
+sequential SMR:
+throughput (kops/s)  latency (ms)
+-------------------  ------------
+37.8                        4.427
+
+fine-grained, 6 workers:
+throughput (kops/s)  latency (ms)
+-------------------  ------------
+107.3                       1.921
+
+coarse-grained, 12 workers:
+throughput (kops/s)  latency (ms)
+-------------------  ------------
+48.8                        3.766
+
+lock-free, 32 workers:
+throughput (kops/s)  latency (ms)
+-------------------  ------------
+190.0                       1.038
+|}
+
+(* Figure 4's points at the best Figure 5 worker count and its sequential
+   baseline are Figure 5's points at 0% writes, as values. *)
+let test_figures_share_points () =
+  let opts = tiny_options 1 and cost = Psmr_workload.Workload.Light in
+  let fig4 = Figures.fig4_plot opts cost
+  and fig5 = Figures.fig5_plot opts cost in
+  let at name x plot = List.assoc x (List.assoc name plot) in
+  Alcotest.(check bool)
+    "lock-free at 8 workers" true
+    (at "lock-free" 8.0 fig4 = at "lock-free, 8 workers" 0.0 fig5);
+  List.iter
+    (fun w ->
+      Alcotest.(check bool)
+        "sequential baseline" true
+        (at "sequential SMR" w fig4 = at "sequential SMR" 0.0 fig5))
+    [ 1.0; 8.0 ]
+
+let test_figures_report () =
+  let text = tiny_report (tiny_options 1) in
+  Alcotest.(check string) "pinned text" tiny_report_pinned text;
+  Alcotest.(check string) "jobs 2 = jobs 1" text (tiny_report (tiny_options 2))
+
 let main () =
   Alcotest.run "sim"
     [
@@ -658,6 +789,13 @@ let main () =
           QCheck_alcotest.to_alcotest prop_queue_matches_model;
         ] );
       ("golden", golden_tests);
+      ( "grid",
+        [
+          Alcotest.test_case "memo" `Quick test_grid_memo;
+          Alcotest.test_case "figures share points" `Quick
+            test_figures_share_points;
+          Alcotest.test_case "figures report" `Quick test_figures_report;
+        ] );
     ]
 
 let () =
