@@ -92,7 +92,7 @@ let replica ~smoke =
   let duration, warmup = if smoke then (0.02, 0.005) else (0.08, 0.02) in
   let r =
     Psmr_harness.Standalone.run
-      ~backend:(Cos Psmr_cos.Registry.Indexed)
+      ~backend:(Cos Psmr_early.Registry.Indexed)
       ~workers:32
       ~workload:(Paper { Psmr_workload.Workload.write_pct = 15.0; cost = Light })
       ~duration ~warmup ()

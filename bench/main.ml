@@ -45,7 +45,7 @@ end
    the steady-state per-command cost of the structure itself. *)
 let cos_cycle impl ~population ~writes =
   let (module S : Psmr_cos.Cos_intf.S with type cmd = bool) =
-    Psmr_cos.Registry.instantiate_keyed impl (module RP) (module Rw)
+    Psmr_early.Registry.instantiate_cos impl (module RP) (module Rw)
   in
   let t = S.create ~max_size:150 () in
   let rng = Psmr_util.Rng.create ~seed:1L in
@@ -58,7 +58,7 @@ let cos_cycle impl ~population ~writes =
       | Some h -> S.remove t h
       | None -> assert false)
 
-let bench_impls = Psmr_cos.Registry.paper @ [ Psmr_cos.Registry.Indexed ]
+let bench_impls = Psmr_early.Registry.paper @ [ Psmr_early.Registry.Indexed ]
 
 let cos_tests =
   Test.make_grouped ~name:"cos-cycle"
@@ -69,7 +69,7 @@ let cos_tests =
              Test.make
                ~name:
                  (Printf.sprintf "%s/pop%d"
-                    (Psmr_cos.Registry.to_string impl)
+                    (Psmr_early.Registry.to_string (Cos impl))
                     pop)
                (cos_cycle impl ~population:pop ~writes:10.0))
            [ 1; 50; 140 ])
@@ -308,8 +308,8 @@ let compute_open_loop ~smoke (deployment, scenario, levels_kops) =
    state (the fault plan, the metrics registry) that a parallel grid must
    not see. *)
 let w32_impls =
-  [ ("coarse_w32", Psmr_cos.Registry.Coarse);
-    ("lockfree_w32", Psmr_cos.Registry.Lockfree) ]
+  [ ("coarse_w32", Psmr_early.Registry.Coarse);
+    ("lockfree_w32", Psmr_early.Registry.Lockfree) ]
 
 let standalone_w32 ~smoke ?faults ?metrics impl =
   let duration, warmup = window ~smoke in

@@ -30,17 +30,6 @@ let cost_conv =
   in
   Arg.conv (parse, print)
 
-let impl_conv =
-  let parse s =
-    match Psmr_cos.Registry.of_string s with
-    | Some i -> Ok i
-    | None -> Error (`Msg (Printf.sprintf "unknown implementation %S" s))
-  in
-  let print ppf i =
-    Format.pp_print_string ppf (Psmr_cos.Registry.to_string i)
-  in
-  Arg.conv (parse, print)
-
 let cost_arg =
   Arg.(
     value
@@ -77,61 +66,19 @@ let opts_of ~fast ~csv ~quiet ~jobs =
   in
   { base with csv_dir = csv; progress = not quiet; jobs }
 
-let print_series ~title ~x_label ~y_label series =
-  print_string
-    (Psmr_harness.Figures.render_figure ~title ~x_label ~y_label series)
-
-let fig2_cmd =
-  let run cost fast csv quiet jobs =
-    let opts = opts_of ~fast ~csv ~quiet ~jobs in
-    let s = Psmr_harness.Figures.fig2 opts cost in
-    print_series
-      ~title:
-        (Printf.sprintf "Figure 2 (%s): standalone, 0%% writes"
-           (Psmr_workload.Workload.cost_label cost))
-      ~x_label:"workers" ~y_label:"kops/s" s
-  in
-  Cmd.v (Cmd.info "fig2" ~doc:"Standalone COS: throughput vs workers.")
-    Term.(const run $ cost_arg $ fast_arg $ csv_arg $ quiet_arg $ jobs_arg)
-
-let fig3_cmd =
-  let run cost fast csv quiet jobs =
-    let opts = opts_of ~fast ~csv ~quiet ~jobs in
-    let s = Psmr_harness.Figures.fig3 opts cost in
-    print_series
-      ~title:
-        (Printf.sprintf "Figure 3 (%s): standalone, best workers"
-           (Psmr_workload.Workload.cost_label cost))
-      ~x_label:"% writes" ~y_label:"kops/s" s
-  in
-  Cmd.v (Cmd.info "fig3" ~doc:"Standalone COS: throughput vs write percentage.")
-    Term.(const run $ cost_arg $ fast_arg $ csv_arg $ quiet_arg $ jobs_arg)
-
-let fig4_cmd =
-  let run cost fast csv quiet jobs =
-    let opts = opts_of ~fast ~csv ~quiet ~jobs in
-    let s = Psmr_harness.Figures.fig4 opts cost in
-    print_series
-      ~title:
-        (Printf.sprintf "Figure 4 (%s): replicated, 0%% writes"
-           (Psmr_workload.Workload.cost_label cost))
-      ~x_label:"workers" ~y_label:"kops/s" s
-  in
-  Cmd.v (Cmd.info "fig4" ~doc:"Replicated SMR: throughput vs workers.")
-    Term.(const run $ cost_arg $ fast_arg $ csv_arg $ quiet_arg $ jobs_arg)
-
-let fig5_cmd =
-  let run cost fast csv quiet jobs =
-    let opts = opts_of ~fast ~csv ~quiet ~jobs in
-    let s = Psmr_harness.Figures.fig5 opts cost in
-    print_series
-      ~title:
-        (Printf.sprintf "Figure 5 (%s): replicated, best workers"
-           (Psmr_workload.Workload.cost_label cost))
-      ~x_label:"% writes" ~y_label:"kops/s" s
-  in
-  Cmd.v (Cmd.info "fig5" ~doc:"Replicated SMR: throughput vs write percentage.")
-    Term.(const run $ cost_arg $ fast_arg $ csv_arg $ quiet_arg $ jobs_arg)
+let figure_cmds =
+  List.map
+    (fun (f : Psmr_harness.Figures.throughput_figure) ->
+      let run cost fast csv quiet jobs =
+        print_string
+          (Psmr_harness.Figures.render_throughput_figure
+             (opts_of ~fast ~csv ~quiet ~jobs)
+             f cost)
+      in
+      Cmd.v
+        (Cmd.info (Printf.sprintf "fig%d" f.number) ~doc:f.summary)
+        Term.(const run $ cost_arg $ fast_arg $ csv_arg $ quiet_arg $ jobs_arg))
+    Psmr_harness.Figures.throughput_figures
 
 let writes_arg =
   Arg.(
@@ -140,19 +87,17 @@ let writes_arg =
 
 let fig6_cmd =
   let run writes fast csv quiet jobs =
-    let opts = opts_of ~fast ~csv ~quiet ~jobs in
-    let s = Psmr_harness.Figures.fig6 opts ~write_pct:writes in
-    Printf.printf
-      "## Figure 6 (%g%% writes): latency vs throughput, moderate cost\n\n%s\n"
-      writes
-      (Psmr_harness.Figures.fig6_table s)
+    print_string
+      (Psmr_harness.Figures.render_fig6
+         (opts_of ~fast ~csv ~quiet ~jobs)
+         ~write_pct:writes)
   in
   Cmd.v (Cmd.info "fig6" ~doc:"Replicated SMR: latency vs throughput.")
     Term.(const run $ writes_arg $ fast_arg $ csv_arg $ quiet_arg $ jobs_arg)
 
 let ablations_cmd =
-  let run fast csv quiet jobs =
-    let opts = opts_of ~fast ~csv ~quiet ~jobs in
+  let run fast quiet jobs =
+    let opts = opts_of ~fast ~csv:None ~quiet ~jobs in
     print_string (Psmr_harness.Figures.render_ablations opts)
   in
   Cmd.v
@@ -160,7 +105,7 @@ let ablations_cmd =
        ~doc:
          "Extension experiments: lock granularity spectrum, graph bound, \
           realistic conflict band, failover timeline.")
-    Term.(const run $ fast_arg $ csv_arg $ quiet_arg $ jobs_arg)
+    Term.(const run $ fast_arg $ quiet_arg $ jobs_arg)
 
 let all_cmd =
   let run fast csv quiet jobs =
@@ -176,14 +121,26 @@ let all_cmd =
 
 (* Single-point runs for exploration. *)
 
-let impl_arg =
+let backend_conv =
+  let parse s =
+    match Psmr_early.Registry.of_string s with
+    | Some b -> Ok b
+    | None -> Error (`Msg (Printf.sprintf "unknown backend %S" s))
+  in
+  let print ppf b =
+    Format.pp_print_string ppf (Psmr_early.Registry.to_string b)
+  in
+  Arg.conv (parse, print)
+
+let backend_arg default =
   Arg.(
     value
-    & opt impl_conv Psmr_cos.Registry.Lockfree
-    & info [ "impl" ] ~docv:"IMPL"
+    & opt backend_conv default
+    & info [ "impl" ] ~docv:"BACKEND"
         ~doc:
-          "COS implementation: coarse, fine, lockfree, fifo, striped[-K] or \
-           indexed.")
+          "Execution backend: a COS implementation (coarse, fine, lockfree, \
+           fifo, striped[-K], indexed) or the early class-map dispatcher \
+           (early, early-opt, early[-opt]-CLASSES).")
 
 let workers_arg =
   Arg.(value & opt int 8 & info [ "workers" ] ~docv:"N" ~doc:"Worker threads.")
@@ -288,28 +245,34 @@ let run_standalone ~backend ~workers ~workload ?batch ?duration ~faults
   | _ -> ()
 
 let standalone_cmd =
-  let run impl workers writes cost duration faults metrics trace_out =
-    run_standalone ~backend:(Cos impl) ~workers
+  let run backend workers writes cost duration faults metrics trace_out =
+    run_standalone ~backend ~workers
       ~workload:(Paper { write_pct = writes; cost })
       ?duration ~faults ~metrics ?trace_out ()
   in
   Cmd.v
     (Cmd.info "standalone" ~doc:"One standalone data-structure measurement.")
     Term.(
-      const run $ impl_arg $ workers_arg $ writes_arg $ cost_arg $ duration_arg
-      $ faults_arg $ metrics_arg $ trace_out_arg)
+      const run
+      $ backend_arg (Cos Lockfree)
+      $ workers_arg $ writes_arg $ cost_arg $ duration_arg $ faults_arg
+      $ metrics_arg $ trace_out_arg)
 
 let smr_cmd =
-  let run impl workers writes cost clients duration faults =
+  let run backend workers writes cost clients duration faults =
+    let mode : Psmr_replica.Replica.mode =
+      match (backend : Psmr_early.Registry.backend) with
+      | Cos impl -> Parallel { impl; workers }
+      | Early { classes; _ } -> Parallel_early { workers; classes }
+    in
     let r =
-      Psmr_harness.Smr.run
-        ~mode:(Psmr_replica.Replica.Parallel { impl; workers })
+      Psmr_harness.Smr.run ~mode
         ~spec:{ write_pct = writes; cost }
         ~clients ?duration ~faults ()
     in
     Printf.printf
       "%s workers=%d writes=%g%% cost=%s clients=%d: %.1f kops/s, latency %.2f ms (p99 %.2f)\n"
-      (Psmr_cos.Registry.to_string impl)
+      (Psmr_early.Registry.to_string backend)
       workers writes
       (Psmr_workload.Workload.cost_label cost)
       clients r.kops r.mean_latency_ms r.p99_latency_ms;
@@ -320,33 +283,15 @@ let smr_cmd =
   in
   Cmd.v (Cmd.info "smr" ~doc:"One replicated-deployment measurement.")
     Term.(
-      const run $ impl_arg $ workers_arg $ writes_arg $ cost_arg $ clients_arg
-      $ duration_arg $ faults_arg)
+      const run
+      $ backend_arg (Cos Lockfree)
+      $ workers_arg $ writes_arg $ cost_arg $ clients_arg $ duration_arg
+      $ faults_arg)
 
 (* The keyed standalone surface: one feeder racing W workers on the DES,
-   with any backend from the early-scheduling registry — the early family
-   ("early", "early-opt", "early-N") or any COS impl, fed an identical
-   keyed command stream (docs/SCHEDULING.md). *)
-let backend_conv =
-  let parse s =
-    match Psmr_early.Registry.of_string s with
-    | Some b -> Ok b
-    | None -> Error (`Msg (Printf.sprintf "unknown backend %S" s))
-  in
-  let print ppf b =
-    Format.pp_print_string ppf (Psmr_early.Registry.to_string b)
-  in
-  Arg.conv (parse, print)
-
-let backend_arg =
-  Arg.(
-    value
-    & opt backend_conv (Psmr_early.Registry.Early Psmr_early.Early_intf.conservative)
-    & info [ "impl" ] ~docv:"BACKEND"
-        ~doc:
-          "Execution backend: early, early-opt, early[-opt]-CLASSES, or any \
-           COS implementation name (coarse, lockfree, indexed, ...).")
-
+   with any registry backend — the early family ("early", "early-opt",
+   "early-N") or any COS impl — fed an identical keyed command stream
+   (docs/SCHEDULING.md). *)
 let keys_arg =
   Arg.(
     value & opt int 4096
@@ -393,7 +338,9 @@ let keyed_cmd =
          "One keyed-workload measurement: early scheduling vs COS on an \
           identical command stream.")
     Term.(
-      const run $ backend_arg $ workers_arg $ keys_arg $ writes_arg $ cross_arg
+      const run
+      $ backend_arg (Early Psmr_early.Early_intf.conservative)
+      $ workers_arg $ keys_arg $ writes_arg $ cross_arg
       $ mis_arg $ cost_arg $ batch_arg $ duration_arg $ faults_arg
       $ metrics_arg)
 
@@ -571,8 +518,8 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [
-            fig2_cmd; fig3_cmd; fig4_cmd; fig5_cmd; fig6_cmd; ablations_cmd;
-            all_cmd; standalone_cmd; keyed_cmd; part_cmd; smr_cmd;
-            open_loop_cmd;
-          ]))
+          (figure_cmds
+          @ [
+              fig6_cmd; ablations_cmd; all_cmd; standalone_cmd; keyed_cmd;
+              part_cmd; smr_cmd; open_loop_cmd;
+            ])))

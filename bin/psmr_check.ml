@@ -136,7 +136,7 @@ let target_conv =
 let impl_arg =
   Arg.(
     value
-    & opt target_conv (Cos_target (Check.Cos_check.Impl Psmr_cos.Registry.Lockfree))
+    & opt target_conv (Cos_target (Check.Cos_check.Impl Psmr_early.Registry.Lockfree))
     & info [ "impl" ] ~docv:"IMPL"
         ~doc:
           "Implementation to check: coarse, fine, lockfree, striped[-K], \

@@ -26,7 +26,7 @@ let () =
            s)
          ()) with
       clients;
-      mode = Parallel { impl = Psmr_cos.Registry.Lockfree; workers = 6 };
+      mode = Parallel { impl = Psmr_early.Registry.Lockfree; workers = 6 };
       client_timeout = 0.3;
     }
   in

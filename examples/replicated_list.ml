@@ -22,7 +22,7 @@ let () =
            s)
          ()) with
       clients = 2;
-      mode = Parallel { impl = Psmr_cos.Registry.Lockfree; workers = 4 };
+      mode = Parallel { impl = Psmr_early.Registry.Lockfree; workers = 4 };
       abcast =
         {
           Psmr_broadcast.Abcast.batch_max = 32;

@@ -22,11 +22,11 @@ let () =
     [
       ("sequential SMR", Psmr_replica.Replica.Sequential);
       ( "coarse-grained, 12 workers",
-        Parallel { impl = Psmr_cos.Registry.Coarse; workers = 12 } );
+        Parallel { impl = Psmr_early.Registry.Coarse; workers = 12 } );
       ( "fine-grained, 6 workers",
-        Parallel { impl = Psmr_cos.Registry.Fine; workers = 6 } );
+        Parallel { impl = Psmr_early.Registry.Fine; workers = 6 } );
       ( "lock-free, 32 workers",
-        Parallel { impl = Psmr_cos.Registry.Lockfree; workers = 32 } );
+        Parallel { impl = Psmr_early.Registry.Lockfree; workers = 32 } );
     ];
   Printf.printf
     "\n(four simulated cluster experiments, 0.28 virtual seconds each, in %.1fs of wall time)\n"

@@ -90,18 +90,6 @@ type 'c message =
       committed : int;
     }
 
-let message_kind = function
-  | Request _ -> "request"
-  | Prepare _ -> "prepare"
-  | Prepare_ok _ -> "prepare-ok"
-  | Commit _ -> "commit"
-  | Applied _ -> "applied"
-  | Need_log _ -> "need-log"
-  | Log_transfer _ -> "log-transfer"
-  | Start_view_change _ -> "start-view-change"
-  | Do_view_change _ -> "do-view-change"
-  | Start_view _ -> "start-view"
-
 type config = {
   batch_max : int;  (** cut a batch at this many commands *)
   batch_delay : float;

@@ -52,9 +52,6 @@ type 'c message =
       committed : int;
     }
 
-val message_kind : 'c message -> string
-(** Short tag for logging. *)
-
 val log_src : Logs.src
 (** Protocol events (view changes, truncation, stalls) are reported through
     this [Logs] source ("psmr.abcast"); silent unless the application sets a

@@ -28,7 +28,6 @@ open Psmr_platform
 open Psmr_cos
 
 module type CONFIG = sig
-  val name : string
   val mutation : [ `None | `Wtg_start | `Lost_signal ]
 end
 
@@ -38,7 +37,6 @@ struct
   include G
   type t = unit graph
 
-  let name = Cfg.name
   let create = G.create ~ext:ignore
 
   (* The pseudocode's lfInsert: no self-sentinel in [dep_on]. *)
@@ -73,16 +71,13 @@ struct
 end
 
 module Wtg_start : Cos_intf.IMPL = Make_broken (struct
-  let name = "broken-wtg-start"
   let mutation = `Wtg_start
 end)
 
 module Lost_signal : Cos_intf.IMPL = Make_broken (struct
-  let name = "broken-lost-signal"
   let mutation = `Lost_signal
 end)
 
 module No_sentinel : Cos_intf.IMPL = Make_broken (struct
-  let name = "broken-no-sentinel"
   let mutation = `None
 end)

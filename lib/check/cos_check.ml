@@ -39,12 +39,14 @@ module Cmd = struct
   let pp ppf c = Format.fprintf ppf "%s%d" (if c.write then "w" else "r") c.idx
 end
 
+module Registry = Psmr_early.Registry
+
 type target =
   | Impl of Registry.impl
   | Custom of string * (module Cos_intf.IMPL)
 
 let target_name = function
-  | Impl i -> Registry.to_string i
+  | Impl i -> Registry.to_string (Cos i)
   | Custom (name, _) -> name
 
 type scenario = {
@@ -103,14 +105,15 @@ let run_schedule ?max_steps ?trace ?metrics sc ~pick =
   let viol fmt = Printf.ksprintf viol fmt in
   let (module S : Cos_intf.S with type cmd = Cmd.t) =
     match sc.target with
-    | Impl impl -> Registry.instantiate_keyed impl (module P) (module Cmd)
+    | Impl impl -> Registry.instantiate_cos impl (module P) (module Cmd)
     | Custom (_, (module F)) -> (module F (P) (Cmd))
   in
+  let name = target_name sc.target in
   let n = Array.length sc.writes in
   let t = S.create ~max_size:sc.max_size () in
   let inv ~strict () =
     Check_platform.with_ghost ctx (fun () ->
-        List.iter (fun e -> viol "invariant [%s]: %s" (S.name) e)
+        List.iter (fun e -> viol "invariant [%s]: %s" name e)
           (S.invariant ~strict t))
   in
   let got_at = Array.make n (-1) in

@@ -17,7 +17,7 @@ end
 (** What to check: a registered implementation, or a custom functor (used
     for the deliberately broken variants). *)
 type target =
-  | Impl of Registry.impl
+  | Impl of Psmr_early.Registry.impl
   | Custom of string * (module Cos_intf.IMPL)
 
 val target_name : target -> string

@@ -42,8 +42,6 @@ module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
     mutable closed : bool;
   }
 
-  let name = "coarse-grained"
-
   (* Close uses condition broadcasts, so no worker bound is needed here. *)
   let create ?(max_size = Cos_intf.default_max_size) ?worker_bound:_ () =
     if max_size <= 0 then invalid_arg "Coarse.create: max_size must be positive";

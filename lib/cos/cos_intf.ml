@@ -52,10 +52,6 @@ module type S = sig
   (** A command reserved for execution by {!get}; pass it back to
       {!remove}. *)
 
-  val name : string
-  (** Implementation name: "coarse-grained", "fine-grained", "lock-free",
-      "fifo", "striped-<k>" or "indexed". *)
-
   val create : ?max_size:int -> ?worker_bound:int -> unit -> t
   (** [create ()] returns an empty structure holding at most [max_size]
       commands (default 150, the paper's configuration).  [insert] blocks

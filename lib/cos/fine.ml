@@ -45,8 +45,6 @@ module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
     close_tokens : int;
   }
 
-  let name = "fine-grained"
-
   let create ?(max_size = Cos_intf.default_max_size) ?(worker_bound = 1024) ()
       =
     if max_size <= 0 then invalid_arg "Fine.create: max_size must be positive";

@@ -67,8 +67,6 @@ module Make (P : Platform_intf.S) (C : Cos_intf.KEYED_COMMAND) = struct
 
   type t = ext graph
 
-  let name = "indexed"
-
   let create =
     G.create ~ext:(fun max_size ->
         {

@@ -14,7 +14,6 @@ module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
   include G
   type t = unit graph
 
-  let name = "lock-free"
   let create = G.create ~ext:ignore
 
   (* Algorithm 7, lfInsert.  Returns the number of ready promotions (0 or 1)

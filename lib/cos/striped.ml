@@ -62,8 +62,6 @@ struct
       invalid_arg "Striped: segment_capacity must be positive"
     else Size.segment_capacity
 
-  let name = Printf.sprintf "striped-%d" capacity
-
   let new_segment () =
     {
       mx = P.Mutex.create ();

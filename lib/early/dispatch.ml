@@ -86,8 +86,6 @@ struct
 
   type cmd = C.t
 
-  let name = "early"
-
   type tstate = Pending | Confirmed | Revoked | Taken
 
   type entry = {

@@ -21,8 +21,6 @@ module Make (P : Platform_intf.S) (C : Psmr_cos.Cos_intf.KEYED_COMMAND) : sig
   type cmd = C.t
   type t
 
-  val name : string
-
   val start_full :
     ?max_size:int ->
     ?classes:int ->

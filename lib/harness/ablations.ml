@@ -18,7 +18,7 @@ open Psmr_workload
     insert is linear in the population, the indexed insert flat.  Returns
     (population, ns per insert) series. *)
 let insert_cost_vs_population
-    ?(impls = [ Psmr_cos.Registry.Lockfree; Psmr_cos.Registry.Indexed ])
+    ?(impls = [ Psmr_early.Registry.Lockfree; Psmr_early.Registry.Indexed ])
     ?(populations = [ 10; 50; 100; 200; 400; 800 ]) ?(measured = 200)
     ?(write_pct = 5.0) ?(seed = 11L) () =
   List.map
@@ -30,7 +30,7 @@ let insert_cost_vs_population
             let engine = Sim_run.engine sim in
             let (module SP) = Sim_run.platform sim in
             let (module Cos) =
-              Psmr_cos.Registry.instantiate_keyed impl (module SP)
+              Psmr_early.Registry.instantiate_cos impl (module SP)
                 (module Standalone.Cmd)
             in
             (* No workers: the commands' execution cost is never charged. *)
@@ -55,7 +55,7 @@ let insert_cost_vs_population
             (float_of_int pop, !per_insert))
           populations
       in
-      { Psmr_util.Table.name = Psmr_cos.Registry.to_string impl; points })
+      { Psmr_util.Table.name = Psmr_early.Registry.to_string (Cos impl); points })
     impls
 
 (* --- early vs late scheduling --- *)
@@ -122,7 +122,7 @@ let failover_timeline ?(crash_at = 0.3) ?(until = 1.0) ?(bucket = 0.02)
     ?(clients = 100)
     ?(mode =
       Psmr_replica.Replica.Parallel
-        { impl = Psmr_cos.Registry.Lockfree; workers = 16 }) () =
+        { impl = Psmr_early.Registry.Lockfree; workers = 16 }) () =
   Sim_run.with_sim @@ fun sim ->
   let engine = Sim_run.engine sim in
   let d =

@@ -3,7 +3,7 @@
     DESIGN.md's experiment index (A4-A6). *)
 
 val insert_cost_vs_population :
-  ?impls:Psmr_cos.Registry.impl list ->
+  ?impls:Psmr_early.Registry.impl list ->
   ?populations:int list ->
   ?measured:int ->
   ?write_pct:float ->

@@ -87,9 +87,11 @@ let note opts fmt =
   if opts.progress then Printf.eprintf (fmt ^^ "\n%!")
   else Printf.ifprintf stderr fmt
 
+let cos_name impl = Psmr_early.Registry.to_string (Cos impl)
+
 (* "<impl>, <n> workers": how the paper's legends name a configuration. *)
 let at_workers impl workers =
-  Printf.sprintf "%s, %d workers" (Psmr_cos.Registry.to_string impl) workers
+  Printf.sprintf "%s, %d workers" (cos_name impl) workers
 
 let describe = function
   | Standalone { backend; workers; spec; max_size; batch } ->
@@ -155,7 +157,7 @@ let draw opts plot = resolve (lookup opts (points plot)) kops plot
 
 (* --- the paper's figures --- *)
 
-let impls = Psmr_cos.Registry.paper
+let impls = Psmr_early.Registry.paper
 
 let cos ?(max_size = Psmr_cos.Cos_intf.default_max_size) ?(batch = 1) impl
     ~workers write_pct cost =
@@ -169,7 +171,7 @@ let over_ints xs f = List.map (fun x -> (float_of_int x, f x)) xs
 let fig2_plot opts cost =
   List.map
     (fun impl ->
-      ( Psmr_cos.Registry.to_string impl,
+      ( cos_name impl,
         over_ints opts.workers (fun workers -> cos impl ~workers 0.0 cost) ))
     impls
 
@@ -193,7 +195,7 @@ let fig4_plot opts cost =
   let at mode = replicated ~clients:opts.clients mode 0.0 cost in
   List.map
     (fun impl ->
-      ( Psmr_cos.Registry.to_string impl,
+      ( cos_name impl,
         over_ints opts.workers (fun workers ->
             at (Psmr_replica.Replica.Parallel { impl; workers })) ))
     impls
@@ -223,12 +225,7 @@ let fig6_plot opts ~write_pct =
     (sequential
     :: List.map
          (best_parallel Workload.Moderate)
-         Psmr_cos.Registry.[ Fine; Coarse; Lockfree ])
-
-let fig2 opts cost = draw opts (fig2_plot opts cost)
-let fig3 opts cost = draw opts (fig3_plot opts cost)
-let fig4 opts cost = draw opts (fig4_plot opts cost)
-let fig5 opts cost = draw opts (fig5_plot opts cost)
+         Psmr_early.Registry.[ Fine; Coarse; Lockfree ])
 
 (** For each mode: (throughput kops, mean latency ms) per client count. *)
 let fig6 opts ~write_pct =
@@ -246,7 +243,7 @@ let granularity =
     (fun cost ->
       ( Workload.cost_label cost,
         over_ints [ 1; 2; 4; 8; 16; 32; 64; 150 ] (fun k ->
-            cos (Psmr_cos.Registry.Striped k) ~workers:16 5.0 cost) ))
+            cos (Psmr_early.Registry.Striped k) ~workers:16 5.0 cost) ))
     [ Workload.Light; Workload.Moderate ]
 
 (* A2 — the dependency-graph bound the evaluation fixes at 150: small
@@ -255,7 +252,7 @@ let granularity =
 let graph_size =
   List.map
     (fun impl ->
-      ( Psmr_cos.Registry.to_string impl,
+      ( cos_name impl,
         over_ints [ 10; 25; 50; 100; 150; 300; 600; 1200 ] (fun max_size ->
             cos ~max_size impl ~workers:16 5.0 Workload.Moderate) ))
     impls
@@ -264,7 +261,7 @@ let graph_size =
 let realistic_conflicts =
   List.map
     (fun impl ->
-      ( Psmr_cos.Registry.to_string impl,
+      ( cos_name impl,
         over [ 0.3; 0.5; 0.75; 1.0; 1.25; 1.5; 2.0 ] (fun pct ->
             cos impl ~workers:16 pct Workload.Moderate) ))
     impls
@@ -279,7 +276,7 @@ let indexed_vs_scan =
       ( name,
         over_ints [ 1; 2; 4; 8; 16; 32; 64 ] (fun workers ->
             cos ~batch impl ~workers 0.0 Workload.Light) ))
-    Psmr_cos.Registry.
+    Psmr_early.Registry.
       [
         ("lock-free (scan insert)", Lockfree, 1);
         ("indexed", Indexed, 1);
@@ -295,10 +292,10 @@ let early_vs_late_pcts = [ 0.; 1.; 5.; 10.; 15.; 25.; 50.; 100. ]
 let early_vs_late =
   List.map
     (fun impl ->
-      ( Psmr_cos.Registry.to_string impl,
+      ( cos_name impl,
         over early_vs_late_pcts (fun pct ->
             cos impl ~workers:16 pct Workload.Light) ))
-    Psmr_cos.Registry.[ Lockfree; Coarse ]
+    Psmr_early.Registry.[ Lockfree; Coarse ]
 
 (* --- rendering --- *)
 
@@ -353,37 +350,60 @@ let render opts sections =
   let find = lookup opts (List.concat_map (fun s -> points s.plot) sections) in
   String.concat "" (List.map (fun s -> s.text find) sections)
 
+type throughput_figure = {
+  number : int;
+  plot : options -> Workload.cost_class -> plot;
+  caption : string;
+  x_label : string;
+  csv_x : string;
+  summary : string;
+}
+
+let throughput_figures =
+  let row number plot caption x_label csv_x summary =
+    { number; plot; caption; x_label; csv_x; summary }
+  in
+  [
+    row 2 fig2_plot "standalone, 0% writes" "workers" "workers"
+      "Standalone COS: throughput vs workers.";
+    row 3 fig3_plot "standalone, best workers" "% writes" "write_pct"
+      "Standalone COS: throughput vs write percentage.";
+    row 4 fig4_plot "replicated, 0% writes" "workers" "workers"
+      "Replicated SMR: throughput vs workers.";
+    row 5 fig5_plot "replicated, best workers" "% writes" "write_pct"
+      "Replicated SMR: throughput vs write percentage.";
+  ]
+
+let throughput_section opts f cost =
+  let label = Workload.cost_label cost in
+  figure opts
+    ~csv:(Printf.sprintf "fig%d_%s.csv" f.number label, f.csv_x)
+    ~title:(Printf.sprintf "Figure %d (%s): %s" f.number label f.caption)
+    ~x_label:f.x_label (f.plot opts cost)
+
+let fig6_section opts ~write_pct =
+  let plot = fig6_plot opts ~write_pct in
+  let text find =
+    let s = resolve find latency plot in
+    maybe_csv opts ~file:(Printf.sprintf "fig6_%gpct.csv" write_pct) s
+      ~x_label:"kops";
+    Printf.sprintf
+      "## Figure 6 (%g%% writes): latency vs throughput, moderate cost\n\n\
+       %s\n"
+      write_pct (fig6_table s)
+  in
+  { plot; text }
+
+let render_throughput_figure opts f cost =
+  render opts [ throughput_section opts f cost ]
+
+let render_fig6 opts ~write_pct = render opts [ fig6_section opts ~write_pct ]
+
 let paper_sections opts =
   List.concat_map
-    (fun (n, plot, what, x_label, csv_x) ->
-      List.map
-        (fun cost ->
-          let label = Workload.cost_label cost in
-          figure opts
-            ~csv:(Printf.sprintf "fig%d_%s.csv" n label, csv_x)
-            ~title:(Printf.sprintf "Figure %d (%s): %s" n label what)
-            ~x_label (plot opts cost))
-        Workload.all_costs)
-    [
-      (2, fig2_plot, "standalone, 0% writes", "workers", "workers");
-      (3, fig3_plot, "standalone, best workers", "% writes", "write_pct");
-      (4, fig4_plot, "replicated, 0% writes", "workers", "workers");
-      (5, fig5_plot, "replicated, best workers", "% writes", "write_pct");
-    ]
-  @ List.map
-      (fun pct ->
-        let plot = fig6_plot opts ~write_pct:pct in
-        let text find =
-          let s = resolve find latency plot in
-          maybe_csv opts ~file:(Printf.sprintf "fig6_%gpct.csv" pct) s
-            ~x_label:"kops";
-          Printf.sprintf
-            "## Figure 6 (%g%% writes): latency vs throughput, moderate cost\n\n\
-             %s\n"
-            pct (fig6_table s)
-        in
-        { plot; text })
-      [ 5.0; 10.0 ]
+    (fun f -> List.map (throughput_section opts f) Workload.all_costs)
+    throughput_figures
+  @ List.map (fun write_pct -> fig6_section opts ~write_pct) [ 5.0; 10.0 ]
 
 let failover_text () =
   let { Ablations.timeline; views; outage } = Ablations.failover_timeline () in

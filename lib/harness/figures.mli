@@ -65,20 +65,32 @@ val draw : options -> plot -> Psmr_util.Table.series list
 
 (** {2 Figures} *)
 
-val fig2 : options -> Psmr_workload.Workload.cost_class -> Psmr_util.Table.series list
-(** Standalone COS throughput vs workers, 0% writes. *)
-
-val fig3 : options -> Psmr_workload.Workload.cost_class -> Psmr_util.Table.series list
-(** Standalone throughput vs write percentage at best worker counts. *)
-
-val fig4 : options -> Psmr_workload.Workload.cost_class -> Psmr_util.Table.series list
-(** Replicated throughput vs workers plus the sequential-SMR baseline. *)
-
-val fig5 : options -> Psmr_workload.Workload.cost_class -> Psmr_util.Table.series list
-(** Replicated throughput vs write percentage plus sequential SMR. *)
-
 val fig6 : options -> write_pct:float -> Psmr_util.Table.series list
 (** Per mode: (throughput kops/s, mean latency ms) per client count. *)
+
+(** One of the paper's throughput figures (2-5), as the report renders it:
+    titled ["Figure <number> (<cost>): <caption>"], written to
+    [fig<number>_<cost>.csv] under [csv_dir] with x column [csv_x]. *)
+type throughput_figure = {
+  number : int;
+  plot : options -> Psmr_workload.Workload.cost_class -> plot;
+  caption : string;
+  x_label : string;
+  csv_x : string;
+  summary : string;  (** one line: what the figure measures *)
+}
+
+val throughput_figures : throughput_figure list
+(** Figures 2, 3, 4 and 5, in order. *)
+
+val render_throughput_figure :
+  options -> throughput_figure -> Psmr_workload.Workload.cost_class -> string
+(** One throughput figure at one cost, run and rendered as {!run_all}
+    renders it, its CSV written when [csv_dir] is set. *)
+
+val render_fig6 : options -> write_pct:float -> string
+(** Figure 6 at one write percentage, as {!run_all} renders it, its CSV
+    ([fig6_<pct>pct.csv]) written when [csv_dir] is set. *)
 
 val render_figure :
   title:string -> x_label:string -> y_label:string ->

@@ -87,9 +87,9 @@ let smr_client_timeout = 0.25
 (** Per-figure best worker counts, as the paper reports in the legends of
     Figures 3 and 5 ("we picked for each technique the best performing
     number of threads"). *)
-let fig3_best_workers cost (impl : Psmr_cos.Registry.impl) =
+let fig3_best_workers cost (impl : Psmr_early.Registry.impl) =
   match (cost, impl) with
-  | Psmr_workload.Workload.Light, Psmr_cos.Registry.Coarse -> 10
+  | Psmr_workload.Workload.Light, Psmr_early.Registry.Coarse -> 10
   | Light, Fine -> 1
   | Light, Lockfree -> 2
   | Moderate, Coarse -> 12
@@ -103,9 +103,9 @@ let fig3_best_workers cost (impl : Psmr_cos.Registry.impl) =
   | Heavy, Indexed -> 64
   | _, (Fifo | Striped _) -> 1
 
-let fig5_best_workers cost (impl : Psmr_cos.Registry.impl) =
+let fig5_best_workers cost (impl : Psmr_early.Registry.impl) =
   match (cost, impl) with
-  | Psmr_workload.Workload.Light, Psmr_cos.Registry.Coarse -> 12
+  | Psmr_workload.Workload.Light, Psmr_early.Registry.Coarse -> 12
   | Light, Fine -> 4
   | Light, Lockfree -> 8
   | Moderate, Coarse -> 12

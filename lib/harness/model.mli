@@ -21,9 +21,9 @@ val smr_tick_interval : float
 val smr_client_timeout : float
 
 val fig3_best_workers :
-  Psmr_workload.Workload.cost_class -> Psmr_cos.Registry.impl -> int
+  Psmr_workload.Workload.cost_class -> Psmr_early.Registry.impl -> int
 (** Worker counts the paper reports as best per technique (Figure 3
     legends). *)
 
 val fig5_best_workers :
-  Psmr_workload.Workload.cost_class -> Psmr_cos.Registry.impl -> int
+  Psmr_workload.Workload.cost_class -> Psmr_early.Registry.impl -> int

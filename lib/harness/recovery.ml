@@ -2,22 +2,22 @@
     the machinery the recovery-equivalence tests exercise.
 
     The replica consumes a fixed, totally ordered command log — the output
-    of the ordering layer — through the standard scheduler/COS pipeline on
+    of the ordering layer — through any {!Psmr_early.Registry} backend on
     the simulated platform.  Every [checkpoint_every] commands it drains
-    the pipeline and snapshots the service (checkpoints never overlap
+    the backend and snapshots the service (checkpoints never overlap
     execution, as {!Psmr_app.Service_intf.S.snapshot} requires).
 
     A replica crash from an armed fault plan ([replica-crash=0@T+D]) kills
-    the current epoch: the in-flight COS and its workers are abandoned
+    the current epoch: the in-flight backend and its workers are abandoned
     (workers still holding commands turn into no-ops, modelling the
     process dying with its run-time state), the doomed service heap is
     discarded, and after the scheduled recovery delay a fresh epoch starts
     from the last durable checkpoint — restore the snapshot, build a fresh
-    COS, redeliver every logged command after the checkpoint.  Determinism
-    of the service plus the conflict-order guarantee of the COS make the
-    replayed replies byte-identical to the fault-free run's; the
-    equivalence suite in test/test_fault.ml holds every implementation to
-    exactly that. *)
+    backend, redeliver every logged command after the checkpoint.
+    Determinism of the service plus the backend's conflict-order guarantee
+    make the replayed replies byte-identical to the fault-free run's; the
+    equivalence suite in test/test_fault.ml holds every backend to exactly
+    that. *)
 
 module Make (Service : Psmr_app.Service_intf.S) = struct
   type outcome = {
@@ -34,8 +34,8 @@ module Make (Service : Psmr_app.Service_intf.S) = struct
     end_time : float;  (** Virtual time when the log finished draining. *)
   }
 
-  (* Commands travel through the COS tagged with their log position so the
-     executor can file replies; conflicts ignore the position. *)
+  (* Commands travel through the backend tagged with their log position so
+     the executor can file replies; conflicts ignore the position. *)
   module C = struct
     type t = int * Service.command
 
@@ -46,7 +46,7 @@ module Make (Service : Psmr_app.Service_intf.S) = struct
 
   let default_exec_cost _ = 2e-6
 
-  let run ~impl ~workers ~state ~(log : Service.command array)
+  let run ~backend ~workers ~state ~(log : Service.command array)
       ?(checkpoint_every = 32) ?(faults = Psmr_fault.Schedule.empty)
       ?(costs = Model.sim_costs) ?(exec_cost = default_exec_cost) () =
     if workers <= 0 then invalid_arg "Recovery.run: workers must be positive";
@@ -56,11 +56,10 @@ module Make (Service : Psmr_app.Service_intf.S) = struct
     Sim_run.with_sim ~costs ~faults @@ fun sim ->
     let engine = Sim_run.engine sim in
     let (module SP) = Sim_run.platform sim in
-    let (module Cos : Psmr_cos.Cos_intf.S with type cmd = int * Service.command)
-        =
-      Psmr_cos.Registry.instantiate_keyed impl (module SP) (module C)
+    let (module Sched : Psmr_sched.Sched_intf.BACKEND
+          with type cmd = int * Service.command) =
+      Psmr_early.Registry.instantiate backend (module SP) (module C)
     in
-    let module Sched = Psmr_sched.Scheduler.Make (SP) (Cos) in
     let replies = Array.make n "" in
     let crashes = ref 0
     and recoveries = ref 0

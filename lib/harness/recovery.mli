@@ -18,7 +18,7 @@ module Make (Service : Psmr_app.Service_intf.S) : sig
   }
 
   val run :
-    impl:Psmr_cos.Registry.impl ->
+    backend:Psmr_early.Registry.backend ->
     workers:int ->
     state:(unit -> Service.t) ->
     log:Service.command array ->
@@ -28,7 +28,7 @@ module Make (Service : Psmr_app.Service_intf.S) : sig
     ?exec_cost:(Service.command -> float) ->
     unit ->
     outcome
-  (** Execute [log] on a fresh [state ()] through the [impl] COS with
+  (** Execute [log] on a fresh [state ()] through [backend] with
       [workers] workers on the simulated platform, checkpointing every
       [checkpoint_every] commands, under the [faults] schedule (replica
       id 0).  With [faults] empty the run is fault-free and deterministic;

@@ -19,7 +19,7 @@ open Psmr_platform
 
 type mode =
   | Sequential  (** classical SMR: execute in delivery order, one at a time *)
-  | Parallel of { impl : Psmr_cos.Registry.impl; workers : int }
+  | Parallel of { impl : Psmr_early.Registry.impl; workers : int }
       (** scheduler + COS + worker pool (Algorithm 1) *)
   | Parallel_early of { workers : int; classes : int option }
       (** early-scheduling class-map dispatcher, conservative feed;

@@ -7,7 +7,8 @@
     ([Psmr_early.Dispatch]) is another.  Keeping them behind one module
     type lets the replica, the DES harnesses and the benchmark CLIs race
     scheduling {e families} against each other without knowing which one
-    is underneath.
+    is underneath.  A backend carries no name: [Psmr_early.Registry]
+    names every backend and builds it as a [BACKEND].
 
     Contract common to all backends:
     - [submit]/[submit_batch] are called by a single thread (the
@@ -27,9 +28,6 @@ module type BACKEND = sig
   (** The command type executed by this backend. *)
 
   type t
-
-  val name : string
-  (** Registry-style identifier (e.g. ["cos:lockfree"], ["early"]). *)
 
   val start :
     ?max_size:int ->

@@ -24,8 +24,6 @@ module Make (P : Platform_intf.S) (Cos : Psmr_cos.Cos_intf.S) = struct
 
   type cmd = Cos.cmd
 
-  let name = "cos:" ^ Cos.name
-
   type t = {
     cos : Cos.t;
     workers : int;

@@ -179,10 +179,3 @@ let to_bank ~accounts op =
       Psmr_app.Bank.Deposit (a k, v mod 100)
   | Rmw (k, _) ->
       Psmr_app.Bank.Transfer { src = a k; dst = a (k + 1); amount = 1 }
-
-let pp_op ppf = function
-  | Read k -> Format.fprintf ppf "read(%d)" k
-  | Update (k, v) -> Format.fprintf ppf "update(%d,%d)" k v
-  | Insert (k, v) -> Format.fprintf ppf "insert(%d,%d)" k v
-  | Scan (s, len) -> Format.fprintf ppf "scan(%d,%d)" s len
-  | Rmw (k, v) -> Format.fprintf ppf "rmw(%d,%d)" k v

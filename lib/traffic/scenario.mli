@@ -54,4 +54,3 @@ val footprint : op -> (int * bool) list
 val to_kv : op -> Psmr_app.Kv_store.command
 val to_list : op -> Psmr_app.Linked_list.command
 val to_bank : accounts:int -> op -> Psmr_app.Bank.command
-val pp_op : Format.formatter -> op -> unit

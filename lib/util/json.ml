@@ -163,7 +163,6 @@ let member key = function
 let as_num = function Num f -> Some f | _ -> None
 let as_str = function Str s -> Some s | _ -> None
 let as_arr = function Arr l -> Some l | _ -> None
-let as_obj = function Obj l -> Some l | _ -> None
 
 let quote s =
   let b = Buffer.create (String.length s + 2) in

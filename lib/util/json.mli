@@ -23,7 +23,6 @@ val member : string -> t -> t option
 val as_num : t -> float option
 val as_str : t -> string option
 val as_arr : t -> t list option
-val as_obj : t -> (string * t) list option
 
 val quote : string -> string
 (** Render a string as a JSON string literal, escaping quotes, backslashes

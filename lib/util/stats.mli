@@ -26,5 +26,3 @@ val stddev : float array -> float
 val percentile : float array -> float -> float
 (** [percentile sorted q] with [q] in [\[0,100\]] over a sorted array, using
     linear interpolation between closest ranks. *)
-
-val pp_summary : Format.formatter -> summary -> unit

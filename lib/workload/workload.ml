@@ -36,9 +36,6 @@ let paper_write_percentages = [ 0.; 1.; 5.; 10.; 15.; 20.; 25.; 50.; 100. ]
 (** The paper's worker counts for Figures 2 and 4. *)
 let paper_worker_counts = [ 1; 2; 4; 6; 8; 10; 12; 16; 24; 32; 40; 48; 56; 64 ]
 
-let pp_spec ppf s =
-  Format.fprintf ppf "%s/%.0f%%w" (cost_label s.cost) s.write_pct
-
 (** Draw the next linked-list command: a uniformly random entry, read or
     write according to [spec.write_pct]. *)
 let next_list_command spec rng =

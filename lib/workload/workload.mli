@@ -24,8 +24,6 @@ val paper_write_percentages : float list
 val paper_worker_counts : int list
 (** X axis of Figures 2 and 4: 1..64 as in the paper. *)
 
-val pp_spec : Format.formatter -> spec -> unit
-
 val next_list_command :
   spec -> Psmr_util.Rng.t -> Psmr_app.Linked_list.command
 (** Draw the next command: uniform target, read or write per

@@ -12,12 +12,12 @@ module Vclock = Check.Vclock
 
 let impls =
   [
-    (Psmr_cos.Registry.Coarse, "coarse");
-    (Psmr_cos.Registry.Fine, "fine");
-    (Psmr_cos.Registry.Lockfree, "lockfree");
-    (Psmr_cos.Registry.Striped 4, "striped-4");
-    (Psmr_cos.Registry.Fifo, "fifo");
-    (Psmr_cos.Registry.Indexed, "indexed");
+    (Psmr_early.Registry.Coarse, "coarse");
+    (Psmr_early.Registry.Fine, "fine");
+    (Psmr_early.Registry.Lockfree, "lockfree");
+    (Psmr_early.Registry.Striped 4, "striped-4");
+    (Psmr_early.Registry.Fifo, "fifo");
+    (Psmr_early.Registry.Indexed, "indexed");
   ]
 
 let sc ?target ?(workers = 2) ?(commands = 6) ?(write_pct = 50.0)
@@ -47,7 +47,7 @@ let test_vclock () =
 (* --- determinism --- *)
 
 let test_replay_deterministic () =
-  let s = sc ~target:(Cos_check.Impl Psmr_cos.Registry.Lockfree) () in
+  let s = sc ~target:(Cos_check.Impl Psmr_early.Registry.Lockfree) () in
   (* Traced, as [psmr_check --replay] runs it: the oplog must not move a
      decision point. *)
   let replay seed =
@@ -66,7 +66,7 @@ let test_replay_deterministic () =
     (a.trace_hash <> c.trace_hash)
 
 let test_batch_deterministic () =
-  let s = sc ~target:(Cos_check.Impl Psmr_cos.Registry.Fine) () in
+  let s = sc ~target:(Cos_check.Impl Psmr_early.Registry.Fine) () in
   let run () = Explore.random_walk ~run:(Cos_check.run_schedule s) ~seed:5L ~schedules:50 () in
   let a = run () and b = run () in
   Alcotest.(check int) "same schedules" a.Explore.schedules b.Explore.schedules;
@@ -77,7 +77,7 @@ let test_batch_deterministic () =
 (* --- schedule coverage --- *)
 
 let test_distinct_schedules () =
-  let s = sc ~target:(Cos_check.Impl Psmr_cos.Registry.Lockfree) ~workers:3 () in
+  let s = sc ~target:(Cos_check.Impl Psmr_early.Registry.Lockfree) ~workers:3 () in
   let r = Explore.random_walk ~run:(Cos_check.run_schedule s) ~seed:42L ~schedules:2000 () in
   Alcotest.(check int) "all schedules distinct" 2000 r.Explore.distinct;
   Alcotest.(check int) "none truncated" 0 r.Explore.truncated
@@ -222,7 +222,7 @@ let test_self_sentinel_fix_holds impl () =
 let test_fifo_close_race_regression () =
   let s =
     sc
-      ~target:(Cos_check.Impl Psmr_cos.Registry.Fifo)
+      ~target:(Cos_check.Impl Psmr_early.Registry.Fifo)
       ~workers:3 ~drain:false ()
   in
   let r = Explore.random_walk ~run:(Cos_check.run_schedule s) ~seed:12L ~schedules:500 () in
@@ -469,7 +469,7 @@ let test_early_gate_clean () =
 (* A run cut off by the step bound stops mid-program: no post-run oracle
    may judge it, so the stuck processes are not reported as a deadlock. *)
 let test_truncated_skips_oracles () =
-  let s = sc ~target:(Cos_check.Impl Psmr_cos.Registry.Lockfree) () in
+  let s = sc ~target:(Cos_check.Impl Psmr_early.Registry.Lockfree) () in
   let o =
     Explore.replay ~run:(Cos_check.run_schedule ~max_steps:20 s) ~seed:1L
   in
@@ -552,7 +552,7 @@ let pinned name ~decisions ~trace_hash ~violations (o : Check_platform.outcome)
 
 let test_pinned_lockfree_batch_crash () =
   let s =
-    Cos_check.scenario ~target:(Cos_check.Impl Psmr_cos.Registry.Lockfree)
+    Cos_check.scenario ~target:(Cos_check.Impl Psmr_early.Registry.Lockfree)
       ~batch:3 ~crashes:[ (1, 2) ] ~workload_seed:1L ()
   in
   Explore.replay ~run:(Cos_check.run_schedule s) ~seed:2201L
@@ -625,9 +625,9 @@ let () =
           Alcotest.test_case "no-sentinel race caught (pinned sticky seed)"
             `Quick test_no_sentinel_race_caught;
           Alcotest.test_case "self-sentinel fix holds [lockfree]" `Quick
-            (test_self_sentinel_fix_holds Psmr_cos.Registry.Lockfree);
+            (test_self_sentinel_fix_holds Psmr_early.Registry.Lockfree);
           Alcotest.test_case "self-sentinel fix holds [indexed]" `Quick
-            (test_self_sentinel_fix_holds Psmr_cos.Registry.Indexed);
+            (test_self_sentinel_fix_holds Psmr_early.Registry.Indexed);
           Alcotest.test_case "fifo close race regression" `Quick
             test_fifo_close_race_regression;
         ] );

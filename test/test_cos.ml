@@ -4,6 +4,7 @@
 
 open Psmr_cos
 module RP = Psmr_platform.Real_platform
+module Registry = Psmr_early.Registry
 
 (* A readers-writers command, mirroring the paper's application model:
    writes conflict with everything, reads only with writes. *)
@@ -36,7 +37,7 @@ let impls_with_fifo = impls @ [ (Registry.Fifo, "fifo") ]
 
 let impl_cos impl :
     (module Cos_intf.S with type cmd = Rw_cmd.t) =
-  Registry.instantiate_keyed impl (module RP) (module Rw_cmd)
+  Registry.instantiate_cos impl (module RP) (module Rw_cmd)
 
 (* --- registry --- *)
 
@@ -45,7 +46,7 @@ let test_registry_parsing () =
     Alcotest.(check bool)
       (Printf.sprintf "parse %S" s)
       true
-      (Registry.of_string s = expect)
+      (Registry.of_string s = Option.map (fun i -> Registry.Cos i) expect)
   in
   check "coarse" (Some Registry.Coarse);
   check "coarse-grained" (Some Registry.Coarse);
@@ -63,12 +64,13 @@ let test_registry_parsing () =
 
 let test_registry_roundtrip () =
   List.iter
-    (fun impl ->
+    (fun b ->
       Alcotest.(check bool)
-        (Registry.to_string impl)
+        (Registry.to_string b)
         true
-        (Registry.of_string (Registry.to_string impl) = Some impl))
-    (Registry.Fifo :: Registry.Striped 8 :: Registry.all)
+        (Registry.of_string (Registry.to_string b) = Some b))
+    (Registry.Cos Fifo :: Registry.Cos (Striped 8)
+    :: List.filter (function Registry.Cos _ -> true | _ -> false) Registry.all)
 
 let test_invalid_create_args () =
   let module S = (val impl_cos Registry.Coarse) in
@@ -356,7 +358,7 @@ let sim_scheduler_crash impl ~spec ~expect_crashed () =
   let e = Engine.create () in
   let (module SP) = Sim_platform.make e Costs.default in
   let (module S : Cos_intf.S with type cmd = Rw_cmd.t) =
-    Registry.instantiate_keyed impl (module SP) (module Rw_cmd)
+    Registry.instantiate_cos impl (module SP) (module Rw_cmd)
   in
   let module Sched = Psmr_sched.Scheduler.Make (SP) (S) in
   let plan =
@@ -482,7 +484,7 @@ let test_sim_scheduler impl () =
   let e = Engine.create () in
   let (module SP) = Sim_platform.make e Costs.default in
   let (module S : Cos_intf.S with type cmd = Rw_cmd.t) =
-    Registry.instantiate_keyed impl (module SP) (module Rw_cmd)
+    Registry.instantiate_cos impl (module SP) (module Rw_cmd)
   in
   let module Sched = Psmr_sched.Scheduler.Make (SP) (S) in
   let executed_order = ref [] in
@@ -512,7 +514,7 @@ let test_sim_determinism impl () =
     let e = Engine.create () in
     let (module SP) = Sim_platform.make e Costs.default in
     let (module S : Cos_intf.S with type cmd = Rw_cmd.t) =
-      Registry.instantiate_keyed impl (module SP) (module Rw_cmd)
+      Registry.instantiate_cos impl (module SP) (module Rw_cmd)
     in
     let module Sched = Psmr_sched.Scheduler.Make (SP) (S) in
     Engine.spawn e (fun () ->
@@ -532,7 +534,7 @@ let test_sim_determinism impl () =
        per-key conflict relation of the KV store --- *)
 
 let kv_equivalence impl =
-  let name = Printf.sprintf "%s: parallel = sequential (kv)" (Registry.to_string impl) in
+  let name = Printf.sprintf "%s: parallel = sequential (kv)" (Registry.to_string (Cos impl)) in
   QCheck.Test.make ~name ~count:30
     QCheck.(
       pair (int_range 1 6)
@@ -546,7 +548,7 @@ let kv_equivalence impl =
         let pp ppf (i, c) = Format.fprintf ppf "%d:%a" i Psmr_app.Kv_store.pp_command c
       end in
       let (module S : Cos_intf.S with type cmd = KC.t) =
-        Registry.instantiate_keyed impl (module RP) (module KC)
+        Registry.instantiate_cos impl (module RP) (module KC)
       in
       let module Sched = Psmr_sched.Scheduler.Make (RP) (S) in
       let cmds =
@@ -645,7 +647,7 @@ let cos_spec_check impl ~workers ~commands ~write_pct ~seed () =
 let sim_schedule_equivalence impl =
   let name =
     Printf.sprintf "%s: random-duration schedules = sequential (sim)"
-      (Registry.to_string impl)
+      (Registry.to_string (Cos impl))
   in
   QCheck.Test.make ~name ~count:25
     QCheck.(
@@ -665,7 +667,7 @@ let sim_schedule_equivalence impl =
         let pp ppf (i, _) = Format.pp_print_int ppf i
       end in
       let (module S : Cos_intf.S with type cmd = KC.t) =
-        Registry.instantiate_keyed impl (module SP) (module KC)
+        Registry.instantiate_cos impl (module SP) (module KC)
       in
       let module Sched = Psmr_sched.Scheduler.Make (SP) (S) in
       let cmds =
@@ -742,7 +744,7 @@ let test_algorithm7_race_regression impl () =
       let pp ppf (i, _) = Format.pp_print_int ppf i
     end in
     let (module S : Cos_intf.S with type cmd = KC.t) =
-      Registry.instantiate_keyed impl (module SP) (module KC)
+      Registry.instantiate_cos impl (module SP) (module KC)
     in
     let module Sched = Psmr_sched.Scheduler.Make (SP) (S) in
     let par_store = Psmr_app.Kv_store.create ~capacity:4 in
@@ -861,7 +863,7 @@ let batch_on_partly_full impl =
   let e = Engine.create () in
   let (module SP) = Sim_platform.make e Costs.default in
   let module S =
-    (val Registry.instantiate_keyed impl (module SP) (module Rw_cmd))
+    (val Registry.instantiate_cos impl (module SP) (module Rw_cmd))
   in
   let t = S.create ~max_size:4 () in
   let returned = ref false in
@@ -899,7 +901,7 @@ let first_start_during_batch impl =
   let e = Engine.create () in
   let (module SP) = Sim_platform.make e Costs.default in
   let module S =
-    (val Registry.instantiate_keyed impl (module SP) (module Rw_cmd))
+    (val Registry.instantiate_cos impl (module SP) (module Rw_cmd))
   in
   let t = S.create () in
   let first = ref (-1) and pending = ref 0 in
@@ -932,7 +934,7 @@ let test_close_many_blocked_getters impl () =
   let e = Engine.create () in
   let (module SP) = Sim_platform.make e Costs.default in
   let (module S : Cos_intf.S with type cmd = Rw_cmd.t) =
-    Registry.instantiate_keyed impl (module SP) (module Rw_cmd)
+    Registry.instantiate_cos impl (module SP) (module Rw_cmd)
   in
   let getters = 1500 in
   let t = S.create ~max_size:2000 ~worker_bound:getters () in
@@ -965,7 +967,7 @@ end
 
 let drain_order impl cmds =
   let (module S : Cos_intf.S with type cmd = Keyed_cmd.t) =
-    Registry.instantiate_keyed impl (module RP) (module Keyed_cmd)
+    Registry.instantiate_cos impl (module RP) (module Keyed_cmd)
   in
   let n = Array.length cmds in
   let t = S.create ~max_size:(n + 1) () in

@@ -666,7 +666,7 @@ let kv_equivalence =
       in
       let run_coarse () =
         let (module S : Psmr_cos.Cos_intf.S with type cmd = KC.t) =
-          Psmr_cos.Registry.instantiate_keyed Psmr_cos.Registry.Coarse
+          Psmr_early.Registry.instantiate_cos Psmr_early.Registry.Coarse
             (module RP)
             (module KC)
         in
@@ -740,7 +740,7 @@ let bank_equivalence =
       in
       let run_coarse () =
         let (module S : Psmr_cos.Cos_intf.S with type cmd = KC.t) =
-          Psmr_cos.Registry.instantiate_keyed Psmr_cos.Registry.Coarse
+          Psmr_early.Registry.instantiate_cos Psmr_early.Registry.Coarse
             (module RP)
             (module KC)
         in
@@ -815,7 +815,7 @@ let list_equivalence =
       in
       let run_coarse () =
         let (module S : Psmr_cos.Cos_intf.S with type cmd = KC.t) =
-          Psmr_cos.Registry.instantiate_keyed Psmr_cos.Registry.Coarse
+          Psmr_early.Registry.instantiate_cos Psmr_early.Registry.Coarse
             (module RP)
             (module KC)
         in
@@ -1298,34 +1298,35 @@ let test_keyed_bench_opt_crash_mid_repair () =
 
 (* --- registry --- *)
 
+(* The early family's names, plus the COS names it shares the one
+   registry with (test_cos "registry" parses every COS name). *)
 let test_backend_registry_roundtrip () =
   let module R = Psmr_early.Registry in
+  let early ?classes optimistic = Some (R.Early { classes; optimistic }) in
+  List.iter
+    (fun (s, expect) ->
+      Alcotest.(check bool) (Printf.sprintf "parse %S" s) true
+        (R.of_string s = expect))
+    [
+      ("coarse", Some (R.Cos Coarse));
+      ("indexed", Some (R.Cos Indexed));
+      ("early", early false);
+      ("early-opt", early true);
+      ("early_opt", early true);
+      ("early-4", early ~classes:4 false);
+      ("early-opt-8", early ~classes:8 true);
+      ("early-0", None);
+      ("early-x", None);
+      ("optimistic", None);
+      ("bogus", None);
+    ];
   List.iter
     (fun b ->
       let s = R.to_string b in
-      Alcotest.(check bool)
-        (Printf.sprintf "roundtrip %S" s)
-        true
+      Alcotest.(check bool) (Printf.sprintf "roundtrip %S" s) true
         (R.of_string s = Some b))
-    R.all;
-  let check s expect =
-    Alcotest.(check bool)
-      (Printf.sprintf "parse %S" s)
-      true
-      (R.of_string s = expect)
-  in
-  check "early" (Some (R.Early Psmr_early.Early_intf.conservative));
-  check "early-opt" (Some (R.Early Psmr_early.Early_intf.optimistic));
-  check "early_opt" (Some (R.Early Psmr_early.Early_intf.optimistic));
-  check "early-4"
-    (Some (R.Early { Psmr_early.Early_intf.classes = Some 4; optimistic = false }));
-  check "early-opt-8"
-    (Some (R.Early { Psmr_early.Early_intf.classes = Some 8; optimistic = true }));
-  check "early-0" None;
-  check "early-x" None;
-  check "coarse" (Some (R.Cos Psmr_cos.Registry.Coarse));
-  check "indexed" (Some (R.Cos Psmr_cos.Registry.Indexed));
-  check "bogus" None;
+    (R.Cos (Striped 8) :: R.Early { classes = Some 4; optimistic = true }
+    :: R.all);
   Alcotest.(check bool) "early-opt is optimistic" true
     (R.is_optimistic (R.Early Psmr_early.Early_intf.optimistic));
   Alcotest.(check bool) "early is conservative" false
@@ -1395,7 +1396,7 @@ let test_keyed_bench_crash_respawn () =
 let test_keyed_bench_cos_backend () =
   let r =
     Psmr_harness.Standalone.run
-      ~backend:(Psmr_early.Registry.Cos Psmr_cos.Registry.Indexed)
+      ~backend:(Psmr_early.Registry.Cos Psmr_early.Registry.Indexed)
       ~workers:8 ~workload:(Keyed Psmr_workload.Workload.Keyed.low_conflict)
       ~duration:0.01 ~warmup:0.002 ()
   in
@@ -1484,7 +1485,7 @@ let () =
                (Psmr_early.Registry.Early
                   { Psmr_early.Early_intf.classes = Some 4; optimistic = false }));
           Alcotest.test_case "instantiate cos:coarse" `Quick
-            (backend_smoke (Psmr_early.Registry.Cos Psmr_cos.Registry.Coarse));
+            (backend_smoke (Psmr_early.Registry.Cos Psmr_early.Registry.Coarse));
         ] );
       ( "harness",
         [

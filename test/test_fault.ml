@@ -165,7 +165,7 @@ let spec10 =
   { Psmr_workload.Workload.write_pct = 10.0; cost = Psmr_workload.Workload.Light }
 
 let standalone ?faults () =
-  Psmr_harness.Standalone.run ~backend:(Cos Psmr_cos.Registry.Lockfree)
+  Psmr_harness.Standalone.run ~backend:(Cos Psmr_early.Registry.Lockfree)
     ~workers:4 ~workload:(Paper spec10) ~duration:0.05 ~warmup:0.01 ?faults ()
 
 let test_standalone_zero_perturbation () =
@@ -190,11 +190,20 @@ let test_standalone_faulty_replayable () =
   Alcotest.(check bool) "faults fired" true (a.faults_injected >= 2)
 
 (* --- recovery equivalence: crashed + recovered replica ends byte-identical
-   to the fault-free run, across every COS implementation and service --- *)
+   to the fault-free run, across every COS implementation, the early
+   class-map dispatcher and every service --- *)
 
-let impls =
-  Psmr_cos.Registry.
-    [ Coarse; Fine; Lockfree; Fifo; Striped 4; Indexed ]
+let backends =
+  Psmr_early.Registry.
+    [
+      Cos Coarse;
+      Cos Fine;
+      Cos Lockfree;
+      Cos Fifo;
+      Cos (Striped 4);
+      Cos Indexed;
+      Early Psmr_early.Early_intf.conservative;
+    ]
 
 module Recovery_equiv (Service : Psmr_app.Service_intf.S) = struct
   module R = Psmr_harness.Recovery.Make (Service)
@@ -203,25 +212,26 @@ module Recovery_equiv (Service : Psmr_app.Service_intf.S) = struct
      through (recovering after a tenth of the run) and compare. *)
   let check ~name ~state ~log ~seed =
     List.iter
-      (fun impl ->
-        let base = R.run ~impl ~workers:3 ~state ~log ~checkpoint_every:8 () in
+      (fun backend ->
+        let ctx =
+          Printf.sprintf "%s/%s seed %d" name
+            (Psmr_early.Registry.to_string backend)
+            seed
+        in
+        let base =
+          R.run ~backend ~workers:3 ~state ~log ~checkpoint_every:8 ()
+        in
         if not base.R.completed then
-          QCheck.Test.fail_reportf "%s/%s seed %d: fault-free run incomplete"
-            name
-            (Psmr_cos.Registry.to_string impl)
-            seed;
+          QCheck.Test.fail_reportf "%s: fault-free run incomplete" ctx;
         if base.R.crashes <> 0 then
-          QCheck.Test.fail_reportf "%s: fault-free run crashed" name;
+          QCheck.Test.fail_reportf "%s: fault-free run crashed" ctx;
         let faults =
           Schedule.parse_exn
             (Printf.sprintf "replica-crash=0@%.9g+%.9g" (base.R.end_time /. 2.0)
                (base.R.end_time /. 10.0))
         in
         let faulty =
-          R.run ~impl ~workers:3 ~state ~log ~checkpoint_every:8 ~faults ()
-        in
-        let ctx = Printf.sprintf "%s/%s seed %d" name
-            (Psmr_cos.Registry.to_string impl) seed
+          R.run ~backend ~workers:3 ~state ~log ~checkpoint_every:8 ~faults ()
         in
         if faulty.R.crashes <> 1 || faulty.R.recoveries <> 1 then
           QCheck.Test.fail_reportf "%s: expected 1 crash + 1 recovery, got %d/%d"
@@ -233,7 +243,7 @@ module Recovery_equiv (Service : Psmr_app.Service_intf.S) = struct
         if faulty.R.replies <> base.R.replies then
           QCheck.Test.fail_reportf "%s: reply sequences differ after recovery"
             ctx)
-      impls;
+      backends;
     true
 end
 
@@ -308,7 +318,7 @@ let test_recovery_directed () =
         else Psmr_app.Kv_store.Put (Rng.int rng 16, Rng.int rng 1000))
   in
   let state () = Psmr_app.Kv_store.create ~capacity:16 in
-  let base = R.run ~impl:Psmr_cos.Registry.Lockfree ~workers:4 ~state ~log () in
+  let base = R.run ~backend:(Cos Lockfree) ~workers:4 ~state ~log () in
   Alcotest.(check bool) "base completed" true base.R.completed;
   Alcotest.(check bool) "base took checkpoints" true (base.R.checkpoints > 0);
   let faults =
@@ -317,7 +327,7 @@ let test_recovery_directed () =
          (base.R.end_time /. 20.0))
   in
   let faulty =
-    R.run ~impl:Psmr_cos.Registry.Lockfree ~workers:4 ~state ~log ~faults ()
+    R.run ~backend:(Cos Lockfree) ~workers:4 ~state ~log ~faults ()
   in
   Alcotest.(check bool) "faulty completed" true faulty.R.completed;
   Alcotest.(check int) "one crash" 1 faulty.R.crashes;
@@ -335,13 +345,13 @@ let test_recovery_crash_stop () =
     Array.init 60 (fun i -> Psmr_app.Kv_store.Put (i mod 16, i))
   in
   let state () = Psmr_app.Kv_store.create ~capacity:16 in
-  let base = R.run ~impl:Psmr_cos.Registry.Lockfree ~workers:4 ~state ~log () in
+  let base = R.run ~backend:(Cos Lockfree) ~workers:4 ~state ~log () in
   let faults =
     Schedule.parse_exn
       (Printf.sprintf "replica-crash=0@%.9g" (base.R.end_time /. 2.0))
   in
   let faulty =
-    R.run ~impl:Psmr_cos.Registry.Lockfree ~workers:4 ~state ~log ~faults ()
+    R.run ~backend:(Cos Lockfree) ~workers:4 ~state ~log ~faults ()
   in
   Alcotest.(check int) "one crash" 1 faulty.R.crashes;
   Alcotest.(check int) "no recovery" 0 faulty.R.recoveries;

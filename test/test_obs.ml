@@ -8,7 +8,7 @@ module Engine = Psmr_sim.Engine
 module Metrics = Psmr_obs.Metrics
 module Trace = Psmr_obs.Trace
 module Histogram = Psmr_util.Histogram
-module Registry = Psmr_cos.Registry
+module Registry = Psmr_early.Registry
 module Standalone = Psmr_harness.Standalone
 module Bench_schema = Psmr_harness.Bench_schema
 module J = Psmr_util.Json
@@ -43,7 +43,7 @@ let scripted impl ~metrics =
   let e = Engine.create () in
   let (module SP) = Sim_platform.make e Costs.default in
   let (module S : Psmr_cos.Cos_intf.S with type cmd = Rw_cmd.t) =
-    Registry.instantiate_keyed impl (module SP) (module Rw_cmd)
+    Registry.instantiate_cos impl (module SP) (module Rw_cmd)
   in
   let module Sched = Psmr_sched.Scheduler.Make (SP) (S) in
   let registry =

@@ -1411,7 +1411,7 @@ struct
       (List.tl merged);
     (* Same merged order through the Coarse COS parallel executor. *)
     let out =
-      R.run ~impl:Psmr_cos.Registry.Coarse ~workers:4 ~state:C.fresh
+      R.run ~backend:(Cos Coarse) ~workers:4 ~state:C.fresh
         ~log:(Array.of_list (List.map (fun cid -> log.(cid)) m0))
         ()
     in

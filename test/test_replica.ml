@@ -122,7 +122,7 @@ let test_exactly_once_deposits () =
     {
       (Bank_smr.Deployment.default_config ~make_service ()) with
       clients = 2;
-      mode = Parallel { impl = Psmr_cos.Registry.Lockfree; workers = 2 };
+      mode = Parallel { impl = Psmr_early.Registry.Lockfree; workers = 2 };
       abcast = fast_abcast;
       tick_interval = 1e-3;
       client_timeout = 0.02 (* small: retries will happen *);
@@ -173,7 +173,7 @@ let test_sim_deployment () =
            Psmr_app.Kv_store.create ~capacity:64)
          ()) with
       clients = 4;
-      mode = Parallel { impl = Psmr_cos.Registry.Lockfree; workers = 4 };
+      mode = Parallel { impl = Psmr_early.Registry.Lockfree; workers = 4 };
       abcast = fast_abcast;
       tick_interval = 1e-3;
       client_timeout = 0.4;
@@ -343,7 +343,7 @@ let test_sim_deployment_deterministic () =
              Psmr_app.Kv_store.create ~capacity:16)
            ()) with
         clients = 2;
-        mode = Parallel { impl = Psmr_cos.Registry.Coarse; workers = 2 };
+        mode = Parallel { impl = Psmr_early.Registry.Coarse; workers = 2 };
         abcast = fast_abcast;
         latency = (fun ~src:_ ~dst:_ -> 80e-6);
       }
@@ -515,11 +515,11 @@ let () =
         [
           Alcotest.test_case "sequential" `Quick (test_kv_roundtrip m_seq);
           Alcotest.test_case "coarse" `Quick
-            (test_kv_roundtrip (m_par Psmr_cos.Registry.Coarse));
+            (test_kv_roundtrip (m_par Psmr_early.Registry.Coarse));
           Alcotest.test_case "fine" `Quick
-            (test_kv_roundtrip (m_par Psmr_cos.Registry.Fine));
+            (test_kv_roundtrip (m_par Psmr_early.Registry.Fine));
           Alcotest.test_case "lockfree" `Quick
-            (test_kv_roundtrip (m_par Psmr_cos.Registry.Lockfree));
+            (test_kv_roundtrip (m_par Psmr_early.Registry.Lockfree));
           Alcotest.test_case "early" `Quick (test_kv_roundtrip m_early);
           Alcotest.test_case "early-opt" `Quick (test_kv_roundtrip m_early_opt);
         ] );
@@ -527,7 +527,7 @@ let () =
         [
           Alcotest.test_case "sequential" `Quick (test_kv_replicas_converge m_seq);
           Alcotest.test_case "lockfree parallel" `Quick
-            (test_kv_replicas_converge (m_par Psmr_cos.Registry.Lockfree));
+            (test_kv_replicas_converge (m_par Psmr_early.Registry.Lockfree));
           Alcotest.test_case "early" `Quick (test_kv_replicas_converge m_early);
           Alcotest.test_case "early-opt" `Quick
             (test_kv_replicas_converge m_early_opt);
@@ -536,7 +536,7 @@ let () =
         [
           Alcotest.test_case "sequential" `Quick (test_leader_crash_failover m_seq);
           Alcotest.test_case "lockfree parallel" `Quick
-            (test_leader_crash_failover (m_par Psmr_cos.Registry.Lockfree));
+            (test_leader_crash_failover (m_par Psmr_early.Registry.Lockfree));
         ] );
       ( "at-most-once",
         [ Alcotest.test_case "deposits under retries" `Quick test_exactly_once_deposits ] );
@@ -560,7 +560,7 @@ let () =
           Alcotest.test_case "lost notice falls back to the timeout" `Quick
             test_sim_lost_notice_fallback;
           Alcotest.test_case "idle call cut at once" `Quick
-            (test_sim_idle_call (m_par Psmr_cos.Registry.Lockfree));
+            (test_sim_idle_call (m_par Psmr_early.Registry.Lockfree));
           Alcotest.test_case "idle call cut at once (partitioned)" `Quick
             (test_sim_idle_call
                (Psmr_replica.Replica.Partitioned

@@ -538,12 +538,12 @@ let golden_cases =
   let cos name impl = (name, fun ~probe_engine -> golden_standalone impl ~probe_engine) in
   let keyed name = (name, fun ~probe_engine -> golden_keyed name ~probe_engine) in
   [
-    cos "standalone-coarse" Psmr_cos.Registry.Coarse;
-    cos "standalone-fine" Psmr_cos.Registry.Fine;
-    cos "standalone-lockfree" Psmr_cos.Registry.Lockfree;
-    cos "standalone-fifo" Psmr_cos.Registry.Fifo;
-    cos "standalone-striped-64" (Psmr_cos.Registry.Striped 64);
-    cos "standalone-indexed" Psmr_cos.Registry.Indexed;
+    cos "standalone-coarse" Psmr_early.Registry.Coarse;
+    cos "standalone-fine" Psmr_early.Registry.Fine;
+    cos "standalone-lockfree" Psmr_early.Registry.Lockfree;
+    cos "standalone-fifo" Psmr_early.Registry.Fifo;
+    cos "standalone-striped-64" (Psmr_early.Registry.Striped 64);
+    cos "standalone-indexed" Psmr_early.Registry.Indexed;
     keyed "early";
     keyed "early-opt";
     keyed "lockfree";
@@ -657,10 +657,13 @@ let tiny_report opts =
     Figures.render_figure ~title ~x_label:"x" ~y_label:"kops/s" s
   in
   let cost = Psmr_workload.Workload.Light in
+  let throughput plot = Figures.draw opts (plot opts cost) in
   String.concat ""
     [
-      fig "2" (Figures.fig2 opts cost); fig "3" (Figures.fig3 opts cost);
-      fig "4" (Figures.fig4 opts cost); fig "5" (Figures.fig5 opts cost);
+      fig "2" (throughput Figures.fig2_plot);
+      fig "3" (throughput Figures.fig3_plot);
+      fig "4" (throughput Figures.fig4_plot);
+      fig "5" (throughput Figures.fig5_plot);
       Figures.fig6_table (Figures.fig6 opts ~write_pct:5.0);
     ]
 
@@ -735,6 +738,28 @@ let test_figures_share_points () =
         (at "sequential SMR" w fig4 = at "sequential SMR" 0.0 fig5))
     [ 1.0; 8.0 ]
 
+(* A single figure writes the CSV the full report writes, holding the
+   series it printed. *)
+let test_figure_csv () =
+  let dir = Filename.temp_dir "psmr_figure_csv" "" in
+  let opts = { (tiny_options 1) with csv_dir = Some dir } in
+  let cost = Psmr_workload.Workload.Light in
+  let fig2 = List.hd Figures.throughput_figures in
+  let text = Figures.render_throughput_figure opts fig2 cost in
+  let series = Figures.draw opts (Figures.fig2_plot opts cost) in
+  Alcotest.(check string) "printed series"
+    (Figures.render_figure ~title:"Figure 2 (light): standalone, 0% writes"
+       ~x_label:"workers" ~y_label:"kops/s" series)
+    text;
+  let path = Filename.concat dir "fig2_light.csv" in
+  Alcotest.(check bool) "csv written" true (Sys.file_exists path);
+  let csv = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  Sys.rmdir dir;
+  Alcotest.(check string) "csv holds the printed series"
+    (Psmr_util.Table.csv_of_series ~x_label:"workers" series)
+    csv
+
 let test_figures_report () =
   let text = tiny_report (tiny_options 1) in
   Alcotest.(check string) "pinned text" tiny_report_pinned text;
@@ -795,6 +820,7 @@ let main () =
           Alcotest.test_case "figures share points" `Quick
             test_figures_share_points;
           Alcotest.test_case "figures report" `Quick test_figures_report;
+          Alcotest.test_case "figure csv" `Quick test_figure_csv;
         ] );
     ]
 

@@ -116,7 +116,7 @@ let test_standalone_runs impl () =
 
 let test_standalone_deterministic () =
   let run () =
-    (Psmr_harness.Standalone.run ~backend:(Cos Psmr_cos.Registry.Lockfree)
+    (Psmr_harness.Standalone.run ~backend:(Cos Psmr_early.Registry.Lockfree)
        ~workers:8
        ~workload:(Paper { write_pct = 5.0; cost = Psmr_workload.Workload.Light })
        ~duration:tiny ~warmup:0.005 ())
@@ -132,16 +132,16 @@ let test_standalone_lockfree_fastest () =
        ~duration:0.04 ~warmup:0.01 ())
       .kops
   in
-  let lf = kops Psmr_cos.Registry.Lockfree in
-  let cg = kops Psmr_cos.Registry.Coarse in
-  let fg = kops Psmr_cos.Registry.Fine in
+  let lf = kops Psmr_early.Registry.Lockfree in
+  let cg = kops Psmr_early.Registry.Coarse in
+  let fg = kops Psmr_early.Registry.Fine in
   if not (lf > 2.0 *. cg && lf > 2.0 *. fg) then
     Alcotest.failf "expected lock-free dominance: lf=%.1f cg=%.1f fg=%.1f" lf cg fg
 
 let test_smr_runs () =
   let r =
     Psmr_harness.Smr.run
-      ~mode:(Psmr_replica.Replica.Parallel { impl = Psmr_cos.Registry.Lockfree; workers = 4 })
+      ~mode:(Psmr_replica.Replica.Parallel { impl = Psmr_early.Registry.Lockfree; workers = 4 })
       ~spec:{ write_pct = 0.0; cost = Psmr_workload.Workload.Light }
       ~clients:20 ~duration:0.05 ~warmup:0.02 ()
   in
@@ -158,7 +158,7 @@ let test_smr_parallel_beats_sequential_moderate () =
   in
   let seq = kops Psmr_replica.Replica.Sequential in
   let par =
-    kops (Psmr_replica.Replica.Parallel { impl = Psmr_cos.Registry.Lockfree; workers = 16 })
+    kops (Psmr_replica.Replica.Parallel { impl = Psmr_early.Registry.Lockfree; workers = 16 })
   in
   if not (par > 1.5 *. seq) then
     Alcotest.failf "expected parallel >> sequential: par=%.1f seq=%.1f" par seq
@@ -216,9 +216,9 @@ let () =
                  (Printf.sprintf "runs [%s]" label)
                  `Quick (test_standalone_runs impl))
              [
-               (Psmr_cos.Registry.Coarse, "coarse");
-               (Psmr_cos.Registry.Fine, "fine");
-               (Psmr_cos.Registry.Lockfree, "lockfree");
+               (Psmr_early.Registry.Coarse, "coarse");
+               (Psmr_early.Registry.Fine, "fine");
+               (Psmr_early.Registry.Lockfree, "lockfree");
              ] );
       ( "smr-harness",
         [
