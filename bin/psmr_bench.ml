@@ -196,6 +196,15 @@ let trace_out_arg =
            execution slices, one per simulated process with critical \
            sections.")
 
+(* A harness rejects arguments it cannot act on with [Invalid_argument]
+   (e.g. a replica crash in a standalone run, or a replica recovery in a
+   deployment): a usage error, reported as such. *)
+let usage_errors run =
+  try run ()
+  with Invalid_argument msg ->
+    prerr_endline ("psmr-bench: " ^ msg);
+    exit Cmd.Exit.cli_error
+
 (* One standalone run and its report, shared by the [standalone] (paper
    list workload, COS impls) and [keyed] (keyed workload, any registry
    backend) surfaces.  The class line appears for early backends only,
@@ -203,10 +212,11 @@ let trace_out_arg =
 let run_standalone ~backend ~workers ~workload ?batch ?duration ~faults
     ~metrics ?trace_out () =
   let r =
-    Psmr_harness.Standalone.run ~backend ~workers ~workload ?batch ?duration
-      ~faults ~metrics
-      ~trace:(trace_out <> None)
-      ()
+    usage_errors (fun () ->
+        Psmr_harness.Standalone.run ~backend ~workers ~workload ?batch
+          ?duration ~faults ~metrics
+          ~trace:(trace_out <> None)
+          ())
   in
   let label =
     match (workload : Psmr_harness.Standalone.workload) with
@@ -266,9 +276,10 @@ let smr_cmd =
       | Early { classes; _ } -> Parallel_early { workers; classes }
     in
     let r =
-      Psmr_harness.Smr.run ~mode
-        ~spec:{ write_pct = writes; cost }
-        ~clients ?duration ~faults ()
+      usage_errors (fun () ->
+          Psmr_harness.Smr.run ~mode
+            ~spec:{ write_pct = writes; cost }
+            ~clients ?duration ~faults ())
     in
     Printf.printf
       "%s workers=%d writes=%g%% cost=%s clients=%d: %.1f kops/s, latency %.2f ms (p99 %.2f)\n"

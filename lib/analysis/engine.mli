@@ -2,25 +2,17 @@
     which rules apply (rules scope by directory), so tests can analyze
     fixture text under a virtual path like ["lib/cos/bad.ml"]. *)
 
-val normalize : string -> string
-(** Backslashes to forward slashes, so path scoping works on both
-    separators. *)
-
 val analyze_source :
   ?rules:Rule.t list -> path:string -> string -> Diagnostic.t list
 (** Analyze one file's text.  A file that does not parse yields a single
     ["parse-error"] diagnostic.  Diagnostics are sorted and deduplicated;
     [@psmr.allow]-suppressed ones are dropped. *)
 
-val analyze_file : ?rules:Rule.t list -> string -> Diagnostic.t list
-
-val scan_roots : string list -> string list
-(** Every .ml/.mli under the roots (skipping [_build] and dot-dirs),
-    sorted. *)
-
 val analyze_roots :
   ?rules:Rule.t list -> string list -> int * Diagnostic.t list
-(** [(files_scanned, diagnostics)]. *)
+(** [(files_scanned, diagnostics)] over every .ml/.mli under the roots
+    (skipping [_build] and dot-dirs), in sorted path order; paths are
+    analyzed with backslashes turned to forward slashes. *)
 
 val render_text : files:int -> rules:Rule.t list -> Diagnostic.t list -> string
 val render_json : files:int -> Diagnostic.t list -> string

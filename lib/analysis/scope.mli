@@ -34,11 +34,10 @@ type info = { facts : fact list; regions : region list }
 val flatten : Longident.t -> string list option
 (** [None] on functor-application paths ([F(X).t]). *)
 
-val default_members : (string list * string list) list
-(** Member names assumed for [open] of well-known module paths ([Stdlib],
-    the repo's facade libraries and [Psmr_sim.Engine]); opening one
-    rebinds those names.  A capitalised member is a module, any other a
-    value, which a bare identifier then resolves to. *)
-
 val collect : ?known_members:(string list * string list) list -> ast -> info
-(** Walk a parsed file.  Facts come back in source order. *)
+(** Walk a parsed file.  Facts come back in source order.
+    [known_members] lists the member names assumed for [open] of
+    well-known module paths (default: [Stdlib], the repo's facade
+    libraries and [Psmr_sim.Engine]); opening one rebinds those names.  A
+    capitalised member is a module, any other a value, which a bare
+    identifier then resolves to. *)

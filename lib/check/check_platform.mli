@@ -24,8 +24,6 @@ type race = {
   prev_writer : int;  (** process id of the unordered previous writer *)
 }
 
-val pp_race : Format.formatter -> race -> unit
-
 type t
 (** The instrumentation context backing one [make]d platform. *)
 
@@ -50,12 +48,10 @@ val with_ghost : t -> (unit -> 'a) -> 'a
     nor touch the happens-before state, so shared state can be snapshotted
     between two scheduled operations.  Blocking primitives raise. *)
 
-val set_tracing : t -> bool -> unit
-(** When on, every decision point appends [(pid, op)] to {!oplog} — used
-    by replay to print the failing schedule. *)
-
 val oplog : t -> (int * string) list
-(** The recorded operation log, in execution order. *)
+(** The recorded operation log, in execution order: with tracing on,
+    every decision point appends [(pid, op)] — used by replay to print
+    the failing schedule. *)
 
 (** {2 Running one schedule} *)
 

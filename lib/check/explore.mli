@@ -18,10 +18,6 @@ type report = {
   failures : failure list;
 }
 
-val derive_seed : int64 -> int -> int64
-(** [derive_seed base i] is the seed of random-walk run [i] under base seed
-    [base] (splitmix64 mixing); exposed so failures can be replayed. *)
-
 (** {2 Drivers}
 
     [run] executes one schedule of a scenario under the given picker, e.g.
@@ -35,7 +31,9 @@ val random_walk :
   schedules:int ->
   unit ->
   report
-(** Run [schedules] seeded random walks.  [deadline] is polled before each
+(** Run [schedules] seeded random walks; walk [i]'s seed is mixed from
+    [seed] and [i] (splitmix64) and reported in its {!failure} for replay.
+    [deadline] is polled before each
     run; return [true] to stop early (used for time-boxed CI smoke).
     [stop_on_first] stops at the first failing schedule. *)
 

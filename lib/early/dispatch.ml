@@ -66,22 +66,20 @@
    entries, and an undo log never holds a command that conflicts with
    another queue's contents (conflicting commands share a queue).
 
-   Fault behavior mirrors the COS scheduler: before participating in a
-   dequeued token or a handed read the worker consults the fault hook; a
-   crash pushes the token back at the {e front} of the queue (the
-   reservation is returned, order intact — a speculative pop is restored
-   to [Pending]), or the read back into the slot, and the core leaves the
-   pool or respawns.  A crash-stop of a worker involved in a rendezvous,
-   or holding a handed read, leaves that command unable to complete — the
-   class-barrier deadlock the checker's oracle looks for — while a
-   respawned worker re-pops the token or the read and drains it. *)
+   The workers are a [Psmr_sched.Pool], like the COS scheduler's: a crash
+   pushes the fetched token back at the {e front} of its queue (order
+   intact; a speculative pop is restored to [Pending]), or a handed read
+   back into the slot.  A crash-stop of a worker involved in a
+   rendezvous, or holding a handed read, leaves that command unable to
+   complete — the class-barrier deadlock the checker's oracle looks for —
+   while a respawned worker re-pops the token or the read and drains it. *)
 
 open Psmr_platform
 module Probe = Psmr_obs.Probe
 
 module Make (P : Platform_intf.S) (C : Psmr_cos.Cos_intf.KEYED_COMMAND) =
 struct
-  module Latch = Latch.Make (P)
+  module Pool = Psmr_sched.Pool.Make (P)
   module B = Barrier.Make (P)
 
   type cmd = C.t
@@ -137,7 +135,6 @@ struct
        handed to this worker. *)
     mutable q_idle : bool;
     mutable q_slot : entry option;
-    mutable q_handoffs : int;  (* reads handed to this worker *)
   }
 
   type spec = entry
@@ -153,11 +150,7 @@ struct
         (* execute through the undo capability; [None] = dispatch-only
            optimism (pending tokens wait for their confirmation) *)
     on_commit : (C.t -> unit) option;
-    fault : id:int -> nth:int -> Psmr_fault.Fault.worker_action;
-    joined : Latch.t;
-    submitted : int P.Atomic.t;
-    executed : int P.Atomic.t;
-    crashed : int P.Atomic.t;
+    pool : Pool.t;
     dropped : int P.Atomic.t;
     spec_execs : int P.Atomic.t;  (* speculative executions (workers) *)
     redos : int P.Atomic.t;  (* re-executions after a rollback *)
@@ -179,8 +172,6 @@ struct
     mutable n_repairs : int;
     mutable n_revoked : int;
     mutable n_undone : int;  (* executed commands rolled back by repairs *)
-    mutable live_barriers : entry list;  (* for diagnostics; purged lazily *)
-    mutable live_count : int;
   }
 
   let rec bump_max a v =
@@ -190,17 +181,29 @@ struct
   (* ---------------------------------------------------------------- *)
   (* Queue primitives.                                                 *)
 
-  (* The queue's single consumer waits on [q_cv] in exactly two states:
-     queue empty, or head [Pending] (woken by confirm/revoke/close
-     broadcasts, not by appends).  So an append only needs to signal when
-     it makes the queue non-empty. *)
-  let q_append q tok =
+  (* Append [toks], newest first (the orientation of [q_back]), under one
+     lock round.  The queue's single consumer waits on [q_cv] in exactly
+     two states: queue empty, or head [Pending] (woken by
+     confirm/revoke/close broadcasts, not by appends).  So an append only
+     needs to signal when it makes the queue non-empty. *)
+  let q_append_all q toks =
     P.Mutex.lock q.q_m;
     let was_empty = q.q_front = [] && q.q_back = [] in
-    q.q_back <- tok :: q.q_back;
-    if tok.t_state = Pending then q.q_pending <- q.q_pending + 1;
+    q.q_back <- toks @ q.q_back;
+    List.iter
+      (fun tok -> if tok.t_state = Pending then q.q_pending <- q.q_pending + 1)
+      toks;
     if was_empty then P.Condition.signal q.q_cv;
     P.Mutex.unlock q.q_m
+
+  let q_append q tok = q_append_all q [ tok ]
+
+  (* Move a pending token to [st] (confirmed or revoked), under [q_m]; the
+     broadcast wakes a consumer waiting on the pending head. *)
+  let q_settle q tok st =
+    tok.t_state <- st;
+    q.q_pending <- q.q_pending - 1;
+    P.Condition.broadcast q.q_cv
 
   (* Crash requeue: the reservation goes back where it came from.  A
      speculative pop is normally restored to [Pending] — but if the
@@ -250,13 +253,12 @@ struct
   (* Terminal success: exactly one of [commit]/[drop] fires per entry. *)
   let commit t e =
     if P.Atomic.compare_and_set e.e_done false true then begin
-      ignore (P.Atomic.fetch_and_add t.executed 1 : int);
+      Pool.count_executed t.pool;
       (match t.on_commit with Some f -> f e.e_cmd | None -> ());
       P.Semaphore.release t.window
     end
 
-  type fetched =
-    | Closed
+  type work =
     | Fetched of token * bool
         (* [true]: a shared read whose successor in the queue, at pop
            time, was another shared read — its execution may be handed off *)
@@ -306,7 +308,7 @@ struct
      confirmed — dropped, releasing its window slot.  Parked on an empty
      queue, the worker is idle ([q_idle]): a handed read may land in its
      slot. *)
-  let q_next t q =
+  let q_next t q : work option =
     let spec_run =
       match t.speculate with Some _ -> true | None -> false
     in
@@ -315,13 +317,13 @@ struct
       match q.q_slot with
       | Some e ->
           q.q_slot <- None;
-          Handed e
+          Some (Handed e)
       | None -> next_token ()
     and next_token () =
       q_normalize q;
       match q.q_front with
       | [] ->
-          if q.q_closed then Closed
+          if q.q_closed then None
           else begin
             q.q_idle <- true;
             P.Condition.wait q.q_cv q.q_m;
@@ -346,7 +348,7 @@ struct
                     | next :: _ -> shared && is_shared_read next.t_entry
                     | [] -> false
                   in
-                  Fetched (tok, hand))
+                  Some (Fetched (tok, hand)))
           | Pending ->
               if q.q_closed then begin
                 q.q_front <- rest;
@@ -368,7 +370,7 @@ struct
                     q.q_pending <- q.q_pending - 1;
                     tok.t_state <- Taken;
                     q.q_busy <- true;
-                    Speculative tok
+                    Some (Speculative tok)
               end
               else (P.Condition.wait q.q_cv q.q_m; loop ()))
     and wait_out b =
@@ -440,14 +442,7 @@ struct
         Probe.class_direct ()
     | Class_map.Rendezvous { members; _ } ->
         t.n_rendezvous <- t.n_rendezvous + 1;
-        Probe.class_barrier ~tokens:(Array.length members);
-        t.live_barriers <- e :: t.live_barriers;
-        t.live_count <- t.live_count + 1;
-        if t.live_count > 512 then begin
-          t.live_barriers <-
-            List.filter (fun e -> not (P.Atomic.get e.e_done)) t.live_barriers;
-          t.live_count <- List.length t.live_barriers
-        end);
+        Probe.class_barrier ~tokens:(Array.length members));
     Probe.insert_done ~visits:(List.length fp);
     e
 
@@ -477,17 +472,20 @@ struct
       (fun ta -> Array.exists (fun tb -> ta.t_queue == tb.t_queue) b.e_tokens)
       a.e_tokens
 
-  (* Mis-speculation detection at [confirm e]: the victims are the
+  (* Mis-speculation detection for an entry [e] that is being confirmed,
+     or was just submitted conservatively: the victims are the
      still-unconfirmed speculations positioned ahead of [e] in one of its
-     queues — i.e. FIFO entries with a smaller [e_pos] sharing a queue.
-     Fast path: [e] is the FIFO head (confirmations arrive in speculated
-     order), so nothing can be ahead of it — one physical comparison, no
-     locks, no scan. *)
-  let victims_before t e =
+     queues — i.e. FIFO entries with a smaller [e_pos] sharing a queue (a
+     conservative [e] holds the newest position, so every outstanding
+     speculation is ahead of it).  Fast paths: no speculation outstanding,
+     or [e] is the FIFO head (confirmations arrive in speculated order),
+     so nothing can be ahead of it — no locks, no scan. *)
+  let victims t e =
     if not t.repair then []
     else begin
       fifo_normalize t;
       match t.fifo_front with
+      | [] -> []
       | x :: _ when x == e -> []
       | _ ->
           let rec walk acc = function
@@ -499,16 +497,6 @@ struct
           in
           walk [] (t.fifo_front @ List.rev t.fifo_back)
     end
-
-  (* Victims of a conservative submission [e]: every outstanding
-     speculation shares a smaller position (all were appended before), so
-     only the queue-sharing test filters. *)
-  let victims_all t e =
-    if (not t.repair) || t.spec_out = 0 then []
-    else
-      List.filter
-        (fun en -> shares_queue en e)
-        (t.fifo_front @ List.rev t.fifo_back)
 
   (* Roll back the mis-speculated state and repair the queues: quiesce
      each member queue of [e], undo its log suffix from the earliest
@@ -581,10 +569,7 @@ struct
             let q = tok.t_queue in
             P.Mutex.lock q.q_m;
             (match tok.t_state with
-            | Pending ->
-                q.q_pending <- q.q_pending - 1;
-                tok.t_state <- Revoked;
-                P.Condition.broadcast q.q_cv
+            | Pending -> q_settle q tok Revoked
             | Taken -> tok.t_state <- Revoked
             | Confirmed | Revoked -> ());
             P.Mutex.unlock q.q_m)
@@ -611,7 +596,8 @@ struct
     let keep_out en = not (List.memq en vs) in
     t.fifo_front <- List.filter keep_out t.fifo_front;
     t.fifo_back <- List.filter keep_out t.fifo_back;
-    List.iter (fifo_push t) vs
+    List.iter (fifo_push t) vs;
+    Probe.spec_repair ~revoked:(List.length vs)
 
   (* Window reservation, shared by every submission path: [reserve t need]
      grants [k] slots, [1 <= k <= need], for the caller to spend at once.
@@ -650,12 +636,8 @@ struct
     ignore (reserve t 1 : int);
     let e = make_entry t c ~spec:false ~state:Confirmed in
     enqueue_tokens e;
-    (match victims_all t e with
-    | [] -> ()
-    | vs ->
-        rollback t e vs;
-        Probe.spec_repair ~revoked:(List.length vs));
-    ignore (P.Atomic.fetch_and_add t.submitted 1 : int)
+    (match victims t e with [] -> () | vs -> rollback t e vs);
+    Pool.count_submitted t.pool 1
 
   (* Append confirmed entries for [cs.(off) .. cs.(off + n - 1)]: tokens
      bucketed per queue and appended under one lock round per queue.
@@ -672,15 +654,7 @@ struct
         e.e_tokens
     done;
     Array.iteri
-      (fun w toks ->
-        if toks <> [] then begin
-          let q = t.queues.(w) in
-          P.Mutex.lock q.q_m;
-          let was_empty = q.q_front = [] && q.q_back = [] in
-          q.q_back <- toks @ q.q_back;
-          if was_empty then P.Condition.signal q.q_cv;
-          P.Mutex.unlock q.q_m
-        end)
+      (fun w toks -> if toks <> [] then q_append_all t.queues.(w) toks)
       buckets
 
   (* True batched submission: one [submitted] bump, and per round one
@@ -710,7 +684,7 @@ struct
           end
         in
         round 0;
-        ignore (P.Atomic.fetch_and_add t.submitted n : int)
+        Pool.count_submitted t.pool n
       end
     end
 
@@ -722,11 +696,6 @@ struct
     fifo_push t e;
     e
 
-  (* Commit an already-speculated single-queue entry at its clean
-     confirmation: pop it off the queue's undo log (it is the oldest
-     uncommitted entry, hence the front) and count it executed.  If its
-     execution is still running (popped but not yet logged), hand the
-     commit duty to the worker. *)
   (* Commit duty for a confirmed single-queue entry, decided entirely
      under its queue lock — the worker's speculative pop (Pending ->
      Taken) races the confirmation, so reading the token state outside
@@ -753,9 +722,7 @@ struct
       let commit_now =
         match tok.t_state with
         | Pending ->
-            tok.t_state <- Confirmed;
-            q.q_pending <- q.q_pending - 1;
-            P.Condition.broadcast q.q_cv;
+            q_settle q tok Confirmed;
             false
         | Taken ->
             if P.Atomic.compare_and_set e.e_claim 1 3 then begin
@@ -788,11 +755,7 @@ struct
       (fun tok ->
         let q = tok.t_queue in
         P.Mutex.lock q.q_m;
-        if tok.t_state = Pending then begin
-          tok.t_state <- Confirmed;
-          q.q_pending <- q.q_pending - 1;
-          P.Condition.broadcast q.q_cv
-        end;
+        if tok.t_state = Pending then q_settle q tok Confirmed;
         P.Mutex.unlock q.q_m)
       e.e_tokens
 
@@ -801,22 +764,22 @@ struct
       invalid_arg "Dispatch.confirm: not an optimistic submission";
     if e.e_confirmed then invalid_arg "Dispatch.confirm: already confirmed";
     e.e_confirmed <- true;
-    let vs = victims_before t e in
+    let vs = victims t e in
     fifo_remove t e;
     t.spec_out <- t.spec_out - 1;
     (match vs with
     | [] -> Probe.spec_confirm ()
-    | vs ->
-        rollback t e vs;
-        Probe.spec_repair ~revoked:(List.length vs));
+    | vs -> rollback t e vs);
     if Array.length e.e_tokens = 1 then confirm_direct t e
     else confirm_rendezvous e;
-    ignore (P.Atomic.fetch_and_add t.submitted 1 : int)
+    Pool.count_submitted t.pool 1
 
   (* ---------------------------------------------------------------- *)
   (* Workers.                                                          *)
 
-  let run_entry t e =
+  (* One execution of [e], committed or speculative: dispatch latency and
+     redo accounting, then [f] on the command, timed. *)
+  let execution t e f =
     Probe.dispatch_latency (Probe.now () -. e.e_enq_at);
     if e.e_runs > 0 then begin
       ignore (P.Atomic.fetch_and_add t.redos 1 : int);
@@ -825,8 +788,12 @@ struct
     end;
     e.e_runs <- e.e_runs + 1;
     let t0 = Probe.now () in
-    t.execute e.e_cmd;
+    let r = f e.e_cmd in
     Probe.exec_latency (Probe.now () -. t0);
+    r
+
+  let run_entry t e =
+    execution t e t.execute;
     commit t e
 
   (* Speculative execution of a popped pending token: run the command
@@ -835,19 +802,10 @@ struct
      already known clean — commit instead of logging. *)
   let run_spec t q tok =
     let e = tok.t_entry in
-    Probe.dispatch_latency (Probe.now () -. e.e_enq_at);
-    if e.e_runs > 0 then begin
-      ignore (P.Atomic.fetch_and_add t.redos 1 : int);
-      bump_max t.redo_depth (e.e_runs + 1);
-      Probe.spec_redo ~depth:(e.e_runs + 1)
-    end;
-    e.e_runs <- e.e_runs + 1;
     let speculate =
       match t.speculate with Some f -> f | None -> assert false
     in
-    let t0 = Probe.now () in
-    let undo = speculate e.e_cmd in
-    Probe.exec_latency (Probe.now () -. t0);
+    let undo = execution t e speculate in
     ignore (P.Atomic.fetch_and_add t.spec_execs 1 : int);
     Probe.spec_exec ();
     P.Mutex.lock q.q_m;
@@ -893,7 +851,6 @@ struct
            if free then begin
              h.q_idle <- false;
              h.q_slot <- Some e;
-             h.q_handoffs <- h.q_handoffs + 1;
              P.Condition.signal h.q_cv
            end;
            P.Mutex.unlock h.q_m;
@@ -926,47 +883,20 @@ struct
         | `Execute -> if not (hand && hand_off e) then run_shared t e
         | `Done | `Pass -> ())
 
-  (* [i] identifies the simulated core, stable across respawns; [nth]
-     counts this core's fetches, which is what logical fault points (the
-     checker's crash coordinates) address.  A crash returns the fetched
-     work where it came from ([requeue]). *)
-  let rec worker_loop t i nth () =
+  (* The pool's item callbacks: a crash returns the fetched work where it
+     came from — a token to the front of its queue, a handed read to the
+     slot, for the respawned worker to run first. *)
+  let requeue t i w =
     let q = t.queues.(i - 1) in
-    let fetched ~requeue run =
-      let nth = nth + 1 in
-      match t.fault ~id:i ~nth with
-      | Psmr_fault.Fault.Crash { respawn_after } -> (
-          P.work Fault;
-          requeue ();
-          Probe.requeue ();
-          ignore (P.Atomic.fetch_and_add t.crashed 1 : int);
-          match respawn_after with
-          | None -> Latch.count_down t.joined
-          | Some d -> P.after d (worker_loop t i nth))
-      | (Run | Stall _ | Slow _) as action ->
-          (match action with
-          | Stall d ->
-              P.work Fault;
-              P.sleep d
-          | Run | Slow _ | Crash _ -> ());
-          run ();
-          (match action with
-          | Slow d ->
-              P.work Fault;
-              P.sleep d
-          | Run | Stall _ | Crash _ -> ());
-          worker_loop t i nth ()
-    in
-    match q_next t q with
-    | Closed -> Latch.count_down t.joined
-    | Speculative tok ->
-        fetched ~requeue:(fun () -> q_push_front q tok) (fun () ->
-            run_spec t q tok)
-    | Fetched (tok, hand) ->
-        fetched ~requeue:(fun () -> q_push_front q tok) (fun () ->
-            run_token t i tok hand)
-    | Handed e ->
-        fetched ~requeue:(fun () -> slot_refill q e) (fun () -> run_shared t e)
+    (match w with
+    | Speculative tok | Fetched (tok, _) -> q_push_front q tok
+    | Handed e -> slot_refill q e);
+    Probe.requeue ()
+
+  let run t i = function
+    | Speculative tok -> run_spec t t.queues.(i - 1) tok
+    | Fetched (tok, hand) -> run_token t i tok hand
+    | Handed e -> run_shared t e
 
   (* ---------------------------------------------------------------- *)
   (* Life cycle.                                                       *)
@@ -980,11 +910,6 @@ struct
       | Some m ->
           if m <= 0 then invalid_arg "Dispatch.start: max_size must be positive";
           m
-    in
-    let fault =
-      match fault with
-      | Some f -> f
-      | None -> fun ~id ~nth:_ -> Psmr_fault.Fault.worker ~id
     in
     let t =
       {
@@ -1008,7 +933,6 @@ struct
                 q_prune_at = 64;
                 q_idle = false;
                 q_slot = None;
-                q_handoffs = 0;
               });
         window = P.Semaphore.create max_size;
         repair;
@@ -1016,11 +940,7 @@ struct
         execute;
         speculate;
         on_commit;
-        fault;
-        joined = Latch.create workers;
-        submitted = P.Atomic.make 0;
-        executed = P.Atomic.make 0;
-        crashed = P.Atomic.make 0;
+        pool = Pool.create ?fault ~workers ();
         dropped = P.Atomic.make 0;
         spec_execs = P.Atomic.make 0;
         redos = P.Atomic.make 0;
@@ -1036,27 +956,24 @@ struct
         n_repairs = 0;
         n_revoked = 0;
         n_undone = 0;
-        live_barriers = [];
-        live_count = 0;
       }
     in
-    for i = 1 to workers do
-      P.spawn ~name:(Printf.sprintf "worker-%d" i) (worker_loop t i 0)
-    done;
+    Pool.spawn t.pool
+      ~fetch:(fun i -> q_next t t.queues.(i - 1))
+      ~requeue:(requeue t) ~run:(run t) ();
     t
 
   let start ?max_size ~workers ~execute () =
     start_full ?max_size ~workers ~execute ()
 
-  let submitted t = P.Atomic.get t.submitted
-  let executed t = P.Atomic.get t.executed
-  let in_flight t = submitted t - executed t
-  let crashed_workers t = P.Atomic.get t.crashed
+  let submitted t = Pool.submitted t.pool
+  let executed t = Pool.executed t.pool
+  let in_flight t = Pool.in_flight t.pool
+  let crashed_workers t = Pool.crashed t.pool
   let dropped t = P.Atomic.get t.dropped
   let classes t = Class_map.classes t.map
   let direct_count t = t.n_direct
   let rendezvous_count t = t.n_rendezvous
-  let handoff_count t = Array.fold_left (fun n q -> n + q.q_handoffs) 0 t.queues
   let repair_count t = t.n_repairs
   let revoked_count t = t.n_revoked
   let spec_exec_count t = P.Atomic.get t.spec_execs
@@ -1064,10 +981,7 @@ struct
   let redo_count t = P.Atomic.get t.redos
   let redo_depth_max t = P.Atomic.get t.redo_depth
 
-  let drain ?(poll = 1e-4) t =
-    while executed t < submitted t do
-      P.sleep poll
-    done
+  let drain ?poll t = Pool.drain ?poll t.pool
 
   (* Close every worker queue.  Unconfirmed speculations that already
      executed are rolled back — close discards unconfirmed speculation,
@@ -1099,10 +1013,7 @@ struct
         P.Mutex.unlock q.q_m)
       t.queues
 
-  let shutdown ?poll t =
-    drain ?poll t;
-    close t;
-    Latch.wait t.joined
+  let shutdown ?poll t = Pool.shutdown ?poll t.pool ~close:(fun () -> close t)
 
   (* ---------------------------------------------------------------- *)
   (* Diagnostics: ghost reads for the checker and the tests.  Like the
@@ -1111,38 +1022,51 @@ struct
 
   (* Two stuck shapes: a partial rendezvous (a member never arrived), and a
      fully arrived shared read left in a slot — a live worker takes its
-     slot before parking, so at a halt only a crash leaves one there. *)
+     slot before parking, so at a halt only a crash leaves one there.  A
+     member arrives right after popping its token, and a crash before the
+     arrival pushes the token back, so at a halt every partial rendezvous
+     still has an unarrived member's token queued: scanning the queues
+     finds them all.  Reported oldest position first. *)
   let stalled_barriers t =
-    let handed =
-      Array.to_list t.queues
-      |> List.filter_map (fun q ->
-             match q.q_slot with
-             | Some e when not (P.Atomic.get e.e_done) ->
-                 Some
-                   (Printf.sprintf
-                      "class-barrier stuck: shared read handed to crashed \
-                       worker %d"
-                      q.q_worker)
-             | Some _ | None -> None)
+    let partial e =
+      match e.e_barrier with
+      | Some b
+        when (not (B.completed b))
+             && (not (P.Atomic.get e.e_done))
+             && B.arrived b > 0
+             && B.arrived b < B.size b ->
+          Some
+            ( e.e_pos,
+              Printf.sprintf "class-barrier stuck at %d/%d arrivals (%s)"
+                (B.arrived b) (B.size b)
+                (match B.designated b with
+                | Some d -> Printf.sprintf "designated w%d" d
+                | None -> "shared") )
+      | _ -> None
     in
-    List.rev
-      (List.filter_map
-         (fun e ->
-           match e.e_barrier with
-           | Some b
-             when (not (B.completed b))
-                  && (not (P.Atomic.get e.e_done))
-                  && B.arrived b > 0
-                  && B.arrived b < B.size b ->
-               Some
-                 (Printf.sprintf "class-barrier stuck at %d/%d arrivals (%s)"
-                    (B.arrived b) (B.size b)
-                    (match B.designated b with
-                    | Some d -> Printf.sprintf "designated w%d" d
-                    | None -> "shared"))
-           | _ -> None)
-         t.live_barriers)
-    @ handed
+    let queues = Array.to_list t.queues in
+    (* Positions are unique per entry: sorting on them drops the entry's
+       other members' tokens. *)
+    List.map snd
+      (List.sort_uniq
+         (fun (a, _) (b, _) -> compare a b)
+         (List.concat_map
+            (fun q ->
+              List.filter_map
+                (fun tok -> partial tok.t_entry)
+                (q.q_front @ q.q_back))
+            queues))
+    @ List.filter_map
+        (fun q ->
+          match q.q_slot with
+          | Some e when not (P.Atomic.get e.e_done) ->
+              Some
+                (Printf.sprintf
+                   "class-barrier stuck: shared read handed to crashed \
+                    worker %d"
+                   q.q_worker)
+          | Some _ | None -> None)
+        queues
 
   let invariant ?(strict = false) t =
     let errs = ref [] in

@@ -45,9 +45,10 @@ module Make (P : Platform_intf.S) (C : Psmr_cos.Cos_intf.KEYED_COMMAND) : sig
       speculative executions (see {!confirm}); [on_commit cmd] runs on the
       committing thread once [cmd]'s effects are final (never for
       rolled-back executions) — an optimistic feeder answers clients here;
-      [fault] overrides the per-fetch fault consultation (default: the
-      {!Psmr_fault.Fault} facade, keyed by worker id) — the checker passes
-      logical [(worker, nth-fetch)] crash points here.
+      [fault] overrides the workers' per-fetch fault consultation
+      ({!Psmr_sched.Pool.Make.create}; default: the {!Psmr_fault.Fault}
+      facade, keyed by worker id) — the checker passes logical
+      [(worker, nth-fetch)] crash points here.
 
       Without [speculate], optimistic submissions only position tokens
       early (dispatch-time optimism): execution still waits for the
@@ -125,9 +126,6 @@ module Make (P : Platform_intf.S) (C : Psmr_cos.Cos_intf.KEYED_COMMAND) : sig
 
   val rendezvous_count : t -> int
   (** Commands dispatched through a cross-class barrier. *)
-
-  val handoff_count : t -> int
-  (** Shared reads handed by their last arriver to an idle member. *)
 
   val repair_count : t -> int
   (** Confirmations that detected a mis-speculation. *)

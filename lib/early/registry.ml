@@ -87,18 +87,8 @@ let instantiate (type c) backend (module P : Platform_intf.S)
   | Early cfg ->
       let module D = Dispatch.Make (P) (C) in
       (module struct
-        type cmd = c
-        type t = D.t
+        include D
 
         let start ?max_size ~workers ~execute () =
           D.start_full ?max_size ?classes:cfg.classes ~workers ~execute ()
-
-        let submit = D.submit
-        let submit_batch = D.submit_batch
-        let submitted = D.submitted
-        let executed = D.executed
-        let in_flight = D.in_flight
-        let crashed_workers = D.crashed_workers
-        let drain = D.drain
-        let shutdown = D.shutdown
       end)

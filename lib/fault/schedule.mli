@@ -47,8 +47,6 @@ type t = {
 val empty : t
 (** No faults, seed 1. *)
 
-val no_net : net
-
 val is_empty : t -> bool
 (** No fault can ever fire from this schedule (the seed is ignored). *)
 

@@ -7,9 +7,6 @@ val cores : int
 
 val sim_costs : Psmr_sim.Costs.t
 
-val per_element_cost : Psmr_workload.Workload.cost_class -> float
-(** Per-node list traversal cost (grows with cache footprint). *)
-
 val exec_cost : Psmr_workload.Workload.cost_class -> is_write:bool -> float
 (** Service execution time of one command. *)
 

@@ -41,7 +41,7 @@ let default_replicas ~partitions =
 let config_label ~partitions ~replicas ~workers ~batch
     (spec : Psmr_workload.Workload.Keyed.spec) =
   (* %g throughout ([Keyed.pp] included): fractional percentages must not
-     collapse into the same memo key (the %.0f collision class). *)
+     collapse into the same label (the %.0f collision class). *)
   Format.asprintf "part%d/n%d/w%d/b%d/%a" partitions replicas workers batch
     Psmr_workload.Workload.Keyed.pp spec
 

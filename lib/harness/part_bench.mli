@@ -39,10 +39,12 @@ val config_label :
   batch:int ->
   Psmr_workload.Workload.Keyed.spec ->
   string
-(** The memoization key for one grid point —
+(** The label [psmr-bench part] prints for one grid point —
     ["part<P>/n<N>/w<W>/b<B>/<keyed-spec>"] with every rate rendered
     through [%g], so fractional percentages stay distinct (the %.0f
-    collision class). *)
+    collision class).  Only printed: the grid's memo
+    ({!Psmr_sim.Grid_runner.memo}) compares configurations
+    structurally. *)
 
 val run :
   partitions:int ->

@@ -14,7 +14,6 @@ type result = {
 
 val default_duration : float
 val default_warmup : float
-val default_cmds_per_request : int
 
 (** A replicated deployment running on a simulated run. *)
 type deployment = {
@@ -51,8 +50,11 @@ val run :
   ?faults:Psmr_fault.Schedule.t ->
   unit ->
   result
-(** [faults] (default empty) arms a deterministic fault schedule for the
-    deployment: message loss/duplication/delay in the simulated network and
-    worker crashes/stalls/slowdowns inside the replicas' parallel
-    executors.  Empty schedule: bit-identical to a run without fault
-    support. *)
+(** [cmds_per_request] defaults to 10.  [faults] (default empty) arms a
+    deterministic fault schedule for the deployment: message
+    loss/duplication/delay in the simulated network, worker
+    crashes/stalls/slowdowns inside the replicas' parallel executors, and
+    replica crash-stops.  Empty schedule: bit-identical to a run without
+    fault support.
+    @raise Invalid_argument on a [replica-crash] with a recovery delay
+    ([+D]): the deployment cannot restart a replica. *)

@@ -137,17 +137,10 @@ let start ?max_size ~workers ~batch ~next ~disorder sim backend =
              layout fixes: both streams cost ~1us of feeder time per
              command, so interleaving them halves the submission rate
              even at 0% mis-speculation. *)
-          let ch = Queue.create () in
-          let ch_m = SP.Mutex.create () in
-          let ch_cv = SP.Condition.create () in
+          let module MB = Psmr_platform.Mailbox.Make (SP) in
+          let ch = MB.create () in
           Sim_run.forever sim ~name:"confirmer" (fun () ->
-              SP.Mutex.lock ch_m;
-              while Queue.is_empty ch do
-                SP.Condition.wait ch_cv ch_m
-              done;
-              let block = Queue.pop ch in
-              SP.Mutex.unlock ch_m;
-              Array.iter (fun e -> D.confirm d e) block);
+              Option.iter (Array.iter (D.confirm d)) (MB.take ch));
           (* Each step generates a block of commands in final order and
              submits it optimistically in disordered order. *)
           let order = Array.init opt_block Fun.id in
@@ -157,11 +150,7 @@ let start ?max_size ~workers ~batch ~next ~disorder sim backend =
             Array.iter
               (fun i -> entries.(i) <- Some (D.submit_optimistic d finals.(i)))
               (disorder order);
-            let block = Array.map Option.get entries in
-            SP.Mutex.lock ch_m;
-            Queue.push block ch;
-            SP.Condition.signal ch_cv;
-            SP.Mutex.unlock ch_m
+            ignore (MB.put ch (Array.map Option.get entries) : bool)
         end
       in
       {
@@ -199,6 +188,11 @@ let run ~backend ~workers ~workload ?max_size ?(batch = 1) ?costs
     ?(duration = default_duration) ?(warmup = default_warmup) ?(seed = 42L)
     ?faults ?metrics ?trace ?probe_engine () =
   if batch < 1 then invalid_arg "Standalone.run: batch must be >= 1";
+  (match faults with
+  | Some { Psmr_fault.Schedule.replicas = _ :: _; _ } ->
+      invalid_arg "Standalone.run: replica-crash, but a standalone run has \
+                   no replica"
+  | Some _ | None -> ());
   Sim_run.with_sim ?costs ?faults ?metrics ?trace ?probe_engine @@ fun sim ->
   let rng = Psmr_util.Rng.create ~seed in
   (* The keyed stream splits its speculation stream off the seed before the

@@ -92,6 +92,8 @@ val run :
     the run degrades accordingly.  The faulty run is replayable from
     ([seed], [faults]) alone; with the empty schedule the virtual-time
     history is bit-identical to a build without fault support.
+    @raise Invalid_argument on a [replica-crash] event: a standalone run
+    has no replica to crash.
 
     [metrics] (default false) activates an observability registry for the
     run and returns it in [result.metrics]; [trace] additionally collects a

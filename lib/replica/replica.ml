@@ -713,13 +713,20 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
               r.run_applier ();
               Latch.count_down t.all_joined);
           (* Timer: self-addressed ticks keep protocol timing inside the
-             single replica thread. *)
+             single replica thread.  Each tick first polls the fault plan
+             (one pointer read when none is armed): a replica crash that
+             has come due crash-stops the replica, as {!crash_replica}
+             does — the deployment cannot restart one, so a recovery
+             delay is not acted on. *)
           P.spawn ~name:(Printf.sprintf "ticker-%d" r.id) (fun () ->
               let rec tick_loop () =
                 if not (P.Atomic.get r.stopped) then begin
                   P.sleep t.cfg.tick_interval;
-                  Net.send t.net ~src:r.id ~dst:r.id Tick;
-                  tick_loop ()
+                  match Psmr_fault.Fault.replica ~id:r.id with
+                  | Some (`Crash _) -> Net.crash t.net r.id
+                  | None ->
+                      Net.send t.net ~src:r.id ~dst:r.id Tick;
+                      tick_loop ()
                 end
               in
               tick_loop ()))

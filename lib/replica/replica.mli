@@ -144,7 +144,11 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) : sig
         or a nested or empty {!Partitioned} mode. *)
 
     val start : t -> unit
-    (** Spawn every replica's protocol loop, parallelizer and ticker. *)
+    (** Spawn every replica's protocol loop, parallelizer and ticker.  A
+        ticker polls the armed fault plan ({!Psmr_fault.Fault.replica}) on
+        every tick and crash-stops its replica, as {!crash_replica}, once a
+        [replica-crash] event for it is due; the deployment cannot restart
+        a replica, so the event's recovery delay is not acted on. *)
 
     val client : t -> int -> client
     (** The [i]-th client endpoint (0-based; create one handle per calling

@@ -14,8 +14,12 @@
     with no shared scheduling structure at all, at the price of
     full-barrier writes and no work stealing between queues.
 
+    Its workers are a {!Pool}, like the COS runtime's: a crashed worker's
+    token is held for the core and fetched again first, by the core's
+    replacement when the fault schedule respawns it.
+
     The ablation harness compares this against the three COS algorithms
-    (see [Psmr_harness.Ablations.early_vs_late]). *)
+    (see [Psmr_harness.Figures.early_vs_late]). *)
 
 open Psmr_platform
 
@@ -29,24 +33,21 @@ end
 module Make (P : Platform_intf.S) (C : RW_COMMAND) = struct
   module MB = Mailbox.Make (P)
   module Latch = Latch.Make (P)
+  module Pool = Pool.Make (P)
 
-  type barrier = {
-    cmd : C.t;
-    remaining : int P.Atomic.t;
-    mutex : P.Mutex.t;
-    done_cond : P.Condition.t;
-    mutable completed : bool;
-  }
+  (* [executed] opens once the last arriver has run the write. *)
+  type barrier = { cmd : C.t; remaining : int P.Atomic.t; executed : Latch.t }
 
   type token = Read of C.t | Write_barrier of barrier
 
   type t = {
     queues : token MB.t array;
+    held : token option array;
+        (* a crashed worker's token, fetched again before its queue; only
+           that core's worker reads or writes its cell *)
     workers : int;
     mutable next_queue : int;  (* round-robin cursor; scheduler-private *)
-    submitted : int P.Atomic.t;
-    executed : int P.Atomic.t;
-    joined : Latch.t;
+    pool : Pool.t;
   }
 
   let start ~workers ~execute () =
@@ -54,58 +55,48 @@ module Make (P : Platform_intf.S) (C : RW_COMMAND) = struct
     let t =
       {
         queues = Array.init workers (fun _ -> MB.create ());
+        held = Array.make workers None;
         workers;
         next_queue = 0;
-        submitted = P.Atomic.make 0;
-        executed = P.Atomic.make 0;
-        joined = Latch.create workers;
+        pool = Pool.create ~workers ();
       }
     in
-    for i = 0 to workers - 1 do
-      P.spawn ~name:(Printf.sprintf "early-worker-%d" i) (fun () ->
-          let rec loop () =
-            match MB.take t.queues.(i) with
-            | None -> Latch.count_down t.joined
-            | Some (Read c) ->
-                execute c;
-                ignore (P.Atomic.fetch_and_add t.executed 1 : int);
-                loop ()
-            | Some (Write_barrier b) ->
-                let arrivals_left = P.Atomic.fetch_and_add b.remaining (-1) in
-                if arrivals_left = 1 then begin
-                  (* Last to arrive: every queue has passed all tokens that
-                     preceded this write, so it executes in isolation. *)
-                  execute b.cmd;
-                  ignore (P.Atomic.fetch_and_add t.executed 1 : int);
-                  P.Mutex.lock b.mutex;
-                  b.completed <- true;
-                  P.Condition.broadcast b.done_cond;
-                  P.Mutex.unlock b.mutex
-                end
-                else begin
-                  P.Mutex.lock b.mutex;
-                  while not b.completed do
-                    P.Condition.wait b.done_cond b.mutex
-                  done;
-                  P.Mutex.unlock b.mutex
-                end;
-                loop ()
-          in
-          loop ())
-    done;
+    let fetch i =
+      match t.held.(i - 1) with
+      | Some _ as tok ->
+          t.held.(i - 1) <- None;
+          tok
+      | None -> MB.take t.queues.(i - 1)
+    in
+    let run _ = function
+      | Read c ->
+          execute c;
+          Pool.count_executed t.pool
+      | Write_barrier b ->
+          let arrivals_left = P.Atomic.fetch_and_add b.remaining (-1) in
+          if arrivals_left = 1 then begin
+            (* Last to arrive: every queue has passed all tokens that
+               preceded this write, so it executes in isolation. *)
+            execute b.cmd;
+            Pool.count_executed t.pool;
+            Latch.count_down b.executed
+          end
+          else Latch.wait b.executed
+    in
+    Pool.spawn t.pool ~fetch ~run
+      ~requeue:(fun i tok -> t.held.(i - 1) <- Some tok)
+      ();
     t
 
   (* Single-threaded caller, in delivery order (the "parallelizer"). *)
   let submit t c =
-    ignore (P.Atomic.fetch_and_add t.submitted 1 : int);
+    Pool.count_submitted t.pool 1;
     if C.is_write c then begin
       let b =
         {
           cmd = c;
           remaining = P.Atomic.make t.workers;
-          mutex = P.Mutex.create ();
-          done_cond = P.Condition.create ();
-          completed = false;
+          executed = Latch.create 1;
         }
       in
       Array.iter (fun q -> ignore (MB.put q (Write_barrier b) : bool)) t.queues
@@ -116,17 +107,11 @@ module Make (P : Platform_intf.S) (C : RW_COMMAND) = struct
       ignore (MB.put q (Read c) : bool)
     end
 
-  let submitted t = P.Atomic.get t.submitted
-  let executed t = P.Atomic.get t.executed
-  let in_flight t = submitted t - executed t
-
-  let drain ?(poll = 1e-4) t =
-    while executed t < submitted t do
-      P.sleep poll
-    done
+  let submitted t = Pool.submitted t.pool
+  let executed t = Pool.executed t.pool
+  let in_flight t = Pool.in_flight t.pool
+  let drain ?poll t = Pool.drain ?poll t.pool
 
   let shutdown ?poll t =
-    drain ?poll t;
-    Array.iter MB.close t.queues;
-    Latch.wait t.joined
+    Pool.shutdown ?poll t.pool ~close:(fun () -> Array.iter MB.close t.queues)
 end

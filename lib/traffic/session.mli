@@ -5,12 +5,10 @@
 
 type t
 
-val default_max_live : int
-(** 65_536 resident streams. *)
-
 val create : ?seed:int64 -> ?max_live:int -> sessions:int -> unit -> t
 (** [sessions] is the logical population (may be millions); at most
-    [max_live] per-session streams are resident at once. *)
+    [max_live] per-session streams (default 65 536) are resident at
+    once. *)
 
 val sessions : t -> int
 

@@ -125,6 +125,47 @@ let test_on_sim_deterministic () =
   Alcotest.(check bool) "ran" true (a > 0.0);
   Alcotest.(check (float 0.0)) "deterministic" a b
 
+let test_on_sim_crash_respawn () =
+  (* Worker 3 crashes on its first fetch after 20 us and respawns 50 us
+     later: the token it held is fetched again first, so every command
+     still runs exactly once and the writes keep delivery order. *)
+  let open Psmr_sim in
+  let e = Engine.create () in
+  let (module SP) = Sim_platform.make e Costs.default in
+  let module SE = Psmr_sched.Early.Make (SP) (Rw) in
+  let plan =
+    Psmr_fault.Plan.make
+      ~now:(fun () -> Engine.now e)
+      (Psmr_fault.Schedule.parse_exn "worker-crash=3@0.00002+0.00005")
+  in
+  let n = 500 in
+  let runs = Array.make n 0 in
+  let last_write = ref (-1) and ordered = ref true and executed = ref 0 in
+  let execute (c : Rw.t) =
+    runs.(c.idx) <- runs.(c.idx) + 1;
+    if c.write then begin
+      if c.idx < !last_write then ordered := false;
+      last_write := c.idx
+    end;
+    SP.sleep 1e-5
+  in
+  Psmr_fault.Plan.with_plan plan (fun () ->
+      Engine.spawn e (fun () ->
+          let sched = SE.start ~workers:8 ~execute () in
+          let rng = Psmr_util.Rng.create ~seed:33L in
+          for i = 0 to n - 1 do
+            SE.submit sched
+              { Rw.idx = i; write = Psmr_util.Rng.below_percent rng 15.0 }
+          done;
+          SE.shutdown sched;
+          executed := SE.executed sched);
+      Engine.run e);
+  Alcotest.(check int) "the crash fired" 1 (Psmr_fault.Plan.injected plan);
+  Alcotest.(check int) "all executed" n !executed;
+  Alcotest.(check bool) "each command ran once" true
+    (Array.for_all (( = ) 1) runs);
+  Alcotest.(check bool) "writes in delivery order" true !ordered
+
 (* ====================================================================== *)
 (* lib/early: the class-map dispatch subsystem (Psmr_early).              *)
 (* ====================================================================== *)
@@ -443,6 +484,14 @@ let test_optimistic_sim_deterministic () =
   Alcotest.(check bool) "ran" true (a > 0.0);
   Alcotest.(check (float 0.0)) "deterministic" a b
 
+(* Run [f] with a metrics registry enabled; [f]'s result and the shared
+   reads handed off meanwhile ([early.read_handoffs]). *)
+let counting_handoffs f =
+  let reg = Psmr_obs.Metrics.make () in
+  Psmr_obs.Metrics.enable reg;
+  let r = Fun.protect ~finally:Psmr_obs.Metrics.disable f in
+  (r, int_of_float (Psmr_obs.Metrics.value reg "early.read_handoffs"))
+
 (* [cmds], (footprint, duration) pairs, submitted in order to 4 workers on
    the DES with one class per worker (key k -> worker k+1); returns each
    command's execution span and the dispatcher's hand-off count. *)
@@ -452,7 +501,6 @@ let des_schedule ?write_gate cmds =
   let (module SP) = Sim_platform.make e Costs.default in
   let module SD = Psmr_early.Dispatch.Make (SP) (Fc) in
   let span = Array.make (Array.length cmds) (nan, nan) in
-  let handoffs = ref (-1) in
   Engine.spawn e (fun () ->
       let d =
         SD.start_full ?write_gate ~workers:4
@@ -463,10 +511,9 @@ let des_schedule ?write_gate cmds =
           ()
       in
       Array.iteri (fun idx (fp, _) -> SD.submit d { Fc.idx; fp }) cmds;
-      SD.shutdown d;
-      handoffs := SD.handoff_count d);
-  Engine.run e;
-  (span, !handoffs)
+      SD.shutdown d);
+  let (), handoffs = counting_handoffs (fun () -> Engine.run e) in
+  (span, handoffs)
 
 (* Shared read rendezvous on the DES, one class per worker (key k ->
    worker k+1).  w1 is busy with a 30 us write when the scan R1 (keys
@@ -590,7 +637,6 @@ let test_write_rendezvous_stays_designated () =
   let bank = fresh () in
   let responses = Array.make 2 None in
   let span = Array.make 2 (nan, nan) in
-  let handoffs = ref (-1) in
   Engine.spawn e (fun () ->
       let d =
         SD.start ~workers:4
@@ -602,10 +648,9 @@ let test_write_rendezvous_stays_designated () =
           ()
       in
       Array.iter (SD.submit d) cmds;
-      SD.shutdown d;
-      handoffs := SD.handoff_count d);
-  Engine.run e;
-  Alcotest.(check int) "no hand-off" 0 !handoffs;
+      SD.shutdown d);
+  let (), handoffs = counting_handoffs (fun () -> Engine.run e) in
+  Alcotest.(check int) "no hand-off" 0 handoffs;
   Alcotest.(check bool) "responses = sequential" true
     (Array.for_all2 (fun r x -> r = Some x) responses expected);
   Alcotest.(check bool) "Balance 5 starts after the transfer ends" true
@@ -1418,8 +1463,11 @@ let () =
             test_all_writes_totally_ordered;
         ] );
       ( "sim",
-        [ Alcotest.test_case "deterministic" `Quick test_on_sim_deterministic ]
-      );
+        [
+          Alcotest.test_case "deterministic" `Quick test_on_sim_deterministic;
+          Alcotest.test_case "crash and respawn" `Quick
+            test_on_sim_crash_respawn;
+        ] );
       ( "class-map",
         [
           Alcotest.test_case "shape and clamping" `Quick test_class_map_shape;

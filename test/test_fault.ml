@@ -189,6 +189,33 @@ let test_standalone_faulty_replayable () =
   Alcotest.(check int) "crash happened" 1 a.crashed_workers;
   Alcotest.(check bool) "faults fired" true (a.faults_injected >= 2)
 
+let test_standalone_rejects_replica_crash () =
+  Alcotest.(check bool) "rejected" true
+    (match standalone ~faults:(Schedule.parse_exn "replica-crash=0@0.02") () with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* --- the replicated deployment: a due replica crash crash-stops it --- *)
+
+let smr ~faults =
+  Psmr_harness.Smr.run
+    ~mode:(Parallel { impl = Psmr_early.Registry.Lockfree; workers = 4 })
+    ~spec:spec10 ~clients:4 ~duration:0.24 ~warmup:0.01
+    ~faults:(Schedule.parse_exn faults) ()
+
+let test_smr_replica_crash () =
+  (* Replica 0 leads view 0; its crash at 50 ms makes the survivors elect
+     a new leader once the 150 ms election timeout passes. *)
+  let r = smr ~faults:"replica-crash=0@0.05" in
+  Alcotest.(check int) "one injected" 1 r.faults_injected;
+  Alcotest.(check bool) "a view change" true (r.views >= 1)
+
+let test_smr_rejects_recovery () =
+  Alcotest.(check bool) "rejected" true
+    (match smr ~faults:"replica-crash=0@0.05+0.01" with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 (* --- recovery equivalence: crashed + recovered replica ends byte-identical
    to the fault-free run, across every COS implementation, the early
    class-map dispatcher and every service --- *)
@@ -384,6 +411,15 @@ let () =
             test_standalone_zero_perturbation;
           Alcotest.test_case "faulty run replayable" `Quick
             test_standalone_faulty_replayable;
+          Alcotest.test_case "replica crash rejected" `Quick
+            test_standalone_rejects_replica_crash;
+        ] );
+      ( "deployment",
+        [
+          Alcotest.test_case "replica crash crash-stops" `Quick
+            test_smr_replica_crash;
+          Alcotest.test_case "replica recovery rejected" `Quick
+            test_smr_rejects_recovery;
         ] );
       ( "recovery",
         [

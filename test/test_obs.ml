@@ -526,8 +526,9 @@ let schema_rejections =
        "$.open_loop[0].steps[0].p50") );
   ]
 
-(* Memo-key coverage for the partition grid (the PR-8 lesson: a %.0f in a
-   memo key collapsed distinct fractional rates into one simulated point).
+(* Label coverage for the partition grid (the PR-8 lesson: a %.0f in what
+   was then the memo key collapsed distinct fractional rates into one
+   simulated point; the memo now compares configs structurally).
    [Part_bench.config_label] must keep every grid dimension — partitions
    included — and fractional workload rates distinct. *)
 let test_part_config_label () =

@@ -516,14 +516,21 @@ let trace_digest run =
 
 let golden_spec = { Psmr_workload.Workload.write_pct = 15.0; cost = Light }
 
-let golden_standalone impl ~probe_engine =
+(* One of every worker fault inside the measured window: worker 2 crashes
+   and respawns, worker 3 stalls once, worker 4 runs slow from 12 ms on. *)
+let golden_faults =
+  Psmr_fault.Schedule.parse_exn
+    "worker-crash=2@0.008+0.002,worker-stall=3@0.01:0.0005,\
+     worker-slow=4@0.012:0.000002"
+
+let golden_standalone ?faults impl ~probe_engine =
   ignore
     (Psmr_harness.Standalone.run ~backend:(Cos impl) ~workers:8
        ~workload:(Paper golden_spec) ~duration:0.02 ~warmup:0.005 ~seed:7L
-       ~probe_engine ()
+       ?faults ~probe_engine ()
       : Psmr_harness.Standalone.result)
 
-let golden_keyed name ~probe_engine =
+let golden_keyed ?faults name ~probe_engine =
   let backend = Option.get (Psmr_early.Registry.of_string name) in
   (* mis_pct > 0 so the early-opt trace exercises the repair path. *)
   let spec =
@@ -531,12 +538,25 @@ let golden_keyed name ~probe_engine =
   in
   ignore
     (Psmr_harness.Standalone.run ~backend ~workers:8 ~workload:(Keyed spec)
-       ~duration:0.02 ~warmup:0.005 ~seed:7L ~probe_engine ()
+       ~duration:0.02 ~warmup:0.005 ~seed:7L ?faults ~probe_engine ()
       : Psmr_harness.Standalone.result)
+
+(* The replicated deployment as [Smr.run] builds it — the replica's
+   batched submit path into the executor backend — with 20 clients. *)
+let golden_smr mode ~probe_engine =
+  let open Psmr_harness in
+  Sim_run.with_sim ~probe_engine @@ fun sim ->
+  ignore
+    (Smr.deploy sim ~mode ~spec:golden_spec ~clients:20 ~cmds_per_request:10
+       ~client_timeout:Model.smr_client_timeout ~seed:7L
+       ~on_reply:(fun _ -> ())
+      : Smr.deployment);
+  ignore (Sim_run.run sim ~warmup:0.005 ~duration:0.02 : float)
 
 let golden_cases =
   let cos name impl = (name, fun ~probe_engine -> golden_standalone impl ~probe_engine) in
   let keyed name = (name, fun ~probe_engine -> golden_keyed name ~probe_engine) in
+  let faults = golden_faults in
   [
     cos "standalone-coarse" Psmr_early.Registry.Coarse;
     cos "standalone-fine" Psmr_early.Registry.Fine;
@@ -548,6 +568,16 @@ let golden_cases =
     keyed "early-opt";
     keyed "lockfree";
     keyed "indexed";
+    ( "faults-early",
+      fun ~probe_engine -> golden_keyed ~faults "early" ~probe_engine );
+    ( "faults-lockfree",
+      fun ~probe_engine ->
+        golden_standalone ~faults Psmr_early.Registry.Lockfree ~probe_engine );
+    ( "smr-early",
+      golden_smr (Parallel_early { workers = 8; classes = None }) );
+    ( "smr-lockfree",
+      golden_smr (Parallel { impl = Psmr_early.Registry.Lockfree; workers = 8 })
+    );
   ]
 
 (* Captured from the pre-fast-path engine (PR 7 baseline) and required to
@@ -597,6 +627,21 @@ let golden_expected =
     ( "indexed",
       "953b84cc1e8f755e2c2ac7428c6c45b8 clock=0x1.999999999999ap-6 \
        events=1412288" );
+    (* Worker faults on both backend families, and the replicated
+       deployment: pinned at the commit before the three worker loops
+       became one [Psmr_sched.Pool]. *)
+    ( "faults-early",
+      "b088633d27350ca7176644421d16937b clock=0x1.999999999999ap-6 \
+       events=325199" );
+    ( "faults-lockfree",
+      "150431f6a94cd2237c348fd51b99e9da clock=0x1.999999999999ap-6 \
+       events=651795" );
+    ( "smr-early",
+      "cc866c5d5c7936c8be01c558c2f0f463 clock=0x1.999999999999ap-6 \
+       events=516876" );
+    ( "smr-lockfree",
+      "fe0f63cab5c8a673294dfe8e3fd588c4 clock=0x1.999999999999ap-6 \
+       events=2010413" );
   ]
 
 let golden_tests =
