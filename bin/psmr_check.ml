@@ -22,12 +22,13 @@ open Cmdliner
 module Check = Psmr_checker
 
 (* A check target is either a COS scenario (possibly a planted-bug
-   variant) or an early-scheduling scenario.  The early family has three
+   variant) or an early-scheduling scenario.  The early family has four
    planted bugs: [repair = false] (mis-speculation repair disabled — the
    conflict-order oracle's target), [undo = false] under speculation
    (rollbacks skip the state restore — the rollback-consistency oracle's
-   target) and [write_gate = false] (writes run past still-executing
-   shared read rendezvous — caught by both). *)
+   target), [write_gate = false] (writes run past still-executing shared
+   reads) and [read_gate = false] (a shared read runs before the writes
+   ahead of it complete) — each of the last two caught by both. *)
 type target =
   | Cos_target of Check.Cos_check.target
   | Early_target of {
@@ -36,6 +37,7 @@ type target =
       optimistic : bool;
       repair : bool;
       write_gate : bool;
+      read_gate : bool;
       speculate : bool;
       undo : bool;
     }
@@ -75,6 +77,7 @@ let target_conv =
                optimistic = true;
                repair = false;
                write_gate = true;
+               read_gate = true;
                speculate = false;
                undo = true;
              })
@@ -87,6 +90,7 @@ let target_conv =
                optimistic = true;
                repair = true;
                write_gate = true;
+               read_gate = true;
                speculate = true;
                undo = false;
              })
@@ -99,6 +103,20 @@ let target_conv =
                optimistic = false;
                repair = true;
                write_gate = false;
+               read_gate = true;
+               speculate = false;
+               undo = true;
+             })
+    | "broken-early-readfirst" | "early-readfirst" ->
+        Ok
+          (Early_target
+             {
+               name = "broken-early-readfirst";
+               classes = None;
+               optimistic = false;
+               repair = true;
+               write_gate = true;
+               read_gate = false;
                speculate = false;
                undo = true;
              })
@@ -125,6 +143,7 @@ let target_conv =
                    optimistic = Psmr_early.Registry.is_optimistic b;
                    repair = true;
                    write_gate = true;
+                   read_gate = true;
                    speculate = false;
                    undo = true;
                  })
@@ -144,7 +163,8 @@ let impl_arg =
            partitioned-merge divergence scenarios; --workers counts \
            replica merges), or a planted-bug variant (broken-wtg-start, \
            broken-lost-signal, broken-no-sentinel, broken-early-norepair, \
-           broken-early-noundo, broken-early-nogate, broken-part-nobarrier).")
+           broken-early-noundo, broken-early-nogate, broken-early-readfirst, \
+           broken-part-nobarrier).")
 
 let workers_arg =
   Arg.(value & opt int 3 & info [ "workers" ] ~docv:"N" ~doc:"Worker processes.")
@@ -400,6 +420,7 @@ let run target workers commands writes keys cross mis spec max_size no_drain
           Check.Early_check.scenario ~workers ?classes:e.classes ~commands
             ~keys ~write_pct:writes ~cross_pct:cross ~optimistic:e.optimistic
             ~mis_pct:mis ~repair:e.repair ~write_gate:e.write_gate
+            ~read_gate:e.read_gate
             ~speculate:(e.speculate || spec)
             ~undo:e.undo ~max_size ~drain_before_close:(not no_drain)
             ~crashes ~respawn:(not no_respawn) ~workload_seed ()

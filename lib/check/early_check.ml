@@ -16,7 +16,8 @@
       final delivery order, [a]'s committed execution must finish
       strictly before [b]'s begins — on optimistic runs this is exactly
       what the repair path must restore, and the deliberately broken
-      [repair = false] and [write_gate = false] variants are caught here;
+      [repair = false], [write_gate = false] and [read_gate = false]
+      variants are caught here;
     - {b rollback consistency}: at quiescence the register file, and the
       values each committed execution observed, must equal a sequential
       replay of the commands in final delivery order — a rolled-back
@@ -26,9 +27,9 @@
       rollbacks, never after commit, and on completed runs every command
       commits exactly once with its effects in place;
     - {b class-barrier deadlock}: when the run halts with work left, a
-      partially-arrived rendezvous is reported via
-      [Dispatch.stalled_barriers] — the signature failure of a worker
-      crash-stopping inside a barrier;
+      partially-arrived write rendezvous, or a ready read no worker took,
+      is reported via [Dispatch.stalled_barriers] — the signature failure
+      of a worker crash-stopping inside a barrier;
     - {b happens-before races} on instrumented cells and the dispatcher's
       {b structural invariants} (ghost snapshots; strict at quiescence). *)
 
@@ -67,9 +68,12 @@ type scenario = {
       (* [false] disables the mis-speculation repair — the planted bug the
          conflict-order oracle must catch under optimism *)
   write_gate : bool;
-      (* [false] lets writes run past still-executing shared read
-         rendezvous — the planted bug the conflict-order and
-         rollback-consistency oracles must catch *)
+      (* [false] lets writes run past still-executing shared reads — the
+         planted bug the conflict-order and rollback-consistency oracles
+         must catch *)
+  read_gate : bool;
+      (* [false] makes a shared read ready before the writes ahead of it
+         have completed — caught by the same oracles *)
   speculate : bool;
       (* [true]: install the undo-capable execution hook, so pending
          single-queue tokens execute before confirmation *)
@@ -78,8 +82,9 @@ type scenario = {
          planted bug the rollback-consistency oracle must catch *)
   drain_before_close : bool;
   crashes : (int * int) list;
-      (* [(w, k)]: worker [w] crashes at its [k]-th token fetch (1-based),
-         requeueing the token at the queue front.  Logical points; the
+      (* [(w, k)]: worker [w] crashes at its [k]-th fetch (1-based),
+         requeueing the token at its queue's front, or the ready read at
+         the ready queue's.  Logical points; the
          picker explores every interleaving, including crashes after
          barrier partners already arrived. *)
   respawn : bool;  (* [true]: the crashed worker re-enters its loop *)
@@ -87,7 +92,7 @@ type scenario = {
 
 let scenario ?(workers = 3) ?classes ?(commands = 10) ?(keys = 4)
     ?(write_pct = 40.0) ?(cross_pct = 20.0) ?(optimistic = false)
-    ?(mis_pct = 30.0) ?(repair = true) ?(write_gate = true)
+    ?(mis_pct = 30.0) ?(repair = true) ?(write_gate = true) ?(read_gate = true)
     ?(speculate = false) ?(undo = true) ?(max_size = 8)
     ?(drain_before_close = true) ?(crashes = []) ?(respawn = true)
     ~workload_seed () =
@@ -126,6 +131,7 @@ let scenario ?(workers = 3) ?classes ?(commands = 10) ?(keys = 4)
     opt_seed = Psmr_util.Rng.int64 rng;
     repair;
     write_gate;
+    read_gate;
     speculate;
     undo;
     drain_before_close;
@@ -226,7 +232,8 @@ let run_schedule ?max_steps ?trace ?metrics sc ~pick =
   in
   let d =
     ED.start_full ~max_size:sc.max_size ?classes:sc.classes ~repair:sc.repair
-      ~write_gate:sc.write_gate ?speculate ~on_commit ~fault ~workers:sc.workers
+      ~write_gate:sc.write_gate
+      ~read_gate:sc.read_gate ?speculate ~on_commit ~fault ~workers:sc.workers
       ~execute ()
   in
   let inv ~strict () =

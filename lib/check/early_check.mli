@@ -36,9 +36,12 @@ type scenario = {
       (** [false] disables the mis-speculation repair — the planted bug
           the conflict-order oracle must catch under optimism *)
   write_gate : bool;
-      (** [false] lets writes run past still-executing shared read
-          rendezvous — the planted bug the conflict-order and
-          rollback-consistency oracles must catch *)
+      (** [false] lets writes run past still-executing shared reads — the
+          planted bug the conflict-order and rollback-consistency oracles
+          must catch *)
+  read_gate : bool;
+      (** [false] makes a shared read ready before the writes ahead of it
+          have completed — the planted bug the same oracles must catch *)
   speculate : bool;
       (** [true]: install the dispatcher's undo-capable execution hook, so
           pending single-queue tokens execute before their confirmation
@@ -48,8 +51,9 @@ type scenario = {
           the planted bug the rollback-consistency oracle must catch *)
   drain_before_close : bool;
   crashes : (int * int) list;
-      (** [(w, k)]: worker [w] crashes at its [k]-th token fetch (1-based),
-          requeueing the token at its queue's front.  With [respawn] off
+      (** [(w, k)]: worker [w] crashes at its [k]-th fetch (1-based),
+          requeueing the token at its queue's front, or the ready read at
+          the ready queue's, for any worker to take.  With [respawn] off
           this can strand a partially-arrived barrier — the class-barrier
           deadlock oracle's target. *)
   respawn : bool;
@@ -68,6 +72,7 @@ val scenario :
   ?mis_pct:float ->
   ?repair:bool ->
   ?write_gate:bool ->
+  ?read_gate:bool ->
   ?speculate:bool ->
   ?undo:bool ->
   ?max_size:int ->
@@ -81,7 +86,7 @@ val scenario :
     ([Psmr_workload.Workload.Keyed]); fully determined by [workload_seed]
     and independent of the schedule-exploration seed.  Defaults: 3
     workers, per-worker classes, 10 commands over 4 keys, 40% writes, 20%
-    cross-key, conservative feed, repair and write gate on, no speculation
+    cross-key, conservative feed, repair and both gates on, no speculation
     (dispatch-time optimism only), undo on, [max_size] 8, drain before
     close, no crashes, respawn on. *)
 

@@ -1,9 +1,9 @@
 (** The early-scheduling execution runtime: per-worker token FIFOs driven
     by a static {!Class_map}, a {!Barrier} rendezvous for cross-class
-    commands, and an optimistic mode that — when the service provides an
-    undo capability — executes speculatively on optimistic delivery and
-    rolls back (undo, then re-execute in committed order) on a
-    confirmation mismatch.
+    writes, one shared ready queue for cross-class reads, and an
+    optimistic mode that — when the service provides an undo capability —
+    executes speculatively on optimistic delivery and rolls back (undo,
+    then re-execute in committed order) on a confirmation mismatch.
 
     Implements {!Psmr_sched.Sched_intf.BACKEND} (via {!Make.start} with
     default configuration) plus the early-specific surface: configured
@@ -26,6 +26,7 @@ module Make (P : Platform_intf.S) (C : Psmr_cos.Cos_intf.KEYED_COMMAND) : sig
     ?classes:int ->
     ?repair:bool ->
     ?write_gate:bool ->
+    ?read_gate:bool ->
     ?speculate:(cmd -> unit -> unit) ->
     ?on_commit:(cmd -> unit) ->
     ?fault:(id:int -> nth:int -> Psmr_fault.Fault.worker_action) ->
@@ -38,8 +39,9 @@ module Make (P : Platform_intf.S) (C : Psmr_cos.Cos_intf.KEYED_COMMAND) : sig
       class map (default one class per worker); [repair = false] disables
       the mis-speculation rollback — a deliberately broken variant the
       checker's oracles must catch; [write_gate = false] lets writes run
-      past still-executing shared read rendezvous — another such planted
-      bug; [speculate cmd] executes [cmd] through
+      past still-executing shared reads, and [read_gate = false] makes a
+      shared read ready before the writes ahead of it have completed —
+      two more such planted bugs; [speculate cmd] executes [cmd] through
       the service's undo capability and returns the closure that reverts
       it — installing it turns pending single-queue tokens into
       speculative executions (see {!confirm}); [on_commit cmd] runs on the
@@ -62,8 +64,9 @@ module Make (P : Platform_intf.S) (C : Psmr_cos.Cos_intf.KEYED_COMMAND) : sig
 
   val submit : t -> cmd -> unit
   (** Final-order submission: plan, append confirmed tokens, and repair
-      any mis-speculated pending tokens ahead of them.  Blocks while the
-      in-flight window is full. *)
+      any mis-speculated pending tokens ahead of them.  A cross-class
+      read appends none: it goes on the ready queue once the writes ahead
+      of it complete.  Blocks while the in-flight window is full. *)
 
   val submit_batch : t -> cmd array -> unit
   (** [submit] for each command in order, in rounds: each takes the window
@@ -77,8 +80,9 @@ module Make (P : Platform_intf.S) (C : Psmr_cos.Cos_intf.KEYED_COMMAND) : sig
 
   val submit_optimistic : t -> cmd -> spec
   (** Enqueue on optimistic delivery: tokens enter the queues as pending
-      (position speculated, not yet executable).  Blocks while the
-      in-flight window is full. *)
+      (position speculated, not yet executable); a cross-class read
+      registers without tokens and becomes ready no earlier than its
+      {!confirm}.  Blocks while the in-flight window is full. *)
 
   val confirm : t -> spec -> unit
   (** Final delivery of an optimistically submitted command.  If its
@@ -125,7 +129,8 @@ module Make (P : Platform_intf.S) (C : Psmr_cos.Cos_intf.KEYED_COMMAND) : sig
   (** Commands dispatched on the single-queue fast path. *)
 
   val rendezvous_count : t -> int
-  (** Commands dispatched through a cross-class barrier. *)
+  (** Cross-class commands: writes through a barrier, reads through the
+      ready queue. *)
 
   val repair_count : t -> int
   (** Confirmations that detected a mis-speculation. *)
@@ -152,14 +157,13 @@ module Make (P : Platform_intf.S) (C : Psmr_cos.Cos_intf.KEYED_COMMAND) : sig
       quiescence. *)
 
   val stalled_barriers : t -> string list
-  (** Barriers with a partial rendezvous (some but not all members
-      arrived), and shared reads handed to a worker that has not taken
-      them (it crashed holding one) — the signatures of a class-barrier
-      deadlock when worker processes are blocked. *)
+  (** Write barriers with a partial rendezvous (some but not all members
+      arrived), and ready shared reads no worker took — the signatures of
+      a class-barrier deadlock when worker processes are blocked. *)
 
   val invariant : ?strict:bool -> t -> string list
   (** Structural invariants: pending counters match queue contents, and no
       queue holds a confirmed token behind a pending one.  [~strict:true]
-      adds quiescence checks: queues and hand-off slots empty, submitted =
-      executed, no stalled barrier. *)
+      adds quiescence checks: queues and the ready queue empty, submitted
+      = executed, no stalled barrier. *)
 end

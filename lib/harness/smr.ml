@@ -22,7 +22,9 @@ let default_warmup = 0.08
 let default_cmds_per_request = 10
 
 type deployment = {
+  replicas : int;
   replica_executed : int -> int;
+  replica_crashed : int -> bool;
   replica_view : int -> int;
   crash_replica : int -> unit;
 }
@@ -77,7 +79,9 @@ let deploy sim ~(mode : Psmr_replica.Replica.mode)
             loop ())
       done);
   {
+    replicas = cfg.replicas;
     replica_executed = SMR.Deployment.replica_executed d;
+    replica_crashed = SMR.Deployment.replica_crashed d;
     replica_view = SMR.Deployment.replica_view d;
     crash_replica = SMR.Deployment.crash_replica d;
   }
@@ -109,12 +113,26 @@ let run ~mode ~spec ~clients ?(cmds_per_request = default_cmds_per_request)
           completed := !completed + cmds_per_request
         end)
   in
-  let executed_at_warmup = ref 0 in
+  (* Throughput is what a live replica executed in the window: replica 0,
+     unless the schedule crashes replicas — then the survivor that
+     executed most (a crashed replica's count stops at its crash). *)
+  let watched =
+    match faults with
+    | Some f when f.replicas <> [] -> List.init d.replicas Fun.id
+    | Some _ | None -> [ 0 ]
+  in
+  let at_warmup = ref [] in
   ignore
     (Sim_run.run sim ~warmup ~duration ~at_warmup:(fun () ->
-         executed_at_warmup := d.replica_executed 0)
+         at_warmup := List.map (fun i -> (i, d.replica_executed i)) watched)
       : float);
-  let executed = d.replica_executed 0 - !executed_at_warmup in
+  let executed =
+    List.fold_left
+      (fun best (i, base) ->
+        if d.replica_crashed i then best
+        else max best (d.replica_executed i - base))
+      0 !at_warmup
+  in
   let lat = Psmr_util.Vec.to_array latencies in
   let mean, p99 =
     if Array.length lat = 0 then (0.0, 0.0)

@@ -17,7 +17,9 @@ val default_warmup : float
 
 (** A replicated deployment running on a simulated run. *)
 type deployment = {
+  replicas : int;
   replica_executed : int -> int;  (** commands executed by that replica *)
+  replica_crashed : int -> bool;  (** the replica has crash-stopped *)
   replica_view : int -> int;  (** the replica's installed view *)
   crash_replica : int -> unit;
 }
@@ -55,6 +57,8 @@ val run :
     loss/duplication/delay in the simulated network, worker
     crashes/stalls/slowdowns inside the replicas' parallel executors, and
     replica crash-stops.  Empty schedule: bit-identical to a run without
-    fault support.
+    fault support.  Throughput is counted at replica 0 or, when the
+    schedule crashes replicas, at the live replica that executed most
+    during the window.
     @raise Invalid_argument on a [replica-crash] with a recovery delay
     ([+D]): the deployment cannot restart a replica. *)

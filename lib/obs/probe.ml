@@ -77,8 +77,7 @@ end
 module Early = struct
   let class_direct = T.counter "early.class_direct" (* fast-path dispatch *)
   let class_barriers = T.counter "early.class_barriers" (* rendezvous *)
-  let barrier_tokens = T.counter "early.barrier_tokens"
-  let read_handoffs = T.counter "early.read_handoffs" (* to idle workers *)
+  let barrier_tokens = T.counter "early.barrier_tokens" (* write tokens *)
   let spec_confirms = T.counter "early.spec_confirms"
   let spec_repairs = T.counter "early.spec_repairs"
   let spec_revoked = T.counter "early.spec_revoked"
@@ -198,7 +197,6 @@ let class_direct () = T.incr Early.class_direct
 let class_barrier ~tokens =
   tally Early.class_barriers Early.barrier_tokens tokens
 
-let read_handoff () = T.incr Early.read_handoffs
 let spec_confirm () = T.incr Early.spec_confirms
 let spec_repair ~revoked = tally Early.spec_repairs Early.spec_revoked revoked
 let spec_exec () = T.incr Early.spec_execs

@@ -93,12 +93,9 @@ val class_direct : unit -> unit
 (** One command dispatched on the single-queue fast path (no barrier). *)
 
 val class_barrier : tokens:int -> unit
-(** One cross-class command dispatched through a rendezvous over [tokens]
-    worker queues. *)
-
-val read_handoff : unit -> unit
-(** One fully arrived shared read handed by its last arriver to an idle
-    worker instead of run in place. *)
+(** One cross-class command: a write dispatched through a rendezvous over
+    [tokens] worker queues, or a read ([tokens = 0]) through the ready
+    queue. *)
 
 val spec_confirm : unit -> unit
 (** One optimistically delivered command confirmed in its speculated

@@ -743,6 +743,7 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
       Net.crash t.net id
 
     let ord t id = t.replica_handles.(id).ord
+    let replica_crashed t id = Net.is_crashed t.net id
     let replica_view t id = Part.view (ord t id) ~part:0
     let replica_partition_leader t id ~part = Part.leader (ord t id) ~part
     let replica_merge_pending t id = Part.merge_pending (ord t id)

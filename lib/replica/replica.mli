@@ -157,6 +157,10 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) : sig
     val crash_replica : t -> int -> unit
     (** Crash-stop: the replica stops sending and receiving forever. *)
 
+    val replica_crashed : t -> int -> bool
+    (** Whether the replica has crash-stopped ({!crash_replica} or a due
+        [replica-crash] event). *)
+
     val replica_view : t -> int -> int
     (** Partition 0's view (the one sequencer's in a bare mode). *)
 

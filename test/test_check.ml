@@ -386,65 +386,59 @@ let test_early_spec_crash_clean () =
   Alcotest.(check int) "no failures" 0 (List.length r.Explore.failures);
   Alcotest.(check int) "all complete" 0 r.Explore.incomplete
 
-(* Shared read rendezvous.  With writes 0 every cross-key command is a
-   shared read, so a crash-stop leaves its partner passed and the
-   rendezvous stuck — still the class-barrier deadlock, labelled shared
-   rather than by a designated worker. *)
-let test_early_shared_deadlock_caught () =
+(* Crash-stop holding a ready read.  On 3 workers with two keys, worker 3
+   serves no key's class, so it owns no token and every fetch it makes is
+   a ready read.  Dying at its first leaves that read at the front of the
+   ready queue, where a live worker takes it: nothing strands, and every
+   command completes. *)
+let test_early_ready_read_crash_clean () =
   let s =
-    esc ~workers:2 ~commands:6 ~keys:2 ~write_pct:0.0 ~cross_pct:100.0
-      ~crashes:[ (1, 1) ] ~respawn:false ()
+    esc ~workers:3 ~commands:6 ~keys:2 ~write_pct:30.0 ~cross_pct:100.0
+      ~crashes:[ (3, 1) ] ~respawn:false ()
   in
-  let r = early_walk ~stop_on_first:true s ~seed:3009L ~schedules:500 in
-  match r.Explore.failures with
-  | [] -> Alcotest.fail "crash-stop inside a shared rendezvous not caught"
-  | f :: _ ->
-      Alcotest.(check bool) "stuck shared rendezvous reported" true
-        (List.mem "class-barrier deadlock: class-barrier stuck at 1/2 arrivals \
-                   (shared)" f.Explore.violations)
-
-(* Crash-stop holding a handed read.  On 2 workers, workload seed 8 draws
-   five shared reads of both keys and one read of key 0, so worker 1 owns
-   six tokens and its seventh fetch can only be a read worker 2 handed
-   it.  Dying there leaves the read in its slot with every arrival in —
-   no partial rendezvous — and the oracle must still name it.  With
-   respawn the read goes back into the slot and the respawned worker
-   runs it. *)
-let handed_crash_sc ~respawn =
-  esc ~workers:2 ~commands:6 ~keys:2 ~write_pct:0.0 ~cross_pct:100.0
-    ~crashes:[ (1, 7) ] ~respawn ~workload_seed:8L ()
-
-let test_early_handed_crash_caught () =
-  let s = handed_crash_sc ~respawn:false in
-  let r = early_walk ~stop_on_first:true s ~seed:3010L ~schedules:500 in
-  match r.Explore.failures with
-  | [] -> Alcotest.fail "crash-stop holding a handed read not caught"
-  | f :: _ ->
-      Alcotest.(check bool) "handed read reported stuck" true
-        (List.mem
-           "class-barrier deadlock: class-barrier stuck: shared read handed \
-            to crashed worker 1"
-           f.Explore.violations)
-
-let test_early_handed_crash_respawn_clean () =
-  let s = handed_crash_sc ~respawn:true in
-  let r = early_walk s ~seed:3010L ~schedules:400 in
+  let r = early_walk s ~seed:3009L ~schedules:400 in
   Alcotest.(check int) "no failures" 0 (List.length r.Explore.failures);
   Alcotest.(check int) "all complete" 0 r.Explore.incomplete
 
-(* The planted write-gate bug: writes run past still-executing shared
-   reads.  The read-heavy cross-key scenario (the @check-early row) is
-   caught from the pinned seed by the conflict-order and
-   rollback-consistency oracles; the gated dispatcher stays clean on it. *)
-let nogate_sc ~write_gate =
-  Early_check.scenario ~write_pct:30.0 ~cross_pct:60.0 ~write_gate
-    ~workload_seed:1L ()
+(* Crash-stop of worker 1 of 2 at its first fetch, a ready read: the read
+   goes back on the ready queue and worker 2 runs it, but the Direct
+   token queued behind it in worker 1's own queue strands.  The oracle
+   reports the lost command, and no barrier, since none is partial.
+   With respawn the same crash runs clean. *)
+let ready_read_crash_sc ~respawn =
+  esc ~workers:2 ~commands:6 ~keys:2 ~write_pct:0.0 ~cross_pct:100.0
+    ~crashes:[ (1, 1) ] ~respawn ()
 
-let test_early_nogate_caught () =
-  let s = nogate_sc ~write_gate:false in
+let test_early_crash_strands_queue () =
+  let s = ready_read_crash_sc ~respawn:false in
+  let r = early_walk ~stop_on_first:true s ~seed:3010L ~schedules:500 in
+  match r.Explore.failures with
+  | [] -> Alcotest.fail "crash-stop stranding its queue not caught"
+  | f :: _ ->
+      Alcotest.(check (list string)) "the stranded command reported"
+        [ "deadlock: 1 of 6 commands never executed (parallelizer blocked)" ]
+        f.Explore.violations
+
+let test_early_ready_read_crash_respawn_clean () =
+  let s = ready_read_crash_sc ~respawn:true in
+  let r = early_walk s ~seed:3011L ~schedules:400 in
+  Alcotest.(check int) "no failures" 0 (List.length r.Explore.failures);
+  Alcotest.(check int) "all complete" 0 r.Explore.incomplete
+
+(* The planted gate bugs: writes run past the shared reads ahead of them
+   ([write_gate = false]), or a shared read is ready before the write
+   ahead of it completes ([read_gate = false]).  The read-heavy cross-key
+   scenario on 2 workers (the @check-early rows) is caught from the
+   pinned seed by the conflict-order and rollback-consistency oracles;
+   the gated dispatcher stays clean on it. *)
+let gate_sc ?(write_gate = true) ?(read_gate = true) () =
+  Early_check.scenario ~workers:2 ~write_pct:30.0 ~cross_pct:60.0 ~write_gate
+    ~read_gate ~workload_seed:1L ()
+
+let gate_bug_caught what s () =
   let r = early_walk ~stop_on_first:true s ~seed:91L ~schedules:500 in
   match r.Explore.failures with
-  | [] -> Alcotest.fail "disabled write gate not caught within 500 schedules"
+  | [] -> Alcotest.failf "disabled %s gate not caught within 500 schedules" what
   | f :: _ ->
       let fired prefix =
         List.exists
@@ -459,7 +453,7 @@ let test_early_nogate_caught () =
         (fired "rollback consistency")
 
 let test_early_gate_clean () =
-  let s = nogate_sc ~write_gate:true in
+  let s = gate_sc () in
   let r = early_walk s ~seed:91L ~schedules:400 in
   Alcotest.(check int) "no failures" 0 (List.length r.Explore.failures);
   Alcotest.(check int) "all complete" 0 r.Explore.incomplete
@@ -559,14 +553,16 @@ let test_pinned_lockfree_batch_crash () =
   |> pinned "lockfree batch 3 + crash" ~decisions:246
        ~trace_hash:(-5489700432274428712L) ~violations:[]
 
+(* Re-pinned when shared reads became one entry: each entry holds one
+   more atomic cell, and the worker loop parks through the ready queue. *)
 let test_pinned_early_spec_crash () =
   let s =
     Early_check.scenario ~optimistic:true ~speculate:true ~crashes:[ (1, 2) ]
       ~workload_seed:1L ()
   in
   Explore.replay ~run:(Early_check.run_schedule s) ~seed:2202L
-  |> pinned "early-opt speculate + crash" ~decisions:252
-       ~trace_hash:(-5903561457449298463L) ~violations:[]
+  |> pinned "early-opt speculate + crash" ~decisions:248
+       ~trace_hash:(-5586707427947918545L) ~violations:[]
 
 let test_pinned_part4_repeats () =
   let s =
@@ -655,15 +651,19 @@ let () =
             `Quick test_early_noundo_caught;
           Alcotest.test_case "crashes inside the repair window drain clean"
             `Quick test_early_spec_crash_clean;
-          Alcotest.test_case "crash-stop shared read deadlock caught" `Quick
-            test_early_shared_deadlock_caught;
-          Alcotest.test_case "crash-stop holding a handed read caught" `Quick
-            test_early_handed_crash_caught;
-          Alcotest.test_case "crash + respawn holding a handed read clean"
-            `Quick test_early_handed_crash_respawn_clean;
+          Alcotest.test_case "crash-stop holding a ready read runs clean"
+            `Quick test_early_ready_read_crash_clean;
+          Alcotest.test_case "crash-stop strands its own queue, caught" `Quick
+            test_early_crash_strands_queue;
+          Alcotest.test_case "crash + respawn holding a ready read clean"
+            `Quick test_early_ready_read_crash_respawn_clean;
           Alcotest.test_case "disabled write gate caught (both oracles)"
-            `Quick test_early_nogate_caught;
-          Alcotest.test_case "write gate keeps identical scenario clean"
+            `Quick
+            (gate_bug_caught "write" (gate_sc ~write_gate:false ()));
+          Alcotest.test_case "disabled read gate caught (both oracles)"
+            `Quick
+            (gate_bug_caught "read" (gate_sc ~read_gate:false ()));
+          Alcotest.test_case "both gates keep identical scenario clean"
             `Quick test_early_gate_clean;
         ] );
       ( "scaffold",

@@ -208,7 +208,8 @@ let test_smr_replica_crash () =
      a new leader once the 150 ms election timeout passes. *)
   let r = smr ~faults:"replica-crash=0@0.05" in
   Alcotest.(check int) "one injected" 1 r.faults_injected;
-  Alcotest.(check bool) "a view change" true (r.views >= 1)
+  Alcotest.(check bool) "a view change" true (r.views >= 1);
+  Alcotest.(check bool) "the survivors' throughput counts" true (r.kops > 0.0)
 
 let test_smr_rejects_recovery () =
   Alcotest.(check bool) "rejected" true

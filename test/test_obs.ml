@@ -436,9 +436,9 @@ let test_bench_part_schema () =
    one row per target on the Zipfian YCSB-A scenario, and the
    highest rate meeting the SLO ranks the targets as the closed-loop peaks
    do — coarse below early below the partitioned deployment.  The part4
-   YCSB-E row holds the scan knee: with shared reads handed to idle
-   workers it meets the SLO through 40 kops at least (one scan at a time
-   met it through 10).  Simulated virtual-time results are deterministic,
+   YCSB-E row holds the scan knee: with shared reads run from the ready
+   queue by idle workers it meets the SLO through 40 kops at least (one
+   scan at a time met it through 10).  Simulated virtual-time results are deterministic,
    so these are stable regression anchors. *)
 let test_bench_open_loop_schema () =
   let doc = valid_bench_doc () in

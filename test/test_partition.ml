@@ -1458,8 +1458,9 @@ module Bank_equiv =
    others (0 at 8, 10.5, 12, 20 and 30 ms of this stack).  With metrics
    on it must pin the same line (recording is pure mutation) and export
    the partitioned-ordering layer.  Last moved by the window of four
-   in-flight batches and by the banked window reservation of
-   [Dispatch.submit_batch], which feeds this executor. *)
+   in-flight batches, by the banked window reservation of
+   [Dispatch.submit_batch], which feeds this executor, and by its
+   two-key reads becoming one entry run from the shared ready queue. *)
 let test_part_bench_pinned () =
   List.iter
     (fun metrics ->
@@ -1470,8 +1471,8 @@ let test_part_bench_pinned () =
       in
       Alcotest.(check string)
         "part2/w4 run"
-        "kops=872 executed=8720 emitted=9425 crosses=89 holes=0 \
-         merge_pending=2 engine_events=154314"
+        "kops=896.2 executed=8962 emitted=9233 crosses=84 holes=0 \
+         merge_pending=29 engine_events=156663"
         (Printf.sprintf
            "kops=%.9g executed=%d emitted=%d crosses=%d holes=%d \
             merge_pending=%d engine_events=%d"

@@ -606,19 +606,22 @@ let golden_expected =
     (* Refreshed when read-only cross-class commands (the keyed workload's
        two-key reads) moved from exclusive to shared rendezvous behind a
        per-queue write gate — the virtual-time behavior of both early modes
-       changed by design — and again, for the conservative mode only, when
+       changed by design — again, for the conservative mode only, when
        the last arriver at such a read began handing it to an idle member
-       whenever another shared read follows it in its queue. *)
+       whenever another shared read follows it in its queue, and again
+       for both modes when such a read became one entry without tokens,
+       waiting on its classes' last writes and run from the shared ready
+       queue. *)
     ( "early",
-      "de0b1bb8e787656333b4d40722e13765 clock=0x1.999999999999ap-6 \
-       events=341717" );
+      "3ec926c1b29f67da714a6a407fa8e862 clock=0x1.999999999999ap-6 \
+       events=353040" );
     (* Also refreshed earlier, when the optimistic protocol gained
        execution-time speculation with rollback (pipelined submit/confirm
        + undo log + claim-word commit).  The COS digests are unchanged
        since they were pinned. *)
     ( "early-opt",
-      "a1660371ed54f5fdebbc3795b257f998 clock=0x1.999999999999ap-6 \
-       events=287231" );
+      "846ef763bd2e081122e662cf38802096 clock=0x1.999999999999ap-6 \
+       events=311921" );
     (* The keyed stream through the registry's generic COS path: multi-key
        footprints, which no paper-workload digest exercises. *)
     ( "lockfree",
@@ -629,10 +632,12 @@ let golden_expected =
        events=1412288" );
     (* Worker faults on both backend families, and the replicated
        deployment: pinned at the commit before the three worker loops
-       became one [Psmr_sched.Pool]. *)
+       became one [Psmr_sched.Pool].  faults-early refreshed when the
+       keyed workload's two-key reads became one entry run from the ready
+       queue, like early. *)
     ( "faults-early",
-      "b088633d27350ca7176644421d16937b clock=0x1.999999999999ap-6 \
-       events=325199" );
+      "5acd495baa6533fb7f68283443b01c6a clock=0x1.999999999999ap-6 \
+       events=335550" );
     ( "faults-lockfree",
       "150431f6a94cd2237c348fd51b99e9da clock=0x1.999999999999ap-6 \
        events=651795" );
