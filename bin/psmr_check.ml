@@ -1,5 +1,6 @@
-(* Model-checking driver for the COS implementations and the early
-   class-map scheduler.
+(* Model-checking driver for the execution backends — every COS under the
+   scheduler runtime a replica starts, and the early class-map dispatcher
+   — and for the partitioned merge.
 
    Examples:
      psmr-check --impl lockfree --schedules 5000 --seed 42
@@ -7,6 +8,7 @@
      psmr-check --impl broken-wtg-start --schedules 2000 --stop-on-first
      psmr-check --impl lockfree --replay 1234567890 --commands 6
      psmr-check --impl early-opt --mis 40 --schedules 2000
+     psmr-check --impl early-2 --cross 60 --batch 3 --schedules 2000
      psmr-check --impl early --faults 1:1 --no-respawn --cross 100 \
        --expect-violation
 
@@ -21,133 +23,78 @@
 open Cmdliner
 module Check = Psmr_checker
 
-(* A check target is either a COS scenario (possibly a planted-bug
-   variant) or an early-scheduling scenario.  The early family has four
-   planted bugs: [repair = false] (mis-speculation repair disabled — the
-   conflict-order oracle's target), [undo = false] under speculation
-   (rollbacks skip the state restore — the rollback-consistency oracle's
-   target), [write_gate = false] (writes run past still-executing shared
-   reads) and [read_gate = false] (a shared read runs before the writes
-   ahead of it complete) — each of the last two caught by both. *)
+(* A check target is a backend scenario ([Backend_check]: a COS under the
+   scheduler runtime, or the class-map dispatcher, either possibly a
+   planted-bug variant) or a partitioned-merge scenario.  The dispatcher
+   has four planted bugs: [repair = false] (mis-speculation repair
+   disabled — the conflict-order oracle's target), [undo = false] under
+   speculation (rollbacks skip the state restore — the
+   rollback-consistency oracle's target), [write_gate = false] (writes run
+   past still-executing shared reads) and [read_gate = false] (a shared
+   read runs before the writes ahead of it complete) — each of the last
+   two caught by both. *)
 type target =
-  | Cos_target of Check.Cos_check.target
-  | Early_target of {
-      name : string;
-      classes : int option;
-      optimistic : bool;
-      repair : bool;
-      write_gate : bool;
-      read_gate : bool;
-      speculate : bool;
-      undo : bool;
-    }
+  | Backend of Check.Backend_check.target
   | Part_target of { name : string; partitions : int; no_barrier : bool }
       (** partitioned-merge divergence scenarios ([Partition_check]);
           [no_barrier] is the planted rendezvous-skipping bug *)
 
 let target_name = function
-  | Cos_target t -> Check.Cos_check.target_name t
-  | Early_target e -> e.name
+  | Backend t -> Check.Backend_check.target_name t
   | Part_target p -> p.name
+
+(* The planted-bug variants, each also accepted without its "broken-"
+   prefix. *)
+let planted =
+  let cos name m = (name, Backend (Cos (Custom (name, m)))) in
+  let early name = Check.Backend_check.dispatcher ~name in
+  [
+    cos "broken-wtg-start" (module Check.Broken.Wtg_start);
+    cos "broken-lost-signal" (module Check.Broken.Lost_signal);
+    cos "broken-no-sentinel" (module Check.Broken.No_sentinel);
+    ( "broken-early-norepair",
+      Backend (early "broken-early-norepair" ~optimistic:true ~repair:false ())
+    );
+    ( "broken-early-noundo",
+      Backend
+        (early "broken-early-noundo" ~optimistic:true ~speculate:true
+           ~undo:false ()) );
+    ( "broken-early-nogate",
+      Backend (early "broken-early-nogate" ~write_gate:false ()) );
+    ( "broken-early-readfirst",
+      Backend (early "broken-early-readfirst" ~read_gate:false ()) );
+    ( "broken-part-nobarrier",
+      Part_target
+        { name = "broken-part-nobarrier"; partitions = 2; no_barrier = true } );
+  ]
 
 let target_conv =
   let parse s =
-    match String.lowercase_ascii s with
-    | "broken-wtg-start" | "wtg-start" ->
-        Ok
-          (Cos_target
-             (Check.Cos_check.Custom
-                ("broken-wtg-start", (module Check.Broken.Wtg_start))))
-    | "broken-lost-signal" | "lost-signal" ->
-        Ok
-          (Cos_target
-             (Check.Cos_check.Custom
-                ("broken-lost-signal", (module Check.Broken.Lost_signal))))
-    | "broken-no-sentinel" | "no-sentinel" ->
-        Ok
-          (Cos_target
-             (Check.Cos_check.Custom
-                ("broken-no-sentinel", (module Check.Broken.No_sentinel))))
-    | "broken-early-norepair" | "early-norepair" ->
-        Ok
-          (Early_target
-             {
-               name = "broken-early-norepair";
-               classes = None;
-               optimistic = true;
-               repair = false;
-               write_gate = true;
-               read_gate = true;
-               speculate = false;
-               undo = true;
-             })
-    | "broken-early-noundo" | "early-noundo" ->
-        Ok
-          (Early_target
-             {
-               name = "broken-early-noundo";
-               classes = None;
-               optimistic = true;
-               repair = true;
-               write_gate = true;
-               read_gate = true;
-               speculate = true;
-               undo = false;
-             })
-    | "broken-early-nogate" | "early-nogate" ->
-        Ok
-          (Early_target
-             {
-               name = "broken-early-nogate";
-               classes = None;
-               optimistic = false;
-               repair = true;
-               write_gate = false;
-               read_gate = true;
-               speculate = false;
-               undo = true;
-             })
-    | "broken-early-readfirst" | "early-readfirst" ->
-        Ok
-          (Early_target
-             {
-               name = "broken-early-readfirst";
-               classes = None;
-               optimistic = false;
-               repair = true;
-               write_gate = true;
-               read_gate = false;
-               speculate = false;
-               undo = true;
-             })
-    | "broken-part-nobarrier" | "part-nobarrier" ->
-        Ok
-          (Part_target
-             { name = "broken-part-nobarrier"; partitions = 2; no_barrier = true })
-    | "part" ->
-        Ok (Part_target { name = "part"; partitions = 2; no_barrier = false })
-    | s when String.length s > 5 && String.sub s 0 5 = "part-" -> (
-        match int_of_string_opt (String.sub s 5 (String.length s - 5)) with
-        | Some p when p >= 1 ->
-            Ok (Part_target { name = s; partitions = p; no_barrier = false })
-        | _ -> Error (`Msg (Printf.sprintf "bad partition count in %S" s)))
-    | s -> (
-        match Psmr_early.Registry.of_string s with
-        | Some (Psmr_early.Registry.Cos i) -> Ok (Cos_target (Check.Cos_check.Impl i))
-        | Some (Psmr_early.Registry.Early _ as b) ->
+    let s = String.lowercase_ascii s in
+    let part p =
+      Ok (Part_target { name = s; partitions = p; no_barrier = false })
+    in
+    let lookup s = List.assoc_opt s planted in
+    match (lookup s, lookup ("broken-" ^ s)) with
+    | Some t, _ | None, Some t -> Ok t
+    | None, None -> (
+        match (s, Psmr_early.Registry.of_string s) with
+        | "part", _ -> part 2
+        | _ when String.starts_with ~prefix:"part-" s -> (
+            match int_of_string_opt (String.sub s 5 (String.length s - 5)) with
+            | Some p when p >= 1 -> part p
+            | _ -> Error (`Msg (Printf.sprintf "bad partition count in %S" s)))
+        | _, Some (Cos i) -> Ok (Backend (Cos (Impl i)))
+        | _, Some (Early _ as b) ->
             Ok
-              (Early_target
-                 {
-                   name = Psmr_early.Registry.to_string b;
-                   classes = Psmr_early.Registry.classes b;
-                   optimistic = Psmr_early.Registry.is_optimistic b;
-                   repair = true;
-                   write_gate = true;
-                   read_gate = true;
-                   speculate = false;
-                   undo = true;
-                 })
-        | None -> Error (`Msg (Printf.sprintf "unknown implementation %S" s)))
+              (Backend
+                 (Check.Backend_check.dispatcher
+                    ~name:(Psmr_early.Registry.to_string b)
+                    ?classes:(Psmr_early.Registry.classes b)
+                    ~optimistic:(Psmr_early.Registry.is_optimistic b)
+                    ()))
+        | _, None ->
+            Error (`Msg (Printf.sprintf "unknown implementation %S" s)))
   in
   let print ppf t = Format.pp_print_string ppf (target_name t) in
   Arg.conv (parse, print)
@@ -155,11 +102,12 @@ let target_conv =
 let impl_arg =
   Arg.(
     value
-    & opt target_conv (Cos_target (Check.Cos_check.Impl Psmr_early.Registry.Lockfree))
+    & opt target_conv (Backend (Cos (Impl Psmr_early.Registry.Lockfree)))
     & info [ "impl" ] ~docv:"IMPL"
         ~doc:
-          "Implementation to check: coarse, fine, lockfree, striped[-K], \
-           fifo, indexed, early[-K], early-opt[-K], part[-P] (the \
+          "Implementation to check: a COS under the scheduler runtime \
+           (coarse, fine, lockfree, striped[-K], fifo, indexed), the \
+           class-map dispatcher (early[-K], early-opt[-K]), part[-P] (the \
            partitioned-merge divergence scenarios; --workers counts \
            replica merges), or a planted-bug variant (broken-wtg-start, \
            broken-lost-signal, broken-no-sentinel, broken-early-norepair, \
@@ -172,7 +120,7 @@ let workers_arg =
 let commands_arg =
   Arg.(
     value & opt int 10
-    & info [ "commands" ] ~docv:"N" ~doc:"Commands the inserter delivers.")
+    & info [ "commands" ] ~docv:"N" ~doc:"Commands the parallelizer delivers.")
 
 let writes_arg =
   Arg.(
@@ -231,10 +179,13 @@ let batch_arg =
     value & opt int 1
     & info [ "batch" ] ~docv:"K"
         ~doc:
-          "COS targets: the inserter hands commands over in $(docv)-command \
-           $(b,insert_batch) calls instead of one $(b,insert) each, so the \
-           batched admission path runs under the oracles.  The default 1 \
-           replays every earlier seed unchanged.")
+          "The parallelizer hands commands over in $(docv)-command \
+           $(b,submit_batch) calls instead of one $(b,submit) each — \
+           $(b,insert_batch) on a COS, the batched class-map append on a \
+           conservative dispatcher — so the batched path a replica takes \
+           runs under the oracles.  Above 1 is a usage error on an \
+           optimistic or partition target.  The default 1 replays every \
+           earlier seed unchanged.")
 
 let workload_seed_arg =
   Arg.(
@@ -398,34 +349,37 @@ let run target workers commands writes keys cross mis spec max_size no_drain
     max_schedules max_steps time_box stop_on_first expect_violation replay
     trace_out =
   let name = target_name target in
-  let is_cos = match target with Cos_target _ -> true | _ -> false in
-  if batch < 1 || (batch > 1 && not is_cos) then begin
-    prerr_endline "psmr-check: --batch must be 1, or above 1 for a COS target";
+  let batched =
+    match target with
+    | Backend (Cos _) -> true
+    | Backend (Dispatcher d) -> not d.optimistic
+    | Part_target _ -> false
+  in
+  if batch < 1 || (batch > 1 && not batched) then begin
+    prerr_endline
+      "psmr-check: --batch must be 1, or above 1 for a COS or conservative \
+       dispatcher target";
     exit 2
   end;
-  (* One runner per target family; all run through [Check_platform.run],
-     so the exploration drivers below don't care which family they are
+  (* One runner per target family; both run through [Check_platform.run],
+     so the exploration drivers below don't care which one they are
      exercising. *)
   let run_schedule ~trace =
     match target with
-    | Cos_target t ->
-        let sc =
-          Check.Cos_check.scenario ~target:t ~workers ~commands
-            ~write_pct:writes ~max_size ~drain_before_close:(not no_drain)
-            ~crashes ~respawn:(not no_respawn) ~batch ~workload_seed ()
+    | Backend t ->
+        let target =
+          match t with
+          | Dispatcher d when spec ->
+              Check.Backend_check.Dispatcher { d with speculate = true }
+          | t -> t
         in
-        Check.Cos_check.run_schedule ~max_steps ~trace sc
-    | Early_target e ->
         let sc =
-          Check.Early_check.scenario ~workers ?classes:e.classes ~commands
-            ~keys ~write_pct:writes ~cross_pct:cross ~optimistic:e.optimistic
-            ~mis_pct:mis ~repair:e.repair ~write_gate:e.write_gate
-            ~read_gate:e.read_gate
-            ~speculate:(e.speculate || spec)
-            ~undo:e.undo ~max_size ~drain_before_close:(not no_drain)
-            ~crashes ~respawn:(not no_respawn) ~workload_seed ()
+          Check.Backend_check.scenario ~target ~workers ~commands ~keys
+            ~write_pct:writes ~cross_pct:cross ~mis_pct:mis ~max_size
+            ~drain_before_close:(not no_drain) ~crashes
+            ~respawn:(not no_respawn) ~batch ~workload_seed ()
         in
-        Check.Early_check.run_schedule ~max_steps ~trace sc
+        Check.Backend_check.run_schedule ~max_steps ~trace sc
     | Part_target p ->
         let sc =
           Check.Partition_check.scenario ~partitions:p.partitions
@@ -435,7 +389,9 @@ let run target workers commands writes keys cross mis spec max_size no_drain
         Check.Partition_check.run_schedule ~max_steps ~trace sc
   in
   let replay_cmd s =
-    let is_early = match target with Early_target _ -> true | _ -> false in
+    let is_early =
+      match target with Backend (Dispatcher _) -> true | _ -> false
+    in
     let is_part = match target with Part_target _ -> true | _ -> false in
     String.concat ""
       [
@@ -542,10 +498,11 @@ let () =
   let info =
     Cmd.info "psmr-check" ~version:"1.0.0"
       ~doc:
-        "Schedule-exploring model checker for the COS implementations and \
-         the early class-map scheduler: linearizability, data races, \
-         invariants, class-barrier deadlocks and conflict-order under \
-         exhaustively or randomly explored interleavings."
+        "Schedule-exploring model checker for the execution backends (the \
+         COS implementations under the scheduler runtime, and the early \
+         class-map dispatcher) and the partitioned merge: linearizability, \
+         data races, invariants, class-barrier deadlocks and conflict \
+         order under exhaustively or randomly explored interleavings."
   in
   exit
     (Cmd.eval

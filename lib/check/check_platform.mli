@@ -12,8 +12,8 @@
 
     Usage: {!run} one schedule of a scenario; it creates the engine and
     context, [make]s the platform, lets the scenario spawn its processes,
-    installs the picker and runs the engine.  [Cos_check], [Early_check]
-    and [Partition_check] are the scenarios. *)
+    installs the picker and runs the engine.  [Backend_check] and
+    [Partition_check] are the scenarios. *)
 
 module Engine = Psmr_sim.Engine
 

@@ -21,7 +21,7 @@ type report = {
 (** {2 Drivers}
 
     [run] executes one schedule of a scenario under the given picker, e.g.
-    [~run:(Cos_check.run_schedule sc)]. *)
+    [~run:(Backend_check.run_schedule sc)]. *)
 
 val random_walk :
   ?deadline:(unit -> bool) ->

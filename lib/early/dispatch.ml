@@ -1205,11 +1205,11 @@ struct
     in
     Pool.spawn t.pool
       ~fetch:(fun i -> q_next t t.queues.(i - 1))
-      ~requeue:(requeue t) ~run:(run t) ();
+      ~requeue:(requeue t) ~run:(run t);
     t
 
-  let start ?max_size ~workers ~execute () =
-    start_full ?max_size ~workers ~execute ()
+  let start ?fault ?max_size ~workers ~execute () =
+    start_full ?fault ?max_size ~workers ~execute ()
 
   let submitted t = Pool.submitted t.pool
   let executed t = Pool.executed t.pool

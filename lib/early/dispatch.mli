@@ -10,10 +10,15 @@
     startup ({!Make.start_full}), the optimistic submit/confirm protocol,
     and ghost diagnostics for the checker.
 
-    Single-threaded submit contract: {!Make.submit}, {!Make.submit_batch},
-    {!Make.submit_optimistic} and {!Make.confirm} must all be called from
-    one thread (the parallelizer), with confirmations issued in final
-    delivery order. *)
+    Submit contract: {!Make.submit}, {!Make.submit_batch} and
+    {!Make.submit_optimistic} are called from one submitting thread (the
+    parallelizer), and {!Make.confirm} from one confirming thread, in
+    final delivery order.  The two may be one thread, or two that
+    interleave at their platform operations — as the optimistic feeder of
+    [Psmr_harness.Standalone] submits from one simulated process and
+    confirms from another: submit-side state stays in position order
+    across every such interleaving (a speculation pushed while a repair
+    re-appended victims is merged into place). *)
 
 open Psmr_platform
 
@@ -58,7 +63,13 @@ module Make (P : Platform_intf.S) (C : Psmr_cos.Cos_intf.KEYED_COMMAND) : sig
       [speculate], execution itself is optimistic and a repair becomes
       undo + re-execute. *)
 
-  val start : ?max_size:int -> workers:int -> execute:(cmd -> unit) -> unit -> t
+  val start :
+    ?fault:(id:int -> nth:int -> Psmr_fault.Fault.worker_action) ->
+    ?max_size:int ->
+    workers:int ->
+    execute:(cmd -> unit) ->
+    unit ->
+    t
   (** [start_full] with default configuration — the
       {!Psmr_sched.Sched_intf.BACKEND} entry point. *)
 

@@ -89,6 +89,7 @@ let instantiate (type c) backend (module P : Platform_intf.S)
       (module struct
         include D
 
-        let start ?max_size ~workers ~execute () =
-          D.start_full ?max_size ?classes:cfg.classes ~workers ~execute ()
+        let start ?fault ?max_size ~workers ~execute () =
+          D.start_full ?fault ?max_size ?classes:cfg.classes ~workers ~execute
+            ()
       end)

@@ -84,8 +84,7 @@ module Make (P : Platform_intf.S) (C : RW_COMMAND) = struct
           else Latch.wait b.executed
     in
     Pool.spawn t.pool ~fetch ~run
-      ~requeue:(fun i tok -> t.held.(i - 1) <- Some tok)
-      ();
+      ~requeue:(fun i tok -> t.held.(i - 1) <- Some tok);
     t
 
   (* Single-threaded caller, in delivery order (the "parallelizer"). *)

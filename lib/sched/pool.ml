@@ -35,7 +35,7 @@ module Make (P : Platform_intf.S) = struct
       crashed = P.Atomic.make 0;
     }
 
-  let spawn t ~fetch ~requeue ~run ?(release = fun _ _ -> ()) () =
+  let spawn t ~fetch ~requeue ~run =
     let rec loop i nth () =
       match fetch i with
       | None -> Latch.count_down t.joined
@@ -49,19 +49,13 @@ module Make (P : Platform_intf.S) = struct
               match respawn_after with
               | None -> Latch.count_down t.joined
               | Some d -> P.after d (loop i nth))
-          | (Run | Stall _ | Slow _) as action ->
-              (match action with
-              | Stall d ->
-                  P.work Fault;
-                  P.sleep d
-              | Run | Slow _ | Crash _ -> ());
+          | Stall d | Slow d ->
+              P.work Fault;
+              P.sleep d;
               run i item;
-              (match action with
-              | Slow d ->
-                  P.work Fault;
-                  P.sleep d
-              | Run | Stall _ | Crash _ -> ());
-              release i item;
+              loop i nth ()
+          | Run ->
+              run i item;
               loop i nth ())
     in
     for i = 1 to t.workers do

@@ -6,9 +6,9 @@
     Before running a fetched item a worker consults the fault hook once.
     A crash charges [P.work Fault], hands the item back with [requeue],
     and the core leaves the pool or respawns after the scheduled delay; a
-    stall sleeps before [run]; a slowdown sleeps after [run] and before
-    [release].  With no fault plan armed the consult is one pointer read
-    and charges nothing. *)
+    stall or a slowdown sleeps before [run], so the item's conflict
+    successors wait the extra time in every backend.  With no fault plan
+    armed the consult is one pointer read and charges nothing. *)
 
 open Psmr_platform
 
@@ -30,15 +30,13 @@ module Make (P : Platform_intf.S) : sig
     fetch:(int -> 'a option) ->
     requeue:(int -> 'a -> unit) ->
     run:(int -> 'a -> unit) ->
-    ?release:(int -> 'a -> unit) ->
-    unit ->
     unit
   (** Spawn workers [worker-1] .. [worker-n].  Worker [i] loops: [fetch i]
       blocks for its next item ([None]: closed and drained, the worker
-      exits), then the fault consult, [run i item] and [release i item]
-      (default: nothing).  [requeue i item] must return a crashed worker's
-      item so that no command is lost or run twice.  The structure calls
-      {!count_executed} wherever its commit happens. *)
+      exits), then the fault consult and [run i item].  [requeue i item]
+      must return a crashed worker's item so that no command is lost or
+      run twice.  The structure calls {!count_executed} wherever its
+      commit happens. *)
 
   val count_submitted : t -> int -> unit
   val count_executed : t -> unit

@@ -17,7 +17,8 @@
     - [execute] runs on worker threads and must tolerate concurrent
       invocation on non-conflicting commands; the backend guarantees that
       conflicting commands execute in delivery order.
-    - Workers consult the {!Psmr_fault.Fault} facade; a crashed worker
+    - Workers consult the {!Psmr_fault.Fault} facade (or the [fault]
+      override given to [start]); a crashed worker
       loses no command (its reservation is returned to the structure) and
       the pool shrinks or respawns per the armed plan.
     - [shutdown] may only be called after the owner stopped submitting;
@@ -30,6 +31,7 @@ module type BACKEND = sig
   type t
 
   val start :
+    ?fault:(id:int -> nth:int -> Psmr_fault.Fault.worker_action) ->
     ?max_size:int ->
     workers:int ->
     execute:(cmd -> unit) ->
@@ -37,7 +39,9 @@ module type BACKEND = sig
     t
   (** Spawn [workers] worker threads running [execute] on each command
       they reserve.  [max_size] bounds the in-flight window (default
-      {!Psmr_cos.Cos_intf.default_max_size}). *)
+      {!Psmr_cos.Cos_intf.default_max_size}); [fault] overrides the
+      workers' per-fetch fault consult ({!Pool.Make.create}) — the model
+      checker passes logical [(worker, nth-fetch)] crash points here. *)
 
   val submit : t -> cmd -> unit
   (** Hand over the next command in delivery order.  Single-threaded

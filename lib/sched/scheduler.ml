@@ -7,8 +7,8 @@
 
     A work item is a reserved COS handle.  A simulated core crash requeues
     it (COS [exe -> rdy] demotion, so dependents and the conflict order
-    are untouched); a slowed worker sleeps before [Cos.remove] releases
-    the command's dependents.
+    are untouched); a stalled or slowed worker sleeps before executing,
+    so the command's dependents wait the extra time.
 
     Shutdown protocol: the owner stops submitting, calls {!shutdown}, which
     waits for the structure to drain, closes it (making blocked [get]s
@@ -22,21 +22,19 @@ module Make (P : Platform_intf.S) (Cos : Psmr_cos.Cos_intf.S) = struct
   type cmd = Cos.cmd
   type t = { cos : Cos.t; pool : Pool.t }
 
-  let start ?max_size ~workers ~execute () =
+  let start ?fault ?max_size ~workers ~execute () =
     if workers <= 0 then invalid_arg "Scheduler.start: workers must be positive";
     let cos = Cos.create ?max_size ~worker_bound:workers () in
-    let pool = Pool.create ~workers () in
+    let pool = Pool.create ?fault ~workers () in
     Pool.spawn pool
       ~fetch:(fun _ -> Cos.get cos)
       ~requeue:(fun _ h -> Cos.requeue cos h)
       ~run:(fun _ h ->
         let t0 = Psmr_obs.Probe.now () in
         execute (Cos.command h);
-        Psmr_obs.Probe.exec_latency (Psmr_obs.Probe.now () -. t0))
-      ~release:(fun _ h ->
+        Psmr_obs.Probe.exec_latency (Psmr_obs.Probe.now () -. t0);
         Cos.remove cos h;
-        Pool.count_executed pool)
-      ();
+        Pool.count_executed pool);
     { cos; pool }
 
   let submit t c =

@@ -17,10 +17,11 @@ module Make (P : Platform_intf.S) (Cos : Psmr_cos.Cos_intf.S) :
     commands; conflicting commands execute in delivery order because the
     COS only promotes a command once its dependencies were removed.
 
-    When a fault plan is armed ([Psmr_fault]), workers consult it before
-    each execution: a crashed worker requeues its reserved command (no
-    command is lost or run twice) and leaves the pool — permanently, or
-    until its scheduled respawn; stalled/slowed workers sleep the
-    configured amount around the execution.  With no plan armed the
+    When a fault plan is armed ([Psmr_fault]), or a [fault] override is
+    passed to [start], workers consult it before each execution: a
+    crashed worker requeues its reserved command (no command is lost or
+    run twice) and leaves the pool — permanently, or until its scheduled
+    respawn; stalled/slowed workers sleep the configured amount before
+    the execution.  With no plan armed the
     consultation is a single pointer read and the run is bit-identical to
     one without fault support. *)

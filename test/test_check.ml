@@ -5,7 +5,7 @@
    family. *)
 
 module Check = Psmr_checker
-module Cos_check = Check.Cos_check
+module Backend_check = Check.Backend_check
 module Explore = Check.Explore
 module Check_platform = Check.Check_platform
 module Vclock = Check.Vclock
@@ -20,9 +20,11 @@ let impls =
     (Psmr_early.Registry.Indexed, "indexed");
   ]
 
+let cos impl = Backend_check.Cos (Impl impl)
+
 let sc ?target ?(workers = 2) ?(commands = 6) ?(write_pct = 50.0)
     ?(drain = true) ?(workload_seed = 1L) () =
-  Cos_check.scenario ?target ~workers ~commands ~write_pct
+  Backend_check.scenario ?target ~workers ~commands ~write_pct
     ~drain_before_close:drain ~workload_seed ()
 
 (* --- vector clocks --- *)
@@ -47,11 +49,11 @@ let test_vclock () =
 (* --- determinism --- *)
 
 let test_replay_deterministic () =
-  let s = sc ~target:(Cos_check.Impl Psmr_early.Registry.Lockfree) () in
+  let s = sc ~target:(cos Psmr_early.Registry.Lockfree) () in
   (* Traced, as [psmr_check --replay] runs it: the oplog must not move a
      decision point. *)
   let replay seed =
-    Explore.replay ~run:(Cos_check.run_schedule ~trace:true s) ~seed
+    Explore.replay ~run:(Backend_check.run_schedule ~trace:true s) ~seed
   in
   let a = replay 987654321L in
   let b = replay 987654321L in
@@ -66,8 +68,11 @@ let test_replay_deterministic () =
     (a.trace_hash <> c.trace_hash)
 
 let test_batch_deterministic () =
-  let s = sc ~target:(Cos_check.Impl Psmr_early.Registry.Fine) () in
-  let run () = Explore.random_walk ~run:(Cos_check.run_schedule s) ~seed:5L ~schedules:50 () in
+  let s = sc ~target:(cos Psmr_early.Registry.Fine) () in
+  let run () =
+    Explore.random_walk ~run:(Backend_check.run_schedule s) ~seed:5L
+      ~schedules:50 ()
+  in
   let a = run () and b = run () in
   Alcotest.(check int) "same schedules" a.Explore.schedules b.Explore.schedules;
   Alcotest.(check int) "same distinct" a.Explore.distinct b.Explore.distinct;
@@ -77,8 +82,11 @@ let test_batch_deterministic () =
 (* --- schedule coverage --- *)
 
 let test_distinct_schedules () =
-  let s = sc ~target:(Cos_check.Impl Psmr_early.Registry.Lockfree) ~workers:3 () in
-  let r = Explore.random_walk ~run:(Cos_check.run_schedule s) ~seed:42L ~schedules:2000 () in
+  let s = sc ~target:(cos Psmr_early.Registry.Lockfree) ~workers:3 () in
+  let r =
+    Explore.random_walk ~run:(Backend_check.run_schedule s) ~seed:42L
+      ~schedules:2000 ()
+  in
   Alcotest.(check int) "all schedules distinct" 2000 r.Explore.distinct;
   Alcotest.(check int) "none truncated" 0 r.Explore.truncated
 
@@ -87,8 +95,11 @@ let test_distinct_schedules () =
 let clean_random impl () =
   List.iter
     (fun drain ->
-      let s = sc ~target:(Cos_check.Impl impl) ~workers:3 ~commands:8 ~drain () in
-      let r = Explore.random_walk ~run:(Cos_check.run_schedule s) ~seed:11L ~schedules:800 () in
+      let s = sc ~target:(cos impl) ~workers:3 ~commands:8 ~drain () in
+      let r =
+        Explore.random_walk ~run:(Backend_check.run_schedule s) ~seed:11L
+          ~schedules:800 ()
+      in
       Alcotest.(check int)
         (Printf.sprintf "no failures (drain=%b)" drain)
         0
@@ -98,10 +109,10 @@ let clean_random impl () =
 
 let exhaustive_dfs impl () =
   let s =
-    sc ~target:(Cos_check.Impl impl) ~workers:2 ~commands:2 ~write_pct:100.0 ()
+    sc ~target:(cos impl) ~workers:2 ~commands:2 ~write_pct:100.0 ()
   in
   let r = Explore.dfs ~preemption_bound:1 ~max_schedules:100_000
-      ~run:(Cos_check.run_schedule s) () in
+      ~run:(Backend_check.run_schedule s) () in
   Alcotest.(check bool) "bounded tree exhausted" true r.Explore.exhausted;
   Alcotest.(check int) "no failures" 0 (List.length r.Explore.failures);
   Alcotest.(check bool) "explored more than one schedule" true
@@ -110,22 +121,26 @@ let exhaustive_dfs impl () =
 (* --- planted bugs are caught, with replayable seeds --- *)
 
 let wtg_start_target =
-  Cos_check.Custom ("broken-wtg-start", (module Check.Broken.Wtg_start))
+  Backend_check.Cos
+    (Custom ("broken-wtg-start", (module Check.Broken.Wtg_start)))
 
 let lost_signal_target =
-  Cos_check.Custom ("broken-lost-signal", (module Check.Broken.Lost_signal))
+  Backend_check.Cos
+    (Custom ("broken-lost-signal", (module Check.Broken.Lost_signal)))
 
 let test_promotion_race_caught () =
   (* The §6.2 hazard: pseudocode-style [Wtg] start lets a remover promote a
      node whose dependency set is still under construction.  Parameters are
      the ones the hunt converges with (all-writes maximizes the conflict
-     chain). *)
+     chain).  Seed 5 is the @check row's: under the scheduler runtime the
+     window is rarer than under a bare get/remove loop, and it is caught
+     at schedule 518. *)
   let s =
     sc ~target:wtg_start_target ~workers:3 ~commands:6 ~write_pct:100.0 ()
   in
   let r =
-    Explore.random_walk ~stop_on_first:true ~run:(Cos_check.run_schedule s)
-      ~seed:9L ~schedules:5000 ()
+    Explore.random_walk ~stop_on_first:true ~run:(Backend_check.run_schedule s)
+      ~seed:5L ~schedules:5000 ()
   in
   match r.Explore.failures with
   | [] -> Alcotest.fail "planted promotion race not caught within 5000 schedules"
@@ -140,7 +155,7 @@ let test_promotion_race_caught () =
       | Some seed ->
           (* Traced, as [psmr_check --replay] runs it. *)
           let o =
-            Explore.replay ~run:(Cos_check.run_schedule ~trace:true s) ~seed
+            Explore.replay ~run:(Backend_check.run_schedule ~trace:true s) ~seed
           in
           Alcotest.(check bool) "oplog recorded" true
             (o.Check_platform.oplog <> []);
@@ -156,7 +171,7 @@ let test_lost_signal_caught () =
   in
   let r =
     Explore.random_walk ~stop_on_first:true
-      ~run:(Cos_check.run_schedule ~max_steps:3000 s)
+      ~run:(Backend_check.run_schedule ~max_steps:3000 s)
       ~seed:7L ~schedules:500 ()
   in
   match r.Explore.failures with
@@ -178,7 +193,8 @@ let test_lost_signal_caught () =
    window — it takes three precise preemptions separated by long
    same-process stretches — so the schedule is driven by a sticky seeded
    picker: with 85% probability keep running the process that ran last,
-   otherwise pick uniformly.  Seed 1089 is pinned: under it the broken
+   otherwise pick uniformly.  Seed 1596, the first of 1-20,000 that
+   catches it under the scheduler runtime, is pinned: under it the broken
    variant promotes prematurely and the conflict-order oracle fires; the
    hardened lockfree and indexed implementations stay clean under the same
    picker across a seed sweep that includes it. *)
@@ -191,14 +207,15 @@ let sticky_pick rng ~last (tags : int array) =
 
 let sticky_run target seed =
   let rng = Psmr_util.Rng.create ~seed in
-  Cos_check.run_schedule ~max_steps:5000
+  Backend_check.run_schedule ~max_steps:5000
     (sc ~target ~workers:2 ~commands:4 ~write_pct:100.0 ~workload_seed:1L ())
     ~pick:(fun ~last tags -> sticky_pick rng ~last tags)
 
 let no_sentinel_target =
-  Cos_check.Custom ("broken-no-sentinel", (module Check.Broken.No_sentinel))
+  Backend_check.Cos
+    (Custom ("broken-no-sentinel", (module Check.Broken.No_sentinel)))
 
-let pinned_no_sentinel_seed = 1089L
+let pinned_no_sentinel_seed = 1596L
 
 let test_no_sentinel_race_caught () =
   let o = sticky_run no_sentinel_target pinned_no_sentinel_seed in
@@ -209,7 +226,7 @@ let test_no_sentinel_race_caught () =
 
 let test_self_sentinel_fix_holds impl () =
   for seed = 1 to 2000 do
-    let o = sticky_run (Cos_check.Impl impl) (Int64.of_int seed) in
+    let o = sticky_run (cos impl) (Int64.of_int seed) in
     if o.Check_platform.violations <> [] then
       Alcotest.failf "sticky seed %d: %s" seed
         (String.concat "; " o.Check_platform.violations)
@@ -222,30 +239,34 @@ let test_self_sentinel_fix_holds impl () =
 let test_fifo_close_race_regression () =
   let s =
     sc
-      ~target:(Cos_check.Impl Psmr_early.Registry.Fifo)
+      ~target:(cos Psmr_early.Registry.Fifo)
       ~workers:3 ~drain:false ()
   in
-  let r = Explore.random_walk ~run:(Cos_check.run_schedule s) ~seed:12L ~schedules:500 () in
+  let r =
+    Explore.random_walk ~run:(Backend_check.run_schedule s) ~seed:12L
+      ~schedules:500 ()
+  in
   Alcotest.(check int) "no deadlocks" 0 (List.length r.Explore.failures)
 
 (* --- early-scheduling scenarios (lib/early under the same checker) --- *)
 
-module Early_check = Check.Early_check
-
 let esc ?(workers = 3) ?classes ?(commands = 8) ?(keys = 3) ?(write_pct = 50.0)
     ?(cross_pct = 30.0) ?optimistic ?mis_pct ?repair ?speculate ?undo
-    ?(drain = true) ?crashes ?respawn ?(workload_seed = 1L) () =
-  Early_check.scenario ~workers ?classes ~commands ~keys ~write_pct ~cross_pct
-    ?optimistic ?mis_pct ?repair ?speculate ?undo ~drain_before_close:drain
-    ?crashes ?respawn ~workload_seed ()
+    ?(drain = true) ?crashes ?respawn ?batch ?(workload_seed = 1L) () =
+  Backend_check.scenario
+    ~target:
+      (Backend_check.dispatcher ?classes ?optimistic ?repair ?speculate ?undo
+         ())
+    ~workers ~commands ~keys ~write_pct ~cross_pct ?mis_pct
+    ~drain_before_close:drain ?crashes ?respawn ?batch ~workload_seed ()
 
 let early_walk ?stop_on_first s ~seed ~schedules =
-  Explore.random_walk ?stop_on_first ~run:(Early_check.run_schedule s) ~seed
+  Explore.random_walk ?stop_on_first ~run:(Backend_check.run_schedule s) ~seed
     ~schedules ()
 
 let test_early_replay_deterministic () =
   let s = esc ~optimistic:true ~mis_pct:40.0 () in
-  let replay seed = Explore.replay ~run:(Early_check.run_schedule s) ~seed in
+  let replay seed = Explore.replay ~run:(Backend_check.run_schedule s) ~seed in
   let a = replay 24680L and b = replay 24680L in
   Alcotest.(check bool) "same trace hash" true (a.trace_hash = b.trace_hash);
   Alcotest.(check int) "same decision count" a.decisions b.decisions;
@@ -255,10 +276,10 @@ let test_early_replay_deterministic () =
   Alcotest.(check bool) "different seed, different schedule" true
     (a.trace_hash <> c.trace_hash)
 
-let early_clean_random optimistic () =
+let early_clean_random ?batch optimistic () =
   List.iter
     (fun drain ->
-      let s = esc ~optimistic ~mis_pct:40.0 ~drain () in
+      let s = esc ~optimistic ~mis_pct:40.0 ~drain ?batch () in
       let r = early_walk s ~seed:13L ~schedules:600 in
       Alcotest.(check int)
         (Printf.sprintf "no failures (drain=%b)" drain)
@@ -267,11 +288,18 @@ let early_clean_random optimistic () =
       Alcotest.(check int) "all complete" 0 r.Explore.incomplete)
     [ true; false ]
 
+(* Batches go through [submit_batch] on a conservative dispatcher only:
+   the optimistic protocol submits and confirms one command at a time. *)
+let test_early_optimistic_batch_rejected () =
+  match esc ~optimistic:true ~batch:3 () with
+  | _ -> Alcotest.fail "optimistic scenario with batch 3 accepted"
+  | exception Invalid_argument _ -> ()
+
 let test_early_dfs () =
   let s = esc ~workers:2 ~commands:2 ~write_pct:100.0 ~cross_pct:100.0 () in
   let r =
     Explore.dfs ~preemption_bound:1 ~max_schedules:100_000
-      ~run:(Early_check.run_schedule s) ()
+      ~run:(Backend_check.run_schedule s) ()
   in
   Alcotest.(check bool) "bounded tree exhausted" true r.Explore.exhausted;
   Alcotest.(check int) "no failures" 0 (List.length r.Explore.failures);
@@ -301,7 +329,7 @@ let test_early_barrier_deadlock_caught () =
       match f.Explore.seed with
       | None -> Alcotest.fail "random-walk failure carries no seed"
       | Some seed ->
-          let o = Explore.replay ~run:(Early_check.run_schedule s) ~seed in
+          let o = Explore.replay ~run:(Backend_check.run_schedule s) ~seed in
           Alcotest.(check (list string))
             "replay reproduces the exact violations" f.Explore.violations
             o.Check_platform.violations)
@@ -432,8 +460,9 @@ let test_early_ready_read_crash_respawn_clean () =
    pinned seed by the conflict-order and rollback-consistency oracles;
    the gated dispatcher stays clean on it. *)
 let gate_sc ?(write_gate = true) ?(read_gate = true) () =
-  Early_check.scenario ~workers:2 ~write_pct:30.0 ~cross_pct:60.0 ~write_gate
-    ~read_gate ~workload_seed:1L ()
+  Backend_check.scenario
+    ~target:(Backend_check.dispatcher ~write_gate ~read_gate ())
+    ~workers:2 ~write_pct:30.0 ~cross_pct:60.0 ~workload_seed:1L ()
 
 let gate_bug_caught what s () =
   let r = early_walk ~stop_on_first:true s ~seed:91L ~schedules:500 in
@@ -463,9 +492,9 @@ let test_early_gate_clean () =
 (* A run cut off by the step bound stops mid-program: no post-run oracle
    may judge it, so the stuck processes are not reported as a deadlock. *)
 let test_truncated_skips_oracles () =
-  let s = sc ~target:(Cos_check.Impl Psmr_early.Registry.Lockfree) () in
+  let s = sc ~target:(cos Psmr_early.Registry.Lockfree) () in
   let o =
-    Explore.replay ~run:(Cos_check.run_schedule ~max_steps:20 s) ~seed:1L
+    Explore.replay ~run:(Backend_check.run_schedule ~max_steps:20 s) ~seed:1L
   in
   Alcotest.(check bool) "truncated" true o.truncated;
   Alcotest.(check bool) "not completed" false o.completed;
@@ -477,10 +506,12 @@ let test_truncated_skips_oracles () =
    no-sentinel variant hits a 150-step bound, so no oracle ran and
    psmr_check must call the result inconclusive, not clean. *)
 let test_all_truncated_exploration () =
-  let s = Cos_check.scenario ~target:no_sentinel_target ~workload_seed:1L () in
+  let s =
+    Backend_check.scenario ~target:no_sentinel_target ~workload_seed:1L ()
+  in
   let r =
     Explore.random_walk ~stop_on_first:true
-      ~run:(Cos_check.run_schedule ~max_steps:150 s)
+      ~run:(Backend_check.run_schedule ~max_steps:150 s)
       ~seed:9L ~schedules:3000 ()
   in
   Alcotest.(check int) "every schedule explored" 3000 r.Explore.schedules;
@@ -544,23 +575,27 @@ let pinned name ~decisions ~trace_hash ~violations (o : Check_platform.outcome)
   Alcotest.(check (list string)) (name ^ ": violations") violations
     o.violations
 
+(* Re-pinned when COS scenarios moved under the scheduler runtime: the
+   pool's workers, its counters and its crash requeue run where a bare
+   get/remove loop ran. *)
 let test_pinned_lockfree_batch_crash () =
   let s =
-    Cos_check.scenario ~target:(Cos_check.Impl Psmr_early.Registry.Lockfree)
+    Backend_check.scenario ~target:(cos Psmr_early.Registry.Lockfree)
       ~batch:3 ~crashes:[ (1, 2) ] ~workload_seed:1L ()
   in
-  Explore.replay ~run:(Cos_check.run_schedule s) ~seed:2201L
-  |> pinned "lockfree batch 3 + crash" ~decisions:246
-       ~trace_hash:(-5489700432274428712L) ~violations:[]
+  Explore.replay ~run:(Backend_check.run_schedule s) ~seed:2201L
+  |> pinned "lockfree batch 3 + crash" ~decisions:293
+       ~trace_hash:4987892332009988514L ~violations:[]
 
 (* Re-pinned when shared reads became one entry: each entry holds one
    more atomic cell, and the worker loop parks through the ready queue. *)
 let test_pinned_early_spec_crash () =
   let s =
-    Early_check.scenario ~optimistic:true ~speculate:true ~crashes:[ (1, 2) ]
-      ~workload_seed:1L ()
+    Backend_check.scenario
+      ~target:(Backend_check.dispatcher ~optimistic:true ~speculate:true ())
+      ~crashes:[ (1, 2) ] ~workload_seed:1L ()
   in
-  Explore.replay ~run:(Early_check.run_schedule s) ~seed:2202L
+  Explore.replay ~run:(Backend_check.run_schedule s) ~seed:2202L
   |> pinned "early-opt speculate + crash" ~decisions:248
        ~trace_hash:(-5586707427947918545L) ~violations:[]
 
@@ -635,6 +670,10 @@ let () =
             (early_clean_random false);
           Alcotest.test_case "clean, optimistic" `Quick
             (early_clean_random true);
+          Alcotest.test_case "clean, conservative, submit_batch of 3" `Quick
+            (early_clean_random ~batch:3 false);
+          Alcotest.test_case "optimistic batches rejected" `Quick
+            test_early_optimistic_batch_rejected;
           Alcotest.test_case "dfs bound-1 tree exhausted, clean" `Quick
             test_early_dfs;
           Alcotest.test_case "crash-stop barrier deadlock caught + replay"

@@ -1457,6 +1457,54 @@ let test_keyed_bench_crash_respawn () =
   Alcotest.(check bool) "fault injected" true (r.faults_injected >= 1);
   Alcotest.(check bool) "kept executing after respawn" true (r.executed > 0)
 
+(* worker-slow on the DES, through the armed fault plan: worker 1 runs
+   every command 50 us slow.  The first write (keys 0 and 1) goes to
+   worker 1 — on the class map as the rendezvous's designated executor,
+   on the COS as the first worker to ask — and the next write, of key 1,
+   conflicts with it.  The slowdown is paid before the execution, so that
+   write starts 50 us later than without the plan, in both families, less
+   what the sleep overlaps of worker 2's own rendezvous costs (under 2 us
+   at the default costs).  Slept after the execution, the class map would
+   start it on time. *)
+let slowed_successor_start backend ~slow =
+  let open Psmr_sim in
+  let e = Engine.create () in
+  let (module SP) = Sim_platform.make e Costs.default in
+  let (module B : Psmr_sched.Sched_intf.BACKEND with type cmd = Fc.t) =
+    Psmr_early.Registry.instantiate backend (module SP) (module Fc)
+  in
+  let started = Array.make 2 nan in
+  let body () =
+    Engine.spawn e (fun () ->
+        let b =
+          B.start ~workers:2
+            ~execute:(fun (c : Fc.t) ->
+              started.(c.idx) <- SP.now ();
+              SP.sleep 1e-5)
+            ()
+        in
+        B.submit b { Fc.idx = 0; fp = [ (0, true); (1, true) ] };
+        B.submit b { Fc.idx = 1; fp = [ (1, true) ] };
+        B.shutdown b);
+    Engine.run e
+  in
+  if slow then
+    Psmr_fault.Plan.with_plan
+      (Psmr_fault.Plan.make ~now:(fun () -> Engine.now e)
+         (Psmr_fault.Schedule.parse_exn "worker-slow=1@0:0.00005"))
+      body
+  else body ();
+  started.(1)
+
+let test_slow_delays_successor backend () =
+  let delay =
+    slowed_successor_start backend ~slow:true
+    -. slowed_successor_start backend ~slow:false
+  in
+  if delay < 4.5e-5 || delay > 5.5e-5 then
+    Alcotest.failf "the next conflicting write started %.3f us later, not 50"
+      (delay *. 1e6)
+
 let test_keyed_bench_cos_backend () =
   let r =
     Psmr_harness.Standalone.run
@@ -1567,5 +1615,13 @@ let () =
             test_keyed_bench_opt_crash_mid_repair;
           Alcotest.test_case "keyed bench cos backend" `Quick
             test_keyed_bench_cos_backend;
+          Alcotest.test_case "worker-slow delays the next write (DES) [early]"
+            `Quick
+            (test_slow_delays_successor
+               (Psmr_early.Registry.Early Psmr_early.Early_intf.conservative));
+          Alcotest.test_case
+            "worker-slow delays the next write (DES) [lockfree]" `Quick
+            (test_slow_delays_successor
+               (Psmr_early.Registry.Cos Psmr_early.Registry.Lockfree));
         ] );
     ]

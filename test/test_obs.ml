@@ -256,12 +256,12 @@ let test_trace_schema () =
 
 let check_metrics target =
   let sc =
-    Psmr_checker.Cos_check.scenario ~target ~workers:2 ~commands:6
+    Psmr_checker.Backend_check.scenario ~target ~workers:2 ~commands:6
       ~write_pct:50.0 ~drain_before_close:true ~workload_seed:3L ()
   in
   let rng = Psmr_util.Rng.create ~seed:5L in
   let o =
-    Psmr_checker.Cos_check.run_schedule ~metrics:true sc
+    Psmr_checker.Backend_check.run_schedule ~metrics:true sc
       ~pick:(fun ~last:_ tags -> Psmr_util.Rng.int rng (Array.length tags))
   in
   Alcotest.(check bool)
@@ -272,7 +272,7 @@ let check_metrics target =
     | None -> Alcotest.failf "missing metric %S" name
 
 let test_check_platform_metrics () =
-  let get = check_metrics (Psmr_checker.Cos_check.Impl Registry.Lockfree) in
+  let get = check_metrics (Psmr_checker.Backend_check.Cos (Impl Registry.Lockfree)) in
   Alcotest.(check bool)
     "CAS successes <= attempts" true
     (get "platform.cas_successes" <= get "platform.cas_attempts");
@@ -280,9 +280,12 @@ let test_check_platform_metrics () =
     (get "cos.insert_ops");
   Alcotest.(check (float 0.0)) "every command removed" 6.0
     (get "cos.remove_ops");
-  (* The checker's harness calls get/remove itself (no scheduler layer), so
-     the execution histogram stays empty; the two COS-recorded ones see
-     every command. *)
+  (* The checker runs the COS under the scheduler runtime, so the
+     runtime's execution histogram sees every command, as do the two
+     COS-recorded ones. *)
+  Alcotest.(check (float 0.0))
+    "every execution measured" 6.0
+    (get "sched.dispatch_executed_count");
   Alcotest.(check (float 0.0))
     "every promotion measured" 6.0
     (get "cos.delivery_ready_count");
@@ -294,7 +297,7 @@ let test_check_platform_metrics () =
    as the simulated ones: the coarse COS takes its monitor on every
    operation. *)
 let test_check_platform_locks () =
-  let get = check_metrics (Psmr_checker.Cos_check.Impl Registry.Coarse) in
+  let get = check_metrics (Psmr_checker.Backend_check.Cos (Impl Registry.Coarse)) in
   Alcotest.(check bool)
     "locks acquired" true
     (get "sync.lock_acquisitions" > 0.0);

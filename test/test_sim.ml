@@ -634,12 +634,14 @@ let golden_expected =
        deployment: pinned at the commit before the three worker loops
        became one [Psmr_sched.Pool].  faults-early refreshed when the
        keyed workload's two-key reads became one entry run from the ready
-       queue, like early. *)
+       queue, like early.  Both faults-* digests refreshed when a slowed
+       worker began sleeping before the execution, as a stalled one does,
+       instead of after it (worker 4's worker-slow). *)
     ( "faults-early",
-      "5acd495baa6533fb7f68283443b01c6a clock=0x1.999999999999ap-6 \
-       events=335550" );
+      "b4ff84332c29cc721927838c9154e587 clock=0x1.999999999999ap-6 \
+       events=335554" );
     ( "faults-lockfree",
-      "150431f6a94cd2237c348fd51b99e9da clock=0x1.999999999999ap-6 \
+      "82bf947b48687d69fd5b8a7147492b7d clock=0x1.999999999999ap-6 \
        events=651795" );
     ( "smr-early",
       "cc866c5d5c7936c8be01c558c2f0f463 clock=0x1.999999999999ap-6 \
