@@ -197,8 +197,8 @@ let trace_out_arg =
            sections.")
 
 (* A harness rejects arguments it cannot act on with [Invalid_argument]
-   (e.g. a replica crash in a standalone run, or a replica recovery in a
-   deployment): a usage error, reported as such. *)
+   (e.g. a replica crash in a standalone run, which has no replica): a
+   usage error, reported as such. *)
 let usage_errors run =
   try run ()
   with Invalid_argument msg ->

@@ -615,6 +615,11 @@ module Make (P : Platform_intf.S) = struct
             if view > t.view then begin
               t.view <- view;
               t.status <- Normal;
+              (* The new view's leader just answered: restart the failure
+                 detector, as installing a view does.  A deposed leader
+                 never refreshed it, so it would otherwise suspect the new
+                 leader at its next tick and start one more view. *)
+              t.last_leader_contact <- P.now ();
               (* Holders count within one view only. *)
               Hashtbl.reset t.acks
             end;

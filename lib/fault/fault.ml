@@ -76,20 +76,15 @@ let worker ~id =
               Slow x
           | None -> Run))
 
-(** A due crash event for replica [id], consumed on return.  The replica
-    layer and the recovery harness poll this on their tick path. *)
+(** Whether a crash of replica [id] has come due, consuming the event.  The
+    deployment's tickers poll this on their tick path. *)
 let replica ~id =
   match !Plan.active with
-  | None -> None
-  | Some p -> (
-      match Plan.take_replica_event p ~id with
-      | Some e ->
-          Plan.record p;
-          Probe.fault `Replica_crash;
-          Some (`Crash e.Schedule.recover_after)
-      | None -> None)
-
-let replica_crash_pending ~id =
-  match !Plan.active with
-  | None -> None
-  | Some p -> Plan.next_replica_crash_at p ~id
+  | None -> false
+  | Some p ->
+      let due = Plan.take_replica_event p ~id in
+      if due then begin
+        Plan.record p;
+        Probe.fault `Replica_crash
+      end;
+      due

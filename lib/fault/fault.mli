@@ -22,10 +22,6 @@ val worker : id:int -> worker_action
     execution.  Worker ids are 1-based, matching the scheduler's
     [worker-<i>] names. *)
 
-val replica : id:int -> [ `Crash of float option ] option
-(** A due crash event for replica [id], consumed on return; the payload is
-    the scheduled recovery delay, if any. *)
-
-val replica_crash_pending : id:int -> float option
-(** Virtual time of the next pending crash of replica [id] without
-    consuming it. *)
+val replica : id:int -> bool
+(** Whether a crash of replica [id] has come due; the event is consumed on
+    a [true] answer. *)

@@ -85,18 +85,12 @@ let net_decision t =
 let take_replica_event t ~id =
   let now = t.now () in
   let rec split acc = function
-    | [] -> None
+    | [] -> false
     | (e : Schedule.replica_event) :: rest ->
         if e.replica = id && e.at <= now then begin
           t.pending_replicas <- List.rev_append acc rest;
-          Some e
+          true
         end
         else split (e :: acc) rest
   in
   split [] t.pending_replicas
-
-let next_replica_crash_at t ~id =
-  List.find_map
-    (fun (e : Schedule.replica_event) ->
-      if e.replica = id then Some e.at else None)
-    t.pending_replicas

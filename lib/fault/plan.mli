@@ -36,8 +36,4 @@ val record : t -> unit
 val take_worker_event : t -> id:int -> Schedule.worker_fault option
 val slow_extra : t -> id:int -> float option
 val net_decision : t -> [ `Deliver | `Drop | `Duplicate | `Delay of float ]
-val take_replica_event : t -> id:int -> Schedule.replica_event option
-
-val next_replica_crash_at : t -> id:int -> float option
-(** Virtual time of the next pending crash of replica [id], if any —
-    lets a recovery harness size its run without consuming the event. *)
+val take_replica_event : t -> id:int -> bool

@@ -21,9 +21,11 @@
       worker-stall=W@T:D       worker W pauses D seconds, once, after T
       worker-slow=W@T:X        worker W pays X extra seconds per command
                                from virtual time T on
-      replica-crash=R@T        replica R crashes at virtual time T
-      replica-crash=R@T+D      ... and recovers from its checkpoint after D
-    v} *)
+      replica-crash=R@T        replica R crash-stops at virtual time T
+    v}
+
+    A replica crash has no [+D] restart delay: no deployment can restart a
+    replica, so a clause that asks for one is a parse error. *)
 
 type worker_fault =
   | Crash of { respawn_after : float option }
@@ -32,11 +34,7 @@ type worker_fault =
 
 type worker_event = { worker : int; at : float; fault : worker_fault }
 
-type replica_event = {
-  replica : int;
-  at : float;
-  recover_after : float option;
-}
+type replica_event = { replica : int; at : float }
 
 type net = {
   loss_pct : float;
@@ -84,7 +82,7 @@ let parse_int what s =
   | None -> err "%s: not an integer: %S" what s
 
 (* [W@T], [W@T+R] or [W@T:D] — the id, the firing time and an optional
-   suffix introduced by [+] (a recovery delay) or [:] (a magnitude). *)
+   suffix introduced by [+] (a respawn delay) or [:] (a magnitude). *)
 let parse_event what v =
   match String.index_opt v '@' with
   | None -> err "%s: expected <id>@<time>, got %S" what v
@@ -161,16 +159,11 @@ let parse_clause acc clause =
             in
             Ok { acc with workers = { worker = w; at; fault = Slow x } :: acc.workers }
       | "replica-crash" ->
-          let* r, at, plus, suffix = parse_event key v in
-          let recover_after = if plus then suffix else None in
-          if (not plus) && suffix <> None then
-            err "replica-crash: expected <id>@<t>[+<recover>], got %S" v
-          else
-            Ok
-              {
-                acc with
-                replicas = { replica = r; at; recover_after } :: acc.replicas;
-              }
+          let* r, at, _, suffix = parse_event key v in
+          if suffix <> None then
+            err "replica-crash: expected <id>@<t> (a crashed replica never \
+                 restarts), got %S" v
+          else Ok { acc with replicas = { replica = r; at } :: acc.replicas }
       | _ -> err "fault spec: unknown clause %S" key)
 
 let by_time_stable get_at l =
@@ -221,9 +214,6 @@ let to_string t =
       | Slow x -> add "worker-slow=%d@%s:%s" e.worker (num e.at) (num x))
     t.workers;
   List.iter
-    (fun (e : replica_event) ->
-      match e.recover_after with
-      | None -> add "replica-crash=%d@%s" e.replica (num e.at)
-      | Some d -> add "replica-crash=%d@%s+%s" e.replica (num e.at) (num d))
+    (fun (e : replica_event) -> add "replica-crash=%d@%s" e.replica (num e.at))
     t.replicas;
   Buffer.contents b

@@ -13,8 +13,7 @@
       worker-stall=W@T:D       worker W pauses D seconds, once, after T
       worker-slow=W@T:X        worker W pays X extra seconds per command
                                from T on
-      replica-crash=R@T[+D]    replica R crashes at T (recovers from its
-                               checkpoint after D seconds when given)
+      replica-crash=R@T        replica R crash-stops at virtual time T
     v} *)
 
 type worker_fault =
@@ -24,11 +23,7 @@ type worker_fault =
 
 type worker_event = { worker : int; at : float; fault : worker_fault }
 
-type replica_event = {
-  replica : int;
-  at : float;
-  recover_after : float option;
-}
+type replica_event = { replica : int; at : float }
 
 type net = {
   loss_pct : float;

@@ -92,16 +92,6 @@ let run ~mode ~spec ~clients ?(cmds_per_request = default_cmds_per_request)
   (* The fault plan covers the whole deployment: network faults fire in
      the message layer, worker faults inside the replicas' executors,
      replica crashes at the replicas' tickers. *)
-  (match faults with
-  | Some (f : Psmr_fault.Schedule.t)
-    when List.exists
-           (fun (e : Psmr_fault.Schedule.replica_event) ->
-             Option.is_some e.recover_after)
-           f.replicas ->
-      invalid_arg
-        "Smr.run: replica-crash with +D, but the deployment cannot restart \
-         a replica"
-  | Some _ | None -> ());
   Sim_run.with_sim ?faults @@ fun sim ->
   let latencies = Psmr_util.Vec.create () in
   let completed = ref 0 in

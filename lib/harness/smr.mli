@@ -59,6 +59,4 @@ val run :
     replica crash-stops.  Empty schedule: bit-identical to a run without
     fault support.  Throughput is counted at replica 0 or, when the
     schedule crashes replicas, at the live replica that executed most
-    during the window.
-    @raise Invalid_argument on a [replica-crash] with a recovery delay
-    ([+D]): the deployment cannot restart a replica. *)
+    during the window. *)

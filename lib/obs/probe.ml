@@ -107,8 +107,7 @@ module Part = struct
   let cross_stall = T.histogram "part.cross_stall"
 end
 
-(* Fault injection, recorded by the Psmr_fault facade and the recovery
-   harness. *)
+(* Fault injection, recorded by the Psmr_fault facade. *)
 module Fault = struct
   let worker_crashes = T.counter "fault.worker_crashes"
   let worker_stalls = T.counter "fault.worker_stalls"
@@ -117,7 +116,6 @@ module Fault = struct
   let net_dups = T.counter "fault.net_dups"
   let net_delays = T.counter "fault.net_delays"
   let replica_crashes = T.counter "fault.replica_crashes"
-  let recoveries = T.counter "fault.recoveries"
 end
 
 let enabled () = match !T.active with Some _ -> true | None -> false
@@ -218,8 +216,7 @@ let fault kind =
     | `Net_drop -> Fault.net_drops
     | `Net_dup -> Fault.net_dups
     | `Net_delay -> Fault.net_delays
-    | `Replica_crash -> Fault.replica_crashes
-    | `Recovery -> Fault.recoveries)
+    | `Replica_crash -> Fault.replica_crashes)
 
 let exec ~core ~ts ~dur =
   match Option.bind !T.active T.trace with

@@ -77,12 +77,10 @@ val fault :
   | `Net_drop
   | `Net_dup
   | `Net_delay
-  | `Replica_crash
-  | `Recovery ] ->
+  | `Replica_crash ] ->
   unit
 (** One injected fault firing.  Recorded by the [Psmr_fault] facade when an
-    armed plan makes a non-[Run]/non-[Deliver] decision, and by the
-    recovery harness for replica-level events. *)
+    armed plan makes a non-[Run]/non-[Deliver] decision. *)
 
 (** {1 Early scheduling}
 

@@ -692,6 +692,11 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
       in
       { cfg; partitions; net; replica_handles; all_joined }
 
+    let crash_replica t id =
+      if id < 0 || id >= t.cfg.replicas then
+        invalid_arg "Deployment.crash_replica";
+      Net.crash t.net id
+
     let start t =
       Array.iter
         (fun r ->
@@ -715,18 +720,16 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
           (* Timer: self-addressed ticks keep protocol timing inside the
              single replica thread.  Each tick first polls the fault plan
              (one pointer read when none is armed): a replica crash that
-             has come due crash-stops the replica, as {!crash_replica}
-             does — the deployment cannot restart one, so a recovery
-             delay is not acted on. *)
+             has come due crash-stops the replica through {!crash_replica}. *)
           P.spawn ~name:(Printf.sprintf "ticker-%d" r.id) (fun () ->
               let rec tick_loop () =
                 if not (P.Atomic.get r.stopped) then begin
                   P.sleep t.cfg.tick_interval;
-                  match Psmr_fault.Fault.replica ~id:r.id with
-                  | Some (`Crash _) -> Net.crash t.net r.id
-                  | None ->
-                      Net.send t.net ~src:r.id ~dst:r.id Tick;
-                      tick_loop ()
+                  if Psmr_fault.Fault.replica ~id:r.id then crash_replica t r.id
+                  else begin
+                    Net.send t.net ~src:r.id ~dst:r.id Tick;
+                    tick_loop ()
+                  end
                 end
               in
               tick_loop ()))
@@ -737,14 +740,9 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
       make_client ~net:t.net ~replicas:t.cfg.replicas ~partitions:t.partitions
         ~timeout:t.cfg.client_timeout (client_addr t i)
 
-    let crash_replica t id =
-      if id < 0 || id >= t.cfg.replicas then
-        invalid_arg "Deployment.crash_replica";
-      Net.crash t.net id
-
     let ord t id = t.replica_handles.(id).ord
     let replica_crashed t id = Net.is_crashed t.net id
-    let replica_view t id = Part.view (ord t id) ~part:0
+    let replica_view ?(part = 0) t id = Part.view (ord t id) ~part
     let replica_partition_leader t id ~part = Part.leader (ord t id) ~part
     let replica_merge_pending t id = Part.merge_pending (ord t id)
     let replica_crosses t id = Part.crosses (ord t id)

@@ -146,9 +146,8 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) : sig
     val start : t -> unit
     (** Spawn every replica's protocol loop, parallelizer and ticker.  A
         ticker polls the armed fault plan ({!Psmr_fault.Fault.replica}) on
-        every tick and crash-stops its replica, as {!crash_replica}, once a
-        [replica-crash] event for it is due; the deployment cannot restart
-        a replica, so the event's recovery delay is not acted on. *)
+        every tick and crash-stops its replica through {!crash_replica}
+        once a [replica-crash] event for it is due. *)
 
     val client : t -> int -> client
     (** The [i]-th client endpoint (0-based; create one handle per calling
@@ -161,8 +160,9 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) : sig
     (** Whether the replica has crash-stopped ({!crash_replica} or a due
         [replica-crash] event). *)
 
-    val replica_view : t -> int -> int
-    (** Partition 0's view (the one sequencer's in a bare mode). *)
+    val replica_view : ?part:int -> t -> int -> int
+    (** The view of partition [part] (default 0; the one sequencer's in a
+        bare mode). *)
 
     val replica_delivered : t -> int -> int
     val replica_executed : t -> int -> int

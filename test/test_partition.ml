@@ -1356,7 +1356,40 @@ module Equiv
       val gen_cmd : Random.State.t -> S.command
     end) =
 struct
-  module R = Psmr_harness.Recovery.Make (S)
+  (* Commands tagged with their position in the run, so the executor can
+     file each reply; conflicts ignore the position. *)
+  module Pos = struct
+    type t = int * S.command
+
+    let conflict (_, a) (_, b) = S.conflict a b
+    let footprint (_, c) = S.footprint c
+    let pp ppf (i, c) = Format.fprintf ppf "%d:%a" i S.pp_command c
+  end
+
+  (* [log] through the Coarse COS with four workers on the simulator, each
+     execution taking 2 us so that independent commands overlap. *)
+  let run_coarse (log : S.command array) =
+    let open Psmr_sim in
+    let engine = Engine.create () in
+    let (module SP) = Sim_platform.make engine Costs.default in
+    let (module B : Psmr_sched.Sched_intf.BACKEND with type cmd = Pos.t) =
+      Psmr_early.Registry.instantiate (Cos Coarse) (module SP) (module Pos)
+    in
+    let st = C.fresh () in
+    let replies = Array.make (Array.length log) "" in
+    Engine.spawn engine (fun () ->
+        let b =
+          B.start ~workers:4
+            ~execute:(fun (i, c) ->
+              SP.sleep 2e-6;
+              replies.(i) <-
+                Format.asprintf "%a" S.pp_response (S.execute st c))
+            ()
+        in
+        Array.iteri (fun i c -> B.submit b (i, c)) log;
+        B.shutdown b);
+    Engine.run engine;
+    (replies, S.snapshot st)
 
   let parts_of ~partitions cmd =
     Psmr_broadcast.Partition.touched ~partitions (S.footprint cmd)
@@ -1410,15 +1443,12 @@ struct
             "merged orders disagree on replies or final state")
       (List.tl merged);
     (* Same merged order through the Coarse COS parallel executor. *)
-    let out =
-      R.run ~backend:(Cos Coarse) ~workers:4 ~state:C.fresh
-        ~log:(Array.of_list (List.map (fun cid -> log.(cid)) m0))
-        ()
+    let replies, state =
+      run_coarse (Array.of_list (List.map (fun cid -> log.(cid)) m0))
     in
-    out.R.completed
-    && out.R.final_state = s0
+    state = s0
     && List.for_all2
-         (fun i cid -> out.R.replies.(i) = r0.(cid))
+         (fun i cid -> replies.(i) = r0.(cid))
          (List.init k Fun.id) m0
 
   let test =

@@ -240,77 +240,275 @@ let test_sim_full_batch_burst mode () =
   Engine.run ~until:2.0 engine;
   Alcotest.(check int) "every call returned" (clients * rounds) !returned
 
-let test_state_transfer_after_truncation mode () =
-  (* Partition replica 2 away from its peers' traffic while the log is being
-     truncated aggressively; after healing, it can no longer catch up from
-     logs (gap beyond every base) so it must recover through a snapshot cut
-     (every partition's sequencer at once, plus the merge), and end up with
-     the same state. *)
-  let open Psmr_sim in
-  let engine = Engine.create () in
-  (* Zero-cost atomic reads let the test inspect counters after the run. *)
-  let (module SP) =
-    Sim_platform.make engine { Costs.default with atomic_read = 0.0 }
-  in
-  let module SMR = Psmr_replica.Replica.Make (SP) (Psmr_app.Kv_store) in
-  let services = Array.make 3 None in
-  let cfg =
+(* --- recovery equivalence: snapshot catch-up on every backend --- *)
+
+(* [S] with every command tagged by a run-wide id.  Each replica's instance
+   files the rendered response of each command it executes under that id,
+   so two replicas can be compared command by command.  The table is
+   evidence, not state: snapshots carry [S]'s state alone. *)
+module Tagged (S : Psmr_app.Service_intf.S) = struct
+  type command = { id : int; op : S.command }
+  type response = S.response
+  type t = { svc : S.t; resps : (int, string) Hashtbl.t }
+
+  let create svc = { svc; resps = Hashtbl.create 256 }
+
+  let execute t c =
+    let r = S.execute t.svc c.op in
+    Hashtbl.replace t.resps c.id (Format.asprintf "%a" S.pp_response r);
+    r
+
+  let snapshot t = S.snapshot t.svc
+  let restore t s = S.restore t.svc s
+  let footprint c = S.footprint c.op
+  let conflict a b = S.conflict a.op b.op
+  let pp_command ppf c = Format.fprintf ppf "#%d:%a" c.id S.pp_command c.op
+  let pp_response = S.pp_response
+end
+
+module Catch_up (S : Psmr_app.Service_intf.S) = struct
+  module T = Tagged (S)
+
+  type outcome = {
+    services : T.t array;
+    delivered : int array;  (** commands each replica delivered itself *)
+    views : int array array;  (** per replica, per partition *)
+    retries : int;
+  }
+
+  (* [clients] clients call batches of [per_call] commands drawn from
+     [gen], each one call per millisecond, while the log is truncated
+     every four commands.  After client 0's 20th call everything into
+     replica 2 is cut, its own ticks included; 0.3 s later the cut heals,
+     and the clients stop once client 0 has made 50 more calls.  Replica 2
+     can no longer catch up from logs (its gap is beyond every base), so
+     it must install a snapshot cut: every partition's sequencer at once,
+     plus the merge.  The clients listed in [muted] hear no replica from
+     the cut until 50 ms after the heal.  The run fails unless every call
+     returns. *)
+  let run ~mode ~fresh ~gen ~seed ?(clients = 1) ?(muted = []) ?(per_call = 4)
+      ?(client_timeout = 0.3) () =
+    let open Psmr_sim in
+    let engine = Engine.create () in
+    (* Zero-cost atomic reads let the test inspect counters after the run. *)
+    let (module SP) =
+      Sim_platform.make engine { Costs.default with atomic_read = 0.0 }
+    in
+    let module SMR = Psmr_replica.Replica.Make (SP) (T) in
+    let services = Array.init 3 (fun _ -> T.create (fresh ())) in
+    let cfg =
+      {
+        (SMR.Deployment.default_config ~make_service:(Array.get services) ())
+        with
+        clients;
+        mode;
+        abcast = { fast_abcast with checkpoint_interval = 4; batch_max = 4 };
+        tick_interval = 1e-3;
+        client_timeout;
+        latency = (fun ~src:_ ~dst:_ -> 1e-4);
+      }
+    in
+    let d = SMR.Deployment.create cfg in
+    let net = SMR.Deployment.network d in
+    let rng = Random.State.make [| seed |] in
+    let ids = ref 0 in
+    let command () =
+      let id = !ids in
+      incr ids;
+      { T.id; op = gen rng }
+    in
+    let finished = ref 0 and retries = ref 0 and stop = ref false in
+    let client ci () =
+      let c = SMR.Deployment.client d ci in
+      let call () =
+        let cmds = Array.init per_call (fun _ -> command ()) in
+        if SMR.call_batch c cmds = None then Alcotest.fail "network shut down";
+        SP.sleep 1e-3
+      in
+      if ci = 0 then begin
+        for _ = 1 to 20 do call () done;
+        (* Replicas are addresses [0, n), client [i] is [n + i]. *)
+        let n = cfg.replicas in
+        let mute ~src ~dst = src < n && List.mem (dst - n) muted in
+        SMR.Net.set_link_filter net (fun ~src ~dst ->
+            dst <> 2 && not (mute ~src ~dst));
+        let healed = ref false in
+        SP.spawn (fun () ->
+            SP.sleep 0.3;
+            SMR.Net.set_link_filter net (fun ~src ~dst -> not (mute ~src ~dst));
+            healed := true;
+            SP.sleep 0.05;
+            SMR.Net.heal net);
+        while not !healed do call () done;
+        for _ = 1 to 50 do call () done;
+        stop := true
+      end
+      else while not !stop do call () done;
+      retries := !retries + SMR.client_retries c;
+      incr finished
+    in
+    Engine.spawn engine (fun () ->
+        SMR.Deployment.start d;
+        for ci = 0 to clients - 1 do SP.spawn (client ci) done);
+    Engine.run ~until:8.0 engine;
+    if !finished < clients then Alcotest.fail "a client did not finish";
+    let partitions =
+      match mode with
+      | Psmr_replica.Replica.Partitioned { partitions; _ } -> partitions
+      | _ -> 1
+    in
     {
-      (SMR.Deployment.default_config ~make_service:(fun id ->
-           let s = Psmr_app.Kv_store.create ~capacity:16 in
-           services.(id) <- Some s;
-           s)
-         ()) with
-      clients = 1;
-      mode;
-      abcast = { fast_abcast with checkpoint_interval = 4; batch_max = 4 };
-      tick_interval = 1e-3;
-      client_timeout = 0.3;
-      latency = (fun ~src:_ ~dst:_ -> 1e-4);
+      services;
+      delivered = Array.init 3 (SMR.Deployment.replica_delivered d);
+      views =
+        Array.init 3 (fun r ->
+            Array.init partitions (fun part ->
+                SMR.Deployment.replica_view ~part d r));
+      retries = !retries;
     }
+
+  (* Replica 2 caught up through a snapshot (commands the snapshot covered
+     were never delivered to it), ends with its peers' state, and every
+     command it executed answered as at replica 0; replica 1 answered
+     every command as replica 0 did. *)
+  let check_equivalent ctx o =
+    let check_bool what = Alcotest.(check bool) (ctx ^ ": " ^ what) true in
+    check_bool "replica 2 caught up through a snapshot"
+      (o.delivered.(2) < o.delivered.(0));
+    let state i = T.snapshot o.services.(i) in
+    check_bool "replica 1 has replica 0's state" (state 1 = state 0);
+    check_bool "replica 2 has replica 0's state" (state 2 = state 0);
+    let r0 = o.services.(0).resps in
+    let same i =
+      Hashtbl.fold
+        (fun id resp n ->
+          match Hashtbl.find_opt r0 id with
+          | Some resp0 ->
+              if resp <> resp0 then
+                Alcotest.failf "%s: replica %d answered #%d %s, replica 0 %s"
+                  ctx i id resp resp0;
+              n + 1
+          | None -> n)
+        o.services.(i).resps 0
+    in
+    check_bool "replica 1 executed what replica 0 did"
+      (same 1 = Hashtbl.length r0);
+    let shared = same 2 in
+    check_bool "replica 2 executed commands past the snapshot" (shared > 0);
+    check_bool "the snapshot covered commands replica 2 never executed"
+      (shared < Hashtbl.length r0)
+
+  let test ~fresh ~gen mode () =
+    List.iter
+      (fun seed ->
+        check_equivalent
+          (Printf.sprintf "seed %d" seed)
+          (run ~mode ~fresh ~gen ~seed ()))
+      [ 1; 2 ]
+end
+
+module Bank_catch_up = Catch_up (Psmr_app.Bank)
+module Kv_catch_up = Catch_up (Psmr_app.Kv_store)
+module List_catch_up = Catch_up (Psmr_app.Linked_list)
+
+let bank_fresh () = Psmr_app.Bank.create ~accounts:8 ~initial_balance:100
+
+let bank_gen rng : Psmr_app.Bank.command =
+  match Random.State.int rng 3 with
+  | 0 -> Balance (Random.State.int rng 8)
+  | 1 -> Deposit (Random.State.int rng 8, 1 + Random.State.int rng 20)
+  | _ ->
+      Transfer
+        {
+          src = Random.State.int rng 8;
+          dst = Random.State.int rng 8;
+          amount = 1 + Random.State.int rng 40;
+        }
+
+let kv_fresh () = Psmr_app.Kv_store.create ~capacity:16
+
+let kv_gen rng : Psmr_app.Kv_store.command =
+  match Random.State.int rng 5 with
+  | 0 | 1 -> Get (Random.State.int rng 16)
+  | 2 -> Scan (Random.State.int rng 13, 1 + Random.State.int rng 4)
+  | _ -> Put (Random.State.int rng 16, Random.State.int rng 1000)
+
+let list_fresh () = Psmr_app.Linked_list.create ~initial_size:50
+
+let list_gen rng : Psmr_app.Linked_list.command =
+  if Random.State.int rng 10 < 3 then Add (Random.State.int rng 100)
+  else Contains (Random.State.int rng 100)
+
+(* Every execution backend the registry names, plus sequential SMR. *)
+let catch_up_modes =
+  ("sequential", Psmr_replica.Replica.Sequential)
+  :: List.map
+       (fun (b : Psmr_early.Registry.backend) ->
+         ( Psmr_early.Registry.to_string b,
+           match b with
+           | Cos impl -> Psmr_replica.Replica.Parallel { impl; workers = 3 }
+           | Early { classes; optimistic = false } ->
+               Parallel_early { workers = 3; classes }
+           | Early { classes; optimistic = true } ->
+               Parallel_early_opt { workers = 3; classes } ))
+       Psmr_early.Registry.all
+
+let catch_up_cases =
+  List.concat_map
+    (fun (backend, mode) ->
+      List.map
+        (fun (service, test) ->
+          Alcotest.test_case (service ^ " on " ^ backend) `Quick (test mode))
+        [
+          ("bank", Bank_catch_up.test ~fresh:bank_fresh ~gen:bank_gen);
+          ("kv-store", Kv_catch_up.test ~fresh:kv_fresh ~gen:kv_gen);
+          ("linked-list", List_catch_up.test ~fresh:list_fresh ~gen:list_gen);
+        ])
+    catch_up_modes
+
+(* The same catch-up across four partitions.  Partition 2's sequencer is
+   replica 2, so the cut deposes it: replicas 0 and 1 install view 1.
+   After the heal replica 2 adopts view 1 from the new leader's log and
+   starts no further view change. *)
+let test_partitioned_catch_up () =
+  let o =
+    Kv_catch_up.run
+      ~mode:(Partitioned { partitions = 4; inner = Sequential })
+      ~fresh:kv_fresh ~gen:kv_gen ~seed:1 ~per_call:1 ()
   in
-  let d = SMR.Deployment.create cfg in
-  let net = SMR.Deployment.network d in
-  let client_done = ref false in
-  Engine.spawn engine (fun () ->
-      SMR.Deployment.start d;
-      SP.spawn (fun () ->
-          let c = SMR.Deployment.client d 0 in
-          let calls = ref 0 in
-          let call () =
-            ignore (SMR.call c (Put (!calls mod 16, !calls)) : _ option);
-            incr calls
-          in
-          (* The partition is anchored to progress, not to the clock: after
-             50 calls, cut everything into replica 2 and heal 1 s later,
-             calling throughout and for 50 calls past the heal. *)
-          while !calls < 50 do call () done;
-          SMR.Net.set_link_filter net (fun ~src:_ ~dst -> dst <> 2);
-          let healed = ref false in
-          SP.spawn (fun () ->
-              SP.sleep 1.0;
-              SMR.Net.heal net;
-              healed := true);
-          while not !healed do call () done;
-          for _ = 1 to 50 do call () done;
-          client_done := true));
-  Engine.run ~until:8.0 engine;
-  Alcotest.(check bool) "client finished" true !client_done;
-  let dump = function
-    | Some s -> List.init 16 (fun k -> Psmr_app.Kv_store.execute s (Get k))
-    | None -> Alcotest.fail "service missing"
+  Kv_catch_up.check_equivalent "partitioned" o;
+  Array.iteri
+    (fun r views ->
+      Alcotest.(check int)
+        (Printf.sprintf "replica %d: partition 2 in view 1" r)
+        1 views.(2))
+    o.views
+
+(* Exactly-once across a snapshot install: a client timeout shorter than a
+   call's round trip makes both clients resend deposits while replica 2 is
+   cut off.  Client 1 hears no reply from the cut until 50 ms after the
+   heal, past the snapshot's cut, so it resends one batch throughout: its
+   deposits are ordered before the cut and resent after it.  Replica 2 screens those
+   resends only if the screening table travelled with the snapshot. *)
+let test_exactly_once_across_snapshot () =
+  let deposits = ref 0 in
+  let o =
+    Bank_catch_up.run ~mode:(Parallel { impl = Lockfree; workers = 3 })
+      ~fresh:(fun () -> Psmr_app.Bank.create ~accounts:4 ~initial_balance:0)
+      ~gen:(fun rng ->
+        incr deposits;
+        Deposit (Random.State.int rng 4, 1))
+      ~seed:1 ~clients:2 ~muted:[ 1 ] ~client_timeout:0.1e-3 ()
   in
-  (* Let replica 2 finish catching up within the run window; states must
-     converge. *)
-  let s0 = dump services.(0) in
-  Alcotest.(check bool) "replica 1 converged" true (dump services.(1) = s0);
-  Alcotest.(check bool) "replica 2 converged via state transfer" true
-    (dump services.(2) = s0);
-  (* Commands skipped over by the snapshot were never individually delivered
-     at replica 2 — proof the recovery went through state transfer rather
-     than log replay. *)
-  Alcotest.(check bool) "snapshot skipped deliveries" true
-    (SMR.Deployment.replica_delivered d 2 < SMR.Deployment.replica_delivered d 0)
+  Alcotest.(check bool) "the client retried" true (o.retries > 0);
+  Alcotest.(check bool) "replica 2 caught up through a snapshot" true
+    (o.delivered.(2) < o.delivered.(0));
+  Array.iteri
+    (fun i (s : Bank_catch_up.T.t) ->
+      Alcotest.(check int)
+        (Printf.sprintf "replica %d total (exactly-once)" i)
+        !deposits (Psmr_app.Bank.total s.svc))
+    o.services
 
 (* A client's cross-partition uid packs its address into 16 bits, so a
    deployment with more endpoints is refused up front, before the network
@@ -548,13 +746,10 @@ let () =
             (test_sim_full_batch_burst m_early);
           Alcotest.test_case "full-batch burst (early-opt)" `Quick
             (test_sim_full_batch_burst m_early_opt);
-          Alcotest.test_case "state transfer after truncation" `Quick
-            (test_state_transfer_after_truncation m_seq);
           Alcotest.test_case "state transfer after truncation (partitioned)"
-            `Quick
-            (test_state_transfer_after_truncation
-               (Psmr_replica.Replica.Partitioned
-                  { partitions = 4; inner = m_seq }));
+            `Quick test_partitioned_catch_up;
+          Alcotest.test_case "exactly-once across a snapshot install" `Quick
+            test_exactly_once_across_snapshot;
           Alcotest.test_case "leader notice fails over at view change" `Quick
             test_sim_notice_failover;
           Alcotest.test_case "lost notice falls back to the timeout" `Quick
@@ -566,4 +761,5 @@ let () =
                (Psmr_replica.Replica.Partitioned
                   { partitions = 2; inner = m_early }));
         ] );
+      ("recovery-equivalence", catch_up_cases);
     ]
