@@ -280,7 +280,10 @@ let compute_part ~smoke (p, w, spec) =
    YCSB-A scenario offered to the replicated deployment on
    [Psmr_harness.Open_loop]'s default ladder, one row per target.  Three
    single sequencers differ only in their backend; part4 is the
-   benchmark's own partitioned deployment.  A last part4 row offers the
+   benchmark's own partitioned deployment.  The ladders of indexed,
+   early and part4 go on to 800 and 1000 kops, past the single
+   sequencer's own bound (one [Marshal] per command, about 833 kops),
+   where partitioned ordering pulls ahead.  A last part4 row offers the
    scan-heavy YCSB-E scenario on a ladder around its knee, where the
    shared-read rendezvous does the work. *)
 module W = Psmr_benchmark.Workloads
@@ -291,11 +294,13 @@ let open_loop_targets =
     (fun (s, scenario, levels_kops) ->
       (Option.get (Psmr_harness.Open_loop.target_of_string s), scenario,
        levels_kops))
-    Psmr_traffic.Scenario.
-      [
-        ("coarse", A, None); ("indexed", A, None); ("early", A, None);
-        ("part4", A, None); ("part4", E, Some [ 10.; 15.; 20.; 30.; 40.; 50. ]);
-      ]
+    (let extended = Some (Psmr_harness.Open_loop.levels_kops @ [ 800.; 1000. ]) in
+     Psmr_traffic.Scenario.
+       [
+         ("coarse", A, None); ("indexed", A, extended); ("early", A, extended);
+         ("part4", A, extended);
+         ("part4", E, Some [ 10.; 15.; 20.; 30.; 40.; 50. ]);
+       ])
 
 (* One target's ladder, and each step's window with its offered ops/s. *)
 let compute_open_loop ~smoke (deployment, scenario, levels_kops) =

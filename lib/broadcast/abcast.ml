@@ -643,7 +643,13 @@ module Make (P : Platform_intf.S) = struct
           maybe_become_leader t view
         end
     | Do_view_change { view; last_normal; base; log; committed } ->
-        if view >= t.view && leader_of t view = t.id then begin
+        (* Only while the view is still to install: a late one for the
+           view we lead already would re-add our own entry (the install
+           removed the view's entries) and install it again. *)
+        if
+          (view > t.view || (view = t.view && t.status = View_change))
+          && leader_of t view = t.id
+        then begin
           let cur = Option.value ~default:[] (Hashtbl.find_opt t.dvc view) in
           if not (List.exists (fun (s, _, _, _, _) -> s = src) cur) then
             Hashtbl.replace t.dvc view

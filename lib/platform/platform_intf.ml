@@ -89,8 +89,11 @@ type work_kind =
   | Conflict_check  (** evaluating the conflict relation on a command pair *)
   | Alloc  (** allocating a node structure *)
   | Marshal
-      (** per-command protocol processing on a replica's delivery path
-          (deserialization, envelope construction, reply serialization) *)
+      (** per-command protocol processing: the sequencer's per-command
+          ordering work, and on a replica the executing worker's share
+          (deserializing the command, building and serializing the reply
+          envelope), or the applier's for a reply it replays to a
+          duplicate *)
   | Hash
       (** one hash-index lookup or update on the keyed insert path (a
           hashtable probe over a command's key footprint) *)

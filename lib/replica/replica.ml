@@ -11,8 +11,9 @@
       execution mode is one partition), an {e executor} that runs the
       merged commands — either sequentially
       (classical SMR) or through a scheduling backend with worker threads
-      (parallel SMR) — and an at-most-once table replaying cached replies
-      to retried requests;
+      (parallel SMR) — and an at-most-once table whose per-command
+      response slots, filled by the executing worker, replay the reply to
+      a retried request;
     - snapshot catch-up: a replica stalled behind a truncated log installs
       a peer's cut of the merged stream (each partition's delivered seq,
       the merge state, the service state and the duplicate screening);
@@ -84,72 +85,61 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
       }
         (** service state and duplicate screening at an ordering cut *)
 
-  (* The COS sees envelopes; conflicts and footprints come from the
-     service's relation. *)
-  module Env_cmd = struct
-    type t = envelope
+  (* What the executor runs: a fresh command and the response slot its
+     worker fills.  The slot is the replica's own; the envelope is shared
+     wire data and never carries it. *)
+  type job = { env : envelope; slot : S.response option P.Atomic.t }
 
-    let conflict a b = S.conflict a.cmd b.cmd
-    let footprint e = S.footprint e.cmd
-    let pp ppf e = Format.fprintf ppf "c%d/r%d" e.client e.rid
+  (* The COS sees jobs; conflicts and footprints come from the service's
+     relation. *)
+  module Job_cmd = struct
+    type t = job
+
+    let conflict a b = S.conflict a.env.cmd b.env.cmd
+    let footprint j = S.footprint j.env.cmd
+    let pp ppf j = Format.fprintf ppf "c%d/r%d" j.env.client j.env.rid
   end
 
   (* --- executors --- *)
 
   type executor = {
-    exec_submit : envelope -> unit;
-    exec_submit_batch : envelope array -> unit;
+    exec_submit : job -> unit;
+    exec_submit_batch : job array -> unit;
         (* same as submitting each, but one synchronization round *)
     exec_drain : unit -> unit;  (* wait until everything submitted executed *)
     exec_shutdown : unit -> unit;
     exec_executed : unit -> int;
   }
 
-  (* The at-most-once window: the reply cache keeps a client's last
-     [window] responses, enough to replay any request of a retried client
-     batch (clients wait for a whole batch before sending the next, and
-     [call_batch] keeps a batch within the window); duplicate
-     screening remembers the same span of rids. *)
+  (* The at-most-once window: duplicate screening keeps a client's rids
+     within [window] below its highest, each with its response slot,
+     enough to replay any request of a retried client batch (clients wait
+     for a whole batch before sending the next, and [call_batch] keeps a
+     batch within the window). *)
   let window = 128
 
   (* A client's duplicate-screening state at a replica: its highest
-     screened rid and the rids screened within [window] below it. *)
-  type seen = { mutable high : int; recent : (int, unit) Hashtbl.t }
+     screened rid and the rids screened within [window] below it, each
+     with the slot its worker fills ([None] while in flight). *)
+  type seen = {
+    mutable high : int;
+    recent : (int, S.response option P.Atomic.t) Hashtbl.t;
+  }
 
-  let cache_store cache client rid resp =
-    let inner =
-      match Hashtbl.find_opt cache client with
-      | Some h -> h
-      | None ->
-          let h = Hashtbl.create 16 in
-          Hashtbl.replace cache client h;
-          h
-    in
-    Hashtbl.replace inner rid resp;
-    if Hashtbl.length inner > 2 * window then
-      Hashtbl.filter_map_inplace
-        (fun r v -> if r <= rid - window then None else Some v)
-        inner
+  let send_reply ~replica_id ~net ~leaders (e : envelope) resp =
+    Net.send net ~src:replica_id ~dst:e.client
+      (Reply { rid = e.rid; resp; replica = replica_id; leaders = !leaders })
 
-  let cache_find cache client rid =
-    match Hashtbl.find_opt cache client with
-    | None -> None
-    | Some inner -> Hashtbl.find_opt inner rid
-
-  (* The per-replica execute-and-reply path shared by every executor:
-     deterministic service execution, reply to the client, and the
-     at-most-once cache update. *)
-  let make_apply ~replica_id ~service ~net ~cache ~cache_mutex ~leaders =
-    let apply (e : envelope) =
-      let resp = S.execute service e.cmd in
-      P.Mutex.lock cache_mutex;
-      cache_store cache e.client e.rid resp;
-      P.Mutex.unlock cache_mutex;
-      Net.send net ~src:replica_id ~dst:e.client
-        (Reply
-           { rid = e.rid; resp; replica = replica_id; leaders = !leaders })
-    in
-    apply
+  (* The per-replica execute-and-reply path shared by every executor, run
+     by the executing worker (by the applier in [Sequential] mode): the
+     per-command protocol work (deserializing the body, building the reply
+     envelope), deterministic service execution, the response published
+     in the command's slot, and the reply to the client. *)
+  let make_apply ~replica_id ~service ~net ~leaders { env = e; slot } =
+    P.work Marshal;
+    let resp = S.execute service e.cmd in
+    P.Atomic.set slot (Some resp);
+    send_reply ~replica_id ~net ~leaders e resp
 
   let sequential_executor ~apply =
     let executed = P.Atomic.make 0 in
@@ -174,10 +164,10 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
      delivers in final order only, so there is nothing to speculate on:
      every backend takes the conservative feed, delivered batches go
      through [submit_batch], and the workers run the shared [apply], which
-     executes, caches and replies. *)
+     executes, fills the slot and replies. *)
   let backend_executor ~backend ~workers ~apply =
-    let (module B : Psmr_sched.Sched_intf.BACKEND with type cmd = envelope) =
-      Psmr_early.Registry.instantiate backend (module P) (module Env_cmd)
+    let (module B : Psmr_sched.Sched_intf.BACKEND with type cmd = job) =
+      Psmr_early.Registry.instantiate backend (module P) (module Job_cmd)
     in
     let b = B.start ~workers ~execute:apply () in
     {
@@ -455,19 +445,12 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
       let replica_handles =
         Array.init cfg.replicas (fun id ->
             let service = cfg.make_service id in
-            let cache : (int, (int, S.response) Hashtbl.t) Hashtbl.t =
-              Hashtbl.create 64
-            in
-            let cache_mutex = P.Mutex.create () in
             (* Replies carry this replica's hint per partition; the
                protocol thread publishes a fresh array whenever a view
                moves, so the executor threads only ever read a complete
                one. *)
             let leaders = ref [||] in
-            let apply =
-              make_apply ~replica_id:id ~service ~net ~cache ~cache_mutex
-                ~leaders
-            in
+            let apply = make_apply ~replica_id:id ~service ~net ~leaders in
             let executor =
               match backend with
               | None -> sequential_executor ~apply
@@ -529,11 +512,13 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
                   done
               end
             in
-            (* Duplicate suppression happens before scheduling: a retried
-               request whose original is still in flight is dropped (the
-               original will reply); one already executed gets the cached
-               reply replayed.  [screen_one] returns whether the envelope
-               is fresh and should be scheduled.
+            (* Duplicate suppression happens before scheduling, on the
+               header alone (client, rid; the footprint is the COS's): a
+               retried request whose slot is still empty is in flight and
+               is dropped (the original will reply); one whose slot is
+               filled gets that response replayed, the one reply the
+               applier builds.  [screen_one] returns the job to schedule
+               for a fresh envelope.
 
                The merge preserves each client's rid order only per
                partition: a client's consecutive requests landing on
@@ -544,10 +529,6 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
                flight, so anything below the window is an old retry. *)
             let seen : (int, seen) Hashtbl.t = Hashtbl.create 64 in
             let screen_one (e : envelope) =
-              (* Per-command protocol processing (deserialization, reply
-                 envelope) — the CPU share the ordering stack takes on the
-                 replica, visible only under the simulated cost model. *)
-              P.work Marshal;
               let s =
                 match Hashtbl.find_opt seen e.client with
                 | Some s -> s
@@ -556,33 +537,30 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
                     Hashtbl.replace seen e.client s;
                     s
               in
-              if e.rid <= s.high - window || Hashtbl.mem s.recent e.rid then begin
-                P.Mutex.lock cache_mutex;
-                let cached = cache_find cache e.client e.rid in
-                P.Mutex.unlock cache_mutex;
-                (match cached with
-                | Some resp ->
-                    Net.send net ~src:id ~dst:e.client
-                      (Reply
-                         { rid = e.rid; resp; replica = id; leaders = !leaders })
-                | None -> ());
-                false
-              end
-              else begin
-                Hashtbl.replace s.recent e.rid ();
-                s.high <- max s.high e.rid;
-                if Hashtbl.length s.recent > 2 * window then
-                  Hashtbl.filter_map_inplace
-                    (fun r v -> if r <= s.high - window then None else Some v)
-                    s.recent;
-                true
-              end
+              match Hashtbl.find_opt s.recent e.rid with
+              | Some slot ->
+                  (match P.Atomic.get slot with
+                  | Some resp ->
+                      P.work Marshal;
+                      send_reply ~replica_id:id ~net ~leaders e resp
+                  | None -> ());
+                  None
+              | None when e.rid <= s.high - window -> None
+              | None ->
+                  let slot = P.Atomic.make None in
+                  Hashtbl.replace s.recent e.rid slot;
+                  s.high <- max s.high e.rid;
+                  if Hashtbl.length s.recent > 2 * window then
+                    Hashtbl.filter_map_inplace
+                      (fun r v -> if r <= s.high - window then None else Some v)
+                      s.recent;
+                  Some { env = e; slot }
             in
             (* The merged batch reaches the executor as one batch (minus
                duplicates), so the COS can amortize per-command
                synchronization over it. *)
             let apply_batch (batch : envelope array) =
-              let fresh = Array.to_list batch |> List.filter screen_one in
+              let fresh = Array.to_list batch |> List.filter_map screen_one in
               match fresh with
               | [] -> ()
               | [ e ] -> executor.exec_submit e
@@ -603,16 +581,18 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
               | Install_snapshot { state; seen = screened } ->
                   executor.exec_drain ();
                   S.restore service state;
+                  (* Screened rids come back with empty slots: this
+                     replica never ran them, so a retry of one is dropped
+                     as if in flight; the replicas that ran them replied. *)
                   Hashtbl.reset seen;
                   List.iter
                     (fun (c, high, recent) ->
                       let s = { high; recent = Hashtbl.create 16 } in
-                      List.iter (fun r -> Hashtbl.replace s.recent r ()) recent;
+                      List.iter
+                        (fun r -> Hashtbl.replace s.recent r (P.Atomic.make None))
+                        recent;
                       Hashtbl.replace seen c s)
-                    screened;
-                  P.Mutex.lock cache_mutex;
-                  Hashtbl.reset cache;
-                  P.Mutex.unlock cache_mutex
+                    screened
             in
             (* The applier drains its mailbox with one lock round per
                wake-up, as each network endpoint does, and runs the items

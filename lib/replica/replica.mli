@@ -3,7 +3,8 @@
 
     [Make (P) (S)] assembles, for service [S] on platform [P]: the wire
     protocol, replicas (protocol event loop + parallelizer thread +
-    sequential or backend-parallel executor + at-most-once reply cache),
+    sequential or backend-parallel executor + at-most-once screening whose
+    per-command response slots replay a retried request's reply),
     batched closed-loop clients routed by partition, and the deployment
     wiring over an in-process network.  Every deployment orders through
     {!Psmr_broadcast.Partition}: a bare execution mode is one partition,
@@ -80,8 +81,9 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) : sig
   type client
 
   val window : int
-  (** The at-most-once window (128 commands): the reply cache and
-      duplicate screening remember a client's last [window] requests, which covers a retried batch only if no batch is larger. *)
+  (** The at-most-once window (128 commands): duplicate screening
+      remembers a client's last [window] requests with their response
+      slots, which covers a retried batch only if no batch is larger. *)
 
   val call_batch : client -> S.command array -> S.response array option
   (** Send the commands in one request per partition they touch (one

@@ -15,6 +15,7 @@ module Harness = struct
     cut_at : (int, float) Hashtbl.t;
         (* command -> time the leader first sent it in a [Prepare] *)
     views : (unit -> int) array;
+    views_installed : (unit -> int) array;
     log_info : (unit -> int * int) array;  (* per replica: (base, length) *)
     crash : int -> unit;
     partition : (src:int -> dst:int -> bool) -> unit;
@@ -108,6 +109,7 @@ module Harness = struct
       deliveries;
       cut_at;
       views = Array.map (fun ab () -> Ab.view ab) abs;
+      views_installed = Array.map (fun ab () -> Ab.views_installed ab) abs;
       log_info = Array.map (fun ab () -> (Ab.log_base ab, Ab.log_length ab)) abs;
       crash = (fun id -> Net.crash net id);
       partition = (fun f -> Net.set_link_filter net f);
@@ -615,6 +617,44 @@ let test_gap_recovery_via_log_transfer () =
   Alcotest.(check int) "all delivered at leader" 60 (List.length d0);
   Alcotest.(check (list int)) "replica 2 caught up" d0 (Harness.delivered h 2)
 
+(* The abcast log lines containing [needle] while [f] runs, counted
+   through a capturing reporter at info level. *)
+let count_abcast_lines needle f =
+  let count = ref 0 in
+  let contains line =
+    let n = String.length needle and l = String.length line in
+    let rec at i = i + n <= l && (String.sub line i n = needle || at (i + 1)) in
+    at 0
+  in
+  let reporter =
+    {
+      Logs.report =
+        (fun src _level ~over k msgf ->
+          if Logs.Src.equal src Abcast.log_src then
+            msgf (fun ?header:_ ?tags:_ fmt ->
+                Format.kasprintf
+                  (fun line ->
+                    if contains line then incr count;
+                    over ();
+                    k ())
+                  fmt)
+          else begin
+            over ();
+            k ()
+          end);
+    }
+  in
+  let old_reporter = Logs.reporter () in
+  let old_level = Logs.Src.level Abcast.log_src in
+  Logs.set_reporter reporter;
+  Logs.Src.set_level Abcast.log_src (Some Logs.Info);
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.set_reporter old_reporter;
+      Logs.Src.set_level Abcast.log_src old_level)
+    f;
+  !count
+
 let test_deposed_leader_rejoins () =
   (* Cut leader 0 off both ways: replicas 1 and 2 install a new view
      without it, and its Start_view never arrives.  Replica 0 stays leader
@@ -622,7 +662,10 @@ let test_deposed_leader_rejoins () =
      it hears the new view's heartbeats, fetches that view's log past its
      commit point (dropping its uncommitted batch) and delivers what the
      new view ordered.  Adopting view 1 restarts its failure detector, so
-     it does not suspect the new leader and no view 2 follows. *)
+     it does not suspect the new leader and no view 2 follows.  Replicas
+     1 and 2 install view 1 once each, and replica 0 adopts it without an
+     install: a late [Do_view_change] reaching the new leader after its
+     install is ignored. *)
   let submits =
     [ (0.001, 0, [ 1; 2 ]); (0.1, 0, [ 99 ]); (0.2, 1, [ 3 ]); (0.25, 1, [ 4 ]) ]
   in
@@ -632,11 +675,14 @@ let test_deposed_leader_rejoins () =
       ~submit:(fun () -> submits)
       ()
   in
-  h.run_until 0.05;
-  h.partition (fun ~src ~dst -> src <> 0 && dst <> 0);
-  h.run_until 0.3;
-  h.heal ();
-  h.run_until 1.0;
+  let installs =
+    count_abcast_lines "installed view" (fun () ->
+        h.run_until 0.05;
+        h.partition (fun ~src ~dst -> src <> 0 && dst <> 0);
+        h.run_until 0.3;
+        h.heal ();
+        h.run_until 1.0)
+  in
   let d1 = Harness.delivered h 1 in
   Alcotest.(check (list int)) "the new view ordered its commands"
     [ 1; 2; 3; 4 ] d1;
@@ -646,7 +692,34 @@ let test_deposed_leader_rejoins () =
         (Printf.sprintf "replica %d in view 1" r)
         1 (view ()))
     h.views;
+  Alcotest.(check (list int)) "views installed per replica" [ 0; 1; 1 ]
+    (Array.to_list (Array.map (fun installed -> installed ()) h.views_installed));
+  Alcotest.(check int) "two \"installed view\" lines" 2 installs;
   Alcotest.(check (list int)) "replica 0 caught up" d1 (Harness.delivered h 0)
+
+let test_late_do_view_change_ignored () =
+  (* Leader 0 stays up but its heartbeats and proposals never arrive, so
+     replicas 1 and 2 vote for view 1; replica 0 hears the votes and joins.
+     Leader 1 installs view 1 on the first [Do_view_change]; the other one
+     arrives after the install and must not install view 1 again (which
+     would reset its acks, re-send [Start_view] and re-propose). *)
+  let h =
+    Harness.make
+      ~drop:(fun ~src ~dst:_ msg ->
+        src = 0
+        && match msg with Abcast.Prepare _ | Abcast.Commit _ -> true | _ -> false)
+      ~submit:(fun () -> [ (0.2, 1, [ 7 ]) ])
+      ()
+  in
+  let installs = count_abcast_lines "installed view" (fun () -> h.run_until 0.5) in
+  Array.iteri
+    (fun r view ->
+      Alcotest.(check int) (Printf.sprintf "replica %d in view 1" r) 1 (view ()))
+    h.views;
+  Alcotest.(check (list int)) "views installed per replica" [ 1; 1; 1 ]
+    (Array.to_list (Array.map (fun installed -> installed ()) h.views_installed));
+  Alcotest.(check int) "three \"installed view\" lines" 3 installs;
+  Alcotest.(check (list int)) "the new view orders" [ 7 ] (Harness.delivered h 0)
 
 (* --- five replicas: f = 2 --- *)
 
@@ -886,6 +959,8 @@ let () =
             `Quick test_view_change_keeps_latest_view_log;
           Alcotest.test_case "view change keeps four uncommitted batches"
             `Quick test_view_change_keeps_four_uncommitted;
+          Alcotest.test_case "late Do_view_change installs nothing" `Quick
+            test_late_do_view_change_ignored;
           Alcotest.test_case "lost first Prepare waits for Need_log" `Quick
             test_lost_first_prepare_fills_gap;
           Alcotest.test_case "n = 5: two in flight, each two hops" `Quick

@@ -438,28 +438,41 @@ let test_bench_part_schema () =
    ladders through the replicated deployment by [Psmr_benchmark.Drive]):
    one row per target on the Zipfian YCSB-A scenario, and the
    highest rate meeting the SLO ranks the targets as the closed-loop peaks
-   do — coarse below early below the partitioned deployment.  The part4
+   do — coarse below early below the partitioned deployment.  Past the
+   single sequencer's own bound (about 833 kops) partitioning scales out:
+   part4's 1000 kops step serves at least 950 kops and at least 15% more
+   than early's.  The part4
    YCSB-E row holds the scan knee: with shared reads run from the ready
    queue by idle workers it meets the SLO through 40 kops at least (one
    scan at a time met it through 10).  Simulated virtual-time results are deterministic,
    so these are stable regression anchors. *)
 let test_bench_open_loop_schema () =
   let doc = valid_bench_doc () in
-  let max_kops ?(scenario = "ycsb_a") impl =
-    let row =
-      match
-        List.find_opt
-          (fun row ->
-            str_member "impl" row = impl && str_member "scenario" row = scenario)
-          (rows "open_loop" doc)
-      with
-      | Some row -> row
-      | None -> Alcotest.failf "no %s open_loop row for %S" scenario impl
-    in
+  let row ?(scenario = "ycsb_a") impl =
+    match
+      List.find_opt
+        (fun row ->
+          str_member "impl" row = impl && str_member "scenario" row = scenario)
+        (rows "open_loop" doc)
+    with
+    | Some row -> row
+    | None -> Alcotest.failf "no %s open_loop row for %S" scenario impl
+  in
+  let max_kops ?scenario impl =
+    let row = row ?scenario impl in
     Alcotest.(check bool)
       (impl ^ " scenario is zipfian") true
       (num_member "theta" row >= 0.9);
     num_member "max_kops_slo" row
+  in
+  let served impl ~offered =
+    match
+      List.find_opt
+        (fun step -> num_member "offered_kops" step = offered)
+        (rows "steps" (row impl))
+    with
+    | Some step -> num_member "kops" step
+    | None -> Alcotest.failf "no %.0f kops step on %s" offered impl
   in
   let coarse = max_kops "coarse" in
   ignore (max_kops "indexed");
@@ -471,6 +484,16 @@ let test_bench_open_loop_schema () =
   Alcotest.(check bool)
     (Printf.sprintf "part4 max_kops_slo %.0f > early %.0f" part4 early)
     true (part4 > early);
+  let part4_1000 = served "part4" ~offered:1000.0
+  and early_1000 = served "early" ~offered:1000.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "part4 serves %.1f >= 950 kops at 1000 offered" part4_1000)
+    true (part4_1000 >= 950.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "part4 %.1f >= 1.15 x early %.1f kops at 1000 offered"
+       part4_1000 early_1000)
+    true
+    (part4_1000 >= 1.15 *. early_1000);
   let part4_e = max_kops ~scenario:"ycsb_e" "part4" in
   Alcotest.(check bool)
     (Printf.sprintf "part4 YCSB-E max_kops_slo %.0f >= 40" part4_e)

@@ -510,6 +510,101 @@ let test_exactly_once_across_snapshot () =
         !deposits (Psmr_app.Bank.total s.svc))
     o.services
 
+(* Exactly-once through the response slots, on the simulator: each
+   replica's one worker is slowed ([worker-slow]) and the client timeout
+   is shorter than a call's round trip, so retried deposits reach every
+   replica's screening.  Returns the client's retries, the messages the
+   replicas sent to the client (one reply per command and replica, plus
+   one per replayed duplicate), and per replica the commands it executed
+   and its bank total. *)
+let slot_retries ?(reply_latency = 60e-6) ~slow ~client_timeout ~deposits () =
+  let open Psmr_sim in
+  let engine = Engine.create () in
+  let (module SP) = Sim_platform.make engine Costs.default in
+  let module SMR = Psmr_replica.Replica.Make (SP) (Psmr_app.Bank) in
+  let services =
+    Array.init 3 (fun _ -> Psmr_app.Bank.create ~accounts:4 ~initial_balance:0)
+  in
+  let cfg =
+    {
+      (SMR.Deployment.default_config ~make_service:(Array.get services) ()) with
+      clients = 1;
+      mode = Parallel { impl = Psmr_early.Registry.Lockfree; workers = 1 };
+      abcast = fast_abcast;
+      client_timeout;
+      latency =
+        (fun ~src ~dst -> if src < 3 && dst >= 3 then reply_latency else 60e-6);
+    }
+  in
+  let d = SMR.Deployment.create cfg in
+  let to_client = ref 0 in
+  SMR.Net.set_link_filter (SMR.Deployment.network d) (fun ~src ~dst ->
+      if src < 3 && dst >= 3 then incr to_client;
+      true);
+  let retries = ref 0 in
+  Engine.spawn engine (fun () ->
+      SMR.Deployment.start d;
+      SP.spawn (fun () ->
+          let c = SMR.Deployment.client d 0 in
+          for i = 1 to deposits do
+            ignore (SMR.call c (Deposit (i mod 4, 1)) : _ option)
+          done;
+          retries := SMR.client_retries c));
+  let executed = ref [||] in
+  Engine.spawn engine ~delay:1.9 (fun () ->
+      executed := Array.init 3 (SMR.Deployment.replica_executed d));
+  let plan =
+    Psmr_fault.Plan.make
+      ~now:(fun () -> Engine.now engine)
+      (Psmr_fault.Schedule.parse_exn (Printf.sprintf "worker-slow=1@0:%g" slow))
+  in
+  Psmr_fault.Plan.with_plan plan (fun () -> Engine.run ~until:2.0 engine);
+  ( !retries,
+    !to_client,
+    !executed,
+    Array.map Psmr_app.Bank.total services )
+
+let check_exactly_once ~deposits (executed, totals) =
+  Array.iteri
+    (fun r n ->
+      Alcotest.(check int) (Printf.sprintf "replica %d executed each once" r)
+        deposits n)
+    executed;
+  Array.iteri
+    (fun r total ->
+      Alcotest.(check int) (Printf.sprintf "replica %d total (exactly-once)" r)
+        deposits total)
+    totals
+
+(* (a) Replies take 3 ms, so each call's 5.5 ms timeout fires after its
+   deposit executed (4 ms slowed) but before the reply lands: the retry
+   finds a filled slot at every replica, which replays that response and
+   executes nothing. *)
+let test_retry_of_executed_replays () =
+  let deposits = 10 in
+  let retries, to_client, executed, totals =
+    slot_retries ~reply_latency:3e-3 ~slow:4e-3 ~client_timeout:5.5e-3
+      ~deposits ()
+  in
+  Alcotest.(check int) "one retry per call" deposits retries;
+  Alcotest.(check int) "every replica replays every retry"
+    (3 * (deposits + retries))
+    to_client;
+  check_exactly_once ~deposits (executed, totals)
+
+(* (b) Each deposit runs 10 ms and the timeout is 1 ms, so every retry (at
+   1, 3 and 7 ms) reaches the screening while its original is in flight:
+   the slot is empty and the retry is dropped, without a reply. *)
+let test_retry_in_flight_dropped () =
+  let deposits = 10 in
+  let retries, to_client, executed, totals =
+    slot_retries ~slow:10e-3 ~client_timeout:1e-3 ~deposits ()
+  in
+  Alcotest.(check int) "three retries per call" (3 * deposits) retries;
+  Alcotest.(check int) "one reply per command and replica" (3 * deposits)
+    to_client;
+  check_exactly_once ~deposits (executed, totals)
+
 (* A client's cross-partition uid packs its address into 16 bits, so a
    deployment with more endpoints is refused up front, before the network
    or any replica exists, rather than at a client's first cross command. *)
@@ -750,6 +845,10 @@ let () =
             `Quick test_partitioned_catch_up;
           Alcotest.test_case "exactly-once across a snapshot install" `Quick
             test_exactly_once_across_snapshot;
+          Alcotest.test_case "retry of an executed command replays its slot"
+            `Quick test_retry_of_executed_replays;
+          Alcotest.test_case "retry of an in-flight command is dropped" `Quick
+            test_retry_in_flight_dropped;
           Alcotest.test_case "leader notice fails over at view change" `Quick
             test_sim_notice_failover;
           Alcotest.test_case "lost notice falls back to the timeout" `Quick
